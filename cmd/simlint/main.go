@@ -9,7 +9,6 @@
 //	go run ./cmd/simlint -rules all,-floatsum ./...
 //	go run ./cmd/simlint -json ./...
 //	go run ./cmd/simlint -stats ./...
-//	go run ./cmd/simlint -baseline lint.baseline ./...
 //	go run ./cmd/simlint -list
 //
 // -rules takes a comma-separated list applied left to right: a bare
@@ -21,23 +20,12 @@
 // Exit codes: 0 when clean, 1 when findings were reported, 2 on a
 // usage or load error.
 //
-// With -baseline <file>, accepted findings listed in the file are
-// subtracted before reporting. Entries match on rule, file, and
-// message — never on line numbers — so unrelated edits that shift
-// code do not invalidate the baseline. -update-baseline rewrites the
-// file from the current findings and exits clean.
-//
 // Findings print as "file:line: [rule] message", or with -json as one
 // object holding the finding list and per-rule counts for CI
 // annotation. A finding is suppressed by a comment on the offending
 // line, or alone on the line above it:
 //
 //	//simlint:ignore rule reason the construct is safe here
-//
-// Two further directives steer the hotalloc rule: //simlint:hot on a
-// function declaration seeds it as a hot root, and //simlint:cold
-// excludes a function (a fault-recovery or retransmission path) from
-// the hot set even when hot code calls it.
 //
 // The lifecycle rules read declarative contracts. The recognized API
 // surface lives in one checked-in table (internal/analysis
@@ -80,7 +68,6 @@
 //	bufhazard no write (or, for Irecv, read) of a buffer between Isend/Irecv and its Wait/Test
 //	blockcycle symmetric blocking Send/Recv orderings that deadlock past the eager limit
 //	collorder collectives reachable only under rank-dependent branches or early exits
-//	hotalloc  per-event allocations, interface boxing, and redundant same-domain copies on the event-dispatch hot path
 //	globalmut package-level mutable state shared across simulator instances
 //	fsmcheck  exhaustive switches over protocol enums, declared transition tables, unreachable states
 //
@@ -148,8 +135,8 @@ type ruleStat struct {
 }
 
 // statsReport is the -stats document: per-rule analysis cost and
-// finding counts (post-baseline), plus the end-to-end wall time
-// including loading and type checking.
+// finding counts, plus the end-to-end wall time including loading and
+// type checking.
 type statsReport struct {
 	Packages int                 `json:"packages"`
 	WallMS   float64             `json:"wall_ms"`
@@ -167,8 +154,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	list := fs.Bool("list", false, "list the analyzers and exit")
 	asJSON := fs.Bool("json", false, "emit findings as a JSON report on stdout")
 	stats := fs.Bool("stats", false, "emit a per-rule JSON cost report (finding counts and analysis wall time) on stdout instead of the finding list")
-	baseline := fs.String("baseline", "", "JSON file of accepted findings to subtract (matched by rule+file+message, line-independent)")
-	updateBaseline := fs.Bool("update-baseline", false, "rewrite the -baseline file from the current findings and exit clean")
 	if err := fs.Parse(args); err != nil {
 		return exitError
 	}
@@ -189,13 +174,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "%-10s %-16s %s\n", a.Name, a.Scope, a.Doc)
 		}
 		return exitClean
-	}
-
-	// Validate the baseline flags before any analysis runs: a usage
-	// error must not cost a full load, and -update-baseline must never
-	// reach the write path with an unusable configuration.
-	if *updateBaseline && *baseline == "" {
-		return fail(fmt.Errorf("-update-baseline requires -baseline <file>"))
 	}
 
 	patterns := fs.Args()
@@ -226,21 +204,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 	wall := time.Since(t0)
-
-	if *updateBaseline {
-		if err := analysis.WriteBaseline(*baseline, root, findings); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stderr, "simlint: wrote %d finding(s) to %s\n", len(findings), *baseline)
-		return exitClean
-	}
-	if *baseline != "" {
-		b, err := analysis.LoadBaseline(*baseline)
-		if err != nil {
-			return fail(err)
-		}
-		findings = b.Filter(root, findings)
-	}
 
 	if *stats {
 		report := statsReport{

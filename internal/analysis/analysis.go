@@ -73,7 +73,7 @@ type Analyzer struct {
 
 // All returns every analyzer in the suite, in report order.
 func All() []*Analyzer {
-	return []*Analyzer{Nondet, MapOrder, RawGo, ErrCheck, FloatSum, MRLeak, MRPin, Offload, ReqWait, Memdomain, BufHazard, BlockCycle, CollOrder, HotAlloc, GlobalMut, FSMCheck}
+	return []*Analyzer{Nondet, MapOrder, RawGo, ErrCheck, FloatSum, MRLeak, MRPin, Offload, ReqWait, Memdomain, BufHazard, BlockCycle, CollOrder, GlobalMut, FSMCheck}
 }
 
 // ByName selects analyzers from a comma-separated list, or All() when

@@ -233,7 +233,7 @@ func (p *Pass) contractsFor() *contractIndex {
 			}
 		}
 		// Line directly above the declaration, for directives separated
-		// from the doc comment (mirrors //simlint:hot attachment).
+		// from the doc comment.
 		pos := p.Fset.Position(decl.Pos())
 		attachAt(fn, pos.Filename, pos.Line-1)
 	}

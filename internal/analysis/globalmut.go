@@ -27,8 +27,7 @@ import (
 //
 // Test packages are in scope for writes: a test that pokes a global
 // poisons every other test sharing the process. Findings name the
-// variable and, for summarized flows, the function chain — never line
-// numbers — so baseline entries survive unrelated edits.
+// variable and, for summarized flows, the function chain.
 var GlobalMut = &Analyzer{
 	Name:      "globalmut",
 	Doc:       "package-level mutable state shared across simulator instances",
@@ -414,4 +413,14 @@ func WriteEffectDump(p *Pass) string {
 		fmt.Fprintf(&b, "%s: writes %s\n", fn.FullName(), strings.Join(we.trans[fn], ", "))
 	}
 	return b.String()
+}
+
+// isBuiltinCall reports whether the call invokes the named builtin.
+func isBuiltinCall(p *Pass, call *ast.CallExpr, name string) bool {
+	id, ok := unparen(call.Fun).(*ast.Ident)
+	if !ok || id.Name != name {
+		return false
+	}
+	b, ok := p.Info.Uses[id].(*types.Builtin)
+	return ok && b.Name() == name
 }

@@ -1,11 +1,10 @@
 package bench
 
-// Deterministic engine-throughput workloads. These are the repo's perf
-// trajectory: cmd/simbench times them against the wall clock and
-// reports events/sec and simulated-bytes/sec into BENCH_N.json. The
-// workloads themselves are pure simulation — no wall-clock reads, no
-// randomness beyond a seeded splitmix64 — so a result is identified by
-// its fingerprint and two runs of one workload are bit-identical.
+// Deterministic engine workloads for cmd/simprof, internal/scale and
+// the determinism tests (wall-clock numbers come from benchmark/, not
+// from here). The workloads are pure simulation — no wall-clock reads,
+// no randomness beyond a seeded splitmix64 — so a result is identified
+// by its fingerprint and two runs of one workload are bit-identical.
 
 import (
 	"repro/internal/causal"
@@ -29,20 +28,12 @@ type PerfResult struct {
 	Fingerprint  uint64
 }
 
-// PingPongFlood runs a blocking Send/Recv ping-pong of size-byte
-// messages between 2 DCFA ranks for iters round trips — the classic
-// latency flood, dominated by per-message protocol events.
-func PingPongFlood(plat *perfmodel.Platform, size, iters int) PerfResult {
-	res, err := PingPongFloodProfiled(plat, size, iters, nil, nil)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// PingPongFloodProfiled is PingPongFlood with optional passive
-// instrumentation installed across every layer: both are nil-tolerant,
-// and the fingerprint matches the uninstrumented run.
+// PingPongFloodProfiled runs a blocking Send/Recv ping-pong of
+// size-byte messages between 2 DCFA ranks for iters round trips — the
+// classic latency flood, dominated by per-message protocol events —
+// with optional passive instrumentation installed across every layer:
+// reg and rec are nil-tolerant, and the fingerprint matches the
+// uninstrumented run.
 func PingPongFloodProfiled(plat *perfmodel.Platform, size, iters int, reg *metrics.Registry, rec *causal.Recorder) (PerfResult, error) {
 	c := cluster.New(plat, 2)
 	c.SetMetrics(reg)
@@ -97,24 +88,14 @@ func (g *perfRNG) next() uint64 {
 
 func (g *perfRNG) intn(n int) int { return int(g.next() % uint64(n)) }
 
-// TortureFlood runs the seeded 4-rank randomized point-to-point
-// workload from the torture suite, without faults or payload checks:
-// rounds bulk-synchronous rounds of msgs directed Isend/Irecv pairs
-// each, over sizes straddling the eager/rendezvous threshold, closed
-// by a Barrier. It stresses matching, rendezvous and the collectives'
-// control path at once.
-func TortureFlood(plat *perfmodel.Platform, seed uint64, rounds, msgs int) PerfResult {
-	res, err := TortureFloodProfiled(plat, seed, rounds, msgs, nil, nil, nil)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// TortureFloodProfiled is TortureFlood with optional deterministic
-// fault injection and passive instrumentation: plan (nil = sunny day)
-// drives the transport fault injector, reg and rec install telemetry
-// and causal recording. With plan nil, the fingerprint matches the
+// TortureFloodProfiled runs the seeded 4-rank randomized
+// point-to-point workload from the torture suite, without payload
+// checks: rounds bulk-synchronous rounds of msgs directed Isend/Irecv
+// pairs each, over sizes straddling the eager/rendezvous threshold,
+// closed by a Barrier. It stresses matching, rendezvous and the
+// collectives' control path at once. plan (nil = sunny day) drives the
+// transport fault injector, reg and rec install telemetry and causal
+// recording. With plan nil, the fingerprint matches the
 // uninstrumented run.
 func TortureFloodProfiled(plat *perfmodel.Platform, seed uint64, rounds, msgs int, plan *faults.Plan, reg *metrics.Registry, rec *causal.Recorder) (PerfResult, error) {
 	sizes := []int{64, 1024, 8192, 8193, 32768}

@@ -18,8 +18,9 @@ import (
 )
 
 // ScaleConfig parameterizes ScaleAllreduce. Zero fields take the
-// BENCH_9 defaults: 1000 ranks, 1000 f64 elements, seed 7, fat-tree
-// topology, ring algorithm.
+// flagship defaults: 1000 ranks, 1000 f64 elements, seed 7, fat-tree
+// topology, ring algorithm (benchmark/ times the same configuration at
+// 256 ranks as allreduce_ring_256).
 type ScaleConfig struct {
 	Ranks int
 	Elems int    // f64 elements reduced per rank

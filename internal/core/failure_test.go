@@ -6,6 +6,7 @@ package core_test
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -43,6 +44,29 @@ func TestMissingReceiveIsDetectedAsDeadlock(t *testing.T) {
 	// consumed the sequence id with the wrong tag.
 	if err == nil {
 		t.Fatal("lost rendezvous neither deadlocked nor errored")
+	}
+}
+
+// A world whose run fails must take its goroutines with it: the stuck
+// ranks and the DCFA delegation daemons behind them.
+func TestFailedWorldLeavesNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	_, w := pair(true)
+	err := w.Run(func(r *core.Rank) error {
+		buf := r.Mem(8)
+		_, err := r.Recv(r.Proc(), 1-r.ID(), 1, core.Whole(buf))
+		return err
+	})
+	var de *sim.DeadlockError
+	if !errors.As(err, &de) {
+		t.Fatalf("got %v, want a deadlock", err)
+	}
+	// The last goroutine exits an instant after Run returns.
+	for spins := 0; runtime.NumGoroutine() > base; spins++ {
+		if spins == 1<<20 {
+			t.Fatalf("%d goroutines still live, %d before the run", runtime.NumGoroutine(), base)
+		}
+		runtime.Gosched()
 	}
 }
 

@@ -87,7 +87,6 @@ func (c *MRCache) Get(p *sim.Proc, dom *machine.Domain, addr uint64, n int) (*ib
 		return nil, err
 	}
 	c.pinnedB.Add(int64(mr.Len))
-	//simlint:ignore hotalloc entry allocation happens only on a cache miss, amortized across hits
 	e := c.lru.PushFront(&mrEntry{mr: mr, refs: 1})
 	c.entries[mr] = e
 	if err := c.evictExcess(p); err != nil {

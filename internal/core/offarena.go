@@ -74,7 +74,6 @@ func (a *offArena) release(reg *offRegion) {
 	}
 	a.inUse -= reg.n
 	nr := offRange{reg.off, reg.off + reg.n}
-	//simlint:ignore hotalloc sort.Search only calls its predicate, so the closure stays on the stack
 	i := sort.Search(len(a.free), func(i int) bool { return a.free[i].off >= nr.off })
 	a.free = append(a.free, offRange{})
 	copy(a.free[i+1:], a.free[i:])

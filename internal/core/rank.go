@@ -181,51 +181,16 @@ func (r *Rank) Domain() *machine.Domain { return r.v.Domain() }
 // Loc returns where the rank's MPI software executes.
 func (r *Rank) Loc() machine.DomainKind { return r.v.Loc() }
 
-// trace records a protocol event when tracing is enabled. The body
-// runs only when a trace sink is configured, so it is off the
-// per-event budget; the argument boxing its variadic signature forces
-// at call sites is a real per-event cost and is tracked in the lint
-// baseline.
-//
-//simlint:cold
-func (r *Rank) trace(kind, format string, args ...any) {
+// trace records a protocol event when tracing is enabled: kind names
+// the protocol step, peer the other rank, seq the message sequence
+// number (the packet sequence number for replay-drop, the work-request
+// id for wr-replay) and n the byte count (the expected psn for
+// replay-drop, the attempt for wr-replay). The signature is not
+// variadic so that call sites box nothing while tracing is off.
+func (r *Rank) trace(kind string, peer int, seq uint64, n int) {
 	if tr := r.w.Cfg.Trace; tr != nil {
-		tr.Log(r.proc.Now(), fmt.Sprintf("rank%d", r.id), kind, format, args...)
+		tr.Log(r.proc.Now(), fmt.Sprintf("rank%d", r.id), kind, "peer=%d seq=%d n=%d", peer, seq, n)
 	}
-}
-
-// trace1/trace2/trace3 are the non-variadic fast paths of trace
-// (DESIGN.md §7e): hot call sites pass up to three integers without
-// boxing them into interface values; the boxing happens once inside
-// the cold body, off the per-event budget.
-//
-//simlint:cold
-func (r *Rank) trace1(kind, format string, a int64) {
-	if tr := r.w.Cfg.Trace; tr != nil {
-		tr.Log(r.proc.Now(), fmt.Sprintf("rank%d", r.id), kind, format, a)
-	}
-}
-
-//simlint:cold
-func (r *Rank) trace2(kind, format string, a, b int64) {
-	if tr := r.w.Cfg.Trace; tr != nil {
-		tr.Log(r.proc.Now(), fmt.Sprintf("rank%d", r.id), kind, format, a, b)
-	}
-}
-
-//simlint:cold
-func (r *Rank) trace3(kind, format string, a, b, c int64) {
-	if tr := r.w.Cfg.Trace; tr != nil {
-		tr.Log(r.proc.Now(), fmt.Sprintf("rank%d", r.id), kind, format, a, b, c)
-	}
-}
-
-// wrFailErr builds the completion-failure error. Split out so the
-// status value is boxed in a cold frame, not in handleCQE itself.
-//
-//simlint:cold
-func wrFailErr(s ib.Status) error {
-	return fmt.Errorf("core: work request failed: %v", s)
 }
 
 // MRCacheStats reports buffer-cache-pool hits and misses.
@@ -467,8 +432,6 @@ func (r *Rank) post(p *sim.Proc, dst int, wr *ib.SendWR) error {
 // rewritten to their original ring slot (same psn, no new credit);
 // rendezvous WRs are reposted as formed, their buffers still pinned.
 // Retransmission only runs after a fault: off the per-event budget.
-//
-//simlint:cold
 func (r *Rank) reissue(p *sim.Proc, wrid uint64, act wrAction) error {
 	ps := r.peers[act.peer]
 	switch act.kind {
@@ -492,8 +455,6 @@ func (r *Rank) reissue(p *sim.Proc, wrid uint64, act wrAction) error {
 // at which point the owning request (or the rank, for control packets)
 // fails with a typed TransportError. Recovery only runs after retry
 // exhaustion: off the per-event budget.
-//
-//simlint:cold
 func (r *Rank) recoverWR(p *sim.Proc, wrid uint64, act wrAction) {
 	ps := r.peers[act.peer]
 	if ps.qp.State == ib.QPError {
@@ -505,7 +466,7 @@ func (r *Rank) recoverWR(p *sim.Proc, wrid uint64, act wrAction) {
 		r.Stats.QPResets++
 		r.m.qpResets.Inc()
 		r.c.qpReset(p.Now(), act.peer)
-		r.trace("qp-reset", "peer=%d reconnected", act.peer)
+		r.trace("qp-reset", act.peer, 0, 0)
 	}
 	act.tries++
 	if act.tries > r.w.Cfg.Faults.MaxRetries() {
@@ -516,7 +477,7 @@ func (r *Rank) recoverWR(p *sim.Proc, wrid uint64, act wrAction) {
 	r.Stats.Retries++
 	r.m.faultRetries.Inc()
 	r.c.replay(p.Now(), act.peer, wrid)
-	r.trace("wr-replay", "peer=%d kind=%s try=%d", act.peer, act.kind, act.tries)
+	r.trace("wr-replay", act.peer, wrid, act.tries)
 	if err := r.reissue(p, wrid, act); err != nil {
 		delete(r.wrMap, wrid)
 		r.failWR(p, act, err)
@@ -543,7 +504,6 @@ func (r *Rank) failWR(p *sim.Proc, act wrAction, err error) {
 func (r *Rank) newSendWR() *ib.SendWR {
 	n := len(r.wrFree)
 	if n == 0 {
-		//simlint:ignore hotalloc pool refill: handleCQE recycles every completed WR, amortizing this over the run
 		return &ib.SendWR{SGL: make([]ib.SGE, 0, 3)}
 	}
 	wr := r.wrFree[n-1]
@@ -567,12 +527,10 @@ func (r *Rank) recycleWR(wr *ib.SendWR) {
 func (r *Rank) snapPkt(b []byte) []byte {
 	n := len(r.pktFree)
 	if n == 0 || cap(r.pktFree[n-1]) < len(b) {
-		//simlint:ignore hotalloc pool refill: handleCQE recycles every snapshot, amortizing this over the run
 		return append([]byte(nil), b...)
 	}
 	s := r.pktFree[n-1]
 	r.pktFree = r.pktFree[:n-1]
-	//simlint:ignore hotalloc append reuses pooled backing; capacity was checked above
 	return append(s[:0], b...)
 }
 
@@ -688,7 +646,7 @@ func (r *Rank) trySendEager(p *sim.Proc, req *Request) {
 		delete(r.earlyRTR[req.peer], req.seq)
 		r.m.mispredicts.Inc()
 		r.c.mispredict(p.Now(), req.peer, req.seq)
-		r.trace("mispredict-rtr-drop", "from=%d seq=%d (pre-posted)", req.peer, req.seq)
+		r.trace("mispredict-rtr-drop", req.peer, req.seq, 0)
 	}
 	ps := r.peers[req.peer]
 	if ps.credits <= 1 {
@@ -702,7 +660,7 @@ func (r *Rank) trySendEager(p *sim.Proc, req *Request) {
 		return
 	}
 	req.state = stEagerSent
-	r.trace("eager-send", "to=%d seq=%d n=%d", req.peer, req.seq, req.slice.N)
+	r.trace("eager-send", req.peer, req.seq, req.slice.N)
 }
 
 // startRendezvousSend stages (or registers) the send buffer, then either
@@ -730,7 +688,7 @@ func (r *Rank) startRendezvousSend(p *sim.Proc, req *Request) error {
 				r.Stats.OffloadedSends++
 				r.m.offStaged.Add(int64(s.N))
 				r.c.dmaSync(p.Now(), p.Now()-syncT, s.N)
-				r.trace("offload-sync", "to=%d seq=%d n=%d staged", req.peer, req.seq, s.N)
+				r.trace("offload-sync", req.peer, req.seq, s.N)
 			case errors.As(err, &abort):
 				// The DMA engine aborted the staging copy: release the
 				// region and fall back to sending straight from
@@ -739,7 +697,7 @@ func (r *Rank) startRendezvousSend(p *sim.Proc, req *Request) error {
 				useOffload = false
 				r.m.offFallback.Inc()
 				r.c.fallback(p.Now(), req.peer, s.N)
-				r.trace("offload-abort", "to=%d seq=%d n=%d falling back", req.peer, req.seq, s.N)
+				r.trace("offload-abort", req.peer, req.seq, s.N)
 			default:
 				return err
 			}
@@ -763,7 +721,7 @@ func (r *Rank) startRendezvousSend(p *sim.Proc, req *Request) error {
 	// Receiver-first: an RTR for this sequence may already be here.
 	if rtr, ok := r.earlyRTR[req.peer][req.seq]; ok {
 		delete(r.earlyRTR[req.peer], req.seq)
-		r.trace("recv-first", "to=%d seq=%d RTR was waiting", req.peer, req.seq)
+		r.trace("recv-first", req.peer, req.seq, 0)
 		return r.rndvWrite(p, req, rtr)
 	}
 	h := header{kind: pktRTS, tag: int32(req.tag), seq: req.seq, raddr: req.advAddr, rkey: req.advKey, rsize: s.N}
@@ -771,7 +729,7 @@ func (r *Rank) startRendezvousSend(p *sim.Proc, req *Request) error {
 		return err
 	}
 	req.state = stRTSSent
-	r.trace("rts-send", "to=%d seq=%d n=%d", req.peer, req.seq, s.N)
+	r.trace("rts-send", req.peer, req.seq, s.N)
 	return nil
 }
 
@@ -805,7 +763,7 @@ func (r *Rank) rndvWrite(p *sim.Proc, req *Request, rtr header) error {
 		req.xferSpan = req.span.Child(p.Now(), "rdma-write").AttrInt("bytes", int64(req.slice.N))
 	}
 	r.c.wrPost(p.Now(), req.peer, wrRndvWrite, wrid, req.slice.N)
-	r.trace3("rdma-write", "to=%d seq=%d n=%d", int64(req.peer), int64(req.seq), int64(req.slice.N))
+	r.trace("rdma-write", req.peer, req.seq, req.slice.N)
 	return r.post(p, req.peer, wr)
 }
 
@@ -906,7 +864,7 @@ func (r *Rank) bindRecv(p *sim.Proc, req *Request, src int) {
 			return
 		}
 		req.state = stRTRWait
-		r.trace3("rtr-send", "to=%d seq=%d n=%d", int64(src), int64(req.seq), int64(req.slice.N))
+		r.trace("rtr-send", src, req.seq, req.slice.N)
 	}
 }
 
@@ -925,7 +883,6 @@ func tagsMatch(req *Request, h header) bool {
 func (r *Rank) newArrival(h header, data []byte) *arrival {
 	n := len(r.arrivalFree)
 	if n == 0 {
-		//simlint:ignore hotalloc pool refill: matchArrival recycles every record, amortizing this over the run
 		return &arrival{h: h, data: data}
 	}
 	a := r.arrivalFree[n-1]
@@ -1012,7 +969,7 @@ func (r *Rank) startRead(p *sim.Proc, req *Request, rts header) {
 		req.xferSpan = req.span.Child(p.Now(), "rdma-read").AttrInt("bytes", int64(rts.rsize))
 	}
 	r.c.wrPost(p.Now(), int(rts.src), wrRndvRead, wrid, rts.rsize)
-	r.trace3("rdma-read", "from=%d seq=%d n=%d", int64(rts.src), int64(rts.seq), int64(rts.rsize))
+	r.trace("rdma-read", int(rts.src), rts.seq, rts.rsize)
 	if err := r.post(p, int(rts.src), wr); err != nil {
 		req.complete(p, err)
 	}
@@ -1129,8 +1086,6 @@ func (r *Rank) deliverSelf(p *sim.Proc, send, recv *Request) {
 // progress drives all protocol state: consumes ring packets, drains the
 // CQ, returns credits and retries credit-starved sends. It reports
 // whether any work was done.
-//
-//simlint:hot
 func (r *Rank) progress(p *sim.Proc) bool {
 	did := false
 	// Ring packets, per peer, in order. Iterating the sorted active
@@ -1153,7 +1108,7 @@ func (r *Rank) progress(p *sim.Proc) bool {
 				r.Stats.ReplaysDeduped++
 				r.m.replaysDeduped.Inc()
 				r.c.replayDrop(p.Now(), i, h.psn)
-				r.trace3("replay-drop", "from=%d psn=%d expect=%d", int64(i), int64(h.psn), int64(ps.recvPSN))
+				r.trace("replay-drop", i, h.psn, int(ps.recvPSN))
 				did = true
 				continue
 			}
@@ -1230,7 +1185,7 @@ func (r *Rank) progress(p *sim.Proc) bool {
 			h := header{kind: pktCredit, seq: 0}
 			if err := r.sendPacket(p, i, h, nil, wrAction{kind: wrCtrl, peer: i}); err == nil {
 				r.Stats.CreditPackets++
-				r.trace1("credit", "to=%d returned", int64(i))
+				r.trace("credit", i, 0, 0)
 				did = true
 			}
 		}
@@ -1239,8 +1194,6 @@ func (r *Rank) progress(p *sim.Proc) bool {
 }
 
 // handlePacket dispatches one ring packet.
-//
-//simlint:hot
 func (r *Rank) handlePacket(p *sim.Proc, src int, h header, payload []byte) {
 	ps := r.peers[src]
 	ps.credits += int(h.credits)
@@ -1267,7 +1220,7 @@ func (r *Rank) handlePacket(p *sim.Proc, src int, h header, payload []byte) {
 		// Then the ANY_SOURCE receive: it takes its sequence id from the
 		// first matching packet.
 		if r.anyActive != nil && h.seq == r.recvSeq[src] && tagsMatch(r.anyActive, h) {
-			r.trace2("any-source-match", "from=%d seq=%d", int64(src), int64(h.seq))
+			r.trace("any-source-match", src, h.seq, 0)
 			req := r.anyActive
 			r.anyActive = nil
 			r.recvSeq[src]++
@@ -1283,7 +1236,6 @@ func (r *Rank) handlePacket(p *sim.Proc, src int, h header, payload []byte) {
 		a := r.newArrival(h, nil)
 		if h.kind == pktEager && h.payload > 0 {
 			if cap(a.buf) < h.payload {
-				//simlint:ignore hotalloc pool growth: the record keeps its backing across recycles, so steady-state unexpected traffic reuses it
 				a.buf = make([]byte, h.payload)
 			}
 			a.data = a.buf[:h.payload]
@@ -1300,13 +1252,13 @@ func (r *Rank) handlePacket(p *sim.Proc, src int, h header, payload []byte) {
 				// disregards the RTR and waits for the receiver's read.
 				req.simul = true
 				r.m.resolve(req, KindSimulRzv)
-				r.trace2("simultaneous-rtr-drop", "from=%d seq=%d", int64(src), int64(h.seq))
+				r.trace("simultaneous-rtr-drop", src, h.seq, 0)
 			case stEagerSent, stEagerQueued, stDone:
 				// Sender-eager mis-prediction: drop the RTR; the
 				// sequence id guarantees it belonged to this send only.
 				r.m.mispredicts.Inc()
 				r.c.mispredict(p.Now(), src, h.seq)
-				r.trace2("mispredict-rtr-drop", "from=%d seq=%d", int64(src), int64(h.seq))
+				r.trace("mispredict-rtr-drop", src, h.seq, 0)
 			default:
 				if err := r.rndvWrite(p, req, h); err != nil {
 					req.complete(p, err)
@@ -1361,8 +1313,6 @@ func (r *Rank) handlePacket(p *sim.Proc, src int, h header, payload []byte) {
 }
 
 // handleCQE routes one completion.
-//
-//simlint:hot
 func (r *Rank) handleCQE(p *sim.Proc, e ib.CQE) {
 	act, ok := r.wrMap[e.WRID]
 	if !ok {
@@ -1376,7 +1326,7 @@ func (r *Rank) handleCQE(p *sim.Proc, e ib.CQE) {
 			return
 		}
 		if act.req != nil {
-			act.req.complete(p, wrFailErr(e.Status))
+			act.req.complete(p, fmt.Errorf("core: work request failed: %v", e.Status))
 		}
 		return
 	}

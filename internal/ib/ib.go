@@ -125,8 +125,6 @@ func (h *HCA) Fabric() *Fabric { return h.fab }
 // egress at arrive through the fabric interior toward dst, reserving
 // interior link occupancy. With no topology installed the fabric is a
 // non-blocking crossbar and arrive is already the delivery time.
-//
-//simlint:hot
 func (h *HCA) deliverVia(arrive sim.Time, dst *HCA, n int, bps float64) sim.Time {
 	if t := h.fab.Topo; t != nil {
 		return t.Deliver(arrive, int(h.LID)-1, int(dst.LID)-1, n, bps)
@@ -136,8 +134,6 @@ func (h *HCA) deliverVia(arrive sim.Time, dst *HCA, n int, bps float64) sim.Time
 
 // ctrlDelayTo is the extra latency-only interior crossing toward dst
 // for small control messages (read requests, atomic responses).
-//
-//simlint:hot
 func (h *HCA) ctrlDelayTo(dst *HCA) sim.Duration {
 	if t := h.fab.Topo; t != nil {
 		return t.CtrlDelay(int(h.LID)-1, int(dst.LID)-1)
@@ -184,11 +180,9 @@ func (h *HCA) deregMR(mr *MR) error {
 func (h *HCA) lookupMR(key uint32, addr uint64, n int) ([]byte, *MR, error) {
 	mr, ok := h.mrs[key]
 	if !ok {
-		//simlint:ignore hotalloc error construction runs only on the invalid-key branch
 		return nil, nil, fmt.Errorf("ib: key %#x not registered on LID %d", key, h.LID)
 	}
 	if addr < mr.Addr || addr+uint64(n) > mr.Addr+uint64(mr.Len) {
-		//simlint:ignore hotalloc error construction runs only on the out-of-bounds branch
 		return nil, nil, fmt.Errorf("ib: access [%#x,+%d) outside MR [%#x,+%d)", addr, n, mr.Addr, mr.Len)
 	}
 	off := addr - mr.Addr

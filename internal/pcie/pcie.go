@@ -125,7 +125,6 @@ func (b *Bus) StartDMA(dst, src []byte) *DMAOp {
 	b.Eng.At(arrive, func() {
 		sp.End(b.Eng.Now())
 		if abort {
-			//simlint:ignore hotalloc the abort error allocates only on the injected-fault branch
 			op.err = &DMAAbortError{Bytes: len(src)}
 		} else {
 			copy(dst, src)

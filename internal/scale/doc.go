@@ -2,8 +2,9 @@
 // model and the collectives layer. It holds no library code — the
 // tests are the package:
 //
-//   - TestScaleAllreduce runs the BENCH_9 scale workload (default 64
-//     ranks; CI's smoke step passes -ranks=1000) twice and requires
+//   - TestScaleAllreduce runs the scale workload bench.ScaleAllreduce,
+//     which benchmark/ times as allreduce_ring_256 (default 64 ranks;
+//     CI's smoke step passes -ranks=1000), twice and requires
 //     bit-identical fingerprints, event counts and virtual end times,
 //     with the reduced vector verified against a host-computed oracle.
 //     The knobs are plain go-test flags:

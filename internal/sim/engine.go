@@ -185,8 +185,6 @@ func (e *Engine) EventsRun() int64 { return e.eventsRun }
 // schedule inserts an event into the calendar. It must not be called with
 // a timestamp in the past. The entry is pushed by value: beyond the
 // calendar slice's amortized growth, scheduling allocates nothing.
-//
-//simlint:hot
 func (e *Engine) schedule(at Time, p *Proc, fn func()) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
@@ -320,15 +318,18 @@ func (e *Engine) dispatch(p *Proc) error {
 	panic("sim: unknown park kind")
 }
 
-// killAll marks all processes dead so their goroutines can be collected.
-// Parked goroutines stay blocked on their resume channels; they hold no
-// locks and are garbage once the engine is unreachable, but we unblock
-// finished bookkeeping for deterministic tests.
+// killAll unwinds every unfinished process in spawn order: each is
+// resumed once with dead set, so park panics errProcKilled (or run
+// returns before calling fn if the process never started), the
+// goroutine exits, and no failed run leaves one behind.
 func (e *Engine) killAll() {
 	for _, p := range e.procs {
-		if !p.finished {
-			p.dead = true
+		if p.finished {
+			continue
 		}
+		p.dead = true
+		p.resume <- struct{}{}
+		<-p.parked
 	}
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -181,6 +182,61 @@ func TestStopHaltsRun(t *testing.T) {
 	}
 	if n != 5 {
 		t.Fatalf("ran %d iterations, want 5", n)
+	}
+}
+
+// waitGoroutines waits for the live goroutine count to fall back to
+// base: killAll returns when each process has sent its last message,
+// an instant before that goroutine is gone.
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	for spins := 0; runtime.NumGoroutine() > base; spins++ {
+		if spins == 1<<20 {
+			t.Fatalf("%d goroutines still live, %d before the run", runtime.NumGoroutine(), base)
+		}
+		runtime.Gosched()
+	}
+}
+
+// A run that fails must unwind every process it leaves unfinished:
+// blocked, sleeping, and spawned but never dispatched.
+func TestFailedRunLeavesNoGoroutines(t *testing.T) {
+	const procs = 100
+	cases := []struct {
+		name  string
+		first func(e *Engine, p *Proc) // body of process 0
+		want  func(err error) bool
+	}{
+		{"deadlock", func(e *Engine, p *Proc) {}, func(err error) bool {
+			de, ok := err.(*DeadlockError)
+			return ok && len(de.Stuck) == procs-1
+		}},
+		{"stop", func(e *Engine, p *Proc) { e.Stop(); p.Sleep(1) }, func(err error) bool {
+			return err == ErrStopped
+		}},
+		{"panic", func(e *Engine, p *Proc) { p.Sleep(1); panic("kaboom") }, func(err error) bool {
+			return err != nil && strings.Contains(err.Error(), "kaboom")
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			e := NewEngine()
+			never := NewEvent(e)
+			e.Spawn("first", func(p *Proc) { tc.first(e, p) })
+			for i := 1; i < procs; i++ {
+				e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
+					if p.ID()%2 == 0 {
+						p.Sleep(Microsecond)
+					}
+					never.Wait(p)
+				})
+			}
+			if err := e.Run(); !tc.want(err) {
+				t.Fatalf("unexpected run result: %v", err)
+			}
+			waitGoroutines(t, base)
+		})
 	}
 }
 

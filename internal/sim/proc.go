@@ -56,21 +56,21 @@ func (p *Proc) Now() Time { return p.eng.now }
 // computing (not blocked).
 func (p *Proc) Busy() Duration { return p.busy }
 
-// run is the goroutine body backing the process.
+// run is the goroutine body backing the process. Every exit hands the
+// engine one last message on parked: dispatch and killAll both wait
+// for it.
 func (p *Proc) run(fn func(p *Proc)) {
 	<-p.resume // wait for first dispatch
 	defer func() {
-		if r := recover(); r != nil {
-			if r == errProcKilled {
-				// Engine tore us down; exit silently.
-				return
-			}
+		if r := recover(); r != nil && r != errProcKilled {
 			p.parked <- parkMsg{kind: parkPanicked, panicVal: r}
 			return
 		}
 		p.parked <- parkMsg{kind: parkFinished}
 	}()
-	fn(p)
+	if !p.dead { // dead here: killed before it ever ran
+		fn(p)
+	}
 }
 
 // errProcKilled is thrown to unwind a process the engine abandoned.
