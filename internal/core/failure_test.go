@@ -61,7 +61,29 @@ func TestFailedWorldLeavesNoGoroutines(t *testing.T) {
 	if !errors.As(err, &de) {
 		t.Fatalf("got %v, want a deadlock", err)
 	}
-	// The last goroutine exits an instant after Run returns.
+	waitGoroutines(t, base)
+}
+
+// A clean run leaves its DCFA delegation daemons blocked on their
+// command queues; they must go with it too.
+func TestCleanRunLeavesNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	_, w := pair(true)
+	err := w.Run(func(r *core.Rank) error {
+		peer, sb, rb := 1-r.ID(), r.Mem(64<<10), r.Mem(64<<10)
+		_, err := r.Sendrecv(r.Proc(), peer, 1, core.Whole(sb), peer, 1, core.Whole(rb))
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitGoroutines(t, base)
+}
+
+// waitGoroutines waits for the live goroutine count to fall back to
+// base: the last goroutine exits an instant after Run returns.
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
 	for spins := 0; runtime.NumGoroutine() > base; spins++ {
 		if spins == 1<<20 {
 			t.Fatalf("%d goroutines still live, %d before the run", runtime.NumGoroutine(), base)

@@ -189,6 +189,32 @@ func callbackMallocs(t *testing.T) uint64 {
 	return marks.count()
 }
 
+// handoffMallocs has two processes sleep on interleaved deadlines, so
+// every Sleep misses the lookahead fast path: one operation is one
+// park/resume round trip with a goroutine switch.
+func handoffMallocs(t *testing.T) uint64 {
+	eng := sim.NewEngine()
+	var marks mallocMarks
+	for k := 0; k < 2; k++ {
+		eng.Spawn("sleeper", func(p *sim.Proc) {
+			p.Sleep(sim.Duration(k))
+			for i := 0; i < (mallocWarm+mallocOps)/2; i++ {
+				if k == 0 && i == mallocWarm/2 {
+					marks.open()
+				}
+				p.Sleep(2)
+			}
+			if k == 0 {
+				marks.close()
+			}
+		})
+	}
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return marks.count()
+}
+
 func TestHotPathMallocCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -211,6 +237,7 @@ func TestHotPathMallocCeilings(t *testing.T) {
 		{"offload-64KiB-roundtrip", 47995, worldRow(true, 64<<10, roundTrip, offloaded)},
 		{"ib-send-cqe-64B", 7000, sendCQEMallocs},
 		{"sim-callback-event", 0, callbackMallocs},
+		{"sim-proc-handoff", 0, handoffMallocs},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {

@@ -252,6 +252,10 @@ type MicVerbs struct {
 
 	ep  *scif.Endpoint
 	ctx *ib.Context
+	// cmd admits one command to ep at a time, in arrival order: a lazy
+	// connect drives this interface from the peer rank's process too,
+	// and two requests in flight would take each other's reply.
+	cmd *sim.Semaphore
 
 	daemon *HostDaemon
 
@@ -321,7 +325,7 @@ func New(eng *sim.Engine, plat *perfmodel.Platform, node *machine.Node, hca *ib.
 	eng.Spawn(fmt.Sprintf("dcfa-daemon/node%d", node.ID), d.serve)
 	v := &MicVerbs{
 		Eng: eng, Plat: plat, Node: node, HCA: hca, Bus: bus,
-		ep: pair.Mic, ctx: hca.Open(machine.MicMem), daemon: d,
+		ep: pair.Mic, ctx: hca.Open(machine.MicMem), cmd: sim.NewSemaphore(eng, 1), daemon: d,
 	}
 	return v, d
 }
@@ -346,7 +350,9 @@ func (v *MicVerbs) call(p *sim.Proc, kind int, payload any) (scif.Msg, error) {
 	deadline := start + v.faults.CmdDeadline()
 	tries := 0
 	for {
+		v.cmd.Acquire(p)
 		resp := v.ep.Call(p, kind, payload)
+		v.cmd.Release()
 		tries++
 		if _, rejected := resp.Payload.(cmdFail); !rejected {
 			now := p.Now()

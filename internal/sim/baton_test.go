@@ -1,0 +1,286 @@
+package sim
+
+import (
+	"errors"
+	"runtime"
+	"testing"
+)
+
+// parkThree leaves three processes waiting three different ways: blocked
+// on an event nobody fires, asleep far in the future, and a daemon
+// blocked on an empty queue.
+func parkThree(e *Engine) {
+	never := NewEvent(e)
+	q := NewQueue[int](e)
+	e.Spawn("blocked", func(p *Proc) { never.Wait(p) })
+	e.Spawn("asleep", func(p *Proc) { p.Sleep(Second) })
+	e.Spawn("daemon", func(p *Proc) {
+		p.MarkDaemon()
+		for {
+			q.Get(p)
+		}
+	})
+}
+
+// A panicking callback fires on whichever goroutine holds the baton —
+// here the last process to park — and must still come out of Run as a
+// callback's panic, with every process unwound.
+func TestCallbackPanicIsTypedAndUnwinds(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := NewEngine()
+	parkThree(e)
+	ran := false
+	e.At(5*Microsecond, func() { panic("cb-boom") })
+	e.At(6*Microsecond, func() { ran = true })
+	err := e.Run()
+	var pe *PanicError
+	if !errors.As(err, &pe) || pe.Proc != "" || pe.At != 5*Microsecond || pe.Value != "cb-boom" {
+		t.Fatalf("got %#v, want a callback PanicError at 5µs", err)
+	}
+	if want := "sim: callback at 5µs panicked: cb-boom"; err.Error() != want {
+		t.Fatalf("message %q, want %q", err.Error(), want)
+	}
+	if ran {
+		t.Fatal("calendar kept running after the callback panicked")
+	}
+	if e.Current() != nil {
+		t.Fatalf("Current() = %v after Run, want nil", e.Current().Name())
+	}
+	waitGoroutines(t, base)
+}
+
+// A process's panic keeps its own message and type fields, also when
+// the process was resumed by another process's loop.
+func TestProcPanicIsTyped(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := NewEngine()
+	parkThree(e)
+	e.Spawn("boom", func(p *Proc) {
+		p.Sleep(2 * Microsecond)
+		panic("kaboom")
+	})
+	e.At(Microsecond, func() {})
+	err := e.Run()
+	var pe *PanicError
+	if !errors.As(err, &pe) || pe.Proc != "boom" || pe.At != 2*Microsecond || pe.Value != "kaboom" {
+		t.Fatalf("got %#v, want boom's PanicError at 2µs", err)
+	}
+	if want := `sim: process "boom" panicked: kaboom`; err.Error() != want {
+		t.Fatalf("message %q, want %q", err.Error(), want)
+	}
+	waitGoroutines(t, base)
+}
+
+// Current() is nil inside every callback and the dispatched process
+// inside process code, whichever goroutine happens to run the calendar.
+func TestCurrentFollowsTheBaton(t *testing.T) {
+	e := NewEngine()
+	type obs struct {
+		where string
+		got   *Proc
+		want  *Proc
+	}
+	var seen []obs
+	see := func(where string, want *Proc) {
+		seen = append(seen, obs{where, e.Current(), want})
+	}
+	cb := func(where string) func() { return func() { see(where, nil) } }
+
+	e.At(0, cb("callback before any process, on Run's goroutine"))
+	var a, b *Proc
+	a = e.Spawn("a", func(p *Proc) {
+		see("first dispatch", a)
+		e.After(Microsecond, cb("callback inside a's sleep window, on a's goroutine"))
+		p.Sleep(2 * Microsecond)
+		see("self-resumed, no switch", a)
+		b = e.Spawn("b", func(p *Proc) {
+			p.MarkDaemon()
+			see("first dispatch, by a's loop", b)
+			e.After(Microsecond, cb("callback while both are waiting, on b's goroutine"))
+			NewEvent(e).Wait(p)
+		})
+		p.Sleep(10 * Microsecond)
+		see("resumed by b's loop", a)
+		e.After(Microsecond, cb("callback after a returned, on a's dying goroutine"))
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != 8 {
+		t.Fatalf("%d observations, want 8", len(seen))
+	}
+	for _, o := range seen {
+		if o.got != o.want {
+			t.Errorf("%s: Current() = %v, want %v", o.where, o.got, o.want)
+		}
+	}
+	if e.Current() != nil {
+		t.Errorf("after Run: Current() = %v, want nil", e.Current())
+	}
+}
+
+// Stop ends the run with ErrStopped from process and callback context
+// alike: nothing later in the calendar runs and every process unwinds.
+func TestStopFromProcAndCallback(t *testing.T) {
+	cases := []struct {
+		name string
+		arm  func(e *Engine)
+	}{
+		{"proc", func(e *Engine) {
+			e.Spawn("stopper", func(p *Proc) {
+				p.Sleep(3 * Microsecond)
+				e.Stop()
+			})
+		}},
+		{"callback", func(e *Engine) {
+			e.At(3*Microsecond, e.Stop)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			e := NewEngine()
+			parkThree(e)
+			ticks := 0
+			e.Spawn("ticker", func(p *Proc) {
+				for {
+					p.Sleep(Microsecond)
+					ticks++
+				}
+			})
+			late := false
+			e.At(4*Microsecond, func() { late = true })
+			tc.arm(e)
+			if err := e.Run(); err != ErrStopped {
+				t.Fatalf("got %v, want ErrStopped", err)
+			}
+			if e.Now() != 3*Microsecond || ticks != 2 || late {
+				t.Fatalf("stopped at %v after %d ticks (late callback ran: %v), want 3µs, 2, false", e.Now(), ticks, late)
+			}
+			waitGoroutines(t, base)
+		})
+	}
+}
+
+func TestSpawnFromCallback(t *testing.T) {
+	e := NewEngine()
+	var child *Proc
+	var childAt Time
+	var current *Proc
+	e.Spawn("sleeper", func(p *Proc) { p.Sleep(10 * Microsecond) })
+	e.At(3*Microsecond, func() {
+		child = e.Spawn("child", func(c *Proc) {
+			childAt, current = c.Now(), e.Current()
+			c.Sleep(Microsecond)
+		})
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if childAt != 3*Microsecond || current != child {
+		t.Fatalf("child started at %v with Current() = %v, want 3µs and the child", childAt, current)
+	}
+}
+
+// A clean run ends with its daemons still blocked; Run unwinds them too.
+func TestCleanRunLeavesNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := NewEngine()
+	q := NewQueue[int](e)
+	served := 0
+	for i := 0; i < 4; i++ {
+		e.Spawn("daemon", func(p *Proc) {
+			p.MarkDaemon()
+			for {
+				served += q.Get(p)
+			}
+		})
+	}
+	e.Spawn("client", func(p *Proc) {
+		for i := 0; i < 10; i++ {
+			q.Put(1)
+			p.Sleep(Microsecond)
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if served != 10 {
+		t.Fatalf("served %d, want 10", served)
+	}
+	waitGoroutines(t, base)
+	// The daemons are gone for good: the engine still runs, but only
+	// what is spawned from here on.
+	e.Spawn("late", func(p *Proc) { q.Put(1); p.Sleep(Microsecond) })
+	if err := e.Run(); err != nil || served != 10 {
+		t.Fatalf("second run: err %v, served %d; want nil and 10 (no daemon left to serve)", err, served)
+	}
+	waitGoroutines(t, base)
+}
+
+// Two processes with interleaved Sleep deadlines, as the benchmark's
+// sim.handoff_ns driver runs them: every Sleep misses the lookahead
+// fast path and costs one park/resume with a goroutine switch.
+func BenchmarkHandoff(b *testing.B) {
+	b.ReportAllocs()
+	e := NewEngine()
+	for k := 0; k < 2; k++ {
+		offset := Duration(k)
+		e.Spawn("sleeper", func(p *Proc) {
+			p.Sleep(offset)
+			for i := 0; i < b.N/2; i++ {
+				p.Sleep(2)
+			}
+		})
+	}
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// One process whose Sleep always has a callback inside its window: it
+// parks, runs the callback in its own loop and wakes itself, with no
+// goroutine switch.
+func BenchmarkSelfResume(b *testing.B) {
+	b.ReportAllocs()
+	e := NewEngine()
+	tick := func() {}
+	e.Spawn("sleeper", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			e.After(1, tick)
+			p.Sleep(2)
+		}
+	})
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// One Signal.Broadcast per step to eight waiting processes; the unit is
+// one wake-up.
+func BenchmarkSignalFanout8(b *testing.B) {
+	b.ReportAllocs()
+	const waiters = 8
+	steps := b.N / waiters
+	e := NewEngine()
+	sig := NewSignal(e)
+	for k := 0; k < waiters; k++ {
+		e.Spawn("waiter", func(p *Proc) {
+			for i := 0; i < steps; i++ {
+				sig.Wait(p)
+			}
+		})
+	}
+	e.Spawn("ringer", func(p *Proc) {
+		for i := 0; i < steps; i++ {
+			p.Sleep(1)
+			sig.Broadcast()
+		}
+	})
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+}

@@ -8,6 +8,19 @@
 // completions. Because only one process runs at any instant and ties are
 // broken by insertion order, every simulation is bit-for-bit reproducible
 // and free of data races by construction.
+//
+// Exactly one goroutine at a time holds the baton, and "engine context"
+// means that goroutine: it alone touches the engine's state. There is no
+// engine goroutine. Whoever gives up the processor — a process that
+// blocks, sleeps or ends, or Run's caller — runs the calendar itself:
+// callbacks execute right there, possibly on a process's stack (they
+// still may not block), until the next process event. If that event is
+// the parker's own it simply returns, with no goroutine switch;
+// otherwise it hands the baton to that process with one channel send and
+// waits for it back, so a dispatch costs one goroutine switch. Run gets
+// the baton back when the calendar drains, on Stop, or on a panic, and
+// then unwinds every process still alive, daemons included: a daemon
+// does not survive the Run it served.
 package sim
 
 import (
@@ -126,6 +139,7 @@ type Engine struct {
 	queue   eventHeap
 	procs   []*Proc
 	current *Proc
+	done    chan struct{} // the baton's way back to Run
 	stopped bool
 	err     error
 
@@ -156,7 +170,7 @@ const (
 
 // NewEngine returns an empty simulation at virtual time zero.
 func NewEngine() *Engine {
-	return &Engine{fp: fnv64Offset}
+	return &Engine{fp: fnv64Offset, done: make(chan struct{})}
 }
 
 // fpMix folds one 64-bit word into the event-order digest.
@@ -219,7 +233,6 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 		name:   name,
 		id:     len(e.procs),
 		resume: make(chan struct{}),
-		parked: make(chan parkMsg),
 	}
 	e.procs = append(e.procs, p)
 	go p.run(fn)
@@ -227,8 +240,9 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// Stop aborts the simulation after the current event finishes. Run
-// returns ErrStopped unless another error is pending.
+// Stop aborts the simulation after the current event finishes; call it
+// from a process or a callback. Run returns ErrStopped unless an error
+// is pending.
 func (e *Engine) Stop() { e.stopped = true }
 
 // ErrStopped is returned by Run when the simulation was halted by Stop.
@@ -246,19 +260,66 @@ func (d *DeadlockError) Error() string {
 		d.Now, len(d.Stuck), strings.Join(d.Stuck, ", "))
 }
 
-// Run executes the simulation until the calendar drains, a process
-// panics, or Stop is called. It returns nil on a clean drain with every
-// process finished, a *DeadlockError if blocked processes remain, or the
-// panic value wrapped in an error.
+// PanicError is returned by Run when a process (Proc is its name) or an
+// Engine.At/After callback (Proc is empty) panicked with Value at time At.
+type PanicError struct {
+	Proc  string
+	At    Time
+	Value any
+}
+
+func (e *PanicError) Error() string {
+	if e.Proc == "" {
+		return fmt.Sprintf("sim: callback at %v panicked: %v", e.At, e.Value)
+	}
+	return fmt.Sprintf("sim: process %q panicked: %v", e.Proc, e.Value)
+}
+
+// Run takes the baton, starts the calendar and gets the baton back when
+// the calendar drains, Stop is called, or a process or callback panics.
+// It returns nil on a clean drain with every non-daemon process
+// finished, ErrStopped, a *DeadlockError if blocked processes remain,
+// or a *PanicError for the first panic. Every return unwinds the
+// processes still alive, blocked daemons included, so no run leaves a
+// goroutine behind: Run is terminal for daemons, and a later Run on the
+// same engine sees only processes spawned after this one returned.
 func (e *Engine) Run() error {
-	for !e.queue.empty() {
-		if e.stopped {
-			e.killAll()
-			if e.err != nil {
-				return e.err
-			}
-			return ErrStopped
+	if p := e.next(); p != nil {
+		e.pass(p)
+		<-e.done
+	}
+	var stuck []string
+	for _, p := range e.procs {
+		if !p.finished && !p.daemon {
+			stuck = append(stuck, p.name)
 		}
+	}
+	e.killAll()
+	switch {
+	case e.err != nil:
+		return e.err
+	case e.stopped:
+		return ErrStopped
+	case len(stuck) > 0:
+		sort.Strings(stuck)
+		return &DeadlockError{Now: e.now, Stuck: stuck}
+	}
+	return nil
+}
+
+// next runs the calendar on the calling goroutine, which must hold the
+// baton: callbacks execute right here, with Current() == nil, until a
+// live process's event comes up. It returns that process, or nil when
+// the run is over: calendar drained, Stop, an error recorded, or a
+// callback panicked just now (recovered here, so next returns nil).
+func (e *Engine) next() *Proc {
+	e.current = nil
+	defer func() {
+		if r := recover(); r != nil {
+			e.fail("", r)
+		}
+	}()
+	for !e.stopped && e.err == nil && !e.queue.empty() {
 		ev := e.queue.pop()
 		if ev.at < e.now {
 			panic("sim: time went backwards")
@@ -274,65 +335,49 @@ func (e *Engine) Run() error {
 		e.fpMix(pid)
 		switch {
 		case ev.proc != nil:
-			if ev.proc.dead {
-				continue
-			}
-			if err := e.dispatch(ev.proc); err != nil {
-				e.killAll()
-				return err
+			if !ev.proc.finished {
+				e.current = ev.proc
+				return ev.proc
 			}
 		case ev.fn != nil:
 			ev.fn()
 		}
 	}
-	var stuck []string
-	for _, p := range e.procs {
-		if !p.finished && !p.dead && !p.daemon {
-			stuck = append(stuck, p.name)
-		}
-	}
-	if len(stuck) > 0 {
-		sort.Strings(stuck)
-		e.killAll()
-		return &DeadlockError{Now: e.now, Stuck: stuck}
-	}
 	return nil
 }
 
-// dispatch resumes p and waits for it to park again.
-func (e *Engine) dispatch(p *Proc) error {
-	e.current = p
-	p.resume <- struct{}{}
-	msg := <-p.parked
-	e.current = nil
-	switch msg.kind {
-	case parkBlocked, parkScheduled:
-		return nil
-	case parkFinished:
-		p.finished = true
-		return nil
-	case parkPanicked:
-		p.finished = true
-		return fmt.Errorf("sim: process %q panicked: %v", p.name, msg.panicVal)
+// pass hands the baton to p with one channel send, or back to Run when
+// p is nil. The caller must stop touching engine state at once.
+func (e *Engine) pass(p *Proc) {
+	if p == nil {
+		e.done <- struct{}{}
+		return
 	}
-	panic("sim: unknown park kind")
+	p.resume <- struct{}{}
+}
+
+// fail records a panic as the run's error; the first one wins.
+func (e *Engine) fail(proc string, v any) {
+	if e.err == nil {
+		e.err = &PanicError{Proc: proc, At: e.now, Value: v}
+	}
 }
 
 // killAll unwinds every unfinished process in spawn order: each is
 // resumed once with dead set, so park panics errProcKilled (or run
 // returns before calling fn if the process never started), the
-// goroutine exits, and no failed run leaves one behind.
+// goroutine hands the baton straight back and exits.
 func (e *Engine) killAll() {
 	for _, p := range e.procs {
 		if p.finished {
 			continue
 		}
 		p.dead = true
-		p.resume <- struct{}{}
-		<-p.parked
+		e.pass(p)
+		<-e.done
 	}
 }
 
 // Current returns the process currently executing, or nil when the engine
-// is running a callback or is idle.
+// is running a callback (on whichever goroutine) or is idle.
 func (e *Engine) Current() *Proc { return e.current }

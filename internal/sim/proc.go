@@ -2,20 +2,6 @@ package sim
 
 import "fmt"
 
-type parkKind int
-
-const (
-	parkBlocked   parkKind = iota // waiting on an Event/Signal/Queue; no timer
-	parkScheduled                 // a wake event is already in the calendar
-	parkFinished                  // process function returned
-	parkPanicked                  // process function panicked
-)
-
-type parkMsg struct {
-	kind     parkKind
-	panicVal any
-}
-
 // Proc is a simulated process: a goroutine that runs only when the engine
 // dispatches it and that advances virtual time by sleeping or blocking.
 // All Proc methods must be called from the process's own goroutine while
@@ -25,7 +11,6 @@ type Proc struct {
 	name     string
 	id       int
 	resume   chan struct{}
-	parked   chan parkMsg
 	finished bool
 	dead     bool
 	daemon   bool
@@ -56,17 +41,23 @@ func (p *Proc) Now() Time { return p.eng.now }
 // computing (not blocked).
 func (p *Proc) Busy() Duration { return p.busy }
 
-// run is the goroutine body backing the process. Every exit hands the
-// engine one last message on parked: dispatch and killAll both wait
-// for it.
+// run is the goroutine body backing the process. A process that ends,
+// by return or panic, still holds the baton: it runs the calendar on to
+// the next process (or back to Run) before its goroutine exits.
 func (p *Proc) run(fn func(p *Proc)) {
 	<-p.resume // wait for first dispatch
 	defer func() {
-		if r := recover(); r != nil && r != errProcKilled {
-			p.parked <- parkMsg{kind: parkPanicked, panicVal: r}
+		r := recover()
+		e := p.eng
+		p.finished = true
+		if p.dead { // unwound by killAll, which waits for the baton
+			e.pass(nil)
 			return
 		}
-		p.parked <- parkMsg{kind: parkFinished}
+		if r != nil {
+			e.fail(p.name, r)
+		}
+		e.pass(e.next())
 	}()
 	if !p.dead { // dead here: killed before it ever ran
 		fn(p)
@@ -76,10 +67,16 @@ func (p *Proc) run(fn func(p *Proc)) {
 // errProcKilled is thrown to unwind a process the engine abandoned.
 var errProcKilled = fmt.Errorf("sim: proc killed")
 
-// park hands control back to the engine and waits to be resumed.
-func (p *Proc) park(kind parkKind) {
-	p.parked <- parkMsg{kind: kind}
-	<-p.resume
+// park gives up the processor until this process's next calendar event:
+// one Sleep or Yield scheduled, or one some other party will schedule
+// with wake. The parking goroutine runs the calendar itself: if the next process
+// event is its own it just returns (no goroutine switch); otherwise it
+// hands the baton over with one send and waits to get it back.
+func (p *Proc) park() {
+	if next := p.eng.next(); next != p {
+		p.eng.pass(next)
+		<-p.resume
+	}
 	if p.dead {
 		panic(errProcKilled)
 	}
@@ -108,7 +105,7 @@ func (p *Proc) Sleep(d Duration) {
 		return
 	}
 	e.schedule(e.now+d, p, nil)
-	p.park(parkScheduled)
+	p.park()
 }
 
 // Yield reschedules the process at the current time, letting every other
@@ -120,13 +117,7 @@ func (p *Proc) Yield() {
 		return
 	}
 	e.schedule(e.now, p, nil)
-	p.park(parkScheduled)
-}
-
-// block parks the process with no pending wake; some other party must
-// call wake.
-func (p *Proc) block() {
-	p.park(parkBlocked)
+	p.park()
 }
 
 // wake schedules the process to resume at the current virtual time.
@@ -173,7 +164,7 @@ func (ev *Event) Wait(p *Proc) {
 		return
 	}
 	ev.waiters = append(ev.waiters, p)
-	p.block()
+	p.park()
 }
 
 // Signal is an edge-triggered broadcast: Wait blocks until the next
@@ -199,5 +190,5 @@ func (s *Signal) Broadcast() {
 // Wait blocks p until the next Broadcast.
 func (s *Signal) Wait(p *Proc) {
 	s.waiters = append(s.waiters, p)
-	p.block()
+	p.park()
 }

@@ -46,7 +46,7 @@ func (q *Queue[T]) Get(p *Proc) T {
 			return v
 		}
 		q.getters = append(q.getters, p)
-		p.block()
+		p.park()
 	}
 }
 
@@ -87,20 +87,22 @@ func (s *Semaphore) TryAcquire() bool {
 	return false
 }
 
-// Acquire blocks p until a permit is available.
+// Acquire blocks p until a permit is available. A blocked process is
+// handed its permit by Release, so later arrivals cannot overtake it.
 func (s *Semaphore) Acquire(p *Proc) {
-	for !s.TryAcquire() {
+	if !s.TryAcquire() {
 		s.waiters = append(s.waiters, p)
-		p.block()
+		p.park()
 	}
 }
 
-// Release returns a permit and wakes the oldest waiter.
+// Release returns a permit, or passes it straight to the oldest waiter.
 func (s *Semaphore) Release() {
-	s.free++
-	if len(s.waiters) > 0 {
-		w := s.waiters[0]
-		s.waiters = s.waiters[1:]
-		w.wake()
+	if len(s.waiters) == 0 {
+		s.free++
+		return
 	}
+	w := s.waiters[0]
+	s.waiters = s.waiters[1:]
+	w.wake()
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -105,6 +106,35 @@ func TestSemaphoreLimitsConcurrency(t *testing.T) {
 	}
 	if s.Free() != 2 {
 		t.Fatalf("free %d, want 2", s.Free())
+	}
+}
+
+// Release hands the permit to the oldest waiter: a process that releases
+// and acquires again in the same instant queues behind it.
+func TestSemaphoreHandsOffInOrder(t *testing.T) {
+	e := NewEngine()
+	s := NewSemaphore(e, 1)
+	var order []string
+	e.Spawn("a", func(p *Proc) {
+		s.Acquire(p)
+		p.Sleep(Microsecond) // b and c block meanwhile
+		s.Release()
+		s.Acquire(p)
+		order = append(order, "a")
+		s.Release()
+	})
+	for _, name := range []string{"b", "c"} {
+		e.Spawn(name, func(p *Proc) {
+			s.Acquire(p)
+			order = append(order, name)
+			s.Release()
+		})
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(order, " "); got != "b c a" || s.Free() != 1 {
+		t.Fatalf("order %q with %d free, want \"b c a\" with 1", got, s.Free())
 	}
 }
 
