@@ -1,6 +1,6 @@
-// Command simlint runs the determinism, simulation-safety,
-// resource-lifecycle, and communication-safety static analyzers over
-// the repository and exits nonzero on findings.
+// Command simlint runs the determinism, simulation-safety and
+// resource-lifecycle static analyzers over the repository and exits
+// nonzero on findings.
 //
 // Usage:
 //
@@ -14,8 +14,8 @@
 // -rules takes a comma-separated list applied left to right: a bare
 // name includes that rule, a -prefixed name excludes it, and "all"
 // includes everything. A list that starts with an exclusion implicitly
-// begins from the full set, so "-rules -bufhazard" means "all rules
-// except bufhazard".
+// begins from the full set, so "-rules -floatsum" means "all rules
+// except floatsum".
 //
 // Exit codes: 0 when clean, 1 when findings were reported, 2 on a
 // usage or load error.
@@ -64,10 +64,6 @@
 //	mrpin     MRCache.Get must be matched by Release on all paths
 //	offload   RegOffloadMR → SyncOffloadMR → post → DeregOffloadMR order
 //	reqwait   Isend/Irecv requests must reach Wait/Test/WaitAll on all paths
-//	memdomain host and mic memory domains must not mix within one registration or work request
-//	bufhazard no write (or, for Irecv, read) of a buffer between Isend/Irecv and its Wait/Test
-//	blockcycle symmetric blocking Send/Recv orderings that deadlock past the eager limit
-//	collorder collectives reachable only under rank-dependent branches or early exits
 //	globalmut package-level mutable state shared across simulator instances
 //	fsmcheck  exhaustive switches over protocol enums, declared transition tables, unreachable states
 //
@@ -81,13 +77,13 @@
 // same-package function gets an obligation summary (acquire, release,
 // advance, escape per parameter and result), so registrations released
 // by helpers, constructors that return obligations, and deferred
-// cleanup functions are all tracked across calls. The three
-// communication-safety rules reuse that layer for helper-posted
-// requests and add a must-constant lattice over peer, tag, and size
-// arguments: they only report when the hazard is provable (same peer,
-// overlapping bytes, size not provably eager), so undecidable cases
-// stay silent. See DESIGN.md §7d for the hazard taxonomy and the known
-// false-negative boundaries.
+// cleanup functions are all tracked across calls.
+//
+// Buffer reuse under an in-flight request, mismatched blocking or
+// collective order, and host/mic memory-domain mixes are not linted:
+// they fail at run time as payload mismatches, *sim.DeadlockError and
+// protection-fault completions. AUDIT.md lists the test that catches
+// each.
 package main
 
 import (

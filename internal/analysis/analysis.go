@@ -73,14 +73,14 @@ type Analyzer struct {
 
 // All returns every analyzer in the suite, in report order.
 func All() []*Analyzer {
-	return []*Analyzer{Nondet, MapOrder, RawGo, ErrCheck, FloatSum, MRLeak, MRPin, Offload, ReqWait, Memdomain, BufHazard, BlockCycle, CollOrder, GlobalMut, FSMCheck}
+	return []*Analyzer{Nondet, MapOrder, RawGo, ErrCheck, FloatSum, MRLeak, MRPin, Offload, ReqWait, GlobalMut, FSMCheck}
 }
 
 // ByName selects analyzers from a comma-separated list, or All() when
 // the list is empty. Each entry is a rule name to include, `-name` to
 // exclude, or the keyword `all`; entries apply left to right, and a
 // list that opens with an exclusion starts from the full set, so
-// `-blockcycle` means "everything except blockcycle". The selection is
+// `-floatsum` means "everything except floatsum". The selection is
 // returned in All() order and must not end up empty.
 func ByName(list string) ([]*Analyzer, error) {
 	if list == "" {
@@ -139,9 +139,6 @@ type Pass struct {
 	// the rules that share it (built lazily, once per pass).
 	callgraph *CallGraph
 	summaries map[string]*SummarySet
-	// constFuncs caches the const-returning helper summaries of the
-	// communication-safety rules' constant evaluator.
-	constFuncs map[*types.Func]ConstVal
 	// devirt caches interface devirtualization targets and the
 	// function-valued-local bindings (devirt.go).
 	devirt *devirtIndex

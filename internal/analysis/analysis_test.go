@@ -7,13 +7,12 @@ import (
 	"path/filepath"
 	"regexp"
 	"slices"
-	"sort"
 	"strings"
 	"testing"
 )
 
 // ruleDirs pairs each analyzer with its testdata corpus.
-var ruleDirs = []*Analyzer{Nondet, MapOrder, RawGo, ErrCheck, FloatSum, MRLeak, MRPin, Offload, ReqWait, Memdomain, BufHazard, BlockCycle, CollOrder, GlobalMut, FSMCheck}
+var ruleDirs = []*Analyzer{Nondet, MapOrder, RawGo, ErrCheck, FloatSum, MRLeak, MRPin, Offload, ReqWait, GlobalMut, FSMCheck}
 
 // loadTestdata type-checks testdata/src/<rule> as a synthetic package
 // outside the module, which every analyzer treats as in scope.
@@ -144,14 +143,14 @@ func TestInterprocedural(t *testing.T) {
 	}
 }
 
-// TestInterfaceResolution runs the four lifecycle rules plus bufhazard
-// pooled over the interface corpus: every acquiring or releasing call
-// there crosses an interface boundary (devirtualized targets, contract
+// TestInterfaceResolution runs the four lifecycle rules pooled over
+// the interface corpus: every acquiring or releasing call there
+// crosses an interface boundary (devirtualized targets, contract
 // directives, or builtin verbs on an interface receiver), so both the
 // findings and the silences prove the interface-aware layers.
 func TestInterfaceResolution(t *testing.T) {
 	_, pass := loadTestdata(t, "iface")
-	findings := pass.Run(append(append([]*Analyzer{}, lifecycleAnalyzers...), BufHazard))
+	findings := pass.Run(lifecycleAnalyzers)
 	wants := wantComments(pass)
 
 	matched := map[string]bool{}
@@ -209,36 +208,6 @@ func TestSummaryDumpDeterministic(t *testing.T) {
 		if !strings.Contains(d1, want) {
 			t.Errorf("summary dump missing %q\ndump:\n%s", want, d1)
 		}
-	}
-
-	// The communication rules ride on the same layers: bufhazard reuses
-	// the reqwait summaries for helper-posted requests, and blockcycle
-	// reuses the const-helper summaries. Both must be load-independent
-	// too.
-	commDump := func() string {
-		var b strings.Builder
-		_, pass := loadTestdata(t, "bufhazard")
-		b.WriteString("== reqwait/bufhazard\n")
-		b.WriteString(pass.summariesFor(reqwaitSpec).Dump())
-		_, pass = loadTestdata(t, "blockcycle")
-		b.WriteString("== const/blockcycle\n")
-		names := []string{}
-		for fn, v := range pass.constSummaries() {
-			names = append(names, fmt.Sprintf("%s=%s", fn.Name(), v))
-		}
-		sort.Strings(names)
-		b.WriteString(strings.Join(names, "\n"))
-		return b.String()
-	}
-	c1, c2 := commDump(), commDump()
-	if c1 != c2 {
-		t.Errorf("communication-rule summary dumps differ between loads:\n--- first\n%s\n--- second\n%s", c1, c2)
-	}
-	if !strings.Contains(c1, "bufhazard.start") || !strings.Contains(c1, "acquire") {
-		t.Errorf("bufhazard helper summary missing acquire classification:\n%s", c1)
-	}
-	if !strings.Contains(c1, "chunk=4096") {
-		t.Errorf("blockcycle const summary missing chunk=4096:\n%s", c1)
 	}
 
 	// globalmut adds one more summary layer, the transitive write
@@ -437,20 +406,20 @@ func TestByName(t *testing.T) {
 		t.Fatal("empty rule list must select all analyzers")
 	}
 
-	as, err = ByName("all,-bufhazard")
+	as, err = ByName("all,-floatsum")
 	if err != nil || len(as) != len(All())-1 {
-		t.Fatalf("ByName(all,-bufhazard) = %d rules, %v; want %d", len(as), err, len(All())-1)
+		t.Fatalf("ByName(all,-floatsum) = %d rules, %v; want %d", len(as), err, len(All())-1)
 	}
 	for _, a := range as {
-		if a.Name == "bufhazard" {
+		if a.Name == "floatsum" {
 			t.Fatal("excluded rule survived selection")
 		}
 	}
 
 	// Leading exclusion seeds the full set.
-	as, err = ByName("-blockcycle,-collorder")
+	as, err = ByName("-mrpin,-offload")
 	if err != nil || len(as) != len(All())-2 {
-		t.Fatalf("ByName(-blockcycle,-collorder) = %d rules, %v; want %d", len(as), err, len(All())-2)
+		t.Fatalf("ByName(-mrpin,-offload) = %d rules, %v; want %d", len(as), err, len(All())-2)
 	}
 
 	// Later entries win: exclude-then-include restores the rule.

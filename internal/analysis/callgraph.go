@@ -95,6 +95,17 @@ func (p *Pass) CallGraph() *CallGraph {
 	return g
 }
 
+// funcsInOrder returns the call graph's functions in declaration
+// order, for deterministic report order within a file set.
+func funcsInOrder(g *CallGraph) []*types.Func {
+	fns := make([]*types.Func, 0, len(g.Funcs))
+	for fn := range g.Funcs {
+		fns = append(fns, fn)
+	}
+	sort.Slice(fns, func(i, j int) bool { return fns[i].Pos() < fns[j].Pos() })
+	return fns
+}
+
 // calledFunc resolves a call expression to the *types.Func it invokes
 // directly, or nil for builtins, conversions, and function values with
 // no statically known binding. A call through a local variable that

@@ -11,8 +11,7 @@ import (
 // This file builds intraprocedural control-flow graphs over go/ast
 // function bodies, the substrate of the flow-sensitive lifecycle rules
 // (mrleak, mrpin, offload, reqwait). The builder is purely syntactic —
-// no type information is needed — so it is reusable for any future
-// dataflow analysis (escape, taint) over the same ASTs.
+// no type information is needed.
 //
 // Granularity: a Block holds a straight-line run of ast.Nodes
 // (statements and, for condition blocks, one leaf condition

@@ -5,7 +5,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strconv"
 )
 
 // This file implements the generic forward dataflow solver the
@@ -203,131 +202,6 @@ func SolveInit(c *CFG, p FlowProblem, entry *Facts) []*Facts {
 		}
 	}
 	return in
-}
-
-// ---- Constant-propagation lattice ----
-//
-// The communication-safety rules (blockcycle, bufhazard) reason about
-// peer, tag, offset, and size arguments of Send/Recv-family calls.
-// ConstVal is the three-level lattice those arguments evaluate into:
-// Unknown (bottom — no evidence yet), one known integer constant, or
-// Varying (top — conflicting assignments, or a value the evaluator
-// cannot see through). Values only climb the lattice under Join, so
-// the flow-insensitive environment fixpoint in commsafety.go
-// terminates.
-
-// ConstVal is one value of the constant-propagation lattice.
-type ConstVal struct {
-	kind uint8
-	v    int64
-}
-
-const (
-	cvUnknown uint8 = iota
-	cvConst
-	cvVarying
-)
-
-// UnknownConst is the lattice bottom: no assignment observed yet.
-func UnknownConst() ConstVal { return ConstVal{} }
-
-// KnownConst is a single known integer constant.
-func KnownConst(v int64) ConstVal { return ConstVal{kind: cvConst, v: v} }
-
-// VaryingConst is the lattice top: the value is not one constant.
-func VaryingConst() ConstVal { return ConstVal{kind: cvVarying} }
-
-// Known returns the constant and whether the value is a single known
-// integer. Both Unknown and Varying answer false: a rule may only act
-// on evidence, never on its absence.
-func (c ConstVal) Known() (int64, bool) { return c.v, c.kind == cvConst }
-
-// Join is the lattice join: Unknown is the identity and two different
-// constants go to Varying.
-func (c ConstVal) Join(o ConstVal) ConstVal {
-	switch {
-	case c.kind == cvUnknown:
-		return o
-	case o.kind == cvUnknown:
-		return c
-	case c.kind == cvConst && o.kind == cvConst && c.v == o.v:
-		return c
-	}
-	return VaryingConst()
-}
-
-func (c ConstVal) String() string {
-	switch c.kind {
-	case cvUnknown:
-		return "unknown"
-	case cvConst:
-		return strconv.FormatInt(c.v, 10)
-	}
-	return "varying"
-}
-
-// constBinop folds a binary operator over two lattice values. Unknown
-// operands stay Unknown (the fixpoint has not reached them yet); any
-// operation the evaluator cannot perform exactly goes to Varying, so
-// the result is total and monotone.
-func constBinop(op token.Token, a, b ConstVal) ConstVal {
-	if a.kind == cvUnknown || b.kind == cvUnknown {
-		return UnknownConst()
-	}
-	av, aok := a.Known()
-	bv, bok := b.Known()
-	if !aok || !bok {
-		return VaryingConst()
-	}
-	switch op {
-	case token.ADD:
-		return KnownConst(av + bv)
-	case token.SUB:
-		return KnownConst(av - bv)
-	case token.MUL:
-		return KnownConst(av * bv)
-	case token.QUO:
-		if bv != 0 {
-			return KnownConst(av / bv)
-		}
-	case token.REM:
-		if bv != 0 {
-			return KnownConst(av % bv)
-		}
-	case token.SHL:
-		if bv >= 0 && bv < 63 {
-			return KnownConst(av << uint(bv))
-		}
-	case token.SHR:
-		if bv >= 0 && bv < 63 {
-			return KnownConst(av >> uint(bv))
-		}
-	case token.AND:
-		return KnownConst(av & bv)
-	case token.OR:
-		return KnownConst(av | bv)
-	case token.XOR:
-		return KnownConst(av ^ bv)
-	case token.AND_NOT:
-		return KnownConst(av &^ bv)
-	}
-	return VaryingConst()
-}
-
-// constUnary folds a unary operator over a lattice value.
-func constUnary(op token.Token, x ConstVal) ConstVal {
-	if x.kind != cvConst {
-		return x
-	}
-	switch op {
-	case token.ADD:
-		return x
-	case token.SUB:
-		return KnownConst(-x.v)
-	case token.XOR:
-		return KnownConst(^x.v)
-	}
-	return VaryingConst()
 }
 
 // nilExpr reports whether e is the predeclared nil (via type info when

@@ -200,14 +200,9 @@ func (p *Pass) methodValue(id *ast.Ident) *types.Func {
 	return p.devirtFor().methodVals[obj]
 }
 
-// ifaceTargets resolves a call through an interface value to the
-// implementing methods declared in the package, or nil when the callee
-// is not an interface method or the implementation set is open.
-func (p *Pass) ifaceTargets(call *ast.CallExpr) []*types.Func {
-	return p.ifaceTargetsOf(p.calledFunc(call))
-}
-
-// ifaceTargetsOf devirtualizes one interface method.
+// ifaceTargetsOf devirtualizes one interface method: the implementing
+// methods declared in the package, or nil when fn is not an interface
+// method or the implementation set is open.
 func (p *Pass) ifaceTargetsOf(fn *types.Func) []*types.Func {
 	if fn == nil {
 		return nil

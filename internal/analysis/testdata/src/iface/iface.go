@@ -2,10 +2,10 @@
 // releasing calls that cross an interface boundary (resolved by
 // devirtualizing to the package's implementing types and taking the
 // meet of their summaries), //simlint:contract directives declared on
-// interface methods with no implementation in sight, and a buffer
-// hazard whose posting call is an interface dispatch. Every finding
-// and every silence here depends on interface resolution — a
-// static-call-only engine sees none of it.
+// interface methods with no implementation in sight, and builtin verbs
+// called on an interface receiver. Every finding and every silence
+// here depends on interface resolution — a static-call-only engine
+// sees none of it.
 package iface
 
 type Proc struct{}
@@ -34,8 +34,6 @@ type Slice struct {
 func Whole(b *Buffer) Slice { return Slice{Buf: b, N: len(b.Data)} }
 
 func (s Slice) Bytes() []byte { return s.Buf.Data[s.Off : s.Off+s.N] }
-
-func PutF64s(b []byte, vs []float64) {}
 
 type Request struct{ tag int }
 
@@ -193,7 +191,7 @@ func RegistrarDoubleFree(rg Registrar, p *Proc) {
 	rg.Free(p, mr) // want "memory region may already be deregistered"
 }
 
-// ---- devirtualized request lifecycle and buffer hazards ----
+// ---- devirtualized request lifecycle ----
 
 // Poster posts and completes nonblocking sends behind an interface;
 // rankPoster is its only implementation.
@@ -226,31 +224,6 @@ func PostFinishOK(x Poster, p *Proc, b *Buffer) {
 	x.Finish(p, q)
 }
 
-// PostWriteHazard: the posting call is an interface dispatch, so the
-// captured buffer is known only through the devirtualized summary —
-// writing it before Finish is the paper's in-flight reuse hazard.
-func PostWriteHazard(x Poster, p *Proc) {
-	b := &Buffer{Data: make([]byte, 64)}
-	q, err := x.Post(p, Whole(b))
-	if err != nil {
-		return
-	}
-	PutF64s(b.Data, []float64{1}) // want "buffer is written while an in-flight Post holds it"
-	x.Finish(p, q)
-}
-
-// PostWriteAfterFinishOK: once Finish completes the request, the
-// buffer is free to reuse.
-func PostWriteAfterFinishOK(x Poster, p *Proc) {
-	b := &Buffer{Data: make([]byte, 64)}
-	q, err := x.Post(p, Whole(b))
-	if err != nil {
-		return
-	}
-	x.Finish(p, q)
-	PutF64s(b.Data, []float64{2})
-}
-
 // ---- builtin verbs through an interface receiver ----
 
 // Comm carries the builtin verb names themselves: classification is by
@@ -269,16 +242,4 @@ func CommIfaceLeak(c Comm, p *Proc, b *Buffer) {
 		return
 	}
 	_ = q
-}
-
-// CommIfaceHazard: the write-in-flight hazard through an interface
-// receiver.
-func CommIfaceHazard(c Comm, p *Proc, b *Buffer) error {
-	q, err := c.Isend(p, 1, 0, Whole(b))
-	if err != nil {
-		return err
-	}
-	PutF64s(b.Data, []float64{3}) // want "buffer is written while an in-flight Isend holds it"
-	_, err = c.Wait(p, q)
-	return err
 }

@@ -29,55 +29,34 @@ import (
 
 // ProxyVerbs is the 'Intel MPI on Xeon Phi' provider: co-processor
 // resident MPI whose verbs are relayed through the host proxy daemon.
+// It is the DCFA provider except where the relay costs or withholds
+// something.
 type ProxyVerbs struct {
-	V *dcfa.MicVerbs
-	// ProxiedOps counts operations that paid the relay.
-	ProxiedOps *int64
-}
-
-// Loc implements core.Verbs.
-func (x ProxyVerbs) Loc() machine.DomainKind             { return machine.MicMem }
-func (x ProxyVerbs) Domain() *machine.Domain             { return x.V.Node.Mic }
-func (x ProxyVerbs) HCA() *ib.HCA                        { return x.V.HCA }
-func (x ProxyVerbs) AllocPD(p *sim.Proc) (*ib.PD, error) { return x.V.AllocPD(p) }
-func (x ProxyVerbs) CreateCQ(p *sim.Proc, depth int) (*ib.CQ, error) {
-	return x.V.CreateCQ(p, depth)
+	core.DCFAVerbs
 }
 
 // CreateQP creates the QP and caps its throughput at the proxy staging
 // rate.
 func (x ProxyVerbs) CreateQP(p *sim.Proc, pd *ib.PD, scq, rcq *ib.CQ) (*ib.QP, error) {
-	qp, err := x.V.CreateQP(p, pd, scq, rcq)
+	qp, err := x.DCFAVerbs.CreateQP(p, pd, scq, rcq)
 	if err != nil {
 		return nil, err
 	}
-	qp.RateCap = x.V.Plat.ProxyBandwidth
+	qp.RateCap = x.Plat.ProxyBandwidth
 	return qp, nil
 }
-
-func (x ProxyVerbs) RegMR(p *sim.Proc, pd *ib.PD, dom *machine.Domain, addr uint64, n int) (*ib.MR, error) {
-	return x.V.RegMR(p, pd, dom, addr, n)
-}
-func (x ProxyVerbs) DeregMR(p *sim.Proc, mr *ib.MR) error { return x.V.DeregMR(p, mr) }
 
 // PostSend relays the work request through the host proxy daemon: one
 // extra per-operation cost before the HCA sees it.
 func (x ProxyVerbs) PostSend(p *sim.Proc, qp *ib.QP, wr *ib.SendWR) error {
-	p.Sleep(x.V.Plat.ProxySendCost)
-	if x.ProxiedOps != nil {
-		*x.ProxiedOps++
-	}
+	p.Sleep(x.Plat.ProxySendCost)
 	return qp.PostSend(p, wr)
-}
-
-func (x ProxyVerbs) PostRecv(p *sim.Proc, qp *ib.QP, wr *ib.RecvWR) error {
-	return qp.PostRecv(p, wr)
 }
 
 // RecvOverhead is the daemon's inbound relay: completion notification
 // plus copying the staged payload back to card memory.
 func (x ProxyVerbs) RecvOverhead(n int) sim.Duration {
-	return x.V.Plat.ProxyRecvCost(n)
+	return x.Plat.ProxyRecvCost(n)
 }
 
 // The Intel stack has no offloading send-buffer verbs.
@@ -106,7 +85,7 @@ func PhiMPIWorld(c *cluster.Cluster, ranks int) *core.World {
 		ni := c.NodeFor(i)
 		mic, _ := dcfa.New(c.Eng, c.Plat, c.Nodes[ni], c.HCAs[ni], c.Buses[ni])
 		mic.SetMetrics(c.Metrics)
-		envs[i] = core.Env{V: ProxyVerbs{V: mic}, Node: c.Nodes[ni]}
+		envs[i] = core.Env{V: ProxyVerbs{DCFAVerbs: core.DCFAVerbs{MicVerbs: mic}}, Node: c.Nodes[ni]}
 	}
 	return core.NewWorld(c.Eng, c.Plat, cfg, envs)
 }
@@ -134,7 +113,7 @@ func SymmetricWorld(c *cluster.Cluster, ranks int) *core.World {
 		} else {
 			mic, _ := dcfa.New(c.Eng, c.Plat, c.Nodes[ni], c.HCAs[ni], c.Buses[ni])
 			mic.SetMetrics(c.Metrics)
-			envs[i] = core.Env{V: ProxyVerbs{V: mic}, Node: c.Nodes[ni]}
+			envs[i] = core.Env{V: ProxyVerbs{DCFAVerbs: core.DCFAVerbs{MicVerbs: mic}}, Node: c.Nodes[ni]}
 		}
 	}
 	return core.NewWorld(c.Eng, c.Plat, cfg, envs)

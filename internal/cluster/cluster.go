@@ -130,7 +130,7 @@ func (c *Cluster) DCFAEnvs(ranks int) []core.Env {
 		mic.SetMetrics(c.Metrics)
 		mic.SetFaults(c.Faults)
 		mic.SetCausal(c.Causal, i)
-		envs[i] = core.Env{V: core.DCFAVerbs{V: mic}, Node: c.Nodes[ni]}
+		envs[i] = core.Env{V: core.DCFAVerbs{MicVerbs: mic}, Node: c.Nodes[ni]}
 	}
 	return envs
 }

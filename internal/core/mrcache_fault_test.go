@@ -51,7 +51,7 @@ func TestMRCacheSurvivesCmdFaults(t *testing.T) {
 	mic.SetFaults(inj)
 
 	reg := metrics.New()
-	v := DCFAVerbs{V: mic}
+	v := DCFAVerbs{MicVerbs: mic}
 	eng.Spawn("test", func(p *sim.Proc) {
 		pd, err := v.AllocPD(p)
 		if err != nil {

@@ -25,7 +25,7 @@ func cacheRig(t *testing.T, capacity int, fn func(p *sim.Proc, c *MRCache, dom *
 	hca := fab.AttachHCA(node)
 	bus := pcie.Attach(eng, plat, node)
 	mic, _ := dcfa.New(eng, plat, node, hca, bus)
-	v := DCFAVerbs{V: mic}
+	v := DCFAVerbs{MicVerbs: mic}
 	eng.Spawn("test", func(p *sim.Proc) {
 		pd, _ := v.AllocPD(p)
 		c := NewMRCache(v, pd, capacity)

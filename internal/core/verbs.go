@@ -61,27 +61,17 @@ type Verbs interface {
 	DeregOffloadMR(p *sim.Proc, omr *dcfa.OffloadMR) error
 }
 
-// DCFAVerbs adapts dcfa.MicVerbs to the Verbs interface: the DCFA-MPI
-// configuration, running on the co-processor with direct HCA access.
+// DCFAVerbs is the DCFA-MPI provider: the rank runs on the co-processor
+// with direct HCA access. Resource creation, registration and the three
+// offload verbs are dcfa.MicVerbs's own methods, promoted unchanged.
 type DCFAVerbs struct {
-	V *dcfa.MicVerbs
+	*dcfa.MicVerbs
 }
 
 // Loc implements Verbs.
-func (d DCFAVerbs) Loc() machine.DomainKind             { return machine.MicMem }
-func (d DCFAVerbs) Domain() *machine.Domain             { return d.V.Node.Mic }
-func (d DCFAVerbs) HCA() *ib.HCA                        { return d.V.HCA }
-func (d DCFAVerbs) AllocPD(p *sim.Proc) (*ib.PD, error) { return d.V.AllocPD(p) }
-func (d DCFAVerbs) CreateCQ(p *sim.Proc, depth int) (*ib.CQ, error) {
-	return d.V.CreateCQ(p, depth)
-}
-func (d DCFAVerbs) CreateQP(p *sim.Proc, pd *ib.PD, scq, rcq *ib.CQ) (*ib.QP, error) {
-	return d.V.CreateQP(p, pd, scq, rcq)
-}
-func (d DCFAVerbs) RegMR(p *sim.Proc, pd *ib.PD, dom *machine.Domain, addr uint64, n int) (*ib.MR, error) {
-	return d.V.RegMR(p, pd, dom, addr, n)
-}
-func (d DCFAVerbs) DeregMR(p *sim.Proc, mr *ib.MR) error { return d.V.DeregMR(p, mr) }
+func (d DCFAVerbs) Loc() machine.DomainKind { return machine.MicMem }
+func (d DCFAVerbs) Domain() *machine.Domain { return d.Node.Mic }
+func (d DCFAVerbs) HCA() *ib.HCA            { return d.MicVerbs.HCA }
 func (d DCFAVerbs) PostSend(p *sim.Proc, qp *ib.QP, wr *ib.SendWR) error {
 	return qp.PostSend(p, wr)
 }
@@ -90,15 +80,6 @@ func (d DCFAVerbs) PostRecv(p *sim.Proc, qp *ib.QP, wr *ib.RecvWR) error {
 }
 func (d DCFAVerbs) RecvOverhead(n int) sim.Duration { return 0 }
 func (d DCFAVerbs) SupportsOffload() bool           { return true }
-func (d DCFAVerbs) RegOffloadMR(p *sim.Proc, size int) (*dcfa.OffloadMR, error) {
-	return d.V.RegOffloadMR(p, size)
-}
-func (d DCFAVerbs) SyncOffloadMR(p *sim.Proc, omr *dcfa.OffloadMR, off int, src []byte) error {
-	return d.V.SyncOffloadMR(p, omr, off, src)
-}
-func (d DCFAVerbs) DeregOffloadMR(p *sim.Proc, omr *dcfa.OffloadMR) error {
-	return d.V.DeregOffloadMR(p, omr)
-}
 
 // HostVerbs adapts a plain host ib.Context: the host MPI reference the
 // paper compares against (YAMPII on the Xeon).

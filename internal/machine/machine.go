@@ -70,11 +70,21 @@ type Node struct {
 	Mic  *Domain
 }
 
+// Address-space bases. The two domains of a node are disjoint, page-
+// aligned ranges, so an address from one never falls inside an
+// allocation or a registered region of the other: posting a host
+// address with a mic key (or the reverse) fails Resolve and the HCA's
+// bounds check instead of silently touching the wrong memory.
+const (
+	hostBase = 0x10000
+	micBase  = 1 << 40
+)
+
 // NewNode creates node id with empty host and mic domains.
 func NewNode(id int) *Node {
 	n := &Node{ID: id}
-	n.Host = &Domain{Name: fmt.Sprintf("node%d/host", id), Kind: HostMem, Node: n, nextAddr: 0x10000}
-	n.Mic = &Domain{Name: fmt.Sprintf("node%d/mic", id), Kind: MicMem, Node: n, nextAddr: 0x10000}
+	n.Host = &Domain{Name: fmt.Sprintf("node%d/host", id), Kind: HostMem, Node: n, nextAddr: hostBase}
+	n.Mic = &Domain{Name: fmt.Sprintf("node%d/mic", id), Kind: MicMem, Node: n, nextAddr: micBase}
 	return n
 }
 
