@@ -6,7 +6,7 @@
 //
 //	go run ./cmd/simlint ./...
 //	go run ./cmd/simlint -rules nondet,maporder ./internal/bench
-//	go run ./cmd/simlint -rules all,-floatsum ./...
+//	go run ./cmd/simlint -rules all,-rawgo ./...
 //	go run ./cmd/simlint -json ./...
 //	go run ./cmd/simlint -stats ./...
 //	go run ./cmd/simlint -list
@@ -14,8 +14,8 @@
 // -rules takes a comma-separated list applied left to right: a bare
 // name includes that rule, a -prefixed name excludes it, and "all"
 // includes everything. A list that starts with an exclusion implicitly
-// begins from the full set, so "-rules -floatsum" means "all rules
-// except floatsum".
+// begins from the full set, so "-rules -rawgo" means "all rules
+// except rawgo".
 //
 // Exit codes: 0 when clean, 1 when findings were reported, 2 on a
 // usage or load error.
@@ -59,7 +59,6 @@
 //	maporder  order-sensitive work inside range-over-map
 //	rawgo     goroutines, sync, and channels outside internal/sim
 //	errcheck  dropped error returns from MPI operations
-//	floatsum  float accumulation in map-iteration or goroutine order
 //	mrleak    RegMR/RegMRBuffer results must reach DeregMR on all paths
 //	mrpin     MRCache.Get must be matched by Release on all paths
 //	offload   RegOffloadMR → SyncOffloadMR → post → DeregOffloadMR order

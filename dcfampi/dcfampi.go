@@ -55,12 +55,11 @@ type (
 	Time = sim.Time
 	// OffloadDevice is the co-processor handle in ModeHostOffload.
 	OffloadDevice = baseline.OffloadDevice
-	// Comm is a sub-communicator (Rank.CommWorld / Comm.Split).
+	// Comm is a communicator: the world group (Rank.CommWorld) or a
+	// Comm.Split of one.
 	Comm = core.Comm
 	// Datatype describes strided (vector) layouts for typed transfers.
 	Datatype = core.Datatype
-	// Persistent is a reusable request (Rank.SendInit / Rank.RecvInit).
-	Persistent = core.Persistent
 )
 
 // Vector and Contiguous construct datatypes; see core.Datatype.

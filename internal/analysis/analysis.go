@@ -73,14 +73,14 @@ type Analyzer struct {
 
 // All returns every analyzer in the suite, in report order.
 func All() []*Analyzer {
-	return []*Analyzer{Nondet, MapOrder, RawGo, ErrCheck, FloatSum, MRLeak, MRPin, Offload, ReqWait, GlobalMut, FSMCheck}
+	return []*Analyzer{Nondet, MapOrder, RawGo, ErrCheck, MRLeak, MRPin, Offload, ReqWait, GlobalMut, FSMCheck}
 }
 
 // ByName selects analyzers from a comma-separated list, or All() when
 // the list is empty. Each entry is a rule name to include, `-name` to
 // exclude, or the keyword `all`; entries apply left to right, and a
 // list that opens with an exclusion starts from the full set, so
-// `-floatsum` means "everything except floatsum". The selection is
+// `-rawgo` means "everything except rawgo". The selection is
 // returned in All() order and must not end up empty.
 func ByName(list string) ([]*Analyzer, error) {
 	if list == "" {
@@ -335,17 +335,6 @@ func (p *Pass) isMapType(e ast.Expr) bool {
 	}
 	_, isMap := tv.Type.Underlying().(*types.Map)
 	return isMap
-}
-
-// isFloat reports whether the expression's type is a floating-point
-// scalar.
-func (p *Pass) isFloat(e ast.Expr) bool {
-	tv, ok := p.Info.Types[e]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	b, isBasic := tv.Type.Underlying().(*types.Basic)
-	return isBasic && b.Info()&types.IsFloat != 0
 }
 
 // isString reports whether the expression's type is a string.

@@ -12,7 +12,7 @@ import (
 )
 
 // ruleDirs pairs each analyzer with its testdata corpus.
-var ruleDirs = []*Analyzer{Nondet, MapOrder, RawGo, ErrCheck, FloatSum, MRLeak, MRPin, Offload, ReqWait, GlobalMut, FSMCheck}
+var ruleDirs = []*Analyzer{Nondet, MapOrder, RawGo, ErrCheck, MRLeak, MRPin, Offload, ReqWait, GlobalMut, FSMCheck}
 
 // loadTestdata type-checks testdata/src/<rule> as a synthetic package
 // outside the module, which every analyzer treats as in scope.
@@ -406,12 +406,12 @@ func TestByName(t *testing.T) {
 		t.Fatal("empty rule list must select all analyzers")
 	}
 
-	as, err = ByName("all,-floatsum")
+	as, err = ByName("all,-rawgo")
 	if err != nil || len(as) != len(All())-1 {
-		t.Fatalf("ByName(all,-floatsum) = %d rules, %v; want %d", len(as), err, len(All())-1)
+		t.Fatalf("ByName(all,-rawgo) = %d rules, %v; want %d", len(as), err, len(All())-1)
 	}
 	for _, a := range as {
-		if a.Name == "floatsum" {
+		if a.Name == "rawgo" {
 			t.Fatal("excluded rule survived selection")
 		}
 	}

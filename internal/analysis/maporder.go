@@ -91,10 +91,6 @@ func (p *Pass) checkMapRangeAssign(rs *ast.RangeStmt, as *ast.AssignStmt, rest [
 				continue
 			}
 		}
-		// Float accumulation belongs to the floatsum analyzer.
-		if p.isFloat(id) && (isCompoundAssign(as.Tok) || selfReferential(p, id, rhs)) {
-			continue
-		}
 		// Order only matters when successive iterations can write
 		// different values: require the RHS to depend on loop-local
 		// state (the key/value variables or anything derived from them).
@@ -178,23 +174,6 @@ func (p *Pass) dependsOnLoop(expr ast.Expr, rs *ast.RangeStmt) bool {
 		return !dep
 	})
 	return dep
-}
-
-// selfReferential reports whether rhs mentions lhs (the x = x + v
-// accumulation form).
-func selfReferential(p *Pass, lhs *ast.Ident, rhs ast.Expr) bool {
-	target := p.objOf(lhs)
-	if target == nil {
-		return false
-	}
-	found := false
-	ast.Inspect(rhs, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && p.objOf(id) == target {
-			found = true
-		}
-		return !found
-	})
-	return found
 }
 
 // isCompoundAssign reports whether tok is an op= assignment.

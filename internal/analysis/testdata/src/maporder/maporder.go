@@ -60,6 +60,26 @@ func LeakConcat(m map[string]int) string {
 	return s
 }
 
+// LeakFloatSum folds floats in map order: floating-point addition is
+// not associative, so the sum's bit pattern depends on which key comes
+// first (an integer sum draws the same finding; sort the keys or fold
+// rank-ordered partials).
+func LeakFloatSum(m map[string]float64) float64 {
+	sum := 0.0
+	for _, v := range m {
+		sum += v // want "assignment to sum of an iteration-dependent value"
+	}
+	return sum
+}
+
+func LeakFloatSumExplicit(m map[string]float64) float64 {
+	total := 0.0
+	for _, v := range m {
+		total = total + v // want "assignment to total of an iteration-dependent value"
+	}
+	return total
+}
+
 // MembershipOK sets a flag to a constant: idempotent under any
 // iteration order, not flagged.
 func MembershipOK(m map[string]bool, key string) bool {

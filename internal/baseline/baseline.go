@@ -33,6 +33,8 @@ import (
 // something.
 type ProxyVerbs struct {
 	core.DCFAVerbs
+	// The Intel stack has no offloading send-buffer verbs.
+	core.NoOffload
 }
 
 // CreateQP creates the QP and caps its throughput at the proxy staging
@@ -57,18 +59,6 @@ func (x ProxyVerbs) PostSend(p *sim.Proc, qp *ib.QP, wr *ib.SendWR) error {
 // plus copying the staged payload back to card memory.
 func (x ProxyVerbs) RecvOverhead(n int) sim.Duration {
 	return x.Plat.ProxyRecvCost(n)
-}
-
-// The Intel stack has no offloading send-buffer verbs.
-func (x ProxyVerbs) SupportsOffload() bool { return false }
-func (x ProxyVerbs) RegOffloadMR(p *sim.Proc, size int) (*dcfa.OffloadMR, error) {
-	return nil, core.ErrNoOffload
-}
-func (x ProxyVerbs) SyncOffloadMR(p *sim.Proc, omr *dcfa.OffloadMR, off int, src []byte) error {
-	return core.ErrNoOffload
-}
-func (x ProxyVerbs) DeregOffloadMR(p *sim.Proc, omr *dcfa.OffloadMR) error {
-	return core.ErrNoOffload
 }
 
 // PhiMPIWorld builds an 'Intel MPI on Xeon Phi' world on c. It uses

@@ -7,15 +7,6 @@ import (
 	"repro/internal/sim"
 )
 
-// Internal tag space for the algorithm-specific collective phases
-// (continuing the -100.. block in collectives.go).
-const (
-	tagARScat    = -109 // ring allreduce, reduce-scatter phase
-	tagARGath    = -110 // ring allreduce, allgather phase
-	tagARFold    = -111 // recursive-doubling allreduce exchanges
-	tagBcastScat = -112 // scatter-allgather bcast
-)
-
 // Collective algorithm codes, carried in causal events (Event.Pkt) and
 // selected per call by size and world shape — or pinned through the
 // Coll* config strings. New codes append at the end: recorded traces
@@ -33,29 +24,19 @@ const (
 	algoLinear
 )
 
-func algoName(a uint8) string {
-	switch a {
-	case algoNaive:
-		return "naive"
-	case algoRing:
-		return "ring"
-	case algoRD:
-		return "rd"
-	case algoBinomial:
-		return "binomial"
-	case algoScatterAG:
-		return "scatter-allgather"
-	case algoDissem:
-		return "dissemination"
-	case algoTree:
-		return "tree"
-	case algoPairwise:
-		return "pairwise"
-	case algoLinear:
-		return "linear"
-	default:
-		return "none"
-	}
+// algoNames spells the codes in Config.Coll* pins, counter names and
+// span attributes.
+var algoNames = [...]string{
+	algoNone:      "none",
+	algoNaive:     "naive",
+	algoRing:      "ring",
+	algoRD:        "rd",
+	algoBinomial:  "binomial",
+	algoScatterAG: "scatter-allgather",
+	algoDissem:    "dissemination",
+	algoTree:      "tree",
+	algoPairwise:  "pairwise",
+	algoLinear:    "linear",
 }
 
 // ---- Selection ----
@@ -66,56 +47,51 @@ func algoName(a uint8) string {
 // bandwidth-optimal ring/scatter family whose per-rank traffic is
 // 2·(n-1)/n · N instead of 2·log₂(n) · N.
 
-func (r *Rank) pickAllreduce(s Slice, op Op) (uint8, error) {
-	switch r.w.Cfg.CollAllreduce {
-	case "naive":
-		return algoNaive, nil
-	case "ring":
-		return algoRing, nil
-	case "rd":
-		return algoRD, nil
-	case "":
-	default:
-		return 0, fmt.Errorf("core: unknown allreduce algorithm %q", r.w.Cfg.CollAllreduce)
+// pinned resolves one Config.Coll* string against the algorithms op
+// offers: algoNone for "" (select automatically), an error for a name
+// that is none of them.
+func pinned(op, name string, offers ...uint8) (uint8, error) {
+	if name == "" {
+		return algoNone, nil
 	}
-	n := r.w.Size()
-	if n == 1 {
+	for _, a := range offers {
+		if algoNames[a] == name {
+			return a, nil
+		}
+	}
+	return 0, fmt.Errorf("core: unknown %s algorithm %q", op, name)
+}
+
+func (g *group) pickAllreduce(s Slice, op Op) (uint8, error) {
+	cfg := &g.r.w.Cfg
+	if algo, err := pinned("allreduce", cfg.CollAllreduce, algoNaive, algoRing, algoRD); algo != algoNone || err != nil {
+		return algo, err
+	}
+	if g.n == 1 {
 		return algoNaive, nil
 	}
-	if s.N/op.ElemSize < n || s.N <= r.w.Cfg.EagerMax {
+	if s.N/op.ElemSize < g.n || s.N <= cfg.EagerMax {
 		return algoRD, nil
 	}
 	return algoRing, nil
 }
 
-func (r *Rank) pickBcast(s Slice) (uint8, error) {
-	switch r.w.Cfg.CollBcast {
-	case "binomial":
-		return algoBinomial, nil
-	case "scatter-allgather":
-		return algoScatterAG, nil
-	case "":
-	default:
-		return 0, fmt.Errorf("core: unknown bcast algorithm %q", r.w.Cfg.CollBcast)
+func (g *group) pickBcast(s Slice) (uint8, error) {
+	cfg := &g.r.w.Cfg
+	if algo, err := pinned("bcast", cfg.CollBcast, algoBinomial, algoScatterAG); algo != algoNone || err != nil {
+		return algo, err
 	}
-	n := r.w.Size()
-	if s.N > r.w.Cfg.EagerMax && n >= 8 {
+	if s.N > cfg.EagerMax && g.n >= 8 {
 		return algoScatterAG, nil
 	}
 	return algoBinomial, nil
 }
 
-func (r *Rank) pickBarrier() (uint8, error) {
-	switch r.w.Cfg.CollBarrier {
-	case "dissemination":
-		return algoDissem, nil
-	case "tree":
-		return algoTree, nil
-	case "":
-	default:
-		return 0, fmt.Errorf("core: unknown barrier algorithm %q", r.w.Cfg.CollBarrier)
+func (g *group) pickBarrier() (uint8, error) {
+	if algo, err := pinned("barrier", g.r.w.Cfg.CollBarrier, algoDissem, algoTree); algo != algoNone || err != nil {
+		return algo, err
 	}
-	if r.w.Size() > 32 {
+	if g.n > 32 {
 		// Dissemination is O(n log n) messages across the job (every
 		// rank talks to log n distinct peers, so lazy connect degrades
 		// to n log n endpoint pairs); the tree keeps both logarithmic.
@@ -124,15 +100,9 @@ func (r *Rank) pickBarrier() (uint8, error) {
 	return algoDissem, nil
 }
 
-func (r *Rank) pickAlltoall() (uint8, error) {
-	switch r.w.Cfg.CollAlltoall {
-	case "pairwise":
-		return algoPairwise, nil
-	case "linear", "naive":
-		return algoLinear, nil
-	case "":
-	default:
-		return 0, fmt.Errorf("core: unknown alltoall algorithm %q", r.w.Cfg.CollAlltoall)
+func (g *group) pickAlltoall() (uint8, error) {
+	if algo, err := pinned("alltoall", g.r.w.Cfg.CollAlltoall, algoPairwise, algoLinear); algo != algoNone || err != nil {
+		return algo, err
 	}
 	return algoPairwise, nil
 }
@@ -142,64 +112,49 @@ func (r *Rank) pickAlltoall() (uint8, error) {
 // allreduceNaive is reduce-to-0 plus broadcast — the reference the
 // property tests hold every other algorithm to. It calls the binomial
 // bodies directly so the oracle never re-enters the selector.
-func (r *Rank) allreduceNaive(p *sim.Proc, s Slice, op Op) error {
-	if err := r.Reduce(p, 0, s, op); err != nil {
+func (g *group) allreduceNaive(p *sim.Proc, s Slice, op Op) error {
+	if err := g.Reduce(p, 0, s, op); err != nil {
 		return err
 	}
-	return r.bcastBinomial(p, 0, s)
+	return g.bcastBinomial(p, tagBcast, 0, s)
 }
 
 // allreduceRing is the bandwidth-optimal ring: a reduce-scatter pass
 // leaves chunk i fully combined on rank i, then an allgather pass
 // circulates the combined chunks. Each rank moves 2·(n-1)/n · N bytes
 // regardless of n, which is why it wins for large payloads.
-func (r *Rank) allreduceRing(p *sim.Proc, s Slice, op Op) error {
-	n := r.w.Size()
+func (g *group) allreduceRing(p *sim.Proc, s Slice, op Op) error {
+	n, me := g.n, g.myRank
 	if n == 1 {
 		return nil
 	}
 	elems := s.N / op.ElemSize
-	// Chunk c covers elements [c·elems/n, (c+1)·elems/n): contiguous,
+	// Chunk k covers elements [k·elems/n, (k+1)·elems/n): contiguous,
 	// element-aligned, and within one byte-per-element of balanced.
-	off := func(c int) int { return c * elems / n * op.ElemSize }
-	clen := func(c int) int { return off(c+1) - off(c) }
-	maxChunk := 0
-	for c := 0; c < n; c++ {
-		if l := clen(c); l > maxChunk {
-			maxChunk = l
-		}
-	}
+	off := func(k int) int { return k * elems / n * op.ElemSize }
+	clen := func(k int) int { return off(k+1) - off(k) }
 	var tmp Slice
-	if maxChunk > 0 {
-		buf := r.Mem(maxChunk)
-		defer r.v.Domain().Free(buf)
+	if maxChunk := (elems + n - 1) / n * op.ElemSize; maxChunk > 0 {
+		buf := g.r.Mem(maxChunk)
+		defer g.r.v.Domain().Free(buf)
 		tmp = Whole(buf)
 	}
-	right := (r.id + 1) % n
-	left := (r.id - 1 + n) % n
+	right, left := (me+1)%n, (me-1+n)%n
 	// Reduce-scatter: after step k we hold the combination of k+2
-	// contributions for chunk (id-k-1) mod n.
+	// contributions for chunk (me-k-1) mod n.
 	for step := 0; step < n-1; step++ {
-		sc := (r.id - step + n) % n
-		rc := (r.id - step - 1 + n) % n
-		if _, err := r.Sendrecv(p,
-			right, tagARScat, s.Sub(off(sc), clen(sc)),
-			left, tagARScat, tmp.Sub(0, clen(rc))); err != nil {
+		sc := (me - step + n) % n
+		rc := (me - step - 1 + n) % n
+		if err := g.sendrecv(p, tagARScat,
+			right, s.Sub(off(sc), clen(sc)),
+			left, tmp.Sub(0, clen(rc))); err != nil {
 			return err
 		}
 		op.applyChecked(s.Sub(off(rc), clen(rc)).Bytes(), tmp.Sub(0, clen(rc)).Bytes())
 	}
-	// Allgather: circulate the finished chunks around the same ring.
-	for step := 0; step < n-1; step++ {
-		sc := (r.id + 1 - step + n) % n
-		rc := (r.id - step + n) % n
-		if _, err := r.Sendrecv(p,
-			right, tagARGath, s.Sub(off(sc), clen(sc)),
-			left, tagARGath, s.Sub(off(rc), clen(rc))); err != nil {
-			return err
-		}
-	}
-	return nil
+	// Allgather: circulate the finished chunks around the same ring;
+	// the reduce-scatter left chunk me+1 complete here.
+	return g.ringAllgather(p, tagARGath, 0, 1, s, off)
 }
 
 // allreduceRD is recursive doubling with the MPICH non-power-of-two
@@ -208,28 +163,27 @@ func (r *Rank) allreduceRing(p *sim.Proc, s Slice, op Op) error {
 // doubling distances, and the folded ranks get the result back. Depth
 // log₂(n) with full-size exchanges — the latency-bound choice. Assumes
 // a commutative op (every built-in Op is).
-func (r *Rank) allreduceRD(p *sim.Proc, s Slice, op Op) error {
-	n := r.w.Size()
+func (g *group) allreduceRD(p *sim.Proc, s Slice, op Op) error {
+	n, id := g.n, g.myRank
 	if n == 1 {
 		return nil
 	}
-	buf := r.Mem(s.N)
-	defer r.v.Domain().Free(buf)
+	buf := g.r.Mem(s.N)
+	defer g.r.v.Domain().Free(buf)
 	tmp := Whole(buf)
 	pof2 := 1
 	for pof2*2 <= n {
 		pof2 *= 2
 	}
 	rem := n - pof2
-	id := r.id
 	newrank := -1
 	switch {
 	case id < 2*rem && id%2 == 0:
-		if err := r.Send(p, id+1, tagARFold, s); err != nil {
+		if err := g.send(p, id+1, tagARFold, s); err != nil {
 			return err
 		}
 	case id < 2*rem:
-		if _, err := r.Recv(p, id-1, tagARFold, tmp); err != nil {
+		if _, err := g.recv(p, id-1, tagARFold, tmp); err != nil {
 			return err
 		}
 		op.applyChecked(s.Bytes(), tmp.Bytes())
@@ -244,9 +198,7 @@ func (r *Rank) allreduceRD(p *sim.Proc, s Slice, op Op) error {
 			if pn < rem {
 				partner = pn*2 + 1
 			}
-			if _, err := r.Sendrecv(p,
-				partner, tagARFold, s,
-				partner, tagARFold, tmp); err != nil {
+			if err := g.sendrecv(p, tagARFold, partner, s, partner, tmp); err != nil {
 				return err
 			}
 			op.applyChecked(s.Bytes(), tmp.Bytes())
@@ -254,9 +206,9 @@ func (r *Rank) allreduceRD(p *sim.Proc, s Slice, op Op) error {
 	}
 	if id < 2*rem {
 		if id%2 != 0 {
-			return r.Send(p, id-1, tagARFold, s)
+			return g.send(p, id-1, tagARFold, s)
 		}
-		_, err := r.Recv(p, id+1, tagARFold, s)
+		_, err := g.recv(p, id+1, tagARFold, s)
 		return err
 	}
 	return nil
@@ -268,12 +220,12 @@ func (r *Rank) allreduceRD(p *sim.Proc, s Slice, op Op) error {
 // scatter leaves byte chunk v on the rank with root-relative rank v,
 // then a ring allgather reassembles the full payload everywhere. Total
 // per-rank traffic ~2·(n-1)/n · N versus the binomial tree's log₂(n)·N.
-func (r *Rank) bcastScatterAG(p *sim.Proc, root int, s Slice) error {
-	n := r.w.Size()
+func (g *group) bcastScatterAG(p *sim.Proc, root int, s Slice) error {
+	n := g.n
 	if n == 1 {
 		return nil
 	}
-	v := vrank(r.id, root, n)
+	v := vrank(g.myRank, root, n)
 	ss := (s.N + n - 1) / n
 	// Binomial scatter in root-relative space: each rank receives the
 	// trailing region it is responsible for from the parent at its
@@ -286,7 +238,7 @@ func (r *Rank) bcastScatterAG(p *sim.Proc, root int, s Slice) error {
 	for mask < n {
 		if v&mask != 0 {
 			if recvSize := s.N - v*ss; recvSize > 0 {
-				st, err := r.Recv(p, arank(v-mask, root, n), tagBcastScat, s.Sub(v*ss, recvSize))
+				st, err := g.recv(p, arank(v-mask, root, n), tagBcastScat, s.Sub(v*ss, recvSize))
 				if err != nil {
 					return err
 				}
@@ -301,29 +253,36 @@ func (r *Rank) bcastScatterAG(p *sim.Proc, root int, s Slice) error {
 			continue
 		}
 		if sendSize := curr - ss*mask; sendSize > 0 {
-			if err := r.Send(p, arank(v+mask, root, n), tagBcastScat, s.Sub((v+mask)*ss, sendSize)); err != nil {
+			if err := g.send(p, arank(v+mask, root, n), tagBcastScat, s.Sub((v+mask)*ss, sendSize)); err != nil {
 				return err
 			}
 			curr -= sendSize
 		}
 	}
-	// Ring allgather over the scattered chunks (chunk c is bytes
-	// [c·ss, min((c+1)·ss, N)); trailing chunks may be empty).
-	off := func(c int) int {
-		if o := c * ss; o < s.N {
+	// Ring allgather over the scattered chunks (chunk k is bytes
+	// [k·ss, min((k+1)·ss, N)); trailing chunks may be empty).
+	return g.ringAllgather(p, tagBcastScat, root, 0, s, func(k int) int {
+		if o := k * ss; o < s.N {
 			return o
 		}
 		return s.N
+	})
+}
+
+// ringAllgather circulates the n chunks of s — chunk k is bytes
+// [off(k), off(k+1)) — around the root-relative ring until every member
+// holds them all. The member at ring position v enters owning chunk
+// v+lead and passes one chunk to v+1 per step, n-1 steps.
+func (g *group) ringAllgather(p *sim.Proc, tag, root, lead int, s Slice, off func(k int) int) error {
+	n := g.n
+	v := vrank(g.myRank, root, n)
+	right, left := arank((v+1)%n, root, n), arank((v-1+n)%n, root, n)
+	chunk := func(k int) Slice {
+		k = (k%n + n) % n
+		return s.Sub(off(k), off(k+1)-off(k))
 	}
-	clen := func(c int) int { return off(c+1) - off(c) }
-	right := arank((v+1)%n, root, n)
-	left := arank((v-1+n)%n, root, n)
 	for step := 0; step < n-1; step++ {
-		sc := (v - step + n) % n
-		rc := (v - step - 1 + n) % n
-		if _, err := r.Sendrecv(p,
-			right, tagBcastScat, s.Sub(off(sc), clen(sc)),
-			left, tagBcastScat, s.Sub(off(rc), clen(rc))); err != nil {
+		if err := g.sendrecv(p, tag, right, chunk(v+lead-step), left, chunk(v+lead-step-1)); err != nil {
 			return err
 		}
 	}
@@ -333,69 +292,48 @@ func (r *Rank) bcastScatterAG(p *sim.Proc, root int, s Slice) error {
 // ---- Barrier algorithms ----
 
 // barrierTree is a binomial fan-in/fan-out barrier: ranks report up a
-// binomial tree to rank 0 and the release walks back down. 2·log₂(n)
-// zero-byte messages per rank worst case, and — unlike dissemination —
-// each rank only ever talks to its tree neighbors, keeping the job's
-// connection graph O(n) under lazy connect.
-func (r *Rank) barrierTree(p *sim.Proc) error {
-	n := r.w.Size()
-	if n == 1 {
-		return nil
-	}
-	zero := Slice{}
-	mask := 1
-	for mask < n {
-		if r.id&mask != 0 {
-			parent := r.id ^ mask
-			if err := r.Send(p, parent, tagBarrier, zero); err != nil {
-				return err
-			}
-			if _, err := r.Recv(p, parent, tagBarrier, zero); err != nil {
+// binomial tree to rank 0 and the release is a zero-byte binomial
+// broadcast back down. 2·log₂(n) zero-byte messages per rank worst
+// case, and — unlike dissemination — each rank only ever talks to its
+// tree neighbors, keeping the job's connection graph O(n) under lazy
+// connect.
+func (g *group) barrierTree(p *sim.Proc) error {
+	n, me := g.n, g.myRank
+	for mask := 1; mask < n; mask *= 2 {
+		if me&mask != 0 {
+			if err := g.send(p, me^mask, tagBarrier, Slice{}); err != nil {
 				return err
 			}
 			break
 		}
-		if child := r.id | mask; child < n {
-			if _, err := r.Recv(p, child, tagBarrier, zero); err != nil {
-				return err
-			}
-		}
-		mask *= 2
-	}
-	for mask /= 2; mask >= 1; mask /= 2 {
-		child := r.id | mask
-		if child < n && r.id&mask == 0 {
-			if err := r.Send(p, child, tagBarrier, zero); err != nil {
+		if child := me | mask; child < n {
+			if _, err := g.recv(p, child, tagBarrier, Slice{}); err != nil {
 				return err
 			}
 		}
 	}
-	return nil
+	return g.bcastBinomial(p, tagBarrier, 0, Slice{})
 }
 
 // ---- Alltoall algorithms ----
 
 // alltoallLinear posts every receive, then every send, and waits — the
 // oracle the pairwise exchange is tested against.
-func (r *Rank) alltoallLinear(p *sim.Proc, src, dst Slice, blockN int) error {
-	n := r.w.Size()
-	if src.N < n*blockN || dst.N < n*blockN {
-		return fmt.Errorf("core: alltoall buffers too small")
-	}
-	reqs := make([]*Request, 0, 2*n)
-	for i := 0; i < n; i++ {
-		q, err := r.Irecv(p, i, tagAlltoall, dst.Sub(i*blockN, blockN))
+func (g *group) alltoallLinear(p *sim.Proc, src, dst Slice, blockN int) error {
+	reqs := make([]*Request, 0, 2*g.n)
+	for i := 0; i < g.n; i++ {
+		q, err := g.irecv(p, i, tagAlltoall, dst.Sub(i*blockN, blockN))
 		if err != nil {
-			return errors.Join(err, r.WaitAll(p, reqs...))
+			return errors.Join(err, g.r.WaitAll(p, reqs...))
 		}
 		reqs = append(reqs, q)
 	}
-	for i := 0; i < n; i++ {
-		q, err := r.Isend(p, i, tagAlltoall, src.Sub(i*blockN, blockN))
+	for i := 0; i < g.n; i++ {
+		q, err := g.isend(p, i, tagAlltoall, src.Sub(i*blockN, blockN))
 		if err != nil {
-			return errors.Join(err, r.WaitAll(p, reqs...))
+			return errors.Join(err, g.r.WaitAll(p, reqs...))
 		}
 		reqs = append(reqs, q)
 	}
-	return r.WaitAll(p, reqs...)
+	return g.r.WaitAll(p, reqs...)
 }

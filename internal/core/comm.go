@@ -1,8 +1,6 @@
 package core
 
 import (
-	"errors"
-	"fmt"
 	"sort"
 
 	"repro/internal/sim"
@@ -12,45 +10,78 @@ import (
 // them.
 const maxUserTag = 1 << 16
 
-// Comm is a sub-communicator: an ordered group of world ranks with a
-// private tag space.
+// collTagStride spaces the collective tag blocks of successive
+// groups: group id k uses tagBarrier-16k … tagBcastScat-16k, so the
+// world group (id 0) keeps -100…-112 and no two groups share a tag.
+const collTagStride = 16
+
+// group is what a collective algorithm knows of its communicator: who
+// the members are, which of them this process is, and the tag block its
+// phases use. Every body in collectives.go and coll_algos.go is a
+// method on it, written once; Comm embeds it, and Rank embeds the world
+// group, so r.Allreduce and r.CommWorld().Allreduce are one function.
+type group struct {
+	r  *Rank
+	id int // 0 is the world group; Split numbers the others from 1
+	// members lists world ranks by comm rank. The world group leaves it
+	// nil — its translation is the identity, and a table of n ints on
+	// each of n ranks is 8 MB at 1000 ranks.
+	members []int
+	n       int
+	myRank  int
+}
+
+// Comm is a communicator: an ordered group of world ranks with a
+// private tag space, carrying the collectives of its group plus
+// point-to-point calls addressed by comm rank.
 //
 // Matching still runs on per-world-pair sequence ids (§IV-B3), so two
 // communicators that share a rank *pair* must not have messages in
 // flight between that pair at the same time. Groups produced by Split
 // have disjoint pair sets across colors, and row/column grids share no
 // pairs, so the common patterns are safe.
-type Comm struct {
-	r       *Rank
-	id      int
-	members []int // world ranks, indexed by comm rank
-	myRank  int
-}
+type Comm struct{ group }
 
-// CommWorld returns the world as a communicator.
-func (r *Rank) CommWorld() *Comm {
-	members := make([]int, r.w.Size())
-	for i := range members {
-		members[i] = i
-	}
-	return &Comm{r: r, id: 0, members: members, myRank: r.id}
-}
+// CommWorld returns the world as a communicator: the group the Rank
+// collectives run on.
+func (r *Rank) CommWorld() *Comm { return &r.world }
 
 // Rank returns this process's rank within the communicator.
 func (c *Comm) Rank() int { return c.myRank }
 
 // Size returns the group size.
-func (c *Comm) Size() int { return len(c.members) }
+func (c *Comm) Size() int { return c.n }
 
 // WorldRank translates a comm rank to a world rank.
-func (c *Comm) WorldRank(i int) int { return c.members[i] }
+func (c *Comm) WorldRank(i int) int { return c.world(i) }
 
-// tag maps a user tag into this communicator's tag space.
-func (c *Comm) tag(t int) int {
-	if t < 0 || t >= maxUserTag {
-		panic(fmt.Sprintf("core: communicator tags must be in [0,%d): %d", maxUserTag, t))
+// world translates a comm rank — or AnySource — to what Rank.Isend and
+// Rank.Irecv take; a rank outside the group becomes one they reject
+// with ErrBadRank.
+func (g *group) world(i int) int {
+	switch {
+	case g.members == nil || i == AnySource:
+		return i
+	case i < 0 || i >= g.n:
+		return g.r.w.Size()
 	}
-	return (c.id+1)*maxUserTag + t
+	return g.members[i]
+}
+
+// userTag maps a user tag into this communicator's tag space.
+func (c *Comm) userTag(t int) (int, error) {
+	if t < 0 || t >= maxUserTag {
+		return 0, ErrBadTag
+	}
+	return (c.id+1)*maxUserTag + t, nil
+}
+
+// recvTag is userTag for the receiving side, where AnyTag is allowed.
+func (c *Comm) recvTag(t int) (int, error) {
+	if t == AnyTag {
+		return AnyTag, nil
+	}
+	return c.userTag(t)
 }
 
 // Split partitions the communicator by color, ordering each new group
@@ -59,33 +90,34 @@ func (c *Comm) tag(t int) int {
 func (c *Comm) Split(p *sim.Proc, color, key int) (*Comm, error) {
 	r := c.r
 	// Allgather (color, key) over the current communicator.
-	mine := r.Mem(16)
+	mine, all := r.Mem(16), r.Mem(16*c.n)
+	defer r.v.Domain().Free(mine)
+	defer r.v.Domain().Free(all)
 	PutF64s(mine.Data, []float64{float64(color), float64(key)})
-	all := r.Mem(16 * c.Size())
-	if err := c.Allgather(p, Whole(mine), Whole(all)); err != nil {
+	if err := c.allgather(p, Whole(mine), Whole(all)); err != nil {
 		return nil, err
 	}
-	vals := GetF64s(all.Data, 2*c.Size())
+	vals := GetF64s(all.Data, 2*c.n)
 	type entry struct{ color, key, world int }
-	var group []entry
-	for i := 0; i < c.Size(); i++ {
+	var picked []entry
+	for i := 0; i < c.n; i++ {
 		col := int(vals[2*i])
 		if col == color && color >= 0 {
-			group = append(group, entry{col, int(vals[2*i+1]), c.members[i]})
+			picked = append(picked, entry{col, int(vals[2*i+1]), c.world(i)})
 		}
 	}
 	r.splitSeq++
 	if color < 0 {
 		return nil, nil
 	}
-	sort.Slice(group, func(a, b int) bool {
-		if group[a].key != group[b].key {
-			return group[a].key < group[b].key
+	sort.Slice(picked, func(a, b int) bool {
+		if picked[a].key != picked[b].key {
+			return picked[a].key < picked[b].key
 		}
-		return group[a].world < group[b].world
+		return picked[a].world < picked[b].world
 	})
-	nc := &Comm{r: r, id: r.splitSeq, members: make([]int, len(group)), myRank: -1}
-	for i, e := range group {
+	nc := &Comm{group{r: r, id: r.splitSeq, members: make([]int, len(picked)), n: len(picked), myRank: -1}}
+	for i, e := range picked {
 		nc.members[i] = e.world
 		if e.world == r.id {
 			nc.myRank = i
@@ -96,43 +128,57 @@ func (c *Comm) Split(p *sim.Proc, color, key int) (*Comm, error) {
 
 // ---- Point-to-point on the communicator ----
 
-// Send is a blocking send to comm rank dst.
+// Send is a blocking send to comm rank dst. Like every point-to-point
+// call on a communicator it returns ErrBadTag for a tag outside
+// [0, 65536).
 func (c *Comm) Send(p *sim.Proc, dst, tag int, s Slice) error {
-	return c.r.Send(p, c.members[dst], c.tag(tag), s)
+	t, err := c.userTag(tag)
+	if err != nil {
+		return err
+	}
+	return c.r.Send(p, c.world(dst), t, s)
 }
 
-// Recv is a blocking receive from comm rank src (AnySource allowed).
+// Recv is a blocking receive from comm rank src (AnySource and AnyTag
+// allowed).
 func (c *Comm) Recv(p *sim.Proc, src, tag int, s Slice) (Status, error) {
-	ws := src
-	if src != AnySource {
-		ws = c.members[src]
-	}
-	t := AnyTag
-	if tag != AnyTag {
-		t = c.tag(tag)
-	}
-	st, err := c.r.Recv(p, ws, t, s)
+	t, err := c.recvTag(tag)
 	if err != nil {
-		return st, err
+		return Status{}, err
 	}
-	return c.localStatus(st), nil
+	st, err := c.r.Recv(p, c.world(src), t, s)
+	return c.localStatus(st), err
 }
 
 // Isend / Irecv are the nonblocking forms.
 func (c *Comm) Isend(p *sim.Proc, dst, tag int, s Slice) (*Request, error) {
-	return c.r.Isend(p, c.members[dst], c.tag(tag), s)
+	t, err := c.userTag(tag)
+	if err != nil {
+		return nil, err
+	}
+	return c.r.Isend(p, c.world(dst), t, s)
 }
 
 func (c *Comm) Irecv(p *sim.Proc, src, tag int, s Slice) (*Request, error) {
-	ws := src
-	if src != AnySource {
-		ws = c.members[src]
+	t, err := c.recvTag(tag)
+	if err != nil {
+		return nil, err
 	}
-	t := AnyTag
-	if tag != AnyTag {
-		t = c.tag(tag)
+	return c.r.Irecv(p, c.world(src), t, s)
+}
+
+// Sendrecv exchanges with two comm ranks.
+func (c *Comm) Sendrecv(p *sim.Proc, dst, stag int, sbuf Slice, src, rtag int, rbuf Slice) (Status, error) {
+	st, err := c.userTag(stag)
+	if err != nil {
+		return Status{}, err
 	}
-	return c.r.Irecv(p, ws, t, s)
+	rt, err := c.recvTag(rtag)
+	if err != nil {
+		return Status{}, err
+	}
+	ws, err := c.r.Sendrecv(p, c.world(dst), st, sbuf, c.world(src), rt, rbuf)
+	return c.localStatus(ws), err
 }
 
 // localStatus translates a world status into comm coordinates.
@@ -149,141 +195,53 @@ func (c *Comm) localStatus(st Status) Status {
 	return st
 }
 
-// Sendrecv exchanges with two comm ranks.
-func (c *Comm) Sendrecv(p *sim.Proc, dst, stag int, sbuf Slice, src, rtag int, rbuf Slice) (Status, error) {
-	sq, err := c.Isend(p, dst, stag, sbuf)
-	if err != nil {
-		return Status{}, err
-	}
-	rq, err := c.Irecv(p, src, rtag, rbuf)
-	if err != nil {
-		// Drain the already-posted send before bailing out.
-		return Status{}, errors.Join(err, c.r.WaitAll(p, sq))
-	}
-	if _, err := c.r.Wait(p, sq); err != nil {
-		// Drain the already-posted receive before bailing out.
-		return Status{}, errors.Join(err, c.r.WaitAll(p, rq))
-	}
-	st, err := c.r.Wait(p, rq)
-	return c.localStatus(st), err
+// ---- What a collective body sees of its group ----
+//
+// The bodies address peers by comm rank and name their phases by the
+// world's tags; these five translate both and hand over to the Rank's
+// point-to-point layer.
+
+func (g *group) collTag(t int) int { return t - collTagStride*g.id }
+
+func (g *group) isend(p *sim.Proc, dst, tag int, s Slice) (*Request, error) {
+	return g.r.Isend(p, g.world(dst), g.collTag(tag), s)
 }
 
-// ---- Collectives on the communicator (comm-rank algorithms mirror
-// the world versions) ----
-
-const (
-	ctagBarrier   = maxUserTag - 1
-	ctagBcast     = maxUserTag - 2
-	ctagReduce    = maxUserTag - 3
-	ctagAllgather = maxUserTag - 4
-)
-
-// Barrier blocks until every member has entered (dissemination).
-func (c *Comm) Barrier(p *sim.Proc) error {
-	n := c.Size()
-	if n == 1 {
-		return nil
-	}
-	zero := Slice{}
-	for dist := 1; dist < n; dist *= 2 {
-		to := (c.myRank + dist) % n
-		from := (c.myRank - dist + n) % n
-		sq, err := c.Isend(p, to, ctagBarrier, zero)
-		if err != nil {
-			return err
-		}
-		rq, err := c.Irecv(p, from, ctagBarrier, zero)
-		if err != nil {
-			// Drain the already-posted send before bailing out.
-			return errors.Join(err, c.r.WaitAll(p, sq))
-		}
-		if err := c.r.WaitAll(p, sq, rq); err != nil {
-			return err
-		}
-	}
-	return nil
+func (g *group) irecv(p *sim.Proc, src, tag int, s Slice) (*Request, error) {
+	return g.r.Irecv(p, g.world(src), g.collTag(tag), s)
 }
 
-// Bcast broadcasts root's s over the group (binomial tree).
-func (c *Comm) Bcast(p *sim.Proc, root int, s Slice) error {
-	n := c.Size()
-	if n == 1 {
-		return nil
-	}
-	v := vrank(c.myRank, root, n)
-	mask := 1
-	for mask < n {
-		if v&mask != 0 {
-			if _, err := c.Recv(p, arank(v^mask, root, n), ctagBcast, s); err != nil {
-				return err
-			}
-			break
-		}
-		mask *= 2
-	}
-	for mask /= 2; mask >= 1; mask /= 2 {
-		if child := v | mask; child < n {
-			if err := c.Send(p, arank(child, root, n), ctagBcast, s); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+func (g *group) send(p *sim.Proc, dst, tag int, s Slice) error {
+	return g.r.Send(p, g.world(dst), g.collTag(tag), s)
 }
 
-// Reduce combines contributions to root (binomial tree; s is clobbered
-// on non-roots).
-func (c *Comm) Reduce(p *sim.Proc, root int, s Slice, op Op) error {
-	n := c.Size()
-	if n == 1 {
-		return nil
-	}
-	v := vrank(c.myRank, root, n)
-	tmp := c.r.Mem(s.N)
-	defer c.r.v.Domain().Free(tmp)
-	for mask := 1; mask < n; mask *= 2 {
-		if v&mask != 0 {
-			return c.Send(p, arank(v^mask, root, n), ctagReduce, s)
-		}
-		if child := v | mask; child < n {
-			if _, err := c.Recv(p, arank(child, root, n), ctagReduce, Whole(tmp)); err != nil {
-				return err
-			}
-			op.applyChecked(s.Bytes(), tmp.Data)
-		}
-	}
-	return nil
+func (g *group) recv(p *sim.Proc, src, tag int, s Slice) (Status, error) {
+	return g.r.Recv(p, g.world(src), g.collTag(tag), s)
 }
 
-// Allreduce leaves the combined result on every member.
-func (c *Comm) Allreduce(p *sim.Proc, s Slice, op Op) error {
-	if err := c.Reduce(p, 0, s, op); err != nil {
-		return err
-	}
-	return c.Bcast(p, 0, s)
+// sendrecv sends sbuf to dst while receiving rbuf from src, both under
+// tag.
+func (g *group) sendrecv(p *sim.Proc, tag, dst int, sbuf Slice, src int, rbuf Slice) error {
+	t := g.collTag(tag)
+	_, err := g.r.Sendrecv(p, g.world(dst), t, sbuf, g.world(src), t, rbuf)
+	return err
 }
 
-// Allgather concatenates each member's s into dst (Size()*s.N bytes)
-// using the ring algorithm.
-func (c *Comm) Allgather(p *sim.Proc, s Slice, dst Slice) error {
-	n := c.Size()
-	if dst.N < n*s.N {
-		return fmt.Errorf("core: comm allgather destination too small")
+// bracket runs body inside the collective-level instrumentation of one
+// call: the causal enter/exit pair, the coll.<op>.<algo> counter and
+// the coll.<op> span. Only the world group emits any — the
+// happens-before graph fans every rank's entry into every exit, which
+// holds only when every rank takes part — so a sub-communicator's
+// collective shows up as its point-to-point events.
+func (g *group) bracket(p *sim.Proc, op int32, algo uint8, body func() error) error {
+	if g.id != 0 {
+		return body()
 	}
-	copy(dst.Sub(c.myRank*s.N, s.N).Bytes(), s.Bytes())
-	if n == 1 {
-		return nil
-	}
-	right := (c.myRank + 1) % n
-	left := (c.myRank - 1 + n) % n
-	for step := 0; step < n-1; step++ {
-		sendBlock := (c.myRank - step + n) % n
-		recvBlock := (c.myRank - step - 1 + n) % n
-		if _, err := c.Sendrecv(p,
-			right, ctagAllgather, dst.Sub(sendBlock*s.N, s.N),
-			left, ctagAllgather, dst.Sub(recvBlock*s.N, s.N)); err != nil {
-			return err
-		}
-	}
-	return nil
+	r := g.r
+	seq := r.c.collEnter(p.Now(), op, algo)
+	span := r.m.collBegin(p.Now(), collOpNames[op], algoNames[algo])
+	err := body()
+	span.End(p.Now())
+	r.c.collExit(p.Now(), op, algo, seq)
+	return err
 }

@@ -19,6 +19,9 @@ var (
 	ErrNoOffload = errors.New("core: offload send buffer not supported by this provider")
 	// ErrBadRank reports a source or destination outside the world.
 	ErrBadRank = errors.New("core: rank out of range")
+	// ErrBadTag reports a communicator point-to-point tag outside
+	// [0, 65536), the range a Comm can map into its private tag space.
+	ErrBadTag = errors.New("core: communicator tag out of range")
 )
 
 // TransportError reports a work request that exhausted its replay

@@ -83,90 +83,6 @@ func (r *Rank) Waitany(p *sim.Proc, reqs ...*Request) (int, Status, error) {
 	}
 }
 
-// Testall drives progress once and reports whether every request has
-// completed.
-func (r *Rank) Testall(p *sim.Proc, reqs ...*Request) bool {
-	r.progress(p)
-	for _, q := range reqs {
-		if !q.completed {
-			return false
-		}
-	}
-	return true
-}
-
-// ---- Typed convenience ----
-
-// SendF64s sends a float64 slice (blocking), staging it into rank
-// memory.
-func (r *Rank) SendF64s(p *sim.Proc, dst, tag int, vals []float64) error {
-	buf := r.Mem(len(vals) * 8)
-	defer r.v.Domain().Free(buf)
-	PutF64s(buf.Data, vals)
-	return r.Send(p, dst, tag, Whole(buf))
-}
-
-// RecvF64s receives n float64 values (blocking).
-func (r *Rank) RecvF64s(p *sim.Proc, src, tag, n int) ([]float64, Status, error) {
-	buf := r.Mem(n * 8)
-	defer r.v.Domain().Free(buf)
-	st, err := r.Recv(p, src, tag, Whole(buf))
-	if err != nil {
-		return nil, st, err
-	}
-	return GetF64s(buf.Data, st.Len/8), st, nil
-}
-
-// ---- Persistent requests (MPI_Send_init / MPI_Recv_init) ----
-
-// Persistent is a reusable communication request: Start posts a fresh
-// operation with the captured arguments each time.
-type Persistent struct {
-	r      *Rank
-	isSend bool
-	peer   int
-	tag    int
-	slice  Slice
-	active *Request
-	Starts int64
-}
-
-// SendInit captures a send for repeated Start.
-func (r *Rank) SendInit(dst, tag int, s Slice) *Persistent {
-	return &Persistent{r: r, isSend: true, peer: dst, tag: tag, slice: s}
-}
-
-// RecvInit captures a receive for repeated Start.
-func (r *Rank) RecvInit(src, tag int, s Slice) *Persistent {
-	return &Persistent{r: r, peer: src, tag: tag, slice: s}
-}
-
-// Start posts the operation. The previous incarnation must have
-// completed.
-func (q *Persistent) Start(p *sim.Proc) error {
-	if q.active != nil && !q.active.completed {
-		return fmt.Errorf("core: persistent request started while still active")
-	}
-	var err error
-	if q.isSend {
-		q.active, err = q.r.Isend(p, q.peer, q.tag, q.slice)
-	} else {
-		q.active, err = q.r.Irecv(p, q.peer, q.tag, q.slice)
-	}
-	if err == nil {
-		q.Starts++
-	}
-	return err
-}
-
-// Wait blocks until the current incarnation completes.
-func (q *Persistent) Wait(p *sim.Proc) (Status, error) {
-	if q.active == nil {
-		return Status{}, fmt.Errorf("core: persistent request never started")
-	}
-	return q.r.Wait(p, q.active)
-}
-
 // ---- Typed (datatype) point-to-point ----
 
 // SendTyped packs the strided region described by dt starting at s and

@@ -142,66 +142,6 @@ func TestWaitanyEmptyErrors(t *testing.T) {
 	}
 }
 
-func TestTestallAndSendRecvF64s(t *testing.T) {
-	_, w := pair(true)
-	err := w.Run(func(r *core.Rank) error {
-		p := r.Proc()
-		if r.ID() == 0 {
-			return r.SendF64s(p, 1, 0, []float64{1.5, -2.5, 3.25})
-		}
-		vals, st, err := r.RecvF64s(p, 0, 0, 3)
-		if err != nil {
-			return err
-		}
-		if st.Len != 24 || vals[0] != 1.5 || vals[1] != -2.5 || vals[2] != 3.25 {
-			return fmt.Errorf("vals %v status %+v", vals, st)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPersistentRequestsReuse(t *testing.T) {
-	_, w := pair(true)
-	const rounds = 5
-	err := w.Run(func(r *core.Rank) error {
-		p := r.Proc()
-		buf := r.Mem(64)
-		var pq *core.Persistent
-		if r.ID() == 0 {
-			pq = r.SendInit(1, 3, core.Whole(buf))
-		} else {
-			pq = r.RecvInit(0, 3, core.Whole(buf))
-		}
-		if _, err := pq.Wait(p); err == nil {
-			return errors.New("Wait before Start succeeded")
-		}
-		for i := 0; i < rounds; i++ {
-			if r.ID() == 0 {
-				buf.Data[0] = byte(i)
-			}
-			if err := pq.Start(p); err != nil {
-				return err
-			}
-			if _, err := pq.Wait(p); err != nil {
-				return err
-			}
-			if r.ID() == 1 && buf.Data[0] != byte(i) {
-				return fmt.Errorf("round %d: got %d", i, buf.Data[0])
-			}
-		}
-		if pq.Starts != rounds {
-			return fmt.Errorf("starts %d", pq.Starts)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestTypedSendRecvVector(t *testing.T) {
 	_, w := pair(true)
 	// A 16x16 byte matrix column exchange.

@@ -135,6 +135,12 @@ type Rank struct {
 	wrSeq uint64
 	wrMap map[uint64]wrAction
 
+	// world is the identity group, built once at setup and returned by
+	// CommWorld. Embedding its group gives Rank the collectives —
+	// Barrier, Bcast, Reduce, Allreduce, Gather(v), Scatter(v),
+	// Allgather, Scan, ReduceScatter, Alltoall — run on the world.
+	world Comm
+	*group
 	// splitSeq numbers Comm.Split calls for consistent communicator
 	// ids (Split is collective, so every member sees the same count).
 	splitSeq int

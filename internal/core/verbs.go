@@ -61,31 +61,50 @@ type Verbs interface {
 	DeregOffloadMR(p *sim.Proc, omr *dcfa.OffloadMR) error
 }
 
+// directPost is the data path of a provider whose rank posts to the
+// HCA itself: work requests go straight to the QP and an inbound packet
+// costs nothing extra.
+type directPost struct{}
+
+func (directPost) PostSend(p *sim.Proc, qp *ib.QP, wr *ib.SendWR) error { return qp.PostSend(p, wr) }
+func (directPost) PostRecv(p *sim.Proc, qp *ib.QP, wr *ib.RecvWR) error { return qp.PostRecv(p, wr) }
+func (directPost) RecvOverhead(n int) sim.Duration                      { return 0 }
+
+// NoOffload is the offload half of a provider without the offloading
+// send-buffer verbs (host MPI, proxied MPI): embed it and the three
+// verbs return ErrNoOffload.
+type NoOffload struct{}
+
+func (NoOffload) SupportsOffload() bool { return false }
+func (NoOffload) RegOffloadMR(p *sim.Proc, size int) (*dcfa.OffloadMR, error) {
+	return nil, ErrNoOffload
+}
+func (NoOffload) SyncOffloadMR(p *sim.Proc, omr *dcfa.OffloadMR, off int, src []byte) error {
+	return ErrNoOffload
+}
+func (NoOffload) DeregOffloadMR(p *sim.Proc, omr *dcfa.OffloadMR) error { return ErrNoOffload }
+
 // DCFAVerbs is the DCFA-MPI provider: the rank runs on the co-processor
-// with direct HCA access. Resource creation, registration and the three
-// offload verbs are dcfa.MicVerbs's own methods, promoted unchanged.
+// with direct HCA access. Resource creation, registration and the
+// offload verbs (SupportsOffload included) are dcfa.MicVerbs's own
+// methods, promoted unchanged.
 type DCFAVerbs struct {
 	*dcfa.MicVerbs
+	directPost
 }
 
 // Loc implements Verbs.
 func (d DCFAVerbs) Loc() machine.DomainKind { return machine.MicMem }
 func (d DCFAVerbs) Domain() *machine.Domain { return d.Node.Mic }
 func (d DCFAVerbs) HCA() *ib.HCA            { return d.MicVerbs.HCA }
-func (d DCFAVerbs) PostSend(p *sim.Proc, qp *ib.QP, wr *ib.SendWR) error {
-	return qp.PostSend(p, wr)
-}
-func (d DCFAVerbs) PostRecv(p *sim.Proc, qp *ib.QP, wr *ib.RecvWR) error {
-	return qp.PostRecv(p, wr)
-}
-func (d DCFAVerbs) RecvOverhead(n int) sim.Duration { return 0 }
-func (d DCFAVerbs) SupportsOffload() bool           { return true }
 
 // HostVerbs adapts a plain host ib.Context: the host MPI reference the
 // paper compares against (YAMPII on the Xeon).
 type HostVerbs struct {
 	Ctx  *ib.Context
 	Node *machine.Node
+	directPost
+	NoOffload
 }
 
 func (h HostVerbs) Loc() machine.DomainKind             { return machine.HostMem }
@@ -102,20 +121,3 @@ func (h HostVerbs) RegMR(p *sim.Proc, pd *ib.PD, dom *machine.Domain, addr uint6
 	return h.Ctx.RegMR(p, pd, dom, addr, n)
 }
 func (h HostVerbs) DeregMR(p *sim.Proc, mr *ib.MR) error { return h.Ctx.DeregMR(p, mr) }
-func (h HostVerbs) PostSend(p *sim.Proc, qp *ib.QP, wr *ib.SendWR) error {
-	return qp.PostSend(p, wr)
-}
-func (h HostVerbs) PostRecv(p *sim.Proc, qp *ib.QP, wr *ib.RecvWR) error {
-	return qp.PostRecv(p, wr)
-}
-func (h HostVerbs) RecvOverhead(n int) sim.Duration { return 0 }
-func (h HostVerbs) SupportsOffload() bool           { return false }
-func (h HostVerbs) RegOffloadMR(p *sim.Proc, size int) (*dcfa.OffloadMR, error) {
-	return nil, ErrNoOffload
-}
-func (h HostVerbs) SyncOffloadMR(p *sim.Proc, omr *dcfa.OffloadMR, off int, src []byte) error {
-	return ErrNoOffload
-}
-func (h HostVerbs) DeregOffloadMR(p *sim.Proc, omr *dcfa.OffloadMR) error {
-	return ErrNoOffload
-}

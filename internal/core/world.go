@@ -161,7 +161,10 @@ func NewWorld(eng *sim.Engine, plat *perfmodel.Platform, cfg Config, envs []Env)
 	w.syncEv = sim.NewEvent(eng)
 	w.connInFlight = make(map[[2]int]*sim.Event)
 	for i, e := range envs {
-		w.ranks = append(w.ranks, &Rank{w: w, id: i, v: e.V})
+		r := &Rank{w: w, id: i, v: e.V}
+		r.world = Comm{group{r: r, n: len(envs), myRank: i}}
+		r.group = &r.world.group
+		w.ranks = append(w.ranks, r)
 	}
 	return w
 }

@@ -468,6 +468,10 @@ func (v *MicVerbs) DeregMR(p *sim.Proc, mr *ib.MR) error {
 	return nil
 }
 
+// SupportsOffload reports that the three offload send-buffer verbs
+// below are available: core.Verbs asks every provider.
+func (v *MicVerbs) SupportsOffload() bool { return true }
+
 // RegOffloadMR allocates a host bounce buffer of the given size,
 // registers it on the host, and returns the region usable for later
 // sends (the paper's reg_offload_mr).

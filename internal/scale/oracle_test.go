@@ -1,10 +1,11 @@
 package scale
 
 // The property matrix (ISSUE 10 satellite): every collective algorithm
-// × every topology × rank counts × seeds, each result compared
-// byte-for-byte against the naive-oracle simulation AND a host-computed
-// expectation. Payloads are small-integer f64s so every reduction order
-// is exact and results must be bit-identical regardless of algorithm.
+// × every topology × rank counts × seeds × {world, a Split half}, each
+// result compared byte-for-byte against the naive-oracle simulation AND
+// a host-computed expectation. Payloads are small-integer f64s so every
+// reduction order is exact and results must be bit-identical regardless
+// of algorithm.
 
 import (
 	"encoding/binary"
@@ -51,12 +52,26 @@ func fillPatBlock(b []byte, seed uint64, src, dst int) {
 	}
 }
 
+// group is what the oracle needs of *core.Rank (the world) and of a
+// *core.Comm from Split.
+type group interface {
+	Allreduce(p *sim.Proc, s core.Slice, op core.Op) error
+	Bcast(p *sim.Proc, root int, s core.Slice) error
+	Alltoall(p *sim.Proc, src, dst core.Slice, blockN int) error
+	Barrier(p *sim.Proc) error
+}
+
+// evenSize is the size of the even-rank half of a world.
+func evenSize(ranks int) int { return (ranks + 1) / 2 }
+
 // collRun is one simulated collective: kind selects the verb, algo pins
-// the algorithm through the world Config, and every rank's result
-// buffer is copied out for comparison. Barrier runs carry no data; the
-// runner instead checks the synchronization property (no rank may leave
-// before the last rank arrives).
-func collRun(t *testing.T, kind, algo, topoName string, ranks int, seed uint64, elems int) [][]byte {
+// the algorithm through the world Config, and every member's result
+// buffer is copied out for comparison. With even set the collective
+// runs on the even-rank half from Split (the odd ranks only take part
+// in the Split) and results are indexed by comm rank. Barrier runs
+// carry no data; the runner instead checks the synchronization property
+// (no member may leave before the last one arrives).
+func collRun(t *testing.T, kind, algo, topoName string, ranks int, even bool, seed uint64, elems int) [][]byte {
 	t.Helper()
 	plat := perfmodel.Default()
 	c := cluster.NewWithTopo(plat, ranks, topoName)
@@ -79,17 +94,33 @@ func collRun(t *testing.T, kind, algo, topoName string, ranks int, seed uint64, 
 		t.Fatalf("unknown collective kind %q", kind)
 	}
 	w := core.NewWorld(c.Eng, plat, cfg, c.HostEnvs(ranks))
+	worldRanks := ranks
+	if even {
+		ranks = evenSize(ranks)
+	}
 	out := make([][]byte, ranks)
 	pre := make([]sim.Time, ranks)
 	post := make([]sim.Time, ranks)
 	err := w.Run(func(r *core.Rank) error {
 		p := r.Proc()
 		me := r.ID()
+		var g group = r
+		if even {
+			color := -1
+			if me%2 == 0 {
+				color = 0
+			}
+			sub, err := r.CommWorld().Split(p, color, me)
+			if sub == nil {
+				return err
+			}
+			g, me = sub, sub.Rank()
+		}
 		switch kind {
 		case "allreduce":
 			buf := r.Mem(elems * 8)
 			fillF64(buf.Data, seed, me, elems)
-			if err := r.Allreduce(p, core.Whole(buf), core.OpSumF64); err != nil {
+			if err := g.Allreduce(p, core.Whole(buf), core.OpSumF64); err != nil {
 				return err
 			}
 			out[me] = append([]byte(nil), buf.Data...)
@@ -99,7 +130,7 @@ func collRun(t *testing.T, kind, algo, topoName string, ranks int, seed uint64, 
 			if me == root {
 				fillPatBlock(buf.Data, seed, root, 0)
 			}
-			if err := r.Bcast(p, root, core.Whole(buf)); err != nil {
+			if err := g.Bcast(p, root, core.Whole(buf)); err != nil {
 				return err
 			}
 			out[me] = append([]byte(nil), buf.Data...)
@@ -109,7 +140,7 @@ func collRun(t *testing.T, kind, algo, topoName string, ranks int, seed uint64, 
 			for j := 0; j < ranks; j++ {
 				fillPatBlock(src.Data[j*block:(j+1)*block], seed, me, j)
 			}
-			if err := r.Alltoall(p, core.Whole(src), core.Whole(dst), block); err != nil {
+			if err := g.Alltoall(p, core.Whole(src), core.Whole(dst), block); err != nil {
 				return err
 			}
 			out[me] = append([]byte(nil), dst.Data...)
@@ -117,7 +148,7 @@ func collRun(t *testing.T, kind, algo, topoName string, ranks int, seed uint64, 
 			// Desynchronize arrivals so the property is non-trivial.
 			p.Sleep(sim.Duration(me+1) * 3 * sim.Microsecond)
 			pre[me] = p.Now()
-			if err := r.Barrier(p); err != nil {
+			if err := g.Barrier(p); err != nil {
 				return err
 			}
 			post[me] = p.Now()
@@ -125,7 +156,7 @@ func collRun(t *testing.T, kind, algo, topoName string, ranks int, seed uint64, 
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("%s/%s on %s, %d ranks, seed %d: %v", kind, algo, topoName, ranks, seed, err)
+		t.Fatalf("%s/%s on %s, %d ranks (even half: %v), seed %d: %v", kind, algo, topoName, worldRanks, even, seed, err)
 	}
 	if kind == "barrier" {
 		maxPre, minPost := pre[0], post[0]
@@ -138,8 +169,8 @@ func collRun(t *testing.T, kind, algo, topoName string, ranks int, seed uint64, 
 			}
 		}
 		if minPost < maxPre {
-			t.Errorf("%s barrier on %s, %d ranks: a rank left at %v before the last arrival at %v",
-				algo, topoName, ranks, minPost, maxPre)
+			t.Errorf("%s barrier on %s, %d ranks (even half: %v): a rank left at %v before the last arrival at %v",
+				algo, topoName, worldRanks, even, minPost, maxPre)
 		}
 	}
 	return out
@@ -231,25 +262,33 @@ func TestCollectiveOracle(t *testing.T) {
 			for _, v := range variants {
 				fam, ranks, v := fam, ranks, v
 				t.Run(fmt.Sprintf("%s/%dranks/%delems", fam.kind, ranks, v.elems), func(t *testing.T) {
-					want := hostExpected(fam.kind, ranks, v.seed, v.elems)
-					var oracle [][]byte
-					if fam.oracle != "" {
-						oracle = collRun(t, fam.kind, fam.oracle, "flat", ranks, v.seed, v.elems)
-						if err := diffOutputs(oracle, want); err != nil {
-							t.Fatalf("oracle %s/%s vs host: %v", fam.kind, fam.oracle, err)
+					// The group axis: the world, then the even-rank half
+					// from Split, a group of evenSize(ranks).
+					for _, even := range []bool{false, true} {
+						n, where := ranks, "world"
+						if even {
+							n, where = evenSize(ranks), "even half"
 						}
-					}
-					for _, topoName := range topo.Names() {
-						for _, algo := range fam.algos {
-							got := collRun(t, fam.kind, algo, topoName, ranks, v.seed, v.elems)
-							if fam.oracle == "" {
-								continue // barrier: property checked inside collRun
+						want := hostExpected(fam.kind, n, v.seed, v.elems)
+						var oracle [][]byte
+						if fam.oracle != "" {
+							oracle = collRun(t, fam.kind, fam.oracle, "flat", ranks, even, v.seed, v.elems)
+							if err := diffOutputs(oracle, want); err != nil {
+								t.Fatalf("oracle %s/%s on the %s vs host: %v", fam.kind, fam.oracle, where, err)
 							}
-							if err := diffOutputs(got, oracle); err != nil {
-								t.Errorf("%s/%s on %s differs from naive oracle: %v", fam.kind, algo, topoName, err)
-							}
-							if err := diffOutputs(got, want); err != nil {
-								t.Errorf("%s/%s on %s differs from host expectation: %v", fam.kind, algo, topoName, err)
+						}
+						for _, topoName := range topo.Names() {
+							for _, algo := range fam.algos {
+								got := collRun(t, fam.kind, algo, topoName, ranks, even, v.seed, v.elems)
+								if fam.oracle == "" {
+									continue // barrier: property checked inside collRun
+								}
+								if err := diffOutputs(got, oracle); err != nil {
+									t.Errorf("%s/%s on %s, %s, differs from naive oracle: %v", fam.kind, algo, topoName, where, err)
+								}
+								if err := diffOutputs(got, want); err != nil {
+									t.Errorf("%s/%s on %s, %s, differs from host expectation: %v", fam.kind, algo, topoName, where, err)
+								}
 							}
 						}
 					}

@@ -31,15 +31,28 @@ func TestReferenceConvergesTowardBoundary(t *testing.T) {
 }
 
 func TestDCFAMatchesReferenceBitExact(t *testing.T) {
-	for _, procs := range []int{1, 2, 4} {
-		pr := smallParams(procs, 4)
-		res, err := RunDCFA(perfmodel.Default(), pr, true)
+	// smallParams exchanges only zeros: 8 sweeps move the heat front 8
+	// rows, short of the first rank boundary. The 16-row grid on 8 ranks
+	// has 2 rows a rank and 24 sweeps, so the front crosses every
+	// boundary and a halo row that is not exchanged changes the sum.
+	crossing := Params{N: 16, Iters: 24, Procs: 8, Threads: 2}
+	for _, tc := range []struct {
+		pr      Params
+		offload bool
+	}{
+		{smallParams(1, 4), true},
+		{smallParams(2, 4), true},
+		{smallParams(4, 4), true},
+		{crossing, true},
+		{crossing, false},
+	} {
+		res, err := RunDCFA(perfmodel.Default(), tc.pr, tc.offload)
 		if err != nil {
-			t.Fatalf("procs=%d: %v", procs, err)
+			t.Fatalf("%+v offload=%v: %v", tc.pr, tc.offload, err)
 		}
-		want := ReferenceChecksum(Reference(pr), pr)
+		want := ReferenceChecksum(Reference(tc.pr), tc.pr)
 		if res.Checksum != want {
-			t.Fatalf("procs=%d: checksum %v, reference %v", procs, res.Checksum, want)
+			t.Fatalf("%+v offload=%v: checksum %v, reference %v", tc.pr, tc.offload, res.Checksum, want)
 		}
 	}
 }
