@@ -2,11 +2,14 @@ package core_test
 
 // Measured hot-path cost gate (DESIGN.md §7e): each row runs one
 // steady-state workload and pins the heap allocations it performs per
-// 1000 operations, counted by runtime.MemStats.Mallocs between two
-// marks inside the running simulation. The ceilings are the values
-// this tree measures; a new per-message or per-event allocation moves
-// a row by 1000 and fails the test. benchmark/'s alloc_mb and
-// ib.*_allocs are the end-to-end counterparts.
+// 1000 operations — how many (runtime.MemStats.Mallocs) and how many
+// bytes (TotalAlloc) — between two marks inside the running simulation.
+// The count ceilings are the values this tree measures; a new
+// per-message or per-event allocation moves a row by 1000 and fails the
+// test. A count cannot tell a 256 KiB payload buffer from a 16-byte
+// closure, so each row also carries a bytes ceiling, about a tenth above
+// what this tree measures and far below one payload per message.
+// benchmark/'s alloc_mb and ib.*_allocs are the end-to-end counterparts.
 
 import (
 	"fmt"
@@ -32,17 +35,21 @@ const (
 // MemStats buffers are fields so the marks themselves allocate nothing.
 type mallocMarks struct{ m0, m1 runtime.MemStats }
 
-func (m *mallocMarks) open()         { runtime.ReadMemStats(&m.m0) }
-func (m *mallocMarks) close()        { runtime.ReadMemStats(&m.m1) }
-func (m *mallocMarks) count() uint64 { return m.m1.Mallocs - m.m0.Mallocs }
+func (m *mallocMarks) open()  { runtime.ReadMemStats(&m.m0) }
+func (m *mallocMarks) close() { runtime.ReadMemStats(&m.m1) }
+
+// cost is the allocations between the marks: how many, and their bytes.
+func (m *mallocMarks) cost() (mallocs, bytes uint64) {
+	return m.m1.Mallocs - m.m0.Mallocs, m.m1.TotalAlloc - m.m0.TotalAlloc
+}
 
 // worldRow is a table row that runs op on both ranks of a 2-rank DCFA
 // world for mallocWarm+mallocOps iterations and returns the allocations
 // of the whole process (both ranks, the HCAs, the engine) during rank
 // 0's last mallocOps iterations. onPath checks rank 0's protocol
 // counters, so a row cannot silently measure another protocol.
-func worldRow(offload bool, size int, op func(r *core.Rank, p *sim.Proc, buf *machine.Buffer) error, onPath func(st core.Stats) bool) func(t *testing.T) uint64 {
-	return func(t *testing.T) uint64 {
+func worldRow(offload bool, size int, op func(r *core.Rank, p *sim.Proc, buf *machine.Buffer) error, onPath func(st core.Stats) bool) func(t *testing.T) (mallocs, bytes uint64) {
+	return func(t *testing.T) (mallocs, bytes uint64) {
 		_, w := pair(offload)
 		var marks mallocMarks
 		var stats core.Stats
@@ -69,7 +76,7 @@ func worldRow(offload bool, size int, op func(r *core.Rank, p *sim.Proc, buf *ma
 		if !onPath(stats) {
 			t.Fatalf("the workload left its protocol path: %+v", stats)
 		}
-		return marks.count()
+		return marks.cost()
 	}
 }
 
@@ -99,9 +106,58 @@ func senderFirst(r *core.Rank, p *sim.Proc, buf *machine.Buffer) error {
 	return err
 }
 
+const (
+	window8Msg = 256 << 10
+	window8Buf = 8*window8Msg + 4 // eight messages and the ack
+)
+
+// window8 is bw_rndv_offload's operation: rank 0 streams a window of
+// eight rendezvous messages from eight slices of buf through the offload
+// send buffer, rank 1 receives them into its own eight and returns a
+// 4-byte ack from the tail of buf.
+func window8(r *core.Rank, p *sim.Proc, buf *machine.Buffer) error {
+	var reqs [8]*core.Request
+	for k := range reqs {
+		s := core.Whole(buf).Sub(k*window8Msg, window8Msg)
+		var err error
+		if r.ID() == 0 {
+			reqs[k], err = r.Isend(p, 1, k, s)
+		} else {
+			reqs[k], err = r.Irecv(p, 0, k, s)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	if err := r.WaitAll(p, reqs[:]...); err != nil {
+		return err
+	}
+	ack := core.Whole(buf).Sub(8*window8Msg, 4)
+	if r.ID() == 0 {
+		_, err := r.Recv(p, 1, 8, ack)
+		return err
+	}
+	return r.Send(p, 0, 8, ack)
+}
+
+// selfUnexpected is one loopback message sent before its receive is
+// posted: the payload waits in a pooled arrival record.
+func selfUnexpected(r *core.Rank, p *sim.Proc, buf *machine.Buffer) error {
+	half := len(buf.Data) / 2
+	req, err := r.Isend(p, r.ID(), 1, core.Whole(buf).Sub(0, half))
+	if err != nil {
+		return err
+	}
+	if _, err := r.Recv(p, r.ID(), 1, core.Whole(buf).Sub(half, half)); err != nil {
+		return err
+	}
+	_, err = r.Wait(p, req)
+	return err
+}
+
 // sendCQEMallocs posts mallocOps signaled 64-byte SENDs into posted
 // receives on a bare connected QP pair, polling both completions.
-func sendCQEMallocs(t *testing.T) uint64 {
+func sendCQEMallocs(t *testing.T) (mallocs, bytes uint64) {
 	const n = 64
 	eng := sim.NewEngine()
 	fab := ib.NewFabric(eng, perfmodel.Default())
@@ -161,12 +217,12 @@ func sendCQEMallocs(t *testing.T) uint64 {
 	if runErr != nil {
 		t.Fatal(runErr)
 	}
-	return marks.count()
+	return marks.cost()
 }
 
 // callbackMallocs runs a self-rescheduling Engine.After chain: one
 // callback-only calendar event per operation, no process involved.
-func callbackMallocs(t *testing.T) uint64 {
+func callbackMallocs(t *testing.T) (mallocs, bytes uint64) {
 	eng := sim.NewEngine()
 	var marks mallocMarks
 	n := 0
@@ -186,13 +242,13 @@ func callbackMallocs(t *testing.T) uint64 {
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return marks.count()
+	return marks.cost()
 }
 
 // handoffMallocs has two processes sleep on interleaved deadlines, so
 // every Sleep misses the lookahead fast path: one operation is one
 // park/resume round trip with a goroutine switch.
-func handoffMallocs(t *testing.T) uint64 {
+func handoffMallocs(t *testing.T) (mallocs, bytes uint64) {
 	eng := sim.NewEngine()
 	var marks mallocMarks
 	for k := 0; k < 2; k++ {
@@ -212,7 +268,7 @@ func handoffMallocs(t *testing.T) uint64 {
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return marks.count()
+	return marks.cost()
 }
 
 func TestHotPathMallocCeilings(t *testing.T) {
@@ -226,25 +282,33 @@ func TestHotPathMallocCeilings(t *testing.T) {
 	eager := func(st core.Stats) bool { return st.EagerSends >= mallocOps && st.RndvSends == 0 }
 	direct := func(st core.Stats) bool { return st.RndvSends >= mallocOps && st.OffloadedSends == 0 }
 	offloaded := func(st core.Stats) bool { return st.OffloadedSends >= mallocOps }
+	offloadedWrites := func(st core.Stats) bool { return st.OffloadedSends >= 8*mallocOps && st.RndvWrites > 0 }
+	loopback := func(st core.Stats) bool { return st.SelfMsgs >= mallocOps }
 	rows := []struct {
 		name    string
 		per1000 uint64 // ceiling: heap allocations per 1000 operations
-		run     func(t *testing.T) uint64
+		bytes   uint64 // ceiling: bytes those allocations take
+		run     func(t *testing.T) (mallocs, bytes uint64)
 	}{
-		{"eager-64B-roundtrip", 16000, worldRow(true, 64, roundTrip, eager)},
-		{"eager-1KiB-roundtrip", 16000, worldRow(true, 1<<10, roundTrip, eager)},
-		{"rndv-read-64KiB-oneway", 18000, worldRow(false, 64<<10, senderFirst, direct)},
-		{"offload-64KiB-roundtrip", 47995, worldRow(true, 64<<10, roundTrip, offloaded)},
-		{"ib-send-cqe-64B", 7000, sendCQEMallocs},
-		{"sim-callback-event", 0, callbackMallocs},
-		{"sim-proc-handoff", 0, handoffMallocs},
+		{"eager-64B-roundtrip", 14000, 1_500_000, worldRow(true, 64, roundTrip, eager)},
+		{"eager-1KiB-roundtrip", 14000, 1_500_000, worldRow(true, 1<<10, roundTrip, eager)},
+		{"rndv-read-64KiB-oneway", 15000, 1_200_000, worldRow(false, 64<<10, senderFirst, direct)},
+		{"offload-64KiB-roundtrip", 41996, 2_800_000, worldRow(true, 64<<10, roundTrip, offloaded)},
+		{"rndv-write-256KiB-window8-offload", 175000, 12_500_000, worldRow(true, window8Buf, window8, offloadedWrites)},
+		{"self-send-1KiB-unexpected", 4000, 1_050_000, worldRow(true, 2<<10, selfUnexpected, loopback)},
+		{"ib-send-cqe-64B", 5000, 240_000, sendCQEMallocs},
+		{"sim-callback-event", 0, 0, callbackMallocs},
+		{"sim-proc-handoff", 0, 0, handoffMallocs},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			got := row.run(t)
-			t.Logf("%d mallocs per %d ops", got, mallocOps)
-			if got > row.per1000 {
-				t.Errorf("%d heap allocations per %d operations, ceiling %d: the hot path gained an allocation (go build -gcflags=-m ./internal/... names escaping values; go test -memprofile with -memprofilerate=1 names the call stack)", got, mallocOps, row.per1000)
+			mallocs, bytes := row.run(t)
+			t.Logf("%d mallocs, %d bytes per %d ops", mallocs, bytes, mallocOps)
+			if mallocs > row.per1000 {
+				t.Errorf("%d heap allocations per %d operations, ceiling %d: the hot path gained an allocation (go build -gcflags=-m ./internal/... names escaping values; go test -memprofile with -memprofilerate=1 names the call stack)", mallocs, mallocOps, row.per1000)
+			}
+			if bytes > row.bytes {
+				t.Errorf("%d bytes allocated per %d operations, ceiling %d: an allocation on the hot path grew (a payload-sized step is a per-message buffer)", bytes, mallocOps, row.bytes)
 			}
 		})
 	}

@@ -56,6 +56,7 @@ type Stats struct {
 	BytesSent      int64
 	EagerSends     int64
 	RndvSends      int64
+	RndvWrites     int64 // rendezvous sends this rank moved itself (receiver-first RDMA write)
 	OffloadedSends int64
 	CreditPackets  int64
 	Unexpected     int64
@@ -449,6 +450,7 @@ func (r *Rank) reissue(p *sim.Proc, wrid uint64, act wrAction) error {
 			SGL:      []ib.SGE{{Addr: ps.staging.Addr, Len: len(act.pkt), LKey: ps.stagingMR.LKey}},
 			Remote:   ib.RemoteAddr{Addr: ps.out.slotAddr(act.slot), RKey: ps.out.rkey},
 			Signaled: true,
+			Inline:   true, // staging is rebuilt by the next packet
 		}
 		return r.v.PostSend(p, ps.qp, wr)
 	default:
@@ -586,6 +588,9 @@ func (r *Rank) sendPacket(p *sim.Proc, dst int, h header, payload []byte, act wr
 	wr.Opcode = ib.OpRDMAWrite
 	wr.Remote = ib.RemoteAddr{Addr: ps.out.slotAddr(slot), RKey: ps.out.rkey}
 	wr.Signaled = true
+	// The next packet to this peer is assembled in the same staging slot
+	// before this one completes, so the HCA takes the bytes at post time.
+	wr.Inline = true
 	wr.SGL = append(wr.SGL, ib.SGE{Addr: ps.staging.Addr, Len: hdrSize, LKey: ps.stagingMR.LKey})
 	if len(payload) > 0 {
 		wr.SGL = append(wr.SGL, ib.SGE{Addr: ps.staging.Addr + hdrSize, Len: len(payload), LKey: ps.stagingMR.LKey})
@@ -763,6 +768,7 @@ func (r *Rank) rndvWrite(p *sim.Proc, req *Request, rtr header) error {
 	// recycling on completion otherwise.
 	wrid := r.nextWR(wrAction{kind: wrRndvWrite, req: req, peer: req.peer, wr: wr})
 	wr.WRID = wrid
+	r.Stats.RndvWrites++
 	req.state = stWriting
 	r.m.resolve(req, KindRecvRzv)
 	if r.m.reg != nil {
@@ -895,6 +901,16 @@ func (r *Rank) newArrival(h header, data []byte) *arrival {
 	r.arrivalFree = r.arrivalFree[:n-1]
 	a.h, a.data = h, data
 	return a
+}
+
+// keep copies an unexpected payload into the record's retained backing,
+// growing it only when the payload is larger than any it held before.
+func (a *arrival) keep(payload []byte) {
+	if cap(a.buf) < len(payload) {
+		a.buf = make([]byte, len(payload))
+	}
+	a.data = a.buf[:len(payload)]
+	copy(a.data, payload)
 }
 
 // recycleArrival returns a consumed arrival to the free list. Callers
@@ -1039,9 +1055,9 @@ func (r *Rank) selfSend(p *sim.Proc, req *Request) {
 		r.deliverSelf(p, req, rr)
 		return
 	}
-	data := make([]byte, req.slice.N)
-	copy(data, req.slice.Bytes())
-	r.selfUnexpected[seq] = &arrival{h: header{kind: pktEager, src: uint16(r.id), tag: int32(req.tag), seq: seq, payload: req.slice.N}, data: data}
+	a := r.newArrival(header{kind: pktEager, src: uint16(r.id), tag: int32(req.tag), seq: seq, payload: req.slice.N}, nil)
+	a.keep(req.slice.Bytes())
+	r.selfUnexpected[seq] = a
 	req.complete(p, nil)
 }
 
@@ -1051,6 +1067,7 @@ func (r *Rank) selfRecv(p *sim.Proc, req *Request) {
 	req.seq = seq
 	if a, ok := r.selfUnexpected[seq]; ok {
 		delete(r.selfUnexpected, seq)
+		defer r.recycleArrival(a)
 		if !tagsMatch(req, a.h) {
 			req.complete(p, ErrTagMismatch)
 			return
@@ -1241,11 +1258,7 @@ func (r *Rank) handlePacket(p *sim.Proc, src int, h header, payload []byte) {
 		// can be recycled.
 		a := r.newArrival(h, nil)
 		if h.kind == pktEager && h.payload > 0 {
-			if cap(a.buf) < h.payload {
-				a.buf = make([]byte, h.payload)
-			}
-			a.data = a.buf[:h.payload]
-			copy(a.data, payload)
+			a.keep(payload)
 			p.Sleep(r.w.Plat.CopyCost(r.v.Loc(), h.payload))
 		}
 		r.unexpected[src][h.seq] = a

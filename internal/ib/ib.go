@@ -5,10 +5,13 @@
 // access, in-order completion per QP, and SGE-ordered payload delivery
 // (the property DCFA-MPI's eager tail-polling depends on).
 //
-// All payloads are real bytes copied between simulated memory domains at
-// the virtual time the hardware would have delivered them; all timing
-// flows through the perfmodel calibration (notably the direction-
-// dependent HCA DMA rates that create the paper's Figure 5 asymmetry).
+// All payloads are real bytes copied once, from the source memory
+// region into the destination region, at the virtual time the hardware
+// would have delivered them: a posted buffer belongs to the HCA until
+// its completion, as in verbs, and only a SendWR.Inline post is captured
+// at post time. All timing flows through the perfmodel calibration
+// (notably the direction-dependent HCA DMA rates that create the
+// paper's Figure 5 asymmetry).
 package ib
 
 import (
@@ -54,11 +57,42 @@ type Fabric struct {
 	// (Rank == -1, Peer = HCA LID) per completion the hardware pushes,
 	// for the causal profiler's hardware-side tally.
 	Causal *causal.Recorder
+
+	// inlineFree recycles the post-time captures of Inline work
+	// requests (LIFO): a capture is taken at PostSend and returned once
+	// the wire has delivered or dropped it, so the list holds at most
+	// the inline packets that were ever in flight at once.
+	inlineFree [][]byte
 }
 
 // NewFabric creates an empty subnet.
 func NewFabric(eng *sim.Engine, plat *perfmodel.Platform) *Fabric {
 	return &Fabric{Eng: eng, Plat: plat}
+}
+
+// captureBuf hands out a buffer of capacity at least n for an inline
+// capture. A recycled buffer that is too small is dropped for a larger
+// one, so the list converges on the largest packet size in use.
+func (f *Fabric) captureBuf(n int) []byte {
+	if n == 0 {
+		return nil
+	}
+	var b []byte
+	if k := len(f.inlineFree); k > 0 {
+		b = f.inlineFree[k-1]
+		f.inlineFree = f.inlineFree[:k-1]
+	}
+	if cap(b) < n {
+		b = make([]byte, 0, n)
+	}
+	return b[:0]
+}
+
+// releaseBuf returns a capture nothing references anymore.
+func (f *Fabric) releaseBuf(b []byte) {
+	if cap(b) > 0 {
+		f.inlineFree = append(f.inlineFree, b)
+	}
 }
 
 // AttachHCA installs one HCA on node n and assigns it the next LID.
@@ -116,6 +150,30 @@ type HCA struct {
 
 	// actor is this adapter's telemetry track name ("hca<LID>").
 	actor string
+	// Byte-counter handles of an instrumented fabric, resolved at each
+	// one's first use so a traced post concatenates no names and looks
+	// nothing up: SEND bytes, and RDMA bytes per opcode and direction
+	// pair [source kind][destination kind].
+	sendBytes             *metrics.Counter
+	writePairs, readPairs [2][2]pairStat
+}
+
+// pairStat is the telemetry of one RDMA direction pair on one HCA.
+type pairStat struct {
+	name  string // "<source kind>-><destination kind>", the span attribute
+	bytes *metrics.Counter
+}
+
+// pair returns the entry of tab for src -> dst, naming it and creating
+// its counter "<prefix><pair>" on first use. Only called on an
+// instrumented fabric.
+func (h *HCA) pair(tab *[2][2]pairStat, prefix string, src, dst machine.DomainKind) *pairStat {
+	ps := &tab[src][dst]
+	if ps.bytes == nil {
+		ps.name = src.String() + "->" + dst.String()
+		ps.bytes = h.fab.Metrics.Counter(h.actor, prefix+ps.name)
+	}
+	return ps
 }
 
 // Fabric returns the owning subnet.

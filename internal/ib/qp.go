@@ -51,11 +51,44 @@ type QP struct {
 	completedC *metrics.Counter
 }
 
+// inbound is a SEND (or the immediate of a WRITE_IMM) parked until a
+// receive is posted. data is the inbound's own copy: the sender's
+// completion fires whether or not a receive was waiting, so nothing of
+// the sender's may be referenced past arrival.
 type inbound struct {
 	data   []byte
 	imm    uint32
 	hasImm bool
 	srcQPN uint32
+}
+
+// wireSrc is what a posted work request holds of its local SGL until
+// the wire delivers it. A plain post holds views of the registered
+// source memory, read when the bytes land; an Inline post holds one
+// capture of the bytes as they were at post time, taken from the
+// fabric's free list and handed back with releaseBuf. It is two slice
+// headers passed and captured by value: a post allocates nothing for it
+// unless a plain SGL has several elements.
+type wireSrc struct {
+	buf  []byte   // the inline capture, or the one view of a single-element SGL
+	more [][]byte // the views of a plain multi-element SGL, in order (buf unused)
+}
+
+// size is the payload length in bytes.
+func (s wireSrc) size() int {
+	n := len(s.buf)
+	for _, v := range s.more {
+		n += len(v)
+	}
+	return n
+}
+
+// copyTo gathers the payload into dst, which holds at least size bytes.
+func (s wireSrc) copyTo(dst []byte) {
+	dst = dst[copy(dst, s.buf):]
+	for _, v := range s.more {
+		dst = dst[copy(dst, v):]
+	}
 }
 
 // CreateQP allocates an RC queue pair bound to the given CQs.
@@ -140,66 +173,102 @@ func (qp *QP) PostRecv(p *sim.Proc, wr *RecvWR) error {
 	if len(qp.pending) > 0 {
 		in := qp.pending[0]
 		qp.pending = qp.pending[1:]
-		qp.deliver(in, wr)
+		qp.deliver(wr, wireSrc{buf: in.data}, in.imm, in.hasImm, in.srcQPN)
 		return nil
 	}
 	qp.recvQueue = append(qp.recvQueue, wr)
 	return nil
 }
 
-// deliver scatters an inbound SEND payload into a posted receive and
-// completes it on the receive CQ at the current virtual time.
-func (qp *QP) deliver(in *inbound, wr *RecvWR) {
+// land hands an arrived SEND payload (or the immediate of a WRITE_IMM)
+// to the oldest posted receive. With none posted — the simulator's RNR
+// condition — it parks a copy of the bytes for the next PostRecv.
+func (qp *QP) land(src wireSrc, imm uint32, hasImm bool, srcQPN uint32) {
+	if len(qp.recvQueue) > 0 {
+		rwr := qp.recvQueue[0]
+		qp.recvQueue = qp.recvQueue[1:]
+		qp.deliver(rwr, src, imm, hasImm, srcQPN)
+		return
+	}
+	qp.ctx.HCA.RNRWaits++
+	in := &inbound{imm: imm, hasImm: hasImm, srcQPN: srcQPN}
+	if n := src.size(); n > 0 {
+		in.data = make([]byte, n)
+		src.copyTo(in.data)
+	}
+	qp.pending = append(qp.pending, in)
+}
+
+// deliver scatters a SEND payload into a posted receive and completes
+// it on the receive CQ at the current virtual time.
+func (qp *QP) deliver(wr *RecvWR, src wireSrc, imm uint32, hasImm bool, srcQPN uint32) {
 	h := qp.ctx.HCA
 	total := 0
 	for _, sge := range wr.SGL {
 		total += sge.Len
 	}
-	if len(in.data) > total {
-		qp.RecvCQ.push(CQE{WRID: wr.WRID, Status: StatusLocLenErr, Opcode: OpRecv, QPN: qp.QPN, SrcQPN: in.srcQPN})
+	size := src.size()
+	if size > total {
+		qp.RecvCQ.push(CQE{WRID: wr.WRID, Status: StatusLocLenErr, Opcode: OpRecv, QPN: qp.QPN, SrcQPN: srcQPN})
 		return
 	}
-	rem := in.data
+	view, views := src.buf, src.more // the unread rest of one source element, and the elements after it
+	rem := size
 	for _, sge := range wr.SGL {
-		if len(rem) == 0 {
+		if rem == 0 {
 			break
 		}
 		n := sge.Len
-		if n > len(rem) {
-			n = len(rem)
+		if n > rem {
+			n = rem
 		}
 		dst, _, err := h.lookupMR(sge.LKey, sge.Addr, n)
 		if err != nil {
-			qp.RecvCQ.push(CQE{WRID: wr.WRID, Status: StatusLocProtErr, Opcode: OpRecv, QPN: qp.QPN, SrcQPN: in.srcQPN})
+			qp.RecvCQ.push(CQE{WRID: wr.WRID, Status: StatusLocProtErr, Opcode: OpRecv, QPN: qp.QPN, SrcQPN: srcQPN})
 			return
 		}
-		copy(dst, rem[:n])
-		rem = rem[n:]
+		rem -= n
+		for len(dst) > 0 {
+			if len(view) == 0 {
+				view, views = views[0], views[1:]
+			}
+			c := copy(dst, view)
+			dst, view = dst[c:], view[c:]
+		}
 	}
 	qp.RecvCQ.push(CQE{
 		WRID: wr.WRID, Status: StatusSuccess, Opcode: OpRecv,
-		ByteLen: len(in.data), Imm: in.imm, HasImm: in.hasImm,
-		QPN: qp.QPN, SrcQPN: in.srcQPN,
+		ByteLen: size, Imm: imm, HasImm: hasImm,
+		QPN: qp.QPN, SrcQPN: srcQPN,
 	})
 }
 
-// gather snapshots the local SGL into one contiguous payload, returning
-// also the slowest source-domain DMA read rate across elements and the
-// memory kind of the first element (the telemetry source direction).
-func (qp *QP) gather(sgl []SGE) ([]byte, float64, machine.DomainKind, error) {
+// gather validates the local SGL and returns what the wire will carry —
+// views of the registered source memory, or for an Inline post a capture
+// of its bytes now — with the payload length, the slowest source-domain
+// DMA read rate across elements and the memory kind of the first element
+// (the telemetry source direction).
+func (qp *QP) gather(wr *SendWR) (src wireSrc, n int, rate float64, srcKind machine.DomainKind, err error) {
 	h := qp.ctx.HCA
 	plat := h.fab.Plat
-	rate := plat.HCAReadHost
-	srcKind := machine.HostMem
-	total := 0
-	for _, sge := range sgl {
-		total += sge.Len
+	rate = plat.HCAReadHost
+	srcKind = machine.HostMem
+	for _, sge := range wr.SGL {
+		n += sge.Len
 	}
-	buf := make([]byte, 0, total)
-	for i, sge := range sgl {
-		src, mr, err := h.lookupMR(sge.LKey, sge.Addr, sge.Len)
+	switch {
+	case wr.Inline:
+		src.buf = h.fab.captureBuf(n)
+	case len(wr.SGL) > 1:
+		src.more = make([][]byte, 0, len(wr.SGL))
+	}
+	for i, sge := range wr.SGL {
+		view, mr, err := h.lookupMR(sge.LKey, sge.Addr, sge.Len)
 		if err != nil {
-			return nil, 0, srcKind, err
+			if wr.Inline {
+				h.fab.releaseBuf(src.buf)
+			}
+			return wireSrc{}, 0, 0, srcKind, err
 		}
 		if i == 0 {
 			srcKind = mr.Dom.Kind
@@ -207,9 +276,26 @@ func (qp *QP) gather(sgl []SGE) ([]byte, float64, machine.DomainKind, error) {
 		if r := plat.HCARead(mr.Dom.Kind); r < rate {
 			rate = r
 		}
-		buf = append(buf, src...)
+		switch {
+		case wr.Inline:
+			src.buf = append(src.buf, view...)
+		case src.more != nil:
+			src.more = append(src.more, view)
+		default:
+			src.buf = view
+		}
 	}
-	return buf, rate, srcKind, nil
+	return src, n, rate, srcKind, nil
+}
+
+// doneWith ends the wire's hold on a work request's source at arrival:
+// an inline capture goes back to the free list. Like Remote and Imm,
+// Inline is read from the posted WR, which is the HCA's until it
+// completes.
+func (qp *QP) doneWith(wr *SendWR, src wireSrc) {
+	if wr.Inline {
+		qp.ctx.HCA.fab.releaseBuf(src.buf)
+	}
 }
 
 func minRate(a, b float64) float64 {
@@ -245,38 +331,34 @@ func (qp *QP) PostSend(p *sim.Proc, wr *SendWR) error {
 
 	switch wr.Opcode {
 	case OpSend, OpSendImm:
-		payload, readRate, _, err := qp.gather(wr.SGL)
+		src, n, readRate, _, err := qp.gather(wr)
 		if err != nil {
 			return fmt.Errorf("ib: post send: %w", err)
 		}
 		if reg := h.fab.Metrics; reg != nil {
-			reg.Counter(h.actor, "send.bytes").Add(int64(len(payload)))
+			if h.sendBytes == nil {
+				h.sendBytes = reg.Counter(h.actor, "send.bytes")
+			}
+			h.sendBytes.Add(int64(n))
 		}
 		rate := qp.capRate(minRate(plat.IBBandwidth, minRate(readRate, plat.HCAWriteHost)))
-		arrive := h.egress.ReserveRate(len(payload), rate)
-		arrive = h.deliverVia(arrive, rem.ctx.HCA, len(payload), rate)
-		h.BytesOut += int64(len(payload))
+		arrive := h.egress.ReserveRate(n, rate)
+		arrive = h.deliverVia(arrive, rem.ctx.HCA, n, rate)
+		h.BytesOut += int64(n)
 		eng := h.fab.Eng
 		eng.At(arrive, func() {
-			in := &inbound{data: payload, imm: wr.Imm, hasImm: wr.Opcode == OpSendImm, srcQPN: qp.QPN}
-			if len(rem.recvQueue) > 0 {
-				rwr := rem.recvQueue[0]
-				rem.recvQueue = rem.recvQueue[1:]
-				rem.deliver(in, rwr)
-			} else {
-				rem.ctx.HCA.RNRWaits++
-				rem.pending = append(rem.pending, in)
-			}
+			rem.land(src, wr.Imm, wr.Opcode == OpSendImm, qp.QPN)
+			qp.doneWith(wr, src)
 		})
 		if wr.Signaled {
 			eng.At(arrive+plat.IBLatency, func() {
-				qp.SendCQ.push(CQE{WRID: wr.WRID, Status: StatusSuccess, Opcode: wr.Opcode, ByteLen: len(payload), QPN: qp.QPN})
+				qp.SendCQ.push(CQE{WRID: wr.WRID, Status: StatusSuccess, Opcode: wr.Opcode, ByteLen: n, QPN: qp.QPN})
 			})
 		}
 		return nil
 
 	case OpRDMAWrite, OpRDMAWriteImm:
-		payload, readRate, srcKind, err := qp.gather(wr.SGL)
+		src, n, readRate, srcKind, err := qp.gather(wr)
 		if err != nil {
 			return fmt.Errorf("ib: post send: %w", err)
 		}
@@ -285,21 +367,21 @@ func (qp *QP) PostSend(p *sim.Proc, wr *SendWR) error {
 		// arrival so a concurrent dereg still faults.
 		writeRate := plat.HCAWriteHost
 		dstKind := machine.HostMem
-		if _, mr, err := rem.ctx.HCA.lookupMR(wr.Remote.RKey, wr.Remote.Addr, len(payload)); err == nil {
+		if _, mr, err := rem.ctx.HCA.lookupMR(wr.Remote.RKey, wr.Remote.Addr, n); err == nil {
 			writeRate = plat.HCAWrite(mr.Dom.Kind)
 			dstKind = mr.Dom.Kind
 		}
 		var wsp *metrics.Span
 		if reg := h.fab.Metrics; reg != nil {
-			pair := srcKind.String() + "->" + dstKind.String()
-			reg.Counter(h.actor, "rdma-write.bytes."+pair).Add(int64(len(payload)))
+			ps := h.pair(&h.writePairs, "rdma-write.bytes.", srcKind, dstKind)
+			ps.bytes.Add(int64(n))
 			wsp = reg.Begin(eng.Now(), h.actor, "wire.rdma-write").
-				Attr("pair", pair).AttrInt("bytes", int64(len(payload)))
+				Attr("pair", ps.name).AttrInt("bytes", int64(n))
 		}
 		rate := qp.capRate(minRate(plat.IBBandwidth, minRate(readRate, writeRate)))
-		arrive := h.egress.ReserveRate(len(payload), rate)
-		arrive = h.deliverVia(arrive, rem.ctx.HCA, len(payload), rate)
-		h.BytesOut += int64(len(payload))
+		arrive := h.egress.ReserveRate(n, rate)
+		arrive = h.deliverVia(arrive, rem.ctx.HCA, n, rate)
+		h.BytesOut += int64(n)
 		if fault, delivered := h.fab.Faults.IBWriteFault(); fault {
 			// Retry exhaustion: the QP errors when the wire attempt
 			// gives up. The payload may or may not have landed first —
@@ -308,11 +390,12 @@ func (qp *QP) PostSend(p *sim.Proc, wr *SendWR) error {
 			eng.At(arrive, func() {
 				wsp.End(eng.Now())
 				if delivered {
-					if dst, _, err := rem.ctx.HCA.lookupMR(wr.Remote.RKey, wr.Remote.Addr, len(payload)); err == nil {
-						copy(dst, payload)
+					if dst, _, err := rem.ctx.HCA.lookupMR(wr.Remote.RKey, wr.Remote.Addr, n); err == nil {
+						src.copyTo(dst)
 						rem.ctx.HCA.Doorbell.Broadcast()
 					}
 				}
+				qp.doneWith(wr, src)
 				qp.SetError()
 				if wr.Signaled {
 					eng.At(eng.Now()+plat.IBLatency, func() {
@@ -324,8 +407,9 @@ func (qp *QP) PostSend(p *sim.Proc, wr *SendWR) error {
 		}
 		eng.At(arrive, func() {
 			wsp.End(eng.Now())
-			dst, _, err := rem.ctx.HCA.lookupMR(wr.Remote.RKey, wr.Remote.Addr, len(payload))
+			dst, _, err := rem.ctx.HCA.lookupMR(wr.Remote.RKey, wr.Remote.Addr, n)
 			if err != nil {
+				qp.doneWith(wr, src)
 				if wr.Signaled {
 					eng.At(eng.Now()+plat.IBLatency, func() {
 						qp.SendCQ.push(CQE{WRID: wr.WRID, Status: StatusRemAccessErr, Opcode: wr.Opcode, QPN: qp.QPN})
@@ -334,22 +418,16 @@ func (qp *QP) PostSend(p *sim.Proc, wr *SendWR) error {
 				qp.SetError()
 				return
 			}
-			copy(dst, payload)
+			// The one copy of the transfer: source MR to destination MR.
+			src.copyTo(dst)
+			qp.doneWith(wr, src)
 			if wr.Opcode == OpRDMAWriteImm {
-				in := &inbound{data: nil, imm: wr.Imm, hasImm: true, srcQPN: qp.QPN}
-				if len(rem.recvQueue) > 0 {
-					rwr := rem.recvQueue[0]
-					rem.recvQueue = rem.recvQueue[1:]
-					rem.deliver(in, rwr)
-				} else {
-					rem.ctx.HCA.RNRWaits++
-					rem.pending = append(rem.pending, in)
-				}
+				rem.land(wireSrc{}, wr.Imm, true, qp.QPN)
 			}
 			rem.ctx.HCA.Doorbell.Broadcast()
 			if wr.Signaled {
 				eng.At(eng.Now()+plat.IBLatency, func() {
-					qp.SendCQ.push(CQE{WRID: wr.WRID, Status: StatusSuccess, Opcode: wr.Opcode, ByteLen: len(payload), QPN: qp.QPN})
+					qp.SendCQ.push(CQE{WRID: wr.WRID, Status: StatusSuccess, Opcode: wr.Opcode, ByteLen: n, QPN: qp.QPN})
 				})
 			}
 		})
@@ -403,21 +481,20 @@ func (qp *QP) PostSend(p *sim.Proc, wr *SendWR) error {
 				})
 				return
 			}
-			if reg := h.fab.Metrics; reg != nil {
-				pair := mr.Dom.Kind.String() + "->" + dstKind.String()
-				reg.Counter(h.actor, "rdma-read.bytes."+pair).Add(int64(total))
-				wsp.Attr("pair", pair)
+			if h.fab.Metrics != nil {
+				ps := h.pair(&h.readPairs, "rdma-read.bytes.", mr.Dom.Kind, dstKind)
+				ps.bytes.Add(int64(total))
+				wsp.Attr("pair", ps.name)
 			}
 			rate := qp.capRate(minRate(plat.IBBandwidth, minRate(plat.HCARead(mr.Dom.Kind), writeRate)))
-			// Responder streams the data back over its own egress.
-			payload := make([]byte, total)
-			copy(payload, src)
+			// The responder streams the data back over its own egress;
+			// the validated source view is read when the response lands.
 			back := rem.ctx.HCA.egress.ReserveRate(total, rate)
 			back = rem.ctx.HCA.deliverVia(back, h, total, rate)
 			rem.ctx.HCA.BytesOut += int64(total)
 			eng.At(back, func() {
 				wsp.End(eng.Now())
-				remb := payload
+				remb := src
 				for _, sge := range wr.SGL {
 					dst, _, err := h.lookupMR(sge.LKey, sge.Addr, sge.Len)
 					if err != nil {

@@ -247,6 +247,12 @@ type SendWR struct {
 	Remote   RemoteAddr // RDMA and atomic ops only
 	Imm      uint32     // *_IMM only
 	Signaled bool
+	// Inline captures the SGL's bytes at post time (IBV_SEND_INLINE), so
+	// the poster may rewrite the source before the completion. Without
+	// it the source belongs to the HCA until the WR completes and its
+	// bytes are read when they land. SEND and RDMA_WRITE opcodes only;
+	// the model charges no time for it and bounds no size.
+	Inline bool
 	// Atomic operands: FetchAdd adds CompareAdd; CmpSwap stores Swap
 	// if the remote 8-byte word equals CompareAdd. The old value lands
 	// in the single 8-byte local SGE.
