@@ -27,18 +27,18 @@
 //
 //	//simlint:ignore rule reason the construct is safe here
 //
-// The lifecycle rules read declarative contracts. The recognized API
-// surface lives in one checked-in table (internal/analysis
-// builtinContracts), and source can extend it on any function or
-// interface method — a directive on an interface method covers every
-// call dispatched through that interface:
+// The lifecycle rules read declared contracts, and nothing else
+// crosses a function boundary. The recognized API surface lives in one
+// checked-in table (internal/analysis builtinContracts), and source can
+// extend it on any function or interface method — a directive on an
+// interface method covers every call dispatched through that interface:
 //
 //	//simlint:contract <rule> acquire|release|advance|test|borrow|pass [reason]
 //
-// Interface method calls are devirtualized: when every package-local
-// implementation of the interface is known, the call site gets the
-// meet of the implementations' summaries, so obligations survive
-// dispatch through a Transport-style seam.
+// A call to a function with no contract takes its tracked arguments
+// with it (they escape), so a helper needs a directive when it is where
+// a resource is acquired or released, or when the caller still owns the
+// resource after the call (borrow, pass).
 //
 // The fsmcheck rule reads protocol state machines declared next to a
 // typed-constant enum:
@@ -50,8 +50,8 @@
 // against the declared table, and state reachability.
 //
 // With -stats, the finding list is replaced by a JSON cost report:
-// per-rule wall time and finding counts plus the end-to-end load and
-// analysis time, for CI artifacts and perf tracking.
+// "packages", "wall_ms" (loading and type checking included),
+// "total_findings", and per rule "findings" and "ms" of analysis time.
 //
 // The analyzers (see repro/internal/analysis):
 //
@@ -63,25 +63,19 @@
 //	mrpin     MRCache.Get must be matched by Release on all paths
 //	offload   RegOffloadMR → SyncOffloadMR → post → DeregOffloadMR order
 //	reqwait   Isend/Irecv requests must reach Wait/Test/WaitAll on all paths
-//	globalmut package-level mutable state shared across simulator instances
 //	fsmcheck  exhaustive switches over protocol enums, declared transition tables, unreachable states
 //
 // Every rule carries a scope, printed by -list: intraprocedural rules
-// judge one function body at a time, interprocedural rules consult
-// per-function summaries over the package call graph, and
-// whole-package rules (globalmut) need every function's effects before
-// they can report anything.
-//
-// The four lifecycle rules are interprocedural within a package: each
-// same-package function gets an obligation summary (acquire, release,
-// advance, escape per parameter and result), so registrations released
-// by helpers, constructors that return obligations, and deferred
-// cleanup functions are all tracked across calls.
+// judge one function body at a time (the lifecycle rules among them:
+// what a callee does reaches them only through its contract), and the
+// whole-package rule (fsmcheck) reads an enum's declarations and every
+// switch over it.
 //
 // Buffer reuse under an in-flight request, mismatched blocking or
-// collective order, and host/mic memory-domain mixes are not linted:
-// they fail at run time as payload mismatches, *sim.DeadlockError and
-// protection-fault completions. AUDIT.md lists the test that catches
+// collective order, host/mic memory-domain mixes and package-level
+// state shared between engine instances are not linted: they fail at
+// run time as payload mismatches, *sim.DeadlockError, protection-fault
+// completions and a -race report. AUDIT.md lists the test that catches
 // each.
 package main
 

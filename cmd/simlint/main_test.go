@@ -23,13 +23,13 @@ func TestRunListExitsClean(t *testing.T) {
 		}
 		names = append(names, fields[0])
 		switch fields[1] {
-		case "intraprocedural", "interprocedural", "whole-package":
+		case "intraprocedural", "whole-package":
 		default:
 			t.Errorf("-list line %q: second field %q is not a scope", line, fields[1])
 		}
 	}
 	// Exactly the registered rules, in report order.
-	want := "nondet maporder rawgo errcheck mrleak mrpin offload reqwait globalmut fsmcheck"
+	want := "nondet maporder rawgo errcheck mrleak mrpin offload reqwait fsmcheck"
 	if got := strings.Join(names, " "); got != want {
 		t.Errorf("-list rules:\n got %s\nwant %s", got, want)
 	}

@@ -44,13 +44,12 @@ func (f Finding) String() string {
 // about at a time. Reported by `simlint -list` so users know whether a
 // finding can depend on code far from its position.
 const (
-	// ScopeIntra: the rule looks at one function body at a time.
+	// ScopeIntra: the rule looks at one function body at a time; what
+	// a callee does reaches it only through a declared contract.
 	ScopeIntra = "intraprocedural"
-	// ScopeInter: the rule follows same-package calls through
-	// summaries or the call graph.
-	ScopeInter = "interprocedural"
-	// ScopeWholePackage: the rule reasons about package-level state and
-	// every function that can reach it.
+	// ScopeWholePackage: the rule reasons about package-level
+	// declarations (an enum, its transition table) and every function
+	// that touches them.
 	ScopeWholePackage = "whole-package"
 )
 
@@ -62,7 +61,7 @@ type Analyzer struct {
 	Name string
 	// Doc is a one-line description of the invariant.
 	Doc string
-	// Scope is one of ScopeIntra, ScopeInter, ScopeWholePackage.
+	// Scope is ScopeIntra or ScopeWholePackage.
 	Scope string
 	// AppliesTo reports whether the analyzer runs on the given
 	// package. Nil means it runs everywhere.
@@ -73,7 +72,7 @@ type Analyzer struct {
 
 // All returns every analyzer in the suite, in report order.
 func All() []*Analyzer {
-	return []*Analyzer{Nondet, MapOrder, RawGo, ErrCheck, MRLeak, MRPin, Offload, ReqWait, GlobalMut, FSMCheck}
+	return []*Analyzer{Nondet, MapOrder, RawGo, ErrCheck, MRLeak, MRPin, Offload, ReqWait, FSMCheck}
 }
 
 // ByName selects analyzers from a comma-separated list, or All() when
@@ -135,13 +134,6 @@ type Pass struct {
 	findings []Finding
 	// suppress maps filename -> line -> rules ignored on that line.
 	suppress map[string]map[int][]string
-	// callgraph and summaries cache the interprocedural layer across
-	// the rules that share it (built lazily, once per pass).
-	callgraph *CallGraph
-	summaries map[string]*SummarySet
-	// devirt caches interface devirtualization targets and the
-	// function-valued-local bindings (devirt.go).
-	devirt *devirtIndex
 	// contracts caches the //simlint:contract directive index
 	// (contracts.go).
 	contracts *contractIndex

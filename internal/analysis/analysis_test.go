@@ -12,7 +12,7 @@ import (
 )
 
 // ruleDirs pairs each analyzer with its testdata corpus.
-var ruleDirs = []*Analyzer{Nondet, MapOrder, RawGo, ErrCheck, MRLeak, MRPin, Offload, ReqWait, GlobalMut, FSMCheck}
+var ruleDirs = []*Analyzer{Nondet, MapOrder, RawGo, ErrCheck, MRLeak, MRPin, Offload, ReqWait, FSMCheck}
 
 // loadTestdata type-checks testdata/src/<rule> as a synthetic package
 // outside the module, which every analyzer treats as in scope.
@@ -102,166 +102,36 @@ func TestGolden(t *testing.T) {
 	}
 }
 
-// lifecycleAnalyzers are the four protocol rules that share the
-// interprocedural summary layer.
-var lifecycleAnalyzers = []*Analyzer{MRLeak, MRPin, Offload, ReqWait}
-
-// TestInterprocedural runs all four lifecycle rules pooled over the
-// shared cross-function corpus (helper-acquire, helper-release,
-// constructor-returns-obligation, deferred cleanup through a helper)
-// and requires an exact match: every annotated line fires, and nothing
-// else does — the zero-false-positive half is what proves the
-// summaries replace the old "any call escapes everything" rule.
-func TestInterprocedural(t *testing.T) {
-	_, pass := loadTestdata(t, "interp")
-	findings := pass.Run(lifecycleAnalyzers)
-	wants := wantComments(pass)
-
-	matched := map[string]bool{}
-	for _, f := range findings {
-		key := fmt.Sprintf("%s:%d", filepath.Base(f.Pos.Filename), f.Pos.Line)
-		subs, ok := wants[key]
-		if !ok {
-			t.Errorf("unexpected finding at %s: %v", key, f)
-			continue
-		}
-		found := false
-		for _, sub := range subs {
-			if strings.Contains(f.Message, sub) {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("finding at %s does not match any want %q: %s", key, subs, f.Message)
-		}
-		matched[key] = true
-	}
-	for key := range wants {
-		if !matched[key] {
-			t.Errorf("no finding at annotated line %s", key)
-		}
-	}
-}
-
-// TestInterfaceResolution runs the four lifecycle rules pooled over
-// the interface corpus: every acquiring or releasing call there
-// crosses an interface boundary (devirtualized targets, contract
-// directives, or builtin verbs on an interface receiver), so both the
-// findings and the silences prove the interface-aware layers.
-func TestInterfaceResolution(t *testing.T) {
-	_, pass := loadTestdata(t, "iface")
-	findings := pass.Run(lifecycleAnalyzers)
-	wants := wantComments(pass)
-
-	matched := map[string]bool{}
-	for _, f := range findings {
-		key := fmt.Sprintf("%s:%d", filepath.Base(f.Pos.Filename), f.Pos.Line)
-		subs, ok := wants[key]
-		if !ok {
-			t.Errorf("unexpected finding at %s: %v", key, f)
-			continue
-		}
-		found := false
-		for _, sub := range subs {
-			if strings.Contains(f.Message, sub) {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("finding at %s does not match any want %q: %s", key, subs, f.Message)
-		}
-		matched[key] = true
-	}
-	for key := range wants {
-		if !matched[key] {
-			t.Errorf("no finding at annotated line %s", key)
-		}
-	}
-}
-
-// TestSummaryDumpDeterministic loads the interprocedural corpus twice
-// through independent loaders and requires byte-identical summary
-// dumps for every rule — the cache must not depend on map iteration
-// order or pointer identity.
-func TestSummaryDumpDeterministic(t *testing.T) {
+// TestContractDumpDeterministic loads the corpora that declare
+// //simlint:contract directives twice through independent loaders and
+// requires byte-identical contract dumps for every rule — the directive
+// index must not depend on map iteration order or pointer identity.
+func TestContractDumpDeterministic(t *testing.T) {
 	dump := func() string {
-		_, pass := loadTestdata(t, "interp")
 		var b strings.Builder
 		for _, spec := range lifecycleSpecs() {
+			_, pass := loadTestdata(t, spec.rule)
 			b.WriteString("== " + spec.rule + "\n")
-			b.WriteString(pass.summariesFor(spec).Dump())
+			b.WriteString(ContractSummaryDump(pass, spec.rule))
 		}
 		return b.String()
 	}
 	d1, d2 := dump(), dump()
 	if d1 != d2 {
-		t.Errorf("summary dumps differ between loads:\n--- first\n%s\n--- second\n%s", d1, d2)
+		t.Errorf("contract dumps differ between loads:\n--- first\n%s\n--- second\n%s", d1, d2)
 	}
-	// Spot-check the classifications the corpus is built around.
 	for _, want := range []string{
-		"interp.closeMR (borrow,borrow,release) -> ()",
-		"interp.newMR (borrow,borrow,borrow) -> (acquire,-)",
-		"interp.newMRIndirect (borrow,borrow,borrow) -> (acquire,-)",
-		"interp.pass (borrow) -> (p0)",
-		"interp.condClose (borrow,borrow,escape,borrow) -> ()",
+		// Directives on plain functions and on interface methods.
+		"mrleak.newMR contract(acquire)",
+		"mrleak.pass contract(pass)",
+		"(mrleak.Registrar).Acquire contract(acquire)",
+		"(mrleak.Registrar).Inspect contract(borrow)",
+		"mrpin.unpin contract(release)",
+		"offload.syncIt contract(advance)",
+		"(reqwait.Poster).Finish contract(release)",
 	} {
 		if !strings.Contains(d1, want) {
-			t.Errorf("summary dump missing %q\ndump:\n%s", want, d1)
-		}
-	}
-
-	// globalmut adds one more summary layer, the transitive write
-	// effects. Same contract: byte-identical across independent loads.
-	writeDump := func() string {
-		_, pass := loadTestdata(t, "globalmut")
-		return WriteEffectDump(pass)
-	}
-	s1, s2 := writeDump(), writeDump()
-	if s1 != s2 {
-		t.Errorf("write-effect dumps differ between loads:\n--- first\n%s\n--- second\n%s", s1, s2)
-	}
-	for _, want := range []string{
-		"globalmut.set: writes globalmut.cache",
-		"globalmut.bump: writes globalmut.Count",
-	} {
-		if !strings.Contains(s1, want) {
-			t.Errorf("write-effect dump missing %q\ndump:\n%s", want, s1)
-		}
-	}
-
-	// The interface layers add devirtualized call edges and
-	// directive-contract summaries; both feed the lifecycle summaries,
-	// so all three dumps must also be load-independent.
-	ifaceDump := func() string {
-		_, pass := loadTestdata(t, "iface")
-		var b strings.Builder
-		for _, spec := range lifecycleSpecs() {
-			b.WriteString("== " + spec.rule + "\n")
-			b.WriteString(pass.summariesFor(spec).Dump())
-			b.WriteString("== contracts/" + spec.rule + "\n")
-			b.WriteString(ContractSummaryDump(pass, spec.rule))
-		}
-		b.WriteString("== devirt\n")
-		b.WriteString(DevirtDump(pass))
-		return b.String()
-	}
-	i1, i2 := ifaceDump(), ifaceDump()
-	if i1 != i2 {
-		t.Errorf("interface-layer dumps differ between loads:\n--- first\n%s\n--- second\n%s", i1, i2)
-	}
-	for _, want := range []string{
-		// Devirtualized edges, sorted, all targets listed.
-		"(iface.Transport).Open -> (*iface.ibTransport).Open",
-		"(iface.Closer).Shut -> (*iface.nullCloser).Shut | (*iface.realCloser).Shut",
-		"(iface.Poster).Post -> (*iface.rankPoster).Post",
-		// A directive on an interface method synthesizes its summary.
-		"(iface.Registrar).Acquire contract(acquire)",
-		"(iface.Registrar).Free contract(release)",
-		// The devirtualized constructor's summary acquires.
-		"(*iface.rankPoster).Post (borrow,borrow) -> (acquire,-)",
-	} {
-		if !strings.Contains(i1, want) {
-			t.Errorf("interface-layer dump missing %q\ndump:\n%s", want, i1)
+			t.Errorf("contract dump missing %q\ndump:\n%s", want, d1)
 		}
 	}
 }
@@ -346,10 +216,7 @@ func TestEveryRuleHasCorpus(t *testing.T) {
 	for _, a := range ruleDirs {
 		inRuleDirs[a.Name] = true
 	}
-	// The shared interprocedural and interface corpora are not tied to
-	// a single rule but are completeness requirements like the per-rule
-	// directories.
-	names := []string{"interp", "iface"}
+	var names []string
 	for _, a := range All() {
 		if !inRuleDirs[a.Name] {
 			t.Errorf("rule %q is registered but missing from ruleDirs", a.Name)
@@ -379,12 +246,12 @@ func TestEveryRuleHasCorpus(t *testing.T) {
 // syntax: -name removes a rule, "all" expands the full set, and a
 // leading exclusion implicitly starts from everything.
 // TestEveryRuleHasScope pins the registry contract: each analyzer
-// declares one of the three scope levels, which simlint -list prints
+// declares one of the two scope levels, which simlint -list prints
 // so a reader knows how much context a finding consumed.
 func TestEveryRuleHasScope(t *testing.T) {
 	for _, a := range All() {
 		switch a.Scope {
-		case ScopeIntra, ScopeInter, ScopeWholePackage:
+		case ScopeIntra, ScopeWholePackage:
 		default:
 			t.Errorf("rule %q declares no scope (got %q)", a.Name, a.Scope)
 		}
@@ -463,30 +330,6 @@ func TestExpandPatterns(t *testing.T) {
 	for p, seen := range want {
 		if !seen {
 			t.Errorf("expected package %s in expansion, got %v", p, paths)
-		}
-	}
-}
-
-// BenchmarkAnalyzePackage measures a full load + analyze cycle of the
-// interprocedural corpus under every rule. The call-graph and summary
-// layer dominates; this keeps its cost visible in CI.
-func BenchmarkAnalyzePackage(b *testing.B) {
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		l, err := NewLoader(root)
-		if err != nil {
-			b.Fatal(err)
-		}
-		pkg, err := l.LoadDir(filepath.Join("testdata", "src", "interp"), "interp")
-		if err != nil {
-			b.Fatal(err)
-		}
-		pass := NewPass(l.Fset, pkg.Path, l.ModulePath, pkg.Files, pkg.Types, pkg.Info)
-		if got := pass.Run(All()); len(got) == 0 {
-			b.Fatal("expected findings in the interp corpus")
 		}
 	}
 }

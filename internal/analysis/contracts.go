@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -33,47 +34,33 @@ import (
 // A directive on an interface method applies to every call dispatched
 // through that interface, so a new transport backend gets lifecycle
 // checking by declaring contracts once on the interface it implements
-// — no analyzer change required. A directive on a function that also
-// has a body is authoritative: it overrides the inferred summary.
+// — no analyzer change required. Nothing is inferred from a function's
+// body: a call to a function with no contract escapes its tracked
+// arguments, so a helper on the path of a resource needs a directive
+// exactly when the caller still owns the resource afterwards (borrow,
+// pass), or when the helper is where it is acquired or released.
 
-// contractRole is one lifecycle obligation role.
-type contractRole int
+// verb is what a call does to a protocol's resource: the role its
+// contract declares, or verbNone for a call with no contract.
+type verb int
 
 const (
-	roleAcquire contractRole = iota + 1
-	roleRelease
-	roleAdvance
-	roleTest
-	roleBorrow
-	rolePass
+	verbNone verb = iota
+	verbAcquire
+	verbRelease
+	verbAdvance
+	verbTest // releases only when the call's result is true
+	verbBorrow
+	verbPass
 )
 
-var contractRoleNames = map[string]contractRole{
-	"acquire": roleAcquire,
-	"release": roleRelease,
-	"advance": roleAdvance,
-	"test":    roleTest,
-	"borrow":  roleBorrow,
-	"pass":    rolePass,
-}
+// verbNames are the directive keywords, indexed by verb.
+var verbNames = [...]string{"", "acquire", "release", "advance", "test", "borrow", "pass"}
 
-func (r contractRole) String() string {
-	switch r {
-	case roleAcquire:
-		return "acquire"
-	case roleRelease:
-		return "release"
-	case roleAdvance:
-		return "advance"
-	case roleTest:
-		return "test"
-	case roleBorrow:
-		return "borrow"
-	case rolePass:
-		return "pass"
-	}
-	return "?"
-}
+func (v verb) String() string { return verbNames[v] }
+
+// verbByName resolves a directive's role keyword; verbNone if unknown.
+func verbByName(name string) verb { return verb(slices.Index(verbNames[1:], name) + 1) }
 
 // builtinContracts is the contract spec for the repository's visible
 // protocol API. Each entry binds one callee name (optionally
@@ -84,24 +71,24 @@ var builtinContracts = []struct {
 	rule string
 	recv string // required receiver named type; "" accepts any
 	name string
-	role contractRole
+	role verb
 }{
-	{"mrleak", "", "RegMR", roleAcquire},
-	{"mrleak", "", "RegMRBuffer", roleAcquire},
-	{"mrleak", "", "DeregMR", roleRelease},
+	{"mrleak", "", "RegMR", verbAcquire},
+	{"mrleak", "", "RegMRBuffer", verbAcquire},
+	{"mrleak", "", "DeregMR", verbRelease},
 
-	{"mrpin", "MRCache", "Get", roleAcquire},
-	{"mrpin", "MRCache", "Release", roleRelease},
+	{"mrpin", "MRCache", "Get", verbAcquire},
+	{"mrpin", "MRCache", "Release", verbRelease},
 
-	{"offload", "", "RegOffloadMR", roleAcquire},
-	{"offload", "", "SyncOffloadMR", roleAdvance},
-	{"offload", "", "DeregOffloadMR", roleRelease},
+	{"offload", "", "RegOffloadMR", verbAcquire},
+	{"offload", "", "SyncOffloadMR", verbAdvance},
+	{"offload", "", "DeregOffloadMR", verbRelease},
 
-	{"reqwait", "", "Isend", roleAcquire},
-	{"reqwait", "", "Irecv", roleAcquire},
-	{"reqwait", "", "Wait", roleRelease},
-	{"reqwait", "", "WaitAll", roleRelease},
-	{"reqwait", "", "Test", roleTest},
+	{"reqwait", "", "Isend", verbAcquire},
+	{"reqwait", "", "Irecv", verbAcquire},
+	{"reqwait", "", "Wait", verbRelease},
+	{"reqwait", "", "WaitAll", verbRelease},
+	{"reqwait", "", "Test", verbTest},
 }
 
 // init populates the four lifecycleSpecs' verb tables from
@@ -125,15 +112,15 @@ func init() {
 			panic("simlint: builtin contract names unknown rule " + c.rule)
 		}
 		switch c.role {
-		case roleAcquire:
+		case verbAcquire:
 			ensure(&spec.createNames, c.name)
 			spec.createRecv = c.recv
-		case roleRelease:
+		case verbRelease:
 			ensure(&spec.releaseNames, c.name)
 			spec.releaseRecv = c.recv
-		case roleAdvance:
+		case verbAdvance:
 			ensure(&spec.advanceNames, c.name)
-		case roleTest:
+		case verbTest:
 			ensure(&spec.testNames, c.name)
 		default:
 			panic("simlint: builtin contracts must use acquire/release/advance/test")
@@ -144,7 +131,7 @@ func init() {
 const contractPrefix = "//simlint:contract"
 
 // parseContract parses one //simlint:contract comment.
-func parseContract(text string) (rule string, role contractRole, ok bool) {
+func parseContract(text string) (rule string, role verb, ok bool) {
 	if !strings.HasPrefix(text, contractPrefix) {
 		return "", 0, false
 	}
@@ -152,18 +139,15 @@ func parseContract(text string) (rule string, role contractRole, ok bool) {
 	if len(fields) < 2 {
 		return "", 0, false
 	}
-	role, ok = contractRoleNames[fields[1]]
-	if !ok {
-		return "", 0, false
-	}
-	return fields[0], role, true
+	role = verbByName(fields[1])
+	return fields[0], role, role != verbNone
 }
 
 // contractIndex holds one pass's directive contracts.
 type contractIndex struct {
 	// byFunc maps a declared function or interface method to its
 	// rule → role contracts.
-	byFunc map[*types.Func]map[string]contractRole
+	byFunc map[*types.Func]map[string]verb
 	// acquireNames collects, per rule, the names carrying an acquire
 	// contract — the lifecycle prescreen consults it alongside the
 	// builtin creation names.
@@ -179,12 +163,12 @@ func (p *Pass) contractsFor() *contractIndex {
 		return p.contracts
 	}
 	ix := &contractIndex{
-		byFunc:       map[*types.Func]map[string]contractRole{},
+		byFunc:       map[*types.Func]map[string]verb{},
 		acquireNames: map[string]map[string]bool{},
 	}
 	type decl struct {
 		rule string
-		role contractRole
+		role verb
 	}
 	lines := map[string]map[int][]decl{}
 	for _, f := range p.Files {
@@ -205,10 +189,10 @@ func (p *Pass) contractsFor() *contractIndex {
 	attachAt := func(fn *types.Func, file string, line int) {
 		for _, d := range lines[file][line] {
 			if ix.byFunc[fn] == nil {
-				ix.byFunc[fn] = map[string]contractRole{}
+				ix.byFunc[fn] = map[string]verb{}
 			}
 			ix.byFunc[fn][d.rule] = d.role
-			if d.role == roleAcquire {
+			if d.role == verbAcquire {
 				if ix.acquireNames[d.rule] == nil {
 					ix.acquireNames[d.rule] = map[string]bool{}
 				}
@@ -262,13 +246,10 @@ func (p *Pass) contractsFor() *contractIndex {
 	return p.contracts
 }
 
-// contractRoleOf returns fn's declared role under rule, if any.
-func (p *Pass) contractRoleOf(fn *types.Func, rule string) (contractRole, bool) {
-	if fn == nil {
-		return 0, false
-	}
-	r, ok := p.contractsFor().byFunc[fn][rule]
-	return r, ok
+// contractOf returns the role a directive declares for fn under rule,
+// verbNone when there is none (or fn is nil).
+func (p *Pass) contractOf(fn *types.Func, rule string) verb {
+	return p.contractsFor().byFunc[fn][rule]
 }
 
 // contractAcquireNames returns the callee names declared acquire under
@@ -277,84 +258,33 @@ func (p *Pass) contractAcquireNames(rule string) map[string]bool {
 	return p.contractsFor().acquireNames[rule]
 }
 
-// contractSummary synthesizes the FuncSummary a declared role implies
-// for fn's signature. Only parameters and results of the rule's
-// resource type participate; everything else borrows.
-func contractSummary(spec *lifecycleSpec, fn *types.Func, role contractRole) *FuncSummary {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return nil
-	}
-	s := neutralSummary(sig)
-	resourceParam := func(i int) bool {
-		return namedTypeName(sig.Params().At(i).Type()) == spec.resultType
-	}
-	resourceResult := sig.Results().Len() > 0 &&
-		namedTypeName(sig.Results().At(0).Type()) == spec.resultType
-	switch role {
-	case roleAcquire:
-		if resourceResult {
-			st := stateLive
-			if spec.trackUnsynced {
-				st |= stateUnsynced
-			}
-			s.Results[0].Acquires = st
-		}
-	case roleRelease:
-		for i := 0; i < sig.Params().Len(); i++ {
-			if resourceParam(i) {
-				s.Params[i] = EffRelease
-			}
-		}
-	case roleAdvance:
-		for i := 0; i < sig.Params().Len(); i++ {
-			if resourceParam(i) {
-				s.Params[i] = EffAdvance
-			}
-		}
-	case rolePass:
-		if resourceResult {
-			for i := 0; i < sig.Params().Len(); i++ {
-				if resourceParam(i) {
-					s.Results[0].FromParams = append(s.Results[0].FromParams, i)
-				}
-			}
-		}
-	case roleBorrow, roleTest:
-		// Neutral: the caller keeps every obligation (test's conditional
-		// release is handled by classify/Refine, not the summary).
-	}
-	return s
-}
-
-// ContractSummaryDump renders every directive contract in the pass as
-// its synthesized summary under the given rule, deterministically
-// sorted, for the determinism tests:
+// ContractSummaryDump renders every directive contract the pass
+// declares under the given rule, deterministically sorted, for the
+// determinism tests:
 //
-//	iface.Transport.AcquireMR contract(acquire) () -> (acquire)
+//	(mrleak.Registrar).Acquire contract(acquire)
 func ContractSummaryDump(p *Pass, rule string) string {
-	var spec *lifecycleSpec
-	for _, s := range lifecycleSpecs() {
-		if s.rule == rule {
-			spec = s
-		}
-	}
-	if spec == nil {
-		return ""
-	}
 	var entries []string
 	for fn, roles := range p.contractsFor().byFunc {
-		role, ok := roles[rule]
-		if !ok {
-			continue
+		if role, ok := roles[rule]; ok {
+			entries = append(entries, fmt.Sprintf("%s contract(%s)\n", fn.FullName(), role))
 		}
-		entries = append(entries, fmt.Sprintf("%s contract(%s) %s", fn.FullName(), role, contractSummary(spec, fn, role)))
 	}
 	sort.Strings(entries)
-	var b strings.Builder
-	for _, e := range entries {
-		b.WriteString(e)
-		b.WriteByte('\n')
+	return strings.Join(entries, "")
+}
+
+// calledFunc resolves a call expression to the *types.Func it names
+// statically — a declared function, a method, or an interface method —
+// or nil for builtins, conversions and function values.
+func (p *Pass) calledFunc(call *ast.CallExpr) *types.Func {
+	switch fun := unparen(call.Fun).(type) {
+	case *ast.Ident:
+		fn, _ := p.Info.Uses[fun].(*types.Func)
+		return fn
+	case *ast.SelectorExpr:
+		fn, _ := p.Info.Uses[fun.Sel].(*types.Func)
+		return fn
 	}
-	return b.String()
+	return nil
 }

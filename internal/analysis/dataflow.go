@@ -148,15 +148,8 @@ type FlowProblem interface {
 // like c.Blocks, nil for unreachable blocks) so tests can inspect
 // convergence directly.
 func Solve(c *CFG, p FlowProblem) []*Facts {
-	return SolveInit(c, p, NewFacts())
-}
-
-// SolveInit is Solve with caller-provided entry facts — the hook
-// interprocedural summary computation uses to seed parameters as
-// pre-tracked resources.
-func SolveInit(c *CFG, p FlowProblem, entry *Facts) []*Facts {
 	in := make([]*Facts, len(c.Blocks))
-	in[c.Entry.Index] = entry
+	in[c.Entry.Index] = NewFacts()
 
 	// FIFO worklist with membership dedup: deterministic because block
 	// successor order is deterministic.

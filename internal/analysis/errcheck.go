@@ -54,31 +54,11 @@ func runErrCheck(p *Pass) {
 // dropsMPIError reports whether call is an MPI operation whose last
 // result is an error (name is the reported callee).
 func (p *Pass) dropsMPIError(call *ast.CallExpr) (string, bool) {
-	var name string
-	switch fun := unparen(call.Fun).(type) {
-	case *ast.SelectorExpr:
-		name = fun.Sel.Name
-	case *ast.Ident:
-		// Plain idents are local helpers — unless the ident is a local
-		// singly bound to a method value (`f := rank.Isend; f(...)`),
-		// which is the MPI operation under an alias.
-		if _, direct := p.Info.Uses[fun].(*types.Func); direct {
-			return "", false
-		}
-		fn := p.methodValue(fun)
-		if fn == nil {
-			return "", false
-		}
-		if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() == nil {
-			return "", false
-		}
-		name = fn.Name()
-	default:
-		return "", false
+	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || !mpiOps[sel.Sel.Name] {
+		return "", false // plain idents are local helpers
 	}
-	if !mpiOps[name] {
-		return "", false
-	}
+	name := sel.Sel.Name
 	sig := p.calleeSignature(call)
 	if sig == nil || sig.Results().Len() == 0 {
 		return "", false

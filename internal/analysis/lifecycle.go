@@ -23,6 +23,12 @@ import (
 //     passed to a non-verb call, captured by a closure, returned, sent
 //     on a channel) transfers ownership and ends tracking.
 //
+// The verbs are declared, never inferred: builtinContracts plus
+// //simlint:contract directives (contracts.go) are the only way an
+// obligation crosses a function boundary. A helper that acquires,
+// releases, borrows or passes a resource through says so in one
+// comment line; a call to anything else escapes its tracked arguments.
+//
 // A resource still Live at a return (or at the implicit fall-off-the-
 // end exit) leaks on that path and is reported at its creation site.
 // Error results assigned alongside a creation are paired with it, so
@@ -36,9 +42,9 @@ import (
 // <release>(x)` registered on this path will discharge the obligation
 // when the exit block's DeferRun executes; Escaped means ownership left
 // the function's view (stored, captured, passed to an owning callee) —
-// the site stays in the fact map as a tombstone so interprocedural
-// summaries can observe the escape, but carries no obligation and is
-// exempt from use/double-release checks.
+// the site stays in the fact map as a tombstone, so a join with a path
+// that still owns it does not revive use/double-release checks, but
+// carries no obligation.
 const (
 	stateLive State = 1 << iota
 	stateUnsynced
@@ -52,17 +58,6 @@ const (
 func actionable(st State) bool {
 	return st&stateEscaped == 0
 }
-
-// verb classifies what a call does to a protocol's resource.
-type verb int
-
-const (
-	verbNone verb = iota
-	verbCreate
-	verbAdvance
-	verbRelease
-	verbTestRelease // releases only when the call's result is true
-)
 
 // lifecycleSpec describes one resource protocol.
 type lifecycleSpec struct {
@@ -102,8 +97,7 @@ type lifecycleSpec struct {
 	orderMsg   string
 }
 
-// lifecycleSpecs returns the four protocol-rule specs in report order,
-// for the pooled interprocedural corpus and the summary-dump tests.
+// lifecycleSpecs returns the four protocol-rule specs in report order.
 func lifecycleSpecs() []*lifecycleSpec {
 	return []*lifecycleSpec{mrleakSpec, mrpinSpec, offloadSpec, reqwaitSpec}
 }
@@ -118,7 +112,6 @@ func notTestPackage(p *Pass) bool {
 // runLifecycle analyzes every function declaration and function
 // literal in the pass against one protocol spec.
 func runLifecycle(p *Pass, spec *lifecycleSpec) {
-	sums := p.summariesFor(spec)
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			var body *ast.BlockStmt
@@ -128,10 +121,9 @@ func runLifecycle(p *Pass, spec *lifecycleSpec) {
 			case *ast.FuncLit:
 				body = fn.Body
 			}
-			// Prescreen: run only where a creation verb appears directly
-			// or a helper constructor (per its summary) can acquire.
-			if body != nil && (mentionsCreate(p, spec, body) || sums.mentionsAcquirer(p, body)) {
-				lf := &lifecycleFlow{p: p, spec: spec, reported: map[reportKey]bool{}, sums: sums}
+			// Prescreen: run only where a creation verb is named.
+			if body != nil && mentionsCreate(p, spec, body) {
+				lf := &lifecycleFlow{p: p, spec: spec, reported: map[reportKey]bool{}}
 				Solve(NewCFG(body), lf)
 			}
 			return true
@@ -151,7 +143,7 @@ func mentionsCreate(p *Pass, spec *lifecycleSpec, body *ast.BlockStmt) bool {
 		if found {
 			return false
 		}
-		if sel, ok := n.(*ast.SelectorExpr); ok && (spec.createNames[sel.Sel.Name] || acquirers[sel.Sel.Name]) {
+		if id, ok := n.(*ast.Ident); ok && (spec.createNames[id.Name] || acquirers[id.Name]) {
 			found = true
 			return false
 		}
@@ -173,20 +165,9 @@ type lifecycleFlow struct {
 	p        *Pass
 	spec     *lifecycleSpec
 	reported map[reportKey]bool
-	// sums holds the package's interprocedural summaries for this spec;
-	// call sites consult it before falling back to the conservative
-	// everything-escapes rule.
-	sums *SummarySet
-	// sum, when non-nil, marks summary-computation mode: the flow runs
-	// silently (no findings) and records what the function does to its
-	// parameters and results.
-	sum *summaryRecorder
 }
 
 func (lf *lifecycleFlow) reportOnce(pos token.Pos, kind byte, format string, args ...any) {
-	if lf.sum != nil {
-		return // summary mode is observational: never report
-	}
 	k := reportKey{pos, kind}
 	if lf.reported[k] {
 		return
@@ -196,37 +177,17 @@ func (lf *lifecycleFlow) reportOnce(pos token.Pos, kind byte, format string, arg
 }
 
 // classify resolves what a call does under this spec: the builtin
-// verb tables first (selector calls and calls through method-valued
-// locals), then any //simlint:contract directive on the resolved
-// callee.
+// verb tables first (method calls by name and receiver type), then any
+// //simlint:contract directive on the statically resolved callee.
 func (lf *lifecycleFlow) classify(call *ast.CallExpr) verb {
 	spec := lf.spec
-	var name, recv string
-	switch fun := unparen(call.Fun).(type) {
-	case *ast.SelectorExpr:
-		name = fun.Sel.Name
-		recv = recvTypeName(lf.p, call)
-	case *ast.Ident:
-		// A call through a function-valued local classifies only when
-		// it is singly bound to a method value (`f := rank.Isend`);
-		// plain local function calls are governed by their summaries.
-		if _, direct := lf.p.Info.Uses[fun].(*types.Func); !direct {
-			if fn := lf.p.methodValue(fun); fn != nil {
-				if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-					name = fn.Name()
-					recv = namedTypeName(sig.Recv().Type())
-				}
-			}
-		}
-	default:
-		return verbNone
-	}
-	if name != "" {
+	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
+		name, recv := sel.Sel.Name, recvTypeName(lf.p, call)
 		switch {
 		case spec.createNames[name]:
 			if (spec.createRecv == "" || recv == spec.createRecv) &&
 				callResultTypeName(lf.p, call, 0) == spec.resultType {
-				return verbCreate
+				return verbAcquire
 			}
 		case spec.releaseNames[name]:
 			if spec.releaseRecv == "" || recv == spec.releaseRecv {
@@ -235,29 +196,14 @@ func (lf *lifecycleFlow) classify(call *ast.CallExpr) verb {
 		case spec.advanceNames[name]:
 			return verbAdvance
 		case spec.testNames[name]:
-			return verbTestRelease
+			return verbTest
 		}
 	}
-	if fn := lf.p.calledFunc(call); fn != nil {
-		if role, ok := lf.p.contractRoleOf(fn, spec.rule); ok {
-			switch role {
-			case roleAcquire:
-				if callResultTypeName(lf.p, call, 0) == spec.resultType {
-					return verbCreate
-				}
-			case roleRelease:
-				return verbRelease
-			case roleAdvance:
-				return verbAdvance
-			case roleTest:
-				return verbTestRelease
-			default:
-				// borrow and pass carry no verb: they act through the
-				// synthesized summary (contractSummary) instead.
-			}
-		}
+	role := lf.p.contractOf(lf.p.calledFunc(call), spec.rule)
+	if role == verbAcquire && callResultTypeName(lf.p, call, 0) != spec.resultType {
+		return verbNone
 	}
-	return verbNone
+	return role
 }
 
 // recvTypeName returns the named type of a method call's receiver, or
@@ -357,43 +303,14 @@ func (lf *lifecycleFlow) Transfer(n ast.Node, f *Facts, report bool) {
 	case *ast.ExprStmt:
 		lf.scanExpr(n.X, f, report)
 	case *ast.ReturnStmt:
-		for i, e := range n.Results {
+		for _, e := range n.Results {
 			lf.scanExpr(e, f, report)
 			if call, ok := unparen(e).(*ast.CallExpr); ok {
 				// Returning a protocol verb's own result (`return
 				// v.SyncOffloadMR(p, omr, ...)`) hands the caller an error
-				// value, not the resource: the obligation stays here.
-				if v := lf.classify(call); v != verbNone {
-					if lf.sum != nil && report && v == verbCreate {
-						lf.sum.recordAcquire(i, lf.initState())
-					}
-					continue
-				}
-				// A summarized callee in return position: call() above
-				// already applied its effects, and its result effects
-				// propagate into this function's own summary.
-				if sum := lf.sums.forCall(lf.p, call); sum != nil {
-					if lf.sum != nil {
-						if report {
-							lf.sum.recordCallReturn(lf, i, len(n.Results), call, sum, f)
-						}
-					} else {
-						// `return pass(mr)`: a pass-through result hands the
-						// argument's resource to the caller, so its obligation
-						// leaves with the return value. (An acquired result was
-						// never bound here — nothing to discharge for it.)
-						lf.escapePassThroughArgs(call, sum, f)
-					}
-					continue
-				}
-			}
-			if lf.sum != nil {
-				// Observation mode: keep returned locals live so the exit
-				// facts classify them (pass-through vs. acquisition).
-				if id, ok := unparen(e).(*ast.Ident); ok {
-					if report {
-						lf.sum.recordReturnIdent(lf, i, id, f)
-					}
+				// value, not the resource: the obligation stays here. Only
+				// `return pass(mr)` carries its argument out with the result.
+				if v := lf.classify(call); v != verbNone && v != verbPass {
 					continue
 				}
 			}
@@ -406,11 +323,7 @@ func (lf *lifecycleFlow) Transfer(n ast.Node, f *Facts, report bool) {
 		lf.deferRun(n, f)
 	case *ExitCheck:
 		if report {
-			if lf.sum != nil {
-				lf.sum.captureExit(f)
-			} else {
-				lf.leakCheck(f)
-			}
+			lf.leakCheck(f)
 		}
 	case *ast.DeferStmt:
 		lf.deferStmt(n, f, report)
@@ -457,37 +370,16 @@ func (lf *lifecycleFlow) rangeHead(n *ast.RangeStmt, f *Facts, report bool) {
 // transfer, bare copies alias, writes into non-local storage escape,
 // and overwrites kill stale bindings and error pairings.
 func (lf *lifecycleFlow) assign(lhs, rhs []ast.Expr, f *Facts, report bool) {
-	// Creation: lhs... := create(...)
+	// Creation: lhs... := create(...); wrapper: lhs := pass(x).
 	if len(rhs) == 1 {
 		if call, ok := unparen(rhs[0]).(*ast.CallExpr); ok {
-			if lf.classify(call) == verbCreate {
-				for _, a := range call.Args {
-					lf.scanExpr(a, f, report)
+			if v := lf.classify(call); v == verbAcquire || v == verbPass {
+				lf.scanExpr(call, f, report) // reads its arguments, binds nothing
+				if v == verbAcquire {
+					lf.bindCreate(lhs, call, f, report)
+				} else {
+					lf.bindPass(lhs, call, f)
 				}
-				lf.bindCreate(lhs, call, f, report)
-				return
-			}
-			// A summarized callee whose results carry tracked state: a
-			// helper constructor acquires a fresh obligation here, a
-			// wrapper passes a parameter's resource through to the LHS.
-			if sum := lf.sums.forCall(lf.p, call); sum != nil && sum.binds() {
-				if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-					lf.scanExpr(sel.X, f, report)
-				}
-				for i, a := range call.Args {
-					if sum.paramEffect(i) == EffRelease {
-						if _, ok := unparen(a).(*ast.Ident); ok {
-							// Mirrors call(): handing a resource to a
-							// releasing helper is the release itself, not
-							// a read — applySummaryCall below reports the
-							// double release if there is one.
-							continue
-						}
-					}
-					lf.scanExpr(a, f, report)
-				}
-				lf.applySummaryCall(call, sum, f, report)
-				lf.bindSummaryResults(lhs, call, sum, f, report)
 				return
 			}
 		}
@@ -513,13 +405,20 @@ func (lf *lifecycleFlow) assign(lhs, rhs []ast.Expr, f *Facts, report bool) {
 					}
 				}
 			case *ast.CallExpr:
-				// Transfer: reqs = append(reqs, q, ...).
+				// Transfer: reqs = append(reqs, q, ...). The elements'
+				// obligations move from their creation sites to the append
+				// itself, so the slice's holdings outlive the next trip
+				// round a loop, where the same creation site starts over.
 				if lf.isBuiltinAppend(r) {
 					var sites []ast.Node
-					for _, a := range r.Args {
+					for j, a := range r.Args {
 						if aid, ok := unparen(a).(*ast.Ident); ok {
 							if aobj := lf.p.objOf(aid); aobj != nil {
-								sites, _ = unionSites(sites, f.Bind[aobj])
+								if j > 0 && lf.moveTo(r, f.Bind[aobj], f) {
+									sites, _ = unionSites(sites, []ast.Node{r})
+								} else {
+									sites, _ = unionSites(sites, f.Bind[aobj])
+								}
 							}
 						} else {
 							lf.scanExpr(a, f, report)
@@ -553,39 +452,35 @@ func (lf *lifecycleFlow) assign(lhs, rhs []ast.Expr, f *Facts, report bool) {
 	// loses any stale binding, and reassigning an error variable
 	// invalidates pairings that referred to its previous value.
 	for i, l := range lhs {
-		lid, ok := l.(*ast.Ident)
-		if !ok || lid.Name == "_" {
+		if i < len(bound) && bound[i] {
 			continue
 		}
-		lobj := lf.p.objOf(lid)
-		if lobj == nil {
-			continue
-		}
-		if i >= len(bound) || !bound[i] {
-			delete(f.Bind, lobj)
-		}
-		for site, eobj := range f.Pair {
-			if eobj == lobj {
-				f.Pair[site] = nil // tombstone: refinement no longer valid
+		if lid, ok := l.(*ast.Ident); ok && lid.Name != "_" {
+			if lobj := lf.p.objOf(lid); lobj != nil {
+				delete(f.Bind, lobj)
 			}
 		}
 	}
+	lf.killPairs(lhs, f)
+}
+
+// moveTo moves the obligations of the still-owned sites among from onto
+// the site to, leaving the originals escaped; false if none was owned.
+func (lf *lifecycleFlow) moveTo(to ast.Node, from []ast.Node, f *Facts) bool {
+	moved := false
+	for _, site := range from {
+		if st, tracked := f.Res[site]; tracked && actionable(st) && site != to {
+			f.Res[to] |= st
+			f.Res[site] = stateEscaped
+			moved = true
+		}
+	}
+	return moved
 }
 
 // bindCreate starts tracking a creation call assigned to locals.
 func (lf *lifecycleFlow) bindCreate(lhs []ast.Expr, call *ast.CallExpr, f *Facts, report bool) {
-	// Invalidate pairings through any overwritten error variable first.
-	for _, l := range lhs {
-		if lid, ok := l.(*ast.Ident); ok && lid.Name != "_" {
-			if lobj := lf.p.objOf(lid); lobj != nil {
-				for site, eobj := range f.Pair {
-					if eobj == lobj {
-						f.Pair[site] = nil
-					}
-				}
-			}
-		}
-	}
+	lf.killPairs(lhs, f)
 	switch target := lhs[0].(type) {
 	case *ast.Ident:
 		if target.Name == "_" {
@@ -614,79 +509,48 @@ func (lf *lifecycleFlow) bindCreate(lhs []ast.Expr, call *ast.CallExpr, f *Facts
 	}
 }
 
-// bindSummaryResults binds the results of a summarized call to the
-// assignment's targets: an acquiring result starts tracking the call
-// site with the summary's obligation state (discarding it to `_` is a
-// finding, as with a direct creation), and a pass-through result
-// aliases the LHS to the argument's existing sites.
-func (lf *lifecycleFlow) bindSummaryResults(lhs []ast.Expr, call *ast.CallExpr, sum *FuncSummary, f *Facts, report bool) {
-	// Invalidate pairings through any overwritten error variable first.
+// killPairs invalidates error pairings through every plain local the
+// assignment overwrites: refinement on the old error value no longer
+// says anything about the creations paired with it.
+func (lf *lifecycleFlow) killPairs(lhs []ast.Expr, f *Facts) {
 	for _, l := range lhs {
-		if lid, ok := l.(*ast.Ident); ok && lid.Name != "_" {
-			if lobj := lf.p.objOf(lid); lobj != nil {
-				for site, eobj := range f.Pair {
-					if eobj == lobj {
-						f.Pair[site] = nil
-					}
+		lid, ok := l.(*ast.Ident)
+		if !ok || lid.Name == "_" {
+			continue
+		}
+		if lobj := lf.p.objOf(lid); lobj != nil {
+			for site, eobj := range f.Pair {
+				if eobj == lobj {
+					f.Pair[site] = nil // tombstone: refinement no longer valid
 				}
 			}
 		}
 	}
-	acquired := false
-	for r := 0; r < len(lhs) && r < len(sum.Results); r++ {
-		re := sum.Results[r]
-		lid, ok := lhs[r].(*ast.Ident)
+}
+
+// bindPass handles `x := pass(mr)`: the first target aliases whatever
+// the bound arguments name (releasing x releases mr's site); stored
+// anywhere but a plain local, the resource escapes with it.
+func (lf *lifecycleFlow) bindPass(lhs []ast.Expr, call *ast.CallExpr, f *Facts) {
+	lf.killPairs(lhs, f)
+	var sites []ast.Node
+	for _, a := range call.Args {
+		if aobj := lf.p.objOf(unparen(a)); aobj != nil {
+			sites, _ = unionSites(sites, f.Bind[aobj])
+		}
+	}
+	for i, l := range lhs {
+		lid, ok := l.(*ast.Ident)
 		if !ok {
-			// Stored straight into a field/element: ownership escapes
-			// immediately — nothing to track, nothing leaked here.
-			continue
-		}
-		if lid.Name == "_" {
-			if re.Acquires != 0 && report {
-				lf.reportOnce(call.Pos(), 'd', lf.spec.discardMsg, callName(call))
+			if i == 0 {
+				lf.escapeIdents(call, f)
 			}
 			continue
 		}
-		lobj := lf.p.objOf(lid)
-		if lobj == nil {
-			continue
-		}
-		var sites []ast.Node
-		// One acquiring result per call keeps the call expression usable
-		// as the creation-site key (constructors return (*T, error)).
-		if re.Acquires != 0 && !acquired {
-			acquired = true
-			f.Res[call] = re.Acquires
-			sites = append(sites, call)
-			if len(lhs) >= 2 {
-				if eid, ok := lhs[len(lhs)-1].(*ast.Ident); ok && eid.Name != "_" && eid != lid {
-					if eobj := lf.p.objOf(eid); eobj != nil {
-						f.Pair[call] = eobj
-					}
-				}
-			}
-		}
-		for _, j := range re.FromParams {
-			if j >= len(call.Args) {
-				continue
-			}
-			if aid, ok := unparen(call.Args[j]).(*ast.Ident); ok {
-				if aobj := lf.p.objOf(aid); aobj != nil {
-					sites, _ = unionSites(sites, f.Bind[aobj])
-				}
-			}
-		}
-		if len(sites) > 0 {
-			f.Bind[lobj] = sites
-		} else {
-			delete(f.Bind, lobj)
-		}
-	}
-	// Targets past the summarized results (or untracked ones handled
-	// above) lose any stale binding.
-	for r := len(sum.Results); r < len(lhs); r++ {
-		if lid, ok := lhs[r].(*ast.Ident); ok && lid.Name != "_" {
-			if lobj := lf.p.objOf(lid); lobj != nil {
+		if lobj := lf.p.objOf(lid); lobj != nil && lid.Name != "_" {
+			if i == 0 && len(sites) > 0 {
+				f.Bind[lobj] = sites
+			} else {
 				delete(f.Bind, lobj)
 			}
 		}
@@ -697,51 +561,16 @@ func (lf *lifecycleFlow) bindSummaryResults(lhs []ast.Expr, call *ast.CallExpr, 
 // release arms the Deferred state on this path (the exit block's
 // DeferRun completes the transition to Released); any other deferred
 // call that mentions a tracked value is treated as an owning cleanup
-// (escape).
+// (escape) unless its contract says it only borrows.
 func (lf *lifecycleFlow) deferStmt(n *ast.DeferStmt, f *Facts, report bool) {
 	switch lf.classify(n.Call) {
 	case verbRelease:
 		lf.releaseArgs(n.Call, f, report, stateDeferred)
 	case verbAdvance:
 		lf.advanceArgs(n.Call, f, report)
+	case verbBorrow, verbPass:
+		lf.scanExpr(n.Call, f, report)
 	default:
-		// A deferred cleanup helper whose summary releases a parameter
-		// arms the Deferred state just like a direct deferred release.
-		if sum := lf.sums.forCall(lf.p, n.Call); sum != nil {
-			for i, a := range n.Call.Args {
-				id, ok := unparen(a).(*ast.Ident)
-				if !ok {
-					lf.scanExpr(a, f, report)
-					if sum.paramEffect(i) == EffEscape {
-						lf.escapeIdents(a, f)
-					}
-					continue
-				}
-				obj := lf.p.objOf(id)
-				if obj == nil {
-					continue
-				}
-				switch sum.paramEffect(i) {
-				case EffRelease:
-					for _, site := range f.Bind[obj] {
-						st, tracked := f.Res[site]
-						if !tracked || !actionable(st) {
-							continue
-						}
-						if report && (mustReleased(st) || st&stateDeferred != 0) {
-							lf.reportOnce(n.Call.Pos(), '2', "%s", lf.spec.doubleMsg)
-						}
-						f.Res[site] = st&^(stateLive|stateUnsynced) | stateDeferred
-					}
-				case EffEscape:
-					lf.escapeObj(obj, f)
-				default:
-					// Borrow keeps every obligation with the caller, and a
-					// deferred advance has no protocol meaning here.
-				}
-			}
-			return
-		}
 		lf.scanExpr(n.Call, f, report)
 		lf.escapeIdents(n.Call, f)
 	}
@@ -754,16 +583,10 @@ func (lf *lifecycleFlow) deferStmt(n *ast.DeferStmt, f *Facts, report bool) {
 // the CFG node.
 func (lf *lifecycleFlow) deferRun(n *DeferRun, f *Facts) {
 	call := n.Defer.Call
-	var sum *FuncSummary
 	if lf.classify(call) != verbRelease {
-		if sum = lf.sums.forCall(lf.p, call); sum == nil {
-			return
-		}
+		return
 	}
-	for i, a := range call.Args {
-		if sum != nil && sum.paramEffect(i) != EffRelease {
-			continue
-		}
+	for _, a := range call.Args {
 		id, ok := unparen(a).(*ast.Ident)
 		if !ok {
 			continue
@@ -838,9 +661,11 @@ func (lf *lifecycleFlow) call(call *ast.CallExpr, f *Facts, report bool) {
 		lf.scanExpr(call.Fun, f, report)
 	}
 	switch lf.classify(call) {
-	case verbCreate:
-		// Result not assigned to a local (checked in assign): the
-		// value flows elsewhere immediately — untracked by design.
+	case verbAcquire, verbBorrow, verbPass:
+		// The arguments are only read. A creation's result not assigned
+		// to a local (checked in assign) flows elsewhere immediately —
+		// untracked by design; borrow and pass leave every obligation
+		// where it is (assign aliases a pass's result).
 		for _, a := range call.Args {
 			lf.scanExpr(a, f, report)
 		}
@@ -848,7 +673,7 @@ func (lf *lifecycleFlow) call(call *ast.CallExpr, f *Facts, report bool) {
 		lf.advanceArgs(call, f, report)
 	case verbRelease:
 		lf.releaseArgs(call, f, report, stateReleased)
-	case verbTestRelease:
+	case verbTest:
 		// The call may complete the resource, so the Live obligation is
 		// weakly discharged (no Released bit, no double-release report);
 		// when the call is a branch condition, Refine upgrades the true
@@ -880,16 +705,7 @@ func (lf *lifecycleFlow) call(call *ast.CallExpr, f *Facts, report bool) {
 			}
 			return
 		}
-		sum := lf.sums.forCall(lf.p, call)
-		for i, a := range call.Args {
-			if sum != nil && sum.paramEffect(i) == EffRelease {
-				if _, ok := unparen(a).(*ast.Ident); ok {
-					// Mirrors releaseArgs: handing a resource to a
-					// releasing helper is the release itself, not a
-					// read, so it must not double-report as a use.
-					continue
-				}
-			}
+		for _, a := range call.Args {
 			lf.scanExpr(a, f, report)
 		}
 		lf.checkPostCall(call, f, report)
@@ -898,78 +714,10 @@ func (lf *lifecycleFlow) call(call *ast.CallExpr, f *Facts, report bool) {
 			// ownership: the poster still owes the dereg.
 			return
 		}
-		// A same-package callee with a summary: apply its per-parameter
-		// effects instead of assuming everything escapes.
-		if sum != nil {
-			lf.applySummaryCall(call, sum, f, report)
-			return
-		}
+		// No declared contract: ownership of every tracked argument
+		// goes with the call.
 		for _, a := range call.Args {
 			lf.escapeIdents(a, f)
-		}
-	}
-}
-
-// escapePassThroughArgs marks arguments a summarized callee may pass
-// through to its results as escaped: when the call itself is returned,
-// those resources travel to the caller with the result, so the
-// obligation no longer sits on this function's binding.
-func (lf *lifecycleFlow) escapePassThroughArgs(call *ast.CallExpr, sum *FuncSummary, f *Facts) {
-	for _, re := range sum.Results {
-		for _, j := range re.FromParams {
-			if j < len(call.Args) {
-				lf.escapeIdents(call.Args[j], f)
-			}
-		}
-	}
-}
-
-// applySummaryCall transfers a summarized callee's parameter effects
-// onto the caller's tracked arguments: borrows leave the obligation in
-// place, advances and releases mirror the direct verbs (including
-// double-release and use-after-release detection through the helper),
-// and escapes tombstone the sites exactly like the conservative rule.
-func (lf *lifecycleFlow) applySummaryCall(call *ast.CallExpr, sum *FuncSummary, f *Facts, report bool) {
-	for i, a := range call.Args {
-		eff := sum.paramEffect(i)
-		id, ok := unparen(a).(*ast.Ident)
-		if !ok {
-			if eff == EffEscape {
-				lf.escapeIdents(a, f)
-			}
-			continue
-		}
-		obj := lf.p.objOf(id)
-		if obj == nil {
-			continue
-		}
-		switch eff {
-		case EffBorrow:
-			// Caller keeps every obligation.
-		case EffAdvance:
-			for _, site := range f.Bind[obj] {
-				st, tracked := f.Res[site]
-				if !tracked || !actionable(st) {
-					continue
-				}
-				if report && lf.spec.checkUse && mustReleased(st) {
-					lf.reportOnce(call.Pos(), 'u', "%s", lf.spec.useMsg)
-				}
-				f.Res[site] = st &^ stateUnsynced
-			}
-		case EffRelease:
-			for _, site := range f.Bind[obj] {
-				st, tracked := f.Res[site]
-				if !tracked || !actionable(st) {
-					continue
-				}
-				if report && (mustReleased(st) || st&stateDeferred != 0) {
-					lf.reportOnce(call.Pos(), '2', "%s", lf.spec.doubleMsg)
-				}
-				f.Res[site] = st&^(stateLive|stateUnsynced) | stateReleased
-			}
-		case EffEscape:
-			lf.escapeObj(obj, f)
 		}
 	}
 }
@@ -1138,8 +886,7 @@ func (lf *lifecycleFlow) advanceArgs(call *ast.CallExpr, f *Facts, report bool) 
 // projection (mr.LKey, omr.Size) hands out a copy of one field, not
 // the tracked handle, so selector bases stay tracked — the obligation
 // to release remains here. Escaped sites stay in the fact map as
-// tombstones (Escaped bit, obligations cleared) so summary computation
-// can observe the escape.
+// tombstones (Escaped bit, obligations cleared).
 func (lf *lifecycleFlow) escapeIdents(e ast.Node, f *Facts) {
 	if e == nil {
 		return
@@ -1213,7 +960,7 @@ func (lf *lifecycleFlow) Refine(cond ast.Expr, branch bool, f *Facts) {
 		}
 		return
 	}
-	if call, ok := unparen(cond).(*ast.CallExpr); ok && branch && lf.classify(call) == verbTestRelease {
+	if call, ok := unparen(cond).(*ast.CallExpr); ok && branch && lf.classify(call) == verbTest {
 		lf.releaseArgs(call, f, false, stateReleased)
 	}
 }

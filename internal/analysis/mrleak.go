@@ -21,7 +21,7 @@ var mrleakSpec = &lifecycleSpec{
 
 var MRLeak = &Analyzer{
 	Name:      "mrleak",
-	Scope:     ScopeInter,
+	Scope:     ScopeIntra,
 	Doc:       "every RegMR/RegMRBuffer result must reach DeregMR or escape on all paths; no use after dereg",
 	AppliesTo: notTestPackage,
 	Run:       func(p *Pass) { runLifecycle(p, mrleakSpec) },

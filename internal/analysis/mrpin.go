@@ -18,7 +18,7 @@ var mrpinSpec = &lifecycleSpec{
 
 var MRPin = &Analyzer{
 	Name:      "mrpin",
-	Scope:     ScopeInter,
+	Scope:     ScopeIntra,
 	Doc:       "every MRCache.Get must be matched by MRCache.Release on all paths",
 	AppliesTo: notTestPackage,
 	Run:       func(p *Pass) { runLifecycle(p, mrpinSpec) },

@@ -25,7 +25,7 @@ var offloadSpec = &lifecycleSpec{
 
 var Offload = &Analyzer{
 	Name:      "offload",
-	Scope:     ScopeInter,
+	Scope:     ScopeIntra,
 	Doc:       "offload MRs follow RegOffloadMR → SyncOffloadMR → post → DeregOffloadMR; no post before sync, no use after dereg, no leak",
 	AppliesTo: notTestPackage,
 	Run:       func(p *Pass) { runLifecycle(p, offloadSpec) },

@@ -18,7 +18,7 @@ var reqwaitSpec = &lifecycleSpec{
 
 var ReqWait = &Analyzer{
 	Name:      "reqwait",
-	Scope:     ScopeInter,
+	Scope:     ScopeIntra,
 	Doc:       "every Isend/Irecv request must reach Wait/Test/WaitAll on all paths",
 	AppliesTo: notTestPackage,
 	Run:       func(p *Pass) { runLifecycle(p, reqwaitSpec) },

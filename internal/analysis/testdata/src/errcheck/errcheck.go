@@ -26,12 +26,8 @@ func Drops(r *Rank, p *Proc) {
 	r.Render() // returns nothing: not flagged
 }
 
-// DropsAliased calls through a method-valued local: the alias is still
-// the MPI operation, and its dropped error is still a finding.
-func DropsAliased(r *Rank, p *Proc) {
-	send := r.Send
-	send(p, 1, 0) // want "error result of Send dropped"
-
+// DropsBlank keeps the status and blanks the error.
+func DropsBlank(r *Rank, p *Proc) {
 	st, _ := r.Recv(p, 1, 0) // want "error result of Recv assigned to _"
 	_ = st.Len
 }
@@ -40,13 +36,13 @@ func DropsAliased(r *Rank, p *Proc) {
 // calling it through its identifier is never flagged.
 func localHelper(p *Proc) error { return nil }
 
-// NotAliased: plain local function calls and rebound locals stay out
-// of scope.
-func NotAliased(r *Rank, p *Proc) {
+// NotSelector: only method and package-qualified calls are classified
+// by name. Plain function calls and calls through function-valued
+// locals stay out of scope.
+func NotSelector(r *Rank, p *Proc) {
 	_ = localHelper(p)
 	f := r.Barrier
-	f = localHelper // rebound: no single method value governs f
-	f(p)            // conflicting bindings resolve to nothing: not flagged
+	f(p)
 }
 
 // Checked propagates errors properly: not flagged.

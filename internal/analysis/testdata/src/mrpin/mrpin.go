@@ -114,3 +114,30 @@ func TransfersToRequest(c *MRCache, p *Proc, req *request) error {
 	req.held = append(req.held, mr)
 	return nil
 }
+
+// ---- declared contracts ----
+
+// unpin releases a cache pin behind a helper.
+//
+//simlint:contract mrpin release
+func unpin(c *MRCache, p *Proc, mr *MR) { c.Release(p, mr) }
+
+// HelperUnpinOK balances the pin through unpin.
+func HelperUnpinOK(c *MRCache, p *Proc) {
+	mr, err := c.Get(p, 0x6000, 64)
+	if err != nil {
+		return
+	}
+	post(mr.LKey)
+	unpin(c, p, mr)
+}
+
+// DoubleHelperUnpin: the second, helper-mediated release would panic.
+func DoubleHelperUnpin(c *MRCache, p *Proc) {
+	mr, err := c.Get(p, 0x7000, 64)
+	if err != nil {
+		return
+	}
+	c.Release(p, mr)
+	unpin(c, p, mr) // want "pinned MR may already be released"
+}

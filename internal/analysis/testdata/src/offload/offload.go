@@ -170,3 +170,41 @@ func EscapesToArena(v *Verbs, p *Proc) (*arena, error) {
 	}
 	return &arena{omr: omr}, nil
 }
+
+// ---- declared contracts ----
+
+// syncIt advances the offload protocol behind a helper.
+//
+//simlint:contract offload advance
+func syncIt(v *Verbs, p *Proc, omr *OffloadMR) error {
+	return v.SyncOffloadMR(p, omr, 0, 64)
+}
+
+// dropOff deregisters an offload MR behind a helper.
+//
+//simlint:contract offload release
+func dropOff(v *Verbs, p *Proc, omr *OffloadMR) { _ = v.DeregOffloadMR(p, omr) }
+
+// HelperSyncAndDropOK: sync and dereg both live behind helpers.
+func HelperSyncAndDropOK(v *Verbs, q *QP, p *Proc) {
+	omr, err := v.RegOffloadMR(p, 4096)
+	if err != nil {
+		return
+	}
+	if err := syncIt(v, p, omr); err != nil {
+		dropOff(v, p, omr)
+		return
+	}
+	_ = q.PostSend(p, omr.HostBuf, omr.HostMR.LKey)
+	dropOff(v, p, omr)
+}
+
+// HelperDropMissing leaks the offload MR: syncIt only advances.
+func HelperDropMissing(v *Verbs, q *QP, p *Proc) {
+	omr, err := v.RegOffloadMR(p, 4096) // want "offload MR from RegOffloadMR is not deregistered on every path"
+	if err != nil {
+		return
+	}
+	_ = syncIt(v, p, omr)
+	_ = q.PostSend(p, omr.HostBuf, omr.HostMR.LKey)
+}

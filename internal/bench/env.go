@@ -8,9 +8,10 @@ import (
 // Env carries one benchmark run's configuration and observability
 // sinks. Each Env is independent: two sweeps with different metrics
 // registries or fault plans can run in one process — even concurrently,
-// in separate engines — without observing each other. Keeping this
-// state off package level is what the simlint globalmut rule certifies;
-// do not add package-level knobs back.
+// in separate engines — without observing each other. Nothing lints
+// for that any more (the two-engine -race test in internal/core sees
+// only the packages it drives, not this one): do not add package-level
+// knobs back.
 type Env struct {
 	// Metrics, when non-nil, is installed on every cluster and fabric
 	// the sweeps build, so a whole figure run reports into one registry.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/causal"
@@ -242,7 +243,7 @@ func (g *group) gather(p *sim.Proc, root int, s, dst Slice, counts []int) error 
 		} else if n > 0 {
 			q, err := g.irecv(p, i, tagGather, dst.Sub(off, n))
 			if err != nil {
-				return err
+				return errors.Join(err, g.r.WaitAll(p, reqs...))
 			}
 			reqs = append(reqs, q)
 		}
@@ -289,7 +290,7 @@ func (g *group) scatter(p *sim.Proc, root int, src, recv Slice, counts []int) er
 		} else if n > 0 {
 			q, err := g.isend(p, i, tagScatter, src.Sub(off, n))
 			if err != nil {
-				return err
+				return errors.Join(err, g.r.WaitAll(p, reqs...))
 			}
 			reqs = append(reqs, q)
 		}

@@ -203,10 +203,12 @@ func (c *Comm) localStatus(st Status) Status {
 
 func (g *group) collTag(t int) int { return t - collTagStride*g.id }
 
+//simlint:contract reqwait acquire the caller owes the Wait, as for Rank.Isend
 func (g *group) isend(p *sim.Proc, dst, tag int, s Slice) (*Request, error) {
 	return g.r.Isend(p, g.world(dst), g.collTag(tag), s)
 }
 
+//simlint:contract reqwait acquire the caller owes the Wait, as for Rank.Irecv
 func (g *group) irecv(p *sim.Proc, src, tag int, s Slice) (*Request, error) {
 	return g.r.Irecv(p, g.world(src), g.collTag(tag), s)
 }

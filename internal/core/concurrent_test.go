@@ -1,7 +1,6 @@
 package core_test
 
-// Concurrent-engine isolation: the dynamic witness for what the
-// simlint globalmut rule proves statically. Two simulations with the
+// Concurrent-engine isolation. Two simulations with the
 // same seed share a process but no package-level mutable state, so
 // running them on real goroutines at the same time — under -race in
 // CI — must yield exactly the schedule a solo run yields. A

@@ -629,7 +629,7 @@ func (r *Rank) Isend(p *sim.Proc, dst, tag int, s Slice) (*Request, error) {
 		return req, nil
 	}
 	if _, err := r.ensurePeer(p, dst); err != nil {
-		return nil, err
+		return nil, r.abandon(p, req, err)
 	}
 	req.seq = r.sendSeq[dst]
 	r.sendSeq[dst]++
@@ -646,6 +646,14 @@ func (r *Rank) Isend(p *sim.Proc, dst, tag int, s Slice) (*Request, error) {
 		return req, nil
 	}
 	return req, r.startRendezvousSend(p, req)
+}
+
+// abandon closes the lifecycle span of a request whose first contact
+// with its peer failed: the caller never sees the request, so nothing
+// else will. It has no sequence id yet, hence no causal done event.
+func (r *Rank) abandon(p *sim.Proc, req *Request, err error) error {
+	req.span.Attr("error", err.Error()).End(p.Now())
+	return err
 }
 
 // trySendEager posts the eager packet now or queues it for credit.
@@ -814,7 +822,7 @@ func (r *Rank) Irecv(p *sim.Proc, src, tag int, s Slice) (*Request, error) {
 	}
 	if src != AnySource {
 		if _, err := r.ensurePeer(p, src); err != nil {
-			return nil, err
+			return nil, r.abandon(p, req, err)
 		}
 	}
 	// Drain arrived packets first: an RTS already in the ring turns a

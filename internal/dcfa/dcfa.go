@@ -18,7 +18,6 @@ package dcfa
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/causal"
 	"repro/internal/faults"
@@ -259,6 +258,10 @@ type MicVerbs struct {
 
 	daemon *HostDaemon
 
+	// mrHandles maps each live delegated registration to the handle the
+	// daemon published for it, which DeregMR ships back.
+	mrHandles map[*ib.MR]uint64
+
 	// DelegatedCalls counts operations that crossed to the host.
 	DelegatedCalls int64
 	// CmdRetries and CmdTimeouts count the client-side recovery work:
@@ -326,6 +329,7 @@ func New(eng *sim.Engine, plat *perfmodel.Platform, node *machine.Node, hca *ib.
 	v := &MicVerbs{
 		Eng: eng, Plat: plat, Node: node, HCA: hca, Bus: bus,
 		ep: pair.Mic, ctx: hca.Open(machine.MicMem), cmd: sim.NewSemaphore(eng, 1), daemon: d,
+		mrHandles: make(map[*ib.MR]uint64),
 	}
 	return v, d
 }
@@ -428,6 +432,9 @@ func (v *MicVerbs) RegMR(p *sim.Proc, pd *ib.PD, dom *machine.Domain, addr uint6
 		return nil, err
 	}
 	r := resp.Payload.(regMRResp)
+	if r.err == nil {
+		v.mrHandles[r.mr] = r.handle
+	}
 	return r.mr, r.err
 }
 
@@ -436,26 +443,11 @@ func (v *MicVerbs) RegMRBuffer(p *sim.Proc, pd *ib.PD, b *machine.Buffer) (*ib.M
 	return v.RegMR(p, pd, b.Dom, b.Addr, len(b.Data))
 }
 
-// DeregMR releases a delegated registration. The MR handle lookup is by
-// the object itself; the daemon's hash table is scanned client-side via
-// the MR's key, so we ship the published handle.
+// DeregMR releases a delegated registration by the handle the daemon
+// published when RegMR created it.
 func (v *MicVerbs) DeregMR(p *sim.Proc, mr *ib.MR) error {
-	// Find the daemon handle for this MR, scanning handles in sorted
-	// order so the lookup is deterministic even if an object were ever
-	// published twice.
-	handles := make([]uint64, 0, len(v.daemon.objects))
-	for h := range v.daemon.objects {
-		handles = append(handles, h)
-	}
-	slices.Sort(handles)
-	var handle uint64
-	for _, h := range handles {
-		if v.daemon.objects[h] == mr {
-			handle = h
-			break
-		}
-	}
-	if handle == 0 {
+	handle, ok := v.mrHandles[mr]
+	if !ok {
 		return fmt.Errorf("dcfa: MR not delegated")
 	}
 	resp, err := v.call(p, CmdDeregMR, handle)
@@ -465,6 +457,7 @@ func (v *MicVerbs) DeregMR(p *sim.Proc, mr *ib.MR) error {
 	if err, ok := resp.Payload.(error); ok && err != nil {
 		return err
 	}
+	delete(v.mrHandles, mr)
 	return nil
 }
 

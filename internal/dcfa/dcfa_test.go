@@ -2,6 +2,7 @@ package dcfa
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"repro/internal/ib"
@@ -318,6 +319,64 @@ func TestDelegatedRegMRFaultsOnBadRange(t *testing.T) {
 		pd, _ := v.AllocPD(p)
 		if _, err := v.RegMR(p, pd, r.node[0].Mic, 0xDEAD0000, 64); err == nil {
 			t.Error("registration of unmapped range succeeded")
+		}
+	})
+	if err := r.eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// DeregMR finds the daemon's handle in the client-side map RegMR
+// filled, so its cost does not depend on how many objects the daemon
+// holds. testing.AllocsPerRun cannot see the difference (the scan this
+// replaces built one slice, however long), so the test compares bytes.
+func TestDeregMRCostIndependentOfTableSize(t *testing.T) {
+	r := newRig()
+	r.eng.Spawn("rank", func(p *sim.Proc) {
+		v, d := r.mic[0], r.dm[0]
+		pd, _ := v.AllocPD(p)
+		buf := r.node[0].Mic.Alloc(4096)
+		pairBytes := func() uint64 {
+			const runs = 64
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				mr, err := v.RegMRBuffer(p, pd, buf)
+				if err != nil {
+					t.Error(err)
+					return 0
+				}
+				if err := v.DeregMR(p, mr); err != nil {
+					t.Error(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			return (after.TotalAlloc - before.TotalAlloc) / runs
+		}
+		start := d.LiveObjects()
+		alone := pairBytes()
+		live := make([]*ib.MR, 1000)
+		for i := range live {
+			var err error
+			if live[i], err = v.RegMRBuffer(p, pd, buf); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		crowded := pairBytes()
+		if crowded > alone+alone/4+64 {
+			t.Errorf("a RegMR+DeregMR pair allocates %d B beside 1000 live registrations, %d B alone", crowded, alone)
+		}
+		for _, mr := range live {
+			if err := v.DeregMR(p, mr); err != nil {
+				t.Error(err)
+			}
+		}
+		if got := d.LiveObjects(); got != start {
+			t.Errorf("daemon holds %d objects after releasing everything, started with %d", got, start)
+		}
+		if len(v.mrHandles) != 0 {
+			t.Errorf("client still maps %d handles", len(v.mrHandles))
 		}
 	})
 	if err := r.eng.Run(); err != nil {
