@@ -7,6 +7,7 @@ package core_test
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/causal"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/metrics"
 	"repro/internal/perfmodel"
+	"repro/internal/sim"
 )
 
 // causalWorld builds a 2-rank DCFA world with metrics, causal
@@ -119,6 +121,66 @@ func TestRetryExhaustionClosesSpans(t *testing.T) {
 	if kinds[causal.EvQPReset] == 0 || kinds[causal.EvReplay] == 0 {
 		t.Errorf("recovery not recorded: %d qp-resets, %d replays",
 			kinds[causal.EvQPReset], kinds[causal.EvReplay])
+	}
+}
+
+func TestFaultPoisonedRankFailsProbeAndWaitany(t *testing.T) {
+	// As above, but the rank blocks in Probe or Waitany while its RTS —
+	// a control packet, owned by no request — runs out of replays. That
+	// poisons the rank, and every blocking call must then return the
+	// TransportError Wait returns, not wait for the deadlock detector.
+	cases := []struct {
+		name  string
+		block func(r *core.Rank, q *core.Request) error
+	}{
+		{"probe", func(r *core.Rank, q *core.Request) error {
+			_, err := r.Probe(r.Proc(), 1, 1) // rank 1 sends nothing
+			return err
+		}},
+		{"waitany", func(r *core.Rank, q *core.Request) error {
+			i, _, err := r.Waitany(r.Proc(), q)
+			if i != 0 {
+				return fmt.Errorf("Waitany returned index %d", i)
+			}
+			return err
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			plan := faults.NewPlan(3)
+			plan.IBError = 1.0
+			plan.IBDelivered = 0
+			plan.MaxSendRetries = 1
+			w, reg, _ := causalWorld(plan)
+			err := w.Run(func(r *core.Rank) error {
+				p := r.Proc()
+				if r.ID() != 0 {
+					return nil
+				}
+				q, err := r.Isend(p, 1, 1, core.Whole(r.Mem(256<<10)))
+				if err != nil {
+					return err
+				}
+				var te *core.TransportError
+				if err := tc.block(r, q); !errors.As(err, &te) {
+					return fmt.Errorf("got %v, want a TransportError", err)
+				}
+				if p.Now() > sim.Time(10*sim.Millisecond) {
+					return fmt.Errorf("gave up only at %v", p.Now())
+				}
+				// The send fails the same way; waiting on it closes its span.
+				if _, err := r.Wait(p, q); !errors.As(err, &te) {
+					return fmt.Errorf("Wait got %v, want a TransportError", err)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if open := reg.OpenSpans(); open != 0 {
+				t.Errorf("%d spans left open on a poisoned rank", open)
+			}
+		})
 	}
 }
 

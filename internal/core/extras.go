@@ -11,7 +11,8 @@ import (
 
 // Iprobe checks, without receiving, whether the next message from src
 // (its next sequence id) has arrived and matches tag. It drives
-// progress once.
+// progress once. AnySource means any other rank, as in Irecv: only a
+// probe naming this rank's own id sees a message it sent to itself.
 //
 // Because DCFA-MPI matches by per-pair sequence ids, a probe refers to
 // the message that the *next posted receive* from src would match.
@@ -20,34 +21,20 @@ func (r *Rank) Iprobe(p *sim.Proc, src, tag int) (Status, bool, error) {
 		return Status{}, false, ErrBadRank
 	}
 	r.progress(p)
-	check := func(s int) (Status, bool) {
-		next := r.recvSeq[s]
-		a, ok := r.unexpected[s][next]
-		if !ok {
-			return Status{}, false
-		}
-		if tag != AnyTag && !a.h.anyTag && int32(tag) != a.h.tag {
-			return Status{}, false
-		}
-		n := a.h.payload
-		if a.h.kind == pktRTS {
-			n = a.h.rsize
-		}
-		return Status{Source: s, Tag: int(a.h.tag), Len: n}, true
+	srcs := r.active
+	if src != AnySource {
+		srcs = []int{src}
 	}
-	if src == AnySource {
-		for s := 0; s < r.w.Size(); s++ {
-			if s == r.id {
-				continue
+	for _, s := range srcs {
+		if a := r.peers[s].probe(tag); a != nil {
+			n := a.h.payload
+			if a.h.kind == pktRTS {
+				n = a.h.rsize
 			}
-			if st, ok := check(s); ok {
-				return st, true, nil
-			}
+			return Status{Source: s, Tag: int(a.h.tag), Len: n}, true, nil
 		}
-		return Status{}, false, nil
 	}
-	st, ok := check(src)
-	return st, ok, nil
+	return Status{}, false, nil
 }
 
 // Probe blocks until Iprobe succeeds.
@@ -57,8 +44,8 @@ func (r *Rank) Probe(p *sim.Proc, src, tag int) (Status, error) {
 		if err != nil || ok {
 			return st, err
 		}
-		if !r.progress(p) {
-			r.v.HCA().Doorbell.Wait(p)
+		if err := r.idle(p); err != nil {
+			return Status{}, err
 		}
 	}
 }
@@ -66,7 +53,9 @@ func (r *Rank) Probe(p *sim.Proc, src, tag int) (Status, error) {
 // ---- Wait variants ----
 
 // Waitany blocks until at least one of the requests completes and
-// returns its index.
+// returns its index. After a fatal transport error none of them can
+// complete: the first is failed with that error and returned, as Wait
+// would fail it.
 func (r *Rank) Waitany(p *sim.Proc, reqs ...*Request) (int, Status, error) {
 	if len(reqs) == 0 {
 		return -1, Status{}, fmt.Errorf("core: Waitany with no requests")
@@ -77,8 +66,8 @@ func (r *Rank) Waitany(p *sim.Proc, reqs ...*Request) (int, Status, error) {
 				return i, q.status, q.err
 			}
 		}
-		if !r.progress(p) {
-			r.v.HCA().Doorbell.Wait(p)
+		if err := r.idle(p); err != nil {
+			reqs[0].complete(p, err)
 		}
 	}
 }

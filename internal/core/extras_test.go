@@ -36,6 +36,41 @@ func TestProbeSeesPendingMessage(t *testing.T) {
 	}
 }
 
+func TestProbeSeesSelfSend(t *testing.T) {
+	// Loopback is a pair like any other: a message a rank sent to itself
+	// waits in that pair's unexpected queue, where a probe naming the
+	// rank's own id finds it. ANY_SOURCE means any *other* rank.
+	_, w := pair(true)
+	err := w.Run(func(r *core.Rank) error {
+		p := r.Proc()
+		if r.ID() != 0 {
+			return nil
+		}
+		buf := r.Mem(100)
+		if err := r.Send(p, 0, 5, core.Whole(buf)); err != nil {
+			return err
+		}
+		if _, ok, err := r.Iprobe(p, core.AnySource, 5); err != nil || ok {
+			return fmt.Errorf("any-source Iprobe saw the self-send: ok=%v err=%v", ok, err)
+		}
+		st, ok, err := r.Iprobe(p, 0, 5)
+		if err != nil || !ok {
+			return fmt.Errorf("self Iprobe ok=%v err=%v", ok, err)
+		}
+		if st.Source != 0 || st.Tag != 5 || st.Len != 100 {
+			return fmt.Errorf("probe status %+v", st)
+		}
+		if st, err = r.Probe(p, 0, core.AnyTag); err != nil || st.Len != 100 {
+			return fmt.Errorf("self Probe status %+v err=%v", st, err)
+		}
+		_, err = r.Recv(p, 0, 5, core.Whole(r.Mem(100)))
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestProbeReportsRendezvousSize(t *testing.T) {
 	_, w := pair(true)
 	const n = 128 << 10

@@ -39,7 +39,6 @@ type header struct {
 	kind    byte
 	src     uint16
 	tag     int32
-	anyTag  bool
 	seq     uint64
 	payload int
 	// Rendezvous buffer advertisement (RTS/RTR).
@@ -58,11 +57,7 @@ type header struct {
 func (h *header) encode(dst []byte) {
 	_ = dst[hdrSize-1]
 	dst[0] = h.kind
-	if h.anyTag {
-		dst[1] = 1
-	} else {
-		dst[1] = 0
-	}
+	dst[1] = 0 // reserved
 	binary.LittleEndian.PutUint16(dst[2:], h.src)
 	binary.LittleEndian.PutUint32(dst[4:], uint32(h.tag))
 	binary.LittleEndian.PutUint64(dst[8:], h.seq)
@@ -79,7 +74,6 @@ func decodeHeader(src []byte) header {
 	_ = src[hdrSize-1]
 	return header{
 		kind:    src[0],
-		anyTag:  src[1] == 1,
 		src:     binary.LittleEndian.Uint16(src[2:]),
 		tag:     int32(binary.LittleEndian.Uint32(src[4:])),
 		seq:     binary.LittleEndian.Uint64(src[8:]),
@@ -174,10 +168,7 @@ func (r *ring) discard() {
 
 // consume clears the current slot and advances the cursor.
 func (r *ring) consume() {
-	s := r.slot(r.next)
-	for i := range s {
-		s[i] = 0
-	}
+	r.discard()
 	r.next = (r.next + 1) % r.slots
 }
 

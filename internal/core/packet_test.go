@@ -7,7 +7,7 @@ import (
 
 func TestHeaderRoundTrip(t *testing.T) {
 	h := header{
-		kind: pktRTS, src: 7, tag: -1234, anyTag: true, seq: 987654321,
+		kind: pktRTS, src: 7, tag: -1234, seq: 987654321,
 		payload: 4096, raddr: 0xDEADBEEF00, rkey: 0x1234, rsize: 1 << 20, credits: 17,
 	}
 	buf := make([]byte, hdrSize)
@@ -19,9 +19,9 @@ func TestHeaderRoundTrip(t *testing.T) {
 }
 
 func TestQuickHeaderRoundTrip(t *testing.T) {
-	f := func(kind byte, src uint16, tag int32, anyTag bool, seq uint64, payload uint16, raddr uint64, rkey uint32, rsize uint32, credits uint32) bool {
+	f := func(kind byte, src uint16, tag int32, seq uint64, payload uint16, raddr uint64, rkey uint32, rsize uint32, credits uint32) bool {
 		h := header{
-			kind: kind, src: src, tag: tag, anyTag: anyTag, seq: seq,
+			kind: kind, src: src, tag: tag, seq: seq,
 			payload: int(payload), raddr: raddr, rkey: rkey, rsize: int(rsize), credits: credits,
 		}
 		buf := make([]byte, hdrSize)

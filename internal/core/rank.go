@@ -12,8 +12,30 @@ import (
 	"repro/internal/sim"
 )
 
-// peerState is everything a rank holds per remote peer.
+// peerState is everything a rank holds about one (me, peer) pair — the
+// unit of §IV-B3: the pair's sequence ids and matching queues, and the
+// endpoint (QP, eager rings, credits) its packets travel on. Loopback is
+// the pair peers[r.id]: matching state only, no endpoint.
 type peerState struct {
+	// sendSeq numbers sends to the peer, recvSeq receives bound to it:
+	// the k-th send pairs with the k-th bound receive.
+	sendSeq uint64
+	recvSeq uint64
+	// expRecv[seq] is the posted receive expecting that packet.
+	expRecv map[uint64]*Request
+	// unexpected[seq] holds inbound data packets (eager payloads and RTS
+	// announcements) with no matching receive yet, keyed by the peer→me
+	// sequence space.
+	unexpected map[uint64]*arrival
+	// earlyRTR[seq] holds RTRs that arrived before their Isend, keyed by
+	// the me→peer sequence space (receiver-first case). RTS and RTR
+	// sequence ids live in opposite directed-pair spaces and must never
+	// share a map.
+	earlyRTR map[uint64]header
+	// sendsBySeq[seq] routes RTR/DONE packets to in-flight sends.
+	sendsBySeq map[uint64]*Request
+
+	// qp is nil for loopback.
 	qp *ib.QP
 	// in is the local eager ring this peer writes into.
 	in *ring
@@ -76,48 +98,29 @@ type Rank struct {
 	proc *sim.Proc
 	v    Verbs
 
-	pd      *ib.PD
-	cq      *ib.CQ
+	pd *ib.PD
+	cq *ib.CQ
+	// peers[i] is the pair (me, i), nil until the pair is wired (under
+	// lazy connect, its first message); peers[id] is loopback.
 	peers   []*peerState
 	mrCache *MRCache
 	arena   *offArena
 
 	// active lists peer indices with live endpoints, sorted ascending,
-	// so the progress engine scans exactly the connected pairs instead
-	// of a thousand-entry mostly-nil peer table. Under eager connect it
-	// holds every peer; under lazy connect it grows as pairs first
-	// communicate.
+	// so the progress engine and ANY_SOURCE scan exactly the connected
+	// pairs instead of a thousand-entry mostly-nil peer table. Under
+	// eager connect it holds every peer; under lazy connect it grows as
+	// pairs first communicate. Loopback has no endpoint and is never in
+	// it.
 	active []int
 
 	// cqeBuf is the persistent completion buffer progress drains into
 	// (ibv-style PollInto), so the per-event CQ drain never allocates.
 	cqeBuf [16]ib.CQE
 
-	sendSeq []uint64
-	recvSeq []uint64
-
-	// expRecv[i][seq] is the posted receive expecting that packet.
-	expRecv []map[uint64]*Request
-	// unexpected[i][seq] holds inbound data packets (eager payloads and
-	// RTS announcements) with no matching receive yet, keyed by the
-	// i→me sequence space.
-	unexpected []map[uint64]*arrival
-	// earlyRTR[i][seq] holds RTRs that arrived before their Isend,
-	// keyed by the me→i sequence space (receiver-first case). RTS and
-	// RTR sequence ids live in opposite directed-pair spaces and must
-	// never share a map.
-	earlyRTR []map[uint64]header
-	// sendsBySeq[i][seq] routes RTR/DONE packets to in-flight sends.
-	sendsBySeq []map[uint64]*Request
-
 	// ANY_SOURCE locking per §IV-B3.
 	anyActive *Request
 	deferred  []*Request
-
-	// selfQueue holds loopback messages sent to self before the recv.
-	selfUnexpected map[uint64]*arrival
-	selfSendSeq    uint64
-	selfRecvSeq    uint64
 
 	// arrivalFree recycles arrival records after their match, so
 	// steady-state unexpected traffic allocates no record per packet.
@@ -129,9 +132,6 @@ type Rank struct {
 	// disabled under an active fault plan: replay needs the formed WR
 	// to survive until its retry budget is spent.
 	wrFree []*ib.SendWR
-	// pktFree recycles the fault-mode packet snapshots sendPacket
-	// retains for replay.
-	pktFree [][]byte
 
 	wrSeq uint64
 	wrMap map[uint64]wrAction
@@ -219,33 +219,21 @@ func (r *Rank) setup(p *sim.Proc) error {
 	r.m = newRankMetrics(cfg.Metrics, r.id)
 	r.c = newRankCausal(cfg.Causal, r.id)
 	r.mrCache.instrument(cfg.Metrics, r.m.actor)
-	n := r.w.Size()
-	r.peers = make([]*peerState, n)
-	r.sendSeq = make([]uint64, n)
-	r.recvSeq = make([]uint64, n)
-	r.expRecv = make([]map[uint64]*Request, n)
-	r.unexpected = make([]map[uint64]*arrival, n)
-	r.earlyRTR = make([]map[uint64]header, n)
-	r.sendsBySeq = make([]map[uint64]*Request, n)
-	r.selfUnexpected = make(map[uint64]*arrival)
+	r.peers = make([]*peerState, r.w.Size())
 	r.wrMap = make(map[uint64]wrAction)
-	if r.w.lazyConnect() {
-		// Lazy connect: endpoint pairs (and their per-pair maps) are
-		// built by ensurePeer at the pair's first message. Only the
-		// loopback map is needed up front.
-		r.expRecv[r.id] = make(map[uint64]*Request)
-	} else {
-		for i := 0; i < n; i++ {
-			r.expRecv[i] = make(map[uint64]*Request)
-			r.unexpected[i] = make(map[uint64]*arrival)
-			r.earlyRTR[i] = make(map[uint64]header)
-			r.sendsBySeq[i] = make(map[uint64]*Request)
+	r.peers[r.id] = newPeerState()
+	if !r.w.lazyConnect() {
+		// Under lazy connect ensurePeer builds a pair at its first
+		// message instead.
+		for i := range r.peers {
 			if i == r.id {
 				continue
 			}
-			if _, err := r.makePeerHalf(p, i); err != nil {
+			ps, err := r.makePeerHalf(p)
+			if err != nil {
 				return err
 			}
+			r.publish(i, ps)
 		}
 	}
 	if cfg.Offload && r.v.SupportsOffload() {
@@ -261,44 +249,40 @@ func (r *Rank) setup(p *sim.Proc) error {
 // connect wires QPs and ring descriptors against every peer (phase 2;
 // the out-of-band bootstrap a process manager would provide).
 func (r *Rank) connect(p *sim.Proc) error {
-	for i, ps := range r.peers {
-		if ps == nil {
-			continue
-		}
+	for _, i := range r.active {
 		peer := r.w.ranks[i]
-		if len(peer.peers) <= r.id || peer.peers[r.id] == nil || peer.peers[r.id].qp == nil {
+		if len(peer.peers) <= r.id || peer.peers[r.id] == nil {
 			// The peer's setup failed (possible under CMD-channel
 			// faults); surface a typed bootstrap error, not a panic.
 			return fmt.Errorf("core: rank %d has no endpoint for rank %d (peer setup failed)", i, r.id)
 		}
-		other := peer.peers[r.id]
-		// Remember the peer endpoint so fault recovery can reconnect
-		// after a QP reset.
-		ps.rlid = peer.v.HCA().LID
-		ps.rqpn = other.qp.QPN
-		if err := ps.qp.Connect(ps.rlid, ps.rqpn); err != nil {
+		if err := r.peers[i].wire(peer, peer.peers[r.id]); err != nil {
 			return err
 		}
-		ps.out = other.in.desc()
-		ps.credits = ps.out.slots
 	}
 	return nil
 }
 
-// makePeerHalf builds this rank's endpoint toward peer i (QP, eager
-// ring, staging buffer) plus the per-pair matching maps, and records i
-// in the active-peer list. It does not wire the QP; setup/connect (the
-// eager bootstrap) or ensurePeer (lazy) do that.
-func (r *Rank) makePeerHalf(p *sim.Proc, i int) (*peerState, error) {
-	if r.expRecv[i] == nil {
-		r.expRecv[i] = make(map[uint64]*Request)
-		r.unexpected[i] = make(map[uint64]*arrival)
-		r.earlyRTR[i] = make(map[uint64]header)
-		r.sendsBySeq[i] = make(map[uint64]*Request)
+// newPeerState returns a pair's empty matching state: all loopback
+// needs, and what makePeerHalf builds an endpoint on.
+func newPeerState() *peerState {
+	return &peerState{
+		expRecv:    make(map[uint64]*Request),
+		unexpected: make(map[uint64]*arrival),
+		earlyRTR:   make(map[uint64]header),
+		sendsBySeq: make(map[uint64]*Request),
 	}
+}
+
+// makePeerHalf builds this rank's half of a pair: fresh matching state
+// plus the endpoint (QP, eager ring, staging buffer). It neither wires
+// the QP nor publishes the half; setup/connect (the eager bootstrap) or
+// ensurePeer (lazy) do that. A half that cannot be completed keeps no
+// registration.
+func (r *Rank) makePeerHalf(p *sim.Proc) (*peerState, error) {
 	cfg := r.w.Cfg
 	dom := r.v.Domain()
-	ps := &peerState{}
+	ps := newPeerState()
 	var err error
 	if ps.qp, err = r.v.CreateQP(p, r.pd, r.cq, r.cq); err != nil {
 		return nil, err
@@ -310,28 +294,58 @@ func (r *Rank) makePeerHalf(p *sim.Proc, i int) (*peerState, error) {
 	ps.staging = dom.Alloc(slotBytes(cfg.EagerMax))
 	ps.stagingMR, err = r.v.RegMR(p, r.pd, dom, ps.staging.Addr, len(ps.staging.Data))
 	if err != nil {
+		r.dropPeerHalf(p, ps)
 		return nil, err
 	}
-	r.peers[i] = ps
-	r.insertActive(i)
 	return ps, nil
 }
 
-// insertActive records a connected peer, keeping the list sorted so
-// progress scans peers in rank order regardless of connection order —
-// the property that keeps lazy-connect runs deterministic.
-func (r *Rank) insertActive(i int) {
+// dropPeerHalf releases the registrations and buffers of a half that was
+// never published (first contact failed on either side). It is
+// best-effort: the error the caller reports is the one that failed the
+// contact, not a deregistration that failed after it.
+func (r *Rank) dropPeerHalf(p *sim.Proc, ps *peerState) {
+	if ps.stagingMR != nil {
+		_ = r.v.DeregMR(p, ps.stagingMR)
+	}
+	_ = r.v.DeregMR(p, ps.in.mr)
+	r.v.Domain().Free(ps.staging)
+	r.v.Domain().Free(ps.in.buf)
+}
+
+// wire connects this half's QP to the peer rank's half and adopts its
+// ring as the send target, remembering the peer endpoint so fault
+// recovery can reconnect after a QP reset.
+func (ps *peerState) wire(peer *Rank, other *peerState) error {
+	ps.rlid, ps.rqpn = peer.v.HCA().LID, other.qp.QPN
+	if err := ps.qp.Connect(ps.rlid, ps.rqpn); err != nil {
+		return err
+	}
+	ps.out = other.in.desc()
+	ps.credits = ps.out.slots
+	return nil
+}
+
+// publish enters a pair half in the peer table and the active list,
+// keeping the list sorted so progress scans peers in rank order
+// regardless of connection order — the property that keeps lazy-connect
+// runs deterministic.
+func (r *Rank) publish(i int, ps *peerState) {
+	r.peers[i] = ps
 	at := sort.SearchInts(r.active, i)
 	r.active = append(r.active, 0)
 	copy(r.active[at+1:], r.active[at:])
 	r.active[at] = i
 }
 
-// ensurePeer returns the endpoint toward peer i, building and wiring
-// BOTH halves of the pair on first use under lazy connect. The peer's
-// resources are created in the caller's process context — the
-// simulation's stand-in for the out-of-band connection establishment a
-// process manager performs — so lazy bootstrap stays deterministic.
+// ensurePeer returns the pair (me, i), building and wiring BOTH halves
+// on first use under lazy connect. The peer's resources are created in
+// the caller's process context — the simulation's stand-in for the
+// out-of-band connection establishment a process manager performs — so
+// lazy bootstrap stays deterministic. Neither rank sees the pair until
+// both halves are wired: a failure on either side leaves no half
+// behind, so the next contact starts over instead of finding an
+// unconnected endpoint that looks live.
 func (r *Rank) ensurePeer(p *sim.Proc, i int) (*peerState, error) {
 	key := [2]int{r.id, i}
 	if i < r.id {
@@ -358,52 +372,58 @@ func (r *Rank) ensurePeer(p *sim.Proc, i int) (*peerState, error) {
 		claim.Fire()
 	}()
 	peer := r.w.ranks[i]
-	mine, err := r.makePeerHalf(p, i)
+	mine, err := r.makePeerHalf(p)
 	if err != nil {
 		return nil, err
 	}
-	theirs, err := peer.makePeerHalf(p, r.id)
+	theirs, err := peer.makePeerHalf(p)
 	if err != nil {
+		r.dropPeerHalf(p, mine)
 		return nil, err
 	}
-	mine.rlid, mine.rqpn = peer.v.HCA().LID, theirs.qp.QPN
-	if err := mine.qp.Connect(mine.rlid, mine.rqpn); err != nil {
+	if err := errors.Join(mine.wire(peer, theirs), theirs.wire(r, mine)); err != nil {
+		r.dropPeerHalf(p, mine)
+		peer.dropPeerHalf(p, theirs)
 		return nil, err
 	}
-	mine.out = theirs.in.desc()
-	mine.credits = mine.out.slots
-	theirs.rlid, theirs.rqpn = r.v.HCA().LID, mine.qp.QPN
-	if err := theirs.qp.Connect(theirs.rlid, theirs.rqpn); err != nil {
-		return nil, err
-	}
-	theirs.out = mine.in.desc()
-	theirs.credits = theirs.out.slots
+	r.publish(i, mine)
+	peer.publish(r.id, theirs)
 	return mine, nil
+}
+
+// idle is one turn of every blocking wait: drive progress, and park on
+// the HCA doorbell when there was nothing to do. It fails once transport
+// recovery has given up on a control packet: protocol progress is no
+// longer guaranteed, and waiting on would only ride to the deadlock
+// detector.
+func (r *Rank) idle(p *sim.Proc) error {
+	if r.fatal != nil {
+		return r.fatal
+	}
+	if !r.progress(p) {
+		r.v.HCA().Doorbell.Wait(p)
+	}
+	return nil
 }
 
 // finalize drains queued outbound control packets and credit-starved
 // sends before the rank exits (MPI_Finalize semantics): a DONE stuck
 // behind ring flow control must still reach its peer or the peer hangs.
+// After a fatal transport error the queued packets can never be
+// delivered, so it gives up.
 func (r *Rank) finalize(p *sim.Proc) {
-	for {
-		if r.fatal != nil {
-			// Transport recovery gave up; queued packets can never be
-			// delivered and waiting would deadlock the engine.
-			return
-		}
-		pending := false
+	pending := func() bool {
 		for _, i := range r.active {
 			ps := r.peers[i]
 			if len(ps.pendingCtrl) > 0 || len(ps.pendingSends) > 0 || len(ps.postponed) > 0 {
-				pending = true
-				break
+				return true
 			}
 		}
-		if !pending {
+		return false
+	}
+	for pending() {
+		if r.idle(p) != nil {
 			return
-		}
-		if !r.progress(p) {
-			r.v.HCA().Doorbell.Wait(p)
 		}
 	}
 }
@@ -438,13 +458,14 @@ func (r *Rank) post(p *sim.Proc, dst int, wr *ib.SendWR) error {
 // from their retained byte snapshot into the staging buffer and
 // rewritten to their original ring slot (same psn, no new credit);
 // rendezvous WRs are reposted as formed, their buffers still pinned.
-// Retransmission only runs after a fault: off the per-event budget.
-func (r *Rank) reissue(p *sim.Proc, wrid uint64, act wrAction) error {
+// A WR that cannot be reposted is given up on. Retransmission only runs
+// after a fault: off the per-event budget.
+func (r *Rank) reissue(p *sim.Proc, wrid uint64, act wrAction) {
 	ps := r.peers[act.peer]
-	switch act.kind {
-	case wrEager, wrCtrl:
+	wr := act.wr
+	if act.kind == wrEager || act.kind == wrCtrl {
 		copy(ps.staging.Data[:len(act.pkt)], act.pkt)
-		wr := &ib.SendWR{
+		wr = &ib.SendWR{
 			WRID:     wrid,
 			Opcode:   ib.OpRDMAWrite,
 			SGL:      []ib.SGE{{Addr: ps.staging.Addr, Len: len(act.pkt), LKey: ps.stagingMR.LKey}},
@@ -452,9 +473,10 @@ func (r *Rank) reissue(p *sim.Proc, wrid uint64, act wrAction) error {
 			Signaled: true,
 			Inline:   true, // staging is rebuilt by the next packet
 		}
-		return r.v.PostSend(p, ps.qp, wr)
-	default:
-		return r.v.PostSend(p, ps.qp, act.wr)
+	}
+	if err := r.v.PostSend(p, ps.qp, wr); err != nil {
+		delete(r.wrMap, wrid)
+		r.failWR(p, act, err)
 	}
 }
 
@@ -486,10 +508,7 @@ func (r *Rank) recoverWR(p *sim.Proc, wrid uint64, act wrAction) {
 	r.m.faultRetries.Inc()
 	r.c.replay(p.Now(), act.peer, wrid)
 	r.trace("wr-replay", act.peer, wrid, act.tries)
-	if err := r.reissue(p, wrid, act); err != nil {
-		delete(r.wrMap, wrid)
-		r.failWR(p, act, err)
-	}
+	r.reissue(p, wrid, act)
 }
 
 // failWR gives up on a work request: requests complete with the error;
@@ -530,26 +549,6 @@ func (r *Rank) recycleWR(wr *ib.SendWR) {
 	r.wrFree = append(r.wrFree, wr)
 }
 
-// snapPkt snapshots staged packet bytes for fault-mode replay, reusing
-// retired snapshot backing. Only called while a fault plan is active.
-func (r *Rank) snapPkt(b []byte) []byte {
-	n := len(r.pktFree)
-	if n == 0 || cap(r.pktFree[n-1]) < len(b) {
-		return append([]byte(nil), b...)
-	}
-	s := r.pktFree[n-1]
-	r.pktFree = r.pktFree[:n-1]
-	return append(s[:0], b...)
-}
-
-// recyclePkt returns a replay snapshot's backing to the pool.
-func (r *Rank) recyclePkt(b []byte) {
-	if b == nil {
-		return
-	}
-	r.pktFree = append(r.pktFree, b)
-}
-
 // sendPacket assembles and RDMA-writes one packet into the peer's ring.
 // The caller must hold a credit (credits > 0). Consumed local slots are
 // piggybacked back as credits on every outgoing header.
@@ -581,7 +580,7 @@ func (r *Rank) sendPacket(p *sim.Proc, dst int, h header, payload []byte, act wr
 		// but a replay must rewrite exactly these bytes (same psn) to
 		// the same slot.
 		act.slot = slot
-		act.pkt = r.snapPkt(s[:hdrSize+len(payload)+tailSize])
+		act.pkt = append([]byte(nil), s[:hdrSize+len(payload)+tailSize]...)
 	}
 	// Header SGE + data SGE + tail SGE, as the paper lays the packet out.
 	wr := r.newSendWR()
@@ -622,20 +621,19 @@ func (r *Rank) Isend(p *sim.Proc, dst, tag int, s Slice) (*Request, error) {
 	p.Sleep(r.w.Plat.MPIPerMsg(r.v.Loc()))
 	r.Stats.MsgsSent++
 	r.Stats.BytesSent += int64(s.N)
-	if dst == r.id {
-		r.m.resolve(req, KindSelf)
-		r.c.sendPost(p.Now(), req)
-		r.selfSend(p, req)
-		return req, nil
-	}
-	if _, err := r.ensurePeer(p, dst); err != nil {
+	ps, err := r.ensurePeer(p, dst)
+	if err != nil {
 		return nil, r.abandon(p, req, err)
 	}
-	req.seq = r.sendSeq[dst]
-	r.sendSeq[dst]++
-	req.hasSeq = true
-	req.span.AttrInt("seq", int64(req.seq))
+	req.seq = ps.sendSeq
+	ps.sendSeq++
 	r.c.sendPost(p.Now(), req)
+	if dst == r.id {
+		r.m.resolve(req, KindSelf)
+		r.sendSelf(p, ps, req)
+		return req, nil
+	}
+	req.span.AttrInt("seq", int64(req.seq))
 	// Drain arrived packets first: an RTR for this very sequence id may
 	// already be waiting (receiver-first), which changes the protocol.
 	r.progress(p)
@@ -661,25 +659,34 @@ func (r *Rank) trySendEager(p *sim.Proc, req *Request) {
 	// Sender-eager / receiver-rendezvous mis-prediction where the RTR
 	// arrived before this send was even posted: drop it — the sequence
 	// id guarantees it belonged to this send only.
-	if _, ok := r.earlyRTR[req.peer][req.seq]; ok {
-		delete(r.earlyRTR[req.peer], req.seq)
+	ps := r.peers[req.peer]
+	if _, ok := ps.earlyRTR[req.seq]; ok {
+		delete(ps.earlyRTR, req.seq)
 		r.m.mispredicts.Inc()
 		r.c.mispredict(p.Now(), req.peer, req.seq)
 		r.trace("mispredict-rtr-drop", req.peer, req.seq, 0)
 	}
-	ps := r.peers[req.peer]
 	if ps.credits <= 1 {
 		req.state = stEagerQueued
 		ps.pendingSends = append(ps.pendingSends, req)
 		return
 	}
+	r.postEager(p, req)
+}
+
+// postEager writes req's eager packet into the peer's ring, now or when
+// progress finds credit for a queued send; the caller holds a
+// data-class credit (credits > 1). A failed post completes the request
+// with the error, and postEager reports false.
+func (r *Rank) postEager(p *sim.Proc, req *Request) bool {
 	h := header{kind: pktEager, tag: int32(req.tag), seq: req.seq}
 	if err := r.sendPacket(p, req.peer, h, req.slice.Bytes(), wrAction{kind: wrEager, req: req}); err != nil {
 		req.complete(p, err)
-		return
+		return false
 	}
 	req.state = stEagerSent
 	r.trace("eager-send", req.peer, req.seq, req.slice.N)
+	return true
 }
 
 // startRendezvousSend stages (or registers) the send buffer, then either
@@ -735,11 +742,12 @@ func (r *Rank) startRendezvousSend(p *sim.Proc, req *Request) error {
 		req.srcMR = mr
 		req.heldMRs = append(req.heldMRs, mr)
 	}
-	r.sendsBySeq[req.peer][req.seq] = req
+	ps := r.peers[req.peer]
+	ps.sendsBySeq[req.seq] = req
 
 	// Receiver-first: an RTR for this sequence may already be here.
-	if rtr, ok := r.earlyRTR[req.peer][req.seq]; ok {
-		delete(r.earlyRTR[req.peer], req.seq)
+	if rtr, ok := ps.earlyRTR[req.seq]; ok {
+		delete(ps.earlyRTR, req.seq)
 		r.trace("recv-first", req.peer, req.seq, 0)
 		return r.rndvWrite(p, req, rtr)
 	}
@@ -757,7 +765,7 @@ func (r *Rank) startRendezvousSend(p *sim.Proc, req *Request) error {
 func (r *Rank) rndvWrite(p *sim.Proc, req *Request, rtr header) error {
 	if req.slice.N > rtr.rsize {
 		// Receiver-first truncation: abort both sides.
-		delete(r.sendsBySeq[req.peer], req.seq)
+		delete(r.peers[req.peer].sendsBySeq, req.seq)
 		req.complete(p, ErrTruncate)
 		return r.ctrlSend(p, req.peer, header{kind: pktNackW, seq: req.seq})
 	}
@@ -797,16 +805,24 @@ func (r *Rank) ctrlSend(p *sim.Proc, dst int, h header) error {
 		ps.pendingCtrl = append(ps.pendingCtrl, h)
 		return nil
 	}
-	return r.sendPacket(p, dst, h, nil, wrAction{kind: wrCtrl, peer: dst})
+	return r.postCtrl(p, dst, h)
+}
+
+// postCtrl writes one zero-payload packet into the peer's ring; the
+// caller holds a credit of the packet's class.
+func (r *Rank) postCtrl(p *sim.Proc, dst int, h header) error {
+	return r.sendPacket(p, dst, h, nil, wrAction{kind: wrCtrl})
 }
 
 // Irecv starts a nonblocking receive into s from src (or AnySource)
-// with tag (or AnyTag).
+// with tag (or AnyTag). AnySource means any other rank: it never matches
+// a message this rank sent to itself, which only a receive naming the
+// rank's own id gets.
 func (r *Rank) Irecv(p *sim.Proc, src, tag int, s Slice) (*Request, error) {
 	if src != AnySource && (src < 0 || src >= r.w.Size()) {
 		return nil, ErrBadRank
 	}
-	req := &Request{r: r, peer: src, tag: tag, anyTag: tag == AnyTag, slice: s, startT: p.Now()}
+	req := &Request{r: r, peer: src, tag: tag, slice: s, startT: p.Now()}
 	if r.m.reg != nil {
 		req.span = r.m.span(req.startT, "recv")
 		req.span.AttrInt("src", int64(src)).AttrInt("bytes", int64(s.N))
@@ -815,72 +831,69 @@ func (r *Rank) Irecv(p *sim.Proc, src, tag int, s Slice) (*Request, error) {
 		req.cid = r.c.nextCID()
 		r.c.recvPost(p.Now(), req)
 	}
-	if src == r.id {
-		r.m.resolve(req, KindSelf)
-		r.selfRecv(p, req)
-		return req, nil
-	}
 	if src != AnySource {
 		if _, err := r.ensurePeer(p, src); err != nil {
 			return nil, r.abandon(p, req, err)
 		}
 	}
+	if src == r.id {
+		// Nothing on the wire and no ANY_SOURCE receive can take a
+		// loopback message, so neither progress nor the lock is in
+		// the way of binding it now.
+		r.m.resolve(req, KindSelf)
+		r.bindRecv(p, req, src)
+		return req, nil
+	}
 	// Drain arrived packets first: an RTS already in the ring turns a
 	// would-be receiver-first handshake into a direct sender-first read.
 	r.progress(p)
-	if src == AnySource {
-		// §IV-B3: an ANY_SOURCE receive locks sequence assignment for
-		// all later receives until it finds its match.
-		if r.anyActive == nil {
-			r.anyActive = req
-			r.m.anyLocks.Inc()
-			r.c.anyLock(p.Now(), req.cid)
-			r.matchAnyAgainstUnexpected(p)
-		} else {
-			r.deferred = append(r.deferred, req)
-			r.c.anyDefer(p.Now(), req.cid)
-		}
-		return req, nil
-	}
-	if r.anyActive != nil {
+	switch {
+	case r.anyActive != nil:
 		// Locked: later receives cannot get a sequence id yet.
 		r.deferred = append(r.deferred, req)
 		r.c.anyDefer(p.Now(), req.cid)
-		return req, nil
+	case src == AnySource:
+		r.lockAny(p, req)
+	default:
+		r.bindRecv(p, req, src)
 	}
-	r.bindRecv(p, req, src)
 	return req, nil
 }
 
 // bindRecv assigns the next per-pair sequence id to a receive and
 // matches it against unexpected arrivals, possibly sending an RTR.
 func (r *Rank) bindRecv(p *sim.Proc, req *Request, src int) {
+	ps := r.peers[src]
 	req.peer = src
-	req.seq = r.recvSeq[src]
-	r.recvSeq[src]++
-	req.hasSeq = true
-	req.span.AttrInt("seq", int64(req.seq))
-	r.c.recvBind(p.Now(), req)
-	if a, ok := r.unexpected[src][req.seq]; ok {
-		delete(r.unexpected[src], req.seq)
+	req.seq = ps.recvSeq
+	ps.recvSeq++
+	if src != r.id {
+		// A loopback message has no cross-rank lifecycle to report.
+		req.span.AttrInt("seq", int64(req.seq))
+		r.c.recvBind(p.Now(), req)
+	}
+	if a, ok := ps.unexpected[req.seq]; ok {
+		delete(ps.unexpected, req.seq)
 		r.matchArrival(p, req, a)
 		return
 	}
-	r.expRecv[src][req.seq] = req
+	ps.expRecv[req.seq] = req
 	req.state = stPosted
-	if req.slice.N > r.w.Cfg.EagerMax {
+	if req.slice.N > r.w.Cfg.EagerMax && src != r.id {
 		// Receiver-first rendezvous: advertise the receive buffer.
+		// (Loopback has no sender to advertise to: sendSelf copies
+		// straight out of the send buffer whatever the size.)
 		mr, err := r.mrCache.Get(p, req.slice.Buf.Dom, req.slice.Addr(), req.slice.N)
 		if err != nil {
 			req.complete(p, err)
-			delete(r.expRecv[src], req.seq)
+			delete(ps.expRecv, req.seq)
 			return
 		}
 		req.heldMRs = append(req.heldMRs, mr)
 		h := header{kind: pktRTR, tag: int32(req.tag), seq: req.seq, raddr: req.slice.Addr(), rkey: mr.RKey, rsize: req.slice.N}
 		if err := r.ctrlSend(p, src, h); err != nil {
 			req.complete(p, err)
-			delete(r.expRecv[src], req.seq)
+			delete(ps.expRecv, req.seq)
 			return
 		}
 		req.state = stRTRWait
@@ -888,13 +901,24 @@ func (r *Rank) bindRecv(p *sim.Proc, req *Request, src int) {
 	}
 }
 
-// tagsMatch applies MPI tag-matching rules between a receive request and
-// a packet header.
-func tagsMatch(req *Request, h header) bool {
-	if req.anyTag || h.anyTag {
-		return true
+// tagsMatch applies MPI tag-matching rules between the tag a receive or
+// probe asked for and a packet header.
+func tagsMatch(tag int, h header) bool {
+	return tag == AnyTag || int32(tag) == h.tag
+}
+
+// probe returns the one arrival the next receive bound to this pair can
+// match — the unexpected packet carrying the pair's next sequence id —
+// if it is here and its tag matches. A nil pair (lazy connect, not yet
+// wired) has no arrivals.
+func (ps *peerState) probe(tag int) *arrival {
+	if ps == nil {
+		return nil
 	}
-	return int32(req.tag) == h.tag
+	if a, ok := ps.unexpected[ps.recvSeq]; ok && tagsMatch(tag, a.h) {
+		return a
+	}
+	return nil
 }
 
 // newArrival hands out a pooled arrival record. handlePacket builds one
@@ -934,7 +958,7 @@ func (r *Rank) recycleArrival(a *arrival) {
 // both arms copy what they need out of it before completing.
 func (r *Rank) matchArrival(p *sim.Proc, req *Request, a *arrival) {
 	defer r.recycleArrival(a)
-	if !tagsMatch(req, a.h) {
+	if !tagsMatch(req.tag, a.h) {
 		req.complete(p, ErrTagMismatch)
 		return
 	}
@@ -945,7 +969,10 @@ func (r *Rank) matchArrival(p *sim.Proc, req *Request, a *arrival) {
 			req.complete(p, ErrTruncate)
 			return
 		}
-		r.m.resolve(req, KindEager)
+		if req.peer != r.id {
+			// A loopback receive resolved as KindSelf when posted.
+			r.m.resolve(req, KindEager)
+		}
 		copy(req.slice.Bytes(), a.data)
 		p.Sleep(r.w.Plat.CopyCost(r.v.Loc(), a.h.payload))
 		req.status = Status{Source: int(a.h.src), Tag: int(a.h.tag), Len: a.h.payload}
@@ -1005,33 +1032,34 @@ func (r *Rank) startRead(p *sim.Proc, req *Request, rts header) {
 	}
 }
 
-// matchAnyAgainstUnexpected tries to satisfy the active ANY_SOURCE
-// receive from already-arrived packets: the first packet whose sequence
-// id is the next expected for its pair and whose tag matches.
-func (r *Rank) matchAnyAgainstUnexpected(p *sim.Proc) {
+// lockAny makes req the active ANY_SOURCE receive — §IV-B3: it locks
+// sequence assignment for all later receives until it finds its match —
+// and tries to satisfy it from packets already here: the first
+// connected pair, in rank order, whose next packet matches the tag.
+func (r *Rank) lockAny(p *sim.Proc, req *Request) {
+	r.anyActive = req
+	r.m.anyLocks.Inc()
+	r.c.anyLock(p.Now(), req.cid)
+	for _, src := range r.active {
+		ps := r.peers[src]
+		if a := ps.probe(req.tag); a != nil {
+			delete(ps.unexpected, ps.recvSeq)
+			r.bindAny(p, src, a)
+			return
+		}
+	}
+}
+
+// bindAny gives the active ANY_SOURCE receive pair src's next sequence
+// id — the one arrival a carries — and releases the lock.
+func (r *Rank) bindAny(p *sim.Proc, src int, a *arrival) {
 	req := r.anyActive
-	if req == nil {
-		return
-	}
-	for src := 0; src < r.w.Size(); src++ {
-		if src == r.id {
-			continue
-		}
-		next := r.recvSeq[src]
-		a, ok := r.unexpected[src][next]
-		if !ok || !tagsMatch(req, a.h) {
-			continue
-		}
-		delete(r.unexpected[src], next)
-		r.recvSeq[src]++
-		req.hasSeq = true
-		req.seq = next
-		r.anyActive = nil
-		r.c.recvBindTo(p.Now(), req, src)
-		r.matchArrival(p, req, a)
-		r.drainDeferred(p)
-		return
-	}
+	r.anyActive = nil
+	r.peers[src].recvSeq++
+	req.seq = a.h.seq
+	r.c.recvBindTo(p.Now(), req, src)
+	r.matchArrival(p, req, a)
+	r.drainDeferred(p)
 }
 
 // drainDeferred assigns sequence ids to receives that were blocked by
@@ -1042,74 +1070,29 @@ func (r *Rank) drainDeferred(p *sim.Proc) {
 		req := r.deferred[0]
 		r.deferred = r.deferred[1:]
 		if req.peer == AnySource {
-			r.anyActive = req
-			r.m.anyLocks.Inc()
-			r.c.anyLock(p.Now(), req.cid)
-			r.matchAnyAgainstUnexpected(p)
-			return
+			r.lockAny(p, req)
+		} else {
+			r.bindRecv(p, req, req.peer)
 		}
-		r.bindRecv(p, req, req.peer)
 	}
 }
 
-// ---- Self (loopback) messaging ----
-
-func (r *Rank) selfSend(p *sim.Proc, req *Request) {
+// sendSelf delivers a loopback send. There is no wire, so the packet the
+// peer would have received goes straight to the pair's matching state:
+// to the receive posted for its sequence id, else to the unexpected
+// queue, where bindRecv and Iprobe find it like any other arrival.
+func (r *Rank) sendSelf(p *sim.Proc, ps *peerState, req *Request) {
 	r.Stats.SelfMsgs++
-	seq := r.selfSendSeq
-	r.selfSendSeq++
-	if rr, ok := r.expRecv[r.id][seq]; ok {
-		delete(r.expRecv[r.id], seq)
-		r.deliverSelf(p, req, rr)
-		return
+	h := header{kind: pktEager, src: uint16(r.id), tag: int32(req.tag), seq: req.seq, payload: req.slice.N}
+	if recv, ok := ps.expRecv[req.seq]; ok {
+		delete(ps.expRecv, req.seq)
+		r.matchArrival(p, recv, r.newArrival(h, req.slice.Bytes()))
+	} else {
+		a := r.newArrival(h, nil)
+		a.keep(req.slice.Bytes())
+		ps.unexpected[req.seq] = a
 	}
-	a := r.newArrival(header{kind: pktEager, src: uint16(r.id), tag: int32(req.tag), seq: seq, payload: req.slice.N}, nil)
-	a.keep(req.slice.Bytes())
-	r.selfUnexpected[seq] = a
 	req.complete(p, nil)
-}
-
-func (r *Rank) selfRecv(p *sim.Proc, req *Request) {
-	seq := r.selfRecvSeq
-	r.selfRecvSeq++
-	req.seq = seq
-	if a, ok := r.selfUnexpected[seq]; ok {
-		delete(r.selfUnexpected, seq)
-		defer r.recycleArrival(a)
-		if !tagsMatch(req, a.h) {
-			req.complete(p, ErrTagMismatch)
-			return
-		}
-		if a.h.payload > req.slice.N {
-			req.complete(p, ErrTruncate)
-			return
-		}
-		copy(req.slice.Bytes(), a.data)
-		p.Sleep(r.w.Plat.CopyCost(r.v.Loc(), a.h.payload))
-		req.status = Status{Source: r.id, Tag: int(a.h.tag), Len: a.h.payload}
-		req.complete(p, nil)
-		return
-	}
-	r.expRecv[r.id][seq] = req
-	req.state = stPosted
-}
-
-func (r *Rank) deliverSelf(p *sim.Proc, send, recv *Request) {
-	if !tagsMatch(recv, header{tag: int32(send.tag)}) {
-		send.complete(p, nil)
-		recv.complete(p, ErrTagMismatch)
-		return
-	}
-	if send.slice.N > recv.slice.N {
-		send.complete(p, nil)
-		recv.complete(p, ErrTruncate)
-		return
-	}
-	copy(recv.slice.Bytes(), send.slice.Bytes())
-	p.Sleep(r.w.Plat.CopyCost(r.v.Loc(), send.slice.N))
-	recv.status = Status{Source: r.id, Tag: send.tag, Len: send.slice.N}
-	send.complete(p, nil)
-	recv.complete(p, nil)
 }
 
 // ---- Progress engine ----
@@ -1175,11 +1158,7 @@ func (r *Rank) progress(p *sim.Proc) bool {
 			for len(ps.postponed) > 0 && ps.qp.State == ib.QPConnected {
 				wrid := ps.postponed[0]
 				ps.postponed = ps.postponed[1:]
-				act := r.wrMap[wrid]
-				if err := r.reissue(p, wrid, act); err != nil {
-					delete(r.wrMap, wrid)
-					r.failWR(p, act, err)
-				}
+				r.reissue(p, wrid, r.wrMap[wrid])
 				did = true
 			}
 		}
@@ -1190,7 +1169,7 @@ func (r *Rank) progress(p *sim.Proc) bool {
 		for ps.credits > 1 && len(ps.pendingCtrl) > 0 {
 			h := ps.pendingCtrl[0]
 			ps.pendingCtrl = ps.pendingCtrl[1:]
-			if err := r.sendPacket(p, i, h, nil, wrAction{kind: wrCtrl, peer: i}); err != nil {
+			if err := r.postCtrl(p, i, h); err != nil {
 				panic(err)
 			}
 			did = true
@@ -1198,13 +1177,9 @@ func (r *Rank) progress(p *sim.Proc) bool {
 		for ps.credits > 1 && len(ps.pendingSends) > 0 {
 			req := ps.pendingSends[0]
 			ps.pendingSends = ps.pendingSends[1:]
-			h := header{kind: pktEager, tag: int32(req.tag), seq: req.seq}
-			if err := r.sendPacket(p, i, h, req.slice.Bytes(), wrAction{kind: wrEager, req: req}); err != nil {
-				req.complete(p, err)
-				continue
+			if r.postEager(p, req) {
+				did = true
 			}
-			req.state = stEagerSent
-			did = true
 		}
 		// Explicit credit return only when the peer is about to starve:
 		// normal bidirectional traffic returns credits by piggyback. One
@@ -1213,8 +1188,7 @@ func (r *Rank) progress(p *sim.Proc) bool {
 		// unwedges: reaching credits==0 implies a credit packet is in
 		// flight toward the peer.
 		if ps.toReturn >= ps.out.slots-1 && ps.credits > 0 {
-			h := header{kind: pktCredit, seq: 0}
-			if err := r.sendPacket(p, i, h, nil, wrAction{kind: wrCtrl, peer: i}); err == nil {
+			if err := r.postCtrl(p, i, header{kind: pktCredit}); err == nil {
 				r.Stats.CreditPackets++
 				r.trace("credit", i, 0, 0)
 				did = true
@@ -1233,8 +1207,8 @@ func (r *Rank) handlePacket(p *sim.Proc, src int, h header, payload []byte) {
 		// Credits already applied.
 	case pktEager, pktRTS:
 		// Try the posted receive for this (pair, seq) first.
-		if req, ok := r.expRecv[src][h.seq]; ok {
-			delete(r.expRecv[src], h.seq)
+		if req, ok := ps.expRecv[h.seq]; ok {
+			delete(ps.expRecv, h.seq)
 			if h.kind == pktEager && req.state == stRTRWait {
 				// Sender-eager / receiver-rendezvous mis-prediction: the
 				// receiver recognizes it on the eager packet, copies the
@@ -1242,24 +1216,15 @@ func (r *Rank) handlePacket(p *sim.Proc, src int, h header, payload []byte) {
 				// the sender thanks to the sequence id.
 				r.m.mispredicts.Inc()
 				r.c.mispredict(p.Now(), src, h.seq)
-				r.matchArrival(p, req, r.newArrival(h, payload))
-				return
 			}
 			r.matchArrival(p, req, r.newArrival(h, payload))
 			return
 		}
 		// Then the ANY_SOURCE receive: it takes its sequence id from the
 		// first matching packet.
-		if r.anyActive != nil && h.seq == r.recvSeq[src] && tagsMatch(r.anyActive, h) {
+		if r.anyActive != nil && h.seq == ps.recvSeq && tagsMatch(r.anyActive.tag, h) {
 			r.trace("any-source-match", src, h.seq, 0)
-			req := r.anyActive
-			r.anyActive = nil
-			r.recvSeq[src]++
-			req.seq = h.seq
-			req.hasSeq = true
-			r.c.recvBindTo(p.Now(), req, src)
-			r.matchArrival(p, req, r.newArrival(h, payload))
-			r.drainDeferred(p)
+			r.bindAny(p, src, r.newArrival(h, payload))
 			return
 		}
 		// Unexpected: copy eager payloads out of the ring so the slot
@@ -1269,10 +1234,10 @@ func (r *Rank) handlePacket(p *sim.Proc, src int, h header, payload []byte) {
 			a.keep(payload)
 			p.Sleep(r.w.Plat.CopyCost(r.v.Loc(), h.payload))
 		}
-		r.unexpected[src][h.seq] = a
+		ps.unexpected[h.seq] = a
 		r.Stats.Unexpected++
 	case pktRTR:
-		if req, ok := r.sendsBySeq[src][h.seq]; ok {
+		if req, ok := ps.sendsBySeq[h.seq]; ok {
 			switch req.state {
 			case stRTSSent:
 				// Simultaneous send/receive rendezvous: the sender
@@ -1295,13 +1260,9 @@ func (r *Rank) handlePacket(p *sim.Proc, src int, h header, payload []byte) {
 		}
 		// RTR before the local Isend (receiver-first): stash it in the
 		// outbound sequence space.
-		r.earlyRTR[src][h.seq] = h
+		ps.earlyRTR[h.seq] = h
 	case pktDone:
-		req, ok := r.sendsBySeq[src][h.seq]
-		if !ok {
-			panic(fmt.Sprintf("core: rank %d: DONE from %d seq %d matches no send", r.id, src, h.seq))
-		}
-		delete(r.sendsBySeq[src], h.seq)
+		req := r.take(ps.sendsBySeq, src, h)
 		// The DONE closes the rendezvous round trip begun at the
 		// RTS; a dropped RTR already classified it simultaneous.
 		if !req.simul {
@@ -1312,31 +1273,29 @@ func (r *Rank) handlePacket(p *sim.Proc, src int, h header, payload []byte) {
 	case pktDoneW:
 		// Receiver-first: the sender's write plus this DONE completed a
 		// receive that was parked in stRTRWait.
-		req, ok := r.expRecv[src][h.seq]
-		if !ok {
-			panic(fmt.Sprintf("core: rank %d: DONE-W from %d seq %d matches no receive", r.id, src, h.seq))
-		}
-		delete(r.expRecv[src], h.seq)
+		req := r.take(ps.expRecv, src, h)
 		r.m.resolve(req, KindRecvRzv)
 		req.status = Status{Source: src, Tag: req.tag, Len: h.rsize}
 		req.complete(p, nil)
 	case pktNack:
-		req, ok := r.sendsBySeq[src][h.seq]
-		if !ok {
-			panic(fmt.Sprintf("core: rank %d: NACK from %d seq %d matches no send", r.id, src, h.seq))
-		}
-		delete(r.sendsBySeq[src], h.seq)
-		req.complete(p, ErrTruncate)
+		r.take(ps.sendsBySeq, src, h).complete(p, ErrTruncate)
 	case pktNackW:
-		req, ok := r.expRecv[src][h.seq]
-		if !ok {
-			panic(fmt.Sprintf("core: rank %d: NACK-W from %d seq %d matches no receive", r.id, src, h.seq))
-		}
-		delete(r.expRecv[src], h.seq)
-		req.complete(p, ErrTruncate)
+		r.take(ps.expRecv, src, h).complete(p, ErrTruncate)
 	default:
 		panic(fmt.Sprintf("core: rank %d: unknown packet kind %d", r.id, h.kind))
 	}
+}
+
+// take removes from m and returns the request a closing packet (DONE,
+// NACK and their receiver-first forms) names. The sequence id guarantees
+// there is one, so a miss is a protocol bug.
+func (r *Rank) take(m map[uint64]*Request, src int, h header) *Request {
+	req, ok := m[h.seq]
+	if !ok {
+		panic(fmt.Sprintf("core: rank %d: packet kind %d from %d seq %d closes no request", r.id, h.kind, src, h.seq))
+	}
+	delete(m, h.seq)
+	return req
 }
 
 // handleCQE routes one completion.
@@ -1357,14 +1316,11 @@ func (r *Rank) handleCQE(p *sim.Proc, e ib.CQE) {
 		}
 		return
 	}
-	// The hardware is done with the WR (and any fault-mode packet
-	// snapshot): return them to the pools. Under an active fault plan
-	// the WR stays retained — recovery may still replay it.
+	// The hardware is done with the WR: return it to the pool. Under an
+	// active fault plan the WR stays retained — recovery may still
+	// replay it.
 	if act.wr != nil && !r.faultsOn() {
 		r.recycleWR(act.wr)
-	}
-	if act.pkt != nil {
-		r.recyclePkt(act.pkt)
 	}
 	switch act.kind {
 	case wrEager:
@@ -1375,23 +1331,15 @@ func (r *Rank) handleCQE(p *sim.Proc, e ib.CQE) {
 		// Receiver-first write done: tell the receiver.
 		req := act.req
 		req.xferSpan.End(p.Now())
-		delete(r.sendsBySeq[req.peer], req.seq)
+		delete(r.peers[req.peer].sendsBySeq, req.seq)
 		done := header{kind: pktDoneW, seq: req.seq, rsize: req.slice.N}
-		if err := r.ctrlSend(p, req.peer, done); err != nil {
-			req.complete(p, err)
-			return
-		}
-		req.complete(p, nil)
+		req.complete(p, r.ctrlSend(p, req.peer, done))
 	case wrRndvRead:
 		// Sender-first read done: tell the sender.
 		req := act.req
 		req.xferSpan.End(p.Now())
 		done := header{kind: pktDone, seq: req.seq, rsize: req.status.Len}
-		if err := r.ctrlSend(p, act.peer, done); err != nil {
-			req.complete(p, err)
-			return
-		}
-		req.complete(p, nil)
+		req.complete(p, r.ctrlSend(p, act.peer, done))
 	}
 }
 
@@ -1403,17 +1351,11 @@ func (r *Rank) Wait(p *sim.Proc, req *Request) (Status, error) {
 		waiting = true
 	}
 	for !req.completed {
-		if r.fatal != nil {
-			// Transport recovery gave up on a control packet: protocol
-			// progress is no longer guaranteed, so abort instead of
-			// spinning into a deadlock. Completing the request here
-			// closes its spans and releases its pins — without it, every
-			// request in flight at the fatal error leaks an open span.
-			req.complete(p, r.fatal)
-			break
-		}
-		if !r.progress(p) {
-			r.v.HCA().Doorbell.Wait(p)
+		if err := r.idle(p); err != nil {
+			// Completing the request here closes its spans and releases
+			// its pins — without it, every request in flight at the
+			// fatal error leaks an open span.
+			req.complete(p, err)
 		}
 	}
 	if waiting {

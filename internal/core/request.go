@@ -84,9 +84,7 @@ type Request struct {
 	isSend bool
 	peer   int // destination, or matched source for receives
 	tag    int
-	anyTag bool
 	seq    uint64
-	hasSeq bool
 	slice  Slice
 
 	state     reqState

@@ -57,6 +57,48 @@ func TestTraceEagerProtocol(t *testing.T) {
 	}
 }
 
+func TestTraceCountsCreditStarvedEagerSends(t *testing.T) {
+	// A four-slot ring and a receiver that sleeps through 64 sends: all
+	// but the first few queue for credit and are posted by progress as
+	// the receiver drains. Every one of them is an eager-send.
+	plat := perfmodel.Default()
+	c := cluster.New(plat, 2)
+	cfg := core.ConfigFromPlatform(plat)
+	cfg.EagerSlots = 4
+	tr := trace.New(0)
+	cfg.Trace = tr
+	w := core.NewWorld(c.Eng, plat, cfg, c.DCFAEnvs(2))
+	const msgs = 64
+	err := w.Run(func(r *core.Rank) error {
+		p := r.Proc()
+		buf := r.Mem(256)
+		if r.ID() == 0 {
+			reqs := make([]*core.Request, msgs)
+			for i := range reqs {
+				var err error
+				if reqs[i], err = r.Isend(p, 1, i, core.Whole(buf)); err != nil {
+					return err
+				}
+			}
+			return r.WaitAll(p, reqs...)
+		}
+		p.Sleep(5 * sim.Millisecond)
+		for i := 0; i < msgs; i++ {
+			if _, err := r.Recv(p, 0, i, core.Whole(buf)); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent := w.Rank(0).Stats.EagerSends
+	if sent != msgs || int64(tr.Count("eager-send")) != sent {
+		t.Fatalf("%d eager sends, %d traced: %s", sent, tr.Count("eager-send"), tr.Summary())
+	}
+}
+
 func TestTraceSenderFirstUsesRDMARead(t *testing.T) {
 	w, tr := tracedPair(false)
 	oneTransfer(t, w, 64<<10, 0, 400*sim.Microsecond)
