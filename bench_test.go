@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/cluster"
 	"repro/internal/machine"
 	"repro/internal/perfmodel"
 	"repro/internal/sim"
@@ -45,9 +46,9 @@ func BenchmarkFig7NonblockingRTT(b *testing.B) {
 	sizes := []int{4, 8192, 1 << 20}
 	var base, off, host []sim.Duration
 	for i := 0; i < b.N; i++ {
-		base = env.NonblockingExchangeTimes(plat, bench.ModeDCFABase, sizes, 5)
-		off = env.NonblockingExchangeTimes(plat, bench.ModeDCFA, sizes, 5)
-		host = env.NonblockingExchangeTimes(plat, bench.ModeHost, sizes, 5)
+		base = env.NonblockingExchangeTimes(plat, cluster.ModeDCFABase, sizes, 5)
+		off = env.NonblockingExchangeTimes(plat, cluster.ModeDCFA, sizes, 5)
+		host = env.NonblockingExchangeTimes(plat, cluster.ModeHost, sizes, 5)
 	}
 	b.ReportMetric(off[2].Micros(), "offload-1MiB-µs")
 	b.ReportMetric(base[2].Micros(), "base-1MiB-µs")
@@ -60,7 +61,7 @@ func BenchmarkFig8OffloadBandwidth(b *testing.B) {
 	sizes := []int{4 << 20}
 	var off []sim.Duration
 	for i := 0; i < b.N; i++ {
-		off = env.NonblockingExchangeTimes(plat, bench.ModeDCFA, sizes, 5)
+		off = env.NonblockingExchangeTimes(plat, cluster.ModeDCFA, sizes, 5)
 	}
 	b.ReportMetric(float64(4<<20)/(float64(off[0])/1e9)/1e9, "GB/s")
 }
@@ -71,8 +72,8 @@ func BenchmarkFig9BlockingBandwidth(b *testing.B) {
 	sizes := []int{4, 4 << 20}
 	var dcfa, phi []sim.Duration
 	for i := 0; i < b.N; i++ {
-		dcfa = env.BlockingPingPongRTTs(plat, bench.ModeDCFA, sizes, 5)
-		phi = env.BlockingPingPongRTTs(plat, bench.ModePhiMPI, sizes, 5)
+		dcfa = env.BlockingPingPongRTTs(plat, cluster.ModeDCFA, sizes, 5)
+		phi = env.BlockingPingPongRTTs(plat, cluster.ModeIntelPhi, sizes, 5)
 	}
 	b.ReportMetric(dcfa[0].Micros(), "dcfa-4B-RTT-µs")
 	b.ReportMetric(phi[0].Micros(), "phi-4B-RTT-µs")

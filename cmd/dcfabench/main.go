@@ -7,6 +7,7 @@
 //	dcfabench -fig 9          # one figure (5, 7, 8, 9, 10, 11, 12)
 //	dcfabench -table 1        # one table (1, 2, 3)
 //	dcfabench -fig 12 -stencil-iters 50
+//	dcfabench -ablation cg    # one ablation (or all seven: -ablation all)
 //
 // With -metrics every world the run builds reports into one telemetry
 // registry, and a summary (per-protocol message counts, MR-cache hit
@@ -20,7 +21,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
 	"repro/internal/bench"
 	"repro/internal/faults"
@@ -32,7 +35,7 @@ func main() {
 	fig := flag.Int("fig", 0, "figure to regenerate (5, 7, 8, 9, 10, 11, 12)")
 	table := flag.Int("table", 0, "table to regenerate (1, 2, 3)")
 	all := flag.Bool("all", false, "regenerate every table and figure")
-	ablation := flag.String("ablation", "", "ablation study: threshold, eager, mrcache, ringdepth, pack, collectives, all")
+	ablation := flag.String("ablation", "", "ablation study: "+strings.Join(bench.AblationNames(), ", ")+", all")
 	stencilIters := flag.Int("stencil-iters", bench.NewEnv().StencilIters, "stencil iterations per configuration")
 	calibration := flag.String("calibration", "", "JSON file overriding the default platform calibration")
 	showMetrics := flag.Bool("metrics", false, "print the telemetry summary after the run")
@@ -56,40 +59,16 @@ func main() {
 	}
 	// finish emits the telemetry the run accumulated.
 	finish := func() {
-		if reg := env.Metrics; reg != nil {
-			if *showMetrics {
-				fmt.Println()
-				reg.WriteSummary(os.Stdout)
-			}
-			if *traceFile != "" {
-				f, err := os.Create(*traceFile)
-				if err == nil {
-					if err = reg.WriteChromeTrace(f); err == nil {
-						err = f.Close()
-					} else {
-						f.Close()
-					}
-				}
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "dcfabench:", err)
-					os.Exit(1)
-				}
-			}
-			if *metricsJSON != "" {
-				f, err := os.Create(*metricsJSON)
-				if err == nil {
-					if err = reg.WriteJSON(f); err == nil {
-						err = f.Close()
-					} else {
-						f.Close()
-					}
-				}
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "dcfabench:", err)
-					os.Exit(1)
-				}
-			}
+		reg := env.Metrics
+		if reg == nil {
+			return
 		}
+		if *showMetrics {
+			fmt.Println()
+			reg.WriteSummary(os.Stdout)
+		}
+		writeFile(*traceFile, reg.WriteChromeTrace)
+		writeFile(*metricsJSON, reg.WriteJSON)
 	}
 	plat := perfmodel.Default()
 	if *calibration != "" {
@@ -106,36 +85,19 @@ func main() {
 	out := os.Stdout
 
 	if *all {
-		bench.Table1(out)
-		bench.Table2(out, env.MsgSizes)
-		bench.Table3(out)
-		for _, f := range env.AllFigures(plat) {
-			f.Render(out)
-		}
+		env.RenderEvaluation(out, plat)
 		finish()
 		return
 	}
-	switch *ablation {
-	case "":
-	case "threshold":
-		bench.AblationOffloadThreshold(plat).Render(out)
-	case "eager":
-		bench.AblationEagerThreshold(plat).Render(out)
-	case "mrcache":
-		bench.AblationMRCache(plat).Render(out)
-	case "ringdepth":
-		bench.AblationRingDepth(plat).Render(out)
-	case "pack":
-		bench.AblationDatatypePack(plat).Render(out)
-	case "collectives":
-		bench.AblationCollectives(plat).Render(out)
-	case "all":
-		for _, f := range bench.AllAblations(plat) {
+	if *ablation != "" {
+		figs := env.Ablations(plat, *ablation)
+		if figs == nil {
+			fmt.Fprintf(os.Stderr, "dcfabench: unknown ablation %q\n", *ablation)
+			os.Exit(2)
+		}
+		for _, f := range figs {
 			f.Render(out)
 		}
-	default:
-		fmt.Fprintf(os.Stderr, "dcfabench: unknown ablation %q\n", *ablation)
-		os.Exit(2)
 	}
 	switch *table {
 	case 0:
@@ -174,4 +136,23 @@ func main() {
 		os.Exit(2)
 	}
 	finish()
+}
+
+// writeFile writes one telemetry export to path (empty = not asked for).
+func writeFile(path string, write func(io.Writer) error) {
+	if path == "" {
+		return
+	}
+	f, err := os.Create(path)
+	if err == nil {
+		if err = write(f); err == nil {
+			err = f.Close()
+		} else {
+			f.Close()
+		}
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "dcfabench:", err)
+		os.Exit(1)
+	}
 }

@@ -14,8 +14,8 @@
 //
 // Usage:
 //
-//	pingpong -mode dcfa|dcfa-nooffload|host|intel-phi [-iters 10] [-trace]
-//	pingpong -mode dcfampi -tracefile out.json [-metrics]
+//	pingpong -mode dcfa|dcfa-nooffload|host|intel-phi|intel-host-offload|intel-symmetric [-iters 10] [-trace]
+//	pingpong -mode dcfa -tracefile out.json [-metrics]
 package main
 
 import (
@@ -36,10 +36,10 @@ import (
 // protocol timeline.
 func dumpTrace(plat *perfmodel.Platform) {
 	c := cluster.New(plat, 2)
-	cfg := core.ConfigFromPlatform(plat)
+	cfg := c.Config(cluster.ModeDCFA)
 	tr := trace.New(0)
 	cfg.Trace = tr
-	w := core.NewWorld(c.Eng, plat, cfg, c.DCFAEnvs(2))
+	w := core.NewWorld(c.Eng, plat, cfg, c.Envs(cluster.ModeDCFA, 2))
 	err := w.Run(func(r *core.Rank) error {
 		p := r.Proc()
 		buf := r.Mem(64 << 10)
@@ -63,7 +63,7 @@ func dumpTrace(plat *perfmodel.Platform) {
 // Chrome trace-event JSON to path.
 func writeShowcaseTrace(plat *perfmodel.Platform, path string) {
 	reg := metrics.New()
-	if _, err := bench.ProtocolShowcase(plat, reg); err != nil {
+	if _, err := (&bench.Env{Metrics: reg}).ProtocolShowcase(plat); err != nil {
 		fmt.Fprintln(os.Stderr, "pingpong: showcase run:", err)
 		os.Exit(1)
 	}
@@ -85,25 +85,16 @@ func writeShowcaseTrace(plat *perfmodel.Platform, path string) {
 }
 
 func main() {
-	mode := flag.String("mode", "dcfa", "execution mode: dcfa (alias dcfampi), dcfa-nooffload, host, intel-phi")
+	mode := flag.String("mode", "dcfa", "execution mode: dcfa, dcfa-nooffload, host, intel-phi, intel-host-offload, intel-symmetric")
 	iters := flag.Int("iters", 10, "iterations per size")
 	showTrace := flag.Bool("trace", false, "dump the protocol timeline of one 64 KiB transfer first")
 	showMetrics := flag.Bool("metrics", false, "print the telemetry summary after the sweep")
 	traceFile := flag.String("tracefile", "", "write a Chrome trace-event JSON timeline of the protocol showcase to this file")
 	flag.Parse()
 
-	var m bench.Mode
-	switch *mode {
-	case "dcfa", "dcfampi":
-		m = bench.ModeDCFA
-	case "dcfa-nooffload":
-		m = bench.ModeDCFABase
-	case "host":
-		m = bench.ModeHost
-	case "intel-phi":
-		m = bench.ModePhiMPI
-	default:
-		fmt.Fprintf(os.Stderr, "pingpong: unknown mode %q\n", *mode)
+	m, err := cluster.ParseMode(*mode)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "pingpong:", err)
 		os.Exit(2)
 	}
 

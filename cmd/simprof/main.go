@@ -41,7 +41,7 @@ import (
 func main() {
 	workload := flag.String("workload", "showcase", "workload: pingpong | torture | showcase | stencil | cg")
 	seed := flag.Uint64("seed", 7, "torture workload seed")
-	faultSpec := flag.String("faults", "", "deterministic fault plan, e.g. \"seed=7,ib=0.02,cmd=0.02\" (torture only)")
+	faultSpec := flag.String("faults", "", "deterministic fault plan, e.g. \"seed=7,ib=0.02,cmd=0.02\"")
 	out := flag.String("o", "", "write the report to this file instead of stdout")
 	asJSON := flag.Bool("json", false, "emit the report as JSON instead of text")
 	tracePath := flag.String("trace", "", "also write a Perfetto trace with causal flow events to this file")
@@ -58,12 +58,10 @@ func main() {
 	plat := perfmodel.Default()
 	rec := causal.New()
 	reg := metrics.New()
-
-	var plan *faults.Plan
+	env := &bench.Env{Metrics: reg, Causal: rec}
 	if *faultSpec != "" {
 		var err error
-		plan, err = faults.Parse(*faultSpec)
-		if err != nil {
+		if env.Faults, err = faults.Parse(*faultSpec); err != nil {
 			fatal(err)
 		}
 	}
@@ -71,38 +69,34 @@ func main() {
 	var end sim.Time
 	switch *workload {
 	case "pingpong":
-		res, err := bench.PingPongFloodProfiled(plat, *ppSize, *ppIters, reg, rec)
+		res, err := env.PingPongFlood(plat, *ppSize, *ppIters)
 		if err != nil {
 			fatal(err)
 		}
 		end = res.SimTime
 	case "torture":
-		res, err := bench.TortureFloodProfiled(plat, *seed, *rounds, *msgs, plan, reg, rec)
+		res, err := env.TortureFlood(plat, *seed, *rounds, *msgs)
 		if err != nil {
 			fatal(err)
 		}
 		end = res.SimTime
 	case "showcase":
 		var err error
-		end, err = bench.ProtocolShowcaseCausal(plat, reg, rec)
+		end, err = env.ProtocolShowcase(plat)
 		if err != nil {
 			fatal(err)
 		}
 	case "stencil":
-		c := cluster.New(plat, *procs)
-		c.SetMetrics(reg)
-		c.SetCausal(rec)
+		c := env.Cluster(plat, *procs)
 		pr := stencil.Params{N: *n, Iters: *iters, Procs: *procs, Threads: 4}
-		if _, err := stencil.RunWorld(c.DCFAWorld(*procs, true), pr); err != nil {
+		if _, err := stencil.Run(c, cluster.ModeDCFA, pr); err != nil {
 			fatal(err)
 		}
 		end = c.Eng.Now()
 	case "cg":
-		c := cluster.New(plat, *procs)
-		c.SetMetrics(reg)
-		c.SetCausal(rec)
+		c := env.Cluster(plat, *procs)
 		pr := cg.Params{N: *n, MaxIter: *iters, Tol: 1e-10, Procs: *procs, Threads: 4}
-		if _, err := cg.RunWorld(c.DCFAWorld(*procs, true), pr); err != nil {
+		if _, err := cg.RunWorld(c.World(cluster.ModeDCFA, *procs), pr); err != nil {
 			fatal(err)
 		}
 		end = c.Eng.Now()

@@ -22,8 +22,6 @@
 package dcfampi
 
 import (
-	"fmt"
-
 	"repro/internal/baseline"
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -92,46 +90,29 @@ func GetF64s(b []byte, n int) []float64 { return core.GetF64s(b, n) }
 // DefaultPlatform returns the Table I calibration.
 func DefaultPlatform() *Platform { return perfmodel.Default() }
 
-// Mode selects the execution model.
-type Mode int
+// Mode selects the execution model; String prints the spelling every
+// -mode flag accepts.
+type Mode = cluster.Mode
 
 const (
 	// ModeDCFA is DCFA-MPI with the offloading send-buffer design —
 	// the paper's contribution.
-	ModeDCFA Mode = iota
+	ModeDCFA = cluster.ModeDCFA
 	// ModeDCFABase is DCFA-MPI without the offload design.
-	ModeDCFABase
+	ModeDCFABase = cluster.ModeDCFABase
 	// ModeHostMPI runs the ranks on the Xeons (the YAMPII reference).
-	ModeHostMPI
+	ModeHostMPI = cluster.ModeHost
 	// ModeIntelPhi is 'Intel MPI on Xeon Phi co-processors'.
-	ModeIntelPhi
+	ModeIntelPhi = cluster.ModeIntelPhi
 	// ModeHostOffload is 'Intel MPI on Xeon where it offloads
 	// computation to Xeon Phi co-processors'; Job.Devices() returns
 	// the per-rank offload handles.
-	ModeHostOffload
+	ModeHostOffload = cluster.ModeHostOffload
 	// ModeSymmetric places even ranks on hosts and odd ranks on
-	// co-processors (the third §III-B configuration).
-	ModeSymmetric
+	// co-processors, two ranks per node (the third §III-B
+	// configuration).
+	ModeSymmetric = cluster.ModeSymmetric
 )
-
-func (m Mode) String() string {
-	switch m {
-	case ModeDCFA:
-		return "dcfa"
-	case ModeDCFABase:
-		return "dcfa-nooffload"
-	case ModeHostMPI:
-		return "host"
-	case ModeIntelPhi:
-		return "intel-phi"
-	case ModeHostOffload:
-		return "intel-host-offload"
-	case ModeSymmetric:
-		return "intel-symmetric"
-	default:
-		return fmt.Sprintf("Mode(%d)", int(m))
-	}
-}
 
 // Options tunes a Job.
 type Options struct {
@@ -157,10 +138,7 @@ func New(mode Mode, ranks int, opt *Options) *Job {
 		panic("dcfampi: need at least one rank")
 	}
 	plat := perfmodel.Default()
-	nodes := ranks
-	if mode == ModeSymmetric {
-		nodes = (ranks + 1) / 2 // two ranks (host + phi) per node
-	}
+	nodes := mode.Nodes(ranks)
 	if opt != nil {
 		if opt.Platform != nil {
 			plat = opt.Platform
@@ -170,22 +148,9 @@ func New(mode Mode, ranks int, opt *Options) *Job {
 		}
 	}
 	c := cluster.New(plat, nodes)
-	j := &Job{Mode: mode, Ranks: ranks, cluster: c}
-	switch mode {
-	case ModeDCFA:
-		j.world = c.DCFAWorld(ranks, true)
-	case ModeDCFABase:
-		j.world = c.DCFAWorld(ranks, false)
-	case ModeHostMPI:
-		j.world = c.HostWorld(ranks)
-	case ModeIntelPhi:
-		j.world = baseline.PhiMPIWorld(c, ranks)
-	case ModeHostOffload:
-		j.world, j.devices = baseline.HostOffloadWorld(c, ranks)
-	case ModeSymmetric:
-		j.world = baseline.SymmetricWorld(c, ranks)
-	default:
-		panic("dcfampi: unknown mode " + mode.String())
+	j := &Job{Mode: mode, Ranks: ranks, cluster: c, world: c.World(mode, ranks)}
+	if mode == ModeHostOffload {
+		j.devices = baseline.Devices(c, ranks)
 	}
 	return j
 }

@@ -46,7 +46,7 @@ func pingPongRTT(t *testing.T, w *core.World, n int) sim.Duration {
 
 func TestPhiMPIFourByteRTTNear28us(t *testing.T) {
 	c := cluster.New(perfmodel.Default(), 2)
-	rtt := pingPongRTT(t, baseline.PhiMPIWorld(c, 2), 4)
+	rtt := pingPongRTT(t, c.World(cluster.ModeIntelPhi, 2), 4)
 	// The paper: 28 µs for the proxied mode vs 15 µs for DCFA-MPI.
 	if rtt < 24*sim.Microsecond || rtt > 33*sim.Microsecond {
 		t.Fatalf("proxied 4-byte RTT %v, want ≈28µs", rtt)
@@ -56,7 +56,7 @@ func TestPhiMPIFourByteRTTNear28us(t *testing.T) {
 func TestPhiMPIBandwidthCappedBelow1GBs(t *testing.T) {
 	const n = 4 << 20
 	c := cluster.New(perfmodel.Default(), 2)
-	rtt := pingPongRTT(t, baseline.PhiMPIWorld(c, 2), n)
+	rtt := pingPongRTT(t, c.World(cluster.ModeIntelPhi, 2), n)
 	bw := float64(n) / (float64(rtt) / 2 / 1e9) // bytes per second, one way
 	if bw >= 1e9 {
 		t.Fatalf("proxied bandwidth %.2f GB/s, paper says it cannot exceed 1 GB/s", bw/1e9)
@@ -69,7 +69,7 @@ func TestPhiMPIBandwidthCappedBelow1GBs(t *testing.T) {
 func TestDCFABeatsPhiMPIBy3xAtLargeSizes(t *testing.T) {
 	const n = 4 << 20
 	cp := cluster.New(perfmodel.Default(), 2)
-	proxied := pingPongRTT(t, baseline.PhiMPIWorld(cp, 2), n)
+	proxied := pingPongRTT(t, cp.World(cluster.ModeIntelPhi, 2), n)
 	cd := cluster.New(perfmodel.Default(), 2)
 	dcfaRTT := pingPongRTT(t, cd.DCFAWorld(2, true), n)
 	ratio := float64(proxied) / float64(dcfaRTT)
@@ -82,7 +82,7 @@ func TestDCFABeatsPhiMPIBy3xAtLargeSizes(t *testing.T) {
 
 func TestPhiMPIPayloadIntegrity(t *testing.T) {
 	c := cluster.New(perfmodel.Default(), 2)
-	w := baseline.PhiMPIWorld(c, 2)
+	w := c.World(cluster.ModeIntelPhi, 2)
 	err := w.Run(func(r *core.Rank) error {
 		p := r.Proc()
 		const n = 128 << 10
@@ -111,10 +111,7 @@ func TestPhiMPIPayloadIntegrity(t *testing.T) {
 }
 
 func TestPhiMPIHasNoOffloadVerbs(t *testing.T) {
-	c := cluster.New(perfmodel.Default(), 2)
-	v := baseline.ProxyVerbs{}
-	_ = c
-	if v.SupportsOffload() {
+	if (core.ProxyVerbs{}).SupportsOffload() {
 		t.Fatal("proxied mode must not support the offload send buffer")
 	}
 }
@@ -164,7 +161,7 @@ func TestOffloadDeviceTransferAndLaunchCosts(t *testing.T) {
 
 func TestHostOffloadWorldRuns(t *testing.T) {
 	c := cluster.New(perfmodel.Default(), 2)
-	w, devs := baseline.HostOffloadWorld(c, 2)
+	w, devs := c.World(cluster.ModeHostOffload, 2), baseline.Devices(c, 2)
 	if len(devs) != 2 {
 		t.Fatalf("devices %d", len(devs))
 	}
@@ -200,7 +197,7 @@ func TestHostOffloadWorldRuns(t *testing.T) {
 func TestSymmetricModeMixedRanks(t *testing.T) {
 	// 4 ranks on 2 nodes: host ranks 0,2 and co-processor ranks 1,3.
 	c := cluster.New(perfmodel.Default(), 2)
-	w := baseline.SymmetricWorld(c, 4)
+	w := c.World(cluster.ModeSymmetric, 4)
 	err := w.Run(func(r *core.Rank) error {
 		p := r.Proc()
 		// Every pairing (host↔host, host↔phi, phi↔phi) exchanges.
@@ -226,7 +223,7 @@ func TestSymmetricModeMixedRanks(t *testing.T) {
 
 func TestSymmetricModeDomainPlacement(t *testing.T) {
 	c := cluster.New(perfmodel.Default(), 2)
-	w := baseline.SymmetricWorld(c, 4)
+	w := c.World(cluster.ModeSymmetric, 4)
 	err := w.Run(func(r *core.Rank) error {
 		isHost := r.ID()%2 == 0
 		gotHost := r.Domain().Kind.String() == "host"
@@ -243,7 +240,7 @@ func TestSymmetricModeDomainPlacement(t *testing.T) {
 func TestSymmetricHostPairFasterThanPhiPair(t *testing.T) {
 	// Within symmetric mode, host↔host messaging must outrun phi↔phi.
 	c := cluster.New(perfmodel.Default(), 2)
-	w := baseline.SymmetricWorld(c, 4)
+	w := c.World(cluster.ModeSymmetric, 4)
 	var hostT, phiT sim.Duration
 	err := w.Run(func(r *core.Rank) error {
 		p := r.Proc()

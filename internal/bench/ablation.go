@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"repro/internal/baseline"
 	"repro/internal/cg"
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -17,44 +16,17 @@ import (
 // performance"), the eager/rendezvous switch, the MR cache pool, the
 // eager ring depth, and the future-work datatype-pack offload.
 
-// dcfaWorldWithCfg builds a 2-rank DCFA world with a custom config.
-func dcfaWorldWithCfg(plat *perfmodel.Platform, cfg core.Config) *core.World {
-	c := cluster.New(plat, 2)
-	return core.NewWorld(c.Eng, plat, cfg, c.DCFAEnvs(2))
-}
-
-// exchangeSweep measures per-size nonblocking exchange times on w.
+// exchangeSweep measures per-size Sendrecv exchange times on w, after
+// one warm-up exchange per size to amortize registrations.
 func exchangeSweep(w *core.World, sizes []int, iters int) []sim.Duration {
-	out := make([]sim.Duration, len(sizes))
-	err := w.Run(func(r *core.Rank) error {
-		p := r.Proc()
+	return timeSizes(w, sizes, iters, 1, func(r *core.Rank, tag, n int) func() error {
+		sb, rb := r.Mem(n), r.Mem(n)
 		other := 1 - r.ID()
-		for si, n := range sizes {
-			sb := r.Mem(n)
-			rb := r.Mem(n)
-			if err := r.Barrier(p); err != nil {
-				return err
-			}
-			// One warmup exchange to amortize registrations.
-			if _, err := r.Sendrecv(p, other, si, core.Whole(sb), other, si, core.Whole(rb)); err != nil {
-				return err
-			}
-			start := p.Now()
-			for it := 0; it < iters; it++ {
-				if _, err := r.Sendrecv(p, other, si, core.Whole(sb), other, si, core.Whole(rb)); err != nil {
-					return err
-				}
-			}
-			if r.ID() == 0 {
-				out[si] = (p.Now() - start) / sim.Duration(iters)
-			}
+		return func() error {
+			_, err := r.Sendrecv(r.Proc(), other, tag, core.Whole(sb), other, tag, core.Whole(rb))
+			return err
 		}
-		return nil
 	})
-	if err != nil {
-		panic(err)
-	}
-	return out
 }
 
 // AblationOffloadThreshold sweeps the offloading start size. For each
@@ -62,7 +34,7 @@ func exchangeSweep(w *core.World, sizes []int, iters int) []sim.Duration {
 // the switch and t use the direct (slow) rendezvous path — exactly the
 // trade-off the paper tuned. The Y value is the total time of one
 // exchange at each probe size; the "total" series exposes the optimum.
-func AblationOffloadThreshold(plat *perfmodel.Platform) *Figure {
+func (e *Env) AblationOffloadThreshold(plat *perfmodel.Platform) *Figure {
 	thresholds := []int{1 << 10, 2 << 10, 4 << 10, 8 << 10, 16 << 10, 32 << 10, 64 << 10}
 	probes := []int{4 << 10, 8 << 10, 16 << 10, 32 << 10, 64 << 10, 256 << 10}
 	f := &Figure{
@@ -78,13 +50,10 @@ func AblationOffloadThreshold(plat *perfmodel.Platform) *Figure {
 		perProbe[i].Label = fmt.Sprintf("%s msg", formatX(n))
 	}
 	for _, t := range thresholds {
-		cfg := core.ConfigFromPlatform(plat)
-		cfg.Offload = true
-		cfg.OffloadMinSize = t
-		if t < cfg.EagerMax {
-			cfg.EagerMax = t
-		}
-		w := dcfaWorldWithCfg(plat, cfg)
+		w := e.tunedWorld(plat, cluster.ModeDCFA, 2, func(cfg *core.Config) {
+			cfg.OffloadMinSize = t
+			cfg.EagerMax = min(cfg.EagerMax, t)
+		})
 		ts := exchangeSweep(w, probes, defaultIters)
 		sum := 0.0
 		for i := range probes {
@@ -107,7 +76,7 @@ func AblationOffloadThreshold(plat *perfmodel.Platform) *Figure {
 // AblationEagerThreshold sweeps the eager/rendezvous switch with the
 // offload design disabled, isolating the one-copy vs zero-copy
 // trade-off on the co-processor.
-func AblationEagerThreshold(plat *perfmodel.Platform) *Figure {
+func (e *Env) AblationEagerThreshold(plat *perfmodel.Platform) *Figure {
 	thresholds := []int{1 << 10, 4 << 10, 8 << 10, 16 << 10, 32 << 10, 64 << 10}
 	probes := []int{512, 2 << 10, 8 << 10, 32 << 10}
 	f := &Figure{
@@ -121,10 +90,7 @@ func AblationEagerThreshold(plat *perfmodel.Platform) *Figure {
 		perProbe[i].Label = fmt.Sprintf("%s msg", formatX(n))
 	}
 	for _, t := range thresholds {
-		cfg := core.ConfigFromPlatform(plat)
-		cfg.Offload = false
-		cfg.EagerMax = t
-		w := dcfaWorldWithCfg(plat, cfg)
+		w := e.tunedWorld(plat, cluster.ModeDCFABase, 2, func(cfg *core.Config) { cfg.EagerMax = t })
 		ts := exchangeSweep(w, probes, defaultIters)
 		for i := range probes {
 			perProbe[i].Points = append(perProbe[i].Points, Point{X: t, Y: usec(ts[i])})
@@ -138,7 +104,7 @@ func AblationEagerThreshold(plat *perfmodel.Platform) *Figure {
 // registration on a buffer-reusing rendezvous workload (the paper: the
 // pool "can only benefit applications which always reuse a few
 // buffers").
-func AblationMRCache(plat *perfmodel.Platform) *Figure {
+func (e *Env) AblationMRCache(plat *perfmodel.Platform) *Figure {
 	f := &Figure{
 		ID:     "Ablation A3",
 		Title:  "MR cache pool vs per-message registration (64 KiB rendezvous, reused buffers)",
@@ -148,10 +114,8 @@ func AblationMRCache(plat *perfmodel.Platform) *Figure {
 	var s Series
 	s.Label = "64K exchange"
 	for _, cap := range []int{1, 2, 4, 64} {
-		cfg := core.ConfigFromPlatform(plat)
-		cfg.Offload = false // force user-buffer registration
-		cfg.MRCacheCap = cap
-		w := dcfaWorldWithCfg(plat, cfg)
+		// No offload design: force user-buffer registration.
+		w := e.tunedWorld(plat, cluster.ModeDCFABase, 2, func(cfg *core.Config) { cfg.MRCacheCap = cap })
 		ts := exchangeSweep(w, []int{64 << 10}, defaultIters)
 		s.Points = append(s.Points, Point{X: cap, Y: usec(ts[0])})
 	}
@@ -164,7 +128,7 @@ func AblationMRCache(plat *perfmodel.Platform) *Figure {
 
 // AblationRingDepth varies the eager ring depth under a one-way burst:
 // shallow rings stall on credits.
-func AblationRingDepth(plat *perfmodel.Platform) *Figure {
+func (e *Env) AblationRingDepth(plat *perfmodel.Platform) *Figure {
 	f := &Figure{
 		ID:     "Ablation A4",
 		Title:  "Eager ring depth under a 128-message burst",
@@ -175,9 +139,7 @@ func AblationRingDepth(plat *perfmodel.Platform) *Figure {
 	s.Label = "1 KiB burst"
 	const burst = 128
 	for _, slots := range []int{2, 4, 8, 16, 64} {
-		cfg := core.ConfigFromPlatform(plat)
-		cfg.EagerSlots = slots
-		w := dcfaWorldWithCfg(plat, cfg)
+		w := e.tunedWorld(plat, cluster.ModeDCFA, 2, func(cfg *core.Config) { cfg.EagerSlots = slots })
 		var per sim.Duration
 		err := w.Run(func(r *core.Rank) error {
 			p := r.Proc()
@@ -220,7 +182,7 @@ func AblationRingDepth(plat *perfmodel.Platform) *Figure {
 
 // AblationDatatypePack compares local vs host-offloaded noncontiguous
 // packing across packed sizes — the paper's §VI future-work proposal.
-func AblationDatatypePack(plat *perfmodel.Platform) *Figure {
+func (e *Env) AblationDatatypePack(plat *perfmodel.Platform) *Figure {
 	f := &Figure{
 		ID:     "Ablation A5",
 		Title:  "Datatype pack: Phi-local vs host-offloaded (future work, §VI)",
@@ -236,10 +198,10 @@ func AblationDatatypePack(plat *perfmodel.Platform) *Figure {
 			s.Label = "Phi-local pack"
 		}
 		for _, n := range sizes {
-			cfg := core.ConfigFromPlatform(plat)
-			cfg.OffloadDatatypePack = offload
-			cfg.OffloadPackMinSize = 1 // always offload when enabled
-			w := dcfaWorldWithCfg(plat, cfg)
+			w := e.tunedWorld(plat, cluster.ModeDCFA, 2, func(cfg *core.Config) {
+				cfg.OffloadDatatypePack = offload
+				cfg.OffloadPackMinSize = 1 // always offload when enabled
+			})
 			blocks := n / 64
 			dt := core.Vector(blocks, 8, 16, 8) // 64-byte blocks, half-dense
 			var elapsed sim.Duration
@@ -293,7 +255,7 @@ func AblationDatatypePack(plat *perfmodel.Platform) *Figure {
 // count under DCFA-MPI and the proxied Intel mode — the collective cost
 // the paper defers to future work ("some heavy functions, such as
 // collective communication ... are planned to be offloaded").
-func AblationCollectives(plat *perfmodel.Platform) *Figure {
+func (e *Env) AblationCollectives(plat *perfmodel.Platform) *Figure {
 	f := &Figure{
 		ID:     "Ablation A6",
 		Title:  "Allreduce latency vs rank count (8 B and 64 KiB payloads)",
@@ -301,19 +263,12 @@ func AblationCollectives(plat *perfmodel.Platform) *Figure {
 		YLabel: "µs per allreduce",
 	}
 	payloads := []int{8, 64 << 10}
-	for _, m := range []Mode{ModeDCFA, ModePhiMPI} {
+	for _, m := range []cluster.Mode{cluster.ModeDCFA, cluster.ModeIntelPhi} {
 		for _, n := range payloads {
-			s := Series{Label: fmt.Sprintf("%s %s", m, formatX(n))}
+			s := Series{Label: fmt.Sprintf("%s %s", modeLabels[m], formatX(n))}
 			for _, ranks := range []int{2, 4, 8} {
-				c := cluster.New(plat, ranks)
-				var w *core.World
-				if m == ModeDCFA {
-					w = c.DCFAWorld(ranks, true)
-				} else {
-					w = baseline.PhiMPIWorld(c, ranks)
-				}
 				var per sim.Duration
-				err := w.Run(func(r *core.Rank) error {
+				err := e.world(plat, m, ranks).Run(func(r *core.Rank) error {
 					p := r.Proc()
 					buf := r.Mem(n)
 					// Warmup.
@@ -349,29 +304,18 @@ func AblationCollectives(plat *perfmodel.Platform) *Figure {
 // AblationCG runs the Conjugate Gradient workload (internal/cg) across
 // modes and process counts: a second full application exercising the
 // halo-exchange + Allreduce pattern on the library.
-func AblationCG(plat *perfmodel.Platform) *Figure {
+func (e *Env) AblationCG(plat *perfmodel.Platform) *Figure {
 	f := &Figure{
 		ID:     "Ablation A7",
 		Title:  "Conjugate Gradient (256² Poisson, 30 iters) time per iteration",
 		XLabel: "procs",
 		YLabel: "µs per iteration",
 	}
-	build := func(m Mode, procs int) *core.World {
-		c := cluster.New(plat, procs)
-		switch m {
-		case ModeDCFA:
-			return c.DCFAWorld(procs, true)
-		case ModePhiMPI:
-			return baseline.PhiMPIWorld(c, procs)
-		default:
-			return c.HostWorld(procs)
-		}
-	}
-	for _, m := range []Mode{ModeDCFA, ModePhiMPI, ModeHost} {
-		s := Series{Label: m.String()}
+	for _, m := range []cluster.Mode{cluster.ModeDCFA, cluster.ModeIntelPhi, cluster.ModeHost} {
+		s := Series{Label: modeLabels[m]}
 		for _, procs := range []int{1, 2, 4, 8} {
 			pr := cg.Params{N: 256, MaxIter: 30, Tol: 1e-30, Procs: procs, Threads: 16}
-			res, err := cg.RunWorld(build(m, procs), pr)
+			res, err := cg.RunWorld(e.world(plat, m, procs), pr)
 			if err != nil {
 				panic(err)
 			}
@@ -382,15 +326,38 @@ func AblationCG(plat *perfmodel.Platform) *Figure {
 	return f
 }
 
-// AllAblations regenerates every ablation figure.
-func AllAblations(plat *perfmodel.Platform) []*Figure {
-	return []*Figure{
-		AblationOffloadThreshold(plat),
-		AblationEagerThreshold(plat),
-		AblationMRCache(plat),
-		AblationRingDepth(plat),
-		AblationDatatypePack(plat),
-		AblationCollectives(plat),
-		AblationCG(plat),
+// ablations lists the studies in A1…A7 order under the names
+// dcfabench's -ablation flag takes.
+var ablations = []struct {
+	name string
+	run  func(*Env, *perfmodel.Platform) *Figure
+}{
+	{"threshold", (*Env).AblationOffloadThreshold},
+	{"eager", (*Env).AblationEagerThreshold},
+	{"mrcache", (*Env).AblationMRCache},
+	{"ringdepth", (*Env).AblationRingDepth},
+	{"pack", (*Env).AblationDatatypePack},
+	{"collectives", (*Env).AblationCollectives},
+	{"cg", (*Env).AblationCG},
+}
+
+// AblationNames lists the ablation studies in A1…A7 order.
+func AblationNames() []string {
+	names := make([]string, len(ablations))
+	for i, a := range ablations {
+		names[i] = a.name
 	}
+	return names
+}
+
+// Ablations regenerates the named ablation figure, or every one in
+// order for "all"; nil means the name is unknown.
+func (e *Env) Ablations(plat *perfmodel.Platform, name string) []*Figure {
+	var figs []*Figure
+	for _, a := range ablations {
+		if name == a.name || name == "all" {
+			figs = append(figs, a.run(e, plat))
+		}
+	}
+	return figs
 }

@@ -2,10 +2,12 @@ package bench
 
 import (
 	"testing"
+
+	"repro/internal/cluster"
 )
 
 func TestAblationOffloadThresholdOptimumNear8K(t *testing.T) {
-	f := AblationOffloadThreshold(plat())
+	f := NewEnv().AblationOffloadThreshold(plat())
 	total, ok := f.ByLabel("sum over probe sizes")
 	if !ok {
 		t.Fatal("total series missing")
@@ -24,7 +26,7 @@ func TestAblationOffloadThresholdOptimumNear8K(t *testing.T) {
 }
 
 func TestAblationEagerThresholdTradeoffs(t *testing.T) {
-	f := AblationEagerThreshold(plat())
+	f := NewEnv().AblationEagerThreshold(plat())
 	// A 512 B message should not care much about the threshold (always
 	// eager); a 32 KiB message should be fastest when eager (one copy
 	// beats the rendezvous handshake at these sizes on the Phi path).
@@ -43,7 +45,7 @@ func TestAblationEagerThresholdTradeoffs(t *testing.T) {
 }
 
 func TestAblationMRCacheWins(t *testing.T) {
-	f := AblationMRCache(plat())
+	f := NewEnv().AblationMRCache(plat())
 	s := f.Series[0]
 	first := s.Points[0]
 	last := s.Points[len(s.Points)-1]
@@ -61,7 +63,7 @@ func TestAblationMRCacheWins(t *testing.T) {
 }
 
 func TestAblationRingDepthMonotone(t *testing.T) {
-	f := AblationRingDepth(plat())
+	f := NewEnv().AblationRingDepth(plat())
 	s := f.Series[0]
 	// Deeper rings are never slower under a burst.
 	for i := 1; i < len(s.Points); i++ {
@@ -78,7 +80,7 @@ func TestAblationRingDepthMonotone(t *testing.T) {
 }
 
 func TestAblationCollectivesScaling(t *testing.T) {
-	f := AblationCollectives(plat())
+	f := NewEnv().AblationCollectives(plat())
 	if len(f.Series) != 4 {
 		t.Fatalf("series %d, want 4", len(f.Series))
 	}
@@ -99,7 +101,7 @@ func TestAblationCollectivesScaling(t *testing.T) {
 }
 
 func TestAblationDatatypePackCrossover(t *testing.T) {
-	f := AblationDatatypePack(plat())
+	f := NewEnv().AblationDatatypePack(plat())
 	local, _ := f.ByLabel("Phi-local pack")
 	off, _ := f.ByLabel("host-offloaded pack")
 	// Small vectors: local wins (round trip dominates). Large: offload
@@ -115,10 +117,10 @@ func TestAblationDatatypePackCrossover(t *testing.T) {
 }
 
 func TestAblationCGModesAndScaling(t *testing.T) {
-	f := AblationCG(plat())
-	dcfa, _ := f.ByLabel(ModeDCFA.String())
-	phi, _ := f.ByLabel(ModePhiMPI.String())
-	host, _ := f.ByLabel(ModeHost.String())
+	f := NewEnv().AblationCG(plat())
+	dcfa, _ := f.ByLabel(modeLabels[cluster.ModeDCFA])
+	phi, _ := f.ByLabel(modeLabels[cluster.ModeIntelPhi])
+	host, _ := f.ByLabel(modeLabels[cluster.ModeHost])
 	// DCFA beats the proxied mode at every process count above 1.
 	for _, p := range dcfa.Points {
 		if p.X == 1 {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/machine"
 	"repro/internal/perfmodel"
 	"repro/internal/sim"
@@ -47,9 +48,9 @@ func TestFigure5Shape(t *testing.T) {
 
 func TestFigure7And8OffloadCurves(t *testing.T) {
 	f7 := NewEnv().Figure7(plat())
-	base, _ := f7.ByLabel(ModeDCFABase.String())
-	off, _ := f7.ByLabel(ModeDCFA.String())
-	host, _ := f7.ByLabel(ModeHost.String())
+	base, _ := f7.ByLabel(modeLabels[cluster.ModeDCFABase])
+	off, _ := f7.ByLabel(modeLabels[cluster.ModeDCFA])
+	host, _ := f7.ByLabel(modeLabels[cluster.ModeHost])
 	// Below the 8 KiB threshold the two DCFA variants are identical.
 	b4, _ := base.At(4096)
 	o4, _ := off.At(4096)
@@ -69,7 +70,7 @@ func TestFigure7And8OffloadCurves(t *testing.T) {
 	}
 
 	f8 := NewEnv().Figure8(plat())
-	off8, _ := f8.ByLabel(ModeDCFA.String())
+	off8, _ := f8.ByLabel(modeLabels[cluster.ModeDCFA])
 	peak := 0.0
 	for _, p := range off8.Points {
 		if p.Y > peak {
@@ -79,7 +80,7 @@ func TestFigure7And8OffloadCurves(t *testing.T) {
 	if peak < 2.5 || peak > 3.1 {
 		t.Fatalf("offloaded peak bandwidth %.2f GB/s, paper: 2.8", peak)
 	}
-	base8, _ := f8.ByLabel(ModeDCFABase.String())
+	base8, _ := f8.ByLabel(modeLabels[cluster.ModeDCFABase])
 	basePeak := 0.0
 	for _, p := range base8.Points {
 		if p.Y > basePeak {
@@ -93,8 +94,8 @@ func TestFigure7And8OffloadCurves(t *testing.T) {
 
 func TestFigure9Targets(t *testing.T) {
 	f := NewEnv().Figure9(plat())
-	d, _ := f.ByLabel(ModeDCFA.String())
-	x, _ := f.ByLabel(ModePhiMPI.String())
+	d, _ := f.ByLabel(modeLabels[cluster.ModeDCFA])
+	x, _ := f.ByLabel(modeLabels[cluster.ModeIntelPhi])
 	dl, _ := d.At(4 << 20)
 	xl, _ := x.At(4 << 20)
 	if r := dl / xl; r < 2.5 || r > 3.6 {
@@ -228,10 +229,11 @@ func TestRenderAndTables(t *testing.T) {
 	}
 }
 
+// TestModeStrings: every mode has a figure label.
 func TestModeStrings(t *testing.T) {
-	for _, m := range []Mode{ModeDCFA, ModeDCFABase, ModeHost, ModePhiMPI, Mode(99)} {
-		if m.String() == "" {
-			t.Fatalf("empty mode string for %d", int(m))
+	for m := cluster.ModeDCFA; m <= cluster.ModeSymmetric; m++ {
+		if int(m) >= len(modeLabels) || modeLabels[m] == "" {
+			t.Fatalf("mode %s has no figure label", m)
 		}
 	}
 }

@@ -34,7 +34,7 @@ func TestProfilingDoesNotPerturbSchedule(t *testing.T) {
 	plat := perfmodel.Default()
 	const seed, rounds, msgs = 7, 4, 12
 
-	base, err := bench.TortureFloodProfiled(plat, seed, rounds, msgs, tortureFaultPlan(), nil, nil)
+	base, err := (&bench.Env{Faults: tortureFaultPlan()}).TortureFlood(plat, seed, rounds, msgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestProfilingDoesNotPerturbSchedule(t *testing.T) {
 	run := func() (bench.PerfResult, []byte) {
 		rec := causal.New()
 		reg := metrics.New()
-		res, err := bench.TortureFloodProfiled(plat, seed, rounds, msgs, tortureFaultPlan(), reg, rec)
+		res, err := (&bench.Env{Metrics: reg, Causal: rec, Faults: tortureFaultPlan()}).TortureFlood(plat, seed, rounds, msgs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +77,7 @@ func analyzeShowcase(t *testing.T) (*causal.Report, *metrics.Registry) {
 	t.Helper()
 	rec := causal.New()
 	reg := metrics.New()
-	end, err := bench.ProtocolShowcaseCausal(perfmodel.Default(), reg, rec)
+	end, err := (&bench.Env{Metrics: reg, Causal: rec}).ProtocolShowcase(perfmodel.Default())
 	if err != nil {
 		t.Fatal(err)
 	}

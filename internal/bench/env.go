@@ -1,8 +1,12 @@
 package bench
 
 import (
+	"repro/internal/causal"
+	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/metrics"
+	"repro/internal/perfmodel"
 )
 
 // Env carries one benchmark run's configuration and observability
@@ -21,6 +25,10 @@ type Env struct {
 	// from the same plan, so runs stay reproducible regardless of sweep
 	// order.
 	Faults *faults.Plan
+	// Causal, when non-nil, is the causal-event recorder installed on
+	// every cluster the Env builds. Recording is passive: fingerprints
+	// match the unrecorded run.
+	Causal *causal.Recorder
 	// MsgSizes is the message-size sweep used by the communication
 	// figures.
 	MsgSizes []int
@@ -36,4 +44,35 @@ func NewEnv() *Env {
 		MsgSizes:     []int{4, 64, 1024, 4096, 8192, 16384, 65536, 262144, 1 << 20, 4 << 20},
 		StencilIters: 20,
 	}
+}
+
+// install puts everything the Env carries on c — the one place bench
+// does so, so a figure, ablation or workload cannot miss a sink.
+func (e *Env) install(c *cluster.Cluster) *cluster.Cluster {
+	c.SetMetrics(e.Metrics)
+	c.SetFaults(e.Faults)
+	c.SetCausal(e.Causal)
+	return c
+}
+
+// Cluster builds a fresh n-node cluster carrying the Env's sinks; every
+// cluster a figure, ablation or harness workload runs on comes from
+// here.
+func (e *Env) Cluster(plat *perfmodel.Platform, n int) *cluster.Cluster {
+	return e.install(cluster.New(plat, n))
+}
+
+// world builds a fresh cluster of the size the mode fills with ranks
+// ranks and a world of the mode on it.
+func (e *Env) world(plat *perfmodel.Platform, m cluster.Mode, ranks int) *core.World {
+	return e.Cluster(plat, m.Nodes(ranks)).World(m, ranks)
+}
+
+// tunedWorld is world with the mode's paper-tuned configuration
+// adjusted by tune.
+func (e *Env) tunedWorld(plat *perfmodel.Platform, m cluster.Mode, ranks int, tune func(*core.Config)) *core.World {
+	c := e.Cluster(plat, m.Nodes(ranks))
+	cfg := c.Config(m)
+	tune(&cfg)
+	return core.NewWorld(c.Eng, plat, cfg, c.Envs(m, ranks))
 }

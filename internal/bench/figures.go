@@ -2,7 +2,9 @@ package bench
 
 import (
 	"fmt"
+	"io"
 
+	"repro/internal/cluster"
 	"repro/internal/machine"
 	"repro/internal/perfmodel"
 	"repro/internal/sim"
@@ -57,16 +59,16 @@ func (e *Env) Figure7(plat *perfmodel.Platform) *Figure {
 		XLabel: "bytes",
 		YLabel: "µs",
 	}
-	for _, m := range []Mode{ModeDCFABase, ModeDCFA, ModeHost} {
+	for _, m := range []cluster.Mode{cluster.ModeDCFABase, cluster.ModeDCFA, cluster.ModeHost} {
 		ts := e.NonblockingExchangeTimes(plat, m, e.MsgSizes, defaultIters)
-		s := Series{Label: m.String()}
+		s := Series{Label: modeLabels[m]}
 		for i, n := range e.MsgSizes {
 			s.Points = append(s.Points, Point{X: n, Y: usec(ts[i])})
 		}
 		f.Series = append(f.Series, s)
 	}
-	off, _ := f.ByLabel(ModeDCFA.String())
-	host, _ := f.ByLabel(ModeHost.String())
+	off, _ := f.ByLabel(modeLabels[cluster.ModeDCFA])
+	host, _ := f.ByLabel(modeLabels[cluster.ModeHost])
 	o, _ := off.At(1 << 20)
 	h, _ := host.At(1 << 20)
 	f.Notes = append(f.Notes, fmt.Sprintf(
@@ -83,15 +85,15 @@ func (e *Env) Figure8(plat *perfmodel.Platform) *Figure {
 		XLabel: "bytes",
 		YLabel: "GB/s per direction",
 	}
-	for _, m := range []Mode{ModeDCFABase, ModeDCFA, ModeHost} {
+	for _, m := range []cluster.Mode{cluster.ModeDCFABase, cluster.ModeDCFA, cluster.ModeHost} {
 		ts := e.NonblockingExchangeTimes(plat, m, e.MsgSizes, defaultIters)
-		s := Series{Label: m.String()}
+		s := Series{Label: modeLabels[m]}
 		for i, n := range e.MsgSizes {
 			s.Points = append(s.Points, Point{X: n, Y: gbps(n, ts[i])})
 		}
 		f.Series = append(f.Series, s)
 	}
-	off, _ := f.ByLabel(ModeDCFA.String())
+	off, _ := f.ByLabel(modeLabels[cluster.ModeDCFA])
 	peak := 0.0
 	for _, p := range off.Points {
 		if p.Y > peak {
@@ -112,9 +114,9 @@ func (e *Env) Figure9(plat *perfmodel.Platform) *Figure {
 		YLabel: "GB/s (size / (RTT/2))",
 	}
 	var rtt4 [2]sim.Duration
-	for i, m := range []Mode{ModeDCFA, ModePhiMPI} {
+	for i, m := range []cluster.Mode{cluster.ModeDCFA, cluster.ModeIntelPhi} {
 		ts := e.BlockingPingPongRTTs(plat, m, e.MsgSizes, defaultIters)
-		s := Series{Label: m.String()}
+		s := Series{Label: modeLabels[m]}
 		for j, n := range e.MsgSizes {
 			s.Points = append(s.Points, Point{X: n, Y: gbps(n, ts[j]/2)})
 			if n == 4 {
@@ -162,33 +164,25 @@ func (e *Env) Figure10(plat *perfmodel.Platform) *Figure {
 
 // stencilTime runs one stencil configuration in benchmark mode and
 // returns the per-iteration time.
-func (e *Env) stencilTime(plat *perfmodel.Platform, mode string, procs, threads int) sim.Duration {
+func (e *Env) stencilTime(plat *perfmodel.Platform, m cluster.Mode, procs, threads int) sim.Duration {
 	pr := stencil.Params{N: 1280, Iters: e.StencilIters, Procs: procs, Threads: threads, SkipCompute: true}
-	var res stencil.Result
-	var err error
-	switch mode {
-	case "dcfa":
-		res, err = stencil.RunDCFA(plat, pr, true)
-	case "phi":
-		res, err = stencil.RunPhiMPI(plat, pr)
-	case "host":
-		res, err = stencil.RunHostOffload(plat, pr)
-	case "serial":
-		res, err = stencil.RunSerial(plat, stencil.Params{N: 1280, Iters: e.StencilIters, Procs: 1, Threads: 1, SkipCompute: true})
-	default:
-		panic("bench: unknown stencil mode " + mode)
-	}
+	res, err := stencil.Run(e.Cluster(plat, procs), m, pr)
 	if err != nil {
 		panic(err)
 	}
 	return res.PerIter
 }
 
-// stencilModeLabels maps internal mode keys to figure labels.
-var stencilModes = []struct{ key, label string }{
-	{"dcfa", "DCFA-MPI"},
-	{"phi", "IntelMPI-on-Phi"},
-	{"host", "IntelMPI-Xeon+offload"},
+// stencilModes are the three libraries of Figures 11 and 12, under the
+// names those figures use (DCFA-MPI there means with the offload
+// design).
+var stencilModes = []struct {
+	mode  cluster.Mode
+	label string
+}{
+	{cluster.ModeDCFA, "DCFA-MPI"},
+	{cluster.ModeIntelPhi, modeLabels[cluster.ModeIntelPhi]},
+	{cluster.ModeHostOffload, modeLabels[cluster.ModeHostOffload]},
 }
 
 // Figure11 reproduces "Processing time of five point stencil
@@ -205,7 +199,7 @@ func (e *Env) Figure11(plat *perfmodel.Platform) *Figure {
 		for _, m := range stencilModes {
 			s := Series{Label: fmt.Sprintf("%s T=%d", m.label, threads)}
 			for _, procs := range []int{1, 2, 4, 8} {
-				t := e.stencilTime(plat, m.key, procs, threads)
+				t := e.stencilTime(plat, m.mode, procs, threads)
 				s.Points = append(s.Points, Point{X: procs, Y: float64(t) / float64(sim.Millisecond)})
 			}
 			f.Series = append(f.Series, s)
@@ -224,12 +218,16 @@ func (e *Env) Figure12(plat *perfmodel.Platform) *Figure {
 		XLabel: "threads",
 		YLabel: "speed-up ×",
 	}
-	serial := e.stencilTime(plat, "serial", 1, 1)
+	ser, err := stencil.RunSerial(plat, stencil.Params{N: 1280, Iters: e.StencilIters, SkipCompute: true})
+	if err != nil {
+		panic(err)
+	}
+	serial := ser.PerIter
 	threads := []int{1, 2, 4, 8, 16, 28, 56}
 	for _, m := range stencilModes {
 		s := Series{Label: m.label}
 		for _, t := range threads {
-			pt := e.stencilTime(plat, m.key, 8, t)
+			pt := e.stencilTime(plat, m.mode, 8, t)
 			s.Points = append(s.Points, Point{X: t, Y: float64(serial) / float64(pt)})
 		}
 		f.Series = append(f.Series, s)
@@ -249,5 +247,16 @@ func (e *Env) AllFigures(plat *perfmodel.Platform) []*Figure {
 	return []*Figure{
 		e.Figure5(plat), e.Figure7(plat), e.Figure8(plat),
 		e.Figure9(plat), e.Figure10(plat), e.Figure11(plat), e.Figure12(plat),
+	}
+}
+
+// RenderEvaluation writes the whole §V reproduction — Tables I–III and
+// every figure — the way `dcfabench -all` prints it.
+func (e *Env) RenderEvaluation(w io.Writer, plat *perfmodel.Platform) {
+	Table1(w)
+	Table2(w, e.MsgSizes)
+	Table3(w)
+	for _, f := range e.AllFigures(plat) {
+		f.Render(w)
 	}
 }

@@ -3,7 +3,6 @@ package bench
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 
 	"repro/internal/baseline"
 	"repro/internal/cluster"
@@ -76,82 +75,39 @@ func (e *Env) RawOneWay(plat *perfmodel.Platform, srcKind, dstKind machine.Domai
 	return total / sim.Duration(iters)
 }
 
-// Mode selects an MPI configuration for the communication sweeps.
-type Mode int
-
-const (
-	// ModeDCFA is DCFA-MPI with the offloading send-buffer design.
-	ModeDCFA Mode = iota
-	// ModeDCFABase is DCFA-MPI without the offload design.
-	ModeDCFABase
-	// ModeHost is the host MPI reference (YAMPII on the Xeons).
-	ModeHost
-	// ModePhiMPI is 'Intel MPI on Xeon Phi co-processors'.
-	ModePhiMPI
-)
-
-func (m Mode) String() string {
-	switch m {
-	case ModeDCFA:
-		return "DCFA-MPI+offload"
-	case ModeDCFABase:
-		return "DCFA-MPI"
-	case ModeHost:
-		return "Host MPI"
-	case ModePhiMPI:
-		return "IntelMPI-on-Phi"
-	default:
-		return fmt.Sprintf("Mode(%d)", int(m))
-	}
+// modeLabels are the series names the paper's figures give the modes
+// (cluster.Mode.String is the command-line spelling).
+var modeLabels = [...]string{
+	cluster.ModeDCFA:        "DCFA-MPI+offload",
+	cluster.ModeDCFABase:    "DCFA-MPI",
+	cluster.ModeHost:        "Host MPI",
+	cluster.ModeIntelPhi:    "IntelMPI-on-Phi",
+	cluster.ModeHostOffload: "IntelMPI-Xeon+offload",
+	cluster.ModeSymmetric:   "IntelMPI-symmetric",
 }
 
-// buildWorld constructs a fresh 2-node world for the mode.
-func (e *Env) buildWorld(plat *perfmodel.Platform, m Mode, ranks int) *core.World {
-	c := cluster.New(plat, ranks)
-	c.SetMetrics(e.Metrics)
-	c.SetFaults(e.Faults)
-	switch m {
-	case ModeDCFA:
-		return c.DCFAWorld(ranks, true)
-	case ModeDCFABase:
-		return c.DCFAWorld(ranks, false)
-	case ModeHost:
-		return c.HostWorld(ranks)
-	case ModePhiMPI:
-		return baseline.PhiMPIWorld(c, ranks)
-	default:
-		panic("bench: unknown mode")
-	}
-}
-
-// NonblockingExchangeTimes measures, for each size, the average time of
-// one bidirectional MPI_Isend/MPI_Irecv exchange between 2 ranks
-// (Figures 7 and 8's primitive). One world serves the whole sweep, so
-// MR caches behave as in the paper's steady state.
-func (e *Env) NonblockingExchangeTimes(plat *perfmodel.Platform, m Mode, sizes []int, iters int) []sim.Duration {
+// timeSizes is the measurement loop every communication sweep shares,
+// run on each rank of w: per size, prep allocates the rank's buffers
+// and returns one step of the pattern; after a barrier and warmup
+// untimed steps, rank 0 times iters steps. One world serves the whole
+// sweep, so MR caches behave as in the paper's steady state.
+func timeSizes(w *core.World, sizes []int, iters, warmup int, prep func(r *core.Rank, tag, n int) func() error) []sim.Duration {
 	out := make([]sim.Duration, len(sizes))
-	w := e.buildWorld(plat, m, 2)
 	err := w.Run(func(r *core.Rank) error {
 		p := r.Proc()
-		other := 1 - r.ID()
 		for si, n := range sizes {
-			sb := r.Mem(n)
-			rb := r.Mem(n)
+			step := prep(r, si, n)
 			if err := r.Barrier(p); err != nil {
 				return err
 			}
-			start := p.Now()
-			for it := 0; it < iters; it++ {
-				sq, err := r.Isend(p, other, si, core.Whole(sb))
-				if err != nil {
+			for it := 0; it < warmup; it++ {
+				if err := step(); err != nil {
 					return err
 				}
-				rq, err := r.Irecv(p, other, si, core.Whole(rb))
-				if err != nil {
-					// Drain the already-posted send before bailing out.
-					return errors.Join(err, r.WaitAll(p, sq))
-				}
-				if err := r.WaitAll(p, sq, rq); err != nil {
+			}
+			start := p.Now()
+			for it := 0; it < iters; it++ {
+				if err := step(); err != nil {
 					return err
 				}
 			}
@@ -165,57 +121,67 @@ func (e *Env) NonblockingExchangeTimes(plat *perfmodel.Platform, m Mode, sizes [
 		panic(err)
 	}
 	return out
+}
+
+// isendIrecv is one bidirectional MPI_Isend/MPI_Irecv exchange with
+// other.
+func isendIrecv(r *core.Rank, other, tag int, sb, rb *machine.Buffer) error {
+	p := r.Proc()
+	sq, err := r.Isend(p, other, tag, core.Whole(sb))
+	if err != nil {
+		return err
+	}
+	rq, err := r.Irecv(p, other, tag, core.Whole(rb))
+	if err != nil {
+		// Drain the already-posted send before bailing out.
+		return errors.Join(err, r.WaitAll(p, sq))
+	}
+	return r.WaitAll(p, sq, rq)
+}
+
+// NonblockingExchangeTimes measures, for each size, the average time of
+// one bidirectional MPI_Isend/MPI_Irecv exchange between 2 ranks
+// (Figures 7 and 8's primitive).
+func (e *Env) NonblockingExchangeTimes(plat *perfmodel.Platform, m cluster.Mode, sizes []int, iters int) []sim.Duration {
+	return timeSizes(e.world(plat, m, 2), sizes, iters, 0, func(r *core.Rank, tag, n int) func() error {
+		sb, rb := r.Mem(n), r.Mem(n)
+		return func() error { return isendIrecv(r, 1-r.ID(), tag, sb, rb) }
+	})
 }
 
 // BlockingPingPongRTTs measures the blocking Send/Recv round-trip time
 // for each size (Figure 9's primitive: "bandwidth result is calculated
 // using the round trip latency of MPI blocking communication").
-func (e *Env) BlockingPingPongRTTs(plat *perfmodel.Platform, m Mode, sizes []int, iters int) []sim.Duration {
-	out := make([]sim.Duration, len(sizes))
-	w := e.buildWorld(plat, m, 2)
-	err := w.Run(func(r *core.Rank) error {
-		p := r.Proc()
-		other := 1 - r.ID()
-		for si, n := range sizes {
-			buf := r.Mem(n)
-			if err := r.Barrier(p); err != nil {
-				return err
-			}
-			start := p.Now()
-			for it := 0; it < iters; it++ {
-				if r.ID() == 0 {
-					if err := r.Send(p, other, si, core.Whole(buf)); err != nil {
-						return err
-					}
-					if _, err := r.Recv(p, other, si, core.Whole(buf)); err != nil {
-						return err
-					}
-				} else {
-					if _, err := r.Recv(p, other, si, core.Whole(buf)); err != nil {
-						return err
-					}
-					if err := r.Send(p, other, si, core.Whole(buf)); err != nil {
-						return err
-					}
-				}
-			}
-			if r.ID() == 0 {
-				out[si] = (p.Now() - start) / sim.Duration(iters)
-			}
-		}
-		return nil
+func (e *Env) BlockingPingPongRTTs(plat *perfmodel.Platform, m cluster.Mode, sizes []int, iters int) []sim.Duration {
+	return timeSizes(e.world(plat, m, 2), sizes, iters, 0, func(r *core.Rank, tag, n int) func() error {
+		buf := r.Mem(n)
+		return func() error { return pingPong(r, tag, buf) }
 	})
-	if err != nil {
-		panic(err)
+}
+
+// pingPong is one blocking round trip between ranks 0 and 1: rank 0
+// sends then receives, rank 1 receives then sends.
+func pingPong(r *core.Rank, tag int, buf *machine.Buffer) error {
+	p := r.Proc()
+	other := 1 - r.ID()
+	if r.ID() == 0 {
+		if err := r.Send(p, other, tag, core.Whole(buf)); err != nil {
+			return err
+		}
+		_, err := r.Recv(p, other, tag, core.Whole(buf))
+		return err
 	}
-	return out
+	if _, err := r.Recv(p, other, tag, core.Whole(buf)); err != nil {
+		return err
+	}
+	return r.Send(p, other, tag, core.Whole(buf))
 }
 
 // CommOnlyDCFA measures the per-iteration time of the communication-only
 // application (Table II) under DCFA-MPI: the data stays in co-processor
 // memory and only the MPI exchange happens.
 func (e *Env) CommOnlyDCFA(plat *perfmodel.Platform, sizes []int, iters int) []sim.Duration {
-	return e.NonblockingExchangeTimes(plat, ModeDCFA, sizes, iters)
+	return e.NonblockingExchangeTimes(plat, cluster.ModeDCFA, sizes, iters)
 }
 
 // CommOnlyHostOffload measures the same application under 'Intel MPI on
@@ -225,51 +191,24 @@ func (e *Env) CommOnlyDCFA(plat *perfmodel.Platform, sizes []int, iters int) []s
 // buffers, no per-iteration offload init, double buffering for what the
 // data dependencies allow).
 func (e *Env) CommOnlyHostOffload(plat *perfmodel.Platform, sizes []int, iters int) []sim.Duration {
-	out := make([]sim.Duration, len(sizes))
-	c := cluster.New(plat, 2)
-	c.SetMetrics(e.Metrics)
-	c.SetFaults(e.Faults)
-	w, devs := baseline.HostOffloadWorld(c, 2)
-	err := w.Run(func(r *core.Rank) error {
+	c := e.Cluster(plat, 2)
+	devs := baseline.Devices(c, 2)
+	return timeSizes(c.World(cluster.ModeHostOffload, 2), sizes, iters, 0, func(r *core.Rank, tag, n int) func() error {
 		p := r.Proc()
 		dev := devs[r.ID()]
-		dev.Init(p)
-		other := 1 - r.ID()
-		for si, n := range sizes {
-			hostSend := r.Mem(n)
-			hostRecv := r.Mem(n)
-			micBuf := dev.Node.Mic.Alloc(n)
-			if err := r.Barrier(p); err != nil {
+		dev.Init(p) // once: later calls are no-ops
+		hostSend, hostRecv := r.Mem(n), r.Mem(n)
+		micBuf := dev.Node.Mic.Alloc(n)
+		return func() error {
+			// Copy out the card's results for sending, exchange between
+			// the hosts, copy the received data back in for the next
+			// compute.
+			dev.TransferOut(p, hostSend.Data, micBuf.Data)
+			if err := isendIrecv(r, 1-r.ID(), tag, hostSend, hostRecv); err != nil {
 				return err
 			}
-			start := p.Now()
-			for it := 0; it < iters; it++ {
-				// Copy out the card's results for sending.
-				dev.TransferOut(p, hostSend.Data, micBuf.Data)
-				// Host MPI exchange.
-				sq, err := r.Isend(p, other, si, core.Whole(hostSend))
-				if err != nil {
-					return err
-				}
-				rq, err := r.Irecv(p, other, si, core.Whole(hostRecv))
-				if err != nil {
-					// Drain the already-posted send before bailing out.
-					return errors.Join(err, r.WaitAll(p, sq))
-				}
-				if err := r.WaitAll(p, sq, rq); err != nil {
-					return err
-				}
-				// Copy the received data back in for the next compute.
-				dev.TransferIn(p, micBuf.Data, hostRecv.Data)
-			}
-			if r.ID() == 0 {
-				out[si] = (p.Now() - start) / sim.Duration(iters)
-			}
+			dev.TransferIn(p, micBuf.Data, hostRecv.Data)
+			return nil
 		}
-		return nil
 	})
-	if err != nil {
-		panic(err)
-	}
-	return out
 }

@@ -7,11 +7,8 @@ package bench
 // by its fingerprint and two runs of one workload are bit-identical.
 
 import (
-	"repro/internal/causal"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/faults"
-	"repro/internal/metrics"
 	"repro/internal/perfmodel"
 	"repro/internal/sim"
 )
@@ -28,36 +25,18 @@ type PerfResult struct {
 	Fingerprint  uint64
 }
 
-// PingPongFloodProfiled runs a blocking Send/Recv ping-pong of
-// size-byte messages between 2 DCFA ranks for iters round trips — the
-// classic latency flood, dominated by per-message protocol events —
-// with optional passive instrumentation installed across every layer:
-// reg and rec are nil-tolerant, and the fingerprint matches the
+// PingPongFlood runs a blocking Send/Recv ping-pong of size-byte
+// messages between 2 DCFA ranks for iters round trips — the classic
+// latency flood, dominated by per-message protocol events. The Env's
+// registry and recorder are passive: the fingerprint matches the
 // uninstrumented run.
-func PingPongFloodProfiled(plat *perfmodel.Platform, size, iters int, reg *metrics.Registry, rec *causal.Recorder) (PerfResult, error) {
-	c := cluster.New(plat, 2)
-	c.SetMetrics(reg)
-	c.SetCausal(rec)
-	w := c.DCFAWorld(2, true)
-	err := w.Run(func(r *core.Rank) error {
-		p := r.Proc()
-		other := 1 - r.ID()
+func (e *Env) PingPongFlood(plat *perfmodel.Platform, size, iters int) (PerfResult, error) {
+	c := e.Cluster(plat, 2)
+	err := c.World(cluster.ModeDCFA, 2).Run(func(r *core.Rank) error {
 		buf := r.Mem(size)
 		for it := 0; it < iters; it++ {
-			if r.ID() == 0 {
-				if err := r.Send(p, other, 1, core.Whole(buf)); err != nil {
-					return err
-				}
-				if _, err := r.Recv(p, other, 1, core.Whole(buf)); err != nil {
-					return err
-				}
-			} else {
-				if _, err := r.Recv(p, other, 1, core.Whole(buf)); err != nil {
-					return err
-				}
-				if err := r.Send(p, other, 1, core.Whole(buf)); err != nil {
-					return err
-				}
+			if err := pingPong(r, 1, buf); err != nil {
+				return err
 			}
 		}
 		return nil
@@ -88,16 +67,15 @@ func (g *perfRNG) next() uint64 {
 
 func (g *perfRNG) intn(n int) int { return int(g.next() % uint64(n)) }
 
-// TortureFloodProfiled runs the seeded 4-rank randomized
+// TortureFlood runs the seeded 4-rank randomized
 // point-to-point workload from the torture suite, without payload
 // checks: rounds bulk-synchronous rounds of msgs directed Isend/Irecv
 // pairs each, over sizes straddling the eager/rendezvous threshold,
 // closed by a Barrier. It stresses matching, rendezvous and the
-// collectives' control path at once. plan (nil = sunny day) drives the
-// transport fault injector, reg and rec install telemetry and causal
-// recording. With plan nil, the fingerprint matches the
-// uninstrumented run.
-func TortureFloodProfiled(plat *perfmodel.Platform, seed uint64, rounds, msgs int, plan *faults.Plan, reg *metrics.Registry, rec *causal.Recorder) (PerfResult, error) {
+// collectives' control path at once. The Env's fault plan (nil = sunny
+// day) drives the transport fault injector; with none, the fingerprint
+// matches the uninstrumented run.
+func (e *Env) TortureFlood(plat *perfmodel.Platform, seed uint64, rounds, msgs int) (PerfResult, error) {
 	sizes := []int{64, 1024, 8192, 8193, 32768}
 	type pmsg struct{ src, dst, size, tag int }
 	const ranks = 4
@@ -116,14 +94,8 @@ func TortureFloodProfiled(plat *perfmodel.Platform, seed uint64, rounds, msgs in
 			payload += int64(sz)
 		}
 	}
-	c := cluster.New(plat, ranks)
-	c.SetMetrics(reg)
-	c.SetCausal(rec)
-	if plan != nil {
-		c.SetFaults(plan)
-	}
-	w := c.DCFAWorld(ranks, true)
-	err := w.Run(func(r *core.Rank) error {
+	c := e.Cluster(plat, ranks)
+	err := c.World(cluster.ModeDCFA, ranks).Run(func(r *core.Rank) error {
 		p := r.Proc()
 		me := r.ID()
 		for _, ro := range sched {

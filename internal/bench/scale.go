@@ -10,10 +10,8 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/causal"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/perfmodel"
 )
 
@@ -76,31 +74,21 @@ func scaleExpected(seed uint64, ranks, elems int) []float64 {
 	return want
 }
 
-// ScaleAllreduce runs the scale workload uninstrumented.
-func ScaleAllreduce(plat *perfmodel.Platform, cfg ScaleConfig) (PerfResult, error) {
-	return ScaleAllreduceProfiled(plat, cfg, nil, nil)
-}
-
-// ScaleAllreduceProfiled is ScaleAllreduce with optional passive
-// instrumentation. The world runs host-verbs ranks with the scale
-// configuration: lazy connect (the all-pairs bootstrap would build
-// ~10⁶ endpoint pairs), a shallow 8-slot eager ring, a 1 KiB eager
-// threshold, and no offload arena (10³ ranks × 16 MiB would dwarf the
-// payload). Same seed ⇒ same fingerprint, byte for byte.
-func ScaleAllreduceProfiled(plat *perfmodel.Platform, cfg ScaleConfig, reg *metrics.Registry, rec *causal.Recorder) (PerfResult, error) {
+// ScaleAllreduce runs the scale workload. The world runs host-verbs
+// ranks with the scale configuration: lazy connect (the all-pairs
+// bootstrap would build ~10⁶ endpoint pairs), a shallow 8-slot eager
+// ring, a 1 KiB eager threshold, and no offload arena (10³ ranks ×
+// 16 MiB would dwarf the payload). Same seed ⇒ same fingerprint, byte
+// for byte, with or without the Env's passive instrumentation.
+func (e *Env) ScaleAllreduce(plat *perfmodel.Platform, cfg ScaleConfig) (PerfResult, error) {
 	cfg.defaults()
-	c := cluster.NewWithTopo(plat, cfg.Ranks, cfg.Topo)
-	c.SetMetrics(reg)
-	c.SetCausal(rec)
-	wcfg := core.ConfigFromPlatform(plat)
-	wcfg.Offload = false
+	c := e.install(cluster.NewWithTopo(plat, cfg.Ranks, cfg.Topo))
+	wcfg := c.Config(cluster.ModeHost)
 	wcfg.EagerSlots = 8
 	wcfg.EagerMax = 1024
 	wcfg.ConnectMode = "lazy"
 	wcfg.CollAllreduce = cfg.Algo
-	wcfg.Metrics = c.Metrics
-	wcfg.Causal = c.Causal
-	w := core.NewWorld(c.Eng, plat, wcfg, c.HostEnvs(cfg.Ranks))
+	w := core.NewWorld(c.Eng, plat, wcfg, c.Envs(cluster.ModeHost, cfg.Ranks))
 	var want []float64
 	if cfg.Verify {
 		want = scaleExpected(cfg.Seed, cfg.Ranks, cfg.Elems)

@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"repro/internal/causal"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/perfmodel"
 	"repro/internal/sim"
 )
@@ -23,22 +21,14 @@ import (
 //   - phase 6: large recv posted early, small send late
 //     → receiver predicts rendezvous (RTR), sender goes eager: mispredict
 //
-// It returns the final virtual time of the run.
-func ProtocolShowcase(plat *perfmodel.Platform, reg *metrics.Registry) (sim.Time, error) {
-	return ProtocolShowcaseCausal(plat, reg, nil)
-}
-
-// ProtocolShowcaseCausal is ProtocolShowcase with a causal-event
-// recorder installed across every layer: the golden workload for the
-// cross-rank causal profiler, exercising all protocol classes, a
-// deliberate late sender/late receiver pair, and a rendezvous
-// misprediction stall. Recording is passive, so the run's fingerprint
-// matches ProtocolShowcase's.
-func ProtocolShowcaseCausal(plat *perfmodel.Platform, reg *metrics.Registry, rec *causal.Recorder) (sim.Time, error) {
-	c := cluster.New(plat, 2)
-	c.SetMetrics(reg)
-	c.SetCausal(rec)
-	w := c.DCFAWorld(2, true)
+// It returns the final virtual time of the run. With a causal recorder
+// on the Env it is also the golden workload for the cross-rank causal
+// profiler: all protocol classes, a deliberate late sender/late
+// receiver pair, and a rendezvous misprediction stall. Recording is
+// passive, so the fingerprint is the same with or without it.
+func (e *Env) ProtocolShowcase(plat *perfmodel.Platform) (sim.Time, error) {
+	c := e.Cluster(plat, 2)
+	w := c.World(cluster.ModeDCFA, 2)
 	err := w.Run(func(r *core.Rank) error {
 		p := r.Proc()
 		other := 1 - r.ID()

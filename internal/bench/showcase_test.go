@@ -19,7 +19,7 @@ import (
 func runShowcase(t *testing.T) (*metrics.Registry, sim.Time) {
 	t.Helper()
 	reg := metrics.New()
-	final, err := ProtocolShowcase(perfmodel.Default(), reg)
+	final, err := (&Env{Metrics: reg}).ProtocolShowcase(perfmodel.Default())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,11 +16,9 @@ import (
 	"math"
 	"unsafe"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/omp"
-	"repro/internal/perfmodel"
 	"repro/internal/sim"
 )
 
@@ -170,16 +168,6 @@ func dotAll(p *sim.Proc, r *core.Rank, local float64) (float64, error) {
 		return 0, err
 	}
 	return core.GetF64s(buf.Data, 1)[0], nil
-}
-
-// Run solves the system under DCFA-MPI and returns the converged
-// result.
-func Run(plat *perfmodel.Platform, pr Params, offload bool) (Result, error) {
-	if err := pr.Validate(); err != nil {
-		return Result{}, err
-	}
-	c := cluster.New(plat, pr.Procs)
-	return RunWorld(c.DCFAWorld(pr.Procs, offload), pr)
 }
 
 // RunWorld solves the system on an already-built world (any execution

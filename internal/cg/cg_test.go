@@ -3,8 +3,14 @@ package cg
 import (
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/perfmodel"
 )
+
+// run solves pr under DCFA-MPI on a fresh cluster, one node per process.
+func run(plat *perfmodel.Platform, pr Params) (Result, error) {
+	return RunWorld(cluster.New(plat, pr.Procs).World(cluster.ModeDCFA, pr.Procs), pr)
+}
 
 func params(procs int) Params {
 	return Params{N: 32, MaxIter: 200, Tol: 1e-8, Procs: procs, Threads: 2}
@@ -27,7 +33,7 @@ func TestReferenceConverges(t *testing.T) {
 func TestDistributedMatchesReferenceExactly(t *testing.T) {
 	for _, procs := range []int{1, 2, 4} {
 		pr := params(procs)
-		got, err := Run(perfmodel.Default(), pr, true)
+		got, err := run(perfmodel.Default(), pr)
 		if err != nil {
 			t.Fatalf("procs=%d: %v", procs, err)
 		}
@@ -83,12 +89,12 @@ func TestMoreProcsReduceSolveTime(t *testing.T) {
 	plat := perfmodel.Default()
 	// A larger grid so compute dominates and scaling shows.
 	pr := Params{N: 256, MaxIter: 30, Tol: 1e-30, Procs: 1, Threads: 8}
-	r1, err := Run(plat, pr, true)
+	r1, err := run(plat, pr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pr.Procs = 4
-	r4, err := Run(plat, pr, true)
+	r4, err := run(plat, pr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,17 +1,15 @@
 // Package cluster assembles simulated 8-node Xeon/Xeon-Phi/InfiniBand
-// clusters (Table I) and wires MPI worlds for the execution modes the
-// paper compares:
-//
-//   - DCFA-MPI (ranks on the co-processors, direct HCA access, with or
-//     without the offloading send-buffer design);
-//   - the host MPI reference (ranks on the Xeons — the YAMPII
-//     configuration DCFA-MPI derives from).
-//
-// The 'Intel MPI' baseline modes live in internal/baseline.
+// clusters (Table I) and is the one place an MPI world is built: Mode
+// names the execution modes the paper compares (§III-B, §V), and
+// Config, Envs and World turn a mode into a protocol configuration, the
+// per-rank verbs providers and a world that carry everything installed
+// on the cluster (SetMetrics, SetFaults, SetCausal). The COI offload
+// device of the host-offload mode lives in internal/baseline.
 package cluster
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/causal"
 	"repro/internal/core"
@@ -78,8 +76,8 @@ func NewWithTopo(plat *perfmodel.Platform, n int, topology string) *Cluster {
 }
 
 // SetMetrics installs one telemetry registry across the cluster's
-// fabric and PCIe complexes; worlds built afterwards (DCFAWorld,
-// HostWorld, DCFAEnvs) inherit it down to every rank and DCFA daemon.
+// fabric and PCIe complexes; worlds built afterwards (World, Envs,
+// Config) inherit it down to every rank and DCFA daemon.
 // Call it before building worlds so QP creation picks up the handles.
 func (c *Cluster) SetMetrics(reg *metrics.Registry) {
 	c.Metrics = reg
@@ -120,53 +118,111 @@ func (c *Cluster) SetFaults(plan *faults.Plan) *faults.Injector {
 // per node).
 func (c *Cluster) NodeFor(rank int) int { return rank % len(c.Nodes) }
 
-// DCFAEnvs builds per-rank DCFA environments: each rank gets its own
-// delegation client and host daemon (mcexec is per process).
-func (c *Cluster) DCFAEnvs(ranks int) []core.Env {
-	envs := make([]core.Env, ranks)
-	for i := 0; i < ranks; i++ {
-		ni := c.NodeFor(i)
-		mic, _ := dcfa.New(c.Eng, c.Plat, c.Nodes[ni], c.HCAs[ni], c.Buses[ni])
-		mic.SetMetrics(c.Metrics)
-		mic.SetFaults(c.Faults)
-		mic.SetCausal(c.Causal, i)
-		envs[i] = core.Env{V: core.DCFAVerbs{MicVerbs: mic}, Node: c.Nodes[ni]}
+// Mode is an execution mode: where the MPI ranks run and which
+// InfiniBand provider sits under them.
+type Mode int
+
+const (
+	ModeDCFA        Mode = iota // DCFA-MPI with the §IV-B4 offloading send buffer
+	ModeDCFABase                // DCFA-MPI without it
+	ModeHost                    // host MPI reference (YAMPII on the Xeons)
+	ModeIntelPhi                // 'Intel MPI on Xeon Phi': card-resident ranks, proxied verbs
+	ModeHostOffload             // 'Intel MPI on Xeon + offload': host ranks, data on the card
+	ModeSymmetric               // §III-B symmetric: even ranks on hosts, odd ranks proxied on cards
+)
+
+var modeNames = [...]string{"dcfa", "dcfa-nooffload", "host", "intel-phi", "intel-host-offload", "intel-symmetric"}
+
+func (m Mode) String() string {
+	if m < 0 || int(m) >= len(modeNames) {
+		return fmt.Sprintf("Mode(%d)", int(m))
 	}
-	return envs
+	return modeNames[m]
 }
 
-// HostEnvs builds per-rank host-verbs environments (ranks on the Xeons).
-func (c *Cluster) HostEnvs(ranks int) []core.Env {
+// ParseMode is the inverse of String.
+func ParseMode(s string) (Mode, error) {
+	for m, name := range modeNames {
+		if s == name {
+			return Mode(m), nil
+		}
+	}
+	return 0, fmt.Errorf("cluster: unknown mode %q (one of %s)", s, strings.Join(modeNames[:], ", "))
+}
+
+// Nodes is the cluster size a job of ranks ranks fills: one rank per
+// node, except symmetric's host + co-processor pair.
+func (m Mode) Nodes(ranks int) int {
+	if m == ModeSymmetric {
+		return (ranks + 1) / 2
+	}
+	return ranks
+}
+
+// Config is the mode's paper-tuned protocol configuration with
+// everything installed on the cluster already in it; callers that tune
+// the protocol start from it.
+func (c *Cluster) Config(m Mode) core.Config {
+	cfg := core.ConfigFromPlatform(c.Plat)
+	cfg.Offload = m == ModeDCFA
+	if m == ModeIntelPhi || m == ModeSymmetric {
+		// Intel MPI's much larger eager threshold (256 KiB default)
+		// with a shallower ring.
+		cfg.EagerMax = c.Plat.ProxyEagerMax
+		cfg.EagerSlots = 4
+	}
+	cfg.Metrics, cfg.Faults, cfg.Causal = c.Metrics, c.Faults, c.Causal
+	return cfg
+}
+
+// newMic wires DCFA for one rank on node ni: its own delegation client
+// and host daemon (mcexec is per process), carrying the cluster's sinks.
+func (c *Cluster) newMic(rank, ni int) core.DCFAVerbs {
+	mic, _ := dcfa.New(c.Eng, c.Plat, c.Nodes[ni], c.HCAs[ni], c.Buses[ni])
+	mic.SetMetrics(c.Metrics)
+	mic.SetFaults(c.Faults)
+	mic.SetCausal(c.Causal, rank)
+	return core.DCFAVerbs{MicVerbs: mic}
+}
+
+// Envs builds the mode's per-rank environments: direct DCFA verbs,
+// host verbs, or the proxied Intel path.
+func (c *Cluster) Envs(m Mode, ranks int) []core.Env {
+	if m < 0 || int(m) >= len(modeNames) {
+		panic("cluster: unknown mode " + m.String())
+	}
 	envs := make([]core.Env, ranks)
-	for i := 0; i < ranks; i++ {
-		ni := c.NodeFor(i)
-		envs[i] = core.Env{
-			V:    core.HostVerbs{Ctx: c.HCAs[ni].Open(machine.HostMem), Node: c.Nodes[ni]},
-			Node: c.Nodes[ni],
+	for i := range envs {
+		ni, onHost := c.NodeFor(i), m == ModeHost || m == ModeHostOffload
+		if m == ModeSymmetric {
+			ni, onHost = c.NodeFor(i/2), i%2 == 0
+		}
+		envs[i].Node = c.Nodes[ni]
+		switch {
+		case onHost:
+			envs[i].V = core.HostVerbs{Ctx: c.HCAs[ni].Open(machine.HostMem), Node: c.Nodes[ni]}
+		case m == ModeDCFA || m == ModeDCFABase:
+			envs[i].V = c.newMic(i, ni)
+		default:
+			envs[i].V = core.ProxyVerbs{DCFAVerbs: c.newMic(i, ni)}
 		}
 	}
 	return envs
 }
 
-// DCFAWorld builds a DCFA-MPI world. offload selects the §IV-B4
-// offloading send-buffer design.
-func (c *Cluster) DCFAWorld(ranks int, offload bool) *core.World {
-	cfg := core.ConfigFromPlatform(c.Plat)
-	cfg.Offload = offload
-	cfg.Metrics = c.Metrics
-	cfg.Faults = c.Faults
-	cfg.Causal = c.Causal
-	return core.NewWorld(c.Eng, c.Plat, cfg, c.DCFAEnvs(ranks))
+// World builds an MPI world of the mode on c.
+func (c *Cluster) World(m Mode, ranks int) *core.World {
+	return core.NewWorld(c.Eng, c.Plat, c.Config(m), c.Envs(m, ranks))
 }
 
-// HostWorld builds the host MPI reference world.
-func (c *Cluster) HostWorld(ranks int) *core.World {
-	cfg := core.ConfigFromPlatform(c.Plat)
-	cfg.Offload = false
-	cfg.Metrics = c.Metrics
-	cfg.Faults = c.Faults
-	cfg.Causal = c.Causal
-	return core.NewWorld(c.Eng, c.Plat, cfg, c.HostEnvs(ranks))
+// DCFAEnvs, HostEnvs and DCFAWorld are the spellings benchmark/ calls.
+func (c *Cluster) DCFAEnvs(ranks int) []core.Env { return c.Envs(ModeDCFA, ranks) }
+func (c *Cluster) HostEnvs(ranks int) []core.Env { return c.Envs(ModeHost, ranks) }
+func (c *Cluster) DCFAWorld(ranks int, offload bool) *core.World {
+	if offload {
+		return c.World(ModeDCFA, ranks)
+	}
+	return c.World(ModeDCFABase, ranks)
 }
 
 // Check validates a rank count against the cluster.

@@ -9,14 +9,30 @@ package core_test
 
 import (
 	"testing"
+
+	"repro/internal/sim"
 )
 
-func TestConcurrentEnginesDeterminism(t *testing.T) {
+// assertIsolated runs the workload once with the process to itself,
+// then twice at the same time on real goroutines, and requires all
+// three runs to agree on fingerprint, event count and virtual end
+// time. Solo-then-pair asserts two properties at once: state carried
+// over from a finished run does not reach the next one, and engines
+// running side by side do not reach each other.
+func assertIsolated(t *testing.T, run func() (uint64, int64, sim.Time, error)) {
+	t.Helper()
 	type result struct {
 		fp     uint64
 		events int64
+		end    sim.Time
 		err    error
 	}
+	solo := result{}
+	solo.fp, solo.events, solo.end, solo.err = run()
+	if solo.err != nil {
+		t.Fatal(solo.err)
+	}
+	t.Logf("solo: fp %#x, %d events, end %v", solo.fp, solo.events, solo.end)
 
 	// The raw concurrency below is the point of the test: two engines
 	// must be independent under the host scheduler, so sim.Queue (which
@@ -27,69 +43,40 @@ func TestConcurrentEnginesDeterminism(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		//simlint:ignore rawgo the test runs two whole simulations on real goroutines on purpose: -race plus fingerprint equality is the isolation witness
 		go func() {
-			fp, events, _, err := runMixedWorkload()
-			results <- result{fp: fp, events: events, err: err}
+			var r result
+			r.fp, r.events, r.end, r.err = run()
+			results <- r
 		}()
 	}
-	a, b := <-results, <-results
-	for _, r := range []result{a, b} {
+	for _, r := range []result{<-results, <-results} {
 		if r.err != nil {
 			t.Fatal(r.err)
 		}
-	}
-	if a.fp != b.fp {
-		t.Errorf("concurrent engines diverged: fingerprints %#x vs %#x", a.fp, b.fp)
-	}
-	if a.events != b.events {
-		t.Errorf("concurrent engines diverged: %d vs %d events", a.events, b.events)
-	}
-
-	// And both must match a run with the process to itself.
-	fp, events, _, err := runMixedWorkload()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.fp != fp {
-		t.Errorf("concurrent run fingerprint %#x differs from solo run %#x", a.fp, fp)
-	}
-	if a.events != events {
-		t.Errorf("concurrent run dispatched %d events, solo run %d", a.events, events)
+		if r.fp != solo.fp {
+			t.Errorf("concurrent run fingerprint %#x differs from solo run %#x", r.fp, solo.fp)
+		}
+		if r.events != solo.events {
+			t.Errorf("concurrent run dispatched %d events, solo run %d", r.events, solo.events)
+		}
+		if r.end != solo.end {
+			t.Errorf("concurrent run ended at %v, solo run at %v", r.end, solo.end)
+		}
 	}
 }
 
-// TestConcurrentEnginesScaleDeterminism re-runs the isolation witness
-// at 1000 ranks: two whole thousand-rank ring-allreduce simulations on
-// real goroutines must not perturb each other's schedules. A mismatch
-// here is instance state leaking to package level under a load the
+func TestConcurrentEnginesDeterminism(t *testing.T) {
+	assertIsolated(t, runMixedWorkload)
+}
+
+// TestConcurrentEnginesScaleDeterminism is the same witness at 1000
+// ranks, and tier-1's only flagship-scale determinism gate: one solo
+// thousand-rank ring allreduce, then two side by side — three runs
+// assert both what a sequential double run asserts (nothing carries
+// over from run to run) and cross-engine isolation under a load the
 // 4-rank witness can't generate (lazy connect, per-pair map growth,
 // WR/packet pools). -short shrinks to 96 ranks; -race skips (see
 // race_on_test.go).
 func TestConcurrentEnginesScaleDeterminism(t *testing.T) {
 	ranks := scaleDeterminismRanks(t)
-	type result struct {
-		fp     uint64
-		events int64
-		err    error
-	}
-	//simlint:ignore rawgo collecting results from deliberately-parallel engines; both join before any assertion
-	results := make(chan result, 2)
-	for i := 0; i < 2; i++ {
-		//simlint:ignore rawgo two whole scale simulations on real goroutines on purpose: cross-engine isolation at 1000 ranks is the point
-		go func() {
-			fp, events, _, err := runScaleWorkload(ranks)
-			results <- result{fp: fp, events: events, err: err}
-		}()
-	}
-	a, b := <-results, <-results
-	for _, r := range []result{a, b} {
-		if r.err != nil {
-			t.Fatal(r.err)
-		}
-	}
-	if a.fp != b.fp {
-		t.Errorf("concurrent scale engines diverged: fingerprints %#x vs %#x", a.fp, b.fp)
-	}
-	if a.events != b.events {
-		t.Errorf("concurrent scale engines diverged: %d vs %d events", a.events, b.events)
-	}
+	assertIsolated(t, func() (uint64, int64, sim.Time, error) { return runScaleWorkload(ranks) })
 }

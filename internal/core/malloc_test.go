@@ -16,6 +16,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/ib"
 	"repro/internal/machine"
@@ -43,14 +44,14 @@ func (m *mallocMarks) cost() (mallocs, bytes uint64) {
 	return m.m1.Mallocs - m.m0.Mallocs, m.m1.TotalAlloc - m.m0.TotalAlloc
 }
 
-// worldRow is a table row that runs op on both ranks of a 2-rank DCFA
-// world for mallocWarm+mallocOps iterations and returns the allocations
+// worldRow is a table row that runs op on both ranks of a 2-rank world
+// of mode m for mallocWarm+mallocOps iterations and returns the allocations
 // of the whole process (both ranks, the HCAs, the engine) during rank
 // 0's last mallocOps iterations. onPath checks rank 0's protocol
 // counters, so a row cannot silently measure another protocol.
-func worldRow(offload bool, size int, op func(r *core.Rank, p *sim.Proc, buf *machine.Buffer) error, onPath func(st core.Stats) bool) func(t *testing.T) (mallocs, bytes uint64) {
+func worldRow(m cluster.Mode, size int, op func(r *core.Rank, p *sim.Proc, buf *machine.Buffer) error, onPath func(st core.Stats) bool) func(t *testing.T) (mallocs, bytes uint64) {
 	return func(t *testing.T) (mallocs, bytes uint64) {
-		_, w := pair(offload)
+		w := cluster.New(perfmodel.Default(), 2).World(m, 2)
 		var marks mallocMarks
 		var stats core.Stats
 		err := w.Run(func(r *core.Rank) error {
@@ -290,19 +291,27 @@ func TestHotPathMallocCeilings(t *testing.T) {
 		bytes   uint64 // ceiling: bytes those allocations take
 		run     func(t *testing.T) (mallocs, bytes uint64)
 	}{
-		{"eager-64B-roundtrip", 14000, 1_500_000, worldRow(true, 64, roundTrip, eager)},
-		{"eager-1KiB-roundtrip", 14000, 1_500_000, worldRow(true, 1<<10, roundTrip, eager)},
-		{"rndv-read-64KiB-oneway", 15000, 1_200_000, worldRow(false, 64<<10, senderFirst, direct)},
-		{"offload-64KiB-roundtrip", 41996, 2_800_000, worldRow(true, 64<<10, roundTrip, offloaded)},
-		{"rndv-write-256KiB-window8-offload", 175000, 12_500_000, worldRow(true, window8Buf, window8, offloadedWrites)},
-		{"self-send-1KiB-unexpected", 4000, 1_050_000, worldRow(true, 2<<10, selfUnexpected, loopback)},
+		{"eager-64B-roundtrip", 14000, 1_500_000, worldRow(cluster.ModeDCFA, 64, roundTrip, eager)},
+		// The provider seam costs nothing: the same round trip over the
+		// host and the proxied provider allocates what the DCFA row does
+		// (checked below).
+		{"eager-64B-roundtrip-host", 14000, 1_500_000, worldRow(cluster.ModeHost, 64, roundTrip, eager)},
+		{"eager-64B-roundtrip-proxy", 14000, 1_500_000, worldRow(cluster.ModeIntelPhi, 64, roundTrip, eager)},
+		{"eager-1KiB-roundtrip", 14000, 1_500_000, worldRow(cluster.ModeDCFA, 1<<10, roundTrip, eager)},
+		{"rndv-read-64KiB-oneway", 15000, 1_200_000, worldRow(cluster.ModeDCFABase, 64<<10, senderFirst, direct)},
+		{"offload-64KiB-roundtrip", 41996, 2_800_000, worldRow(cluster.ModeDCFA, 64<<10, roundTrip, offloaded)},
+		{"rndv-write-256KiB-window8-offload", 175000, 12_500_000, worldRow(cluster.ModeDCFA, window8Buf, window8, offloadedWrites)},
+		{"self-send-1KiB-unexpected", 4000, 1_050_000, worldRow(cluster.ModeDCFA, 2<<10, selfUnexpected, loopback)},
 		{"ib-send-cqe-64B", 5000, 240_000, sendCQEMallocs},
 		{"sim-callback-event", 0, 0, callbackMallocs},
 		{"sim-proc-handoff", 0, 0, handoffMallocs},
 	}
+	type cost struct{ mallocs, bytes uint64 }
+	measured := map[string]cost{}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			mallocs, bytes := row.run(t)
+			measured[row.name] = cost{mallocs, bytes}
 			t.Logf("%d mallocs, %d bytes per %d ops", mallocs, bytes, mallocOps)
 			if mallocs > row.per1000 {
 				t.Errorf("%d heap allocations per %d operations, ceiling %d: the hot path gained an allocation (go build -gcflags=-m ./internal/... names escaping values; go test -memprofile with -memprofilerate=1 names the call stack)", mallocs, mallocOps, row.per1000)
@@ -311,5 +320,15 @@ func TestHotPathMallocCeilings(t *testing.T) {
 				t.Errorf("%d bytes allocated per %d operations, ceiling %d: an allocation on the hot path grew (a payload-sized step is a per-message buffer)", bytes, mallocOps, row.bytes)
 			}
 		})
+	}
+	// Never more than the DCFA provider, and less only by where rank
+	// 1's half of a round trip falls relative to rank 0's marks (the
+	// proxy's relay sleeps shift it): under one round trip's 14.
+	dcfa := measured["eager-64B-roundtrip"]
+	for _, provider := range []string{"host", "proxy"} {
+		got := measured["eager-64B-roundtrip-"+provider]
+		if got.mallocs > dcfa.mallocs || got.bytes > dcfa.bytes || dcfa.mallocs-got.mallocs >= 14 {
+			t.Errorf("%s provider: %d mallocs, %d bytes per %d eager round trips; the DCFA provider %d, %d: the seam allocates", provider, got.mallocs, got.bytes, mallocOps, dcfa.mallocs, dcfa.bytes)
+		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/baseline"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/perfmodel"
@@ -20,11 +19,11 @@ import (
 func allWorlds(n int) map[string]*core.World {
 	plat := perfmodel.Default()
 	return map[string]*core.World{
-		"dcfa":           cluster.New(plat, n).DCFAWorld(n, true),
-		"dcfa-nooffload": cluster.New(plat, n).DCFAWorld(n, false),
-		"host":           cluster.New(plat, n).HostWorld(n),
-		"intel-phi":      baseline.PhiMPIWorld(cluster.New(plat, n), n),
-		"symmetric":      baseline.SymmetricWorld(cluster.New(plat, n), n),
+		"dcfa":           cluster.New(plat, n).World(cluster.ModeDCFA, n),
+		"dcfa-nooffload": cluster.New(plat, n).World(cluster.ModeDCFABase, n),
+		"host":           cluster.New(plat, n).World(cluster.ModeHost, n),
+		"intel-phi":      cluster.New(plat, n).World(cluster.ModeIntelPhi, n),
+		"symmetric":      cluster.New(plat, n).World(cluster.ModeSymmetric, n),
 	}
 }
 

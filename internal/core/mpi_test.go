@@ -706,7 +706,7 @@ func TestHostWorldFasterSmallRTT(t *testing.T) {
 		c := cluster.New(perfmodel.Default(), 2)
 		var w *core.World
 		if host {
-			w = c.HostWorld(2)
+			w = c.World(cluster.ModeHost, 2)
 		} else {
 			w = c.DCFAWorld(2, true)
 		}

@@ -98,6 +98,40 @@ func (d DCFAVerbs) Loc() machine.DomainKind { return machine.MicMem }
 func (d DCFAVerbs) Domain() *machine.Domain { return d.Node.Mic }
 func (d DCFAVerbs) HCA() *ib.HCA            { return d.MicVerbs.HCA }
 
+// ProxyVerbs is the 'Intel MPI on Xeon Phi' provider: co-processor
+// resident MPI whose verbs are relayed through the host proxy daemon.
+// It is the DCFA provider except where the relay costs or withholds
+// something.
+type ProxyVerbs struct {
+	DCFAVerbs
+	// The Intel stack has no offloading send-buffer verbs.
+	NoOffload
+}
+
+// CreateQP creates the QP and caps its throughput at the proxy staging
+// rate.
+func (x ProxyVerbs) CreateQP(p *sim.Proc, pd *ib.PD, scq, rcq *ib.CQ) (*ib.QP, error) {
+	qp, err := x.DCFAVerbs.CreateQP(p, pd, scq, rcq)
+	if err != nil {
+		return nil, err
+	}
+	qp.RateCap = x.Plat.ProxyBandwidth
+	return qp, nil
+}
+
+// PostSend relays the work request through the host proxy daemon: one
+// extra per-operation cost before the HCA sees it.
+func (x ProxyVerbs) PostSend(p *sim.Proc, qp *ib.QP, wr *ib.SendWR) error {
+	p.Sleep(x.Plat.ProxySendCost)
+	return qp.PostSend(p, wr)
+}
+
+// RecvOverhead is the daemon's inbound relay: completion notification
+// plus copying the staged payload back to card memory.
+func (x ProxyVerbs) RecvOverhead(n int) sim.Duration {
+	return x.Plat.ProxyRecvCost(n)
+}
+
 // HostVerbs adapts a plain host ib.Context: the host MPI reference the
 // paper compares against (YAMPII on the Xeon).
 type HostVerbs struct {

@@ -2,7 +2,7 @@
 // model and the collectives layer. It holds no library code — the
 // tests are the package:
 //
-//   - TestScaleAllreduce runs the scale workload bench.ScaleAllreduce,
+//   - TestScaleAllreduce runs the scale workload bench.Env.ScaleAllreduce,
 //     which benchmark/ times as allreduce_ring_256 (default 64 ranks;
 //     CI's smoke step passes -ranks=1000), twice and requires
 //     bit-identical fingerprints, event counts and virtual end times,

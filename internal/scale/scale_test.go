@@ -45,14 +45,14 @@ func TestScaleAllreduce(t *testing.T) {
 	plat := perfmodel.Default()
 
 	start := time.Now()
-	a, err := bench.ScaleAllreduce(plat, cfg)
+	a, err := new(bench.Env).ScaleAllreduce(plat, cfg)
 	if err != nil {
 		t.Fatalf("run 1: %v", err)
 	}
 	wall1 := time.Since(start)
 
 	start = time.Now()
-	b, err := bench.ScaleAllreduce(plat, cfg)
+	b, err := new(bench.Env).ScaleAllreduce(plat, cfg)
 	if err != nil {
 		t.Fatalf("run 2: %v", err)
 	}
@@ -83,13 +83,13 @@ func TestScaleTopologyShapesSchedule(t *testing.T) {
 
 	flatCfg := base
 	flatCfg.Topo = "flat"
-	flat, err := bench.ScaleAllreduce(plat, flatCfg)
+	flat, err := new(bench.Env).ScaleAllreduce(plat, flatCfg)
 	if err != nil {
 		t.Fatalf("flat: %v", err)
 	}
 	treeCfg := base
 	treeCfg.Topo = "fattree4"
-	tree, err := bench.ScaleAllreduce(plat, treeCfg)
+	tree, err := new(bench.Env).ScaleAllreduce(plat, treeCfg)
 	if err != nil {
 		t.Fatalf("fattree4: %v", err)
 	}

@@ -210,9 +210,10 @@ const (
 	tagDown = 12 // halo moving toward higher ranks
 )
 
-// exchange swaps halo rows with both neighbors using nonblocking MPI on
-// the given buffer.
-func exchange(p *sim.Proc, r *core.Rank, l *slab, buf *machine.Buffer, procs int) error {
+// exchange swaps l's current halo rows with both neighbors using
+// nonblocking MPI.
+func exchange(p *sim.Proc, r *core.Rank, l *slab, procs int) error {
+	buf := l.cur
 	var reqs []*core.Request
 	add := func(q *core.Request, err error) error {
 		if err != nil {
@@ -259,93 +260,125 @@ func gatherChecksum(p *sim.Proc, r *core.Rank, part float64) (float64, error) {
 	return total, nil
 }
 
-// runMPI is the shared application body for the two co-processor
-// resident modes (DCFA-MPI and 'Intel MPI on Xeon Phi').
-func runMPI(w *core.World, pr Params) (Result, error) {
-	if err := pr.Validate(); err != nil {
+// timedLoop is the measurement every mode and decomposition runs on
+// each rank: in benchmark mode two untimed warm-up exchanges, so
+// one-time registration costs amortize as in the paper's 100-iteration
+// averages (MR cache warm, offload arena touched); a barrier; iters
+// rounds of exchange (when there is a neighbor) + sweep; a closing
+// barrier; and, when the math ran, the rank-ordered checksum.
+type timedLoop struct {
+	iters    int
+	skip     bool         // Params.SkipCompute
+	halo     bool         // more than one process
+	warm     func() error // one warm-up exchange
+	exchange func() error
+	sweep    func()
+	partial  func() float64
+}
+
+func (t timedLoop) run(p *sim.Proc, r *core.Rank) (Result, error) {
+	if t.skip && t.halo {
+		for i := 0; i < 2; i++ {
+			if err := t.warm(); err != nil {
+				return Result{}, err
+			}
+		}
+	}
+	if err := r.Barrier(p); err != nil {
 		return Result{}, err
 	}
+	start := p.Now()
+	for it := 0; it < t.iters; it++ {
+		if t.halo {
+			if err := t.exchange(); err != nil {
+				return Result{}, err
+			}
+		}
+		t.sweep()
+	}
+	if err := r.Barrier(p); err != nil {
+		return Result{}, err
+	}
+	res := Result{Total: p.Now() - start}
+	res.PerIter = res.Total / sim.Duration(t.iters)
+	if !t.skip {
+		var err error
+		if res.Checksum, err = gatherChecksum(p, r, t.partial()); err != nil {
+			return Result{}, err
+		}
+	}
+	return res, nil
+}
+
+// runRanks runs body on every rank of w and returns rank 0's result.
+func runRanks(w *core.World, body func(p *sim.Proc, r *core.Rank) (Result, error)) (Result, error) {
 	var res Result
 	err := w.Run(func(r *core.Rank) error {
-		p := r.Proc()
-		l := newSlab(r.Domain(), pr, r.ID())
-		team := omp.NewTeam(w.Plat, pr.Threads, r.Loc())
-		// In benchmark mode, run untimed warmup exchanges so one-time
-		// registration costs amortize as in the paper's 100-iteration
-		// averages (MR cache warm, offload arena touched).
-		if pr.SkipCompute && pr.Procs > 1 {
-			for i := 0; i < 2; i++ {
-				if err := exchange(p, r, l, l.cur, pr.Procs); err != nil {
-					return err
-				}
-				l.cur, l.next = l.next, l.cur
-			}
-		}
-		if err := r.Barrier(p); err != nil {
-			return err
-		}
-		start := p.Now()
-		for it := 0; it < pr.Iters; it++ {
-			if pr.Procs > 1 {
-				if err := exchange(p, r, l, l.cur, pr.Procs); err != nil {
-					return err
-				}
-			}
-			l.sweep(p, team, pr.SkipCompute)
-		}
-		if err := r.Barrier(p); err != nil {
-			return err
-		}
-		total := p.Now() - start
-		var sum float64
-		if !pr.SkipCompute {
-			var err error
-			sum, err = gatherChecksum(p, r, l.partialSum())
-			if err != nil {
-				return err
-			}
-		}
+		got, err := body(r.Proc(), r)
 		if r.ID() == 0 {
-			res = Result{Total: total, PerIter: total / sim.Duration(pr.Iters), Checksum: sum}
+			res = got
 		}
-		return nil
+		return err
 	})
 	return res, err
 }
 
-// RunDCFA runs the stencil under DCFA-MPI (offload send buffer per the
-// flag) on a fresh cluster with one node per process.
-func RunDCFA(plat *perfmodel.Platform, pr Params, offload bool) (Result, error) {
-	c := cluster.New(plat, pr.Procs)
-	return runMPI(c.DCFAWorld(pr.Procs, offload), pr)
+// warmExchange is one warm-up halo exchange on l: exchange, then swap
+// the buffers so both get registered.
+func warmExchange(p *sim.Proc, r *core.Rank, l *slab, procs int) error {
+	err := exchange(p, r, l, procs)
+	l.cur, l.next = l.next, l.cur
+	return err
 }
 
-// RunWorld runs the stencil body on a caller-built world, so harnesses
-// (cmd/simprof) can install instrumentation on the cluster first.
-func RunWorld(w *core.World, pr Params) (Result, error) {
-	return runMPI(w, pr)
-}
-
-// RunPhiMPI runs the stencil under the 'Intel MPI on Xeon Phi' mode.
-func RunPhiMPI(plat *perfmodel.Platform, pr Params) (Result, error) {
-	c := cluster.New(plat, pr.Procs)
-	return runMPI(baseline.PhiMPIWorld(c, pr.Procs), pr)
-}
-
-// RunHostOffload runs the stencil under the 'Intel MPI on Xeon where it
-// offloads computation to Xeon Phi co-processors' mode: host MPI ranks,
-// computation and grid on the co-processor, per-iteration offload
-// kernel launches, and packed halo transfers over the COI path
-// (Table III: copy in + copy out each iteration).
-func RunHostOffload(plat *perfmodel.Platform, pr Params) (Result, error) {
+// Run runs the stencil in mode m on c, one rank per pr.Procs: the
+// application body of RunWorld, or for cluster.ModeHostOffload the
+// host-ranks-plus-offload-device body.
+func Run(c *cluster.Cluster, m cluster.Mode, pr Params) (Result, error) {
 	if err := pr.Validate(); err != nil {
 		return Result{}, err
 	}
-	c := cluster.New(plat, pr.Procs)
-	w, devs := baseline.HostOffloadWorld(c, pr.Procs)
-	var res Result
-	err := w.Run(func(r *core.Rank) error {
-		p := r.Proc()
+	w := c.World(m, pr.Procs)
+	if m == cluster.ModeHostOffload {
+		return runHostOffload(w, baseline.Devices(c, pr.Procs), pr)
+	}
+	return RunWorld(w, pr)
+}
+
+// RunDCFA is RunWorld under DCFA-MPI (offload send buffer per the flag)
+// on a fresh cluster with one node per process: the spelling benchmark/
+// calls.
+func RunDCFA(plat *perfmodel.Platform, pr Params, offload bool) (Result, error) {
+	return RunWorld(cluster.New(plat, pr.Procs).DCFAWorld(pr.Procs, offload), pr)
+}
+
+// RunWorld runs the application body of the modes whose grid lives
+// where the rank runs (every mode but host-offload) on a caller-built
+// world.
+func RunWorld(w *core.World, pr Params) (Result, error) {
+	if err := pr.Validate(); err != nil {
+		return Result{}, err
+	}
+	return runRanks(w, func(p *sim.Proc, r *core.Rank) (Result, error) {
+		l := newSlab(r.Domain(), pr, r.ID())
+		team := omp.NewTeam(w.Plat, pr.Threads, r.Loc())
+		return timedLoop{
+			iters: pr.Iters, skip: pr.SkipCompute, halo: pr.Procs > 1,
+			warm:     func() error { return warmExchange(p, r, l, pr.Procs) },
+			exchange: func() error { return exchange(p, r, l, pr.Procs) },
+			sweep:    func() { l.sweep(p, team, pr.SkipCompute) },
+			partial:  l.partialSum,
+		}.run(p, r)
+	})
+}
+
+// runHostOffload is the application body of the 'Intel MPI on Xeon
+// where it offloads computation to Xeon Phi co-processors' mode: host
+// MPI ranks, computation and grid on the co-processor, per-iteration
+// offload kernel launches, and packed halo transfers over the COI path
+// (Table III: copy in + copy out each iteration).
+func runHostOffload(w *core.World, devs []*baseline.OffloadDevice, pr Params) (Result, error) {
+	return runRanks(w, func(p *sim.Proc, r *core.Rank) (Result, error) {
 		dev := devs[r.ID()]
 		dev.Init(p) // one-time, outside the timed loop, as optimized
 		micDom := dev.Node.Mic
@@ -354,102 +387,62 @@ func RunHostOffload(plat *perfmodel.Platform, pr Params) (Result, error) {
 		team := omp.NewTeam(w.Plat, pr.Threads, machine.MicMem)
 		hasUp := r.ID() > 0
 		hasDown := r.ID() < pr.Procs-1
-		nHalo := 0
-		if hasUp {
-			nHalo++
-		}
-		if hasDown {
-			nHalo++
-		}
 		rowB := l.w * 8
 		// Persistent, page-aligned packed staging buffers (policies 2+3).
 		hostPack := r.Domain().Alloc(2 * rowB)
 		micPack := micDom.Alloc(2 * rowB)
-		// Untimed warmup in benchmark mode, mirroring runMPI.
-		if pr.SkipCompute && pr.Procs > 1 {
-			for i := 0; i < 2; i++ {
-				if err := exchange(p, r, hostSlab, hostSlab.cur, pr.Procs); err != nil {
-					return err
-				}
-				hostSlab.cur, hostSlab.next = hostSlab.next, hostSlab.cur
+		// pack gathers this rank's up/down rows (upRow, downRow of s)
+		// into dst and returns the bytes packed; unpack scatters them
+		// back.
+		pack := func(dst []byte, s *slab, upRow, downRow int) int {
+			off := 0
+			if hasUp {
+				off += copy(dst[off:off+rowB], s.row(s.cur, upRow).Bytes())
+			}
+			if hasDown {
+				off += copy(dst[off:off+rowB], s.row(s.cur, downRow).Bytes())
+			}
+			return off
+		}
+		unpack := func(s *slab, upRow, downRow int, src []byte) {
+			off := 0
+			if hasUp {
+				off += copy(s.row(s.cur, upRow).Bytes(), src[off:off+rowB])
+			}
+			if hasDown {
+				copy(s.row(s.cur, downRow).Bytes(), src[off:off+rowB])
 			}
 		}
-		if err := r.Barrier(p); err != nil {
-			return err
-		}
-		start := p.Now()
-		for it := 0; it < pr.Iters; it++ {
-			if nHalo > 0 {
+		return timedLoop{
+			iters: pr.Iters, skip: pr.SkipCompute, halo: pr.Procs > 1,
+			// The warm-up touches only what MPI registers: the host slab.
+			warm: func() error { return warmExchange(p, r, hostSlab, pr.Procs) },
+			exchange: func() error {
 				// Copy out: pack the card's edge rows, one COI transfer,
 				// unpack into the host slab for MPI.
-				off := 0
-				if hasUp {
-					copy(micPack.Data[off:off+rowB], l.row(l.cur, 1).Bytes())
-					off += rowB
-				}
-				if hasDown {
-					copy(micPack.Data[off:off+rowB], l.row(l.cur, l.rows).Bytes())
-					off += rowB
-				}
-				dev.TransferOut(p, hostPack.Data[:off], micPack.Data[:off])
-				off = 0
-				if hasUp {
-					copy(hostSlab.row(hostSlab.cur, 1).Bytes(), hostPack.Data[off:off+rowB])
-					off += rowB
-				}
-				if hasDown {
-					copy(hostSlab.row(hostSlab.cur, hostSlab.rows).Bytes(), hostPack.Data[off:off+rowB])
-					off += rowB
-				}
+				n := pack(micPack.Data, l, 1, l.rows)
+				dev.TransferOut(p, hostPack.Data[:n], micPack.Data[:n])
+				unpack(hostSlab, 1, hostSlab.rows, hostPack.Data)
 				// Host MPI halo exchange.
-				if err := exchange(p, r, hostSlab, hostSlab.cur, pr.Procs); err != nil {
+				if err := exchange(p, r, hostSlab, pr.Procs); err != nil {
 					return err
 				}
 				// Copy in: pack received ghost rows, one COI transfer,
 				// unpack into the card's ghost rows.
-				off = 0
-				if hasUp {
-					copy(hostPack.Data[off:off+rowB], hostSlab.row(hostSlab.cur, 0).Bytes())
-					off += rowB
-				}
-				if hasDown {
-					copy(hostPack.Data[off:off+rowB], hostSlab.row(hostSlab.cur, hostSlab.rows+1).Bytes())
-					off += rowB
-				}
-				dev.TransferIn(p, micPack.Data[:off], hostPack.Data[:off])
-				off = 0
-				if hasUp {
-					copy(l.row(l.cur, 0).Bytes(), micPack.Data[off:off+rowB])
-					off += rowB
-				}
-				if hasDown {
-					copy(l.row(l.cur, l.rows+1).Bytes(), micPack.Data[off:off+rowB])
-					off += rowB
-				}
-			}
+				n = pack(hostPack.Data, hostSlab, 0, hostSlab.rows+1)
+				dev.TransferIn(p, micPack.Data[:n], hostPack.Data[:n])
+				unpack(l, 0, l.rows+1, micPack.Data)
+				return nil
+			},
 			// Kernel launch each iteration (the mode's fixed overhead),
 			// then the sweep on the card.
-			dev.Launch(p, pr.Threads)
-			l.sweep(p, team, pr.SkipCompute)
-		}
-		if err := r.Barrier(p); err != nil {
-			return err
-		}
-		total := p.Now() - start
-		var sum float64
-		if !pr.SkipCompute {
-			var err error
-			sum, err = gatherChecksum(p, r, l.partialSum())
-			if err != nil {
-				return err
-			}
-		}
-		if r.ID() == 0 {
-			res = Result{Total: total, PerIter: total / sim.Duration(pr.Iters), Checksum: sum}
-		}
-		return nil
+			sweep: func() {
+				dev.Launch(p, pr.Threads)
+				l.sweep(p, team, pr.SkipCompute)
+			},
+			partial: l.partialSum,
+		}.run(p, r)
 	})
-	return res, err
 }
 
 // RunSerial runs the single-thread, no-MPI program on one co-processor:
@@ -460,11 +453,11 @@ func RunSerial(plat *perfmodel.Platform, pr Params) (Result, error) {
 	if err := pr.Validate(); err != nil {
 		return Result{}, err
 	}
-	c := cluster.New(plat, 1)
-	l := newSlab(c.Nodes[0].Mic, pr, 0)
+	eng := sim.NewEngine()
+	l := newSlab(machine.NewNode(0).Mic, pr, 0)
 	team := omp.NewTeam(plat, 1, machine.MicMem)
 	var res Result
-	c.Eng.Spawn("serial-stencil", func(p *sim.Proc) {
+	eng.Spawn("serial-stencil", func(p *sim.Proc) {
 		start := p.Now()
 		for it := 0; it < pr.Iters; it++ {
 			l.sweep(p, team, pr.SkipCompute)
@@ -475,7 +468,7 @@ func RunSerial(plat *perfmodel.Platform, pr Params) (Result, error) {
 			res.Checksum = l.partialSum()
 		}
 	})
-	if err := c.Eng.Run(); err != nil {
+	if err := eng.Run(); err != nil {
 		return Result{}, err
 	}
 	return res, nil

@@ -3,11 +3,9 @@ package stencil
 import (
 	"fmt"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/omp"
-	"repro/internal/perfmodel"
 	"repro/internal/sim"
 )
 
@@ -206,60 +204,30 @@ func ReferenceChecksum2D(grid []float64, pr Params2D) float64 {
 	return total
 }
 
-// Run2D runs the 2D-decomposed stencil under DCFA-MPI.
-func Run2D(plat *perfmodel.Platform, pr Params2D, offload bool) (Result, error) {
+// Run2D runs the 2D-decomposed stencil on a caller-built world of
+// pr.Procs() ranks.
+func Run2D(w *core.World, pr Params2D) (Result, error) {
 	if err := pr.Validate(); err != nil {
 		return Result{}, err
 	}
-	c := cluster.New(plat, pr.Procs())
-	w := c.DCFAWorld(pr.Procs(), offload)
-	var res Result
-	err := w.Run(func(r *core.Rank) error {
-		p := r.Proc()
-		px := r.ID() % pr.Px
-		py := r.ID() / pr.Px
-		l := newSlab2D(r.Domain(), Params2D{N: pr.N, Iters: pr.Iters, Px: pr.Px, Py: pr.Py, Threads: pr.Threads}, px, py)
-		team := omp.NewTeam(plat, pr.Threads, r.Loc())
+	return runRanks(w, func(p *sim.Proc, r *core.Rank) (Result, error) {
+		l := newSlab2D(r.Domain(), pr, r.ID()%pr.Px, r.ID()/pr.Px)
+		team := omp.NewTeam(w.Plat, pr.Threads, r.Loc())
 		var colStage [4]*machine.Buffer
 		for i := range colStage {
 			colStage[i] = r.Mem(l.rows * 8)
 		}
-		if pr.SkipCompute && pr.Procs() > 1 {
-			for i := 0; i < 2; i++ {
-				if err := exchange2d(p, r, l, pr, colStage); err != nil {
-					return err
-				}
+		exchange := func() error { return exchange2d(p, r, l, pr, colStage) }
+		return timedLoop{
+			iters: pr.Iters, skip: pr.SkipCompute, halo: pr.Procs() > 1,
+			warm: func() error {
+				err := exchange()
 				l.cur, l.next = l.next, l.cur
-			}
-		}
-		if err := r.Barrier(p); err != nil {
-			return err
-		}
-		start := p.Now()
-		for it := 0; it < pr.Iters; it++ {
-			if pr.Procs() > 1 {
-				if err := exchange2d(p, r, l, pr, colStage); err != nil {
-					return err
-				}
-			}
-			l.sweep(p, team, pr.SkipCompute)
-		}
-		if err := r.Barrier(p); err != nil {
-			return err
-		}
-		total := p.Now() - start
-		var sum float64
-		if !pr.SkipCompute {
-			var err error
-			sum, err = gatherChecksum(p, r, l.partialSum())
-			if err != nil {
 				return err
-			}
-		}
-		if r.ID() == 0 {
-			res = Result{Total: total, PerIter: total / sim.Duration(pr.Iters), Checksum: sum}
-		}
-		return nil
+			},
+			exchange: exchange,
+			sweep:    func() { l.sweep(p, team, pr.SkipCompute) },
+			partial:  l.partialSum,
+		}.run(p, r)
 	})
-	return res, err
 }

@@ -3,13 +3,20 @@ package stencil
 import (
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/perfmodel"
 )
+
+// run2D runs pr under DCFA-MPI on a fresh cluster, one node per process.
+func run2D(plat *perfmodel.Platform, pr Params2D) (Result, error) {
+	n := max(pr.Procs(), 1)
+	return Run2D(cluster.New(plat, n).World(cluster.ModeDCFA, n), pr)
+}
 
 func TestRun2DMatchesReference(t *testing.T) {
 	for _, grid := range []struct{ px, py int }{{1, 1}, {2, 1}, {1, 2}, {2, 2}, {4, 2}} {
 		pr := Params2D{N: 64, Iters: 8, Px: grid.px, Py: grid.py, Threads: 2}
-		res, err := Run2D(perfmodel.Default(), pr, true)
+		res, err := run2D(perfmodel.Default(), pr)
 		if err != nil {
 			t.Fatalf("%dx%d: %v", grid.px, grid.py, err)
 		}
@@ -22,10 +29,10 @@ func TestRun2DMatchesReference(t *testing.T) {
 }
 
 func TestRun2DRejectsBadGrid(t *testing.T) {
-	if _, err := Run2D(perfmodel.Default(), Params2D{N: 10, Iters: 1, Px: 3, Py: 1, Threads: 1}, true); err == nil {
+	if _, err := run2D(perfmodel.Default(), Params2D{N: 10, Iters: 1, Px: 3, Py: 1, Threads: 1}); err == nil {
 		t.Fatal("3 does not divide 10")
 	}
-	if _, err := Run2D(perfmodel.Default(), Params2D{N: 8, Iters: 1, Px: 0, Py: 1, Threads: 1}, true); err == nil {
+	if _, err := run2D(perfmodel.Default(), Params2D{N: 8, Iters: 1, Px: 0, Py: 1, Threads: 1}); err == nil {
 		t.Fatal("zero Px accepted")
 	}
 }
@@ -34,7 +41,7 @@ func Test2DChecksumEquals1DForRowGrids(t *testing.T) {
 	// A Px=1 2D decomposition is exactly the 1D decomposition.
 	pr2 := Params2D{N: 32, Iters: 5, Px: 1, Py: 4, Threads: 1}
 	pr1 := Params{N: 32, Iters: 5, Procs: 4, Threads: 1}
-	r2, err := Run2D(perfmodel.Default(), pr2, true)
+	r2, err := run2D(perfmodel.Default(), pr2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +65,7 @@ func Test2DHaloVolumeAdvantage(t *testing.T) {
 		t.Fatal(err)
 	}
 	pr2 := Params2D{N: 1280, Iters: 5, Px: 2, Py: 4, Threads: 16, SkipCompute: true}
-	r2, err := Run2D(plat, pr2, true)
+	r2, err := run2D(plat, pr2)
 	if err != nil {
 		t.Fatal(err)
 	}

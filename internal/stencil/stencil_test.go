@@ -6,9 +6,15 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/cluster"
 	"repro/internal/perfmodel"
 	"repro/internal/sim"
 )
+
+// runMode runs pr in mode m on a fresh cluster, one node per process.
+func runMode(plat *perfmodel.Platform, m cluster.Mode, pr Params) (Result, error) {
+	return Run(cluster.New(plat, pr.Procs), m, pr)
+}
 
 // smallParams keeps the real math cheap in tests.
 func smallParams(procs, threads int) Params {
@@ -59,7 +65,7 @@ func TestDCFAMatchesReferenceBitExact(t *testing.T) {
 
 func TestPhiMPIMatchesReference(t *testing.T) {
 	pr := smallParams(4, 2)
-	res, err := RunPhiMPI(perfmodel.Default(), pr)
+	res, err := runMode(perfmodel.Default(), cluster.ModeIntelPhi, pr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +78,7 @@ func TestPhiMPIMatchesReference(t *testing.T) {
 func TestHostOffloadMatchesReference(t *testing.T) {
 	for _, procs := range []int{1, 2, 4} {
 		pr := smallParams(procs, 2)
-		res, err := RunHostOffload(perfmodel.Default(), pr)
+		res, err := runMode(perfmodel.Default(), cluster.ModeHostOffload, pr)
 		if err != nil {
 			t.Fatalf("procs=%d: %v", procs, err)
 		}
@@ -169,8 +175,8 @@ func TestFigure12SpeedupsAt8x56(t *testing.T) {
 	}
 	pr := Params{N: 1280, Iters: 10, Procs: 8, Threads: 56, SkipCompute: true}
 	dcfa := run(func() (Result, error) { return RunDCFA(plat, pr, true) })
-	phi := run(func() (Result, error) { return RunPhiMPI(plat, pr) })
-	host := run(func() (Result, error) { return RunHostOffload(plat, pr) })
+	phi := run(func() (Result, error) { return runMode(plat, cluster.ModeIntelPhi, pr) })
+	host := run(func() (Result, error) { return runMode(plat, cluster.ModeHostOffload, pr) })
 	// Paper: 117×, 113× and 74×. Accept ±15%.
 	check := func(name string, got, want float64) {
 		if got < want*0.85 || got > want*1.15 {
