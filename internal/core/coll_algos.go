@@ -324,16 +324,16 @@ func (g *group) alltoallLinear(p *sim.Proc, src, dst Slice, blockN int) error {
 	for i := 0; i < g.n; i++ {
 		q, err := g.irecv(p, i, tagAlltoall, dst.Sub(i*blockN, blockN))
 		if err != nil {
-			return errors.Join(err, g.r.WaitAll(p, reqs...))
+			return errors.Join(err, g.waitAll(p, reqs))
 		}
 		reqs = append(reqs, q)
 	}
 	for i := 0; i < g.n; i++ {
 		q, err := g.isend(p, i, tagAlltoall, src.Sub(i*blockN, blockN))
 		if err != nil {
-			return errors.Join(err, g.r.WaitAll(p, reqs...))
+			return errors.Join(err, g.waitAll(p, reqs))
 		}
 		reqs = append(reqs, q)
 	}
-	return g.r.WaitAll(p, reqs...)
+	return g.waitAll(p, reqs)
 }

@@ -243,12 +243,12 @@ func (g *group) gather(p *sim.Proc, root int, s, dst Slice, counts []int) error 
 		} else if n > 0 {
 			q, err := g.irecv(p, i, tagGather, dst.Sub(off, n))
 			if err != nil {
-				return errors.Join(err, g.r.WaitAll(p, reqs...))
+				return errors.Join(err, g.waitAll(p, reqs))
 			}
 			reqs = append(reqs, q)
 		}
 	}
-	return g.r.WaitAll(p, reqs...)
+	return g.waitAll(p, reqs)
 }
 
 // Scatter distributes root's src (Size()*recv.N bytes) so member i gets
@@ -290,12 +290,12 @@ func (g *group) scatter(p *sim.Proc, root int, src, recv Slice, counts []int) er
 		} else if n > 0 {
 			q, err := g.isend(p, i, tagScatter, src.Sub(off, n))
 			if err != nil {
-				return errors.Join(err, g.r.WaitAll(p, reqs...))
+				return errors.Join(err, g.waitAll(p, reqs))
 			}
 			reqs = append(reqs, q)
 		}
 	}
-	return g.r.WaitAll(p, reqs...)
+	return g.waitAll(p, reqs)
 }
 
 // Allgather concatenates every member's s into dst (Size()*s.N bytes)

@@ -52,10 +52,10 @@ type peerState struct {
 	staging   *machine.Buffer
 	stagingMR *ib.MR
 	// pendingSends are eager packets waiting for ring credit.
-	pendingSends []*Request
+	pendingSends sim.FIFO[*Request]
 	// pendingCtrl are control packets (RTS/RTR/DONE) waiting for ring
 	// credit; drained before pendingSends.
-	pendingCtrl []header
+	pendingCtrl sim.FIFO[header]
 
 	// Transport sequence numbers for fault recovery: sendPSN numbers
 	// packets written into the peer's ring (replays keep the original
@@ -69,7 +69,7 @@ type peerState struct {
 	rqpn uint32
 	// postponed holds WR ids formed while the QP was errored; they are
 	// reissued in order once the QP is reconnected.
-	postponed []uint64
+	postponed sim.FIFO[uint64]
 }
 
 // Stats aggregates per-rank communication counters.
@@ -120,7 +120,12 @@ type Rank struct {
 
 	// ANY_SOURCE locking per §IV-B3.
 	anyActive *Request
-	deferred  []*Request
+	deferred  sim.FIFO[*Request]
+
+	// reqFree recycles the requests of blocking operations — Send, Recv,
+	// Sendrecv and the collectives' internal exchanges — whose handle no
+	// caller ever saw; see retire.
+	reqFree []*Request
 
 	// arrivalFree recycles arrival records after their match, so
 	// steady-state unexpected traffic allocates no record per packet.
@@ -415,7 +420,7 @@ func (r *Rank) finalize(p *sim.Proc) {
 	pending := func() bool {
 		for _, i := range r.active {
 			ps := r.peers[i]
-			if len(ps.pendingCtrl) > 0 || len(ps.pendingSends) > 0 || len(ps.postponed) > 0 {
+			if ps.pendingCtrl.Len() > 0 || ps.pendingSends.Len() > 0 || ps.postponed.Len() > 0 {
 				return true
 			}
 		}
@@ -448,7 +453,7 @@ func (r *Rank) faultsOn() bool { return r.w.Cfg.Faults.Enabled() }
 func (r *Rank) post(p *sim.Proc, dst int, wr *ib.SendWR) error {
 	ps := r.peers[dst]
 	if ps.qp.State != ib.QPConnected {
-		ps.postponed = append(ps.postponed, wr.WRID)
+		ps.postponed.Push(wr.WRID)
 		return nil
 	}
 	return r.v.PostSend(p, ps.qp, wr)
@@ -610,7 +615,8 @@ func (r *Rank) Isend(p *sim.Proc, dst, tag int, s Slice) (*Request, error) {
 	if dst < 0 || dst >= r.w.Size() {
 		return nil, ErrBadRank
 	}
-	req := &Request{r: r, isSend: true, peer: dst, tag: tag, slice: s, startT: p.Now()}
+	req := r.newRequest()
+	*req = Request{r: r, isSend: true, peer: dst, tag: tag, slice: s, startT: p.Now()}
 	if r.m.reg != nil {
 		req.span = r.m.span(req.startT, "send")
 		req.span.AttrInt("peer", int64(dst)).AttrInt("bytes", int64(s.N))
@@ -668,7 +674,7 @@ func (r *Rank) trySendEager(p *sim.Proc, req *Request) {
 	}
 	if ps.credits <= 1 {
 		req.state = stEagerQueued
-		ps.pendingSends = append(ps.pendingSends, req)
+		ps.pendingSends.Push(req)
 		return
 	}
 	r.postEager(p, req)
@@ -801,8 +807,8 @@ func (r *Rank) rndvWrite(p *sim.Proc, req *Request, rtr header) error {
 // reordering harmless.
 func (r *Rank) ctrlSend(p *sim.Proc, dst int, h header) error {
 	ps := r.peers[dst]
-	if ps.credits <= 1 || len(ps.pendingCtrl) > 0 {
-		ps.pendingCtrl = append(ps.pendingCtrl, h)
+	if ps.credits <= 1 || ps.pendingCtrl.Len() > 0 {
+		ps.pendingCtrl.Push(h)
 		return nil
 	}
 	return r.postCtrl(p, dst, h)
@@ -822,7 +828,8 @@ func (r *Rank) Irecv(p *sim.Proc, src, tag int, s Slice) (*Request, error) {
 	if src != AnySource && (src < 0 || src >= r.w.Size()) {
 		return nil, ErrBadRank
 	}
-	req := &Request{r: r, peer: src, tag: tag, slice: s, startT: p.Now()}
+	req := r.newRequest()
+	*req = Request{r: r, peer: src, tag: tag, slice: s, startT: p.Now()}
 	if r.m.reg != nil {
 		req.span = r.m.span(req.startT, "recv")
 		req.span.AttrInt("src", int64(src)).AttrInt("bytes", int64(s.N))
@@ -850,7 +857,7 @@ func (r *Rank) Irecv(p *sim.Proc, src, tag int, s Slice) (*Request, error) {
 	switch {
 	case r.anyActive != nil:
 		// Locked: later receives cannot get a sequence id yet.
-		r.deferred = append(r.deferred, req)
+		r.deferred.Push(req)
 		r.c.anyDefer(p.Now(), req.cid)
 	case src == AnySource:
 		r.lockAny(p, req)
@@ -1066,9 +1073,8 @@ func (r *Rank) bindAny(p *sim.Proc, src int, a *arrival) {
 // the ANY_SOURCE lock, in posting order, stopping if another ANY_SOURCE
 // receive re-locks.
 func (r *Rank) drainDeferred(p *sim.Proc) {
-	for len(r.deferred) > 0 && r.anyActive == nil {
-		req := r.deferred[0]
-		r.deferred = r.deferred[1:]
+	for r.deferred.Len() > 0 && r.anyActive == nil {
+		req := r.deferred.Pop()
 		if req.peer == AnySource {
 			r.lockAny(p, req)
 		} else {
@@ -1155,9 +1161,8 @@ func (r *Rank) progress(p *sim.Proc) bool {
 	if r.faultsOn() {
 		for _, i := range r.active {
 			ps := r.peers[i]
-			for len(ps.postponed) > 0 && ps.qp.State == ib.QPConnected {
-				wrid := ps.postponed[0]
-				ps.postponed = ps.postponed[1:]
+			for ps.postponed.Len() > 0 && ps.qp.State == ib.QPConnected {
+				wrid := ps.postponed.Pop()
 				r.reissue(p, wrid, r.wrMap[wrid])
 				did = true
 			}
@@ -1166,18 +1171,14 @@ func (r *Rank) progress(p *sim.Proc) bool {
 	// Retry credit-starved control packets, then eager sends.
 	for _, i := range r.active {
 		ps := r.peers[i]
-		for ps.credits > 1 && len(ps.pendingCtrl) > 0 {
-			h := ps.pendingCtrl[0]
-			ps.pendingCtrl = ps.pendingCtrl[1:]
-			if err := r.postCtrl(p, i, h); err != nil {
+		for ps.credits > 1 && ps.pendingCtrl.Len() > 0 {
+			if err := r.postCtrl(p, i, ps.pendingCtrl.Pop()); err != nil {
 				panic(err)
 			}
 			did = true
 		}
-		for ps.credits > 1 && len(ps.pendingSends) > 0 {
-			req := ps.pendingSends[0]
-			ps.pendingSends = ps.pendingSends[1:]
-			if r.postEager(p, req) {
+		for ps.credits > 1 && ps.pendingSends.Len() > 0 {
+			if r.postEager(p, ps.pendingSends.Pop()) {
 				did = true
 			}
 		}
@@ -1390,6 +1391,7 @@ func (r *Rank) Send(p *sim.Proc, dst, tag int, s Slice) error {
 		return err
 	}
 	_, err = r.Wait(p, req)
+	r.retire(req)
 	return err
 }
 
@@ -1399,7 +1401,9 @@ func (r *Rank) Recv(p *sim.Proc, src, tag int, s Slice) (Status, error) {
 	if err != nil {
 		return Status{}, err
 	}
-	return r.Wait(p, req)
+	st, err := r.Wait(p, req)
+	r.retire(req)
+	return st, err
 }
 
 // Sendrecv runs a simultaneous blocking exchange.
@@ -1411,11 +1415,17 @@ func (r *Rank) Sendrecv(p *sim.Proc, dst, stag int, sbuf Slice, src, rtag int, r
 	rreq, err := r.Irecv(p, src, rtag, rbuf)
 	if err != nil {
 		// Drain the already-posted send before bailing out.
-		return Status{}, errors.Join(err, r.WaitAll(p, sreq))
+		err = errors.Join(err, r.WaitAll(p, sreq))
+		r.retire(sreq)
+		return Status{}, err
 	}
 	if _, err := r.Wait(p, sreq); err != nil {
 		// Drain the already-posted receive before bailing out.
-		return Status{}, errors.Join(err, r.WaitAll(p, rreq))
+		err = errors.Join(err, r.WaitAll(p, rreq))
+		r.retire(rreq)
+		return Status{}, err
 	}
-	return r.Wait(p, rreq)
+	st, err := r.Wait(p, rreq)
+	r.retire(sreq, rreq)
+	return st, err
 }

@@ -163,6 +163,40 @@ func (q *Request) complete(p *sim.Proc, err error) {
 	q.r.c.done(p.Now(), q, err != nil)
 }
 
+// newRequest hands out a request record for Isend or Irecv to fill:
+// a recycled one if a blocking operation has retired any, else a fresh
+// one.
+func (r *Rank) newRequest() *Request {
+	n := len(r.reqFree)
+	if n == 0 {
+		return &Request{}
+	}
+	q := r.reqFree[n-1]
+	r.reqFree = r.reqFree[:n-1]
+	return q
+}
+
+// retire recycles the requests of a blocking operation once it has
+// waited for them: handles the caller never saw, so the rank owns them.
+// (A request Isend or Irecv returned to the caller is the caller's for
+// ever and never comes here.) A request is recycled only if it completed
+// with a nil error on a rank that is not poisoned — the one state in
+// which the protocol provably holds it nowhere: its wrMap action went at
+// its last CQE, and a successful completion has taken it out of expRecv,
+// sendsBySeq, pendingSends, deferred and anyActive first. Any other
+// request is left to the collector. The record is zeroed, so a holder
+// this reasoning missed nil-dereferences q.r into a PanicError instead of
+// silently completing a stranger's message.
+func (r *Rank) retire(reqs ...*Request) {
+	for _, q := range reqs {
+		if !q.completed || q.err != nil || r.fatal != nil {
+			continue
+		}
+		*q = Request{}
+		r.reqFree = append(r.reqFree, q)
+	}
+}
+
 // arrival is a packet that reached the rank before its matching receive
 // was posted (the unexpected queue), or an RTR that reached the sender
 // before its Isend (receiver-first case).

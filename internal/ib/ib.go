@@ -63,6 +63,11 @@ type Fabric struct {
 	// the wire has delivered or dropped it, so the list holds at most
 	// the inline packets that were ever in flight at once.
 	inlineFree [][]byte
+
+	// flightFree recycles the records of in-flight work requests (LIFO,
+	// like inlineFree): it holds at most as many as were ever on the
+	// wire at once.
+	flightFree []*flight
 }
 
 // NewFabric creates an empty subnet.

@@ -36,10 +36,10 @@ type QP struct {
 	// throughput.
 	RateCap float64
 
-	recvQueue []*RecvWR
+	recvQueue sim.FIFO[*RecvWR]
 	// pending holds SEND payloads that arrived before a receive was
 	// posted (the simulator's RNR condition).
-	pending []*inbound
+	pending sim.FIFO[*inbound]
 
 	// Stats.
 	PostedSends int64
@@ -113,11 +113,10 @@ func (qp *QP) SetError() {
 		return
 	}
 	qp.State = QPError
-	for _, wr := range qp.recvQueue {
-		qp.RecvCQ.push(CQE{WRID: wr.WRID, Status: StatusWRFlushErr, Opcode: OpRecv, QPN: qp.QPN})
+	for qp.recvQueue.Len() > 0 {
+		qp.RecvCQ.push(CQE{WRID: qp.recvQueue.Pop().WRID, Status: StatusWRFlushErr, Opcode: OpRecv, QPN: qp.QPN})
 	}
-	qp.recvQueue = nil
-	qp.pending = nil
+	qp.pending = sim.FIFO[*inbound]{}
 }
 
 // Reset returns an errored QP to the Reset state so it can be
@@ -128,8 +127,8 @@ func (qp *QP) SetError() {
 func (qp *QP) Reset() {
 	qp.State = QPReset
 	qp.remote = nil
-	qp.recvQueue = nil
-	qp.pending = nil
+	qp.recvQueue = sim.FIFO[*RecvWR]{}
+	qp.pending = sim.FIFO[*inbound]{}
 }
 
 // Connect transitions the QP to RTS against the remote (lid, qpn). Both
@@ -170,13 +169,12 @@ func (qp *QP) PostRecv(p *sim.Proc, wr *RecvWR) error {
 	p.Sleep(qp.ctx.HCA.fab.Plat.PostCost(qp.ctx.Loc))
 	qp.PostedRecvs++
 	qp.postedC.Inc()
-	if len(qp.pending) > 0 {
-		in := qp.pending[0]
-		qp.pending = qp.pending[1:]
+	if qp.pending.Len() > 0 {
+		in := qp.pending.Pop()
 		qp.deliver(wr, wireSrc{buf: in.data}, in.imm, in.hasImm, in.srcQPN)
 		return nil
 	}
-	qp.recvQueue = append(qp.recvQueue, wr)
+	qp.recvQueue.Push(wr)
 	return nil
 }
 
@@ -184,10 +182,8 @@ func (qp *QP) PostRecv(p *sim.Proc, wr *RecvWR) error {
 // to the oldest posted receive. With none posted — the simulator's RNR
 // condition — it parks a copy of the bytes for the next PostRecv.
 func (qp *QP) land(src wireSrc, imm uint32, hasImm bool, srcQPN uint32) {
-	if len(qp.recvQueue) > 0 {
-		rwr := qp.recvQueue[0]
-		qp.recvQueue = qp.recvQueue[1:]
-		qp.deliver(rwr, src, imm, hasImm, srcQPN)
+	if qp.recvQueue.Len() > 0 {
+		qp.deliver(qp.recvQueue.Pop(), src, imm, hasImm, srcQPN)
 		return
 	}
 	qp.ctx.HCA.RNRWaits++
@@ -196,7 +192,7 @@ func (qp *QP) land(src wireSrc, imm uint32, hasImm bool, srcQPN uint32) {
 		in.data = make([]byte, n)
 		src.copyTo(in.data)
 	}
-	qp.pending = append(qp.pending, in)
+	qp.pending.Push(in)
 }
 
 // deliver scatters a SEND payload into a posted receive and completes
@@ -346,14 +342,10 @@ func (qp *QP) PostSend(p *sim.Proc, wr *SendWR) error {
 		arrive = h.deliverVia(arrive, rem.ctx.HCA, n, rate)
 		h.BytesOut += int64(n)
 		eng := h.fab.Eng
-		eng.At(arrive, func() {
-			rem.land(src, wr.Imm, wr.Opcode == OpSendImm, qp.QPN)
-			qp.doneWith(wr, src)
-		})
+		f := h.fab.takeFlight(qp, wr, src, n)
+		eng.At(arrive, f.onArrive)
 		if wr.Signaled {
-			eng.At(arrive+plat.IBLatency, func() {
-				qp.SendCQ.push(CQE{WRID: wr.WRID, Status: StatusSuccess, Opcode: wr.Opcode, ByteLen: n, QPN: qp.QPN})
-			})
+			eng.At(arrive+plat.IBLatency, f.onComplete)
 		}
 		return nil
 
@@ -405,32 +397,9 @@ func (qp *QP) PostSend(p *sim.Proc, wr *SendWR) error {
 			})
 			return nil
 		}
-		eng.At(arrive, func() {
-			wsp.End(eng.Now())
-			dst, _, err := rem.ctx.HCA.lookupMR(wr.Remote.RKey, wr.Remote.Addr, n)
-			if err != nil {
-				qp.doneWith(wr, src)
-				if wr.Signaled {
-					eng.At(eng.Now()+plat.IBLatency, func() {
-						qp.SendCQ.push(CQE{WRID: wr.WRID, Status: StatusRemAccessErr, Opcode: wr.Opcode, QPN: qp.QPN})
-					})
-				}
-				qp.SetError()
-				return
-			}
-			// The one copy of the transfer: source MR to destination MR.
-			src.copyTo(dst)
-			qp.doneWith(wr, src)
-			if wr.Opcode == OpRDMAWriteImm {
-				rem.land(wireSrc{}, wr.Imm, true, qp.QPN)
-			}
-			rem.ctx.HCA.Doorbell.Broadcast()
-			if wr.Signaled {
-				eng.At(eng.Now()+plat.IBLatency, func() {
-					qp.SendCQ.push(CQE{WRID: wr.WRID, Status: StatusSuccess, Opcode: wr.Opcode, ByteLen: n, QPN: qp.QPN})
-				})
-			}
-		})
+		f := h.fab.takeFlight(qp, wr, src, n)
+		f.span = wsp
+		eng.At(arrive, f.onArrive)
 		return nil
 
 	case OpRDMARead:
@@ -471,44 +440,9 @@ func (qp *QP) PostSend(p *sim.Proc, wr *SendWR) error {
 			})
 			return nil
 		}
-		eng.At(reqArrive, func() {
-			src, mr, err := rem.ctx.HCA.lookupMR(wr.Remote.RKey, wr.Remote.Addr, total)
-			if err != nil {
-				wsp.End(eng.Now())
-				eng.At(eng.Now()+plat.IBLatency, func() {
-					qp.SendCQ.push(CQE{WRID: wr.WRID, Status: StatusRemAccessErr, Opcode: wr.Opcode, QPN: qp.QPN})
-					qp.SetError()
-				})
-				return
-			}
-			if h.fab.Metrics != nil {
-				ps := h.pair(&h.readPairs, "rdma-read.bytes.", mr.Dom.Kind, dstKind)
-				ps.bytes.Add(int64(total))
-				wsp.Attr("pair", ps.name)
-			}
-			rate := qp.capRate(minRate(plat.IBBandwidth, minRate(plat.HCARead(mr.Dom.Kind), writeRate)))
-			// The responder streams the data back over its own egress;
-			// the validated source view is read when the response lands.
-			back := rem.ctx.HCA.egress.ReserveRate(total, rate)
-			back = rem.ctx.HCA.deliverVia(back, h, total, rate)
-			rem.ctx.HCA.BytesOut += int64(total)
-			eng.At(back, func() {
-				wsp.End(eng.Now())
-				remb := src
-				for _, sge := range wr.SGL {
-					dst, _, err := h.lookupMR(sge.LKey, sge.Addr, sge.Len)
-					if err != nil {
-						qp.SendCQ.push(CQE{WRID: wr.WRID, Status: StatusLocProtErr, Opcode: wr.Opcode, QPN: qp.QPN})
-						qp.SetError()
-						return
-					}
-					n := copy(dst, remb)
-					remb = remb[n:]
-				}
-				h.Doorbell.Broadcast()
-				qp.SendCQ.push(CQE{WRID: wr.WRID, Status: StatusSuccess, Opcode: wr.Opcode, ByteLen: total, QPN: qp.QPN})
-			})
-		})
+		f := h.fab.takeFlight(qp, wr, wireSrc{}, total)
+		f.span, f.writeRate, f.dstKind = wsp, writeRate, dstKind
+		eng.At(reqArrive, f.onArrive)
 		return nil
 
 	case OpAtomicFetchAdd, OpAtomicCmpSwap:

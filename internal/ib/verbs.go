@@ -68,11 +68,14 @@ func (c *Context) DeregMR(p *sim.Proc, mr *MR) error {
 	return c.HCA.deregMR(mr)
 }
 
-// CQ is a completion queue.
+// CQ is a completion queue: a ring of at most Depth entries. Its
+// backing array grows with the most completions ever queued at once
+// rather than being sized to Depth at creation — core gives every rank a
+// CQ of depth 1<<16 that holds a handful.
 type CQ struct {
 	ctx     *Context
 	Depth   int
-	entries []CQE
+	entries sim.FIFO[CQE]
 	// Notify broadcasts when an entry is pushed.
 	Notify *sim.Signal
 	// Overflows counts entries dropped because the CQ was full — a
@@ -90,7 +93,7 @@ func (c *Context) CreateCQ(depth int) *CQ {
 
 // push appends a completion and rings the node doorbell.
 func (q *CQ) push(e CQE) {
-	if len(q.entries) >= q.Depth {
+	if q.entries.Len() >= q.Depth {
 		q.Overflows++
 		panic(fmt.Sprintf("ib: CQ overflow (depth %d): upper layer is not polling", q.Depth))
 	}
@@ -103,7 +106,7 @@ func (q *CQ) push(e CQE) {
 		h.fab.Causal.Emit(causal.Event{T: h.fab.Eng.Now(), Kind: causal.EvHWCQE,
 			Rank: -1, Peer: int32(h.LID), Aux: e.WRID, Bytes: int32(e.ByteLen)})
 	}
-	q.entries = append(q.entries, e)
+	q.entries.Push(e)
 	q.Notify.Broadcast()
 	q.ctx.HCA.Doorbell.Broadcast()
 }
@@ -111,12 +114,12 @@ func (q *CQ) push(e CQE) {
 // Poll removes up to max completions, charging the location-dependent
 // poll cost when at least one entry is returned.
 func (q *CQ) Poll(p *sim.Proc, max int) []CQE {
-	if len(q.entries) == 0 || max <= 0 {
+	if q.entries.Len() == 0 || max <= 0 {
 		return nil
 	}
 	n := max
-	if n > len(q.entries) {
-		n = len(q.entries)
+	if n > q.entries.Len() {
+		n = q.entries.Len()
 	}
 	out := make([]CQE, n)
 	q.PollInto(p, out)
@@ -129,20 +132,21 @@ func (q *CQ) Poll(p *sim.Proc, max int) []CQE {
 // and charges the poll cost only when at least one entry is delivered.
 func (q *CQ) PollInto(p *sim.Proc, out []CQE) int {
 	n := len(out)
-	if n > len(q.entries) {
-		n = len(q.entries)
+	if n > q.entries.Len() {
+		n = q.entries.Len()
 	}
 	if n == 0 {
 		return 0
 	}
-	copy(out, q.entries[:n])
-	q.entries = q.entries[n:]
+	for i := range out[:n] {
+		out[i] = q.entries.Pop()
+	}
 	p.Sleep(q.ctx.HCA.fab.Plat.PollCost(q.ctx.Loc))
 	return n
 }
 
 // Len reports queued completions.
-func (q *CQ) Len() int { return len(q.entries) }
+func (q *CQ) Len() int { return q.entries.Len() }
 
 // WaitPoll blocks p until at least one completion is available, then
 // returns up to max of them.

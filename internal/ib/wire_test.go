@@ -97,6 +97,18 @@ func (w *wireRig) run(t *testing.T, body func(p *sim.Proc)) {
 	}
 }
 
+// parked lists the QP's parked inbounds, oldest first, leaving the queue
+// as it was.
+func parked(qp *QP) []*inbound {
+	var out []*inbound
+	for i := qp.pending.Len(); i > 0; i-- {
+		in := qp.pending.Pop()
+		out = append(out, in)
+		qp.pending.Push(in)
+	}
+	return out
+}
+
 // checkFreeList asserts the fabric's free list holds want captures, no
 // capture twice (a double release would hand one buffer to two posts),
 // and none that a parked inbound of the given QPs still references.
@@ -114,7 +126,7 @@ func checkFreeList(t *testing.T, f *Fabric, want int, qps ...*QP) {
 		seen[k] = true
 	}
 	for _, qp := range qps {
-		for _, in := range qp.pending {
+		for _, in := range parked(qp) {
 			if len(in.data) > 0 && seen[&in.data[0]] {
 				t.Error("a parked inbound references a capture on the free list")
 			}
@@ -429,16 +441,16 @@ func TestWireErrorArmsReleaseOnce(t *testing.T) {
 				}
 				w.a.cq.WaitPoll(p, 1)
 				w.a.cq.WaitPoll(p, 1)
-				if len(w.b.qp.pending) != 2 {
-					t.Errorf("%d inbounds parked, want 2", len(w.b.qp.pending))
+				if n := w.b.qp.pending.Len(); n != 2 {
+					t.Errorf("%d inbounds parked, want 2", n)
 				}
-				parked := w.b.qp.pending
+				dropped := parked(w.b.qp)
 				checkFreeList(t, w.h0.fab, 2, w.b.qp)
 				teardown.do(w.b.qp)
 				// The dropped inbounds were their own copies: the captures
 				// on the free list are reusable and nothing was released a
 				// second time.
-				for _, in := range parked {
+				for _, in := range dropped {
 					if !bytes.Equal(in.data, w.postTime) {
 						t.Error("a dropped inbound's bytes changed")
 					}

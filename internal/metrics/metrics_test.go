@@ -100,6 +100,34 @@ func TestNilRegistryAndHandles(t *testing.T) {
 	}
 }
 
+// TestNilHandlesAllocateNothing: instrumentation that is off costs no
+// heap allocation on the paths every message takes. AttrInt used to
+// format its integer before noticing the span was nil.
+func TestNilHandlesAllocateNothing(t *testing.T) {
+	var (
+		s *Span
+		c *Counter
+		h *Histogram
+	)
+	n := int64(12345678) // wide enough that formatting it must allocate
+	for _, row := range []struct {
+		name string
+		op   func()
+	}{
+		{"Span.Attr", func() { s.Attr("k", "v") }},
+		{"Span.AttrInt", func() { s.AttrInt("seq", n) }},
+		{"Span.Child", func() { s.Child(1, "child") }},
+		{"Span.End", func() { s.End(2) }},
+		{"Counter.Add", func() { c.Add(n) }},
+		{"Histogram.Observe", func() { h.Observe(n) }},
+		{"Histogram.ObserveDuration", func() { h.ObserveDuration(sim.Duration(n)) }},
+	} {
+		if got := testing.AllocsPerRun(100, row.op); got != 0 {
+			t.Errorf("%s on a nil handle: %v allocations per call, want 0", row.name, got)
+		}
+	}
+}
+
 func TestSpanLifecycle(t *testing.T) {
 	r := New()
 	root := r.Begin(10*sim.Microsecond, "rank0", "send")

@@ -84,8 +84,12 @@ func (s *Span) Attr(key, val string) *Span {
 	return s
 }
 
-// AttrInt appends one integer annotation. Safe on nil.
+// AttrInt appends one integer annotation. Safe on nil, and a nil span
+// pays for no formatting.
 func (s *Span) AttrInt(key string, v int64) *Span {
+	if s == nil {
+		return nil
+	}
 	return s.Attr(key, strconv.FormatInt(v, 10))
 }
 

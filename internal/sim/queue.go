@@ -5,8 +5,8 @@ package sim
 // served in the order they blocked.
 type Queue[T any] struct {
 	eng     *Engine
-	items   []T
-	getters []*Proc
+	items   FIFO[T]
+	getters FIFO[*Proc]
 }
 
 // NewQueue returns an empty queue on engine e.
@@ -15,28 +15,24 @@ func NewQueue[T any](e *Engine) *Queue[T] {
 }
 
 // Len returns the number of queued items.
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return q.items.Len() }
 
 // Put appends v and wakes the oldest blocked getter, if any. It may be
 // called from process or callback context.
 func (q *Queue[T]) Put(v T) {
-	q.items = append(q.items, v)
-	if len(q.getters) > 0 {
-		g := q.getters[0]
-		q.getters = q.getters[1:]
-		g.wake()
+	q.items.Push(v)
+	if q.getters.Len() > 0 {
+		q.getters.Pop().wake()
 	}
 }
 
 // TryGet removes and returns the head item without blocking.
 func (q *Queue[T]) TryGet() (T, bool) {
 	var zero T
-	if len(q.items) == 0 {
+	if q.items.Len() == 0 {
 		return zero, false
 	}
-	v := q.items[0]
-	q.items = q.items[1:]
-	return v, true
+	return q.items.Pop(), true
 }
 
 // Get blocks p until an item is available, then removes and returns it.
@@ -45,7 +41,7 @@ func (q *Queue[T]) Get(p *Proc) T {
 		if v, ok := q.TryGet(); ok {
 			return v
 		}
-		q.getters = append(q.getters, p)
+		q.getters.Push(p)
 		p.park()
 	}
 }
@@ -53,10 +49,10 @@ func (q *Queue[T]) Get(p *Proc) T {
 // Peek returns the head item without removing it.
 func (q *Queue[T]) Peek() (T, bool) {
 	var zero T
-	if len(q.items) == 0 {
+	if q.items.Len() == 0 {
 		return zero, false
 	}
-	return q.items[0], true
+	return q.items.Peek(), true
 }
 
 // Semaphore is a counting semaphore for modeling limited resources
@@ -64,7 +60,7 @@ func (q *Queue[T]) Peek() (T, bool) {
 type Semaphore struct {
 	eng     *Engine
 	free    int
-	waiters []*Proc
+	waiters FIFO[*Proc]
 }
 
 // NewSemaphore returns a semaphore with n permits.
@@ -91,18 +87,16 @@ func (s *Semaphore) TryAcquire() bool {
 // handed its permit by Release, so later arrivals cannot overtake it.
 func (s *Semaphore) Acquire(p *Proc) {
 	if !s.TryAcquire() {
-		s.waiters = append(s.waiters, p)
+		s.waiters.Push(p)
 		p.park()
 	}
 }
 
 // Release returns a permit, or passes it straight to the oldest waiter.
 func (s *Semaphore) Release() {
-	if len(s.waiters) == 0 {
+	if s.waiters.Len() == 0 {
 		s.free++
 		return
 	}
-	w := s.waiters[0]
-	s.waiters = s.waiters[1:]
-	w.wake()
+	s.waiters.Pop().wake()
 }
