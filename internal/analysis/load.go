@@ -246,7 +246,7 @@ func (l *Loader) LoadTests(path string) ([]*Package, error) {
 		}
 	}
 	var out []*Package
-	check := func(path string, all, report []*ast.File) error {
+	check := func(path string, imp types.Importer, all, report []*ast.File) error {
 		info := &types.Info{
 			Types:      map[ast.Expr]types.TypeAndValue{},
 			Defs:       map[*ast.Ident]types.Object{},
@@ -254,7 +254,7 @@ func (l *Loader) LoadTests(path string) ([]*Package, error) {
 			Implicits:  map[ast.Node]types.Object{},
 			Selections: map[*ast.SelectorExpr]*types.Selection{},
 		}
-		conf := types.Config{Importer: l}
+		conf := types.Config{Importer: imp}
 		tpkg, err := conf.Check(path, l.Fset, all, info)
 		if err != nil {
 			return fmt.Errorf("analysis: type-checking %s: %w", path, err)
@@ -262,17 +262,42 @@ func (l *Loader) LoadTests(path string) ([]*Package, error) {
 		out = append(out, &Package{Path: path, Dir: base.Dir, Files: report, Types: tpkg, Info: info})
 		return nil
 	}
+	imp := l
 	if len(inPkg) > 0 {
-		if err := check(path+TestSuffix, append(append([]*ast.File{}, base.Files...), inPkg...), inPkg); err != nil {
+		if err := check(path+TestSuffix, l, append(append([]*ast.File{}, base.Files...), inPkg...), inPkg); err != nil {
 			return nil, err
 		}
+		imp = l.withVariant(base, out[0])
 	}
 	if len(ext) > 0 {
-		if err := check(path+ExtTestSuffix, ext, ext); err != nil {
+		if err := check(path+ExtTestSuffix, imp, ext, ext); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
+}
+
+// withVariant returns a loader in which base's import path resolves to
+// variant, the package type-checked together with its in-package test
+// files — what `go test` links external tests against, so that they may
+// use what an export_test.go declares. The cache keeps only what base
+// itself imports; any other package the external tests import is
+// type-checked afresh, against the variant if it imports base.
+func (l *Loader) withVariant(base, variant *Package) *Loader {
+	sub := *l
+	sub.loading = map[string]bool{}
+	sub.pkgs = map[string]*Package{base.Path: variant}
+	var keep func(p *types.Package)
+	keep = func(p *types.Package) {
+		for _, dep := range p.Imports() {
+			if pkg, ok := l.pkgs[dep.Path()]; ok && sub.pkgs[dep.Path()] == nil {
+				sub.pkgs[dep.Path()] = pkg
+				keep(dep)
+			}
+		}
+	}
+	keep(base.Types)
+	return &sub
 }
 
 // Expand resolves command-line package patterns to import paths. It

@@ -88,8 +88,8 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// Protocol classification carried on *Done events (mirrors the
-// span-kind taxonomy in core/metrics.go).
+// Protocol classification carried on *Done events. core uses these
+// codes as its own, and ProtoName for span kinds and counter names.
 const (
 	ProtoUnknown uint8 = iota
 	ProtoEager

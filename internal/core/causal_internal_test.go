@@ -50,21 +50,3 @@ func TestCausalWRKindsAgree(t *testing.T) {
 		}
 	}
 }
-
-func TestCausalProtoCodesAgree(t *testing.T) {
-	pairs := []struct {
-		kind string
-		code uint8
-	}{
-		{KindEager, causal.ProtoEager},
-		{KindSenderRzv, causal.ProtoSenderRzv},
-		{KindRecvRzv, causal.ProtoRecvRzv},
-		{KindSimulRzv, causal.ProtoSimulRzv},
-		{KindSelf, causal.ProtoSelf},
-	}
-	for _, p := range pairs {
-		if protoOf(p.kind) != p.code {
-			t.Errorf("proto %s: core code %d != causal %d", p.kind, protoOf(p.kind), p.code)
-		}
-	}
-}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/causal"
 	"repro/internal/sim"
 )
 
@@ -27,16 +26,6 @@ const (
 	tagBcastScat = -112 // scatter-allgather bcast
 )
 
-// collOpNames spells the bracketed collectives in coll.<op> metric
-// names, indexed by their causal op code.
-var collOpNames = [...]string{
-	causal.CollBarrier:   "barrier",
-	causal.CollAllreduce: "allreduce",
-	causal.CollAllgather: "allgather",
-	causal.CollAlltoall:  "alltoall",
-	causal.CollBcast:     "bcast",
-}
-
 // ---- Barrier ----
 
 // Barrier blocks until every member has entered it. The algorithm —
@@ -47,7 +36,7 @@ func (g *group) Barrier(p *sim.Proc) error {
 	if err != nil {
 		return err
 	}
-	return g.bracket(p, causal.CollBarrier, algo, func() error {
+	return g.bracket(p, collBarrier, algo, func() error {
 		if algo == algoTree {
 			return g.barrierTree(p)
 		}
@@ -83,7 +72,7 @@ func (g *group) Bcast(p *sim.Proc, root int, s Slice) error {
 	if err != nil {
 		return err
 	}
-	return g.bracket(p, causal.CollBcast, algo, func() error {
+	return g.bracket(p, collBcast, algo, func() error {
 		if algo == algoScatterAG {
 			return g.bcastScatterAG(p, root, s)
 		}
@@ -152,7 +141,7 @@ func (g *group) Allreduce(p *sim.Proc, s Slice, op Op) error {
 	if err != nil {
 		return err
 	}
-	return g.bracket(p, causal.CollAllreduce, algo, func() error {
+	return g.bracket(p, collAllreduce, algo, func() error {
 		switch algo {
 		case algoRing:
 			return g.allreduceRing(p, s, op)
@@ -301,7 +290,7 @@ func (g *group) scatter(p *sim.Proc, root int, src, recv Slice, counts []int) er
 // Allgather concatenates every member's s into dst (Size()*s.N bytes)
 // on every member, using the ring algorithm.
 func (g *group) Allgather(p *sim.Proc, s, dst Slice) error {
-	return g.bracket(p, causal.CollAllgather, algoRing, func() error { return g.allgather(p, s, dst) })
+	return g.bracket(p, collAllgather, algoRing, func() error { return g.allgather(p, s, dst) })
 }
 
 func (g *group) allgather(p *sim.Proc, s, dst Slice) error {
@@ -364,7 +353,7 @@ func (g *group) Alltoall(p *sim.Proc, src, dst Slice, blockN int) error {
 	if src.N < g.n*blockN || dst.N < g.n*blockN {
 		return fmt.Errorf("core: alltoall buffers too small")
 	}
-	return g.bracket(p, causal.CollAlltoall, algo, func() error {
+	return g.bracket(p, collAlltoall, algo, func() error {
 		if algo == algoLinear {
 			return g.alltoallLinear(p, src, dst, blockN)
 		}

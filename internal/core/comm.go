@@ -239,21 +239,13 @@ func (g *group) sendrecv(p *sim.Proc, tag, dst int, sbuf Slice, src int, rbuf Sl
 	return err
 }
 
-// bracket runs body inside the collective-level instrumentation of one
-// call: the causal enter/exit pair, the coll.<op>.<algo> counter and
-// the coll.<op> span. Only the world group emits any — the
-// happens-before graph fans every rank's entry into every exit, which
-// holds only when every rank takes part — so a sub-communicator's
-// collective shows up as its point-to-point events.
+// bracket runs body as one reported collective call — on the world
+// group only: the happens-before graph fans every rank's entry into
+// every exit, which holds only when every rank takes part, so a
+// sub-communicator's collective shows up as its point-to-point events.
 func (g *group) bracket(p *sim.Proc, op int32, algo uint8, body func() error) error {
 	if g.id != 0 {
 		return body()
 	}
-	r := g.r
-	seq := r.c.collEnter(p.Now(), op, algo)
-	span := r.m.collBegin(p.Now(), collOpNames[op], algoNames[algo])
-	err := body()
-	span.End(p.Now())
-	r.c.collExit(p.Now(), op, algo, seq)
-	return err
+	return g.r.collective(p, op, algo, body)
 }

@@ -133,7 +133,7 @@ func (r *Rank) packInto(p *sim.Proc, dst, src []byte, dt Datatype) {
 		cost := 2*plat.SCIFMsgLatency +
 			sim.Duration(float64(dt.PackedSize())/plat.HostPackRate*float64(sim.Second))
 		p.Sleep(cost)
-		r.Stats.OffloadedPacks++
+		r.step(p, stepOffloadedPack, r.id, 0, dt.PackedSize())
 		return
 	}
 	dt.Pack(dst, src)

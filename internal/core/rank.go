@@ -151,13 +151,9 @@ type Rank struct {
 	// ids (Split is collective, so every member sees the same count).
 	splitSeq int
 
-	// m holds telemetry handles; its zero value (metrics disabled)
-	// makes every record a nil-check no-op.
-	m rankMetrics
-
-	// c holds the causal-profiling handle; its zero value (profiling
-	// disabled) makes every emit a nil-check no-op.
-	c rankCausal
+	// rep is the rank's handle on the optional consumers of what it
+	// reports (report.go).
+	rep reporter
 
 	// fatal is set when transport recovery gives up on a WR that has
 	// no owning request to fail (control packets): the rank cannot
@@ -193,18 +189,6 @@ func (r *Rank) Domain() *machine.Domain { return r.v.Domain() }
 // Loc returns where the rank's MPI software executes.
 func (r *Rank) Loc() machine.DomainKind { return r.v.Loc() }
 
-// trace records a protocol event when tracing is enabled: kind names
-// the protocol step, peer the other rank, seq the message sequence
-// number (the packet sequence number for replay-drop, the work-request
-// id for wr-replay) and n the byte count (the expected psn for
-// replay-drop, the attempt for wr-replay). The signature is not
-// variadic so that call sites box nothing while tracing is off.
-func (r *Rank) trace(kind string, peer int, seq uint64, n int) {
-	if tr := r.w.Cfg.Trace; tr != nil {
-		tr.Log(r.proc.Now(), fmt.Sprintf("rank%d", r.id), kind, "peer=%d seq=%d n=%d", peer, seq, n)
-	}
-}
-
 // MRCacheStats reports buffer-cache-pool hits and misses.
 func (r *Rank) MRCacheStats() (hits, misses int64) {
 	return r.mrCache.Hits, r.mrCache.Misses
@@ -221,9 +205,8 @@ func (r *Rank) setup(p *sim.Proc) error {
 		return err
 	}
 	r.mrCache = NewMRCache(r.v, r.pd, cfg.MRCacheCap)
-	r.m = newRankMetrics(cfg.Metrics, r.id)
-	r.c = newRankCausal(cfg.Causal, r.id)
-	r.mrCache.instrument(cfg.Metrics, r.m.actor)
+	r.rep = newReporter(cfg.Metrics, cfg.Causal, cfg.Trace, r.id)
+	r.mrCache.instrument(cfg.Metrics, r.rep.actor)
 	r.peers = make([]*peerState, r.w.Size())
 	r.wrMap = make(map[uint64]wrAction)
 	r.peers[r.id] = newPeerState()
@@ -498,10 +481,7 @@ func (r *Rank) recoverWR(p *sim.Proc, wrid uint64, act wrAction) {
 			r.failWR(p, act, fmt.Errorf("core: reconnect to rank %d: %w", act.peer, err))
 			return
 		}
-		r.Stats.QPResets++
-		r.m.qpResets.Inc()
-		r.c.qpReset(p.Now(), act.peer)
-		r.trace("qp-reset", act.peer, 0, 0)
+		r.step(p, stepQPReset, act.peer, 0, 0)
 	}
 	act.tries++
 	if act.tries > r.w.Cfg.Faults.MaxRetries() {
@@ -509,10 +489,7 @@ func (r *Rank) recoverWR(p *sim.Proc, wrid uint64, act wrAction) {
 		return
 	}
 	r.wrMap[wrid] = act
-	r.Stats.Retries++
-	r.m.faultRetries.Inc()
-	r.c.replay(p.Now(), act.peer, wrid)
-	r.trace("wr-replay", act.peer, wrid, act.tries)
+	r.step(p, stepReplay, act.peer, wrid, act.tries)
 	r.reissue(p, wrid, act)
 }
 
@@ -603,8 +580,7 @@ func (r *Rank) sendPacket(p *sim.Proc, dst int, h header, payload []byte, act wr
 	act.wr = wr
 	wrid := r.nextWR(act)
 	wr.WRID = wrid
-	r.c.pktSend(p.Now(), dst, h, len(payload))
-	r.c.wrPost(p.Now(), dst, act.kind, wrid, len(payload))
+	r.packetSent(p, dst, h, act.kind, wrid)
 	return r.post(p, dst, wr)
 }
 
@@ -617,47 +593,29 @@ func (r *Rank) Isend(p *sim.Proc, dst, tag int, s Slice) (*Request, error) {
 	}
 	req := r.newRequest()
 	*req = Request{r: r, isSend: true, peer: dst, tag: tag, slice: s, startT: p.Now()}
-	if r.m.reg != nil {
-		req.span = r.m.span(req.startT, "send")
-		req.span.AttrInt("peer", int64(dst)).AttrInt("bytes", int64(s.N))
-	}
-	if r.c.on() {
-		req.cid = r.c.nextCID()
-	}
+	r.opened(p, req)
 	p.Sleep(r.w.Plat.MPIPerMsg(r.v.Loc()))
-	r.Stats.MsgsSent++
-	r.Stats.BytesSent += int64(s.N)
 	ps, err := r.ensurePeer(p, dst)
 	if err != nil {
 		return nil, r.abandon(p, req, err)
 	}
 	req.seq = ps.sendSeq
 	ps.sendSeq++
-	r.c.sendPost(p.Now(), req)
+	r.posted(p, req)
 	if dst == r.id {
-		r.m.resolve(req, KindSelf)
+		r.resolved(req, protoSelf)
 		r.sendSelf(p, ps, req)
 		return req, nil
 	}
-	req.span.AttrInt("seq", int64(req.seq))
 	// Drain arrived packets first: an RTR for this very sequence id may
 	// already be waiting (receiver-first), which changes the protocol.
 	r.progress(p)
 	if s.N <= r.w.Cfg.EagerMax {
-		r.Stats.EagerSends++
-		r.m.resolve(req, KindEager)
+		r.resolved(req, protoEager)
 		r.trySendEager(p, req)
 		return req, nil
 	}
 	return req, r.startRendezvousSend(p, req)
-}
-
-// abandon closes the lifecycle span of a request whose first contact
-// with its peer failed: the caller never sees the request, so nothing
-// else will. It has no sequence id yet, hence no causal done event.
-func (r *Rank) abandon(p *sim.Proc, req *Request, err error) error {
-	req.span.Attr("error", err.Error()).End(p.Now())
-	return err
 }
 
 // trySendEager posts the eager packet now or queues it for credit.
@@ -668,9 +626,7 @@ func (r *Rank) trySendEager(p *sim.Proc, req *Request) {
 	ps := r.peers[req.peer]
 	if _, ok := ps.earlyRTR[req.seq]; ok {
 		delete(ps.earlyRTR, req.seq)
-		r.m.mispredicts.Inc()
-		r.c.mispredict(p.Now(), req.peer, req.seq)
-		r.trace("mispredict-rtr-drop", req.peer, req.seq, 0)
+		r.step(p, stepMispredictRTR, req.peer, req.seq, 0)
 	}
 	if ps.credits <= 1 {
 		req.state = stEagerQueued
@@ -691,7 +647,7 @@ func (r *Rank) postEager(p *sim.Proc, req *Request) bool {
 		return false
 	}
 	req.state = stEagerSent
-	r.trace("eager-send", req.peer, req.seq, req.slice.N)
+	r.step(p, stepEagerSend, req.peer, req.seq, req.slice.N)
 	return true
 }
 
@@ -699,43 +655,32 @@ func (r *Rank) postEager(p *sim.Proc, req *Request) bool {
 // answers an already-arrived RTR (receiver-first) or sends an RTS
 // (sender-first).
 func (r *Rank) startRendezvousSend(p *sim.Proc, req *Request) error {
-	r.Stats.RndvSends++
 	s := req.slice
 	useOffload := r.arena != nil && s.N >= r.w.Cfg.OffloadMinSize
 	if useOffload {
 		if reg := r.arena.alloc(s.N); reg != nil {
 			// sync_offload_mr: stage the latest data into the host
 			// bounce buffer through the DMA engine before any send.
-			syncT := p.Now()
-			ss := req.span.Child(syncT, "offload-sync")
-			err := r.arena.sync(p, reg, s.Bytes())
-			ss.AttrInt("bytes", int64(s.N))
-			ss.End(p.Now())
+			err := r.staging(p, req, func() error { return r.arena.sync(p, reg, s.Bytes()) })
 			var abort *pcie.DMAAbortError
 			switch {
 			case err == nil:
 				req.offReg = reg
 				req.advAddr = reg.addr()
 				req.advKey = reg.rkey()
-				r.Stats.OffloadedSends++
-				r.m.offStaged.Add(int64(s.N))
-				r.c.dmaSync(p.Now(), p.Now()-syncT, s.N)
-				r.trace("offload-sync", req.peer, req.seq, s.N)
 			case errors.As(err, &abort):
 				// The DMA engine aborted the staging copy: release the
 				// region and fall back to sending straight from
 				// co-processor memory.
 				r.arena.release(reg)
 				useOffload = false
-				r.m.offFallback.Inc()
-				r.c.fallback(p.Now(), req.peer, s.N)
-				r.trace("offload-abort", req.peer, req.seq, s.N)
+				r.step(p, stepOffloadAbort, req.peer, req.seq, s.N)
 			default:
 				return err
 			}
 		} else {
 			useOffload = false
-			r.m.offFallback.Inc()
+			r.step(p, stepOffloadFull, req.peer, req.seq, s.N)
 		}
 	}
 	if !useOffload {
@@ -754,7 +699,7 @@ func (r *Rank) startRendezvousSend(p *sim.Proc, req *Request) error {
 	// Receiver-first: an RTR for this sequence may already be here.
 	if rtr, ok := ps.earlyRTR[req.seq]; ok {
 		delete(ps.earlyRTR, req.seq)
-		r.trace("recv-first", req.peer, req.seq, 0)
+		r.step(p, stepRecvFirst, req.peer, req.seq, 0)
 		return r.rndvWrite(p, req, rtr)
 	}
 	h := header{kind: pktRTS, tag: int32(req.tag), seq: req.seq, raddr: req.advAddr, rkey: req.advKey, rsize: s.N}
@@ -762,7 +707,7 @@ func (r *Rank) startRendezvousSend(p *sim.Proc, req *Request) error {
 		return err
 	}
 	req.state = stRTSSent
-	r.trace("rts-send", req.peer, req.seq, s.N)
+	r.step(p, stepRTSSend, req.peer, req.seq, s.N)
 	return nil
 }
 
@@ -790,14 +735,9 @@ func (r *Rank) rndvWrite(p *sim.Proc, req *Request, rtr header) error {
 	// recycling on completion otherwise.
 	wrid := r.nextWR(wrAction{kind: wrRndvWrite, req: req, peer: req.peer, wr: wr})
 	wr.WRID = wrid
-	r.Stats.RndvWrites++
 	req.state = stWriting
-	r.m.resolve(req, KindRecvRzv)
-	if r.m.reg != nil {
-		req.xferSpan = req.span.Child(p.Now(), "rdma-write").AttrInt("bytes", int64(req.slice.N))
-	}
-	r.c.wrPost(p.Now(), req.peer, wrRndvWrite, wrid, req.slice.N)
-	r.trace("rdma-write", req.peer, req.seq, req.slice.N)
+	r.resolved(req, protoRecvRzv)
+	r.xferStarted(p, req, wrRndvWrite, wrid, req.slice.N)
 	return r.post(p, req.peer, wr)
 }
 
@@ -830,14 +770,7 @@ func (r *Rank) Irecv(p *sim.Proc, src, tag int, s Slice) (*Request, error) {
 	}
 	req := r.newRequest()
 	*req = Request{r: r, peer: src, tag: tag, slice: s, startT: p.Now()}
-	if r.m.reg != nil {
-		req.span = r.m.span(req.startT, "recv")
-		req.span.AttrInt("src", int64(src)).AttrInt("bytes", int64(s.N))
-	}
-	if r.c.on() {
-		req.cid = r.c.nextCID()
-		r.c.recvPost(p.Now(), req)
-	}
+	r.opened(p, req)
 	if src != AnySource {
 		if _, err := r.ensurePeer(p, src); err != nil {
 			return nil, r.abandon(p, req, err)
@@ -847,7 +780,7 @@ func (r *Rank) Irecv(p *sim.Proc, src, tag int, s Slice) (*Request, error) {
 		// Nothing on the wire and no ANY_SOURCE receive can take a
 		// loopback message, so neither progress nor the lock is in
 		// the way of binding it now.
-		r.m.resolve(req, KindSelf)
+		r.resolved(req, protoSelf)
 		r.bindRecv(p, req, src)
 		return req, nil
 	}
@@ -858,7 +791,7 @@ func (r *Rank) Irecv(p *sim.Proc, src, tag int, s Slice) (*Request, error) {
 	case r.anyActive != nil:
 		// Locked: later receives cannot get a sequence id yet.
 		r.deferred.Push(req)
-		r.c.anyDefer(p.Now(), req.cid)
+		r.step(p, stepAnyDefer, src, req.cid, 0)
 	case src == AnySource:
 		r.lockAny(p, req)
 	default:
@@ -876,8 +809,7 @@ func (r *Rank) bindRecv(p *sim.Proc, req *Request, src int) {
 	ps.recvSeq++
 	if src != r.id {
 		// A loopback message has no cross-rank lifecycle to report.
-		req.span.AttrInt("seq", int64(req.seq))
-		r.c.recvBind(p.Now(), req)
+		r.bound(p, req, src)
 	}
 	if a, ok := ps.unexpected[req.seq]; ok {
 		delete(ps.unexpected, req.seq)
@@ -904,7 +836,7 @@ func (r *Rank) bindRecv(p *sim.Proc, req *Request, src int) {
 			return
 		}
 		req.state = stRTRWait
-		r.trace("rtr-send", src, req.seq, req.slice.N)
+		r.step(p, stepRTRSend, src, req.seq, req.slice.N)
 	}
 }
 
@@ -969,7 +901,7 @@ func (r *Rank) matchArrival(p *sim.Proc, req *Request, a *arrival) {
 		req.complete(p, ErrTagMismatch)
 		return
 	}
-	r.m.matchLat.ObserveDuration(p.Now() - req.startT)
+	r.matched(p, req)
 	switch a.h.kind {
 	case pktEager:
 		if a.h.payload > req.slice.N {
@@ -977,8 +909,8 @@ func (r *Rank) matchArrival(p *sim.Proc, req *Request, a *arrival) {
 			return
 		}
 		if req.peer != r.id {
-			// A loopback receive resolved as KindSelf when posted.
-			r.m.resolve(req, KindEager)
+			// A loopback receive resolved as self when posted.
+			r.resolved(req, protoEager)
 		}
 		copy(req.slice.Bytes(), a.data)
 		p.Sleep(r.w.Plat.CopyCost(r.v.Loc(), a.h.payload))
@@ -1025,15 +957,11 @@ func (r *Rank) startRead(p *sim.Proc, req *Request, rts header) {
 	req.state = stReading
 	req.seq = rts.seq
 	if simul {
-		r.m.resolve(req, KindSimulRzv)
+		r.resolved(req, protoSimulRzv)
 	} else {
-		r.m.resolve(req, KindSenderRzv)
+		r.resolved(req, protoSenderRzv)
 	}
-	if r.m.reg != nil {
-		req.xferSpan = req.span.Child(p.Now(), "rdma-read").AttrInt("bytes", int64(rts.rsize))
-	}
-	r.c.wrPost(p.Now(), int(rts.src), wrRndvRead, wrid, rts.rsize)
-	r.trace("rdma-read", int(rts.src), rts.seq, rts.rsize)
+	r.xferStarted(p, req, wrRndvRead, wrid, rts.rsize)
 	if err := r.post(p, int(rts.src), wr); err != nil {
 		req.complete(p, err)
 	}
@@ -1045,8 +973,7 @@ func (r *Rank) startRead(p *sim.Proc, req *Request, rts header) {
 // connected pair, in rank order, whose next packet matches the tag.
 func (r *Rank) lockAny(p *sim.Proc, req *Request) {
 	r.anyActive = req
-	r.m.anyLocks.Inc()
-	r.c.anyLock(p.Now(), req.cid)
+	r.step(p, stepAnyLock, AnySource, req.cid, 0)
 	for _, src := range r.active {
 		ps := r.peers[src]
 		if a := ps.probe(req.tag); a != nil {
@@ -1064,7 +991,7 @@ func (r *Rank) bindAny(p *sim.Proc, src int, a *arrival) {
 	r.anyActive = nil
 	r.peers[src].recvSeq++
 	req.seq = a.h.seq
-	r.c.recvBindTo(p.Now(), req, src)
+	r.bound(p, req, src)
 	r.matchArrival(p, req, a)
 	r.drainDeferred(p)
 }
@@ -1088,7 +1015,7 @@ func (r *Rank) drainDeferred(p *sim.Proc) {
 // to the receive posted for its sequence id, else to the unexpected
 // queue, where bindRecv and Iprobe find it like any other arrival.
 func (r *Rank) sendSelf(p *sim.Proc, ps *peerState, req *Request) {
-	r.Stats.SelfMsgs++
+	r.step(p, stepSelfMsg, r.id, req.seq, req.slice.N)
 	h := header{kind: pktEager, src: uint16(r.id), tag: int32(req.tag), seq: req.seq, payload: req.slice.N}
 	if recv, ok := ps.expRecv[req.seq]; ok {
 		delete(ps.expRecv, req.seq)
@@ -1125,10 +1052,7 @@ func (r *Rank) progress(p *sim.Proc) bool {
 				// it without advancing the cursor, re-applying its
 				// piggybacked credits, or returning the slot.
 				ps.in.discard()
-				r.Stats.ReplaysDeduped++
-				r.m.replaysDeduped.Inc()
-				r.c.replayDrop(p.Now(), i, h.psn)
-				r.trace("replay-drop", i, h.psn, int(ps.recvPSN))
+				r.step(p, stepReplayDrop, i, h.psn, int(ps.recvPSN))
 				did = true
 				continue
 			}
@@ -1137,7 +1061,7 @@ func (r *Rank) progress(p *sim.Proc) bool {
 			}
 			ps.recvPSN++
 			p.Sleep(r.w.Plat.PollCost(r.v.Loc()) + r.v.RecvOverhead(h.payload))
-			r.c.pktRecv(p.Now(), i, h)
+			r.packetRecvd(p, i, h)
 			r.handlePacket(p, i, h, payload)
 			ps.in.consume()
 			ps.toReturn++
@@ -1190,8 +1114,7 @@ func (r *Rank) progress(p *sim.Proc) bool {
 		// flight toward the peer.
 		if ps.toReturn >= ps.out.slots-1 && ps.credits > 0 {
 			if err := r.postCtrl(p, i, header{kind: pktCredit}); err == nil {
-				r.Stats.CreditPackets++
-				r.trace("credit", i, 0, 0)
+				r.step(p, stepCredit, i, 0, 0)
 				did = true
 			}
 		}
@@ -1215,8 +1138,7 @@ func (r *Rank) handlePacket(p *sim.Proc, src int, h header, payload []byte) {
 				// receiver recognizes it on the eager packet, copies the
 				// data and completes; its earlier RTR will be dropped by
 				// the sender thanks to the sequence id.
-				r.m.mispredicts.Inc()
-				r.c.mispredict(p.Now(), src, h.seq)
+				r.step(p, stepMispredictEager, src, h.seq, h.payload)
 			}
 			r.matchArrival(p, req, r.newArrival(h, payload))
 			return
@@ -1224,7 +1146,7 @@ func (r *Rank) handlePacket(p *sim.Proc, src int, h header, payload []byte) {
 		// Then the ANY_SOURCE receive: it takes its sequence id from the
 		// first matching packet.
 		if r.anyActive != nil && h.seq == ps.recvSeq && tagsMatch(r.anyActive.tag, h) {
-			r.trace("any-source-match", src, h.seq, 0)
+			r.step(p, stepAnyMatch, src, h.seq, 0)
 			r.bindAny(p, src, r.newArrival(h, payload))
 			return
 		}
@@ -1236,22 +1158,19 @@ func (r *Rank) handlePacket(p *sim.Proc, src int, h header, payload []byte) {
 			p.Sleep(r.w.Plat.CopyCost(r.v.Loc(), h.payload))
 		}
 		ps.unexpected[h.seq] = a
-		r.Stats.Unexpected++
+		r.step(p, stepUnexpected, src, h.seq, h.payload)
 	case pktRTR:
 		if req, ok := ps.sendsBySeq[h.seq]; ok {
 			switch req.state {
 			case stRTSSent:
 				// Simultaneous send/receive rendezvous: the sender
 				// disregards the RTR and waits for the receiver's read.
-				req.simul = true
-				r.m.resolve(req, KindSimulRzv)
-				r.trace("simultaneous-rtr-drop", src, h.seq, 0)
+				r.resolved(req, protoSimulRzv)
+				r.step(p, stepSimulDrop, src, h.seq, 0)
 			case stEagerSent, stEagerQueued, stDone:
 				// Sender-eager mis-prediction: drop the RTR; the
 				// sequence id guarantees it belonged to this send only.
-				r.m.mispredicts.Inc()
-				r.c.mispredict(p.Now(), src, h.seq)
-				r.trace("mispredict-rtr-drop", src, h.seq, 0)
+				r.step(p, stepMispredictRTR, src, h.seq, 0)
 			default:
 				if err := r.rndvWrite(p, req, h); err != nil {
 					req.complete(p, err)
@@ -1266,16 +1185,15 @@ func (r *Rank) handlePacket(p *sim.Proc, src int, h header, payload []byte) {
 		req := r.take(ps.sendsBySeq, src, h)
 		// The DONE closes the rendezvous round trip begun at the
 		// RTS; a dropped RTR already classified it simultaneous.
-		if !req.simul {
-			r.m.resolve(req, KindSenderRzv)
+		if req.proto != protoSimulRzv {
+			r.resolved(req, protoSenderRzv)
 		}
-		r.m.rndvRTT.ObserveDuration(p.Now() - req.startT)
 		req.complete(p, nil)
 	case pktDoneW:
 		// Receiver-first: the sender's write plus this DONE completed a
 		// receive that was parked in stRTRWait.
 		req := r.take(ps.expRecv, src, h)
-		r.m.resolve(req, KindRecvRzv)
+		r.resolved(req, protoRecvRzv)
 		req.status = Status{Source: src, Tag: req.tag, Len: h.rsize}
 		req.complete(p, nil)
 	case pktNack:
@@ -1306,7 +1224,7 @@ func (r *Rank) handleCQE(p *sim.Proc, e ib.CQE) {
 		panic(fmt.Sprintf("core: rank %d: completion for unknown WR %d", r.id, e.WRID))
 	}
 	delete(r.wrMap, e.WRID)
-	r.c.cqe(p.Now(), act.peer, act.kind, e.WRID)
+	r.cqe(p, act, e.WRID)
 	if e.Status != ib.StatusSuccess {
 		if e.Status == ib.StatusRetryExcErr && r.faultsOn() {
 			r.recoverWR(p, e.WRID, act)
@@ -1331,14 +1249,14 @@ func (r *Rank) handleCQE(p *sim.Proc, e ib.CQE) {
 	case wrRndvWrite:
 		// Receiver-first write done: tell the receiver.
 		req := act.req
-		req.xferSpan.End(p.Now())
+		r.xferDone(p, req)
 		delete(r.peers[req.peer].sendsBySeq, req.seq)
 		done := header{kind: pktDoneW, seq: req.seq, rsize: req.slice.N}
 		req.complete(p, r.ctrlSend(p, req.peer, done))
 	case wrRndvRead:
 		// Sender-first read done: tell the sender.
 		req := act.req
-		req.xferSpan.End(p.Now())
+		r.xferDone(p, req)
 		done := header{kind: pktDone, seq: req.seq, rsize: req.status.Len}
 		req.complete(p, r.ctrlSend(p, act.peer, done))
 	}
@@ -1346,11 +1264,10 @@ func (r *Rank) handleCQE(p *sim.Proc, e ib.CQE) {
 
 // Wait blocks until the request completes, driving progress.
 func (r *Rank) Wait(p *sim.Proc, req *Request) (Status, error) {
-	waiting := false
-	if !req.completed && r.c.on() {
-		r.c.waitStart(p.Now(), req.cid)
-		waiting = true
+	if req.completed {
+		return req.status, req.err
 	}
+	r.waitStart(p, req)
 	for !req.completed {
 		if err := r.idle(p); err != nil {
 			// Completing the request here closes its spans and releases
@@ -1359,9 +1276,7 @@ func (r *Rank) Wait(p *sim.Proc, req *Request) (Status, error) {
 			req.complete(p, err)
 		}
 	}
-	if waiting {
-		r.c.waitEnd(p.Now(), req.cid)
-	}
+	r.waitEnd(p, req)
 	return req.status, req.err
 }
 

@@ -4,10 +4,13 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/causal"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/metrics"
 	"repro/internal/perfmodel"
+	"repro/internal/trace"
 )
 
 // runReplayFlood floods 2 ranks with one-way eager traffic through
@@ -20,12 +23,23 @@ import (
 // is the dedicated regression for ring.discard / Stats.ReplaysDeduped.
 func runReplayFlood(t *testing.T, seed uint64) (fp uint64, deduped, ibFaults, retries int64) {
 	t.Helper()
+	fp, all, ibFaults := runReplayFloodSinks(t, seed, nil, nil, nil)
+	return fp, all.ReplaysDeduped, ibFaults, all.Retries
+}
+
+// runReplayFloodSinks is runReplayFlood with telemetry installed; it
+// returns every Stats field summed over the two ranks.
+func runReplayFloodSinks(t *testing.T, seed uint64, reg *metrics.Registry, rec *causal.Recorder, ring *trace.Recorder) (fp uint64, all core.Stats, ibFaults int64) {
+	t.Helper()
 	plan := faults.NewPlan(seed)
 	plan.IBError = 0.3
 	plan.IBDelivered = 1.0
 	c := cluster.New(perfmodel.Default(), 2)
+	c.SetMetrics(reg)
+	c.SetCausal(rec)
 	inj := c.SetFaults(plan)
 	w := c.DCFAWorld(2, false)
+	w.Cfg.Trace = ring
 	w.Cfg.EagerSlots = 4
 	const msgs = 200
 	err := w.Run(func(r *core.Rank) error {
@@ -59,10 +73,9 @@ func runReplayFlood(t *testing.T, seed uint64) (fp uint64, deduped, ibFaults, re
 		t.Fatalf("replay flood (seed %d): %v", seed, err)
 	}
 	for i := 0; i < 2; i++ {
-		deduped += w.Rank(i).Stats.ReplaysDeduped
-		retries += w.Rank(i).Stats.Retries
+		addStats(&all, w.Rank(i).Stats)
 	}
-	return c.Eng.Fingerprint(), deduped, inj.IBFaults, retries
+	return c.Eng.Fingerprint(), all, inj.IBFaults
 }
 
 // TestReplayDedupeDiscardsStaleDuplicates drives the psn-based

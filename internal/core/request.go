@@ -102,23 +102,16 @@ type Request struct {
 	// heldMRs are cache pins released at completion.
 	heldMRs []*ib.MR
 
-	// Telemetry (all nil / zero when metrics are disabled).
-	// span is the message-lifecycle span from post to completion;
-	// xferSpan the in-flight RDMA read/write child.
-	span     *metrics.Span
-	xferSpan *metrics.Span
-	// startT is when the operation was posted, for latency histograms.
-	startT sim.Time
-	// simul marks a send resolved as simultaneous rendezvous (the RTR
-	// was dropped in state stRTSSent), so the later DONE does not
-	// re-classify it as sender-first.
-	simul bool
-
-	// Causal profiling (zero when profiling is disabled): cid is the
-	// rank-local request id correlating this request's lifecycle
-	// events, proto the resolved protocol code (causal.Proto*).
-	cid   uint64
-	proto uint8
+	// What report.go keeps on a request: the lifecycle span from post to
+	// completion and its in-flight transfer child (nil without a
+	// registry), when it was posted, its rank-local id in the causal
+	// stream (0 unless recording), and the protocol class it resolved
+	// to (causal.Proto*, always set: a DONE does not re-classify a send
+	// that dropping an RTR already made simultaneous).
+	span, xferSpan *metrics.Span
+	startT         sim.Time
+	cid            uint64
+	proto          uint8
 }
 
 // Done reports completion (poll without progress; use Rank.Test to also
@@ -147,20 +140,7 @@ func (q *Request) complete(p *sim.Proc, err error) {
 		q.r.mrCache.Release(p, mr)
 	}
 	q.heldMRs = nil
-	if m := &q.r.m; m.reg != nil {
-		now := p.Now()
-		q.xferSpan.End(now)
-		if err != nil {
-			q.span.Attr("error", err.Error())
-		}
-		q.span.End(now)
-		if q.isSend {
-			m.sendLat.ObserveDuration(now - q.startT)
-		} else {
-			m.recvLat.ObserveDuration(now - q.startT)
-		}
-	}
-	q.r.c.done(p.Now(), q, err != nil)
+	q.r.completed(p, q, err)
 }
 
 // newRequest hands out a request record for Isend or Irecv to fill:

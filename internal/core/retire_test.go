@@ -90,7 +90,7 @@ func (o *retireOps) retire(q *Request) {
 	r := o.r
 	want := q.completed && q.err == nil && r.fatal == nil
 	state, held := fmt.Sprintf("completed=%v err=%v fatal=%v", q.completed, q.err, r.fatal), holder(r, q)
-	o.simul = o.simul || q.simul
+	o.simul = o.simul || (q.isSend && q.proto == protoSimulRzv)
 	n := len(r.reqFree)
 	r.retire(q)
 	got := len(r.reqFree) == n+1 && r.reqFree[n] == q

@@ -14,6 +14,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/causal"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dcfa"
@@ -111,6 +112,7 @@ type tortureResult struct {
 	events int64
 	now    sim.Time
 	stats  core.Stats
+	all    core.Stats // every field, summed over the ranks
 	inj    *faults.Injector
 }
 
@@ -118,10 +120,17 @@ type tortureResult struct {
 // the given fault plan (nil = no injector) with optional telemetry.
 func runTorture(t *testing.T, seed uint64, plan *faults.Plan, reg *metrics.Registry, tr *trace.Recorder) tortureResult {
 	t.Helper()
+	return runTortureSinks(t, seed, plan, reg, nil, tr)
+}
+
+// runTortureSinks is runTorture with the causal recorder too.
+func runTortureSinks(t *testing.T, seed uint64, plan *faults.Plan, reg *metrics.Registry, rec *causal.Recorder, tr *trace.Recorder) tortureResult {
+	t.Helper()
 	const ranks = 4
 	sched := torturePlanFor(seed, ranks, 6, 10)
 	c := cluster.New(perfmodel.Default(), ranks)
 	c.SetMetrics(reg)
+	c.SetCausal(rec)
 	inj := c.SetFaults(plan)
 	w := c.DCFAWorld(ranks, true)
 	w.Cfg.Trace = tr
@@ -229,6 +238,7 @@ func runTorture(t *testing.T, seed uint64, plan *faults.Plan, reg *metrics.Regis
 	res := tortureResult{fp: c.Eng.Fingerprint(), events: c.Eng.EventsRun(), now: c.Eng.Now(), inj: inj}
 	for i := 0; i < ranks; i++ {
 		s := w.Rank(i).Stats
+		addStats(&res.all, s)
 		res.stats.MsgsSent += s.MsgsSent
 		res.stats.EagerSends += s.EagerSends
 		res.stats.RndvSends += s.RndvSends
