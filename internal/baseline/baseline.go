@@ -59,14 +59,6 @@ func (d *OffloadDevice) TransferOut(p *sim.Proc, hostDst, micSrc []byte) {
 	d.Bus.OffloadTransfer(p, hostDst, micSrc)
 }
 
-// StartTransfer is the asynchronous form used for the double-buffer
-// overlap policy; the returned event fires at completion.
-func (d *OffloadDevice) StartTransfer(dst, src []byte) *sim.Event {
-	d.Transfers++
-	d.TransferBytes += int64(len(src))
-	return d.Bus.StartOffloadTransfer(dst, src)
-}
-
 // Launch pays one offload-region invocation (kernel dispatch plus
 // waking the region's OpenMP threads on the co-processor).
 func (d *OffloadDevice) Launch(p *sim.Proc, threads int) {

@@ -302,7 +302,7 @@ func TestDoubleBufferOverlap(t *testing.T) {
 	var elapsed sim.Duration
 	c.Eng.Spawn("host-rank", func(p *sim.Proc) {
 		start := p.Now()
-		ev := dev.StartTransfer(mic.Data, host.Data)
+		ev := dev.Bus.StartOffloadTransfer(mic.Data, host.Data)
 		p.Sleep(100 * sim.Microsecond) // overlapped host work
 		ev.Wait(p)
 		elapsed = p.Now() - start

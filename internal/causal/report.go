@@ -56,9 +56,6 @@ func Analyze(workload string, events []Event, end sim.Time) *Report {
 // Graph returns the underlying happens-before graph.
 func (r *Report) Graph() *Graph { return r.graph }
 
-// CriticalSteps returns the critical-path segments in forward order.
-func (r *Report) CriticalSteps() []PathStep { return r.steps }
-
 // Pattern returns the named pattern summary, or nil.
 func (r *Report) Pattern(name string) *Pattern {
 	for i := range r.Patterns {

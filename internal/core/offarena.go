@@ -11,7 +11,8 @@ import (
 // offArena manages one persistent offloading memory region as a pool of
 // sub-ranges for in-flight large sends. Registering a fresh offload MR
 // per message would pay the host round trip every time; DCFA-MPI
-// registers one arena up front and carves staging ranges out of it.
+// registers one arena up front and carves staging ranges out of it. The
+// arena lives as long as its rank: nothing deregisters it.
 type offArena struct {
 	v   Verbs
 	omr *dcfa.OffloadMR
@@ -105,8 +106,3 @@ func (reg *offRegion) rkey() uint32 { return reg.arena.omr.HostMR.RKey }
 
 // lkey returns the host MR lkey (for RDMA-writing out of the bounce).
 func (reg *offRegion) lkey() uint32 { return reg.arena.omr.HostMR.LKey }
-
-// destroy releases the whole arena (teardown).
-func (a *offArena) destroy(p *sim.Proc) error {
-	return a.v.DeregOffloadMR(p, a.omr)
-}

@@ -125,18 +125,18 @@ type Rank struct {
 	// reqFree recycles the requests of blocking operations — Send, Recv,
 	// Sendrecv and the collectives' internal exchanges — whose handle no
 	// caller ever saw; see retire.
-	reqFree []*Request
+	reqFree sim.Pool[*Request]
 
 	// arrivalFree recycles arrival records after their match, so
 	// steady-state unexpected traffic allocates no record per packet.
-	arrivalFree []*arrival
+	arrivalFree sim.Pool[*arrival]
 
 	// wrFree recycles send work requests (and their cap-3 SGL backing)
 	// once their completion has been routed, so the per-packet path
 	// allocates no WR or SGE state in steady state. Recycling is
 	// disabled under an active fault plan: replay needs the formed WR
 	// to survive until its retry budget is spent.
-	wrFree []*ib.SendWR
+	wrFree sim.Pool[*ib.SendWR]
 
 	wrSeq uint64
 	wrMap map[uint64]wrAction
@@ -511,13 +511,10 @@ func (r *Rank) failWR(p *sim.Proc, act wrAction, err error) {
 // recycles completed WRs when no fault plan is active, so the
 // per-packet path allocates no WR or SGE state in steady state.
 func (r *Rank) newSendWR() *ib.SendWR {
-	n := len(r.wrFree)
-	if n == 0 {
-		return &ib.SendWR{SGL: make([]ib.SGE, 0, 3)}
+	if wr, ok := r.wrFree.Get(); ok {
+		return wr
 	}
-	wr := r.wrFree[n-1]
-	r.wrFree = r.wrFree[:n-1]
-	return wr
+	return &ib.SendWR{SGL: make([]ib.SGE, 0, 3)}
 }
 
 // recycleWR returns a routed work request to the free list, keeping
@@ -528,7 +525,7 @@ func (r *Rank) recycleWR(wr *ib.SendWR) {
 		return
 	}
 	*wr = ib.SendWR{SGL: wr.SGL[:0]}
-	r.wrFree = append(r.wrFree, wr)
+	r.wrFree.Put(wr)
 }
 
 // sendPacket assembles and RDMA-writes one packet into the peer's ring.
@@ -690,8 +687,7 @@ func (r *Rank) startRendezvousSend(p *sim.Proc, req *Request) error {
 		}
 		req.advAddr = s.Addr()
 		req.advKey = mr.RKey
-		req.srcMR = mr
-		req.heldMRs = append(req.heldMRs, mr)
+		req.pin(mr)
 	}
 	ps := r.peers[req.peer]
 	ps.sendsBySeq[req.seq] = req
@@ -729,7 +725,7 @@ func (r *Rank) rndvWrite(p *sim.Proc, req *Request, rtr header) error {
 	} else {
 		// Reuse the registration advertised with the RTS; it is pinned
 		// until this request completes.
-		wr.SGL = append(wr.SGL, ib.SGE{Addr: req.slice.Addr(), Len: req.slice.N, LKey: req.srcMR.LKey})
+		wr.SGL = append(wr.SGL, ib.SGE{Addr: req.slice.Addr(), Len: req.slice.N, LKey: req.pins[0].LKey})
 	}
 	// The WR rides in the action for replay under faults and for
 	// recycling on completion otherwise.
@@ -828,7 +824,7 @@ func (r *Rank) bindRecv(p *sim.Proc, req *Request, src int) {
 			delete(ps.expRecv, req.seq)
 			return
 		}
-		req.heldMRs = append(req.heldMRs, mr)
+		req.pin(mr)
 		h := header{kind: pktRTR, tag: int32(req.tag), seq: req.seq, raddr: req.slice.Addr(), rkey: mr.RKey, rsize: req.slice.N}
 		if err := r.ctrlSend(p, src, h); err != nil {
 			req.complete(p, err)
@@ -864,12 +860,10 @@ func (ps *peerState) probe(tag int) *arrival {
 // per inbound data packet, so an unpooled record would be a per-event
 // heap allocation on the progress path.
 func (r *Rank) newArrival(h header, data []byte) *arrival {
-	n := len(r.arrivalFree)
-	if n == 0 {
-		return &arrival{h: h, data: data}
+	a, ok := r.arrivalFree.Get()
+	if !ok {
+		a = &arrival{}
 	}
-	a := r.arrivalFree[n-1]
-	r.arrivalFree = r.arrivalFree[:n-1]
 	a.h, a.data = h, data
 	return a
 }
@@ -889,7 +883,7 @@ func (a *arrival) keep(payload []byte) {
 // here lets the ring buffer (or copied-out slice) be reclaimed.
 func (r *Rank) recycleArrival(a *arrival) {
 	a.data = nil
-	r.arrivalFree = append(r.arrivalFree, a)
+	r.arrivalFree.Put(a)
 }
 
 // matchArrival pairs a posted receive with an unexpected arrival
@@ -944,7 +938,7 @@ func (r *Rank) startRead(p *sim.Proc, req *Request, rts header) {
 		req.complete(p, err)
 		return
 	}
-	req.heldMRs = append(req.heldMRs, mr)
+	req.pin(mr)
 	req.peer = int(rts.src)
 	req.status = Status{Source: int(rts.src), Tag: int(rts.tag), Len: rts.rsize}
 	wr := r.newSendWR()

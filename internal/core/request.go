@@ -96,11 +96,13 @@ type Request struct {
 	offReg  *offRegion
 	advAddr uint64
 	advKey  uint32
-	// srcMR is the cached registration advertised by a non-offloaded
-	// rendezvous send (reused by the receiver-first write).
-	srcMR *ib.MR
-	// heldMRs are cache pins released at completion.
-	heldMRs []*ib.MR
+	// pins are the cache pins released at completion, npins of them. A
+	// request never holds more than two: a receive the buffer its RTR
+	// advertised, then the read of a simultaneous rendezvous; a
+	// non-offloaded rendezvous send only its source, pins[0], which the
+	// receiver-first write reuses.
+	pins  [2]*ib.MR
+	npins int
 
 	// What report.go keeps on a request: the lifecycle span from post to
 	// completion and its in-flight transfer child (nil without a
@@ -124,6 +126,12 @@ func (q *Request) Err() error { return q.err }
 // Status returns receive metadata after completion.
 func (q *Request) Status() Status { return q.status }
 
+// pin records a cache pin for complete to release.
+func (q *Request) pin(mr *ib.MR) {
+	q.pins[q.npins] = mr
+	q.npins++
+}
+
 // complete finalizes a request, releasing its staging and cache pins.
 func (q *Request) complete(p *sim.Proc, err error) {
 	if q.completed {
@@ -136,10 +144,10 @@ func (q *Request) complete(p *sim.Proc, err error) {
 		q.offReg.arena.release(q.offReg)
 		q.offReg = nil
 	}
-	for _, mr := range q.heldMRs {
+	for _, mr := range q.pins[:q.npins] {
 		q.r.mrCache.Release(p, mr)
 	}
-	q.heldMRs = nil
+	q.pins, q.npins = [2]*ib.MR{}, 0
 	q.r.completed(p, q, err)
 }
 
@@ -147,13 +155,10 @@ func (q *Request) complete(p *sim.Proc, err error) {
 // a recycled one if a blocking operation has retired any, else a fresh
 // one.
 func (r *Rank) newRequest() *Request {
-	n := len(r.reqFree)
-	if n == 0 {
-		return &Request{}
+	if q, ok := r.reqFree.Get(); ok {
+		return q
 	}
-	q := r.reqFree[n-1]
-	r.reqFree = r.reqFree[:n-1]
-	return q
+	return &Request{}
 }
 
 // retire recycles the requests of a blocking operation once it has
@@ -173,7 +178,7 @@ func (r *Rank) retire(reqs ...*Request) {
 			continue
 		}
 		*q = Request{}
-		r.reqFree = append(r.reqFree, q)
+		r.reqFree.Put(q)
 	}
 }
 

@@ -1,18 +1,19 @@
 package ib
 
 import (
+	"encoding/binary"
+
 	"repro/internal/machine"
 	"repro/internal/metrics"
-	"repro/internal/sim"
 )
 
-// flight is one SEND, RDMA_WRITE or RDMA_READ work request on the wire:
-// what its arrival, response and completion events need between
-// PostSend and the last of them. Records come from a free list on the
-// Fabric and go back when that last event has fired, and the three
-// callbacks handed to Engine.At are method values bound when the record
-// is first made — so a work request in steady state allocates nothing,
-// where a closure per event allocated two or three times per WR.
+// flight is one work request on the wire — every opcode PostSend
+// accepts, faulted or not: what its arrival, response and completion
+// events need between the post and the last of them. Records come from a
+// pool on the Fabric and go back when that last event has fired, and the
+// three callbacks handed to Engine.At are method values bound when the
+// record is first made — so a work request in steady state allocates
+// nothing, and ib schedules no closure of its own.
 type flight struct {
 	qp, rem *QP // the posting QP and its peer at post time
 	wr      *SendWR
@@ -21,8 +22,9 @@ type flight struct {
 	// poster might have rewritten.
 	op       Opcode
 	signaled bool
-	// src is the gathered source of a SEND or WRITE; for a READ, buf is
-	// the responder's validated view once the request has arrived.
+	// src is the gathered source of a SEND or WRITE; for a READ or an
+	// atomic, buf is what the response carries back once the request has
+	// arrived: the responder's validated view, or old.
 	src  wireSrc
 	n    int           // payload bytes
 	span *metrics.Span // wire span of a WRITE or READ on an instrumented fabric
@@ -32,8 +34,19 @@ type flight struct {
 	writeRate float64
 	dstKind   machine.DomainKind
 
+	// The fault plan's verdict on a WRITE or READ, drawn at post time:
+	// fault is retry exhaustion — the QP errors when the wire attempt
+	// gives up — and delivered says a WRITE's payload landed first. Both
+	// halves of that ambiguity must be survivable, which is what the upper
+	// layer's sequence-id dedupe is for. A failed READ writes no local
+	// byte.
+	fault, delivered bool
+
+	// old is the target word an atomic found, on its way back.
+	old [8]byte
+
 	// status is what the completion reports; errQP makes it error the QP
-	// right after (a READ the responder refused, or one whose local
+	// right after (a request the responder refused, or a READ whose local
 	// scatter list no longer validates).
 	status Status
 	errQP  bool
@@ -44,11 +57,8 @@ type flight struct {
 // takeFlight hands out a record for wr, posted on qp with n payload
 // bytes gathered into src.
 func (f *Fabric) takeFlight(qp *QP, wr *SendWR, src wireSrc, n int) *flight {
-	var x *flight
-	if k := len(f.flightFree); k > 0 {
-		x = f.flightFree[k-1]
-		f.flightFree = f.flightFree[:k-1]
-	} else {
+	x, ok := f.flightFree.Get()
+	if !ok {
 		x = &flight{}
 		x.onArrive, x.onRespond, x.onComplete = x.arrive, x.respond, x.complete
 	}
@@ -62,7 +72,7 @@ func (f *Fabric) takeFlight(qp *QP, wr *SendWR, src wireSrc, n int) *flight {
 func (x *flight) release() {
 	f := x.qp.ctx.HCA.fab
 	*x = flight{onArrive: x.onArrive, onRespond: x.onRespond, onComplete: x.onComplete}
-	f.flightFree = append(f.flightFree, x)
+	f.flightFree.Put(x)
 }
 
 // arrive is the work request reaching the remote HCA.
@@ -72,8 +82,10 @@ func (x *flight) arrive() {
 		x.sendArrive()
 	case OpRDMAWrite, OpRDMAWriteImm:
 		x.writeArrive()
-	default:
+	case OpRDMARead:
 		x.readArrive()
+	default:
+		x.atomicArrive()
 	}
 }
 
@@ -91,34 +103,54 @@ func (x *flight) sendArrive() {
 // deregistration since the post still faults.
 func (x *flight) writeArrive() {
 	qp, rem, wr := x.qp, x.rem, x.wr
-	fab := qp.ctx.HCA.fab
-	x.span.End(fab.Eng.Now())
+	x.span.End(qp.ctx.HCA.fab.Eng.Now())
 	dst, _, err := rem.ctx.HCA.lookupMR(wr.Remote.RKey, wr.Remote.Addr, x.n)
-	if err != nil {
-		qp.doneWith(wr, x.src)
-		x.status = StatusRemAccessErr
-		x.completeAt(fab.Eng.Now() + fab.Plat.IBLatency)
-		qp.SetError()
-		return
+	lands := err == nil && (!x.fault || x.delivered)
+	if lands {
+		// The one copy of the transfer: source MR to destination MR.
+		x.src.copyTo(dst)
 	}
-	// The one copy of the transfer: source MR to destination MR.
-	x.src.copyTo(dst)
 	qp.doneWith(wr, x.src)
-	if x.op == OpRDMAWriteImm {
-		rem.land(wireSrc{}, wr.Imm, true, qp.QPN)
+	switch {
+	case x.fault:
+		if lands {
+			rem.ctx.HCA.landed()
+		}
+		x.status = StatusRetryExcErr
+		qp.SetError()
+		x.completeLater()
+	case err != nil:
+		x.status = StatusRemAccessErr
+		x.completeLater()
+		qp.SetError()
+	default:
+		if x.op == OpRDMAWriteImm {
+			rem.land(wireSrc{}, wr.Imm, true, qp.QPN)
+		}
+		rem.ctx.HCA.landed()
+		x.completeLater()
 	}
-	rem.ctx.HCA.Doorbell.Broadcast()
-	x.completeAt(fab.Eng.Now() + fab.Plat.IBLatency)
 }
 
-// completeAt schedules the completion of a signaled work request; an
-// unsignaled one has no further event.
-func (x *flight) completeAt(t sim.Time) {
-	if x.signaled {
-		x.qp.ctx.HCA.fab.Eng.At(t, x.onComplete)
+// completeLater schedules, one wire latency on, the completion of a work
+// request that is signaled or has failed — a failed one completes in
+// error whether or not it asked for a completion, as in verbs; an
+// unsignaled success has no further event.
+func (x *flight) completeLater() {
+	if x.signaled || x.status != StatusSuccess {
+		fab := x.qp.ctx.HCA.fab
+		fab.Eng.At(fab.Eng.Now()+fab.Plat.IBLatency, x.onComplete)
 		return
 	}
 	x.release()
+}
+
+// refused completes a READ or atomic request the responder would not
+// serve; the requester's QP errors with it.
+func (x *flight) refused() {
+	x.span.End(x.qp.ctx.HCA.fab.Eng.Now())
+	x.status, x.errQP = StatusRemAccessErr, true
+	x.completeLater()
 }
 
 // readArrive is an RDMA read request reaching the responder, which
@@ -128,11 +160,16 @@ func (x *flight) readArrive() {
 	qp, rem, wr := x.qp, x.rem, x.wr
 	h, rh := qp.ctx.HCA, rem.ctx.HCA
 	eng, plat := h.fab.Eng, h.fab.Plat
+	if x.fault {
+		x.span.End(eng.Now())
+		x.status = StatusRetryExcErr
+		qp.SetError()
+		x.completeLater()
+		return
+	}
 	src, mr, err := rh.lookupMR(wr.Remote.RKey, wr.Remote.Addr, x.n)
 	if err != nil {
-		x.span.End(eng.Now())
-		x.status, x.errQP = StatusRemAccessErr, true
-		eng.At(eng.Now()+plat.IBLatency, x.onComplete)
+		x.refused()
 		return
 	}
 	if h.fab.Metrics != nil {
@@ -148,9 +185,32 @@ func (x *flight) readArrive() {
 	eng.At(back, x.onRespond)
 }
 
-// respond is the read response landing: the local scatter list is
-// re-validated and filled, and the work request completes in the same
-// instant.
+// atomicArrive is an atomic request reaching the responder HCA, which
+// performs the read-modify-write — the engine's serialized callbacks make
+// it atomic — and sends the word it found back as a control message.
+func (x *flight) atomicArrive() {
+	wr := x.wr
+	h, rh := x.qp.ctx.HCA, x.rem.ctx.HCA
+	target, _, err := rh.lookupMR(wr.Remote.RKey, wr.Remote.Addr, 8)
+	if err != nil {
+		x.refused()
+		return
+	}
+	copy(x.old[:], target)
+	old := binary.LittleEndian.Uint64(target)
+	if x.op == OpAtomicFetchAdd {
+		binary.LittleEndian.PutUint64(target, old+wr.CompareAdd)
+	} else if old == wr.CompareAdd {
+		binary.LittleEndian.PutUint64(target, wr.Swap)
+	}
+	rh.landed()
+	x.src.buf = x.old[:]
+	h.fab.Eng.At(h.fab.Eng.Now()+h.fab.Plat.IBLatency+rh.ctrlDelayTo(h), x.onRespond)
+}
+
+// respond is a READ's data or an atomic's old value landing: the local
+// scatter list is re-validated and filled, and the work request
+// completes in the same instant.
 func (x *flight) respond() {
 	h := x.qp.ctx.HCA
 	x.span.End(h.fab.Eng.Now())
@@ -158,13 +218,16 @@ func (x *flight) respond() {
 	for _, sge := range x.wr.SGL {
 		dst, _, err := h.lookupMR(sge.LKey, sge.Addr, sge.Len)
 		if err != nil {
-			x.status, x.errQP = StatusLocProtErr, true
+			// A READ that can no longer scatter errors its QP; an atomic
+			// only reports the error, as it did before it rode this record
+			// (ROADMAP item 4's conformance table wants both to).
+			x.status, x.errQP = StatusLocProtErr, x.op == OpRDMARead
 			x.complete()
 			return
 		}
 		remb = remb[copy(dst, remb):]
 	}
-	h.Doorbell.Broadcast()
+	h.landed()
 	x.complete()
 }
 

@@ -59,15 +59,14 @@ type Fabric struct {
 	Causal *causal.Recorder
 
 	// inlineFree recycles the post-time captures of Inline work
-	// requests (LIFO): a capture is taken at PostSend and returned once
-	// the wire has delivered or dropped it, so the list holds at most
-	// the inline packets that were ever in flight at once.
-	inlineFree [][]byte
+	// requests: a capture is taken at PostSend and returned once the wire
+	// has delivered or dropped it, so the pool holds at most the inline
+	// packets that were ever in flight at once.
+	inlineFree sim.Pool[[]byte]
 
-	// flightFree recycles the records of in-flight work requests (LIFO,
-	// like inlineFree): it holds at most as many as were ever on the
-	// wire at once.
-	flightFree []*flight
+	// flightFree recycles the records of in-flight work requests: at most
+	// as many as were ever on the wire at once.
+	flightFree sim.Pool[*flight]
 }
 
 // NewFabric creates an empty subnet.
@@ -82,11 +81,7 @@ func (f *Fabric) captureBuf(n int) []byte {
 	if n == 0 {
 		return nil
 	}
-	var b []byte
-	if k := len(f.inlineFree); k > 0 {
-		b = f.inlineFree[k-1]
-		f.inlineFree = f.inlineFree[:k-1]
-	}
+	b, _ := f.inlineFree.Get()
 	if cap(b) < n {
 		b = make([]byte, 0, n)
 	}
@@ -96,7 +91,7 @@ func (f *Fabric) captureBuf(n int) []byte {
 // releaseBuf returns a capture nothing references anymore.
 func (f *Fabric) releaseBuf(b []byte) {
 	if cap(b) > 0 {
-		f.inlineFree = append(f.inlineFree, b)
+		f.inlineFree.Put(b)
 	}
 }
 
@@ -146,6 +141,7 @@ type HCA struct {
 	// Doorbell broadcasts whenever remote data lands in this node
 	// (RDMA payloads, receives, read responses): the simulation
 	// equivalent of memory-polling progress engines noticing change.
+	// Only landed rings it.
 	Doorbell *sim.Signal
 
 	// Stats.
@@ -183,6 +179,13 @@ func (h *HCA) pair(tab *[2][2]pairStat, prefix string, src, dst machine.DomainKi
 
 // Fabric returns the owning subnet.
 func (h *HCA) Fabric() *Fabric { return h.fab }
+
+// landed is the one place the adapter makes known that it wrote this
+// node's memory — an RDMA payload (faulted-but-delivered included), an
+// atomic's target, a read or atomic response, a completion entry — and
+// so the one place that will mark which QP it wrote for, once progress
+// stops polling them all (ROADMAP item 2).
+func (h *HCA) landed() { h.Doorbell.Broadcast() }
 
 // deliverVia routes a data transfer whose last byte clears this HCA's
 // egress at arrive through the fabric interior toward dst, reserving

@@ -1,7 +1,6 @@
 package ib
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/machine"
@@ -309,13 +308,14 @@ func (qp *QP) capRate(r float64) float64 {
 	return r
 }
 
-// PostSend posts a send-queue work request: SEND, SEND_IMM, RDMA_WRITE,
-// RDMA_WRITE_IMM or RDMA_READ. Validation errors (bad lkey, bad state)
-// are returned synchronously like ibv_post_send; remote faults surface
-// as error completions.
+// PostSend posts a send-queue work request. Validation errors (bad lkey,
+// bad state) are returned synchronously like ibv_post_send; remote
+// faults surface as error completions. Every work request it accepts
+// rides one flight record, whose bound methods are its events; an
+// injected fault is drawn here, at post time, and acted on at arrival.
 func (qp *QP) PostSend(p *sim.Proc, wr *SendWR) error {
 	h := qp.ctx.HCA
-	plat := h.fab.Plat
+	eng, plat := h.fab.Eng, h.fab.Plat
 	if qp.State != QPConnected {
 		return fmt.Errorf("ib: post send on QP %#x in state %d", qp.QPN, qp.State)
 	}
@@ -341,7 +341,6 @@ func (qp *QP) PostSend(p *sim.Proc, wr *SendWR) error {
 		arrive := h.egress.ReserveRate(n, rate)
 		arrive = h.deliverVia(arrive, rem.ctx.HCA, n, rate)
 		h.BytesOut += int64(n)
-		eng := h.fab.Eng
 		f := h.fab.takeFlight(qp, wr, src, n)
 		eng.At(arrive, f.onArrive)
 		if wr.Signaled {
@@ -354,7 +353,6 @@ func (qp *QP) PostSend(p *sim.Proc, wr *SendWR) error {
 		if err != nil {
 			return fmt.Errorf("ib: post send: %w", err)
 		}
-		eng := h.fab.Eng
 		// Peek the destination domain for the rate; re-validate keys at
 		// arrival so a concurrent dereg still faults.
 		writeRate := plat.HCAWriteHost
@@ -374,31 +372,9 @@ func (qp *QP) PostSend(p *sim.Proc, wr *SendWR) error {
 		arrive := h.egress.ReserveRate(n, rate)
 		arrive = h.deliverVia(arrive, rem.ctx.HCA, n, rate)
 		h.BytesOut += int64(n)
-		if fault, delivered := h.fab.Faults.IBWriteFault(); fault {
-			// Retry exhaustion: the QP errors when the wire attempt
-			// gives up. The payload may or may not have landed first —
-			// both halves of that ambiguity must be survivable, which
-			// is what the upper layer's sequence-id dedupe is for.
-			eng.At(arrive, func() {
-				wsp.End(eng.Now())
-				if delivered {
-					if dst, _, err := rem.ctx.HCA.lookupMR(wr.Remote.RKey, wr.Remote.Addr, n); err == nil {
-						src.copyTo(dst)
-						rem.ctx.HCA.Doorbell.Broadcast()
-					}
-				}
-				qp.doneWith(wr, src)
-				qp.SetError()
-				if wr.Signaled {
-					eng.At(eng.Now()+plat.IBLatency, func() {
-						qp.SendCQ.push(CQE{WRID: wr.WRID, Status: StatusRetryExcErr, Opcode: wr.Opcode, QPN: qp.QPN})
-					})
-				}
-			})
-			return nil
-		}
 		f := h.fab.takeFlight(qp, wr, src, n)
 		f.span = wsp
+		f.fault, f.delivered = h.fab.Faults.IBWriteFault()
 		eng.At(arrive, f.onArrive)
 		return nil
 
@@ -422,26 +398,14 @@ func (qp *QP) PostSend(p *sim.Proc, wr *SendWR) error {
 				writeRate = r
 			}
 		}
-		eng := h.fab.Eng
 		var wsp *metrics.Span
 		if reg := h.fab.Metrics; reg != nil {
 			wsp = reg.Begin(eng.Now(), h.actor, "wire.rdma-read").AttrInt("bytes", int64(total))
 		}
 		reqArrive := eng.Now() + plat.IBLatency + h.ctrlDelayTo(rem.ctx.HCA)
-		if h.fab.Faults.IBReadFault() {
-			// A failed read never writes local bytes; the requester's
-			// QP errors and the WR completes with retry exhaustion.
-			eng.At(reqArrive, func() {
-				wsp.End(eng.Now())
-				qp.SetError()
-				eng.At(eng.Now()+plat.IBLatency, func() {
-					qp.SendCQ.push(CQE{WRID: wr.WRID, Status: StatusRetryExcErr, Opcode: wr.Opcode, QPN: qp.QPN})
-				})
-			})
-			return nil
-		}
 		f := h.fab.takeFlight(qp, wr, wireSrc{}, total)
 		f.span, f.writeRate, f.dstKind = wsp, writeRate, dstKind
+		f.fault = h.fab.Faults.IBReadFault()
 		eng.At(reqArrive, f.onArrive)
 		return nil
 
@@ -456,46 +420,9 @@ func (qp *QP) PostSend(p *sim.Proc, wr *SendWR) error {
 		if wr.Remote.Addr%8 != 0 {
 			return fmt.Errorf("ib: atomic target %#x not 8-byte aligned", wr.Remote.Addr)
 		}
-		eng := h.fab.Eng
-		op := wr.Opcode
 		reqArrive := h.egress.ReserveRate(8, plat.IBBandwidth)
 		reqArrive = h.deliverVia(reqArrive, rem.ctx.HCA, 8, plat.IBBandwidth)
-		eng.At(reqArrive, func() {
-			target, _, err := rem.ctx.HCA.lookupMR(wr.Remote.RKey, wr.Remote.Addr, 8)
-			if err != nil {
-				eng.At(eng.Now()+plat.IBLatency, func() {
-					qp.SendCQ.push(CQE{WRID: wr.WRID, Status: StatusRemAccessErr, Opcode: op, QPN: qp.QPN})
-					qp.SetError()
-				})
-				return
-			}
-			// The responder HCA performs the read-modify-write; the
-			// engine's serialized callbacks make it atomic.
-			old := binary.LittleEndian.Uint64(target)
-			switch op {
-			case OpAtomicFetchAdd:
-				binary.LittleEndian.PutUint64(target, old+wr.CompareAdd)
-			case OpAtomicCmpSwap:
-				if old == wr.CompareAdd {
-					binary.LittleEndian.PutUint64(target, wr.Swap)
-				}
-			default:
-				// Unreachable: this closure only runs from the atomics arm
-				// of the opcode dispatch above, so op is one of the two
-				// atomic opcodes.
-			}
-			rem.ctx.HCA.Doorbell.Broadcast()
-			eng.At(eng.Now()+plat.IBLatency+rem.ctx.HCA.ctrlDelayTo(h), func() {
-				dst, _, err := h.lookupMR(wr.SGL[0].LKey, wr.SGL[0].Addr, 8)
-				if err != nil {
-					qp.SendCQ.push(CQE{WRID: wr.WRID, Status: StatusLocProtErr, Opcode: op, QPN: qp.QPN})
-					return
-				}
-				binary.LittleEndian.PutUint64(dst, old)
-				h.Doorbell.Broadcast()
-				qp.SendCQ.push(CQE{WRID: wr.WRID, Status: StatusSuccess, Opcode: op, ByteLen: 8, QPN: qp.QPN})
-			})
-		})
+		eng.At(reqArrive, h.fab.takeFlight(qp, wr, wireSrc{}, 8).onArrive)
 		return nil
 
 	default:

@@ -370,22 +370,52 @@ func TestWireRNRParksItsOwnCopy(t *testing.T) {
 	}
 }
 
-// TestWireErrorArmsReleaseOnce: every way an inline WRITE can end —
-// delivered, remote protection fault, injected retry exhaustion with and
-// without the payload landing — and SetError/Reset over parked inbounds
-// return each capture exactly once, and only after its last reader.
+// checkFlightPool asserts the fabric's flight pool holds want records,
+// none twice, each reset to nothing but its bound callbacks.
+func checkFlightPool(t *testing.T, f *Fabric, want int) {
+	t.Helper()
+	if got := len(f.flightFree); got != want {
+		t.Errorf("flight pool holds %d records, want %d", got, want)
+	}
+	seen := map[*flight]bool{}
+	for _, x := range f.flightFree {
+		if seen[x] {
+			t.Error("one flight is on the pool twice")
+		}
+		seen[x] = true
+		if x.qp != nil || x.rem != nil || x.wr != nil || x.span != nil || x.src.buf != nil || x.src.more != nil ||
+			x.fault || x.delivered || x.errQP || x.status != StatusSuccess || x.onArrive == nil {
+			t.Errorf("a pooled flight was not reset: %+v", *x)
+		}
+	}
+}
+
+// TestWireErrorArmsReleaseOnce: every way a work request can end —
+// delivered, remote or local protection fault, injected retry exhaustion
+// with and without the payload landing — returns its flight record, and
+// an inline WRITE's capture, exactly once and only after the last reader;
+// and SetError/Reset over parked inbounds release nothing a second time.
 func TestWireErrorArmsReleaseOnce(t *testing.T) {
 	for _, row := range []struct {
-		name      string
-		plan      *faults.Plan
-		badRKey   bool
-		wantSt    Status
-		delivered bool
+		name       string
+		op         Opcode
+		plan       *faults.Plan
+		badRKey    bool
+		deregLocal bool // the local region goes between post and response
+		wantSt     Status
+		delivered  bool
 	}{
-		{name: "delivered", wantSt: StatusSuccess, delivered: true},
-		{name: "remote access error", badRKey: true, wantSt: StatusRemAccessErr},
-		{name: "fault, payload landed", plan: &faults.Plan{IBError: 1, IBDelivered: 1}, wantSt: StatusRetryExcErr, delivered: true},
-		{name: "fault, payload lost", plan: &faults.Plan{IBError: 1, IBDelivered: 0}, wantSt: StatusRetryExcErr},
+		{name: "delivered", op: OpRDMAWrite, wantSt: StatusSuccess, delivered: true},
+		{name: "remote access error", op: OpRDMAWrite, badRKey: true, wantSt: StatusRemAccessErr},
+		{name: "fault, payload landed", op: OpRDMAWrite, plan: &faults.Plan{IBError: 1, IBDelivered: 1}, wantSt: StatusRetryExcErr, delivered: true},
+		{name: "fault, payload lost", op: OpRDMAWrite, plan: &faults.Plan{IBError: 1, IBDelivered: 0}, wantSt: StatusRetryExcErr},
+		{name: "read", op: OpRDMARead, wantSt: StatusSuccess},
+		{name: "read, remote access error", op: OpRDMARead, badRKey: true, wantSt: StatusRemAccessErr},
+		{name: "read, local protection error", op: OpRDMARead, deregLocal: true, wantSt: StatusLocProtErr},
+		{name: "read fault", op: OpRDMARead, plan: &faults.Plan{IBError: 1}, wantSt: StatusRetryExcErr},
+		{name: "fetch-add", op: OpAtomicFetchAdd, wantSt: StatusSuccess},
+		{name: "fetch-add, remote access error", op: OpAtomicFetchAdd, badRKey: true, wantSt: StatusRemAccessErr},
+		{name: "cmp-swap, local protection error", op: OpAtomicCmpSwap, deregLocal: true, wantSt: StatusLocProtErr},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			w := newWireRig(t)
@@ -394,14 +424,26 @@ func TestWireErrorArmsReleaseOnce(t *testing.T) {
 			if row.badRKey {
 				remote.RKey++
 			}
+			sgl, captures := w.sgl(), 0
+			if row.op == OpRDMAWrite {
+				captures = 2 // the rows' writes are inline
+			} else if isAtomicOp(row.op) {
+				sgl = []SGE{{Addr: w.src[1].Addr, Len: 8, LKey: w.smr[1].LKey}}
+			}
 			w.run(t, func(p *sim.Proc) {
-				// Two in flight at once: two captures, both must come back.
+				// Two in flight at once: two records (and captures), both
+				// must come back.
 				for id := uint64(1); id <= 2; id++ {
-					err := w.a.qp.PostSend(p, &SendWR{WRID: id, Opcode: OpRDMAWrite, Signaled: true, Inline: true,
-						SGL: w.sgl(), Remote: remote})
+					err := w.a.qp.PostSend(p, &SendWR{WRID: id, Opcode: row.op, Signaled: true, Inline: row.op == OpRDMAWrite,
+						SGL: sgl, Remote: remote, CompareAdd: 5})
 					if err != nil {
 						t.Error(err)
 						return
+					}
+				}
+				if row.deregLocal {
+					if err := w.h0.deregMR(w.smr[1]); err != nil {
+						t.Error(err)
 					}
 				}
 				w.scribble(0xEE)
@@ -411,14 +453,17 @@ func TestWireErrorArmsReleaseOnce(t *testing.T) {
 					}
 				}
 			})
-			want := make([]byte, wireTotal)
-			if row.delivered {
-				want = w.postTime
+			if row.op == OpRDMAWrite {
+				want := make([]byte, wireTotal)
+				if row.delivered {
+					want = w.postTime
+				}
+				if !bytes.Equal(w.dst.Data, want) {
+					t.Errorf("destination % x\nwant        % x", w.dst.Data, want)
+				}
 			}
-			if !bytes.Equal(w.dst.Data, want) {
-				t.Errorf("destination % x\nwant        % x", w.dst.Data, want)
-			}
-			checkFreeList(t, w.h0.fab, 2)
+			checkFreeList(t, w.h0.fab, captures)
+			checkFlightPool(t, w.h0.fab, 2)
 		})
 	}
 
@@ -484,4 +529,47 @@ func TestWireBadLKeyReturnsCapture(t *testing.T) {
 			checkFreeList(t, w.h0.fab, 1)
 		}
 	})
+}
+
+// TestWireFailedWRCompletesUnsignaled: verbs always generate the
+// completion of a failed work request, signaled or not — an unsignaled
+// poster must learn why its QP went to Error. Each way the wire can fail
+// an unsignaled WR yields exactly one error completion.
+func TestWireFailedWRCompletesUnsignaled(t *testing.T) {
+	for _, row := range []struct {
+		name    string
+		op      Opcode
+		plan    *faults.Plan
+		badRKey bool
+		wantSt  Status
+	}{
+		{"bad rkey write", OpRDMAWrite, nil, true, StatusRemAccessErr},
+		{"faulted write, payload landed", OpRDMAWrite, &faults.Plan{IBError: 1, IBDelivered: 1}, false, StatusRetryExcErr},
+		{"faulted write, payload lost", OpRDMAWrite, &faults.Plan{IBError: 1, IBDelivered: 0}, false, StatusRetryExcErr},
+		{"faulted read", OpRDMARead, &faults.Plan{IBError: 1}, false, StatusRetryExcErr},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			w := newWireRig(t)
+			w.h0.fab.Faults = faults.New(w.eng, row.plan)
+			remote := RemoteAddr{Addr: w.dmr.Addr, RKey: w.dmr.RKey}
+			if row.badRKey {
+				remote.RKey++
+			}
+			w.run(t, func(p *sim.Proc) {
+				if err := w.a.qp.PostSend(p, &SendWR{WRID: 1, Opcode: row.op, SGL: w.sgl(), Remote: remote}); err != nil {
+					t.Error(err)
+					return
+				}
+				p.Sleep(100 * sim.Microsecond)
+				cqes := w.a.cq.Poll(p, 8)
+				if len(cqes) != 1 || cqes[0].WRID != 1 || cqes[0].Status != row.wantSt {
+					t.Errorf("completions %+v, want exactly one with status %v", cqes, row.wantSt)
+				}
+				if w.a.qp.State != QPError {
+					t.Errorf("QP state %v, want QPError", w.a.qp.State)
+				}
+			})
+			checkFlightPool(t, w.h0.fab, 1)
+		})
+	}
 }

@@ -9,8 +9,6 @@ package machine
 import (
 	"fmt"
 	"sort"
-
-	"repro/internal/sim"
 )
 
 // DomainKind distinguishes the two physical memories on a node.
@@ -150,16 +148,6 @@ func (d *Domain) Resolve(addr uint64, n int) ([]byte, error) {
 	return b.Data[off : off+uint64(n)], nil
 }
 
-// MustResolve is Resolve that panics on fault; for internal engine paths
-// whose callers have already validated keys and bounds.
-func (d *Domain) MustResolve(addr uint64, n int) []byte {
-	s, err := d.Resolve(addr, n)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // Contains reports whether [addr, addr+n) lies within the buffer.
 func (b *Buffer) Contains(addr uint64, n int) bool {
 	return addr >= b.Addr && addr+uint64(n) <= b.Addr+uint64(len(b.Data))
@@ -167,18 +155,3 @@ func (b *Buffer) Contains(addr uint64, n int) bool {
 
 // Slice returns the buffer's bytes at [off, off+n).
 func (b *Buffer) Slice(off, n int) []byte { return b.Data[off : off+n] }
-
-// Cluster is a fixed-size set of nodes.
-type Cluster struct {
-	Eng   *sim.Engine
-	Nodes []*Node
-}
-
-// NewCluster builds n nodes on the given engine.
-func NewCluster(eng *sim.Engine, n int) *Cluster {
-	c := &Cluster{Eng: eng}
-	for i := 0; i < n; i++ {
-		c.Nodes = append(c.Nodes, NewNode(i))
-	}
-	return c
-}

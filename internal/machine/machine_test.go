@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/sim"
 )
 
 func TestAllocResolveRoundTrip(t *testing.T) {
@@ -145,19 +143,6 @@ func TestDomainKinds(t *testing.T) {
 	}
 }
 
-func TestClusterConstruction(t *testing.T) {
-	eng := sim.NewEngine()
-	c := NewCluster(eng, 8)
-	if len(c.Nodes) != 8 {
-		t.Fatalf("nodes %d, want 8", len(c.Nodes))
-	}
-	for i, n := range c.Nodes {
-		if n.ID != i {
-			t.Fatalf("node %d has id %d", i, n.ID)
-		}
-	}
-}
-
 // Property: after a random sequence of allocs, every live buffer
 // resolves to its own bytes and no other's.
 func TestQuickAllocIntegrity(t *testing.T) {
@@ -183,14 +168,4 @@ func TestQuickAllocIntegrity(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestMustResolvePanicsOnFault(t *testing.T) {
-	n := NewNode(0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustResolve on unmapped address did not panic")
-		}
-	}()
-	n.Host.MustResolve(0x1, 4)
 }

@@ -41,10 +41,9 @@ type Bus struct {
 	Plat *perfmodel.Platform
 	Node *machine.Node
 
-	// dma serializes Phi DMA-engine descriptors.
-	dma *sim.Link
-	// off serializes COI offload transfers.
-	off *sim.Link
+	// dma is the Phi's DMA engine, coi the COI offload path: each
+	// serializes its own transfers.
+	dma, coi engine
 
 	// Stats.
 	DMACopies   int64
@@ -68,16 +67,23 @@ type Bus struct {
 	Causal *causal.Recorder
 }
 
+// engine is what tells the bus's two transfer paths apart: the link that
+// serializes it, the Bus stats it counts into, and its names in the
+// registry. Everything else about a transfer is Bus.start.
+type engine struct {
+	link                      *sim.Link
+	ops, bytes                *int64
+	opsC, bytesC, busyC, span string
+}
+
 // Attach builds the PCIe complex for node n.
 func Attach(eng *sim.Engine, plat *perfmodel.Platform, n *machine.Node) *Bus {
-	return &Bus{
-		Eng:   eng,
-		Plat:  plat,
-		Node:  n,
-		dma:   sim.NewLink(eng, n.Host.Name+"/dma-engine", plat.DMAEngineLatency, plat.DMAEngineBandwidth),
-		off:   sim.NewLink(eng, n.Host.Name+"/coi", plat.OffloadTransferOverhead, plat.OffloadBandwidth),
-		actor: fmt.Sprintf("pcie/node%d", n.ID),
-	}
+	b := &Bus{Eng: eng, Plat: plat, Node: n, actor: fmt.Sprintf("pcie/node%d", n.ID)}
+	b.dma = engine{sim.NewLink(eng, n.Host.Name+"/dma-engine", plat.DMAEngineLatency, plat.DMAEngineBandwidth),
+		&b.DMACopies, &b.DMABytes, "dma.copies", "dma.bytes", "dma.busy-ns", "dma-copy"}
+	b.coi = engine{sim.NewLink(eng, n.Host.Name+"/coi", plat.OffloadTransferOverhead, plat.OffloadBandwidth),
+		&b.OffloadOps, &b.OffloadByte, "coi.ops", "coi.bytes", "coi.busy-ns", "coi-transfer"}
+	return b
 }
 
 // DMAOp is an in-flight DMA descriptor. Done fires at completion time
@@ -100,39 +106,54 @@ func (op *DMAOp) Wait(p *sim.Proc) error {
 	return op.err
 }
 
-// StartDMA begins an asynchronous DMA-engine copy of len(src) bytes into
-// dst (slices must be equal length; caller resolves addresses). The
-// returned op completes when the last byte has landed; the copy itself
-// is performed at completion time. Under a fault plan the descriptor
-// may complete late or abort with DMAAbortError (no bytes copied).
-func (b *Bus) StartDMA(dst, src []byte) *DMAOp {
+// start begins an asynchronous copy of len(src) bytes into dst on e
+// (slices must be equal length; caller resolves addresses) and returns
+// the event that fires when the last byte has landed; the copy itself is
+// performed then. A fault plan may delay the transfer on either engine.
+// It may abort it — no bytes copied, *err set before the event fires —
+// only where the caller passes somewhere to report that.
+func (b *Bus) start(e *engine, dst, src []byte, err *error) *sim.Event {
 	if len(dst) != len(src) {
-		panic("pcie: DMA length mismatch")
+		panic("pcie: transfer length mismatch")
 	}
-	op := &DMAOp{done: sim.NewEvent(b.Eng)}
+	done := sim.NewEvent(b.Eng)
 	var sp *metrics.Span
 	if reg := b.Metrics; reg != nil {
-		reg.Counter(b.actor, "dma.copies").Inc()
-		reg.Counter(b.actor, "dma.bytes").Add(int64(len(src)))
-		reg.Counter(b.actor, "dma.busy-ns").Add(int64(b.dma.OccupancyFor(len(src))))
-		sp = reg.Begin(b.Eng.Now(), b.actor, "dma-copy").AttrInt("bytes", int64(len(src)))
+		reg.Counter(b.actor, e.opsC).Inc()
+		reg.Counter(b.actor, e.bytesC).Add(int64(len(src)))
+		reg.Counter(b.actor, e.busyC).Add(int64(e.link.OccupancyFor(len(src))))
+		sp = reg.Begin(b.Eng.Now(), b.actor, e.span).AttrInt("bytes", int64(len(src)))
 	}
 	delay, abort := b.Faults.DMAFault()
-	arrive := b.dma.Reserve(len(src)) + delay
-	b.DMACopies++
-	b.DMABytes += int64(len(src))
-	start := b.Eng.Now()
+	if !abort {
+		err = nil // nothing to report
+	}
+	arrive := e.link.Reserve(len(src)) + delay
+	*e.ops++
+	*e.bytes += int64(len(src))
+	// aborted is err under a name nothing assigns to, so the callback
+	// captures it by value and the transfer allocates no cell for it.
+	start, aborted := b.Eng.Now(), err
 	b.Eng.At(arrive, func() {
 		sp.End(b.Eng.Now())
-		if abort {
-			op.err = &DMAAbortError{Bytes: len(src)}
+		if aborted != nil {
+			*aborted = &DMAAbortError{Bytes: len(src)}
 		} else {
 			copy(dst, src)
 		}
 		b.Causal.Emit(causal.Event{T: b.Eng.Now(), Kind: causal.EvDMADone, Rank: -1,
 			Peer: int32(b.Node.ID), Aux: uint64(b.Eng.Now() - start), Bytes: int32(len(src))})
-		op.done.Fire()
+		done.Fire()
 	})
+	return done
+}
+
+// StartDMA begins an asynchronous DMA-engine copy of src into dst. Under
+// a fault plan the descriptor may complete late or abort with
+// DMAAbortError (no bytes copied).
+func (b *Bus) StartDMA(dst, src []byte) *DMAOp {
+	op := &DMAOp{}
+	op.done = b.start(&b.dma, dst, src, &op.err)
 	return op
 }
 
@@ -142,36 +163,13 @@ func (b *Bus) DMACopy(p *sim.Proc, dst, src []byte) error {
 }
 
 // StartOffloadTransfer begins an asynchronous COI transfer (either
-// direction) of len(src) bytes. The fixed per-transfer overhead is the
-// link latency; bandwidth is the pragma-offload effective rate.
+// direction) of src into dst. The fixed per-transfer overhead is the
+// link latency; bandwidth is the pragma-offload effective rate. COI
+// transfers only see a fault plan's delays (the runtime retries
+// internally); aborts are modeled on the raw DMA engine the offload
+// staging path uses.
 func (b *Bus) StartOffloadTransfer(dst, src []byte) *sim.Event {
-	if len(dst) != len(src) {
-		panic("pcie: offload transfer length mismatch")
-	}
-	done := sim.NewEvent(b.Eng)
-	var sp *metrics.Span
-	if reg := b.Metrics; reg != nil {
-		reg.Counter(b.actor, "coi.ops").Inc()
-		reg.Counter(b.actor, "coi.bytes").Add(int64(len(src)))
-		reg.Counter(b.actor, "coi.busy-ns").Add(int64(b.off.OccupancyFor(len(src))))
-		sp = reg.Begin(b.Eng.Now(), b.actor, "coi-transfer").AttrInt("bytes", int64(len(src)))
-	}
-	// COI transfers only see delays (the runtime retries internally);
-	// aborts are modeled on the raw DMA engine the offload staging
-	// path uses.
-	delay, _ := b.Faults.DMAFault()
-	arrive := b.off.Reserve(len(src)) + delay
-	b.OffloadOps++
-	b.OffloadByte += int64(len(src))
-	start := b.Eng.Now()
-	b.Eng.At(arrive, func() {
-		sp.End(b.Eng.Now())
-		copy(dst, src)
-		b.Causal.Emit(causal.Event{T: b.Eng.Now(), Kind: causal.EvDMADone, Rank: -1,
-			Peer: int32(b.Node.ID), Aux: uint64(b.Eng.Now() - start), Bytes: int32(len(src))})
-		done.Fire()
-	})
-	return done
+	return b.start(&b.coi, dst, src, nil)
 }
 
 // OffloadTransfer is the blocking form of StartOffloadTransfer.

@@ -63,11 +63,6 @@ func (e *Endpoint) Recv(p *sim.Proc) Msg {
 	return e.inbox.Get(p)
 }
 
-// TryRecv returns a message if one is waiting.
-func (e *Endpoint) TryRecv() (Msg, bool) {
-	return e.inbox.TryGet()
-}
-
 // Call is the client-side request/response idiom: send a request and
 // block until the next reply arrives on this endpoint. The DCFA CMD
 // client uses this for every delegated verb.
@@ -75,6 +70,3 @@ func (e *Endpoint) Call(p *sim.Proc, kind int, payload any) Msg {
 	e.Send(kind, payload)
 	return e.Recv(p)
 }
-
-// Pending reports undelivered inbound messages.
-func (e *Endpoint) Pending() int { return e.inbox.Len() }

@@ -68,3 +68,28 @@ func (q *FIFO[T]) Peek() T {
 	}
 	return q.buf[q.head]
 }
+
+// Pool is a last-in first-out free list: the one pooling idiom. Get
+// hands back the record most recently Put (the one likeliest to be in
+// cache) and reports false when the list is empty — the owner then makes
+// a fresh record, so the list never holds more than were out at once.
+// What a record must look like when it is Put, and when it must not be
+// Put at all, is its owner's rule (DESIGN.md §7e). The zero value is an
+// empty pool.
+type Pool[T any] []T
+
+// Get removes and returns the most recently Put record.
+func (p *Pool[T]) Get() (v T, ok bool) {
+	s := *p
+	k := len(s) - 1
+	if k < 0 {
+		return v, false
+	}
+	var zero T
+	v, s[k] = s[k], zero
+	*p = s[:k]
+	return v, true
+}
+
+// Put returns a record nothing references anymore.
+func (p *Pool[T]) Put(v T) { *p = append(*p, v) }

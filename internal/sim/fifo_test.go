@@ -96,3 +96,49 @@ func TestFIFOEmptyPanics(t *testing.T) {
 		}
 	}
 }
+
+// TestPool: Get hands back the most recently Put record, reports false
+// on an empty pool, and a pool whose owner makes a record only on a miss
+// never holds more than were out at once.
+func TestPool(t *testing.T) {
+	var p Pool[*int]
+	if v, ok := p.Get(); ok || v != nil {
+		t.Fatalf("Get on an empty pool returned %v, %v", v, ok)
+	}
+	take := func() *int {
+		if v, ok := p.Get(); ok {
+			return v
+		}
+		return new(int)
+	}
+	a, b, c := take(), take(), take()
+	p.Put(a)
+	p.Put(b)
+	p.Put(c)
+	for _, want := range []*int{c, b, a} {
+		if got, ok := p.Get(); !ok || got != want {
+			t.Fatal("Get is not last-in first-out")
+		}
+	}
+	if _, ok := p.Get(); ok {
+		t.Fatal("Get on a drained pool succeeded")
+	}
+	// Three were out at once; any number of take/Put rounds later the
+	// pool still holds three, and its vacated slots pin nothing.
+	p.Put(a)
+	p.Put(b)
+	p.Put(c)
+	for i := 0; i < 100; i++ {
+		x, y := take(), take()
+		p.Put(y)
+		p.Put(x)
+	}
+	if len(p) != 3 {
+		t.Fatalf("pool holds %d records, want the 3 that were ever out at once", len(p))
+	}
+	x := take()
+	if spare := p[:3][2]; spare != nil {
+		t.Fatal("Get left the record it handed out in the vacated slot")
+	}
+	p.Put(x)
+}

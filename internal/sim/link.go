@@ -1,19 +1,18 @@
 package sim
 
 // Link models a serialized store-and-forward channel with fixed
-// propagation latency and a (possibly size-dependent) bandwidth. It is
-// the shared timing primitive for PCIe lanes, DMA engines and InfiniBand
-// wires: concurrent transfers queue behind one another for the occupancy
-// portion, while latency overlaps freely.
+// propagation latency and a constant bandwidth. It is the shared timing
+// primitive for PCIe lanes, DMA engines and InfiniBand wires: concurrent
+// transfers queue behind one another for the occupancy portion, while
+// latency overlaps freely.
 type Link struct {
 	eng *Engine
 	// Name identifies the link in traces.
 	Name string
 	// Latency is the propagation delay added after occupancy.
 	Latency Duration
-	// Bandwidth returns effective bytes/second for a transfer of n bytes.
-	// It must be positive.
-	Bandwidth func(n int) float64
+	// Bandwidth is the link's own rate in bytes/second; positive.
+	Bandwidth float64
 
 	nextFree Time
 	// Bytes and Transfers accumulate usage for reports.
@@ -26,46 +25,29 @@ func NewLink(e *Engine, name string, latency Duration, bps float64) *Link {
 	if bps <= 0 {
 		panic("sim: non-positive link bandwidth")
 	}
-	return &Link{eng: e, Name: name, Latency: latency, Bandwidth: func(int) float64 { return bps }}
+	return &Link{eng: e, Name: name, Latency: latency, Bandwidth: bps}
 }
 
-// NewCurveLink returns a link whose bandwidth depends on transfer size.
-func NewCurveLink(e *Engine, name string, latency Duration, bw func(n int) float64) *Link {
-	return &Link{eng: e, Name: name, Latency: latency, Bandwidth: bw}
-}
-
-// OccupancyFor returns the wire-occupancy time for n bytes at the
-// link's effective bandwidth, with no queueing.
-func (l *Link) OccupancyFor(n int) Duration {
+// occupancy is the time n bytes hold a wire of rate bps.
+func occupancy(n int, bps float64) Duration {
 	if n <= 0 {
 		return 0
 	}
-	bps := l.Bandwidth(n)
-	if bps <= 0 {
-		panic("sim: link bandwidth curve returned non-positive rate")
-	}
 	return Duration(float64(n) / bps * float64(Second))
 }
+
+// OccupancyFor returns the wire-occupancy time for n bytes at the
+// link's own bandwidth, with no queueing.
+func (l *Link) OccupancyFor(n int) Duration { return occupancy(n, l.Bandwidth) }
 
 // Reserve books a transfer of n bytes starting no earlier than the
 // current time and returns the virtual time at which the last byte
 // arrives (queueing + occupancy + latency). It does not block the
 // caller; combine with Engine.At to deliver the completion.
-func (l *Link) Reserve(n int) Time {
-	now := l.eng.now
-	start := now
-	if l.nextFree > start {
-		start = l.nextFree
-	}
-	occ := l.OccupancyFor(n)
-	l.nextFree = start + occ
-	l.Bytes += int64(n)
-	l.Transfers++
-	return start + occ + l.Latency
-}
+func (l *Link) Reserve(n int) Time { return l.ReserveRateAt(l.eng.now, n, l.Bandwidth) }
 
 // ReserveRate books a transfer of n bytes like Reserve but at an
-// explicit effective rate (bytes/second) instead of the link's curve.
+// explicit effective rate (bytes/second) instead of the link's own.
 // Interconnect models use this when the rate is constrained by the
 // slower of several stages (e.g. an HCA DMA read feeding the wire).
 func (l *Link) ReserveRate(n int, bps float64) Time {
@@ -88,18 +70,12 @@ func (l *Link) ReserveRateAt(at Time, n int, bps float64) Time {
 	if l.nextFree > start {
 		start = l.nextFree
 	}
-	var occ Duration
-	if n > 0 {
-		occ = Duration(float64(n) / bps * float64(Second))
-	}
+	occ := occupancy(n, bps)
 	l.nextFree = start + occ
 	l.Bytes += int64(n)
 	l.Transfers++
 	return start + occ + l.Latency
 }
-
-// NextFree reports when the link's occupancy window ends.
-func (l *Link) NextFree() Time { return l.nextFree }
 
 // Transfer is the common process-context idiom: reserve the link for n
 // bytes and sleep until the data has fully arrived.

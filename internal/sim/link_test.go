@@ -64,22 +64,6 @@ func TestLinkTransferBlocksProc(t *testing.T) {
 	}
 }
 
-func TestCurveLink(t *testing.T) {
-	e := NewEngine()
-	l := NewCurveLink(e, "curve", 0, func(n int) float64 {
-		if n < 100 {
-			return 1e9
-		}
-		return 2e9
-	})
-	if got := l.OccupancyFor(50); got != 50 {
-		t.Fatalf("small occupancy %v", got)
-	}
-	if got := l.OccupancyFor(200); got != 100 {
-		t.Fatalf("large occupancy %v", got)
-	}
-}
-
 func TestReserveRateOverridesCurve(t *testing.T) {
 	e := NewEngine()
 	l := NewLink(e, "test", 10, 4e9)

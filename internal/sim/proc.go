@@ -14,10 +14,6 @@ type Proc struct {
 	finished bool
 	dead     bool
 	daemon   bool
-
-	// busy accumulates virtual time this process spent in Sleep/Compute
-	// (as opposed to blocked waiting), for utilization reporting.
-	busy Duration
 }
 
 // MarkDaemon excludes this process from deadlock detection: a daemon
@@ -36,10 +32,6 @@ func (p *Proc) Engine() *Engine { return p.eng }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.eng.now }
-
-// Busy returns the virtual time this process spent actively sleeping or
-// computing (not blocked).
-func (p *Proc) Busy() Duration { return p.busy }
 
 // run is the goroutine body backing the process. A process that ends,
 // by return or panic, still holds the baton: it runs the calendar on to
@@ -95,7 +87,6 @@ func (p *Proc) Sleep(d Duration) {
 	if d < 0 {
 		d = 0
 	}
-	p.busy += d
 	e := p.eng
 	if !e.stopped && (e.queue.empty() || e.queue[0].at > e.now+d) {
 		e.now += d
@@ -130,7 +121,6 @@ func (p *Proc) wake() {
 type Event struct {
 	eng     *Engine
 	fired   bool
-	firedAt Time
 	waiters []*Proc
 }
 
@@ -140,9 +130,6 @@ func NewEvent(e *Engine) *Event { return &Event{eng: e} }
 // Fired reports whether the event has fired.
 func (ev *Event) Fired() bool { return ev.fired }
 
-// FiredAt returns the virtual time of the first Fire; zero if unfired.
-func (ev *Event) FiredAt() Time { return ev.firedAt }
-
 // Fire marks the event complete and wakes all waiters at the current
 // virtual time. Subsequent calls are no-ops.
 func (ev *Event) Fire() {
@@ -150,7 +137,6 @@ func (ev *Event) Fire() {
 		return
 	}
 	ev.fired = true
-	ev.firedAt = ev.eng.now
 	for _, w := range ev.waiters {
 		w.wake()
 	}
