@@ -270,7 +270,7 @@ func callbackMallocs(t *testing.T) (mallocs, bytes uint64) {
 
 // handoffMallocs has two processes sleep on interleaved deadlines, so
 // every Sleep misses the lookahead fast path: one operation is one
-// park/resume round trip with a goroutine switch.
+// park/resume round trip: two coroutine switches.
 func handoffMallocs(t *testing.T) (mallocs, bytes uint64) {
 	eng := sim.NewEngine()
 	var marks mallocMarks

@@ -22,8 +22,8 @@ func parkThree(e *Engine) {
 	})
 }
 
-// A panicking callback fires on whichever goroutine holds the baton —
-// here the last process to park — and must still come out of Run as a
+// A panicking callback fires in whichever body runs the calendar — here
+// the last process to park — and must still come out of Run as a
 // callback's panic, with every process unwound.
 func TestCallbackPanicIsTypedAndUnwinds(t *testing.T) {
 	base := runtime.NumGoroutine()
@@ -72,7 +72,7 @@ func TestProcPanicIsTyped(t *testing.T) {
 }
 
 // Current() is nil inside every callback and the dispatched process
-// inside process code, whichever goroutine happens to run the calendar.
+// inside process code, whichever coroutine happens to run the calendar.
 func TestCurrentFollowsTheBaton(t *testing.T) {
 	e := NewEngine()
 	type obs struct {
@@ -218,9 +218,51 @@ func TestCleanRunLeavesNoGoroutines(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
+// A process that blocks again in a deferred call while killAll unwinds
+// it moves nothing: the run ends at the clock, error and fingerprint of
+// a twin run without the defer, and no coroutine outlives Run.
+func TestUnwindingProcessMovesNothing(t *testing.T) {
+	run := func(stop, deferSleep bool) (*Engine, error) {
+		e := NewEngine()
+		never := NewEvent(e)
+		e.Spawn("stuck", func(p *Proc) {
+			if deferSleep {
+				defer p.Sleep(10 * Microsecond)
+			}
+			never.Wait(p)
+		})
+		if stop {
+			e.At(Microsecond, e.Stop)
+		}
+		return e, e.Run()
+	}
+	for _, tc := range []struct {
+		name string
+		stop bool
+	}{{"deadlock", false}, {"stop", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			twin, twinErr := run(tc.stop, false)
+			e, err := run(tc.stop, true)
+			if err == nil || err.Error() != twinErr.Error() {
+				t.Fatalf("got %v, twin without the defer got %v", err, twinErr)
+			}
+			var de *DeadlockError
+			if errors.As(err, &de) && de.Now != twin.Now() {
+				t.Fatalf("deadlock reported at %v, twin at %v", de.Now, twin.Now())
+			}
+			if e.Now() != twin.Now() || e.Fingerprint() != twin.Fingerprint() {
+				t.Fatalf("ended at %v with fingerprint %#x, twin at %v with %#x",
+					e.Now(), e.Fingerprint(), twin.Now(), twin.Fingerprint())
+			}
+			waitGoroutines(t, base)
+		})
+	}
+}
+
 // Two processes with interleaved Sleep deadlines, as the benchmark's
 // sim.handoff_ns driver runs them: every Sleep misses the lookahead
-// fast path and costs one park/resume with a goroutine switch.
+// fast path and costs one park/resume: two coroutine switches.
 func BenchmarkHandoff(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine()
@@ -241,7 +283,7 @@ func BenchmarkHandoff(b *testing.B) {
 
 // One process whose Sleep always has a callback inside its window: it
 // parks, runs the callback in its own loop and wakes itself, with no
-// goroutine switch.
+// switch.
 func BenchmarkSelfResume(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine()

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // fingerprintWorkload runs a representative mixed workload — producer /
 // consumer processes over a Queue, timer callbacks, an Event fan-in and
@@ -92,5 +95,40 @@ func TestFingerprintDistinguishesWorkloads(t *testing.T) {
 	}
 	if e1.Fingerprint() == e2.Fingerprint() {
 		t.Errorf("different schedules produced identical fingerprint %#x", e1.Fingerprint())
+	}
+}
+
+// fpMix must be the byte-at-a-time FNV-1a it replaced, bit for bit: the
+// reference loop lives here only. Words are chained through one digest,
+// edge cases first, then 10^5 splitmix64 words shifted right by 0..63 so
+// that every count of high zero bytes comes up.
+func TestFpMixMatchesByteLoop(t *testing.T) {
+	byteLoop := func(fp, x uint64) uint64 {
+		for i := 0; i < 8; i++ {
+			fp ^= x & 0xff
+			fp *= fnv64Prime
+			x >>= 8
+		}
+		return fp
+	}
+	e := NewEngine()
+	want := e.fp
+	check := func(x uint64) {
+		e.fpMix(x)
+		if want = byteLoop(want, x); e.fp != want {
+			t.Fatalf("fpMix(%#x) = %#x, byte loop %#x", x, e.fp, want)
+		}
+	}
+	for _, x := range []uint64{0, 1, 0xff, 0x100, 1 << 56, 1 << 63, math.MaxUint64, callbackPID, fastPathPID} {
+		check(x)
+	}
+	seed := uint64(25)
+	for i := 0; i < 100000; i++ {
+		seed += 0x9e3779b97f4a7c15
+		z := seed
+		z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+		z = (z ^ z>>27) * 0x94d049bb133111eb
+		z ^= z >> 31
+		check(z >> (seed % 64))
 	}
 }

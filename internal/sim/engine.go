@@ -2,29 +2,27 @@
 // simulation engine.
 //
 // The engine owns a virtual clock. Simulated activities are either
-// processes (Proc) — goroutines that run cooperatively, exactly one at a
+// processes (Proc) — coroutines that run cooperatively, exactly one at a
 // time, and advance the clock by sleeping or blocking — or scheduled
 // callbacks (Engine.At / Engine.After) used by hardware models to deliver
 // completions. Because only one process runs at any instant and ties are
 // broken by insertion order, every simulation is bit-for-bit reproducible
 // and free of data races by construction.
 //
-// Exactly one goroutine at a time holds the baton, and "engine context"
-// means that goroutine: it alone touches the engine's state. There is no
-// engine goroutine. Whoever gives up the processor — a process that
-// blocks, sleeps or ends, or Run's caller — runs the calendar itself:
-// callbacks execute right there, possibly on a process's stack (they
-// still may not block), until the next process event. If that event is
-// the parker's own it simply returns, with no goroutine switch;
-// otherwise it hands the baton to that process with one channel send and
-// waits for it back, so a dispatch costs one goroutine switch. Run gets
-// the baton back when the calendar drains, on Stop, or on a panic, and
-// then unwinds every process still alive, daemons included: a daemon
-// does not survive the Run it served.
+// The engine starts no goroutine and owns no channel. Each process is an
+// iter.Pull coroutine, and Run is the trampoline that resumes them on its
+// own goroutine. Whoever gives up the processor — a process that blocks,
+// sleeps or ends, or Run itself — runs the calendar: callbacks execute
+// right there (they still may not block) until the next process event.
+// If that event is the parker's own it returns with no switch; otherwise
+// it names the process in e.handoff and suspends, and Run resumes it: two
+// coroutine switches. Once the run is over Run unwinds every process
+// still alive, daemons included: a daemon does not survive its Run.
 package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -139,7 +137,7 @@ type Engine struct {
 	queue   eventHeap
 	procs   []*Proc
 	current *Proc
-	done    chan struct{} // the baton's way back to Run
+	handoff *Proc // the process Run's trampoline resumes next
 	stopped bool
 	err     error
 
@@ -158,6 +156,15 @@ const (
 	fnv64Prime  = 1099511628211
 )
 
+// fnvPow[k] is fnv64Prime^k: FNV-1a over k zero bytes, whose xors are
+// no-ops, is k multiplies by the prime.
+var fnvPow = func() (t [9]uint64) {
+	for k, pow := 0, uint64(1); k < len(t); k, pow = k+1, pow*fnv64Prime {
+		t[k] = pow
+	}
+	return t
+}()
+
 // Fingerprint sentinel process ids. Calendar events run by engine
 // callbacks mix callbackPID; lookahead clock advances (Sleep fast path,
 // no calendar round-trip) mix fastPathPID followed by the real process
@@ -169,17 +176,21 @@ const (
 )
 
 // NewEngine returns an empty simulation at virtual time zero.
-func NewEngine() *Engine {
-	return &Engine{fp: fnv64Offset, done: make(chan struct{})}
-}
+func NewEngine() *Engine { return &Engine{fp: fnv64Offset} }
 
-// fpMix folds one 64-bit word into the event-order digest.
+// fpMix folds one 64-bit word, low byte first, into the event-order
+// FNV-1a digest. Bytes up to the highest non-zero one are mixed one at a
+// time; the zero bytes above it, most of every time, seq and process
+// id, fold into one multiply.
 func (e *Engine) fpMix(x uint64) {
-	for i := 0; i < 8; i++ {
-		e.fp ^= x & 0xff
-		e.fp *= fnv64Prime
+	n := (bits.Len64(x) + 7) / 8
+	fp := e.fp
+	for i := 0; i < n; i++ {
+		fp ^= x & 0xff
+		fp *= fnv64Prime
 		x >>= 8
 	}
+	e.fp = fp * fnvPow[8-n]
 }
 
 // Fingerprint returns an order-sensitive FNV-1a digest of every event
@@ -224,22 +235,6 @@ func (e *Engine) After(d Duration, fn func()) {
 	e.schedule(e.now+d, nil, fn)
 }
 
-// Spawn creates a new process named name running fn and schedules its
-// first activation at the current virtual time. It may be called before
-// Run or from inside a running simulation.
-func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		eng:    e,
-		name:   name,
-		id:     len(e.procs),
-		resume: make(chan struct{}),
-	}
-	e.procs = append(e.procs, p)
-	go p.run(fn)
-	e.schedule(e.now, p, nil)
-	return p
-}
-
 // Stop aborts the simulation after the current event finishes; call it
 // from a process or a callback. Run returns ErrStopped unless an error
 // is pending.
@@ -275,18 +270,18 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("sim: process %q panicked: %v", e.Proc, e.Value)
 }
 
-// Run takes the baton, starts the calendar and gets the baton back when
+// Run is the trampoline: it runs the calendar to the first process
+// event, then resumes each process the previous one handed off to, until
 // the calendar drains, Stop is called, or a process or callback panics.
 // It returns nil on a clean drain with every non-daemon process
 // finished, ErrStopped, a *DeadlockError if blocked processes remain,
 // or a *PanicError for the first panic. Every return unwinds the
 // processes still alive, blocked daemons included, so no run leaves a
-// goroutine behind: Run is terminal for daemons, and a later Run on the
+// coroutine behind: Run is terminal for daemons, and a later Run on the
 // same engine sees only processes spawned after this one returned.
 func (e *Engine) Run() error {
-	if p := e.next(); p != nil {
-		e.pass(p)
-		<-e.done
+	for p := e.next(); p != nil; p = e.handoff {
+		p.resume()
 	}
 	var stuck []string
 	for _, p := range e.procs {
@@ -307,11 +302,11 @@ func (e *Engine) Run() error {
 	return nil
 }
 
-// next runs the calendar on the calling goroutine, which must hold the
-// baton: callbacks execute right here, with Current() == nil, until a
-// live process's event comes up. It returns that process, or nil when
-// the run is over: calendar drained, Stop, an error recorded, or a
-// callback panicked just now (recovered here, so next returns nil).
+// next runs the calendar in engine context: callbacks execute right
+// here, with Current() == nil, until a live process's event comes up.
+// It returns that process, or nil when the run is over: calendar
+// drained, Stop, an error recorded, or a callback panicked just now
+// (recovered here, so next returns nil).
 func (e *Engine) next() *Proc {
 	e.current = nil
 	defer func() {
@@ -346,16 +341,6 @@ func (e *Engine) next() *Proc {
 	return nil
 }
 
-// pass hands the baton to p with one channel send, or back to Run when
-// p is nil. The caller must stop touching engine state at once.
-func (e *Engine) pass(p *Proc) {
-	if p == nil {
-		e.done <- struct{}{}
-		return
-	}
-	p.resume <- struct{}{}
-}
-
 // fail records a panic as the run's error; the first one wins.
 func (e *Engine) fail(proc string, v any) {
 	if e.err == nil {
@@ -363,21 +348,20 @@ func (e *Engine) fail(proc string, v any) {
 	}
 }
 
-// killAll unwinds every unfinished process in spawn order: each is
-// resumed once with dead set, so park panics errProcKilled (or run
-// returns before calling fn if the process never started), the
-// goroutine hands the baton straight back and exits.
+// killAll unwinds every unfinished process in spawn order with its
+// coroutine's stop: a parked process's suspend returns false, so park
+// panics errProcKilled and the body unwinds; one that never ran never
+// starts.
 func (e *Engine) killAll() {
 	for _, p := range e.procs {
-		if p.finished {
-			continue
+		if !p.finished {
+			p.dead = true
+			p.stop()
+			p.finished = true
 		}
-		p.dead = true
-		e.pass(p)
-		<-e.done
 	}
 }
 
 // Current returns the process currently executing, or nil when the engine
-// is running a callback (on whichever goroutine) or is idle.
+// is running a callback (in whichever body) or is idle.
 func (e *Engine) Current() *Proc { return e.current }

@@ -186,8 +186,8 @@ func TestStopHaltsRun(t *testing.T) {
 }
 
 // waitGoroutines waits for the live goroutine count to fall back to
-// base: killAll returns when each process has sent its last message,
-// an instant before that goroutine is gone.
+// base: every process coroutine is a goroutine to the runtime until
+// killAll's stop (or its own return) ends it.
 func waitGoroutines(t *testing.T, base int) {
 	t.Helper()
 	for spins := 0; runtime.NumGoroutine() > base; spins++ {

@@ -1,19 +1,41 @@
+//go:build go1.23
+
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
-// Proc is a simulated process: a goroutine that runs only when the engine
+// Proc is a simulated process: a coroutine that runs only when the engine
 // dispatches it and that advances virtual time by sleeping or blocking.
-// All Proc methods must be called from the process's own goroutine while
-// it is running.
+// All Proc methods must be called from the process's own body while it
+// is running.
 type Proc struct {
-	eng      *Engine
-	name     string
-	id       int
-	resume   chan struct{}
-	finished bool
-	dead     bool
-	daemon   bool
+	eng     *Engine
+	name    string
+	id      int
+	resume  func() (struct{}, bool) // switch into the process
+	suspend func(struct{}) bool     // switch back out; false once stopped
+	stop    func()                  // unwind it from outside
+
+	finished, dead, daemon bool
+}
+
+// Spawn creates a new process named name running fn and schedules its
+// first activation at the current virtual time. It may be called before
+// Run or from inside a running simulation. The process is an iter.Pull
+// coroutine: the tree's one use of package iter, hence this file's build
+// tag (the benchmark module pins go.mod's go line at 1.22).
+func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
+	p := &Proc{eng: e, name: name, id: len(e.procs)}
+	p.resume, p.stop = iter.Pull(func(suspend func(struct{}) bool) {
+		p.suspend = suspend
+		p.run(fn)
+	})
+	e.procs = append(e.procs, p)
+	e.schedule(e.now, p, nil)
+	return p
 }
 
 // MarkDaemon excludes this process from deadlock detection: a daemon
@@ -33,44 +55,50 @@ func (p *Proc) Engine() *Engine { return p.eng }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.eng.now }
 
-// run is the goroutine body backing the process. A process that ends,
-// by return or panic, still holds the baton: it runs the calendar on to
-// the next process (or back to Run) before its goroutine exits.
+// run is the coroutine body backing the process. A process that ends,
+// by return or panic, runs the calendar on to the next process before
+// its coroutine finishes and Run's trampoline takes over again.
 func (p *Proc) run(fn func(p *Proc)) {
-	<-p.resume // wait for first dispatch
 	defer func() {
 		r := recover()
-		e := p.eng
 		p.finished = true
-		if p.dead { // unwound by killAll, which waits for the baton
-			e.pass(nil)
+		if p.dead { // unwound by killAll's stop: the run is over
 			return
 		}
 		if r != nil {
-			e.fail(p.name, r)
+			p.eng.fail(p.name, r)
 		}
-		e.pass(e.next())
+		p.eng.handoff = p.eng.next()
 	}()
-	if !p.dead { // dead here: killed before it ever ran
-		fn(p)
-	}
+	fn(p)
 }
 
 // errProcKilled is thrown to unwind a process the engine abandoned.
 var errProcKilled = fmt.Errorf("sim: proc killed")
 
-// park gives up the processor until this process's next calendar event:
-// one Sleep or Yield scheduled, or one some other party will schedule
-// with wake. The parking goroutine runs the calendar itself: if the next process
-// event is its own it just returns (no goroutine switch); otherwise it
-// hands the baton over with one send and waits to get it back.
-func (p *Proc) park() {
-	if next := p.eng.next(); next != p {
-		p.eng.pass(next)
-		<-p.resume
-	}
+// live panics errProcKilled in a process killAll is unwinding, so that
+// a deferred Sleep, Yield or wait moves neither the clock, the
+// fingerprint nor the calendar, and does not block again.
+func (p *Proc) live() {
 	if p.dead {
 		panic(errProcKilled)
+	}
+}
+
+// park gives up the processor until this process's next calendar event:
+// one Sleep or Yield scheduled, or one some other party will schedule
+// with wake. The parker runs the calendar itself: if the next process
+// event is its own it just returns, with no switch at all; otherwise it
+// leaves that process in e.handoff and suspends, and Run's trampoline
+// resumes it, two coroutine switches in all. A suspend that returns
+// false is killAll's stop unwinding this process.
+func (p *Proc) park() {
+	p.live()
+	if next := p.eng.next(); next != p {
+		p.eng.handoff = next
+		if !p.suspend(struct{}{}) {
+			panic(errProcKilled)
+		}
 	}
 }
 
@@ -84,6 +112,7 @@ func (p *Proc) park() {
 // schedules stay distinguishable. This is what keeps thousand-rank
 // runs — millions of staging-copy sleeps — wall-clock sane.
 func (p *Proc) Sleep(d Duration) {
+	p.live()
 	if d < 0 {
 		d = 0
 	}
@@ -103,6 +132,7 @@ func (p *Proc) Sleep(d Duration) {
 // event already queued for this instant run first. When nothing is
 // queued for this instant the round-trip is a no-op and is skipped.
 func (p *Proc) Yield() {
+	p.live()
 	e := p.eng
 	if !e.stopped && (e.queue.empty() || e.queue[0].at > e.now) {
 		return
