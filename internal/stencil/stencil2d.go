@@ -66,6 +66,8 @@ func newSlab2D(dom *machine.Domain, pr Params2D, px, py int) *slab2d {
 	return l
 }
 
+// sweep is slab.sweep on the block: the same kernel (w = cols+2) and,
+// for the same reasons, no carry-over of the ghost ring.
 func (l *slab2d) sweep(p *sim.Proc, team *omp.Team, skip bool) {
 	points := l.rows * l.cols
 	team.ParallelFor(p, points, nil)
@@ -73,21 +75,8 @@ func (l *slab2d) sweep(p *sim.Proc, team *omp.Team, skip bool) {
 		cur := f64view(l.cur.Data)
 		next := f64view(l.next.Data)
 		team.Execute(l.rows, func(lo, hi int) {
-			for r := lo; r < hi; r++ {
-				row := (r + 1) * l.w
-				for c := 1; c <= l.cols; c++ {
-					i := row + c
-					next[i] = 0.25 * (cur[i-l.w] + cur[i+l.w] + cur[i-1] + cur[i+1])
-				}
-			}
+			jacobiRows(next, cur, l.w, lo, hi)
 		})
-		// Ghost ring carries over.
-		for r := 0; r < l.rows+2; r++ {
-			next[r*l.w] = cur[r*l.w]
-			next[r*l.w+l.w-1] = cur[r*l.w+l.w-1]
-		}
-		copy(next[:l.w], cur[:l.w])
-		copy(next[(l.rows+1)*l.w:], cur[(l.rows+1)*l.w:])
 	}
 	l.cur, l.next = l.next, l.cur
 }

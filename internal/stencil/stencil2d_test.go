@@ -14,16 +14,22 @@ func run2D(plat *perfmodel.Platform, pr Params2D) (Result, error) {
 }
 
 func TestRun2DMatchesReference(t *testing.T) {
-	for _, grid := range []struct{ px, py int }{{1, 1}, {2, 1}, {1, 2}, {2, 2}, {4, 2}} {
-		pr := Params2D{N: 64, Iters: 8, Px: grid.px, Py: grid.py, Threads: 2}
+	// 8 sweeps keep the heat front above the first row boundary; 400
+	// carry it across every row boundary, and the column halos carry
+	// heat from the first sweep on.
+	for _, grid := range []struct{ px, py, iters int }{
+		{1, 1, 8}, {2, 1, 8}, {1, 2, 8}, {2, 2, 8}, {4, 2, 8},
+		{2, 2, 400}, {4, 2, 400}, {2, 4, 400},
+	} {
+		pr := Params2D{N: 64, Iters: grid.iters, Px: grid.px, Py: grid.py, Threads: 2}
 		res, err := run2D(perfmodel.Default(), pr)
 		if err != nil {
-			t.Fatalf("%dx%d: %v", grid.px, grid.py, err)
+			t.Fatalf("%dx%d, %d iters: %v", grid.px, grid.py, pr.Iters, err)
 		}
 		ref := Reference(Params{N: pr.N, Iters: pr.Iters, Procs: 1, Threads: 1})
 		want := ReferenceChecksum2D(ref, pr)
 		if res.Checksum != want {
-			t.Fatalf("%dx%d: checksum %v, reference %v", grid.px, grid.py, res.Checksum, want)
+			t.Fatalf("%dx%d, %d iters: checksum %v, reference %v", grid.px, grid.py, pr.Iters, res.Checksum, want)
 		}
 	}
 }
@@ -38,19 +44,22 @@ func TestRun2DRejectsBadGrid(t *testing.T) {
 }
 
 func Test2DChecksumEquals1DForRowGrids(t *testing.T) {
-	// A Px=1 2D decomposition is exactly the 1D decomposition.
-	pr2 := Params2D{N: 32, Iters: 5, Px: 1, Py: 4, Threads: 1}
-	pr1 := Params{N: 32, Iters: 5, Procs: 4, Threads: 1}
-	r2, err := run2D(perfmodel.Default(), pr2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, err := RunDCFA(perfmodel.Default(), pr1, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Checksum != r2.Checksum {
-		t.Fatalf("1D %v vs 2D %v", r1.Checksum, r2.Checksum)
+	// A Px=1 2D decomposition is exactly the 1D decomposition. 5 sweeps
+	// stay inside the first rank's 8 rows; 100 cross every boundary.
+	for _, iters := range []int{5, 100} {
+		pr2 := Params2D{N: 32, Iters: iters, Px: 1, Py: 4, Threads: 1}
+		pr1 := Params{N: 32, Iters: iters, Procs: 4, Threads: 1}
+		r2, err := run2D(perfmodel.Default(), pr2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r1, err := RunDCFA(perfmodel.Default(), pr1, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r1.Checksum != r2.Checksum {
+			t.Fatalf("%d iters: 1D %v vs 2D %v", iters, r1.Checksum, r2.Checksum)
+		}
 	}
 }
 

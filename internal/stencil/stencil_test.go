@@ -1,8 +1,11 @@
 package stencil
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -16,9 +19,117 @@ func runMode(plat *perfmodel.Platform, m cluster.Mode, pr Params) (Result, error
 	return Run(cluster.New(plat, pr.Procs), m, pr)
 }
 
-// smallParams keeps the real math cheap in tests.
+// smallParams keeps the real math cheap in tests. Its 8 sweeps move the
+// heat front 8 rows, so at 8 or fewer ranks every halo it exchanges is
+// zero.
 func smallParams(procs, threads int) Params {
 	return Params{N: 64, Iters: 8, Procs: procs, Threads: threads}
+}
+
+// crossingParams is smallParams run for 400 sweeps: the heat front
+// crosses every rank boundary, so a halo row that arrives wrong, late or
+// not at all changes the checksum.
+func crossingParams(procs, threads int) Params {
+	return Params{N: 64, Iters: 400, Procs: procs, Threads: threads}
+}
+
+// jacobiIndexForm is the kernel as first written, indexing the whole
+// slab with i±w and i±1: the oracle for jacobiRows's association order.
+func jacobiIndexForm(next, cur []float64, w, lo, hi int) {
+	for r := lo; r < hi; r++ {
+		row := (r + 1) * w
+		for c := 1; c < w-1; c++ {
+			i := row + c
+			next[i] = 0.25 * (cur[i-w] + cur[i+w] + cur[i-1] + cur[i+1])
+		}
+	}
+}
+
+func TestJacobiRowsMatchesIndexForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	const rows = 9
+	for _, w := range []int{3, 4, 5, 67, 1282} {
+		cur := make([]float64, (rows+2)*w)
+		for i := range cur {
+			// Magnitudes spread over 2^±40 so a reassociated sum rounds
+			// differently.
+			cur[i] = (rng.Float64() - 0.5) * math.Ldexp(1, rng.Intn(81)-40)
+		}
+		// The whole slab, and the chunks omp.Execute makes for 2, 3 and
+		// 4 workers.
+		for _, workers := range []int{1, 2, 3, 4} {
+			// Both outputs start from the same noise, so a cell either
+			// kernel should leave alone is compared too.
+			got := make([]float64, len(cur))
+			for i := range got {
+				got[i] = rng.NormFloat64()
+			}
+			want := append([]float64(nil), got...)
+			chunk := (rows + workers - 1) / workers
+			for lo := 0; lo < rows; lo += chunk {
+				hi := min(lo+chunk, rows)
+				jacobiRows(got, cur, w, lo, hi)
+				jacobiIndexForm(want, cur, w, lo, hi)
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("w=%d, %d chunks: cell (%d,%d) = %v, index form %v",
+						w, workers, i/w, i%w, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+func TestCrossingChecksumPinned(t *testing.T) {
+	// Every other checksum test compares a distributed run with
+	// Reference, and both call jacobiRows, so a change to the kernel's
+	// arithmetic passes them all. These bits were recorded from the
+	// index-form kernel. The checksum alone is not enough: a sum of 4096
+	// cells rounds away last-bit differences in any one of them, and it
+	// did not move when the kernel was reassociated. So the reference
+	// grid's bits are pinned too.
+	const (
+		wantSum  = 0x4081f3325db58266 // 574.399592798273
+		wantGrid = 0x54767c3362035e17 // FNV-1a over the cells' bits
+	)
+	pr := crossingParams(8, 2)
+	res, err := RunDCFA(perfmodel.Default(), pr, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := math.Float64bits(res.Checksum); got != wantSum {
+		t.Fatalf("checksum %v (bits %#x), pinned bits %#x", res.Checksum, got, uint64(wantSum))
+	}
+	ref := Reference(pr)
+	if sum := ReferenceChecksum(ref, pr); sum != res.Checksum {
+		t.Fatalf("reference %v, distributed %v", sum, res.Checksum)
+	}
+	h := fnv.New64a()
+	var b [8]byte
+	for _, v := range ref {
+		h.Write(binary.LittleEndian.AppendUint64(b[:0], math.Float64bits(v)))
+	}
+	if got := h.Sum64(); got != wantGrid {
+		t.Fatalf("reference grid digest %#x, pinned %#x", got, uint64(wantGrid))
+	}
+}
+
+// BenchmarkJacobiSweep sweeps the slab one stencil_8x56 rank owns
+// (160 rows of the paper's 1282-wide grid) in one call.
+func BenchmarkJacobiSweep(b *testing.B) {
+	pr := PaperParams(8, 56)
+	w, rows := pr.Width(), pr.N/pr.Procs
+	cur := make([]float64, (rows+2)*w)
+	next := make([]float64, len(cur))
+	initSlab(cur, true, w)
+	copy(next, cur)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		jacobiRows(next, cur, w, 0, rows)
+		cur, next = next, cur
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows*pr.N), "ns/point")
 }
 
 func TestReferenceConvergesTowardBoundary(t *testing.T) {
@@ -64,27 +175,30 @@ func TestDCFAMatchesReferenceBitExact(t *testing.T) {
 }
 
 func TestPhiMPIMatchesReference(t *testing.T) {
-	pr := smallParams(4, 2)
-	res, err := runMode(perfmodel.Default(), cluster.ModeIntelPhi, pr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := ReferenceChecksum(Reference(pr), pr)
-	if res.Checksum != want {
-		t.Fatalf("checksum %v, reference %v", res.Checksum, want)
+	for _, pr := range []Params{smallParams(4, 2), crossingParams(8, 2)} {
+		res, err := runMode(perfmodel.Default(), cluster.ModeIntelPhi, pr)
+		if err != nil {
+			t.Fatalf("%+v: %v", pr, err)
+		}
+		want := ReferenceChecksum(Reference(pr), pr)
+		if res.Checksum != want {
+			t.Fatalf("%+v: checksum %v, reference %v", pr, res.Checksum, want)
+		}
 	}
 }
 
 func TestHostOffloadMatchesReference(t *testing.T) {
-	for _, procs := range []int{1, 2, 4} {
-		pr := smallParams(procs, 2)
+	for _, pr := range []Params{
+		smallParams(1, 2), smallParams(2, 2), smallParams(4, 2),
+		crossingParams(2, 2), crossingParams(8, 2),
+	} {
 		res, err := runMode(perfmodel.Default(), cluster.ModeHostOffload, pr)
 		if err != nil {
-			t.Fatalf("procs=%d: %v", procs, err)
+			t.Fatalf("%+v: %v", pr, err)
 		}
 		want := ReferenceChecksum(Reference(pr), pr)
 		if res.Checksum != want {
-			t.Fatalf("procs=%d: checksum %v, reference %v", procs, res.Checksum, want)
+			t.Fatalf("%+v: checksum %v, reference %v", pr, res.Checksum, want)
 		}
 	}
 }
