@@ -269,8 +269,8 @@ func callbackMallocs(t *testing.T) (mallocs, bytes uint64) {
 }
 
 // handoffMallocs has two processes sleep on interleaved deadlines, so
-// every Sleep misses the lookahead fast path: one operation is one
-// park/resume round trip: two coroutine switches.
+// every Sleep misses the lookahead fast path: one operation is one park
+// and one dispatch of the other process, one coroutine switch.
 func handoffMallocs(t *testing.T) (mallocs, bytes uint64) {
 	eng := sim.NewEngine()
 	var marks mallocMarks

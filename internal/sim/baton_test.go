@@ -22,31 +22,43 @@ func parkThree(e *Engine) {
 	})
 }
 
+// chainShapes are the two shapes every failure test runs in: the
+// processes as the test spawns them, and the same with chainLinks more
+// blocked in the chain below the failure.
+var chainShapes = []struct {
+	name  string
+	links int
+}{{"flat", 0}, {"deep", chainLinks}}
+
 // A panicking callback fires in whichever body runs the calendar — here
 // the last process to park — and must still come out of Run as a
 // callback's panic, with every process unwound.
 func TestCallbackPanicIsTypedAndUnwinds(t *testing.T) {
-	base := runtime.NumGoroutine()
-	e := NewEngine()
-	parkThree(e)
-	ran := false
-	e.At(5*Microsecond, func() { panic("cb-boom") })
-	e.At(6*Microsecond, func() { ran = true })
-	err := e.Run()
-	var pe *PanicError
-	if !errors.As(err, &pe) || pe.Proc != "" || pe.At != 5*Microsecond || pe.Value != "cb-boom" {
-		t.Fatalf("got %#v, want a callback PanicError at 5µs", err)
+	for _, shape := range chainShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			e := NewEngine()
+			parkThree(e)
+			deepChain(e, shape.links, NewEvent(e).Wait)
+			ran := false
+			var f atFailure
+			e.At(5*Microsecond, func() { f.see(e, nil); panic("cb-boom") })
+			e.At(6*Microsecond, func() { ran = true })
+			err := e.Run()
+			var pe *PanicError
+			if !errors.As(err, &pe) || pe.Proc != "" || pe.At != 5*Microsecond || pe.Value != "cb-boom" {
+				t.Fatalf("got %#v, want a callback PanicError at 5µs", err)
+			}
+			if want := "sim: callback at 5µs panicked: cb-boom"; err.Error() != want {
+				t.Fatalf("message %q, want %q", err.Error(), want)
+			}
+			if ran {
+				t.Fatal("calendar kept running after the callback panicked")
+			}
+			f.check(t, e, shape.links-1)
+			waitGoroutines(t, base)
+		})
 	}
-	if want := "sim: callback at 5µs panicked: cb-boom"; err.Error() != want {
-		t.Fatalf("message %q, want %q", err.Error(), want)
-	}
-	if ran {
-		t.Fatal("calendar kept running after the callback panicked")
-	}
-	if e.Current() != nil {
-		t.Fatalf("Current() = %v after Run, want nil", e.Current().Name())
-	}
-	waitGoroutines(t, base)
 }
 
 // A process's panic keeps its own message and type fields, also when
@@ -124,41 +136,51 @@ func TestCurrentFollowsTheBaton(t *testing.T) {
 func TestStopFromProcAndCallback(t *testing.T) {
 	cases := []struct {
 		name string
-		arm  func(e *Engine)
+		arm  func(e *Engine, f *atFailure)
 	}{
-		{"proc", func(e *Engine) {
+		{"proc", func(e *Engine, f *atFailure) {
 			e.Spawn("stopper", func(p *Proc) {
 				p.Sleep(3 * Microsecond)
+				f.see(e, p)
 				e.Stop()
 			})
 		}},
-		{"callback", func(e *Engine) {
-			e.At(3*Microsecond, e.Stop)
+		{"callback", func(e *Engine, f *atFailure) {
+			e.At(3*Microsecond, func() { f.see(e, nil); e.Stop() })
 		}},
 	}
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			base := runtime.NumGoroutine()
-			e := NewEngine()
-			parkThree(e)
-			ticks := 0
-			e.Spawn("ticker", func(p *Proc) {
-				for {
-					p.Sleep(Microsecond)
-					ticks++
+		for _, shape := range chainShapes {
+			name := tc.name
+			if shape.links > 0 {
+				name += "-" + shape.name
+			}
+			t.Run(name, func(t *testing.T) {
+				base := runtime.NumGoroutine()
+				e := NewEngine()
+				deepChain(e, shape.links, NewEvent(e).Wait)
+				parkThree(e)
+				ticks := 0
+				e.Spawn("ticker", func(p *Proc) {
+					for {
+						p.Sleep(Microsecond)
+						ticks++
+					}
+				})
+				late := false
+				e.At(4*Microsecond, func() { late = true })
+				var f atFailure
+				tc.arm(e, &f)
+				if err := e.Run(); err != ErrStopped {
+					t.Fatalf("got %v, want ErrStopped", err)
 				}
+				if e.Now() != 3*Microsecond || ticks != 2 || late {
+					t.Fatalf("stopped at %v after %d ticks (late callback ran: %v), want 3µs, 2, false", e.Now(), ticks, late)
+				}
+				f.check(t, e, shape.links-1)
+				waitGoroutines(t, base)
 			})
-			late := false
-			e.At(4*Microsecond, func() { late = true })
-			tc.arm(e)
-			if err := e.Run(); err != ErrStopped {
-				t.Fatalf("got %v, want ErrStopped", err)
-			}
-			if e.Now() != 3*Microsecond || ticks != 2 || late {
-				t.Fatalf("stopped at %v after %d ticks (late callback ran: %v), want 3µs, 2, false", e.Now(), ticks, late)
-			}
-			waitGoroutines(t, base)
-		})
+		}
 	}
 }
 
@@ -220,41 +242,99 @@ func TestCleanRunLeavesNoGoroutines(t *testing.T) {
 
 // A process that blocks again in a deferred call while killAll unwinds
 // it moves nothing: the run ends at the clock, error and fingerprint of
-// a twin run without the defer, and no coroutine outlives Run.
+// a twin run without the defer, and no coroutine outlives Run. In the
+// -deep rows every process in a chain of 65 defers a Sleep too, and the
+// run ends with 65 of them blocked in the chain.
 func TestUnwindingProcessMovesNothing(t *testing.T) {
-	run := func(stop, deferSleep bool) (*Engine, error) {
+	run := func(stop bool, links int, deferSleep bool) (*Engine, *atFailure, error) {
 		e := NewEngine()
 		never := NewEvent(e)
-		e.Spawn("stuck", func(p *Proc) {
+		stuck := func(p *Proc) {
 			if deferSleep {
 				defer p.Sleep(10 * Microsecond)
 			}
 			never.Wait(p)
-		})
-		if stop {
-			e.At(Microsecond, e.Stop)
 		}
-		return e, e.Run()
+		e.Spawn("stuck", stuck)
+		deepChain(e, links, stuck)
+		f := new(atFailure)
+		e.At(Duration(links), func() { f.see(e, nil) }) // the last event before a deadlock
+		if stop {
+			e.At(Microsecond, func() { f.see(e, nil); e.Stop() })
+		}
+		return e, f, e.Run()
 	}
 	for _, tc := range []struct {
 		name string
 		stop bool
 	}{{"deadlock", false}, {"stop", true}} {
-		t.Run(tc.name, func(t *testing.T) {
+		for _, shape := range chainShapes {
+			name := tc.name
+			if shape.links > 0 {
+				name += "-" + shape.name
+			}
+			t.Run(name, func(t *testing.T) {
+				base := runtime.NumGoroutine()
+				twin, _, twinErr := run(tc.stop, shape.links, false)
+				e, f, err := run(tc.stop, shape.links, true)
+				if err == nil || err.Error() != twinErr.Error() {
+					t.Fatalf("got %v, twin without the defer got %v", err, twinErr)
+				}
+				var de *DeadlockError
+				if errors.As(err, &de) && de.Now != twin.Now() {
+					t.Fatalf("deadlock reported at %v, twin at %v", de.Now, twin.Now())
+				}
+				if e.Now() != twin.Now() || e.Fingerprint() != twin.Fingerprint() {
+					t.Fatalf("ended at %v with fingerprint %#x, twin at %v with %#x",
+						e.Now(), e.Fingerprint(), twin.Now(), twin.Fingerprint())
+				}
+				f.check(t, e, shape.links)
+				waitGoroutines(t, base)
+			})
+		}
+	}
+}
+
+// runtime.Goexit in a process body (t.FailNow, say) is that process's
+// failure. iter.Pull rethrows it in every body below it in the chain and
+// at last in Run's goroutine, so Run never returns: nothing later in the
+// calendar runs on the way down, the error is recorded on the engine,
+// and Run's deferred killAll leaves no coroutine behind.
+func TestGoexitInProcessEndsTheRun(t *testing.T) {
+	for _, shape := range chainShapes {
+		t.Run(shape.name, func(t *testing.T) {
 			base := runtime.NumGoroutine()
-			twin, twinErr := run(tc.stop, false)
-			e, err := run(tc.stop, true)
-			if err == nil || err.Error() != twinErr.Error() {
-				t.Fatalf("got %v, twin without the defer got %v", err, twinErr)
+			e := NewEngine()
+			never := NewEvent(e)
+			// The sleeper's Yield unwinds the chain t=0 built down to
+			// it, leaving the waiter suspended: killAll's to unwind.
+			e.Spawn("sleeper", func(p *Proc) { p.Yield(); p.Sleep(10 * Microsecond) })
+			deepChain(e, shape.links, never.Wait)
+			e.Spawn("waiter", never.Wait)
+			var f atFailure
+			e.Spawn("quitter", func(p *Proc) {
+				p.Sleep(5 * Microsecond)
+				f.see(e, p)
+				runtime.Goexit()
+			})
+			ran := false
+			e.At(6*Microsecond, func() { ran = true })
+			done := make(chan error)
+			go func() {
+				defer close(done)
+				done <- e.Run()
+			}()
+			if err, returned := <-done; returned {
+				t.Fatalf("Run returned %v, want its goroutine ended by the rethrown Goexit", err)
 			}
-			var de *DeadlockError
-			if errors.As(err, &de) && de.Now != twin.Now() {
-				t.Fatalf("deadlock reported at %v, twin at %v", de.Now, twin.Now())
+			var pe *PanicError
+			if !errors.As(e.err, &pe) || pe.Proc != "quitter" || pe.At != 5*Microsecond {
+				t.Fatalf("recorded error %#v, want quitter's at 5µs", e.err)
 			}
-			if e.Now() != twin.Now() || e.Fingerprint() != twin.Fingerprint() {
-				t.Fatalf("ended at %v with fingerprint %#x, twin at %v with %#x",
-					e.Now(), e.Fingerprint(), twin.Now(), twin.Fingerprint())
+			if ran {
+				t.Fatal("the calendar kept running after the Goexit")
 			}
+			f.check(t, e, shape.links)
 			waitGoroutines(t, base)
 		})
 	}
@@ -262,19 +342,25 @@ func TestUnwindingProcessMovesNothing(t *testing.T) {
 
 // Two processes with interleaved Sleep deadlines, as the benchmark's
 // sim.handoff_ns driver runs them: every Sleep misses the lookahead
-// fast path and costs one park/resume: two coroutine switches.
+// fast path and parks, and the other process is either blocked below
+// the parker or free above it: one coroutine switch per dispatch.
 func BenchmarkHandoff(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine()
-	for k := 0; k < 2; k++ {
-		offset := Duration(k)
-		e.Spawn("sleeper", func(p *Proc) {
-			p.Sleep(offset)
-			for i := 0; i < b.N/2; i++ {
-				p.Sleep(2)
-			}
-		})
+	sleepers(e, 2, b.N/2)
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
 	}
+}
+
+// 256 processes in round robin: the next process is never the one that
+// resumed the parker, so each cycle resumes 255 processes up the chain
+// and then unwinds it 255 deep, just under two switches per dispatch.
+func BenchmarkHandoffRing256(b *testing.B) {
+	b.ReportAllocs()
+	e := NewEngine()
+	sleepers(e, 256, b.N/256)
 	b.ResetTimer()
 	if err := e.Run(); err != nil {
 		b.Fatal(err)

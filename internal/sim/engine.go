@@ -10,13 +10,14 @@
 // and free of data races by construction.
 //
 // The engine starts no goroutine and owns no channel. Each process is an
-// iter.Pull coroutine, and Run is the trampoline that resumes them on its
-// own goroutine. Whoever gives up the processor — a process that blocks,
-// sleeps or ends, or Run itself — runs the calendar: callbacks execute
-// right there (they still may not block) until the next process event.
-// If that event is the parker's own it returns with no switch; otherwise
-// it names the process in e.handoff and suspends, and Run resumes it: two
-// coroutine switches. Once the run is over Run unwinds every process
+// iter.Pull coroutine. Whoever gives up the processor — a process that
+// blocks, sleeps or ends, or Run itself — runs the calendar: callbacks
+// execute right there (they still may not block) until the next process
+// event. If that is the parker's own it returns with no switch; if its
+// process is free, the parker resumes it on top of itself, so the bodies
+// form a chain with Run at the bottom; if it is blocked below, or the
+// run is over, the parker names it in e.handoff and suspends, and the
+// chain unwinds to it. Once the run is over Run unwinds every process
 // still alive, daemons included: a daemon does not survive its Run.
 package sim
 
@@ -137,13 +138,14 @@ type Engine struct {
 	queue   eventHeap
 	procs   []*Proc
 	current *Proc
-	handoff *Proc // the process Run's trampoline resumes next
+	handoff *Proc // the next process, left for the body below a suspend
 	stopped bool
 	err     error
 
 	// Stats.
 	eventsRun int64
 	maxQueue  int
+	switches  int64 // coroutine resumes plus suspends
 
 	// fp accumulates an FNV-1a digest of every dispatched event's
 	// (time, seq, proc) tuple; see Fingerprint.
@@ -270,17 +272,20 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("sim: process %q panicked: %v", e.Proc, e.Value)
 }
 
-// Run is the trampoline: it runs the calendar to the first process
-// event, then resumes each process the previous one handed off to, until
-// the calendar drains, Stop is called, or a process or callback panics.
-// It returns nil on a clean drain with every non-daemon process
-// finished, ErrStopped, a *DeadlockError if blocked processes remain,
-// or a *PanicError for the first panic. Every return unwinds the
-// processes still alive, blocked daemons included, so no run leaves a
-// coroutine behind: Run is terminal for daemons, and a later Run on the
-// same engine sees only processes spawned after this one returned.
+// Run is the bottom of the chain: it resumes the first process, and any
+// process the chain unwinds to it with, until the calendar drains, Stop
+// is called, or a process or callback panics. It returns nil on a clean
+// drain with every non-daemon process finished, ErrStopped, a
+// *DeadlockError if blocked processes remain, or a *PanicError for the
+// first panic. Every return, and a runtime.Goexit rethrown from a
+// process, unwinds the processes still alive, blocked daemons included,
+// so no run leaves a coroutine behind: Run is terminal for daemons, and
+// a later Run on the same engine sees only processes spawned after this
+// one returned.
 func (e *Engine) Run() error {
+	defer e.killAll()
 	for p := e.next(); p != nil; p = e.handoff {
+		e.switches++
 		p.resume()
 	}
 	var stuck []string
@@ -289,7 +294,6 @@ func (e *Engine) Run() error {
 			stuck = append(stuck, p.name)
 		}
 	}
-	e.killAll()
 	switch {
 	case e.err != nil:
 		return e.err

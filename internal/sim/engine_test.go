@@ -199,12 +199,13 @@ func waitGoroutines(t *testing.T, base int) {
 }
 
 // A run that fails must unwind every process it leaves unfinished:
-// blocked, sleeping, and spawned but never dispatched.
+// blocked, sleeping, and spawned but never dispatched. Each -deep row
+// fails on top of a chain of 99 processes blocked below it.
 func TestFailedRunLeavesNoGoroutines(t *testing.T) {
 	const procs = 100
 	cases := []struct {
 		name  string
-		first func(e *Engine, p *Proc) // body of process 0
+		first func(e *Engine, p *Proc) // body of the process named "first"
 		want  func(err error) bool
 	}{
 		{"deadlock", func(e *Engine, p *Proc) {}, func(err error) bool {
@@ -219,24 +220,38 @@ func TestFailedRunLeavesNoGoroutines(t *testing.T) {
 		}},
 	}
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			base := runtime.NumGoroutine()
-			e := NewEngine()
-			never := NewEvent(e)
-			e.Spawn("first", func(p *Proc) { tc.first(e, p) })
-			for i := 1; i < procs; i++ {
-				e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
-					if p.ID()%2 == 0 {
-						p.Sleep(Microsecond)
+		for _, deep := range []bool{false, true} {
+			name, depth := tc.name, 0
+			if deep {
+				name, depth = name+"-deep", procs-1
+			}
+			t.Run(name, func(t *testing.T) {
+				base := runtime.NumGoroutine()
+				e := NewEngine()
+				never := NewEvent(e)
+				var f atFailure
+				first := func(p *Proc) { f.see(e, p); tc.first(e, p) }
+				if deep {
+					deepChain(e, procs-1, never.Wait)
+					e.Spawn("first", func(p *Proc) { p.Sleep(procs); first(p) })
+				} else {
+					e.Spawn("first", first)
+					for i := 1; i < procs; i++ {
+						e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
+							if p.ID()%2 == 0 {
+								p.Sleep(Microsecond)
+							}
+							never.Wait(p)
+						})
 					}
-					never.Wait(p)
-				})
-			}
-			if err := e.Run(); !tc.want(err) {
-				t.Fatalf("unexpected run result: %v", err)
-			}
-			waitGoroutines(t, base)
-		})
+				}
+				if err := e.Run(); !tc.want(err) {
+					t.Fatalf("unexpected run result: %v", err)
+				}
+				f.check(t, e, depth)
+				waitGoroutines(t, base)
+			})
+		}
 	}
 }
 

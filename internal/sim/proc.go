@@ -20,6 +20,7 @@ type Proc struct {
 	stop    func()                  // unwind it from outside
 
 	finished, dead, daemon bool
+	blocked                bool // in park, resuming the process above it in the chain
 }
 
 // Spawn creates a new process named name running fn and schedules its
@@ -55,15 +56,22 @@ func (p *Proc) Engine() *Engine { return p.eng }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.eng.now }
 
-// run is the coroutine body backing the process. A process that ends,
-// by return or panic, runs the calendar on to the next process before
-// its coroutine finishes and Run's trampoline takes over again.
+// run is the coroutine body backing the process. A process that ends
+// runs the calendar on to the next process and leaves it in e.handoff
+// for the body below it in the chain, where its coroutine returns. A
+// body that neither returned nor panicked called runtime.Goexit
+// (t.FailNow, say), which iter.Pull rethrows in every body below it:
+// that is the run's error, so next dispatches nothing more.
 func (p *Proc) run(fn func(p *Proc)) {
+	returned := false
 	defer func() {
 		r := recover()
 		p.finished = true
 		if p.dead { // unwound by killAll's stop: the run is over
 			return
+		}
+		if r == nil && !returned {
+			r = "runtime.Goexit"
 		}
 		if r != nil {
 			p.eng.fail(p.name, r)
@@ -71,6 +79,7 @@ func (p *Proc) run(fn func(p *Proc)) {
 		p.eng.handoff = p.eng.next()
 	}()
 	fn(p)
+	returned = true
 }
 
 // errProcKilled is thrown to unwind a process the engine abandoned.
@@ -87,18 +96,29 @@ func (p *Proc) live() {
 
 // park gives up the processor until this process's next calendar event:
 // one Sleep or Yield scheduled, or one some other party will schedule
-// with wake. The parker runs the calendar itself: if the next process
-// event is its own it just returns, with no switch at all; otherwise it
-// leaves that process in e.handoff and suspends, and Run's trampoline
-// resumes it, two coroutine switches in all. A suspend that returns
-// false is killAll's stop unwinding this process.
+// with wake. The parker runs the calendar itself. If the next process
+// event is its own it returns with no switch. If that process is free
+// (suspended), the parker resumes it on top of itself and stays blocked
+// in the call: one switch. If it is blocked below in the chain, or the
+// run is over, the parker leaves it in e.handoff and suspends, and the
+// body below carries on from there: one switch per level unwound. A
+// suspend that returns false is killAll's stop unwinding this process.
 func (p *Proc) park() {
 	p.live()
-	if next := p.eng.next(); next != p {
-		p.eng.handoff = next
-		if !p.suspend(struct{}{}) {
-			panic(errProcKilled)
+	e := p.eng
+	for next := e.next(); next != p; next = e.handoff {
+		if next == nil || next.blocked {
+			e.handoff = next
+			e.switches++
+			if !p.suspend(struct{}{}) {
+				panic(errProcKilled)
+			}
+			return
 		}
+		p.blocked = true
+		e.switches++
+		next.resume()
+		p.blocked = false
 	}
 }
 
