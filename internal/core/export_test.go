@@ -1,6 +1,10 @@
 package core
 
-import "repro/internal/causal"
+import (
+	"fmt"
+
+	"repro/internal/causal"
+)
 
 // StepRow is one row of the reporting table (report.go), as the tests
 // in package core_test see it.
@@ -19,4 +23,25 @@ func StepRows() []StepRow {
 		rows[k] = StepRow{Stat: r.stat, Counter: r.counter, AddsN: r.addsN, Ev: r.ev, Trace: r.trace}
 	}
 	return rows
+}
+
+// DirtyRing names the first byte of r's inbound eager rings that is not
+// zero, or returns "" when every ring is all zero, as it is when every
+// packet that landed has been consumed.
+func (r *Rank) DirtyRing() string {
+	for _, i := range r.active {
+		for k, b := range r.peers[i].in.buf.Data {
+			if b != 0 {
+				return fmt.Sprintf("rank %d: ring from rank %d has byte %d = %#x", r.id, i, k, b)
+			}
+		}
+	}
+	return ""
+}
+
+// ProgressCounts returns how many progress passes r ran, how many
+// landings came through its QPs, how many rings the passes read, and how
+// many pairs r has connected.
+func (r *Rank) ProgressCounts() (passes, marks, visits int64, degree int) {
+	return r.passes, r.marks, r.visits, len(r.active)
 }

@@ -153,22 +153,21 @@ func (r *ring) peek() (header, []byte, bool) {
 	return h, s[hdrSize : hdrSize+h.payload], true
 }
 
-// discard clears the current slot WITHOUT advancing the cursor: used
-// to drop a replayed duplicate (psn below the next expected) that a
-// faulted-but-delivered write re-deposited. The cursor must stay put
-// because the slot is still the landing zone for the next expected
-// packet of this residue class; its credits were already applied on
-// first delivery, so no credit is returned either.
-func (r *ring) discard() {
-	s := r.slot(r.next)
-	for i := range s {
-		s[i] = 0
-	}
+// discard clears the current slot's packet of n payload bytes WITHOUT
+// advancing the cursor: used to drop a replayed duplicate (psn below the
+// next expected) that a faulted-but-delivered write re-deposited. The
+// cursor must stay put because the slot is still the landing zone for
+// the next expected packet of this residue class; its credits were
+// already applied on first delivery, so no credit is returned either.
+// Every write puts exactly header, payload and tail at the slot's start,
+// so clearing those bytes leaves the whole slot zero again.
+func (r *ring) discard(n int) {
+	clear(r.slot(r.next)[:hdrSize+n+tailSize])
 }
 
-// consume clears the current slot and advances the cursor.
-func (r *ring) consume() {
-	r.discard()
+// consume clears the current slot's packet and advances the cursor.
+func (r *ring) consume(n int) {
+	r.discard(n)
 	r.next = (r.next + 1) % r.slots
 }
 

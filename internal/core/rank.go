@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/ib"
 	"repro/internal/machine"
@@ -70,6 +70,11 @@ type peerState struct {
 	// postponed holds WR ids formed while the QP was errored; they are
 	// reissued in order once the QP is reconnected.
 	postponed sim.FIFO[uint64]
+	// r and id place the pair on r.ready; landed says bytes came through
+	// qp since progress last found the ring empty.
+	r      *Rank
+	id     int
+	landed bool
 }
 
 // Stats aggregates per-rank communication counters.
@@ -106,13 +111,15 @@ type Rank struct {
 	mrCache *MRCache
 	arena   *offArena
 
-	// active lists peer indices with live endpoints, sorted ascending,
-	// so the progress engine and ANY_SOURCE scan exactly the connected
-	// pairs instead of a thousand-entry mostly-nil peer table. Under
-	// eager connect it holds every peer; under lazy connect it grows as
-	// pairs first communicate. Loopback has no endpoint and is never in
-	// it.
+	// active lists the peers with live endpoints, ascending: every peer
+	// under eager connect, those met so far under lazy, never loopback.
+	// ANY_SOURCE scans it in rank order; progress walks ready instead.
 	active []int
+	// ready lists, ascending, the pairs progress visits, sized by degree
+	// like active; passes, marks and visits count progress calls,
+	// landings and rings read.
+	ready                 []int
+	passes, marks, visits int64
 
 	// cqeBuf is the persistent completion buffer progress drains into
 	// (ibv-style PollInto), so the per-event CQ drain never allocates.
@@ -314,16 +321,49 @@ func (ps *peerState) wire(peer *Rank, other *peerState) error {
 	return nil
 }
 
-// publish enters a pair half in the peer table and the active list,
-// keeping the list sorted so progress scans peers in rank order
-// regardless of connection order — the property that keeps lazy-connect
-// runs deterministic.
+// publish enters a pair half in the peer table and the sorted active
+// list, so ANY_SOURCE scans peers in rank order regardless of connection
+// order (the property that keeps lazy-connect runs deterministic), and
+// binds the QP's landing hook.
 func (r *Rank) publish(i int, ps *peerState) {
 	r.peers[i] = ps
-	at := sort.SearchInts(r.active, i)
-	r.active = append(r.active, 0)
-	copy(r.active[at+1:], r.active[at:])
-	r.active[at] = i
+	at, _ := slices.BinarySearch(r.active, i)
+	r.active = slices.Insert(r.active, at, i)
+	r.ready = slices.Grow(r.ready, len(r.active)-len(r.ready)) // marking never allocates
+	ps.r, ps.id = r, i
+	ps.qp.OnLand = ps.land
+}
+
+// land is the pair's QP.OnLand hook: the next progress pass reads its
+// ring.
+func (ps *peerState) land() {
+	ps.landed = true
+	ps.r.marks++
+	ps.mark()
+}
+
+// mark puts the pair on its rank's ready list, as bytes landing through
+// its QP and every push onto its pendingCtrl, pendingSends or postponed
+// queue do.
+func (ps *peerState) mark() {
+	if at, ok := slices.BinarySearch(ps.r.ready, ps.id); !ok {
+		ps.r.ready = slices.Insert(ps.r.ready, at, ps.id)
+	}
+}
+
+// queued reports whether pair i holds packets or WRs waiting to go.
+func (r *Rank) queued(i int) bool {
+	ps := r.peers[i]
+	return ps.pendingCtrl.Len() > 0 || ps.pendingSends.Len() > 0 || ps.postponed.Len() > 0
+}
+
+// nextReady returns the first ready pair after peer i, or -1: a pair
+// marked behind the cursor waits for the next pass, as in a full walk.
+func (r *Rank) nextReady(i int) int {
+	if k, _ := slices.BinarySearch(r.ready, i+1); k < len(r.ready) {
+		return r.ready[k]
+	}
+	return -1
 }
 
 // ensurePeer returns the pair (me, i), building and wiring BOTH halves
@@ -400,16 +440,7 @@ func (r *Rank) idle(p *sim.Proc) error {
 // After a fatal transport error the queued packets can never be
 // delivered, so it gives up.
 func (r *Rank) finalize(p *sim.Proc) {
-	pending := func() bool {
-		for _, i := range r.active {
-			ps := r.peers[i]
-			if ps.pendingCtrl.Len() > 0 || ps.pendingSends.Len() > 0 || ps.postponed.Len() > 0 {
-				return true
-			}
-		}
-		return false
-	}
-	for pending() {
+	for slices.ContainsFunc(r.ready, r.queued) {
 		if r.idle(p) != nil {
 			return
 		}
@@ -437,6 +468,7 @@ func (r *Rank) post(p *sim.Proc, dst int, wr *ib.SendWR) error {
 	ps := r.peers[dst]
 	if ps.qp.State != ib.QPConnected {
 		ps.postponed.Push(wr.WRID)
+		ps.mark()
 		return nil
 	}
 	return r.v.PostSend(p, ps.qp, wr)
@@ -628,6 +660,7 @@ func (r *Rank) trySendEager(p *sim.Proc, req *Request) {
 	if ps.credits <= 1 {
 		req.state = stEagerQueued
 		ps.pendingSends.Push(req)
+		ps.mark()
 		return
 	}
 	r.postEager(p, req)
@@ -745,6 +778,7 @@ func (r *Rank) ctrlSend(p *sim.Proc, dst int, h header) error {
 	ps := r.peers[dst]
 	if ps.credits <= 1 || ps.pendingCtrl.Len() > 0 {
 		ps.pendingCtrl.Push(h)
+		ps.mark()
 		return nil
 	}
 	return r.postCtrl(p, dst, h)
@@ -1026,18 +1060,23 @@ func (r *Rank) sendSelf(p *sim.Proc, ps *peerState, req *Request) {
 
 // progress drives all protocol state: consumes ring packets, drains the
 // CQ, returns credits and retries credit-starved sends. It reports
-// whether any work was done.
+// whether any work was done. It visits the ready pairs only, in peer
+// order: any other pair would do nothing, since only a consumed packet
+// raises a pair's credits or its count of slots to return.
 func (r *Rank) progress(p *sim.Proc) bool {
 	did := false
-	// Ring packets, per peer, in order. Iterating the sorted active
-	// list keeps the cost proportional to the rank's communication
-	// degree rather than the world size — the property that makes
-	// thousand-rank sparse workloads affordable.
-	for _, i := range r.active {
+	r.passes++
+	// Ring packets of the pairs bytes landed for.
+	for i := r.nextReady(-1); i >= 0; i = r.nextReady(i) {
 		ps := r.peers[i]
+		if !ps.landed {
+			continue
+		}
+		r.visits++
 		for {
 			h, payload, ok := ps.in.peek()
 			if !ok {
+				ps.landed = false
 				break
 			}
 			if h.psn < ps.recvPSN {
@@ -1045,7 +1084,7 @@ func (r *Rank) progress(p *sim.Proc) bool {
 				// delivered (the fault hit after the data landed): drop
 				// it without advancing the cursor, re-applying its
 				// piggybacked credits, or returning the slot.
-				ps.in.discard()
+				ps.in.discard(h.payload)
 				r.step(p, stepReplayDrop, i, h.psn, int(ps.recvPSN))
 				did = true
 				continue
@@ -1057,7 +1096,7 @@ func (r *Rank) progress(p *sim.Proc) bool {
 			p.Sleep(r.w.Plat.PollCost(r.v.Loc()) + r.v.RecvOverhead(h.payload))
 			r.packetRecvd(p, i, h)
 			r.handlePacket(p, i, h, payload)
-			ps.in.consume()
+			ps.in.consume(h.payload)
 			ps.toReturn++
 			did = true
 		}
@@ -1077,7 +1116,7 @@ func (r *Rank) progress(p *sim.Proc) bool {
 	// state (between the fault and the CQE that triggers recovery);
 	// recovery has reconnected the QP by the time the CQ drains.
 	if r.faultsOn() {
-		for _, i := range r.active {
+		for i := r.nextReady(-1); i >= 0; i = r.nextReady(i) {
 			ps := r.peers[i]
 			for ps.postponed.Len() > 0 && ps.qp.State == ib.QPConnected {
 				wrid := ps.postponed.Pop()
@@ -1087,7 +1126,7 @@ func (r *Rank) progress(p *sim.Proc) bool {
 		}
 	}
 	// Retry credit-starved control packets, then eager sends.
-	for _, i := range r.active {
+	for i := r.nextReady(-1); i >= 0; i = r.nextReady(i) {
 		ps := r.peers[i]
 		for ps.credits > 1 && ps.pendingCtrl.Len() > 0 {
 			if err := r.postCtrl(p, i, ps.pendingCtrl.Pop()); err != nil {
@@ -1113,6 +1152,14 @@ func (r *Rank) progress(p *sim.Proc) bool {
 			}
 		}
 	}
+	// Unmark the pairs left with nothing landed and nothing queued.
+	keep := r.ready[:0]
+	for _, i := range r.ready {
+		if r.peers[i].landed || r.queued(i) {
+			keep = append(keep, i)
+		}
+	}
+	r.ready = keep
 	return did
 }
 

@@ -114,6 +114,7 @@ type tortureResult struct {
 	stats  core.Stats
 	all    core.Stats // every field, summed over the ranks
 	inj    *faults.Injector
+	dirty  string // the first non-zero eager ring byte left at the end, if any
 }
 
 // runTorture executes the seeded workload on a 4-rank DCFA world under
@@ -237,6 +238,9 @@ func runTortureSinks(t *testing.T, seed uint64, plan *faults.Plan, reg *metrics.
 	}
 	res := tortureResult{fp: c.Eng.Fingerprint(), events: c.Eng.EventsRun(), now: c.Eng.Now(), inj: inj}
 	for i := 0; i < ranks; i++ {
+		if res.dirty == "" {
+			res.dirty = w.Rank(i).DirtyRing()
+		}
 		s := w.Rank(i).Stats
 		addStats(&res.all, s)
 		res.stats.MsgsSent += s.MsgsSent
@@ -523,5 +527,27 @@ func TestCmdTimeoutErrorIsNotADeadlock(t *testing.T) {
 	}
 	if errors.As(err, &cte) {
 		t.Errorf("deadlock misreported as CMD timeout: %v", err)
+	}
+}
+
+// TestRingsAreZeroAfterTorture: a consumed or discarded ring slot clears
+// only the header, payload and tail its packet wrote, which leaves the
+// slot all zero because every write puts exactly those bytes. After the
+// mixed-size torture (control packets, 64 B to 8 KiB eager payloads and,
+// under the fault plan, replays) every byte of every ring is zero again.
+func TestRingsAreZeroAfterTorture(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		plan *faults.Plan
+	}{{"no faults", nil}, {"faults", tortureFaults(5)}} {
+		t.Run(tc.name, func(t *testing.T) {
+			res := runTorture(t, 5, tc.plan, nil, nil)
+			if res.dirty != "" {
+				t.Fatal(res.dirty)
+			}
+			if tc.plan != nil && res.stats.Retries == 0 {
+				t.Error("the plan replayed nothing")
+			}
+		})
 	}
 }

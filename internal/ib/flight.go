@@ -114,7 +114,7 @@ func (x *flight) writeArrive() {
 	switch {
 	case x.fault:
 		if lands {
-			rem.ctx.HCA.landed()
+			rem.ctx.HCA.landed(rem)
 		}
 		x.status = StatusRetryExcErr
 		qp.SetError()
@@ -127,7 +127,7 @@ func (x *flight) writeArrive() {
 		if x.op == OpRDMAWriteImm {
 			rem.land(wireSrc{}, wr.Imm, true, qp.QPN)
 		}
-		rem.ctx.HCA.landed()
+		rem.ctx.HCA.landed(rem)
 		x.completeLater()
 	}
 }
@@ -203,7 +203,7 @@ func (x *flight) atomicArrive() {
 	} else if old == wr.CompareAdd {
 		binary.LittleEndian.PutUint64(target, wr.Swap)
 	}
-	rh.landed()
+	rh.landed(x.rem)
 	x.src.buf = x.old[:]
 	h.fab.Eng.At(h.fab.Eng.Now()+h.fab.Plat.IBLatency+rh.ctrlDelayTo(h), x.onRespond)
 }
@@ -227,7 +227,7 @@ func (x *flight) respond() {
 		}
 		remb = remb[copy(dst, remb):]
 	}
-	h.landed()
+	h.landed(x.qp)
 	x.complete()
 }
 

@@ -182,10 +182,15 @@ func (h *HCA) Fabric() *Fabric { return h.fab }
 
 // landed is the one place the adapter makes known that it wrote this
 // node's memory — an RDMA payload (faulted-but-delivered included), an
-// atomic's target, a read or atomic response, a completion entry — and
-// so the one place that will mark which QP it wrote for, once progress
-// stops polling them all (ROADMAP item 2).
-func (h *HCA) landed() { h.Doorbell.Broadcast() }
+// atomic's target, a read or atomic response, a completion entry. Bytes
+// that came through a QP name it, and its owner hears of them first
+// (QP.OnLand); a completion entry passes nil.
+func (h *HCA) landed(qp *QP) {
+	if qp != nil && qp.OnLand != nil {
+		qp.OnLand()
+	}
+	h.Doorbell.Broadcast()
+}
 
 // deliverVia routes a data transfer whose last byte clears this HCA's
 // egress at arrive through the fabric interior toward dst, reserving

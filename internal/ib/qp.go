@@ -35,6 +35,11 @@ type QP struct {
 	// throughput.
 	RateCap float64
 
+	// OnLand, when set, is called whenever bytes land in this node's
+	// memory through this QP, before the doorbell rings: its owner learns
+	// which connection to look at instead of polling them all.
+	OnLand func()
+
 	recvQueue sim.FIFO[*RecvWR]
 	// pending holds SEND payloads that arrived before a receive was
 	// posted (the simulator's RNR condition).

@@ -108,7 +108,7 @@ func (q *CQ) push(e CQE) {
 	}
 	q.entries.Push(e)
 	q.Notify.Broadcast()
-	q.ctx.HCA.landed()
+	q.ctx.HCA.landed(nil)
 }
 
 // Poll removes up to max completions, charging the location-dependent

@@ -70,72 +70,12 @@ type event struct {
 	fn   func() // non-nil: run this callback in engine context
 }
 
-// eventHeap is a hand-rolled binary min-heap of event values, ordered
-// by (time, seq). Holding values rather than pointers keeps schedule()
-// allocation-free on the per-event path, and avoiding container/heap
-// skips the interface boxing its Push/Pop signatures force — this
-// queue is the hottest data structure in the repository.
-type eventHeap []event
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-// push appends ev and restores the heap invariant by sifting it up.
-func (h *eventHeap) push(ev event) {
-	*h = append(*h, ev)
-	q := *h
-	i := len(q) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			break
-		}
-		q[i], q[parent] = q[parent], q[i]
-		i = parent
-	}
-}
-
-// pop removes and returns the minimum event, clearing the vacated slot
-// so the queue does not pin dead procs or closures.
-func (h *eventHeap) pop() event {
-	q := *h
-	n := len(q) - 1
-	top := q[0]
-	q[0] = q[n]
-	q[n] = event{}
-	q = q[:n]
-	*h = q
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && q.less(l, min) {
-			min = l
-		}
-		if r < n && q.less(r, min) {
-			min = r
-		}
-		if min == i {
-			break
-		}
-		q[i], q[min] = q[min], q[i]
-		i = min
-	}
-	return top
-}
-
-func (h eventHeap) empty() bool { return len(h) == 0 }
-
 // Engine is a discrete-event simulation. The zero value is not usable;
 // call NewEngine.
 type Engine struct {
 	now     Time
 	seq     uint64
-	queue   eventHeap
+	queue   calendar
 	procs   []*Proc
 	current *Proc
 	handoff *Proc // the next process, left for the body below a suspend
@@ -144,7 +84,6 @@ type Engine struct {
 
 	// Stats.
 	eventsRun int64
-	maxQueue  int
 	switches  int64 // coroutine resumes plus suspends
 
 	// fp accumulates an FNV-1a digest of every dispatched event's
@@ -211,16 +150,13 @@ func (e *Engine) EventsRun() int64 { return e.eventsRun }
 
 // schedule inserts an event into the calendar. It must not be called with
 // a timestamp in the past. The entry is pushed by value: beyond the
-// calendar slice's amortized growth, scheduling allocates nothing.
+// calendar slab's amortized growth, scheduling allocates nothing.
 func (e *Engine) schedule(at Time, p *Proc, fn func()) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
 	}
 	e.seq++
 	e.queue.push(event{at: at, seq: e.seq, proc: p, fn: fn})
-	if len(e.queue) > e.maxQueue {
-		e.maxQueue = len(e.queue)
-	}
 }
 
 // At schedules fn to run in engine context at absolute virtual time t.
@@ -318,7 +254,7 @@ func (e *Engine) next() *Proc {
 			e.fail("", r)
 		}
 	}()
-	for !e.stopped && e.err == nil && !e.queue.empty() {
+	for !e.stopped && e.err == nil && e.queue.n > 0 {
 		ev := e.queue.pop()
 		if ev.at < e.now {
 			panic("sim: time went backwards")

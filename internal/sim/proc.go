@@ -137,7 +137,7 @@ func (p *Proc) Sleep(d Duration) {
 		d = 0
 	}
 	e := p.eng
-	if !e.stopped && (e.queue.empty() || e.queue[0].at > e.now+d) {
+	if !e.stopped && (e.queue.n == 0 || e.queue.earliest() > e.now+d) {
 		e.now += d
 		e.fpMix(uint64(e.now))
 		e.fpMix(fastPathPID)
@@ -154,7 +154,7 @@ func (p *Proc) Sleep(d Duration) {
 func (p *Proc) Yield() {
 	p.live()
 	e := p.eng
-	if !e.stopped && (e.queue.empty() || e.queue[0].at > e.now) {
+	if !e.stopped && (e.queue.n == 0 || e.queue.earliest() > e.now) {
 		return
 	}
 	e.schedule(e.now, p, nil)
