@@ -12,6 +12,7 @@ package stencil
 
 import (
 	"fmt"
+	"math"
 	"unsafe"
 
 	"repro/internal/baseline"
@@ -121,7 +122,8 @@ func jacobiRows(next, cur []float64, w, lo, hi int) {
 }
 
 // Reference runs the serial stencil in plain Go and returns the full
-// grid after Iters sweeps.
+// grid after Iters sweeps. It computes every row: it is the oracle the
+// distributed runs, which skip clear rows, are checked against.
 func Reference(pr Params) []float64 {
 	w := pr.Width()
 	cur := make([]float64, w*w)
@@ -154,21 +156,36 @@ func ReferenceChecksum(grid []float64, pr Params) float64 {
 	return total
 }
 
-// slab is one rank's local grid (owned rows plus two ghost rows).
+// slab is one rank's local grid: rows owned rows of w cells plus a ghost
+// row above and below, in two buffers a sweep reads (cur) and writes
+// (next). In 1-D each row's first and last cell are the fixed boundary;
+// a 2-D block is a slab of width cols+2 whose first and last cells are
+// its ghost columns.
 type slab struct {
-	rows int
-	w    int
-	cur  *machine.Buffer
-	next *machine.Buffer
+	rows, w   int
+	cur, next *machine.Buffer
+	// curClear[r] (nextClear[r]) is true only if every cell of slab row
+	// r of cur (next) is +0, ghost and boundary cells included; it may be
+	// false for a row that is. A sweep keeps the flags exact for the
+	// cells it writes. The cells it never writes (both ghost rows, each
+	// row's first and last cell) are written between sweeps, by the
+	// exchange, so each sweep first refreshes the flags for them.
+	curClear, nextClear []bool
+	body                func(lo, hi int) // computeRows, bound once for team.Execute
+	computed            int64            // rows the kernel computed, over all sweeps
 }
 
-func newSlab(dom *machine.Domain, pr Params, rank int) *slab {
-	w := pr.Width()
-	rows := pr.N / pr.Procs
+// newSlab allocates a slab of rows owned rows, w cells wide, in dom,
+// with the initial condition in both buffers (top: the slab holds the
+// global top boundary).
+func newSlab(dom *machine.Domain, rows, w int, top bool) *slab {
 	bytes := (rows + 2) * w * 8
 	l := &slab{rows: rows, w: w, cur: dom.Alloc(bytes), next: dom.Alloc(bytes)}
-	initSlab(f64view(l.cur.Data), rank == 0, w)
+	initSlab(f64view(l.cur.Data), top, w)
 	copy(f64view(l.next.Data), f64view(l.cur.Data))
+	l.curClear = markClear(f64view(l.cur.Data), w)
+	l.nextClear = markClear(f64view(l.next.Data), w)
+	l.body = l.computeRows
 	return l
 }
 
@@ -177,23 +194,96 @@ func (l *slab) row(b *machine.Buffer, i int) core.Slice {
 	return core.Slice{Buf: b, Off: i * l.w * 8, N: l.w * 8}
 }
 
+// swap makes next the current buffer, and its flags with it.
+func (l *slab) swap() {
+	l.cur, l.next = l.next, l.cur
+	l.curClear, l.nextClear = l.nextClear, l.curClear
+}
+
 // sweep runs one Jacobi iteration: charge the parallel region for all
 // interior points; execute the math by rows unless skipped; swap. Nothing
 // is carried over into the new buffer: the fixed boundary cells start
 // equal in both buffers and nothing writes them, and the exchange
-// rewrites every ghost row that faces a neighbour before the next sweep
+// rewrites every ghost cell that faces a neighbour before the next sweep
 // reads it.
 func (l *slab) sweep(p *sim.Proc, team *omp.Team, skip bool) {
 	points := l.rows * (l.w - 2)
 	team.ParallelFor(p, points, nil)
 	if !skip {
-		cur := f64view(l.cur.Data)
-		next := f64view(l.next.Data)
-		team.Execute(l.rows, func(lo, hi int) {
-			jacobiRows(next, cur, l.w, lo, hi)
-		})
+		l.compute(team)
 	}
-	l.cur, l.next = l.next, l.cur
+	l.swap()
+}
+
+// compute writes next from cur on the team's threads, after bringing
+// cur's flags up to date with what the exchange wrote.
+func (l *slab) compute(team *omp.Team) {
+	refreshClear(l.curClear, f64view(l.cur.Data), l.w)
+	team.Execute(l.rows, l.body)
+	// A computed row, and only a computed row, leaves its next flag false.
+	for _, c := range l.nextClear[1 : l.rows+1] {
+		if !c {
+			l.computed++
+		}
+	}
+}
+
+// computeRows sweeps owned rows [lo, hi), numbered as jacobiRows numbers
+// them. It computes a row only when one of its three input rows in cur is
+// not clear. Otherwise every input is +0, and jacobiRows would write
+// 0.25*(+0 + +0 + +0 + +0) = +0 into each interior cell: the row's
+// interior is zeroed if its next copy is not clear, and left alone if it
+// is.
+func (l *slab) computeRows(lo, hi int) {
+	next, cur, w := f64view(l.next.Data), f64view(l.cur.Data), l.w
+	for r := lo + 1; r <= hi; r++ {
+		switch {
+		case !l.curClear[r-1] || !l.curClear[r] || !l.curClear[r+1]:
+			jacobiRows(next, cur, w, r-1, r)
+			l.nextClear[r] = false
+		case !l.nextClear[r]:
+			clear(next[r*w+1 : (r+1)*w-1])
+			l.nextClear[r] = true
+		}
+	}
+}
+
+// plusZero reports whether every bit of v is zero. −0.0 is not +0: four
+// of them sum to −0.0, so a row of them is not left unchanged by a skip.
+func plusZero(v float64) bool { return math.Float64bits(v) == 0 }
+
+// zeroRow reports whether every cell of row is +0.
+func zeroRow(row []float64) bool {
+	for _, v := range row {
+		if !plusZero(v) {
+			return false
+		}
+	}
+	return true
+}
+
+// markClear returns one flag per row of the w-wide grid g, true when
+// every cell of the row is +0.
+func markClear(g []float64, w int) []bool {
+	flags := make([]bool, len(g)/w)
+	for r := range flags {
+		flags[r] = zeroRow(g[r*w : (r+1)*w])
+	}
+	return flags
+}
+
+// refreshClear brings the flags of the w-wide grid g up to date with the
+// cells no sweep writes: both ghost rows, whole, and each owned row's
+// first and last cell.
+func refreshClear(flags []bool, g []float64, w int) {
+	last := len(flags) - 1
+	flags[0] = zeroRow(g[:w])
+	flags[last] = zeroRow(g[last*w : (last+1)*w])
+	for r := 1; r < last; r++ {
+		if flags[r] && !(plusZero(g[r*w]) && plusZero(g[r*w+w-1])) {
+			flags[r] = false
+		}
+	}
 }
 
 // partialSum sums the rank's owned interior.
@@ -330,7 +420,7 @@ func runRanks(w *core.World, body func(p *sim.Proc, r *core.Rank) (Result, error
 // the buffers so both get registered.
 func warmExchange(p *sim.Proc, r *core.Rank, l *slab, procs int) error {
 	err := exchange(p, r, l, procs)
-	l.cur, l.next = l.next, l.cur
+	l.swap()
 	return err
 }
 
@@ -363,7 +453,7 @@ func RunWorld(w *core.World, pr Params) (Result, error) {
 		return Result{}, err
 	}
 	return runRanks(w, func(p *sim.Proc, r *core.Rank) (Result, error) {
-		l := newSlab(r.Domain(), pr, r.ID())
+		l := newSlab(r.Domain(), pr.N/pr.Procs, pr.Width(), r.ID() == 0)
 		team := omp.NewTeam(w.Plat, pr.Threads, r.Loc())
 		return timedLoop{
 			iters: pr.Iters, skip: pr.SkipCompute, halo: pr.Procs > 1,
@@ -385,8 +475,12 @@ func runHostOffload(w *core.World, devs []*baseline.OffloadDevice, pr Params) (R
 		dev := devs[r.ID()]
 		dev.Init(p) // one-time, outside the timed loop, as optimized
 		micDom := dev.Node.Mic
-		l := newSlab(micDom, pr, r.ID()) // compute slab on the card
-		hostSlab := newSlab(r.Domain(), pr, r.ID())
+		rows, top := pr.N/pr.Procs, r.ID() == 0
+		l := newSlab(micDom, rows, pr.Width(), top) // compute slab on the card
+		// The host slab only stages halos for MPI. It is never swept,
+		// so its flags are never read, though unpack writes its owned
+		// rows 1 and rows.
+		hostSlab := newSlab(r.Domain(), rows, pr.Width(), top)
 		team := omp.NewTeam(w.Plat, pr.Threads, machine.MicMem)
 		hasUp := r.ID() > 0
 		hasDown := r.ID() < pr.Procs-1
@@ -457,7 +551,7 @@ func RunSerial(plat *perfmodel.Platform, pr Params) (Result, error) {
 		return Result{}, err
 	}
 	eng := sim.NewEngine()
-	l := newSlab(machine.NewNode(0).Mic, pr, 0)
+	l := newSlab(machine.NewNode(0).Mic, pr.N, pr.Width(), true)
 	team := omp.NewTeam(plat, 1, machine.MicMem)
 	var res Result
 	eng.Spawn("serial-stencil", func(p *sim.Proc) {

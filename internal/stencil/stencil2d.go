@@ -37,69 +37,15 @@ func (pr Params2D) Validate() error {
 	return nil
 }
 
-// slab2d is one rank's 2D block with a one-cell ghost ring.
-type slab2d struct {
-	rows, cols int // owned interior
-	w          int // local width = cols+2
-	cur, next  *machine.Buffer
-}
-
-// newSlab2D allocates and initializes the block at grid position
-// (py, px).
-func newSlab2D(dom *machine.Domain, pr Params2D, px, py int) *slab2d {
-	rows := pr.N / pr.Py
-	cols := pr.N / pr.Px
-	w := cols + 2
-	bytes := (rows + 2) * w * 8
-	l := &slab2d{rows: rows, cols: cols, w: w, cur: dom.Alloc(bytes), next: dom.Alloc(bytes)}
-	g := f64view(l.cur.Data)
-	for i := range g {
-		g[i] = 0
-	}
-	if py == 0 {
-		// Global top boundary row = 1 lands in this block's top ghost.
-		for c := 0; c < w; c++ {
-			g[c] = 1
-		}
-	}
-	copy(f64view(l.next.Data), g)
-	return l
-}
-
-// sweep is slab.sweep on the block: the same kernel (w = cols+2) and,
-// for the same reasons, no carry-over of the ghost ring.
-func (l *slab2d) sweep(p *sim.Proc, team *omp.Team, skip bool) {
-	points := l.rows * l.cols
-	team.ParallelFor(p, points, nil)
-	if !skip {
-		cur := f64view(l.cur.Data)
-		next := f64view(l.next.Data)
-		team.Execute(l.rows, func(lo, hi int) {
-			jacobiRows(next, cur, l.w, lo, hi)
-		})
-	}
-	l.cur, l.next = l.next, l.cur
-}
-
-func (l *slab2d) partialSum() float64 {
-	g := f64view(l.cur.Data)
-	s := 0.0
-	for r := 1; r <= l.rows; r++ {
-		for c := 1; c <= l.cols; c++ {
-			s += g[r*l.w+c]
-		}
-	}
-	return s
-}
-
 // exchange2d swaps the four halos. Rows are contiguous slices; columns
 // are packed/unpacked through the vector datatype with its charged
 // gather cost, like a real MPI application would.
-func exchange2d(p *sim.Proc, r *core.Rank, l *slab2d, pr Params2D,
+func exchange2d(p *sim.Proc, r *core.Rank, l *slab, pr Params2D,
 	colStage [4]*machine.Buffer) error {
 	px := r.ID() % pr.Px
 	py := r.ID() / pr.Px
-	rowB := l.cols * 8
+	cols := l.w - 2
+	rowB := cols * 8
 	rowSlice := func(row int) core.Slice {
 		return core.Slice{Buf: l.cur, Off: (row*l.w + 1) * 8, N: rowB}
 	}
@@ -146,7 +92,7 @@ func exchange2d(p *sim.Proc, r *core.Rank, l *slab2d, pr Params2D,
 	}
 	if px < pr.Px-1 {
 		east := r.ID() + 1
-		r.Pack(p, colStage[2].Data[:colBytes], l.cur.Data[colOff(l.cols):], colDT)
+		r.Pack(p, colStage[2].Data[:colBytes], l.cur.Data[colOff(cols):], colDT)
 		if err := add(r.Isend(p, east, tagEast, core.Slice{Buf: colStage[2], N: colBytes})); err != nil {
 			return err
 		}
@@ -162,7 +108,7 @@ func exchange2d(p *sim.Proc, r *core.Rank, l *slab2d, pr Params2D,
 		r.Unpack(p, l.cur.Data[colOff(0):], colStage[1].Data[:colBytes], colDT)
 	}
 	if px < pr.Px-1 {
-		r.Unpack(p, l.cur.Data[colOff(l.cols+1):], colStage[3].Data[:colBytes], colDT)
+		r.Unpack(p, l.cur.Data[colOff(cols+1):], colStage[3].Data[:colBytes], colDT)
 	}
 	return nil
 }
@@ -200,7 +146,9 @@ func Run2D(w *core.World, pr Params2D) (Result, error) {
 		return Result{}, err
 	}
 	return runRanks(w, func(p *sim.Proc, r *core.Rank) (Result, error) {
-		l := newSlab2D(r.Domain(), pr, r.ID()%pr.Px, r.ID()/pr.Px)
+		// The block at grid row py = 0 holds the global top boundary in
+		// its top ghost row.
+		l := newSlab(r.Domain(), pr.N/pr.Py, pr.N/pr.Px+2, r.ID() < pr.Px)
 		team := omp.NewTeam(w.Plat, pr.Threads, r.Loc())
 		var colStage [4]*machine.Buffer
 		for i := range colStage {
@@ -211,7 +159,7 @@ func Run2D(w *core.World, pr Params2D) (Result, error) {
 			iters: pr.Iters, skip: pr.SkipCompute, halo: pr.Procs() > 1,
 			warm: func() error {
 				err := exchange()
-				l.cur, l.next = l.next, l.cur
+				l.swap()
 				return err
 			},
 			exchange: exchange,
