@@ -1,6 +1,5 @@
-// Command simlint runs the determinism, simulation-safety and
-// resource-lifecycle static analyzers over the repository and exits
-// nonzero on findings.
+// Command simlint runs the determinism and simulation-safety static
+// analyzers over the repository and exits nonzero on findings.
 //
 // Usage:
 //
@@ -27,19 +26,6 @@
 //
 //	//simlint:ignore rule reason the construct is safe here
 //
-// The lifecycle rules read declared contracts, and nothing else
-// crosses a function boundary. The recognized API surface lives in one
-// checked-in table (internal/analysis builtinContracts), and source can
-// extend it on any function or interface method — a directive on an
-// interface method covers every call dispatched through that interface:
-//
-//	//simlint:contract <rule> acquire|release|advance|test|borrow|pass [reason]
-//
-// A call to a function with no contract takes its tracked arguments
-// with it (they escape), so a helper needs a directive when it is where
-// a resource is acquired or released, or when the caller still owns the
-// resource after the call (borrow, pass).
-//
 // The fsmcheck rule reads protocol state machines declared next to a
 // typed-constant enum:
 //
@@ -59,22 +45,19 @@
 //	maporder  order-sensitive work inside range-over-map
 //	rawgo     goroutines, sync, and channels outside internal/sim
 //	errcheck  dropped error returns from MPI operations
-//	mrleak    RegMR/RegMRBuffer results must reach DeregMR on all paths
-//	mrpin     MRCache.Get must be matched by Release on all paths
-//	offload   RegOffloadMR → SyncOffloadMR → post → DeregOffloadMR order
-//	reqwait   Isend/Irecv requests must reach Wait/Test/WaitAll on all paths
 //	fsmcheck  exhaustive switches over protocol enums, declared transition tables, unreachable states
 //
 // Every rule carries a scope, printed by -list: intraprocedural rules
-// judge one function body at a time (the lifecycle rules among them:
-// what a callee does reaches them only through its contract), and the
-// whole-package rule (fsmcheck) reads an enum's declarations and every
-// switch over it.
+// judge one function body at a time, and the whole-package rule
+// (fsmcheck) reads an enum's declarations and every switch over it.
 //
-// Buffer reuse under an in-flight request, mismatched blocking or
-// collective order, host/mic memory-domain mixes and package-level
-// state shared between engine instances are not linted: they fail at
-// run time as payload mismatches, *sim.DeadlockError, protection-fault
+// Resource lifecycles are not linted. A rank that exits holding an
+// un-waited request, an MR-cache pin or an offload staging range, or a
+// world that ends with registrations nobody owns, fails World.Run with
+// a *core.LeakError. Buffer reuse under an in-flight request,
+// mismatched blocking or collective order, host/mic memory-domain mixes
+// and package-level state shared between engine instances fail at run
+// time too, as payload mismatches, *sim.DeadlockError, protection-fault
 // completions and a -race report. AUDIT.md lists the test that catches
 // each.
 package main

@@ -29,7 +29,7 @@ func TestRunListExitsClean(t *testing.T) {
 		}
 	}
 	// Exactly the registered rules, in report order.
-	want := "nondet maporder rawgo errcheck mrleak mrpin offload reqwait fsmcheck"
+	want := "nondet maporder rawgo errcheck fsmcheck"
 	if got := strings.Join(names, " "); got != want {
 		t.Errorf("-list rules:\n got %s\nwant %s", got, want)
 	}
@@ -59,15 +59,15 @@ func TestRunBadFlagIsUsageError(t *testing.T) {
 // -list: a leading exclusion starts from the full set.
 func TestRunExclusionRules(t *testing.T) {
 	var out, errb bytes.Buffer
-	if code := run([]string{"-rules", "-rawgo,-mrpin", "-list"}, &out, &errb); code != exitClean {
-		t.Fatalf("run(-rules -rawgo,-mrpin -list) = %d, want %d (stderr: %s)", code, exitClean, errb.String())
+	if code := run([]string{"-rules", "-rawgo,-maporder", "-list"}, &out, &errb); code != exitClean {
+		t.Fatalf("run(-rules -rawgo,-maporder -list) = %d, want %d (stderr: %s)", code, exitClean, errb.String())
 	}
-	for _, kept := range []string{"nondet", "reqwait", "fsmcheck"} {
+	for _, kept := range []string{"nondet", "errcheck", "fsmcheck"} {
 		if !strings.Contains(out.String(), kept) {
 			t.Errorf("excluding rawgo dropped unrelated rule %q:\n%s", kept, out.String())
 		}
 	}
-	for _, dropped := range []string{"rawgo", "mrpin"} {
+	for _, dropped := range []string{"rawgo", "maporder"} {
 		if strings.Contains(out.String(), dropped) {
 			t.Errorf("excluded rule %q still listed:\n%s", dropped, out.String())
 		}

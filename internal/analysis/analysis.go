@@ -44,8 +44,7 @@ func (f Finding) String() string {
 // about at a time. Reported by `simlint -list` so users know whether a
 // finding can depend on code far from its position.
 const (
-	// ScopeIntra: the rule looks at one function body at a time; what
-	// a callee does reaches it only through a declared contract.
+	// ScopeIntra: the rule looks at one function body at a time.
 	ScopeIntra = "intraprocedural"
 	// ScopeWholePackage: the rule reasons about package-level
 	// declarations (an enum, its transition table) and every function
@@ -72,7 +71,7 @@ type Analyzer struct {
 
 // All returns every analyzer in the suite, in report order.
 func All() []*Analyzer {
-	return []*Analyzer{Nondet, MapOrder, RawGo, ErrCheck, MRLeak, MRPin, Offload, ReqWait, FSMCheck}
+	return []*Analyzer{Nondet, MapOrder, RawGo, ErrCheck, FSMCheck}
 }
 
 // ByName selects analyzers from a comma-separated list, or All() when
@@ -134,9 +133,6 @@ type Pass struct {
 	findings []Finding
 	// suppress maps filename -> line -> rules ignored on that line.
 	suppress map[string]map[int][]string
-	// contracts caches the //simlint:contract directive index
-	// (contracts.go).
-	contracts *contractIndex
 }
 
 // NewPass assembles a pass and indexes its suppression comments.
@@ -294,6 +290,17 @@ func (p *Pass) pkgCallee(call *ast.CallExpr) (pkgPath, name string, ok bool) {
 		return "", "", false
 	}
 	return pn.Imported().Path(), sel.Sel.Name, true
+}
+
+// unparen strips any parentheses around e.
+func unparen(e ast.Expr) ast.Expr {
+	for {
+		pe, ok := e.(*ast.ParenExpr)
+		if !ok {
+			return e
+		}
+		e = pe.X
+	}
 }
 
 // objOf returns the object an identifier resolves to, or nil.

@@ -13,13 +13,25 @@ import (
 
 func plat() *perfmodel.Platform { return perfmodel.Default() }
 
+// TestRawOneWayDirections also holds the bare-verbs measurement to the
+// registration ledger: both adapters start with no region registered
+// and must end with none.
 func TestRawOneWayDirections(t *testing.T) {
 	const n = 1 << 20
 	env := NewEnv()
-	hh := env.RawOneWay(plat(), machine.HostMem, machine.HostMem, n, 3)
-	hp := env.RawOneWay(plat(), machine.HostMem, machine.MicMem, n, 3)
-	ph := env.RawOneWay(plat(), machine.MicMem, machine.HostMem, n, 3)
-	pp := env.RawOneWay(plat(), machine.MicMem, machine.MicMem, n, 3)
+	oneWay := func(src, dst machine.DomainKind) sim.Duration {
+		d, hcas := env.rawOneWay(plat(), src, dst, n, 3)
+		for i, h := range hcas {
+			if live := h.LiveMRs(); live != 0 {
+				t.Errorf("%v->%v: adapter %d ends holding %d registrations, started with 0", src, dst, i, live)
+			}
+		}
+		return d
+	}
+	hh := oneWay(machine.HostMem, machine.HostMem)
+	hp := oneWay(machine.HostMem, machine.MicMem)
+	ph := oneWay(machine.MicMem, machine.HostMem)
+	pp := oneWay(machine.MicMem, machine.MicMem)
 	if r := float64(hp) / float64(hh); r > 1.05 {
 		t.Fatalf("host->phi %.2f× host->host, want ≈1", r)
 	}

@@ -17,6 +17,12 @@ import (
 // a buffer in srcKind memory on node 0 to dstKind memory on node 1
 // (Figure 5's primitive), averaged over iters ping-pong rounds.
 func (e *Env) RawOneWay(plat *perfmodel.Platform, srcKind, dstKind machine.DomainKind, n, iters int) sim.Duration {
+	t, _ := e.rawOneWay(plat, srcKind, dstKind, n, iters)
+	return t
+}
+
+// rawOneWay is RawOneWay, also returning the two adapters it drove.
+func (e *Env) rawOneWay(plat *perfmodel.Platform, srcKind, dstKind machine.DomainKind, n, iters int) (sim.Duration, [2]*ib.HCA) {
 	eng := sim.NewEngine()
 	fab := ib.NewFabric(eng, plat)
 	fab.Metrics = e.Metrics
@@ -72,7 +78,7 @@ func (e *Env) RawOneWay(plat *perfmodel.Platform, srcKind, dstKind machine.Domai
 	if err := eng.Run(); err != nil {
 		panic(err)
 	}
-	return total / sim.Duration(iters)
+	return total / sim.Duration(iters), [2]*ib.HCA{h0, h1}
 }
 
 // modeLabels are the series names the paper's figures give the modes

@@ -101,7 +101,7 @@ func (e *Env) TortureFlood(plat *perfmodel.Platform, seed uint64, rounds, msgs i
 		for _, ro := range sched {
 			// Post everything, then complete what was posted even when a
 			// later post fails: abandoning an issued Irecv would leak its
-			// pinned buffer (and trips the reqwait rule).
+			// pinned buffer, which World.Run reports as a *core.LeakError.
 			var reqs []*core.Request
 			var postErr error
 			for mi := range ro {

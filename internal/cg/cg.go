@@ -12,6 +12,7 @@
 package cg
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"unsafe"
@@ -134,7 +135,8 @@ func exchangeGhosts(pp *sim.Proc, r *core.Rank, f *field, procs int) error {
 	var reqs []*core.Request
 	add := func(q *core.Request, err error) error {
 		if err != nil {
-			return err
+			// Drain what was already posted before bailing out.
+			return errors.Join(err, r.WaitAll(pp, reqs...))
 		}
 		reqs = append(reqs, q)
 		return nil

@@ -318,10 +318,17 @@ func (g *group) barrierTree(p *sim.Proc) error {
 // ---- Alltoall algorithms ----
 
 // alltoallLinear posts every receive, then every send, and waits — the
-// oracle the pairwise exchange is tested against.
+// oracle the pairwise exchange is tested against. Its own block is a
+// local copy, as in the pairwise exchange: a posted receive from itself
+// would wait for ever on the send a failed post never makes.
 func (g *group) alltoallLinear(p *sim.Proc, src, dst Slice, blockN int) error {
+	me := g.myRank
+	copy(dst.Sub(me*blockN, blockN).Bytes(), src.Sub(me*blockN, blockN).Bytes())
 	reqs := make([]*Request, 0, 2*g.n)
 	for i := 0; i < g.n; i++ {
+		if i == me {
+			continue
+		}
 		q, err := g.irecv(p, i, tagAlltoall, dst.Sub(i*blockN, blockN))
 		if err != nil {
 			return errors.Join(err, g.waitAll(p, reqs))
@@ -329,6 +336,9 @@ func (g *group) alltoallLinear(p *sim.Proc, src, dst Slice, blockN int) error {
 		reqs = append(reqs, q)
 	}
 	for i := 0; i < g.n; i++ {
+		if i == me {
+			continue
+		}
 		q, err := g.isend(p, i, tagAlltoall, src.Sub(i*blockN, blockN))
 		if err != nil {
 			return errors.Join(err, g.waitAll(p, reqs))

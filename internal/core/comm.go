@@ -203,20 +203,16 @@ func (c *Comm) localStatus(st Status) Status {
 
 func (g *group) collTag(t int) int { return t - collTagStride*g.id }
 
-//simlint:contract reqwait acquire the caller owes the waitAll
 func (g *group) isend(p *sim.Proc, dst, tag int, s Slice) (*Request, error) {
 	return g.r.Isend(p, g.world(dst), g.collTag(tag), s)
 }
 
-//simlint:contract reqwait acquire the caller owes the waitAll
 func (g *group) irecv(p *sim.Proc, src, tag int, s Slice) (*Request, error) {
 	return g.r.Irecv(p, g.world(src), g.collTag(tag), s)
 }
 
 // waitAll waits for requests isend and irecv started and hands them back
 // to the rank: a collective's requests never leave it.
-//
-//simlint:contract reqwait release waits for every request, as Rank.WaitAll
 func (g *group) waitAll(p *sim.Proc, reqs []*Request) error {
 	err := g.r.WaitAll(p, reqs...)
 	g.r.retire(reqs...)

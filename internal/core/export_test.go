@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/causal"
+	"repro/internal/ib"
 )
 
 // StepRow is one row of the reporting table (report.go), as the tests
@@ -44,4 +45,16 @@ func (r *Rank) DirtyRing() string {
 // many pairs r has connected.
 func (r *Rank) ProgressCounts() (passes, marks, visits int64, degree int) {
 	return r.passes, r.marks, r.visits, len(r.active)
+}
+
+// UnwiredPeers lists the peers r lists as active whose QP is not
+// connected: a failed first contact must publish no half.
+func (r *Rank) UnwiredPeers() []int {
+	var out []int
+	for _, j := range r.active {
+		if r.peers[j].qp.State != ib.QPConnected {
+			out = append(out, j)
+		}
+	}
+	return out
 }

@@ -63,6 +63,7 @@ func (r *Rank) Waitany(p *sim.Proc, reqs ...*Request) (int, Status, error) {
 	for {
 		for i, q := range reqs {
 			if q.completed {
+				q.seen()
 				return i, q.status, q.err
 			}
 		}

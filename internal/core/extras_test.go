@@ -138,7 +138,10 @@ func TestWaitany(t *testing.T) {
 		if r.ID() == 0 {
 			p.Sleep(200 * sim.Microsecond)
 			buf := r.Mem(8)
-			return r.Send(p, 1, 2, core.Whole(buf)) // only tag 2 will arrive first
+			if err := r.Send(p, 1, 2, core.Whole(buf)); err != nil { // only tag 2 will arrive first
+				return err
+			}
+			return r.Send(p, 1, 2, core.Whole(buf)) // q2's match
 		}
 		b1 := r.Mem(8)
 		b2 := r.Mem(8)
@@ -147,7 +150,6 @@ func TestWaitany(t *testing.T) {
 			return err
 		}
 		q2, err := r.Irecv(p, 0, 2, core.Whole(b2))
-		_ = q2
 		if err == nil {
 			// Posting tag 1 first consumed seq 0, so the tag-2 message
 			// mismatches: expect the first request to error.
@@ -155,7 +157,7 @@ func TestWaitany(t *testing.T) {
 			if i != 0 || !errors.Is(werr, core.ErrTagMismatch) {
 				return fmt.Errorf("waitany idx=%d err=%v", i, werr)
 			}
-			return nil
+			_, err = r.Wait(p, q2)
 		}
 		return err
 	})

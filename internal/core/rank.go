@@ -129,6 +129,10 @@ type Rank struct {
 	anyActive *Request
 	deferred  sim.FIFO[*Request]
 
+	// unwaited counts the requests Isend and Irecv returned that no
+	// caller has seen complete; a rank must exit with none (leak.go).
+	unwaited int
+
 	// reqFree recycles the requests of blocking operations — Send, Recv,
 	// Sendrecv and the collectives' internal exchanges — whose handle no
 	// caller ever saw; see retire.
@@ -631,6 +635,7 @@ func (r *Rank) Isend(p *sim.Proc, dst, tag int, s Slice) (*Request, error) {
 	req.seq = ps.sendSeq
 	ps.sendSeq++
 	r.posted(p, req)
+	req.owe()
 	if dst == r.id {
 		r.resolved(req, protoSelf)
 		r.sendSelf(p, ps, req)
@@ -644,7 +649,14 @@ func (r *Rank) Isend(p *sim.Proc, dst, tag int, s Slice) (*Request, error) {
 		r.trySendEager(p, req)
 		return req, nil
 	}
-	return req, r.startRendezvousSend(p, req)
+	if err := r.startRendezvousSend(p, req); err != nil {
+		// A post that failed is owed no wait: complete it here, which
+		// releases whatever it pinned or staged.
+		req.complete(p, err)
+		req.seen()
+		return req, err
+	}
+	return req, nil
 }
 
 // trySendEager posts the eager packet now or queues it for credit.
@@ -706,6 +718,7 @@ func (r *Rank) startRendezvousSend(p *sim.Proc, req *Request) error {
 				useOffload = false
 				r.step(p, stepOffloadAbort, req.peer, req.seq, s.N)
 			default:
+				r.arena.release(reg)
 				return err
 			}
 		} else {
@@ -806,6 +819,7 @@ func (r *Rank) Irecv(p *sim.Proc, src, tag int, s Slice) (*Request, error) {
 			return nil, r.abandon(p, req, err)
 		}
 	}
+	req.owe()
 	if src == r.id {
 		// Nothing on the wire and no ANY_SOURCE receive can take a
 		// loopback message, so neither progress nor the lock is in
@@ -1306,6 +1320,7 @@ func (r *Rank) handleCQE(p *sim.Proc, e ib.CQE) {
 // Wait blocks until the request completes, driving progress.
 func (r *Rank) Wait(p *sim.Proc, req *Request) (Status, error) {
 	if req.completed {
+		req.seen()
 		return req.status, req.err
 	}
 	r.waitStart(p, req)
@@ -1318,6 +1333,7 @@ func (r *Rank) Wait(p *sim.Proc, req *Request) (Status, error) {
 		}
 	}
 	r.waitEnd(p, req)
+	req.seen()
 	return req.status, req.err
 }
 
@@ -1336,6 +1352,9 @@ func (r *Rank) WaitAll(p *sim.Proc, reqs ...*Request) error {
 func (r *Rank) Test(p *sim.Proc, req *Request) bool {
 	if !req.completed {
 		r.progress(p)
+	}
+	if req.completed {
+		req.seen()
 	}
 	return req.completed
 }

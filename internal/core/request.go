@@ -78,6 +78,9 @@ const (
 	stDone
 )
 
+// stateNames is how a LeakError spells a request's state.
+var stateNames = [...]string{"new", "eager-queued", "eager-sent", "rts-sent", "writing", "posted", "reading", "rtr-wait", "done"}
+
 // Request is a nonblocking operation handle.
 type Request struct {
 	r      *Rank
@@ -89,8 +92,11 @@ type Request struct {
 
 	state     reqState
 	completed bool
-	err       error
-	status    Status
+	// open says the caller holds q from Isend or Irecv and has not yet
+	// seen it complete: it counts against the rank's exit check.
+	open   bool
+	err    error
+	status Status
 
 	// Send-side rendezvous resources.
 	offReg  *offRegion
@@ -125,6 +131,22 @@ func (q *Request) Err() error { return q.err }
 
 // Status returns receive metadata after completion.
 func (q *Request) Status() Status { return q.status }
+
+// owe hands q to the caller, who owes it a wait.
+func (q *Request) owe() {
+	q.open = true
+	q.r.unwaited++
+}
+
+// seen records that the caller saw q complete — Wait, WaitAll, the index
+// Waitany returns, a Test that reports true — so its rank owes nothing
+// for it.
+func (q *Request) seen() {
+	if q.open {
+		q.open = false
+		q.r.unwaited--
+	}
+}
 
 // pin records a cache pin for complete to release.
 func (q *Request) pin(mr *ib.MR) {

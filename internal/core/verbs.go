@@ -37,9 +37,7 @@ type Verbs interface {
 	AllocPD(p *sim.Proc) (*ib.PD, error)
 	CreateCQ(p *sim.Proc, depth int) (*ib.CQ, error)
 	CreateQP(p *sim.Proc, pd *ib.PD, sendCQ, recvCQ *ib.CQ) (*ib.QP, error)
-	//simlint:contract mrleak acquire fresh registration the caller must deregister
 	RegMR(p *sim.Proc, pd *ib.PD, dom *machine.Domain, addr uint64, n int) (*ib.MR, error)
-	//simlint:contract mrleak release discharges the registration on every path
 	DeregMR(p *sim.Proc, mr *ib.MR) error
 
 	PostSend(p *sim.Proc, qp *ib.QP, wr *ib.SendWR) error
@@ -53,11 +51,8 @@ type Verbs interface {
 	// Offload send-buffer extension; SupportsOffload reports whether
 	// the three reg/sync/dereg verbs are available.
 	SupportsOffload() bool
-	//simlint:contract offload acquire offload region the caller must deregister
 	RegOffloadMR(p *sim.Proc, size int) (*dcfa.OffloadMR, error)
-	//simlint:contract offload advance pushes dirty bytes before the next send
 	SyncOffloadMR(p *sim.Proc, omr *dcfa.OffloadMR, off int, src []byte) error
-	//simlint:contract offload release discharges the offload region
 	DeregOffloadMR(p *sim.Proc, omr *dcfa.OffloadMR) error
 }
 

@@ -212,11 +212,16 @@ func (w *World) Launch(body func(r *Rank) error) {
 				return
 			}
 			w.hostSync(p)
-			if err := body(rank); err != nil {
-				w.errs[rank.id] = fmt.Errorf("rank %d: %w", rank.id, err)
-				return
+			err := body(rank)
+			if err == nil {
+				rank.finalize(p)
 			}
-			rank.finalize(p)
+			if leak := rank.leaked(); leak != nil {
+				err = errors.Join(err, leak)
+			}
+			if err != nil {
+				w.errs[rank.id] = fmt.Errorf("rank %d: %w", rank.id, err)
+			}
 		})
 	}
 }
@@ -224,8 +229,11 @@ func (w *World) Launch(body func(r *Rank) error) {
 // Run launches the ranks, runs the engine to completion and returns the
 // first error. A rank error and an engine error (e.g. the deadlock a
 // failed rank leaves behind) are joined so callers can match either
-// with errors.As.
+// with errors.As. Each rank's exit check is in its error; when the
+// engine drains cleanly, so is each adapter's registration ledger
+// (leak.go).
 func (w *World) Run(body func(r *Rank) error) error {
+	hcas, base := w.adapters()
 	w.Launch(body)
 	engErr := w.Eng.Run()
 	var rankErr error
@@ -233,6 +241,11 @@ func (w *World) Run(body func(r *Rank) error) error {
 		if err != nil {
 			rankErr = err
 			break
+		}
+	}
+	if engErr == nil {
+		if leak := w.unowned(hcas, base); leak != nil {
+			rankErr = errors.Join(rankErr, leak)
 		}
 	}
 	if engErr != nil && rankErr != nil {

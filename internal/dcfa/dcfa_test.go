@@ -145,18 +145,35 @@ func TestMicToMicRDMAWriteViaDCFA(t *testing.T) {
 	}
 }
 
+// TestOffloadMRSyncStagesBytes also holds delegated registration to the
+// adapter's ledger: a plain MR and an offload region, both registered
+// through the daemon, count on the HCA until deregistered, and then the
+// HCA is back at its starting count.
 func TestOffloadMRSyncStagesBytes(t *testing.T) {
 	r := newRig()
 	src := r.node[0].Mic.Alloc(8192)
 	for i := range src.Data {
 		src.Data[i] = byte(255 - i%251)
 	}
+	start := r.hca[0].LiveMRs()
 	r.eng.Spawn("rank", func(p *sim.Proc) {
 		v := r.mic[0]
+		pd, _ := v.AllocPD(p)
+		mr, err := v.RegMRBuffer(p, pd, src)
+		if err != nil {
+			t.Error(err)
+			return
+		}
 		omr, err := v.RegOffloadMR(p, 8192)
 		if err != nil {
 			t.Error(err)
 			return
+		}
+		if live := r.hca[0].LiveMRs(); live != start+2 {
+			t.Errorf("HCA holds %d registrations with an MR and an offload region live, want %d", live, start+2)
+		}
+		if err := v.DeregMR(p, mr); err != nil {
+			t.Error(err)
 		}
 		if omr.HostBuf.Dom != r.node[0].Host {
 			t.Error("bounce buffer not in host memory")
@@ -183,6 +200,9 @@ func TestOffloadMRSyncStagesBytes(t *testing.T) {
 	}
 	if r.dm[0].LiveObjects() != 0 {
 		t.Fatalf("hash table holds %d objects after dereg, want 0", r.dm[0].LiveObjects())
+	}
+	if live := r.hca[0].LiveMRs(); live != start {
+		t.Fatalf("HCA holds %d registrations after dereg, started with %d", live, start)
 	}
 	if r.node[0].Host.BytesLive != 0 {
 		t.Fatalf("host bounce memory leaked: %d bytes", r.node[0].Host.BytesLive)

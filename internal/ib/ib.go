@@ -246,6 +246,10 @@ func (h *HCA) deregMR(mr *MR) error {
 	return nil
 }
 
+// LiveMRs reports how many memory regions are registered on the
+// adapter: every RegMR not yet matched by its DeregMR.
+func (h *HCA) LiveMRs() int { return len(h.mrs) }
+
 // lookupMR validates that [addr, addr+n) is covered by the MR with the
 // given key and returns the backing bytes.
 func (h *HCA) lookupMR(key uint32, addr uint64, n int) ([]byte, *MR, error) {

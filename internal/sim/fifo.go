@@ -60,6 +60,10 @@ func (q *FIFO[T]) Pop() T {
 	return v
 }
 
+// At returns the i-th oldest item, 0 being the head, without removing
+// it.
+func (q *FIFO[T]) At(i int) T { return q.buf[(q.head+i)&(len(q.buf)-1)] }
+
 // Peek returns the oldest item without removing it. It panics on an
 // empty queue.
 func (q *FIFO[T]) Peek() T {

@@ -11,6 +11,7 @@
 package stencil
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"unsafe"
@@ -310,7 +311,8 @@ func exchange(p *sim.Proc, r *core.Rank, l *slab, procs int) error {
 	var reqs []*core.Request
 	add := func(q *core.Request, err error) error {
 		if err != nil {
-			return err
+			// Drain what was already posted before bailing out.
+			return errors.Join(err, r.WaitAll(p, reqs...))
 		}
 		reqs = append(reqs, q)
 		return nil

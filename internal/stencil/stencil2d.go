@@ -1,6 +1,7 @@
 package stencil
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/core"
@@ -52,7 +53,8 @@ func exchange2d(p *sim.Proc, r *core.Rank, l *slab, pr Params2D,
 	var reqs []*core.Request
 	add := func(q *core.Request, err error) error {
 		if err != nil {
-			return err
+			// Drain what was already posted before bailing out.
+			return errors.Join(err, r.WaitAll(p, reqs...))
 		}
 		reqs = append(reqs, q)
 		return nil
