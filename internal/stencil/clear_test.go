@@ -254,9 +254,12 @@ func TestWarmExchangeSwapsFlags(t *testing.T) {
 }
 
 // BenchmarkSlabSweep runs the sweep every mode runs, flags included, on
-// one thread. dense is BenchmarkJacobiSweep's slab (one stencil_8x56
-// rank's 160 rows) with no row clear, so its ns/point against that
-// benchmark's is what the flag tests cost when they skip nothing.
+// one thread. dense and band are BenchmarkJacobiSweep's two slabs (one
+// stencil_8x56 rank's 160 rows), with no row clear. dense's ns/point
+// against JacobiSweep/normal's is what the flags cost when they skip
+// nothing: every row leaves the careful loop after the first sweep.
+// band's against JacobiSweep/band's is what the careful loop saves: every
+// sum is tiny, so every row stays careful.
 // paper-720 is the serial 1282² grid from the paper's initial condition:
 // op i is sweep i mod 720, restarting from the initial condition untimed,
 // so at -benchtime 720x ns/op is the mean sweep of stencil_8x56's timed
@@ -264,22 +267,31 @@ func TestWarmExchangeSwapsFlags(t *testing.T) {
 func BenchmarkSlabSweep(b *testing.B) {
 	team := omp.NewTeam(perfmodel.Default(), 1, machine.MicMem)
 	pr := PaperParams(8, 56)
-	b.Run("dense", func(b *testing.B) {
-		rows := pr.N / pr.Procs
-		l := newSlab(machine.NewNode(0).Mic, rows, pr.Width(), true)
-		for _, g := range [][]float64{f64view(l.cur.Data), f64view(l.next.Data)} {
+	for _, bc := range []struct {
+		name string
+		seed func(g []float64)
+	}{
+		{"dense", func(g []float64) {
 			for i := range g {
 				g[i] = 1
 			}
-		}
-		l.curClear, l.nextClear = markClear(f64view(l.cur.Data), l.w), markClear(f64view(l.next.Data), l.w)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			l.compute(team)
-			l.swap()
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows*pr.N), "ns/point")
-	})
+		}},
+		{"band", seedBand},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			rows := pr.N / pr.Procs
+			l := newSlab(machine.NewNode(0).Mic, rows, pr.Width(), true)
+			bc.seed(f64view(l.cur.Data))
+			copy(f64view(l.next.Data), f64view(l.cur.Data))
+			l.curClear, l.nextClear = markClear(f64view(l.cur.Data), l.w), markClear(f64view(l.next.Data), l.w)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				l.compute(team)
+				l.swap()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows*pr.N), "ns/point")
+		})
+	}
 	b.Run("paper-720", func(b *testing.B) {
 		const trajectory = 720
 		l := newSlab(machine.NewNode(0).Mic, pr.N, pr.Width(), true)

@@ -105,21 +105,77 @@ func initSlab(g []float64, isTop bool, w int) {
 // jacobiRows computes one sweep over owned rows [lo, hi) (0-based owned
 // index; slab row = owned index + 1) of a slab w cells wide. It writes
 // columns 1..w-2 of those rows and nothing else: ghost rows and boundary
-// columns are only read. Each neighbour is a view of its row resliced to
-// the output's length, so the inner loop has no bounds check. The four
-// are summed up, down, left, right; TestJacobiRowsMatchesIndexForm pins
-// that order.
+// columns are only read. The four neighbours are summed up, down, left,
+// right; TestJacobiRowsMatchesIndexForm pins that order.
 func jacobiRows(next, cur []float64, w, lo, hi int) {
 	for r := lo + 1; r <= hi; r++ {
-		out := next[r*w+1 : (r+1)*w-1]
-		up := cur[(r-1)*w+1:][:len(out)]
-		dn := cur[(r+1)*w+1:][:len(out)]
-		left := cur[r*w:][:len(out)]
-		right := cur[r*w+2:][:len(out)]
+		out, up, dn, left, right := rowViews(next, cur, w, r)
 		for c := range out {
 			out[c] = 0.25 * (up[c] + dn[c] + left[c] + right[c])
 		}
 	}
+}
+
+// jacobiRowsCareful is jacobiRows, bit for bit, for rows where the sums
+// may be tiny. The multiply is slow when its input or result is
+// subnormal, so a tiny sum is quartered in integer arithmetic instead;
+// every other sum, Inf and NaN included, keeps 0.25*v. Testing each
+// sum costs more than the multiply saves on rows without tiny sums, which
+// is why there are two loops. It reports whether any sum was tiny.
+func jacobiRowsCareful(next, cur []float64, w, lo, hi int) (tiny bool) {
+	for r := lo + 1; r <= hi; r++ {
+		out, up, dn, left, right := rowViews(next, cur, w, r)
+		for c := range out {
+			v := up[c] + dn[c] + left[c] + right[c]
+			if b := math.Float64bits(v); isTiny(b) {
+				out[c] = math.Float64frombits(quarterTiny(b))
+				tiny = true
+			} else {
+				out[c] = 0.25 * v
+			}
+		}
+	}
+	return tiny
+}
+
+// rowViews returns the interior of slab row r of next and its four
+// neighbours in cur, each resliced to the interior's length, so the
+// loops over them have no bounds check.
+func rowViews(next, cur []float64, w, r int) (out, up, dn, left, right []float64) {
+	out = next[r*w+1 : (r+1)*w-1]
+	return out, cur[(r-1)*w+1:][:len(out)], cur[(r+1)*w+1:][:len(out)],
+		cur[r*w:][:len(out)], cur[r*w+2:][:len(out)]
+}
+
+const (
+	signBit = 1 << 63
+	// tinyEnd is the bit pattern of 2^-1020, the least magnitude with
+	// biased exponent 3: the exact quarter of anything below it is below
+	// 2^-1022, the least normal.
+	tinyEnd = 3 << 52
+)
+
+// isTiny reports whether the float64 with bits b has a biased exponent of
+// at most 2. ±0 is tiny too, though its multiply is fast: a row whose
+// sums are all zero is computed ahead of the nonzero heat, and must stay
+// careful until the heat brings its subnormals.
+func isTiny(b uint64) bool { return b&^signBit < tinyEnd }
+
+// quarterTiny returns the bits of 0.25*x, rounded to nearest even, for
+// the float64 x with bits b and biased exponent at most 2 (±0 included).
+// Up to 2^-1022 a float64 is an integer count of units of 2^-1074, and
+// the exact quarter of x is below 2^-1022, so 0.25*x is the count of x's
+// units divided by 4 and rounded. That count is x's magnitude bits at
+// exponents 0 and 1, and twice them less 2^53 at exponent 2, where the
+// implicit bit is worth 2^53 units.
+func quarterTiny(b uint64) uint64 {
+	a := b &^ signBit
+	e := a >> 53 // 1 at biased exponent 2, else 0
+	units := a<<e - e<<53
+	q := units >> 2
+	// Round up when the remainder is 3, or 2 with q odd.
+	q += units >> 1 & (units | q) & 1
+	return q | b&signBit
 }
 
 // Reference runs the serial stencil in plain Go and returns the full
@@ -172,8 +228,14 @@ type slab struct {
 	// row's first and last cell) are written between sweeps, by the
 	// exchange, so each sweep first refreshes the flags for them.
 	curClear, nextClear []bool
-	body                func(lo, hi int) // computeRows, bound once for team.Execute
-	computed            int64            // rows the kernel computed, over all sweeps
+	// careful[r] sends slab row r through jacobiRowsCareful. It starts
+	// true, turns false after a careful pass with no tiny sum, and turns
+	// true again when the row is cleared. Both loops are exact, so it
+	// decides only speed: a row entering the light cone late carries the
+	// subnormal band at the heat front, and keeps it only for a while.
+	careful  []bool
+	body     func(lo, hi int) // computeRows, bound once for team.Execute
+	computed int64            // rows the kernel computed, over all sweeps
 }
 
 // newSlab allocates a slab of rows owned rows, w cells wide, in dom,
@@ -186,6 +248,10 @@ func newSlab(dom *machine.Domain, rows, w int, top bool) *slab {
 	copy(f64view(l.next.Data), f64view(l.cur.Data))
 	l.curClear = markClear(f64view(l.cur.Data), w)
 	l.nextClear = markClear(f64view(l.next.Data), w)
+	l.careful = make([]bool, rows+2)
+	for r := range l.careful {
+		l.careful[r] = true
+	}
 	l.body = l.computeRows
 	return l
 }
@@ -234,17 +300,23 @@ func (l *slab) compute(team *omp.Team) {
 // not clear. Otherwise every input is +0, and jacobiRows would write
 // 0.25*(+0 + +0 + +0 + +0) = +0 into each interior cell: the row's
 // interior is zeroed if its next copy is not clear, and left alone if it
-// is.
+// is. A computed row goes through the careful loop while its careful
+// flag is set.
 func (l *slab) computeRows(lo, hi int) {
 	next, cur, w := f64view(l.next.Data), f64view(l.cur.Data), l.w
 	for r := lo + 1; r <= hi; r++ {
 		switch {
 		case !l.curClear[r-1] || !l.curClear[r] || !l.curClear[r+1]:
-			jacobiRows(next, cur, w, r-1, r)
+			if l.careful[r] {
+				l.careful[r] = jacobiRowsCareful(next, cur, w, r-1, r)
+			} else {
+				jacobiRows(next, cur, w, r-1, r)
+			}
 			l.nextClear[r] = false
 		case !l.nextClear[r]:
 			clear(next[r*w+1 : (r+1)*w-1])
 			l.nextClear[r] = true
+			l.careful[r] = true
 		}
 	}
 }

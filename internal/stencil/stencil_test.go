@@ -45,36 +45,85 @@ func jacobiIndexForm(next, cur []float64, w, lo, hi int) {
 	}
 }
 
+// seedSpecial sets each cell of g to +0, −0.0, a normal value, a
+// subnormal value, ±Inf or NaN, mostly zeros and subnormals, so that
+// most sums are tiny and some are Inf or NaN.
+func seedSpecial(rng *rand.Rand, g []float64) {
+	for i := range g {
+		switch k := rng.Intn(40); {
+		case k < 10:
+			g[i] = 0
+		case k < 14:
+			g[i] = math.Copysign(0, -1)
+		case k < 18:
+			g[i] = (rng.Float64() - 0.5) * math.Ldexp(1, rng.Intn(81)-40)
+		case k < 37:
+			g[i] = math.Float64frombits(rng.Uint64() & (signBit | 1<<52 - 1))
+		case k < 39:
+			g[i] = math.Inf(1 - 2*rng.Intn(2))
+		default:
+			g[i] = math.NaN()
+		}
+	}
+}
+
 func TestJacobiRowsMatchesIndexForm(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	const rows = 9
+	kernels := []struct {
+		name string
+		run  func(next, cur []float64, w, lo, hi int) bool
+	}{
+		{"fast", func(next, cur []float64, w, lo, hi int) bool { jacobiRows(next, cur, w, lo, hi); return false }},
+		{"careful", jacobiRowsCareful},
+	}
+	slabs := []struct {
+		name string
+		seed func(g []float64)
+		tiny bool // some sum is tiny
+	}{
+		// Magnitudes spread over 2^±40 so a reassociated sum rounds
+		// differently.
+		{"spread", func(g []float64) {
+			for i := range g {
+				g[i] = (rng.Float64() - 0.5) * math.Ldexp(1, rng.Intn(81)-40)
+			}
+		}, false},
+		{"special", func(g []float64) { seedSpecial(rng, g) }, true},
+	}
 	for _, w := range []int{3, 4, 5, 67, 1282} {
-		cur := make([]float64, (rows+2)*w)
-		for i := range cur {
-			// Magnitudes spread over 2^±40 so a reassociated sum rounds
-			// differently.
-			cur[i] = (rng.Float64() - 0.5) * math.Ldexp(1, rng.Intn(81)-40)
-		}
-		// The whole slab, and the chunks omp.Execute makes for 2, 3 and
-		// 4 workers.
-		for _, workers := range []int{1, 2, 3, 4} {
-			// Both outputs start from the same noise, so a cell either
-			// kernel should leave alone is compared too.
-			got := make([]float64, len(cur))
-			for i := range got {
-				got[i] = rng.NormFloat64()
-			}
-			want := append([]float64(nil), got...)
-			chunk := (rows + workers - 1) / workers
-			for lo := 0; lo < rows; lo += chunk {
-				hi := min(lo+chunk, rows)
-				jacobiRows(got, cur, w, lo, hi)
-				jacobiIndexForm(want, cur, w, lo, hi)
-			}
-			for i := range want {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("w=%d, %d chunks: cell (%d,%d) = %v, index form %v",
-						w, workers, i/w, i%w, got[i], want[i])
+		for _, s := range slabs {
+			cur := make([]float64, (rows+2)*w)
+			s.seed(cur)
+			for _, k := range kernels {
+				// The whole slab, and the chunks omp.Execute makes for 2, 3
+				// and 4 workers.
+				for _, workers := range []int{1, 2, 3, 4} {
+					// Both outputs start from the same noise, so a cell either
+					// kernel should leave alone is compared too.
+					got := make([]float64, len(cur))
+					for i := range got {
+						got[i] = rng.NormFloat64()
+					}
+					want := append([]float64(nil), got...)
+					chunk := (rows + workers - 1) / workers
+					tiny := false
+					for lo := 0; lo < rows; lo += chunk {
+						hi := min(lo+chunk, rows)
+						tiny = k.run(got, cur, w, lo, hi) || tiny
+						jacobiIndexForm(want, cur, w, lo, hi)
+					}
+					for i := range want {
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("%s kernel, %s slab, w=%d, %d chunks: cell (%d,%d) = %v (%#x), index form %v (%#x)",
+								k.name, s.name, w, workers, i/w, i%w, got[i], math.Float64bits(got[i]),
+								want[i], math.Float64bits(want[i]))
+						}
+					}
+					if k.name == "careful" && tiny != s.tiny {
+						t.Fatalf("careful kernel, %s slab, w=%d, %d chunks: reported a tiny sum %v, want %v",
+							s.name, w, workers, tiny, s.tiny)
+					}
 				}
 			}
 		}
@@ -83,12 +132,13 @@ func TestJacobiRowsMatchesIndexForm(t *testing.T) {
 
 func TestCrossingChecksumPinned(t *testing.T) {
 	// Every other checksum test compares a distributed run with
-	// Reference, and both call jacobiRows, so a change to the kernel's
-	// arithmetic passes them all. These bits were recorded from the
-	// index-form kernel. The checksum alone is not enough: a sum of 4096
-	// cells rounds away last-bit differences in any one of them, and it
-	// did not move when the kernel was reassociated. So the reference
-	// grid's bits are pinned too.
+	// Reference, and both compute most rows with jacobiRows, so a change
+	// to that loop's arithmetic passes them all. These bits were recorded
+	// from the index-form kernel. The checksum alone is not enough: a sum
+	// of 4096 cells rounds away last-bit differences in any one of them,
+	// and it did not move when the kernel was reassociated. So the
+	// reference grid's bits are pinned too. This grid holds no subnormal
+	// cell; TestSubnormalBandMatchesReference pins the careful loop.
 	const (
 		wantSum  = 0x4081f3325db58266 // 574.399592798273
 		wantGrid = 0x54767c3362035e17 // FNV-1a over the cells' bits
@@ -105,31 +155,62 @@ func TestCrossingChecksumPinned(t *testing.T) {
 	if sum := ReferenceChecksum(ref, pr); sum != res.Checksum {
 		t.Fatalf("reference %v, distributed %v", sum, res.Checksum)
 	}
-	h := fnv.New64a()
-	var b [8]byte
-	for _, v := range ref {
-		h.Write(binary.LittleEndian.AppendUint64(b[:0], math.Float64bits(v)))
-	}
-	if got := h.Sum64(); got != wantGrid {
+	if got := gridDigest(ref); got != wantGrid {
 		t.Fatalf("reference grid digest %#x, pinned %#x", got, uint64(wantGrid))
 	}
 }
 
+// gridDigest is FNV-1a over the bits of g's cells.
+func gridDigest(g []float64) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, v := range g {
+		h.Write(binary.LittleEndian.AppendUint64(b[:0], math.Float64bits(v)))
+	}
+	return h.Sum64()
+}
+
+// seedBand sets every cell of g to a random subnormal value. Sweeps only
+// average cells, so they stay below 2^-1022 and every sum stays tiny:
+// the regime of the band at the heat front.
+func seedBand(g []float64) {
+	rng := rand.New(rand.NewSource(31))
+	for i := range g {
+		g[i] = math.Float64frombits(1 + rng.Uint64()%(1<<52-1))
+	}
+}
+
 // BenchmarkJacobiSweep sweeps the slab one stencil_8x56 rank owns
-// (160 rows of the paper's 1282-wide grid) in one call.
+// (160 rows of the paper's 1282-wide grid) in one call of the fast loop:
+// normal with every cell 1, band with every cell subnormal (seedBand),
+// where the multiply is slow.
 func BenchmarkJacobiSweep(b *testing.B) {
 	pr := PaperParams(8, 56)
 	w, rows := pr.Width(), pr.N/pr.Procs
-	cur := make([]float64, (rows+2)*w)
-	next := make([]float64, len(cur))
-	initSlab(cur, true, w)
-	copy(next, cur)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		jacobiRows(next, cur, w, 0, rows)
-		cur, next = next, cur
+	for _, bc := range []struct {
+		name string
+		seed func(g []float64)
+	}{
+		{"normal", func(g []float64) {
+			for i := range g {
+				g[i] = 1
+			}
+		}},
+		{"band", seedBand},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			cur := make([]float64, (rows+2)*w)
+			next := make([]float64, len(cur))
+			bc.seed(cur)
+			copy(next, cur)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				jacobiRows(next, cur, w, 0, rows)
+				cur, next = next, cur
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows*pr.N), "ns/point")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows*pr.N), "ns/point")
 }
 
 func TestReferenceConvergesTowardBoundary(t *testing.T) {
