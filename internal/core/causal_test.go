@@ -184,6 +184,33 @@ func TestFaultPoisonedRankFailsProbeAndWaitany(t *testing.T) {
 	}
 }
 
+// TestCollectiveReportsTransportFailure: a collective whose own sends
+// run out of replays returns the TransportError, also when the payload
+// landed before the error was reported (the ambiguity IBDelivered
+// models) and the peer finishes with its block intact.
+func TestCollectiveReportsTransportFailure(t *testing.T) {
+	for _, delivered := range []float64{0, 1} {
+		for _, n := range []int{64, 256 << 10} {
+			plan := faults.NewPlan(3)
+			plan.IBError = 1.0
+			plan.IBDelivered = delivered
+			plan.MaxSendRetries = 1
+			w, _, _ := causalWorld(plan)
+			err := w.Run(func(r *core.Rank) error {
+				src := r.Mem(2 * n)
+				return r.Scatter(r.Proc(), 0, core.Whole(src), core.Whole(r.Mem(n)))
+			})
+			if err == nil {
+				t.Errorf("delivered %v, %d-byte blocks: Run succeeded with every WR failing", delivered, n)
+			}
+			var te *core.TransportError
+			if err := w.Errs()[0]; !errors.As(err, &te) || te.Peer != 1 {
+				t.Errorf("delivered %v, %d-byte blocks: the root's Scatter returned %v, want its TransportError toward rank 1", delivered, n, err)
+			}
+		}
+	}
+}
+
 func TestDMAAbortFallbackClosesSpans(t *testing.T) {
 	// Every offload staging DMA aborts: the send must fall back to the
 	// direct path, deliver intact data, record the fallback, and leave

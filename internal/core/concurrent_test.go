@@ -38,10 +38,11 @@ func assertIsolated(t *testing.T, run func() (uint64, int64, sim.Time, error)) {
 	// must be independent under the host scheduler, so sim.Queue (which
 	// serializes onto one calendar) cannot be used.
 
-	//simlint:ignore rawgo collecting results from deliberately-parallel engines; both join before any assertion
+	// Both engines report here and join before any assertion.
 	results := make(chan result, 2)
 	for i := 0; i < 2; i++ {
-		//simlint:ignore rawgo the test runs two whole simulations on real goroutines on purpose: -race plus fingerprint equality is the isolation witness
+		// Two whole simulations on real goroutines, on purpose: -race
+		// plus fingerprint equality is the isolation witness.
 		go func() {
 			var r result
 			r.fp, r.events, r.end, r.err = run()

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
@@ -33,6 +34,40 @@ func TestUnwaitedIrecvIsALeak(t *testing.T) {
 	}
 	if w.Errs()[0] != nil {
 		t.Errorf("rank 0 waited for nothing and still failed: %v", w.Errs()[0])
+	}
+}
+
+// TestLeakNamesTheFirstFourInOrder: a rank that exits with more open
+// requests than a LeakError names gets the first four in (peer, tag, op,
+// state) order, whatever order they were posted in and whatever order
+// the rank's protocol maps hold them in.
+func TestLeakNamesTheFirstFourInOrder(t *testing.T) {
+	c := cluster.New(perfmodel.Default(), 3)
+	w := c.DCFAWorld(3, false)
+	posts := []struct{ peer, tag int }{{2, 7}, {2, 3}, {1, 6}, {2, 9}, {2, 1}, {1, 2}, {2, 5}, {2, 8}}
+	err := w.Run(func(r *core.Rank) error {
+		if r.ID() != 0 {
+			return nil
+		}
+		for _, q := range posts {
+			if _, err := r.Irecv(r.Proc(), q.peer, q.tag, core.Whole(r.Mem(64))); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	var leak *core.LeakError
+	if !errors.As(err, &leak) {
+		t.Fatalf("Run = %v, want a *core.LeakError", err)
+	}
+	want := []core.OpenRequest{
+		{Op: "recv", Peer: 1, Tag: 2, State: "posted"},
+		{Op: "recv", Peer: 1, Tag: 6, State: "posted"},
+		{Op: "recv", Peer: 2, Tag: 1, State: "posted"},
+		{Op: "recv", Peer: 2, Tag: 3, State: "posted"},
+	}
+	if leak.Rank != 0 || leak.Requests != len(posts) || !slices.Equal(leak.Open, want) {
+		t.Errorf("leak = %+v, want rank 0 holding %d requests, first %+v", leak, len(posts), want)
 	}
 }
 

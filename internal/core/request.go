@@ -40,30 +40,20 @@ type Status struct {
 	Len    int
 }
 
-// reqState tracks a request through its protocol. The declared machine
-// below is checked by simlint's fsmcheck: every assignment made while
-// dispatching on the state must follow a declared edge, and every state
-// must be reachable.
+// reqState tracks a request through its protocol. A request starts in
+// stNew and moves along these edges:
 //
-//simlint:fsm -> stNew
-//simlint:fsm stNew -> stEagerQueued eager send waiting for ring credit
-//simlint:fsm stNew -> stEagerSent eager packet posted immediately
-//simlint:fsm stEagerQueued -> stEagerSent credit arrived, packet posted
-//simlint:fsm stNew -> stRTSSent payload over EagerMax, sender-first rendezvous
-//simlint:fsm stNew -> stWriting early RTR was waiting, receiver-first rendezvous
-//simlint:fsm stNew -> stPosted recv posted with nothing matched yet
-//simlint:fsm stNew -> stReading recv matched an unexpected RTS at post time
-//simlint:fsm stPosted -> stRTRWait large recv advertised its buffer
-//simlint:fsm stPosted -> stReading RTS matched the posted recv
-//simlint:fsm stRTRWait -> stReading simultaneous rendezvous, receiver reads anyway
-//simlint:fsm stNew -> stDone completion (including errors) from any stage
-//simlint:fsm stEagerQueued -> stDone
-//simlint:fsm stEagerSent -> stDone
-//simlint:fsm stRTSSent -> stDone
-//simlint:fsm stWriting -> stDone
-//simlint:fsm stPosted -> stDone
-//simlint:fsm stRTRWait -> stDone
-//simlint:fsm stReading -> stDone
+//   - stNew → stEagerQueued: eager send waiting for ring credit
+//   - stNew → stEagerSent: eager packet posted immediately
+//   - stEagerQueued → stEagerSent: credit arrived, packet posted
+//   - stNew → stRTSSent: payload over EagerMax, sender-first rendezvous
+//   - stNew → stWriting: early RTR was waiting, receiver-first rendezvous
+//   - stNew → stPosted: recv posted with nothing matched yet
+//   - stNew → stReading: recv matched an unexpected RTS at post time
+//   - stPosted → stRTRWait: large recv advertised its buffer
+//   - stPosted → stReading: RTS matched the posted recv
+//   - stRTRWait → stReading: simultaneous rendezvous, receiver reads anyway
+//   - any state → stDone: completion, including errors
 type reqState int
 
 const (

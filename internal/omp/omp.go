@@ -8,7 +8,7 @@ package omp
 
 import (
 	"runtime"
-	"sync" //simlint:ignore rawgo Execute fans pure compute out on real threads, outside sim state
+	"sync" // Execute fans pure compute out on real threads, outside sim state
 
 	"repro/internal/machine"
 	"repro/internal/perfmodel"
@@ -107,7 +107,8 @@ func (t *Team) Execute(n int, body func(lo, hi int)) {
 			hi = n
 		}
 		wg.Add(1)
-		//simlint:ignore rawgo workers run the pure loop body on disjoint chunks and join before returning
+		// Workers run the pure loop body on disjoint chunks and join
+		// before returning.
 		go func(lo, hi int) {
 			defer wg.Done()
 			body(lo, hi)

@@ -1,7 +1,7 @@
 package omp
 
 import (
-	"sync/atomic" //simlint:ignore rawgo exercises Execute's real worker threads from test code
+	"sync/atomic" // sums what Execute's real worker threads compute
 	"testing"
 
 	"repro/internal/machine"

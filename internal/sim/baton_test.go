@@ -319,6 +319,8 @@ func TestGoexitInProcessEndsTheRun(t *testing.T) {
 			})
 			ran := false
 			e.At(6*Microsecond, func() { ran = true })
+			// Run gets a goroutine of its own: the rethrown Goexit
+			// must end it, and this test must outlive it.
 			done := make(chan error)
 			go func() {
 				defer close(done)
