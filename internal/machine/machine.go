@@ -96,6 +96,8 @@ func (n *Node) Domain(k DomainKind) *Domain {
 
 // Alloc allocates n bytes (rounded up to a 4 KiB page multiple for
 // addressing purposes; Data has exactly n bytes) and returns the buffer.
+// Data starts all zero, whatever the domain held before: callers such as
+// the stencil's slabs write only their nonzero cells.
 func (d *Domain) Alloc(n int) *Buffer {
 	if n < 0 {
 		panic("machine: negative allocation")

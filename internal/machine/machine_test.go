@@ -19,6 +19,23 @@ func TestAllocResolveRoundTrip(t *testing.T) {
 	}
 }
 
+func TestAllocStartsZeroAfterFree(t *testing.T) {
+	n := NewNode(0)
+	for _, d := range []*Domain{n.Host, n.Mic} {
+		old := d.Alloc(3 * pageSize)
+		for i := range old.Data {
+			old.Data[i] = 0xAB
+		}
+		d.Free(old)
+		b := d.Alloc(3 * pageSize)
+		for i, v := range b.Data {
+			if v != 0 {
+				t.Fatalf("%s: byte %d of a new buffer is %#x, want 0", d.Name, i, v)
+			}
+		}
+	}
+}
+
 func TestResolveSubRange(t *testing.T) {
 	n := NewNode(0)
 	b := n.Mic.Alloc(4096)

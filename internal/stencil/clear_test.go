@@ -33,6 +33,17 @@ func flagsLie(l *slab) string {
 	return ""
 }
 
+// markClear returns one flag per row of the w-wide grid g, true when
+// every cell of the row is +0: the flags a slab holding g would start
+// with.
+func markClear(g []float64, w int) []bool {
+	flags := make([]bool, len(g)/w)
+	for r := range flags {
+		flags[r] = zeroRow(g[r*w : (r+1)*w])
+	}
+	return flags
+}
+
 // seedSparse fills g, a grid w cells wide, with runs of one to four rows
 // of one kind each: +0, −0.0, +0 and −0.0 mixed, a few normal values, or
 // a few subnormal values. Most rows are +0.
@@ -299,8 +310,10 @@ func BenchmarkSlabSweep(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if i%trajectory == 0 && i > 0 {
 				b.StopTimer()
-				initSlab(f64view(l.cur.Data), true, l.w)
-				copy(f64view(l.next.Data), f64view(l.cur.Data))
+				for _, g := range [][]float64{f64view(l.cur.Data), f64view(l.next.Data)} {
+					clear(g)
+					heatTop(g, l.w)
+				}
 				l.curClear, l.nextClear = markClear(f64view(l.cur.Data), l.w), markClear(f64view(l.next.Data), l.w)
 				b.StartTimer()
 			}

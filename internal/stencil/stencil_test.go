@@ -47,7 +47,9 @@ func jacobiIndexForm(next, cur []float64, w, lo, hi int) {
 
 // seedSpecial sets each cell of g to +0, −0.0, a normal value, a
 // subnormal value, ±Inf or NaN, mostly zeros and subnormals, so that
-// most sums are tiny and some are Inf or NaN.
+// most sums are tiny and some are Inf or NaN. A NaN has a random sign and
+// payload: the sum of two NaNs is the first operand's, so a kernel that
+// swaps two operands gives other bits.
 func seedSpecial(rng *rand.Rand, g []float64) {
 	for i := range g {
 		switch k := rng.Intn(40); {
@@ -62,12 +64,31 @@ func seedSpecial(rng *rand.Rand, g []float64) {
 		case k < 39:
 			g[i] = math.Inf(1 - 2*rng.Intn(2))
 		default:
-			g[i] = math.NaN()
+			g[i] = math.Float64frombits(rng.Uint64() | 0x7ff8<<48)
 		}
 	}
 }
 
 func TestJacobiRowsMatchesIndexForm(t *testing.T) {
+	// jacobiRows is checked as the CPU runs it (logged), and again with
+	// its vector prefix turned off, so each of its two loops is checked
+	// on every row length.
+	vec := useAVX2
+	t.Cleanup(func() { useAVX2 = vec })
+	t.Logf("vector prefix on this CPU: %v", vec)
+	paths := []string{"scalar"}
+	if vec {
+		paths = []string{"vector", "scalar"}
+	}
+	for _, path := range paths {
+		t.Run(path, func(t *testing.T) {
+			useAVX2 = path == "vector"
+			checkJacobiRowsMatchIndexForm(t)
+		})
+	}
+}
+
+func checkJacobiRowsMatchIndexForm(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	const rows = 9
 	kernels := []struct {
@@ -91,7 +112,9 @@ func TestJacobiRowsMatchesIndexForm(t *testing.T) {
 		}, false},
 		{"special", func(g []float64) { seedSpecial(rng, g) }, true},
 	}
-	for _, w := range []int{3, 4, 5, 67, 1282} {
+	// Interiors of 1, 2, 3, 4, 7, 8, 65 and 1280 cells: a vector prefix
+	// of none, one, two and many vectors, and every tail length 0 to 3.
+	for _, w := range []int{3, 4, 5, 6, 9, 10, 67, 1282} {
 		for _, s := range slabs {
 			cur := make([]float64, (rows+2)*w)
 			s.seed(cur)
@@ -183,19 +206,24 @@ func seedBand(g []float64) {
 // BenchmarkJacobiSweep sweeps the slab one stencil_8x56 rank owns
 // (160 rows of the paper's 1282-wide grid) in one call of the fast loop:
 // normal with every cell 1, band with every cell subnormal (seedBand),
-// where the multiply is slow.
+// where the multiply is slow. Both slabs, 3.3 MB, stay in a 2 MiB L2
+// only in part. eight-slabs is what a stencil_8x56 rep sweeps: all
+// eight ranks' slabs, 26.6 MB with every cell 1, op i sweeping slab
+// i mod 8, so a slab is back in the loop only after the other seven
+// have pushed it out of cache.
 func BenchmarkJacobiSweep(b *testing.B) {
 	pr := PaperParams(8, 56)
 	w, rows := pr.Width(), pr.N/pr.Procs
+	ones := func(g []float64) {
+		for i := range g {
+			g[i] = 1
+		}
+	}
 	for _, bc := range []struct {
 		name string
 		seed func(g []float64)
 	}{
-		{"normal", func(g []float64) {
-			for i := range g {
-				g[i] = 1
-			}
-		}},
+		{"normal", ones},
 		{"band", seedBand},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
@@ -211,6 +239,21 @@ func BenchmarkJacobiSweep(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows*pr.N), "ns/point")
 		})
 	}
+	b.Run("eight-slabs", func(b *testing.B) {
+		cur, next := make([][]float64, pr.Procs), make([][]float64, pr.Procs)
+		for k := range cur {
+			cur[k], next[k] = make([]float64, (rows+2)*w), make([]float64, (rows+2)*w)
+			ones(cur[k])
+			ones(next[k])
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k := i % pr.Procs
+			jacobiRows(next[k], cur[k], w, 0, rows)
+			cur[k], next[k] = next[k], cur[k]
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows*pr.N), "ns/point")
+	})
 }
 
 func TestReferenceConvergesTowardBoundary(t *testing.T) {
