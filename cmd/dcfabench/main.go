@@ -12,7 +12,7 @@
 // With -metrics every world the run builds reports into one telemetry
 // registry, and a summary (per-protocol message counts, MR-cache hit
 // rate, RDMA bytes per direction pair, delegated-command round trips,
-// latency histograms) is printed after the figures. With -tracefile the
+// latency histograms) is printed after the figures. With -trace the
 // run's message-lifecycle spans are written as Chrome trace-event JSON,
 // viewable at https://ui.perfetto.dev. Both are deterministic: the same
 // invocation produces bit-identical output.
@@ -39,14 +39,14 @@ func main() {
 	stencilIters := flag.Int("stencil-iters", bench.NewEnv().StencilIters, "stencil iterations per configuration")
 	calibration := flag.String("calibration", "", "JSON file overriding the default platform calibration")
 	showMetrics := flag.Bool("metrics", false, "print the telemetry summary after the run")
-	traceFile := flag.String("tracefile", "", "write the run's spans as Chrome trace-event JSON to this file")
+	tracePath := flag.String("trace", "", "write the run's spans as Chrome trace-event JSON to this file")
 	metricsJSON := flag.String("metricsjson", "", "write the telemetry snapshot as JSON to this file")
 	faultSpec := flag.String("faults", "", "deterministic fault plan, e.g. seed=7,rate=0.01 (keys: seed, rate, ib, ib-delivered, cmd, dma, dma-abort, cmd-deadline, cmd-backoff, dma-delay-time, max-retries)")
 	flag.Parse()
 
 	env := bench.NewEnv()
 	env.StencilIters = *stencilIters
-	if *showMetrics || *traceFile != "" || *metricsJSON != "" {
+	if *showMetrics || *tracePath != "" || *metricsJSON != "" {
 		env.Metrics = metrics.New()
 	}
 	if *faultSpec != "" {
@@ -67,7 +67,7 @@ func main() {
 			fmt.Println()
 			reg.WriteSummary(os.Stdout)
 		}
-		writeFile(*traceFile, reg.WriteChromeTrace)
+		writeFile(*tracePath, func(w io.Writer) error { return reg.WriteChromeTrace(w, nil) })
 		writeFile(*metricsJSON, reg.WriteJSON)
 	}
 	plat := perfmodel.Default()

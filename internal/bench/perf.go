@@ -25,34 +25,6 @@ type PerfResult struct {
 	Fingerprint  uint64
 }
 
-// PingPongFlood runs a blocking Send/Recv ping-pong of size-byte
-// messages between 2 DCFA ranks for iters round trips — the classic
-// latency flood, dominated by per-message protocol events. The Env's
-// registry and recorder are passive: the fingerprint matches the
-// uninstrumented run.
-func (e *Env) PingPongFlood(plat *perfmodel.Platform, size, iters int) (PerfResult, error) {
-	c := e.Cluster(plat, 2)
-	err := c.World(cluster.ModeDCFA, 2).Run(func(r *core.Rank) error {
-		buf := r.Mem(size)
-		for it := 0; it < iters; it++ {
-			if err := pingPong(r, 1, buf); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return PerfResult{}, err
-	}
-	return PerfResult{
-		Workload:     "pingpong-flood",
-		Events:       c.Eng.EventsRun(),
-		SimTime:      c.Eng.Now(),
-		PayloadBytes: 2 * int64(iters) * int64(size),
-		Fingerprint:  c.Eng.Fingerprint(),
-	}, nil
-}
-
 // perfRNG is a splitmix64 generator for workload construction (the
 // repo bans math/rand to keep runs reproducible).
 type perfRNG struct{ s uint64 }

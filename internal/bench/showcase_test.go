@@ -97,7 +97,7 @@ type traceEvent struct {
 func TestShowcaseChromeTraceExport(t *testing.T) {
 	reg, _ := runShowcase(t)
 	var buf bytes.Buffer
-	if err := reg.WriteChromeTrace(&buf); err != nil {
+	if err := reg.WriteChromeTrace(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -151,10 +151,10 @@ func TestShowcaseDeterministic(t *testing.T) {
 	var sum1, sum2, tr1, tr2, js1, js2 bytes.Buffer
 	reg1.WriteSummary(&sum1)
 	reg2.WriteSummary(&sum2)
-	if err := reg1.WriteChromeTrace(&tr1); err != nil {
+	if err := reg1.WriteChromeTrace(&tr1, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg2.WriteChromeTrace(&tr2); err != nil {
+	if err := reg2.WriteChromeTrace(&tr2, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := reg1.WriteJSON(&js1); err != nil {

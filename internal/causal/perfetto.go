@@ -63,5 +63,5 @@ func (r *Report) Flows() []metrics.Flow {
 // WriteTrace writes the Chrome/Perfetto trace for reg overlaid with
 // this report's flow arrows.
 func (r *Report) WriteTrace(w io.Writer, reg *metrics.Registry) error {
-	return reg.WriteChromeTraceWithFlows(w, r.Flows())
+	return reg.WriteChromeTrace(w, r.Flows())
 }

@@ -95,7 +95,7 @@ func TestNilRegistryAndHandles(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.WriteSummary(&buf)
-	if err := r.WriteChromeTrace(&buf); err != nil {
+	if err := r.WriteChromeTrace(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 }

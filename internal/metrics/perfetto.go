@@ -51,18 +51,14 @@ type Flow struct {
 	ToTS      int64 // virtual nanoseconds
 }
 
-// WriteChromeTrace exports every span as Chrome trace-event JSON.
-// Output is deterministic: actors are assigned pids in sorted order and
-// events are emitted in span-begin order. (encoding/json writes map
-// keys sorted, so the args objects are stable too.) A nil registry
-// writes an empty trace.
-func (r *Registry) WriteChromeTrace(w io.Writer) error {
-	return r.WriteChromeTraceWithFlows(w, nil)
-}
-
-// WriteChromeTraceWithFlows exports the span trace plus flow arrows.
-// Flow endpoints referencing actors with no spans still get a track.
-func (r *Registry) WriteChromeTraceWithFlows(w io.Writer, flows []Flow) error {
+// WriteChromeTrace exports every span as Chrome trace-event JSON, plus
+// one arrow per flow (nil when there are none). Flow endpoints
+// referencing actors with no spans still get a track. Output is
+// deterministic: actors are assigned pids in sorted order and events
+// are emitted in span-begin order. (encoding/json writes map keys
+// sorted, so the args objects are stable too.) A nil registry writes
+// an empty trace.
+func (r *Registry) WriteChromeTrace(w io.Writer, flows []Flow) error {
 	tr := chromeTrace{TraceEvents: []traceEvent{}, DisplayTimeUnit: "ns"}
 	spans := r.Spans()
 

@@ -156,7 +156,7 @@ func schemaRegistry() *Registry {
 // TestChromeTraceSchema validates a plain span export.
 func TestChromeTraceSchema(t *testing.T) {
 	var buf bytes.Buffer
-	if err := schemaRegistry().WriteChromeTrace(&buf); err != nil {
+	if err := schemaRegistry().WriteChromeTrace(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	evs := validateChromeTrace(t, buf.Bytes())
@@ -187,7 +187,7 @@ func TestChromeTraceFlowEvents(t *testing.T) {
 			ToActor: "hca9", ToTS: int64(160 * sim.Microsecond)},
 	}
 	var buf bytes.Buffer
-	if err := reg.WriteChromeTraceWithFlows(&buf, flows); err != nil {
+	if err := reg.WriteChromeTrace(&buf, flows); err != nil {
 		t.Fatal(err)
 	}
 	evs := validateChromeTrace(t, buf.Bytes())
@@ -220,7 +220,7 @@ func TestChromeTraceFlowEvents(t *testing.T) {
 
 	// Export is byte-deterministic.
 	var again bytes.Buffer
-	if err := reg.WriteChromeTraceWithFlows(&again, flows); err != nil {
+	if err := reg.WriteChromeTrace(&again, flows); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), again.Bytes()) {

@@ -45,7 +45,7 @@ func TestWriteChromeTrace(t *testing.T) {
 	r.Begin(40*sim.Microsecond, "hca0", "stuck") // left open on purpose
 
 	var buf bytes.Buffer
-	if err := r.WriteChromeTrace(&buf); err != nil {
+	if err := r.WriteChromeTrace(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	evs := parseTrace(t, buf.Bytes())
@@ -106,7 +106,7 @@ func TestWriteChromeTrace(t *testing.T) {
 
 	// Determinism: same spans, same bytes.
 	var buf2 bytes.Buffer
-	if err := r.WriteChromeTrace(&buf2); err != nil {
+	if err := r.WriteChromeTrace(&buf2, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
@@ -116,7 +116,7 @@ func TestWriteChromeTrace(t *testing.T) {
 
 func TestWriteChromeTraceEmpty(t *testing.T) {
 	var buf bytes.Buffer
-	if err := New().WriteChromeTrace(&buf); err != nil {
+	if err := New().WriteChromeTrace(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	if evs := parseTrace(t, buf.Bytes()); len(evs) != 0 {

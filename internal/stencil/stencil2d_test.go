@@ -7,38 +7,44 @@ import (
 	"repro/internal/perfmodel"
 )
 
-// run2D runs pr under DCFA-MPI on a fresh cluster, one node per process.
-func run2D(plat *perfmodel.Platform, pr Params2D) (Result, error) {
+// run2D runs pr in mode m on a fresh cluster of the size the mode fills
+// with pr.Procs() ranks.
+func run2D(plat *perfmodel.Platform, m cluster.Mode, pr Params2D) (Result, error) {
 	n := max(pr.Procs(), 1)
-	return Run2D(cluster.New(plat, n).World(cluster.ModeDCFA, n), pr)
+	return Run2D(cluster.New(plat, m.Nodes(n)).World(m, n), pr)
 }
 
 func TestRun2DMatchesReference(t *testing.T) {
 	// 8 sweeps keep the heat front above the first row boundary; 400
 	// carry it across every row boundary, and the column halos carry
-	// heat from the first sweep on.
-	for _, grid := range []struct{ px, py, iters int }{
-		{1, 1, 8}, {2, 1, 8}, {1, 2, 8}, {2, 2, 8}, {4, 2, 8},
-		{2, 2, 400}, {4, 2, 400}, {2, 4, 400},
-	} {
-		pr := Params2D{N: 64, Iters: grid.iters, Px: grid.px, Py: grid.py, Threads: 2}
-		res, err := run2D(perfmodel.Default(), pr)
-		if err != nil {
-			t.Fatalf("%dx%d, %d iters: %v", grid.px, grid.py, pr.Iters, err)
-		}
-		ref := Reference(Params{N: pr.N, Iters: pr.Iters, Procs: 1, Threads: 1})
-		want := ReferenceChecksum2D(ref, pr)
-		if res.Checksum != want {
-			t.Fatalf("%dx%d, %d iters: checksum %v, reference %v", grid.px, grid.py, pr.Iters, res.Checksum, want)
-		}
+	// heat from the first sweep on. Every mode builds a 2-D world: the
+	// grid lives where the mode's ranks run.
+	for m := cluster.ModeDCFA; m <= cluster.ModeSymmetric; m++ {
+		t.Run(m.String(), func(t *testing.T) {
+			for _, grid := range []struct{ px, py, iters int }{
+				{1, 1, 8}, {2, 1, 8}, {1, 2, 8}, {2, 2, 8}, {4, 2, 8},
+				{2, 2, 400}, {4, 2, 400}, {2, 4, 400},
+			} {
+				pr := Params2D{N: 64, Iters: grid.iters, Px: grid.px, Py: grid.py, Threads: 2}
+				res, err := run2D(perfmodel.Default(), m, pr)
+				if err != nil {
+					t.Fatalf("%dx%d, %d iters: %v", grid.px, grid.py, pr.Iters, err)
+				}
+				ref := Reference(Params{N: pr.N, Iters: pr.Iters, Procs: 1, Threads: 1})
+				want := ReferenceChecksum2D(ref, pr)
+				if res.Checksum != want {
+					t.Fatalf("%dx%d, %d iters: checksum %v, reference %v", grid.px, grid.py, pr.Iters, res.Checksum, want)
+				}
+			}
+		})
 	}
 }
 
 func TestRun2DRejectsBadGrid(t *testing.T) {
-	if _, err := run2D(perfmodel.Default(), Params2D{N: 10, Iters: 1, Px: 3, Py: 1, Threads: 1}); err == nil {
+	if _, err := run2D(perfmodel.Default(), cluster.ModeDCFA, Params2D{N: 10, Iters: 1, Px: 3, Py: 1, Threads: 1}); err == nil {
 		t.Fatal("3 does not divide 10")
 	}
-	if _, err := run2D(perfmodel.Default(), Params2D{N: 8, Iters: 1, Px: 0, Py: 1, Threads: 1}); err == nil {
+	if _, err := run2D(perfmodel.Default(), cluster.ModeDCFA, Params2D{N: 8, Iters: 1, Px: 0, Py: 1, Threads: 1}); err == nil {
 		t.Fatal("zero Px accepted")
 	}
 }
@@ -49,7 +55,7 @@ func Test2DChecksumEquals1DForRowGrids(t *testing.T) {
 	for _, iters := range []int{5, 100} {
 		pr2 := Params2D{N: 32, Iters: iters, Px: 1, Py: 4, Threads: 1}
 		pr1 := Params{N: 32, Iters: iters, Procs: 4, Threads: 1}
-		r2, err := run2D(perfmodel.Default(), pr2)
+		r2, err := run2D(perfmodel.Default(), cluster.ModeDCFA, pr2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +80,7 @@ func Test2DHaloVolumeAdvantage(t *testing.T) {
 		t.Fatal(err)
 	}
 	pr2 := Params2D{N: 1280, Iters: 5, Px: 2, Py: 4, Threads: 16, SkipCompute: true}
-	r2, err := run2D(plat, pr2)
+	r2, err := run2D(plat, cluster.ModeDCFA, pr2)
 	if err != nil {
 		t.Fatal(err)
 	}

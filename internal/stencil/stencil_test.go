@@ -14,9 +14,10 @@ import (
 	"repro/internal/sim"
 )
 
-// runMode runs pr in mode m on a fresh cluster, one node per process.
+// runMode runs pr in mode m on a fresh cluster of the size the mode
+// fills with pr.Procs ranks.
 func runMode(plat *perfmodel.Platform, m cluster.Mode, pr Params) (Result, error) {
-	return Run(cluster.New(plat, pr.Procs), m, pr)
+	return Run(cluster.New(plat, m.Nodes(pr.Procs)), m, pr)
 }
 
 // smallParams keeps the real math cheap in tests. Its 8 sweeps move the
@@ -298,32 +299,31 @@ func TestDCFAMatchesReferenceBitExact(t *testing.T) {
 	}
 }
 
-func TestPhiMPIMatchesReference(t *testing.T) {
-	for _, pr := range []Params{smallParams(4, 2), crossingParams(8, 2)} {
-		res, err := runMode(perfmodel.Default(), cluster.ModeIntelPhi, pr)
-		if err != nil {
-			t.Fatalf("%+v: %v", pr, err)
-		}
-		want := ReferenceChecksum(Reference(pr), pr)
-		if res.Checksum != want {
-			t.Fatalf("%+v: checksum %v, reference %v", pr, res.Checksum, want)
-		}
-	}
-}
-
-func TestHostOffloadMatchesReference(t *testing.T) {
-	for _, pr := range []Params{
-		smallParams(1, 2), smallParams(2, 2), smallParams(4, 2),
-		crossingParams(2, 2), crossingParams(8, 2),
+func TestModesMatchReference(t *testing.T) {
+	for _, tc := range []struct {
+		m   cluster.Mode
+		prs []Params
+	}{
+		{cluster.ModeHost, []Params{smallParams(4, 2), crossingParams(8, 2)}},
+		{cluster.ModeIntelPhi, []Params{smallParams(4, 2), crossingParams(8, 2)}},
+		{cluster.ModeHostOffload, []Params{
+			smallParams(1, 2), smallParams(2, 2), smallParams(4, 2),
+			crossingParams(2, 2), crossingParams(8, 2),
+		}},
+		{cluster.ModeSymmetric, []Params{smallParams(4, 2), crossingParams(8, 2)}},
 	} {
-		res, err := runMode(perfmodel.Default(), cluster.ModeHostOffload, pr)
-		if err != nil {
-			t.Fatalf("%+v: %v", pr, err)
-		}
-		want := ReferenceChecksum(Reference(pr), pr)
-		if res.Checksum != want {
-			t.Fatalf("%+v: checksum %v, reference %v", pr, res.Checksum, want)
-		}
+		t.Run(tc.m.String(), func(t *testing.T) {
+			for _, pr := range tc.prs {
+				res, err := runMode(perfmodel.Default(), tc.m, pr)
+				if err != nil {
+					t.Fatalf("%+v: %v", pr, err)
+				}
+				want := ReferenceChecksum(Reference(pr), pr)
+				if res.Checksum != want {
+					t.Fatalf("%+v: checksum %v, reference %v", pr, res.Checksum, want)
+				}
+			}
+		})
 	}
 }
 
