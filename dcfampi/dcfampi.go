@@ -22,10 +22,10 @@
 package dcfampi
 
 import (
-	"repro/internal/baseline"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/pcie"
 	"repro/internal/perfmodel"
 	"repro/internal/sim"
 )
@@ -51,8 +51,10 @@ type (
 	Platform = perfmodel.Platform
 	// Time and Duration are virtual-clock readings.
 	Time = sim.Time
-	// OffloadDevice is the co-processor handle in ModeHostOffload.
-	OffloadDevice = baseline.OffloadDevice
+	// OffloadDevice is the co-processor handle in ModeHostOffload: the
+	// rank's node PCIe bus, whose OffloadInit, OffloadTransfer and
+	// OffloadLaunch charge COI start-up, transfers and kernel launches.
+	OffloadDevice = pcie.Bus
 	// Comm is a communicator: the world group (Rank.CommWorld) or a
 	// Comm.Split of one.
 	Comm = core.Comm
@@ -106,7 +108,7 @@ const (
 	ModeIntelPhi = cluster.ModeIntelPhi
 	// ModeHostOffload is 'Intel MPI on Xeon where it offloads
 	// computation to Xeon Phi co-processors'; Job.Devices() returns
-	// the per-rank offload handles.
+	// the per-rank offload handles (each its node's PCIe bus).
 	ModeHostOffload = cluster.ModeHostOffload
 	// ModeSymmetric places even ranks on hosts and odd ranks on
 	// co-processors, two ranks per node (the third §III-B
@@ -150,12 +152,17 @@ func New(mode Mode, ranks int, opt *Options) *Job {
 	c := cluster.New(plat, nodes)
 	j := &Job{Mode: mode, Ranks: ranks, cluster: c, world: c.World(mode, ranks)}
 	if mode == ModeHostOffload {
-		j.devices = baseline.Devices(c, ranks)
+		j.devices = make([]*OffloadDevice, ranks)
+		for i := range j.devices {
+			j.devices[i] = c.Buses[c.NodeFor(i)]
+		}
 	}
 	return j
 }
 
-// Devices returns the per-rank offload handles (ModeHostOffload only).
+// Devices returns the per-rank offload handles (ModeHostOffload only):
+// rank i's is its node's bus, so ranks placed on one node share it and
+// its one-time OffloadInit.
 func (j *Job) Devices() []*OffloadDevice { return j.devices }
 
 // World exposes the underlying MPI world for advanced use.

@@ -52,7 +52,7 @@ func offloadIterations() ([]dcfampi.Time, error) {
 	err := job.Run(func(r *dcfampi.Rank) error {
 		p := r.Proc()
 		dev := devs[r.ID()]
-		dev.Init(p)
+		dev.OffloadInit(p)
 		other := 1 - r.ID()
 		for si, n := range sizes {
 			hostSend, hostRecv := r.Mem(n), r.Mem(n)
@@ -62,11 +62,11 @@ func offloadIterations() ([]dcfampi.Time, error) {
 			}
 			start := r.Now()
 			for i := 0; i < iters; i++ {
-				dev.TransferOut(p, hostSend.Data, micBuf.Data)
+				dev.OffloadTransfer(p, hostSend.Data, micBuf.Data)
 				if _, err := r.Sendrecv(p, other, si, dcfampi.Whole(hostSend), other, si, dcfampi.Whole(hostRecv)); err != nil {
 					return err
 				}
-				dev.TransferIn(p, micBuf.Data, hostRecv.Data)
+				dev.OffloadTransfer(p, micBuf.Data, hostRecv.Data)
 			}
 			if r.ID() == 0 {
 				out[si] = (r.Now() - start) / iters

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 
-	"repro/internal/baseline"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/ib"
@@ -198,22 +197,21 @@ func (e *Env) CommOnlyDCFA(plat *perfmodel.Platform, sizes []int, iters int) []s
 // data dependencies allow).
 func (e *Env) CommOnlyHostOffload(plat *perfmodel.Platform, sizes []int, iters int) []sim.Duration {
 	c := e.Cluster(plat, 2)
-	devs := baseline.Devices(c, 2)
 	return timeSizes(c.World(cluster.ModeHostOffload, 2), sizes, iters, 0, func(r *core.Rank, tag, n int) func() error {
 		p := r.Proc()
-		dev := devs[r.ID()]
-		dev.Init(p) // once: later calls are no-ops
+		bus := c.Buses[c.NodeFor(r.ID())]
+		bus.OffloadInit(p) // once: later calls are no-ops
 		hostSend, hostRecv := r.Mem(n), r.Mem(n)
-		micBuf := dev.Node.Mic.Alloc(n)
+		micBuf := bus.Node.Mic.Alloc(n)
 		return func() error {
 			// Copy out the card's results for sending, exchange between
 			// the hosts, copy the received data back in for the next
 			// compute.
-			dev.TransferOut(p, hostSend.Data, micBuf.Data)
+			bus.OffloadTransfer(p, hostSend.Data, micBuf.Data)
 			if err := isendIrecv(r, 1-r.ID(), tag, hostSend, hostRecv); err != nil {
 				return err
 			}
-			dev.TransferIn(p, micBuf.Data, hostRecv.Data)
+			bus.OffloadTransfer(p, micBuf.Data, hostRecv.Data)
 			return nil
 		}
 	})

@@ -116,9 +116,9 @@ func ProtoName(p uint8) string {
 	return "unknown"
 }
 
-// Packet kinds mirrored from core's wire headers so the graph layer can
-// classify cross-rank edges without importing core (core imports us).
-// core asserts the numeric agreement in a test.
+// Packet kinds of core's wire headers, defined here so the graph layer
+// can classify cross-rank edges without importing core (core imports
+// us); core declares its packet kinds from these.
 const (
 	PktEager  uint8 = 1
 	PktRTS    uint8 = 2
@@ -130,8 +130,8 @@ const (
 	PktNackW  uint8 = 8
 )
 
-// Work-request kinds carried in Pkt on EvWRPost/EvCQE (core's wrKind
-// shifted by one so zero stays "unset").
+// Work-request kinds carried in Pkt on EvWRPost/EvCQE; core declares its
+// wrKind values from these, and zero stays "unset".
 const (
 	WREager     uint8 = 1
 	WRCtrl      uint8 = 2

@@ -3,8 +3,9 @@
 // names the execution modes the paper compares (§III-B, §V), and
 // Config, Envs and World turn a mode into a protocol configuration, the
 // per-rank verbs providers and a world that carry everything installed
-// on the cluster (SetMetrics, SetFaults, SetCausal). The COI offload
-// device of the host-offload mode lives in internal/baseline.
+// on the cluster (SetMetrics, SetFaults, SetCausal). The host-offload
+// mode's co-processor handle is the node's PCIe bus: a rank drives
+// Buses[NodeFor(rank)] through its Offload* methods.
 package cluster
 
 import (
@@ -223,12 +224,4 @@ func (c *Cluster) DCFAWorld(ranks int, offload bool) *core.World {
 		return c.World(ModeDCFA, ranks)
 	}
 	return c.World(ModeDCFABase, ranks)
-}
-
-// Check validates a rank count against the cluster.
-func (c *Cluster) Check(ranks int) error {
-	if ranks < 1 {
-		return fmt.Errorf("cluster: invalid rank count %d", ranks)
-	}
-	return nil
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/machine"
 	"repro/internal/metrics"
+	"repro/internal/pcie"
 	"repro/internal/perfmodel"
 )
 
@@ -54,16 +55,6 @@ func TestEnvPlacement(t *testing.T) {
 		if e.V.Loc() != machine.HostMem {
 			t.Fatalf("host env %d not on the host", i)
 		}
-	}
-}
-
-func TestCheck(t *testing.T) {
-	c := New(perfmodel.Default(), 1)
-	if err := c.Check(0); err == nil {
-		t.Fatal("zero ranks accepted")
-	}
-	if err := c.Check(4); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -181,6 +172,107 @@ func TestEveryModeCarriesClusterSinks(t *testing.T) {
 			if cmdRetries != inj.CmdFaults {
 				t.Errorf("%d commands rejected, clients counted %d retries", inj.CmdFaults, cmdRetries)
 			}
+		})
+	}
+}
+
+// TestRegistryCarriesHardwareCounts: the registry is the one counter of
+// the hardware layers, so each fact they count must reach it. Every case
+// installs a registry and a fault plan (transient CMD rejections, late
+// DMA and COI completions) and runs the same exchange of fresh buffers
+// — in host-offload mode wrapped in one COI transfer out and one in per
+// iteration — then checks one layer's counters against what the
+// injector or the ranks know on their own.
+func TestRegistryCarriesHardwareCounts(t *testing.T) {
+	const iters, n = 5, 48 << 10
+	// sum adds the counters whose actor and name start with the given
+	// prefixes.
+	sum := func(reg *metrics.Registry, actor, name string) int64 {
+		var s int64
+		for _, cs := range reg.Snapshot().Counters {
+			if strings.HasPrefix(cs.Actor, actor) && strings.HasPrefix(cs.Name, name) {
+				s += cs.Value
+			}
+		}
+		return s
+	}
+	cases := []struct {
+		name  string
+		mode  Mode
+		check func(t *testing.T, reg *metrics.Registry, w *core.World, inj *faults.Injector)
+	}{
+		{"cmd-recovery", ModeDCFA, func(t *testing.T, reg *metrics.Registry, w *core.World, inj *faults.Injector) {
+			if inj.CmdFaults == 0 {
+				t.Fatal("the plan rejected no command: the case exercises nothing")
+			}
+			if recovered := sum(reg, "dcfa/node", "cmd.retries") + sum(reg, "dcfa/node", "cmd.timeouts"); recovered != inj.CmdFaults {
+				t.Errorf("retries+timeouts = %d, injected = %d", recovered, inj.CmdFaults)
+			}
+			if rejected := sum(reg, "dcfad/node", "rejected."); rejected != inj.CmdFaults {
+				t.Errorf("daemons counted %d rejections, injected = %d", rejected, inj.CmdFaults)
+			}
+		}},
+		{"coi-transfers", ModeHostOffload, func(t *testing.T, reg *metrics.Registry, w *core.World, inj *faults.Injector) {
+			for node := 0; node < 2; node++ {
+				actor := fmt.Sprintf("pcie/node%d", node)
+				if ops := reg.Counter(actor, "coi.ops").Value(); ops != 2*iters {
+					t.Errorf("%s: coi.ops = %d, the rank issued %d transfers", actor, ops, 2*iters)
+				}
+				if moved := reg.Counter(actor, "coi.bytes").Value(); moved != 2*iters*n {
+					t.Errorf("%s: coi.bytes = %d, the rank moved %d", actor, moved, 2*iters*n)
+				}
+			}
+		}},
+		{"dma-offloaded-sends", ModeDCFA, func(t *testing.T, reg *metrics.Registry, w *core.World, inj *faults.Injector) {
+			for rank := 0; rank < 2; rank++ {
+				staged := w.Rank(rank).Stats.OffloadedSends
+				if staged == 0 {
+					t.Fatalf("rank %d offloaded no send: the case exercises nothing", rank)
+				}
+				actor := fmt.Sprintf("pcie/node%d", rank)
+				if copies := reg.Counter(actor, "dma.copies").Value(); copies != staged {
+					t.Errorf("%s: dma.copies = %d, rank %d offloaded %d sends", actor, copies, rank, staged)
+				}
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New(perfmodel.Default(), 2)
+			reg := metrics.New()
+			c.SetMetrics(reg)
+			plan := faults.NewPlan(5)
+			plan.Cmd, plan.DMADelay = 0.2, 0.2
+			inj := c.SetFaults(plan)
+			w := c.World(tc.mode, 2)
+			err := w.Run(func(r *core.Rank) error {
+				p := r.Proc()
+				var bus *pcie.Bus
+				if tc.mode == ModeHostOffload {
+					bus = c.Buses[c.NodeFor(r.ID())]
+					bus.OffloadInit(p)
+				}
+				other := 1 - r.ID()
+				for it := 0; it < iters; it++ {
+					sb, rb := r.Mem(n), r.Mem(n)
+					var card *machine.Buffer
+					if bus != nil {
+						card = bus.Node.Mic.Alloc(n)
+						bus.OffloadTransfer(p, sb.Data, card.Data)
+					}
+					if _, err := r.Sendrecv(p, other, it, core.Whole(sb), other, it, core.Whole(rb)); err != nil {
+						return err
+					}
+					if bus != nil {
+						bus.OffloadTransfer(p, card.Data, rb.Data)
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.check(t, reg, w, inj)
 		})
 	}
 }

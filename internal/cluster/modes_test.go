@@ -1,18 +1,23 @@
-package baseline_test
+package cluster_test
+
+// The modes beside DCFA-MPI that the paper compares against (§III-B,
+// §V): 'Intel MPI on Xeon Phi' through the host proxy, the symmetric
+// host+co-processor placement, and 'Intel MPI on Xeon + offload', whose
+// co-processor handle is the node's PCIe bus.
 
 import (
 	"bytes"
 	"errors"
 	"testing"
 
-	"repro/internal/baseline"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/perfmodel"
 	"repro/internal/sim"
 )
 
-// phiPingPong measures one blocking round trip of n bytes on a world.
+// pingPongRTT measures one blocking round trip of n bytes on a world.
 func pingPongRTT(t *testing.T, w *core.World, n int) sim.Duration {
 	t.Helper()
 	var rtt sim.Duration
@@ -119,7 +124,9 @@ func TestPhiMPIHasNoOffloadVerbs(t *testing.T) {
 func TestOffloadDeviceTransferAndLaunchCosts(t *testing.T) {
 	plat := perfmodel.Default()
 	c := cluster.New(plat, 1)
-	dev := baseline.NewOffloadDevice(c.Buses[0])
+	reg := metrics.New()
+	c.SetMetrics(reg)
+	dev := c.Buses[0]
 	host := c.Nodes[0].Host.Alloc(4096)
 	mic := c.Nodes[0].Mic.Alloc(4096)
 	for i := range host.Data {
@@ -128,16 +135,16 @@ func TestOffloadDeviceTransferAndLaunchCosts(t *testing.T) {
 	var initT, xferT, launchT sim.Duration
 	c.Eng.Spawn("host-rank", func(p *sim.Proc) {
 		s := p.Now()
-		dev.Init(p)
-		dev.Init(p) // second init must be free
+		dev.OffloadInit(p)
+		dev.OffloadInit(p) // second init must be free
 		initT = p.Now() - s
 		s = p.Now()
-		dev.TransferIn(p, mic.Data, host.Data)
+		dev.OffloadTransfer(p, mic.Data, host.Data)
 		xferT = p.Now() - s
 		s = p.Now()
-		dev.Launch(p, 56)
+		dev.OffloadLaunch(p, 56)
 		launchT = p.Now() - s
-		dev.TransferOut(p, host.Data, mic.Data)
+		dev.OffloadTransfer(p, host.Data, mic.Data)
 	})
 	if err := c.Eng.Run(); err != nil {
 		t.Fatal(err)
@@ -154,21 +161,18 @@ func TestOffloadDeviceTransferAndLaunchCosts(t *testing.T) {
 	if !bytes.Equal(mic.Data, host.Data) {
 		t.Fatal("transfer did not move bytes")
 	}
-	if dev.Transfers != 2 || dev.Launches != 1 {
-		t.Fatalf("stats transfers=%d launches=%d", dev.Transfers, dev.Launches)
+	if ops := reg.Counter("pcie/node0", "coi.ops").Value(); ops != 2 {
+		t.Fatalf("stats transfers=%d", ops)
 	}
 }
 
 func TestHostOffloadWorldRuns(t *testing.T) {
 	c := cluster.New(perfmodel.Default(), 2)
-	w, devs := c.World(cluster.ModeHostOffload, 2), baseline.Devices(c, 2)
-	if len(devs) != 2 {
-		t.Fatalf("devices %d", len(devs))
-	}
+	w := c.World(cluster.ModeHostOffload, 2)
 	err := w.Run(func(r *core.Rank) error {
 		p := r.Proc()
-		dev := devs[r.ID()]
-		dev.Init(p)
+		dev := c.Buses[c.NodeFor(r.ID())]
+		dev.OffloadInit(p)
 		// Host rank stages data to the card, "computes", pulls it back,
 		// and exchanges over host MPI.
 		hostBuf := r.Mem(8192)
@@ -176,9 +180,9 @@ func TestHostOffloadWorldRuns(t *testing.T) {
 		for i := range hostBuf.Data {
 			hostBuf.Data[i] = byte(r.ID() + 1)
 		}
-		dev.TransferIn(p, micBuf.Data, hostBuf.Data)
-		dev.Launch(p, 4)
-		dev.TransferOut(p, hostBuf.Data, micBuf.Data)
+		dev.OffloadTransfer(p, micBuf.Data, hostBuf.Data)
+		dev.OffloadLaunch(p, 4)
+		dev.OffloadTransfer(p, hostBuf.Data, micBuf.Data)
 		other := 1 - r.ID()
 		rb := r.Mem(8192)
 		if _, err := r.Sendrecv(p, other, 0, core.Whole(hostBuf), other, 0, core.Whole(rb)); err != nil {
@@ -296,13 +300,13 @@ func TestDoubleBufferOverlap(t *testing.T) {
 	// the paper's fourth optimization policy.
 	plat := perfmodel.Default()
 	c := cluster.New(plat, 1)
-	dev := baseline.NewOffloadDevice(c.Buses[0])
+	dev := c.Buses[0]
 	host := c.Nodes[0].Host.Alloc(1 << 20)
 	mic := c.Nodes[0].Mic.Alloc(1 << 20)
 	var elapsed sim.Duration
 	c.Eng.Spawn("host-rank", func(p *sim.Proc) {
 		start := p.Now()
-		ev := dev.Bus.StartOffloadTransfer(mic.Data, host.Data)
+		ev := dev.StartOffloadTransfer(mic.Data, host.Data)
 		p.Sleep(100 * sim.Microsecond) // overlapped host work
 		ev.Wait(p)
 		elapsed = p.Now() - start

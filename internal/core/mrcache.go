@@ -29,8 +29,6 @@ type MRCache struct {
 	// buffers".
 	Hits   int64
 	Misses int64
-	// Evictions counts deregistrations forced by capacity.
-	Evictions int64
 
 	// Telemetry handles (nil when metrics are disabled; see instrument).
 	hitsC      *metrics.Counter
@@ -132,7 +130,6 @@ func (c *MRCache) evictExcess(p *sim.Proc) error {
 		mr := victim.Value.(*mrEntry).mr
 		c.lru.Remove(victim)
 		delete(c.entries, mr)
-		c.Evictions++
 		c.evictionsC.Inc()
 		if err := c.v.DeregMR(p, mr); err != nil {
 			return err

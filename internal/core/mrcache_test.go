@@ -9,6 +9,7 @@ import (
 	"repro/internal/dcfa"
 	"repro/internal/ib"
 	"repro/internal/machine"
+	"repro/internal/metrics"
 	"repro/internal/pcie"
 	"repro/internal/perfmodel"
 	"repro/internal/sim"
@@ -63,6 +64,8 @@ func TestMRCacheHitOnContainedRange(t *testing.T) {
 
 func TestMRCacheEvictsLRUOnlyUnpinned(t *testing.T) {
 	cacheRig(t, 2, func(p *sim.Proc, c *MRCache, dom *machine.Domain) {
+		reg := metrics.New()
+		c.instrument(reg, "cache")
 		bufs := []*machine.Buffer{dom.Alloc(4096), dom.Alloc(4096), dom.Alloc(4096)}
 		mr0, _ := c.Get(p, dom, bufs[0].Addr, 4096)
 		mr1, _ := c.Get(p, dom, bufs[1].Addr, 4096)
@@ -79,8 +82,8 @@ func TestMRCacheEvictsLRUOnlyUnpinned(t *testing.T) {
 		if c.Len() != 2 {
 			t.Errorf("len=%d after release, want 2", c.Len())
 		}
-		if c.Evictions != 1 {
-			t.Errorf("evictions=%d", c.Evictions)
+		if n := reg.Counter("cache", "mrcache.evictions").Value(); n != 1 {
+			t.Errorf("evictions=%d", n)
 		}
 		// The evicted region must be re-registered on next use.
 		miss0 := c.Misses

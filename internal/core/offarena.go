@@ -18,12 +18,8 @@ type offArena struct {
 	omr *dcfa.OffloadMR
 	// free holds disjoint [off, end) ranges sorted by offset.
 	free []offRange
-
-	// Stats.
-	Allocs    int64
-	Failures  int64 // requests larger than any free range (caller falls back)
-	PeakInUse int
-	inUse     int
+	// inUse is the bytes held by allocated ranges; Rank.leaked reads it.
+	inUse int
 }
 
 type offRange struct{ off, end int }
@@ -56,15 +52,10 @@ func (a *offArena) alloc(n int) *offRegion {
 			} else {
 				a.free[i].off += n
 			}
-			a.Allocs++
 			a.inUse += n
-			if a.inUse > a.PeakInUse {
-				a.PeakInUse = a.inUse
-			}
 			return reg
 		}
 	}
-	a.Failures++
 	return nil
 }
 

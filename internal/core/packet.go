@@ -9,23 +9,10 @@ import (
 	"repro/internal/sim"
 )
 
-// Packet kinds on the eager rings.
-const (
-	pktNone   byte = 0
-	pktEager  byte = 1
-	pktRTS    byte = 2 // sender-first rendezvous: ready-to-send
-	pktRTR    byte = 3 // receiver-first rendezvous: ready-to-receive
-	pktDone   byte = 4 // sender-first rendezvous read finished: closes the send
-	pktCredit byte = 5 // explicit eager-ring credit return
-	pktNack   byte = 6 // rendezvous aborted: closes the send (receiver issued MPI error)
-	// The receiver-first protocol needs its own completion kinds: a rank
-	// can simultaneously hold a send to and a receive from the same peer
-	// under the same sequence id (the spaces are independent per
-	// direction), so a bare DONE/NACK would be ambiguous about which one
-	// it closes.
-	pktDoneW byte = 7 // receiver-first rendezvous write finished: closes the receive
-	pktNackW byte = 8 // receiver-first rendezvous aborted: closes the receive
-)
+// Packet kinds on the eager rings (pktEager ... pktNackW) are declared
+// in report.go from the causal profiler's wire codes; pktNone marks an
+// empty slot.
+const pktNone byte = 0
 
 // hdrSize is the fixed eager packet header; tailSize the completion
 // marker written after the payload (the paper's tail SGE).

@@ -16,6 +16,30 @@ import (
 // fact, the methods further down for a request, a packet, a work request,
 // a wait, a collective call. DESIGN.md §8c prints the table.
 
+// Packet kinds on the eager rings and work-request kinds are the wire
+// codes the causal profiler classifies edges by, so they are declared
+// from there.
+const (
+	pktEager  = causal.PktEager
+	pktRTS    = causal.PktRTS    // sender-first rendezvous: ready-to-send
+	pktRTR    = causal.PktRTR    // receiver-first rendezvous: ready-to-receive
+	pktDone   = causal.PktDone   // sender-first rendezvous read finished: closes the send
+	pktCredit = causal.PktCredit // explicit eager-ring credit return
+	pktNack   = causal.PktNack   // rendezvous aborted: closes the send (receiver issued MPI error)
+	// The receiver-first protocol needs its own completion kinds: a rank
+	// can simultaneously hold a send to and a receive from the same peer
+	// under the same sequence id (the spaces are independent per
+	// direction), so a bare DONE/NACK would be ambiguous about which one
+	// it closes.
+	pktDoneW = causal.PktDoneW // receiver-first rendezvous write finished: closes the receive
+	pktNackW = causal.PktNackW // receiver-first rendezvous aborted: closes the receive
+
+	wrEager     = wrKind(causal.WREager)
+	wrCtrl      = wrKind(causal.WRCtrl)
+	wrRndvWrite = wrKind(causal.WRRndvWrite)
+	wrRndvRead  = wrKind(causal.WRRndvRead)
+)
+
 // stepKind names one protocol step: §IV-B3's, and the recovery around
 // them.
 type stepKind uint8
@@ -389,18 +413,17 @@ func (r *Rank) packetRecvd(p *sim.Proc, src int, h header) {
 	}
 }
 
-// wrPosted and cqe carry the work-request kind shifted by one, so that
-// zero stays "unset" (causal.WR*).
+// wrPosted reports work request wrid posted toward peer.
 func (r *Rank) wrPosted(p *sim.Proc, peer int, kind wrKind, wrid uint64, n int) {
 	if r.rep.rec != nil {
-		r.emit(p, causal.Event{Kind: causal.EvWRPost, Peer: int32(peer), Pkt: uint8(kind) + 1, Aux: wrid, Bytes: int32(n)})
+		r.emit(p, causal.Event{Kind: causal.EvWRPost, Peer: int32(peer), Pkt: uint8(kind), Aux: wrid, Bytes: int32(n)})
 	}
 }
 
 // cqe reports the completion of work request wrid consumed.
 func (r *Rank) cqe(p *sim.Proc, act wrAction, wrid uint64) {
 	if r.rep.rec != nil {
-		r.emit(p, causal.Event{Kind: causal.EvCQE, Peer: int32(act.peer), Pkt: uint8(act.kind) + 1, Aux: wrid})
+		r.emit(p, causal.Event{Kind: causal.EvCQE, Peer: int32(act.peer), Pkt: uint8(act.kind), Aux: wrid})
 	}
 }
 

@@ -207,15 +207,10 @@ type arrival struct {
 	buf []byte
 }
 
-// wrAction routes a CQ entry back to protocol state.
-type wrKind int
-
-const (
-	wrEager wrKind = iota
-	wrCtrl
-	wrRndvWrite
-	wrRndvRead
-)
+// wrKind is what a work request carries. Its values (wrEager ...
+// wrRndvRead) are declared in report.go from the causal profiler's WR
+// codes, so zero stays "unset".
+type wrKind uint8
 
 func (k wrKind) String() string {
 	switch k {
@@ -232,6 +227,7 @@ func (k wrKind) String() string {
 	}
 }
 
+// wrAction routes a CQ entry back to protocol state.
 type wrAction struct {
 	kind wrKind
 	req  *Request

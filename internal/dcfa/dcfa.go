@@ -108,14 +108,11 @@ type regOffloadResp struct {
 // OffloadMR is an offloading memory region: a host bounce buffer plus
 // its InfiniBand registration, fronting a co-processor send buffer.
 type OffloadMR struct {
-	Handle  uint64
-	Size    int
-	HostBuf *machine.Buffer
-	HostMR  *ib.MR
-	// Syncs and SyncedBytes count staging operations for reports.
-	Syncs       int64
-	SyncedBytes int64
-	released    bool
+	Handle   uint64
+	Size     int
+	HostBuf  *machine.Buffer
+	HostMR   *ib.MR
+	released bool
 }
 
 // HostDaemon is the DCFA CMD server: the host delegation process
@@ -137,11 +134,6 @@ type HostDaemon struct {
 	objects    map[uint64]any
 	nextHandle uint64
 
-	// Requests counts delegated commands served.
-	Requests int64
-	// Rejected counts commands transiently rejected by the fault plan.
-	Rejected int64
-
 	// Telemetry (nil / "" when metrics are disabled).
 	metrics *metrics.Registry
 	actor   string
@@ -155,12 +147,10 @@ func (d *HostDaemon) serve(p *sim.Proc) {
 	p.MarkDaemon()
 	for {
 		msg := d.ep.Recv(p)
-		d.Requests++
 		if d.faults.CmdFault() {
 			// Transient failure: reject before doing any host work. The
 			// client's retry makes this invisible to callers (modulo
 			// time) unless the deadline runs out first.
-			d.Rejected++
 			if d.metrics != nil {
 				d.metrics.Counter(d.actor, "rejected."+cmdName(msg.Kind)).Inc()
 			}
@@ -262,13 +252,6 @@ type MicVerbs struct {
 	// daemon published for it, which DeregMR ships back.
 	mrHandles map[*ib.MR]uint64
 
-	// DelegatedCalls counts operations that crossed to the host.
-	DelegatedCalls int64
-	// CmdRetries and CmdTimeouts count the client-side recovery work:
-	// every transient rejection ends in exactly one of the two.
-	CmdRetries  int64
-	CmdTimeouts int64
-
 	// Telemetry (nil / "" when metrics are disabled).
 	metrics *metrics.Registry
 	actor   string
@@ -343,7 +326,6 @@ func (v *MicVerbs) Context() *ib.Context { return v.ctx }
 // virtual-time deadline expires. The sunny-day path (no injector, no
 // rejection) is a single Call with no extra timing.
 func (v *MicVerbs) call(p *sim.Proc, kind int, payload any) (scif.Msg, error) {
-	v.DelegatedCalls++
 	name := cmdName(kind)
 	start := p.Now()
 	var sp *metrics.Span
@@ -372,14 +354,12 @@ func (v *MicVerbs) call(p *sim.Proc, kind int, payload any) (scif.Msg, error) {
 		// Transient rejection: back off and retry, unless the next
 		// attempt could not even start before the deadline.
 		if p.Now()+backoff >= deadline {
-			v.CmdTimeouts++
 			if v.metrics != nil {
 				sp.End(p.Now())
 				v.metrics.Counter(v.actor, "cmd.timeouts").Inc()
 			}
 			return scif.Msg{}, &CmdTimeoutError{Cmd: name, Tries: tries, Elapsed: p.Now() - start}
 		}
-		v.CmdRetries++
 		if v.metrics != nil {
 			v.metrics.Counter(v.actor, "cmd.retries").Inc()
 		}
@@ -490,8 +470,6 @@ func (v *MicVerbs) SyncOffloadMR(p *sim.Proc, omr *OffloadMR, off int, src []byt
 	if err := v.Bus.DMACopy(p, omr.HostBuf.Data[off:off+len(src)], src); err != nil {
 		return fmt.Errorf("dcfa: sync offload MR %d: %w", omr.Handle, err)
 	}
-	omr.Syncs++
-	omr.SyncedBytes += int64(len(src))
 	return nil
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/ib"
 	"repro/internal/machine"
+	"repro/internal/metrics"
 	"repro/internal/pcie"
 	"repro/internal/perfmodel"
 	"repro/internal/sim"
@@ -38,6 +39,8 @@ func newRig() *rig {
 func TestDelegatedRegMRCostsAndWorks(t *testing.T) {
 	r := newRig()
 	buf := r.node[0].Mic.Alloc(64 << 10)
+	reg := metrics.New()
+	r.mic[0].SetMetrics(reg)
 	var elapsed sim.Duration
 	r.eng.Spawn("rank", func(p *sim.Proc) {
 		pd, _ := r.mic[0].AllocPD(p)
@@ -59,8 +62,9 @@ func TestDelegatedRegMRCostsAndWorks(t *testing.T) {
 	if elapsed < floor {
 		t.Fatalf("delegated registration took %v, must be ≥ %v (round trip + host work)", elapsed, floor)
 	}
-	if r.dm[0].Requests < 2 {
-		t.Fatalf("daemon served %d requests, want ≥2", r.dm[0].Requests)
+	served := reg.Counter("dcfad/node0", "served.alloc-pd").Value() + reg.Counter("dcfad/node0", "served.reg-mr").Value()
+	if served != 2 {
+		t.Fatalf("daemon served %d of the two requests", served)
 	}
 	if r.dm[0].LiveObjects() != 1 {
 		t.Fatalf("hash table holds %d objects, want 1", r.dm[0].LiveObjects())
@@ -156,6 +160,7 @@ func TestOffloadMRSyncStagesBytes(t *testing.T) {
 		src.Data[i] = byte(255 - i%251)
 	}
 	start := r.hca[0].LiveMRs()
+	r.bus[0].Metrics = metrics.New()
 	r.eng.Spawn("rank", func(p *sim.Proc) {
 		v := r.mic[0]
 		pd, _ := v.AllocPD(p)
@@ -185,8 +190,10 @@ func TestOffloadMRSyncStagesBytes(t *testing.T) {
 		if !bytes.Equal(omr.HostBuf.Data, src.Data) {
 			t.Error("sync did not stage bytes into host buffer")
 		}
-		if omr.Syncs != 1 || omr.SyncedBytes != 8192 {
-			t.Errorf("stats %d/%d", omr.Syncs, omr.SyncedBytes)
+		copies := r.bus[0].Metrics.Counter("pcie/node0", "dma.copies").Value()
+		moved := r.bus[0].Metrics.Counter("pcie/node0", "dma.bytes").Value()
+		if copies != 1 || moved != 8192 {
+			t.Errorf("stats %d/%d", copies, moved)
 		}
 		if err := v.DeregOffloadMR(p, omr); err != nil {
 			t.Error(err)

@@ -180,7 +180,6 @@ func (x *flight) readArrive() {
 	rate := qp.capRate(minRate(plat.IBBandwidth, minRate(plat.HCARead(mr.Dom.Kind), x.writeRate)))
 	back := rh.egress.ReserveRate(x.n, rate)
 	back = rh.deliverVia(back, h, x.n, rate)
-	rh.BytesOut += int64(x.n)
 	x.src.buf = src
 	eng.At(back, x.onRespond)
 }

@@ -144,11 +144,6 @@ type HCA struct {
 	// Only landed rings it.
 	Doorbell *sim.Signal
 
-	// Stats.
-	BytesOut int64
-	WRs      int64
-	RNRWaits int64
-
 	// actor is this adapter's telemetry track name ("hca<LID>").
 	actor string
 	// Byte-counter handles of an instrumented fabric, resolved at each

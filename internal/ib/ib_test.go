@@ -212,6 +212,9 @@ func TestSendBeforeRecvIsRNRQueued(t *testing.T) {
 	})
 	r.eng.Spawn("recv", func(p *sim.Proc) {
 		p.Sleep(50 * sim.Microsecond) // post long after arrival
+		if n := b.qp.pending.Len(); n != 1 {
+			t.Errorf("%d SENDs parked before the late PostRecv, want 1", n)
+		}
 		dmr, _ := b.ctx.RegMRBuffer(p, b.pd, dst)
 		b.qp.PostRecv(p, &RecvWR{WRID: 2, SGL: []SGE{{Addr: dst.Addr, Len: 32, LKey: dmr.LKey}}})
 		cqes := b.cq.WaitPoll(p, 1)
@@ -224,9 +227,6 @@ func TestSendBeforeRecvIsRNRQueued(t *testing.T) {
 	}
 	if dst.Data[0] != 0x77 {
 		t.Fatal("late-posted recv did not get data")
-	}
-	if r.h1.RNRWaits != 1 {
-		t.Fatalf("RNRWaits=%d, want 1", r.h1.RNRWaits)
 	}
 }
 

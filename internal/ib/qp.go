@@ -45,10 +45,6 @@ type QP struct {
 	// posted (the simulator's RNR condition).
 	pending sim.FIFO[*inbound]
 
-	// Stats.
-	PostedSends int64
-	PostedRecvs int64
-
 	// Telemetry handles, created with the QP when Fabric.Metrics is
 	// installed (nil otherwise; recording through them is a no-op).
 	postedC    *metrics.Counter
@@ -171,7 +167,6 @@ func (qp *QP) PostRecv(p *sim.Proc, wr *RecvWR) error {
 		}
 	}
 	p.Sleep(qp.ctx.HCA.fab.Plat.PostCost(qp.ctx.Loc))
-	qp.PostedRecvs++
 	qp.postedC.Inc()
 	if qp.pending.Len() > 0 {
 		in := qp.pending.Pop()
@@ -190,7 +185,6 @@ func (qp *QP) land(src wireSrc, imm uint32, hasImm bool, srcQPN uint32) {
 		qp.deliver(qp.recvQueue.Pop(), src, imm, hasImm, srcQPN)
 		return
 	}
-	qp.ctx.HCA.RNRWaits++
 	in := &inbound{imm: imm, hasImm: hasImm, srcQPN: srcQPN}
 	if n := src.size(); n > 0 {
 		in.data = make([]byte, n)
@@ -326,9 +320,7 @@ func (qp *QP) PostSend(p *sim.Proc, wr *SendWR) error {
 	}
 	rem := qp.remote
 	p.Sleep(plat.PostCost(qp.ctx.Loc))
-	qp.PostedSends++
 	qp.postedC.Inc()
-	h.WRs++
 
 	switch wr.Opcode {
 	case OpSend, OpSendImm:
@@ -345,7 +337,6 @@ func (qp *QP) PostSend(p *sim.Proc, wr *SendWR) error {
 		rate := qp.capRate(minRate(plat.IBBandwidth, minRate(readRate, plat.HCAWriteHost)))
 		arrive := h.egress.ReserveRate(n, rate)
 		arrive = h.deliverVia(arrive, rem.ctx.HCA, n, rate)
-		h.BytesOut += int64(n)
 		f := h.fab.takeFlight(qp, wr, src, n)
 		eng.At(arrive, f.onArrive)
 		if wr.Signaled {
@@ -376,7 +367,6 @@ func (qp *QP) PostSend(p *sim.Proc, wr *SendWR) error {
 		rate := qp.capRate(minRate(plat.IBBandwidth, minRate(readRate, writeRate)))
 		arrive := h.egress.ReserveRate(n, rate)
 		arrive = h.deliverVia(arrive, rem.ctx.HCA, n, rate)
-		h.BytesOut += int64(n)
 		f := h.fab.takeFlight(qp, wr, src, n)
 		f.span = wsp
 		f.fault, f.delivered = h.fab.Faults.IBWriteFault()

@@ -338,8 +338,8 @@ func TestWireRNRParksItsOwnCopy(t *testing.T) {
 				if cqe := w.a.cq.WaitPoll(p, 1)[0]; cqe.Status != StatusSuccess {
 					t.Errorf("send completion %+v", cqe)
 				}
-				if w.h1.RNRWaits != 1 {
-					t.Errorf("RNRWaits = %d: the SEND was not parked", w.h1.RNRWaits)
+				if n := w.b.qp.pending.Len(); n != 1 {
+					t.Errorf("%d SENDs parked: the SEND was not parked", n)
 				}
 				checkFreeList(t, w.h0.fab, captures, w.b.qp)
 				// The sender owns its buffer again; later inline traffic

@@ -20,11 +20,6 @@ type Team struct {
 	Plat    *perfmodel.Platform
 	Threads int
 	Loc     machine.DomainKind
-
-	// Regions counts parallel regions entered (fork/join charges).
-	Regions int64
-	// WorkItems accumulates loop iterations executed/charged.
-	WorkItems int64
 }
 
 // NewTeam builds a team of n threads on a device of kind loc.
@@ -72,8 +67,6 @@ func (t *Team) RegionCost(n int) sim.Duration {
 // [0, n) using real goroutines. The body must be pure computation: it
 // runs outside the simulation scheduler and must not touch sim state.
 func (t *Team) ParallelFor(p *sim.Proc, n int, body func(lo, hi int)) {
-	t.Regions++
-	t.WorkItems += int64(n)
 	if body != nil {
 		t.Execute(n, body)
 	}

@@ -51,6 +51,7 @@ func TestParallelForExecutesAllItems(t *testing.T) {
 	eng := sim.NewEngine()
 	team := NewTeam(plat, 8, machine.MicMem)
 	var sum int64
+	var elapsed sim.Time
 	eng.Spawn("compute", func(p *sim.Proc) {
 		team.ParallelFor(p, 1000, func(lo, hi int) {
 			var local int64
@@ -59,6 +60,7 @@ func TestParallelForExecutesAllItems(t *testing.T) {
 			}
 			atomic.AddInt64(&sum, local)
 		})
+		elapsed = p.Now()
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -66,8 +68,8 @@ func TestParallelForExecutesAllItems(t *testing.T) {
 	if sum != 999*1000/2 {
 		t.Fatalf("sum %d, want %d (items missed or duplicated)", sum, 999*1000/2)
 	}
-	if team.Regions != 1 || team.WorkItems != 1000 {
-		t.Fatalf("stats regions=%d items=%d", team.Regions, team.WorkItems)
+	if want := sim.Time(team.RegionCost(1000)); elapsed != want {
+		t.Fatalf("charged %v, want one region of 1000 items (%v)", elapsed, want)
 	}
 }
 

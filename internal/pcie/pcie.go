@@ -44,12 +44,8 @@ type Bus struct {
 	// dma is the Phi's DMA engine, coi the COI offload path: each
 	// serializes its own transfers.
 	dma, coi engine
-
-	// Stats.
-	DMACopies   int64
-	DMABytes    int64
-	OffloadOps  int64
-	OffloadByte int64
+	// offloadReady is set once OffloadInit has paid the COI start-up.
+	offloadReady bool
 
 	// Metrics, when non-nil, records transfer counts, bytes, engine
 	// busy time (wire occupancy, for utilization) and transfer spans
@@ -68,11 +64,10 @@ type Bus struct {
 }
 
 // engine is what tells the bus's two transfer paths apart: the link that
-// serializes it, the Bus stats it counts into, and its names in the
-// registry. Everything else about a transfer is Bus.start.
+// serializes it and its names in the registry. Everything else about a
+// transfer is Bus.start.
 type engine struct {
 	link                      *sim.Link
-	ops, bytes                *int64
 	opsC, bytesC, busyC, span string
 }
 
@@ -80,9 +75,9 @@ type engine struct {
 func Attach(eng *sim.Engine, plat *perfmodel.Platform, n *machine.Node) *Bus {
 	b := &Bus{Eng: eng, Plat: plat, Node: n, actor: fmt.Sprintf("pcie/node%d", n.ID)}
 	b.dma = engine{sim.NewLink(eng, n.Host.Name+"/dma-engine", plat.DMAEngineLatency, plat.DMAEngineBandwidth),
-		&b.DMACopies, &b.DMABytes, "dma.copies", "dma.bytes", "dma.busy-ns", "dma-copy"}
+		"dma.copies", "dma.bytes", "dma.busy-ns", "dma-copy"}
 	b.coi = engine{sim.NewLink(eng, n.Host.Name+"/coi", plat.OffloadTransferOverhead, plat.OffloadBandwidth),
-		&b.OffloadOps, &b.OffloadByte, "coi.ops", "coi.bytes", "coi.busy-ns", "coi-transfer"}
+		"coi.ops", "coi.bytes", "coi.busy-ns", "coi-transfer"}
 	return b
 }
 
@@ -129,8 +124,6 @@ func (b *Bus) start(e *engine, dst, src []byte, err *error) *sim.Event {
 		err = nil // nothing to report
 	}
 	arrive := e.link.Reserve(len(src)) + delay
-	*e.ops++
-	*e.bytes += int64(len(src))
 	// aborted is err under a name nothing assigns to, so the callback
 	// captures it by value and the transfer allocates no cell for it.
 	start, aborted := b.Eng.Now(), err
@@ -184,7 +177,13 @@ func (b *Bus) OffloadLaunch(p *sim.Proc, threads int) {
 	p.Sleep(b.Plat.OffloadLaunchCost(threads))
 }
 
-// OffloadInit charges the one-time COI engine initialization.
+// OffloadInit charges the one-time COI engine initialization, kept out
+// of timed loops per the paper's first optimization policy; later calls
+// on the same bus are free.
 func (b *Bus) OffloadInit(p *sim.Proc) {
+	if b.offloadReady {
+		return
+	}
+	b.offloadReady = true
 	p.Sleep(b.Plat.OffloadInitCost)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/machine"
+	"repro/internal/metrics"
 	"repro/internal/perfmodel"
 	"repro/internal/sim"
 )
@@ -52,6 +53,7 @@ func TestDMACopyBlocking(t *testing.T) {
 	src := n.Mic.Alloc(100)
 	dst := n.Host.Alloc(100)
 	src.Data[42] = 0xEE
+	bus.Metrics = metrics.New()
 	eng.Spawn("xfer", func(p *sim.Proc) {
 		if err := bus.DMACopy(p, dst.Data, src.Data); err != nil {
 			t.Error(err)
@@ -63,8 +65,10 @@ func TestDMACopyBlocking(t *testing.T) {
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if bus.DMACopies != 1 || bus.DMABytes != 100 {
-		t.Fatalf("stats copies=%d bytes=%d", bus.DMACopies, bus.DMABytes)
+	copies := bus.Metrics.Counter("pcie/node0", "dma.copies").Value()
+	moved := bus.Metrics.Counter("pcie/node0", "dma.bytes").Value()
+	if copies != 1 || moved != 100 {
+		t.Fatalf("stats copies=%d bytes=%d", copies, moved)
 	}
 }
 

@@ -23,10 +23,7 @@ type Endpoint struct {
 	lat   sim.Duration
 	inbox *sim.Queue[Msg]
 	peer  *Endpoint
-	// Sent and Received count messages for tests and reports.
-	Sent     int64
-	Received int64
-	seq      uint64
+	seq   uint64
 }
 
 // Pair is a connected host/mic endpoint pair on one node.
@@ -50,11 +47,9 @@ func NewPair(eng *sim.Engine, plat *perfmodel.Platform) *Pair {
 func (e *Endpoint) Send(kind int, payload any) {
 	e.seq++
 	msg := Msg{Kind: kind, Seq: e.seq, Payload: payload}
-	e.Sent++
 	peer := e.peer
 	e.eng.After(e.lat, func() {
 		peer.inbox.Put(msg)
-		peer.Received++
 	})
 }
 

@@ -15,9 +15,8 @@ type Link struct {
 	Bandwidth float64
 
 	nextFree Time
-	// Bytes and Transfers accumulate usage for reports.
-	Bytes     int64
-	Transfers int64
+	// Bytes accumulates usage for reports.
+	Bytes int64
 }
 
 // NewLink returns a link with constant bandwidth bps bytes/second.
@@ -73,7 +72,6 @@ func (l *Link) ReserveRateAt(at Time, n int, bps float64) Time {
 	occ := occupancy(n, bps)
 	l.nextFree = start + occ
 	l.Bytes += int64(n)
-	l.Transfers++
 	return start + occ + l.Latency
 }
 

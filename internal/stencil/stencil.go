@@ -16,7 +16,6 @@ import (
 	"math"
 	"unsafe"
 
-	"repro/internal/baseline"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/machine"
@@ -502,7 +501,7 @@ func Run(c *cluster.Cluster, m cluster.Mode, pr Params) (Result, error) {
 	}
 	w := c.World(m, pr.Procs)
 	if m == cluster.ModeHostOffload {
-		return runHostOffload(w, baseline.Devices(c, pr.Procs), pr)
+		return runHostOffload(c, w, pr)
 	}
 	return RunWorld(w, pr)
 }
@@ -538,12 +537,13 @@ func RunWorld(w *core.World, pr Params) (Result, error) {
 // where it offloads computation to Xeon Phi co-processors' mode: host
 // MPI ranks, computation and grid on the co-processor, per-iteration
 // offload kernel launches, and packed halo transfers over the COI path
-// (Table III: copy in + copy out each iteration).
-func runHostOffload(w *core.World, devs []*baseline.OffloadDevice, pr Params) (Result, error) {
+// (Table III: copy in + copy out each iteration). Each rank drives its
+// node's PCIe bus on c.
+func runHostOffload(c *cluster.Cluster, w *core.World, pr Params) (Result, error) {
 	return runRanks(w, func(p *sim.Proc, r *core.Rank) (Result, error) {
-		dev := devs[r.ID()]
-		dev.Init(p) // one-time, outside the timed loop, as optimized
-		micDom := dev.Node.Mic
+		bus := c.Buses[c.NodeFor(r.ID())]
+		bus.OffloadInit(p) // one-time, outside the timed loop, as optimized
+		micDom := bus.Node.Mic
 		rows, top := pr.N/pr.Procs, r.ID() == 0
 		l := newSlab(micDom, rows, pr.Width(), top) // compute slab on the card
 		// The host slab only stages halos for MPI. It is never swept,
@@ -587,7 +587,7 @@ func runHostOffload(w *core.World, devs []*baseline.OffloadDevice, pr Params) (R
 				// Copy out: pack the card's edge rows, one COI transfer,
 				// unpack into the host slab for MPI.
 				n := pack(micPack.Data, l, 1, l.rows)
-				dev.TransferOut(p, hostPack.Data[:n], micPack.Data[:n])
+				bus.OffloadTransfer(p, hostPack.Data[:n], micPack.Data[:n])
 				unpack(hostSlab, 1, hostSlab.rows, hostPack.Data)
 				// Host MPI halo exchange.
 				if err := exchange(p, r, hostSlab, pr.Procs); err != nil {
@@ -596,14 +596,14 @@ func runHostOffload(w *core.World, devs []*baseline.OffloadDevice, pr Params) (R
 				// Copy in: pack received ghost rows, one COI transfer,
 				// unpack into the card's ghost rows.
 				n = pack(hostPack.Data, hostSlab, 0, hostSlab.rows+1)
-				dev.TransferIn(p, micPack.Data[:n], hostPack.Data[:n])
+				bus.OffloadTransfer(p, micPack.Data[:n], hostPack.Data[:n])
 				unpack(l, 0, l.rows+1, micPack.Data)
 				return nil
 			},
 			// Kernel launch each iteration (the mode's fixed overhead),
 			// then the sweep on the card.
 			sweep: func() {
-				dev.Launch(p, pr.Threads)
+				bus.OffloadLaunch(p, pr.Threads)
 				l.sweep(p, team, pr.SkipCompute)
 			},
 			partial: l.partialSum,
