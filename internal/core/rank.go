@@ -441,10 +441,12 @@ func (r *Rank) idle(p *sim.Proc) error {
 // finalize drains queued outbound control packets and credit-starved
 // sends before the rank exits (MPI_Finalize semantics): a DONE stuck
 // behind ring flow control must still reach its peer or the peer hangs.
-// After a fatal transport error the queued packets can never be
-// delivered, so it gives up.
+// Under a fault plan it also waits out the work requests still in
+// flight, since only their poster replays one the fabric lost. After a
+// fatal transport error the queued packets can never be delivered, so
+// it gives up.
 func (r *Rank) finalize(p *sim.Proc) {
-	for slices.ContainsFunc(r.ready, r.queued) {
+	for slices.ContainsFunc(r.ready, r.queued) || (r.faultsOn() && len(r.wrMap) > 0) {
 		if r.idle(p) != nil {
 			return
 		}

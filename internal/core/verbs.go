@@ -41,7 +41,6 @@ type Verbs interface {
 	DeregMR(p *sim.Proc, mr *ib.MR) error
 
 	PostSend(p *sim.Proc, qp *ib.QP, wr *ib.SendWR) error
-	PostRecv(p *sim.Proc, qp *ib.QP, wr *ib.RecvWR) error
 
 	// RecvOverhead is the provider's extra cost to deliver one inbound
 	// packet of n payload bytes to the MPI layer (zero for direct
@@ -62,7 +61,6 @@ type Verbs interface {
 type directPost struct{}
 
 func (directPost) PostSend(p *sim.Proc, qp *ib.QP, wr *ib.SendWR) error { return qp.PostSend(p, wr) }
-func (directPost) PostRecv(p *sim.Proc, qp *ib.QP, wr *ib.RecvWR) error { return qp.PostRecv(p, wr) }
 func (directPost) RecvOverhead(n int) sim.Duration                      { return 0 }
 
 // NoOffload is the offload half of a provider without the offloading

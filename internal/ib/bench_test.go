@@ -26,7 +26,6 @@ func BenchmarkWire(b *testing.B) {
 		{"write-inline-64B", OpRDMAWrite, 64, true, nil, StatusSuccess},
 		{"write-256KiB", OpRDMAWrite, 256 << 10, false, nil, StatusSuccess},
 		{"read-256KiB", OpRDMARead, 256 << 10, false, nil, StatusSuccess},
-		{"fetch-add-8B", OpAtomicFetchAdd, 8, false, nil, StatusSuccess},
 		{"write-256KiB-faulted", OpRDMAWrite, 256 << 10, false, &faults.Plan{IBError: 1, IBDelivered: 1}, StatusRetryExcErr},
 	} {
 		b.Run(row.name, func(b *testing.B) {
@@ -38,7 +37,7 @@ func BenchmarkWire(b *testing.B) {
 			}
 			local, remote := r.n0.Mic.Alloc(row.n), r.n1.Mic.Alloc(row.n)
 			lmr, rmr := mustReg(b, x, local), mustReg(b, y, remote)
-			wr := &SendWR{Opcode: row.op, Signaled: true, Inline: row.inline, CompareAdd: 1,
+			wr := &SendWR{Opcode: row.op, Signaled: true, Inline: row.inline,
 				SGL:    []SGE{{Addr: local.Addr, Len: row.n, LKey: lmr.LKey}},
 				Remote: RemoteAddr{Addr: rmr.Addr, RKey: rmr.RKey}}
 			b.SetBytes(int64(row.n))

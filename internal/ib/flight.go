@@ -1,8 +1,6 @@
 package ib
 
 import (
-	"encoding/binary"
-
 	"repro/internal/machine"
 	"repro/internal/metrics"
 )
@@ -22,9 +20,9 @@ type flight struct {
 	// poster might have rewritten.
 	op       Opcode
 	signaled bool
-	// src is the gathered source of a SEND or WRITE; for a READ or an
-	// atomic, buf is what the response carries back once the request has
-	// arrived: the responder's validated view, or old.
+	// src is the gathered source of a SEND or WRITE; for a READ, buf is
+	// the responder's validated view once the request has arrived, read
+	// when the response lands.
 	src  wireSrc
 	n    int           // payload bytes
 	span *metrics.Span // wire span of a WRITE or READ on an instrumented fabric
@@ -42,11 +40,8 @@ type flight struct {
 	// byte.
 	fault, delivered bool
 
-	// old is the target word an atomic found, on its way back.
-	old [8]byte
-
 	// status is what the completion reports; errQP makes it error the QP
-	// right after (a request the responder refused, or a READ whose local
+	// right after (a READ the responder refused, or one whose local
 	// scatter list no longer validates).
 	status Status
 	errQP  bool
@@ -78,21 +73,19 @@ func (x *flight) release() {
 // arrive is the work request reaching the remote HCA.
 func (x *flight) arrive() {
 	switch x.op {
-	case OpSend, OpSendImm:
+	case OpSend:
 		x.sendArrive()
-	case OpRDMAWrite, OpRDMAWriteImm:
+	case OpRDMAWrite:
 		x.writeArrive()
-	case OpRDMARead:
-		x.readArrive()
 	default:
-		x.atomicArrive()
+		x.readArrive()
 	}
 }
 
 // sendArrive lands a SEND in the peer's receive queue. Its completion,
 // if signaled, was scheduled at post time.
 func (x *flight) sendArrive() {
-	x.rem.land(x.src, x.wr.Imm, x.op == OpSendImm, x.qp.QPN)
+	x.rem.land(x.src, x.qp.QPN)
 	x.qp.doneWith(x.wr, x.src)
 	if !x.signaled {
 		x.release()
@@ -124,9 +117,6 @@ func (x *flight) writeArrive() {
 		x.completeLater()
 		qp.SetError()
 	default:
-		if x.op == OpRDMAWriteImm {
-			rem.land(wireSrc{}, wr.Imm, true, qp.QPN)
-		}
 		rem.ctx.HCA.landed(rem)
 		x.completeLater()
 	}
@@ -145,14 +135,6 @@ func (x *flight) completeLater() {
 	x.release()
 }
 
-// refused completes a READ or atomic request the responder would not
-// serve; the requester's QP errors with it.
-func (x *flight) refused() {
-	x.span.End(x.qp.ctx.HCA.fab.Eng.Now())
-	x.status, x.errQP = StatusRemAccessErr, true
-	x.completeLater()
-}
-
 // readArrive is an RDMA read request reaching the responder, which
 // validates the remote keys and streams the data back over its own
 // egress; the validated source view is read when the response lands.
@@ -169,7 +151,11 @@ func (x *flight) readArrive() {
 	}
 	src, mr, err := rh.lookupMR(wr.Remote.RKey, wr.Remote.Addr, x.n)
 	if err != nil {
-		x.refused()
+		// The responder refuses the request; the requester's QP errors
+		// with it.
+		x.span.End(eng.Now())
+		x.status, x.errQP = StatusRemAccessErr, true
+		x.completeLater()
 		return
 	}
 	if h.fab.Metrics != nil {
@@ -184,32 +170,9 @@ func (x *flight) readArrive() {
 	eng.At(back, x.onRespond)
 }
 
-// atomicArrive is an atomic request reaching the responder HCA, which
-// performs the read-modify-write — the engine's serialized callbacks make
-// it atomic — and sends the word it found back as a control message.
-func (x *flight) atomicArrive() {
-	wr := x.wr
-	h, rh := x.qp.ctx.HCA, x.rem.ctx.HCA
-	target, _, err := rh.lookupMR(wr.Remote.RKey, wr.Remote.Addr, 8)
-	if err != nil {
-		x.refused()
-		return
-	}
-	copy(x.old[:], target)
-	old := binary.LittleEndian.Uint64(target)
-	if x.op == OpAtomicFetchAdd {
-		binary.LittleEndian.PutUint64(target, old+wr.CompareAdd)
-	} else if old == wr.CompareAdd {
-		binary.LittleEndian.PutUint64(target, wr.Swap)
-	}
-	rh.landed(x.rem)
-	x.src.buf = x.old[:]
-	h.fab.Eng.At(h.fab.Eng.Now()+h.fab.Plat.IBLatency+rh.ctrlDelayTo(h), x.onRespond)
-}
-
-// respond is a READ's data or an atomic's old value landing: the local
-// scatter list is re-validated and filled, and the work request
-// completes in the same instant.
+// respond is a READ's data landing: the local scatter list is
+// re-validated and filled, and the work request completes in the same
+// instant.
 func (x *flight) respond() {
 	h := x.qp.ctx.HCA
 	x.span.End(h.fab.Eng.Now())
@@ -217,10 +180,8 @@ func (x *flight) respond() {
 	for _, sge := range x.wr.SGL {
 		dst, _, err := h.lookupMR(sge.LKey, sge.Addr, sge.Len)
 		if err != nil {
-			// A READ that can no longer scatter errors its QP; an atomic
-			// only reports the error, as it did before it rode this record
-			// (ROADMAP item 4's conformance table wants both to).
-			x.status, x.errQP = StatusLocProtErr, x.op == OpRDMARead
+			// A READ that can no longer scatter errors its QP.
+			x.status, x.errQP = StatusLocProtErr, true
 			x.complete()
 			return
 		}

@@ -172,14 +172,11 @@ func (h *HCA) pair(tab *[2][2]pairStat, prefix string, src, dst machine.DomainKi
 	return ps
 }
 
-// Fabric returns the owning subnet.
-func (h *HCA) Fabric() *Fabric { return h.fab }
-
 // landed is the one place the adapter makes known that it wrote this
-// node's memory — an RDMA payload (faulted-but-delivered included), an
-// atomic's target, a read or atomic response, a completion entry. Bytes
-// that came through a QP name it, and its owner hears of them first
-// (QP.OnLand); a completion entry passes nil.
+// node's memory — an RDMA payload (faulted-but-delivered included), a
+// read response, a completion entry. Bytes that came through a QP name
+// it, and its owner hears of them first (QP.OnLand); a completion entry
+// passes nil.
 func (h *HCA) landed(qp *QP) {
 	if qp != nil && qp.OnLand != nil {
 		qp.OnLand()
@@ -199,7 +196,7 @@ func (h *HCA) deliverVia(arrive sim.Time, dst *HCA, n int, bps float64) sim.Time
 }
 
 // ctrlDelayTo is the extra latency-only interior crossing toward dst
-// for small control messages (read requests, atomic responses).
+// for small control messages (read requests).
 func (h *HCA) ctrlDelayTo(dst *HCA) sim.Duration {
 	if t := h.fab.Topo; t != nil {
 		return t.CtrlDelay(int(h.LID)-1, int(dst.LID)-1)

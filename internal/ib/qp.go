@@ -51,14 +51,12 @@ type QP struct {
 	completedC *metrics.Counter
 }
 
-// inbound is a SEND (or the immediate of a WRITE_IMM) parked until a
-// receive is posted. data is the inbound's own copy: the sender's
-// completion fires whether or not a receive was waiting, so nothing of
-// the sender's may be referenced past arrival.
+// inbound is a SEND parked until a receive is posted. data is the
+// inbound's own copy: the sender's completion fires whether or not a
+// receive was waiting, so nothing of the sender's may be referenced past
+// arrival.
 type inbound struct {
 	data   []byte
-	imm    uint32
-	hasImm bool
 	srcQPN uint32
 }
 
@@ -170,22 +168,22 @@ func (qp *QP) PostRecv(p *sim.Proc, wr *RecvWR) error {
 	qp.postedC.Inc()
 	if qp.pending.Len() > 0 {
 		in := qp.pending.Pop()
-		qp.deliver(wr, wireSrc{buf: in.data}, in.imm, in.hasImm, in.srcQPN)
+		qp.deliver(wr, wireSrc{buf: in.data}, in.srcQPN)
 		return nil
 	}
 	qp.recvQueue.Push(wr)
 	return nil
 }
 
-// land hands an arrived SEND payload (or the immediate of a WRITE_IMM)
-// to the oldest posted receive. With none posted — the simulator's RNR
-// condition — it parks a copy of the bytes for the next PostRecv.
-func (qp *QP) land(src wireSrc, imm uint32, hasImm bool, srcQPN uint32) {
+// land hands an arrived SEND payload to the oldest posted receive. With
+// none posted — the simulator's RNR condition — it parks a copy of the
+// bytes for the next PostRecv.
+func (qp *QP) land(src wireSrc, srcQPN uint32) {
 	if qp.recvQueue.Len() > 0 {
-		qp.deliver(qp.recvQueue.Pop(), src, imm, hasImm, srcQPN)
+		qp.deliver(qp.recvQueue.Pop(), src, srcQPN)
 		return
 	}
-	in := &inbound{imm: imm, hasImm: hasImm, srcQPN: srcQPN}
+	in := &inbound{srcQPN: srcQPN}
 	if n := src.size(); n > 0 {
 		in.data = make([]byte, n)
 		src.copyTo(in.data)
@@ -195,7 +193,7 @@ func (qp *QP) land(src wireSrc, imm uint32, hasImm bool, srcQPN uint32) {
 
 // deliver scatters a SEND payload into a posted receive and completes
 // it on the receive CQ at the current virtual time.
-func (qp *QP) deliver(wr *RecvWR, src wireSrc, imm uint32, hasImm bool, srcQPN uint32) {
+func (qp *QP) deliver(wr *RecvWR, src wireSrc, srcQPN uint32) {
 	h := qp.ctx.HCA
 	total := 0
 	for _, sge := range wr.SGL {
@@ -230,11 +228,7 @@ func (qp *QP) deliver(wr *RecvWR, src wireSrc, imm uint32, hasImm bool, srcQPN u
 			dst, view = dst[c:], view[c:]
 		}
 	}
-	qp.RecvCQ.push(CQE{
-		WRID: wr.WRID, Status: StatusSuccess, Opcode: OpRecv,
-		ByteLen: size, Imm: imm, HasImm: hasImm,
-		QPN: qp.QPN, SrcQPN: srcQPN,
-	})
+	qp.RecvCQ.push(CQE{WRID: wr.WRID, Status: StatusSuccess, Opcode: OpRecv, ByteLen: size, QPN: qp.QPN, SrcQPN: srcQPN})
 }
 
 // gather validates the local SGL and returns what the wire will carry —
@@ -283,9 +277,8 @@ func (qp *QP) gather(wr *SendWR) (src wireSrc, n int, rate float64, srcKind mach
 }
 
 // doneWith ends the wire's hold on a work request's source at arrival:
-// an inline capture goes back to the free list. Like Remote and Imm,
-// Inline is read from the posted WR, which is the HCA's until it
-// completes.
+// an inline capture goes back to the free list. Like Remote, Inline is
+// read from the posted WR, which is the HCA's until it completes.
 func (qp *QP) doneWith(wr *SendWR, src wireSrc) {
 	if wr.Inline {
 		qp.ctx.HCA.fab.releaseBuf(src.buf)
@@ -323,7 +316,7 @@ func (qp *QP) PostSend(p *sim.Proc, wr *SendWR) error {
 	qp.postedC.Inc()
 
 	switch wr.Opcode {
-	case OpSend, OpSendImm:
+	case OpSend:
 		src, n, readRate, _, err := qp.gather(wr)
 		if err != nil {
 			return fmt.Errorf("ib: post send: %w", err)
@@ -344,7 +337,7 @@ func (qp *QP) PostSend(p *sim.Proc, wr *SendWR) error {
 		}
 		return nil
 
-	case OpRDMAWrite, OpRDMAWriteImm:
+	case OpRDMAWrite:
 		src, n, readRate, srcKind, err := qp.gather(wr)
 		if err != nil {
 			return fmt.Errorf("ib: post send: %w", err)
@@ -402,22 +395,6 @@ func (qp *QP) PostSend(p *sim.Proc, wr *SendWR) error {
 		f.span, f.writeRate, f.dstKind = wsp, writeRate, dstKind
 		f.fault = h.fab.Faults.IBReadFault()
 		eng.At(reqArrive, f.onArrive)
-		return nil
-
-	case OpAtomicFetchAdd, OpAtomicCmpSwap:
-		// Validate the single 8-byte local result SGE.
-		if len(wr.SGL) != 1 || wr.SGL[0].Len != 8 {
-			return fmt.Errorf("ib: atomic requires one 8-byte local SGE")
-		}
-		if _, _, err := h.lookupMR(wr.SGL[0].LKey, wr.SGL[0].Addr, 8); err != nil {
-			return fmt.Errorf("ib: post atomic: %w", err)
-		}
-		if wr.Remote.Addr%8 != 0 {
-			return fmt.Errorf("ib: atomic target %#x not 8-byte aligned", wr.Remote.Addr)
-		}
-		reqArrive := h.egress.ReserveRate(8, plat.IBBandwidth)
-		reqArrive = h.deliverVia(reqArrive, rem.ctx.HCA, 8, plat.IBBandwidth)
-		eng.At(reqArrive, h.fab.takeFlight(qp, wr, wireSrc{}, 8).onArrive)
 		return nil
 
 	default:

@@ -16,11 +16,13 @@ import (
 // every opcode through every way a work request can end, on one engine,
 // and the engine's event-order digest, event count and final time must
 // equal constants recorded before the wire was rewritten onto one record
-// per work request. A callback that moves within its instant — a CQE
-// pushed before instead of after SetError's flush, a doorbell rung on
-// the other side of an Engine.At — changes a seq and so the digest: a
-// doorbell waiter on either HCA and a posted receive for SetError to
-// flush make every such order visible.
+// per work request (re-recorded on the same wire, before atomics and
+// immediate data were deleted, once the script stopped driving them). A
+// callback that moves within its instant — a CQE pushed before instead
+// of after SetError's flush, a doorbell rung on the other side of an
+// Engine.At — changes a seq and so the digest: a doorbell waiter on
+// either HCA and a posted receive for SetError to flush make every such
+// order visible.
 
 // scriptOutcome is how a cell's work requests are made to end.
 type scriptOutcome int
@@ -54,28 +56,20 @@ var scriptOps = []struct {
 	inline bool
 }{
 	{"SEND", OpSend, false},
-	{"SEND_IMM", OpSendImm, false},
 	{"WRITE", OpRDMAWrite, false},
 	{"WRITE inline", OpRDMAWrite, true},
-	{"WRITE_IMM", OpRDMAWriteImm, false},
 	{"READ", OpRDMARead, false},
-	{"FETCH_ADD", OpAtomicFetchAdd, false},
-	{"CMP_SWAP", OpAtomicCmpSwap, false},
 }
-
-func isSendOp(op Opcode) bool   { return op == OpSend || op == OpSendImm }
-func isWriteOp(op Opcode) bool  { return op == OpRDMAWrite || op == OpRDMAWriteImm }
-func isAtomicOp(op Opcode) bool { return op == OpAtomicFetchAdd || op == OpAtomicCmpSwap }
 
 // scriptStatus is the completion status a signaled work request of op
 // must report under out.
 func scriptStatus(op Opcode, out scriptOutcome) Status {
 	switch {
-	case out == outRemKey && !isSendOp(op):
+	case out == outRemKey && op != OpSend:
 		return StatusRemAccessErr
-	case out == outLocKey && (op == OpRDMARead || isAtomicOp(op)):
+	case out == outLocKey && op == OpRDMARead:
 		return StatusLocProtErr
-	case out >= outFaultDelivered && (isWriteOp(op) || op == OpRDMARead):
+	case out >= outFaultDelivered && op != OpSend:
 		return StatusRetryExcErr
 	}
 	return StatusSuccess
@@ -153,8 +147,8 @@ func (s *scriptRig) cell(t *testing.T, p *sim.Proc, name string, op Opcode, inli
 		t.Errorf("%s: %v", name, err)
 	}
 	st := scriptStatus(op, out)
-	lands := st == StatusSuccess && (isSendOp(op) || op == OpRDMAWriteImm) // consumes the peer's receives
-	if isSendOp(op) || op == OpRDMAWriteImm {
+	lands := st == StatusSuccess && op == OpSend // consumes the peer's receives
+	if op == OpSend {
 		for i := 0; i < 2; i++ {
 			rwr := &RecvWR{WRID: uint64(200 + i), SGL: []SGE{{Addr: landing.Addr + uint64(i*wireTotal), Len: wireTotal, LKey: dmr.LKey}}}
 			if err := b.qp.PostRecv(p, rwr); err != nil {
@@ -164,17 +158,14 @@ func (s *scriptRig) cell(t *testing.T, p *sim.Proc, name string, op Opcode, inli
 	}
 
 	sgl := []SGE{{Addr: local.Addr, Len: 16, LKey: lmr.LKey}, {Addr: local.Addr + 16, Len: 64, LKey: lmr.LKey}, {Addr: local.Addr + 80, Len: 8, LKey: lmr.LKey}}
-	if isAtomicOp(op) {
-		sgl = []SGE{{Addr: local.Addr, Len: 8, LKey: lmr.LKey}}
-	}
 	rem := RemoteAddr{Addr: rmr.Addr, RKey: rmr.RKey}
 	if out == outRemKey {
 		rem.RKey += 1000
 	}
 	signaled := 0
 	for id := uint64(1); id <= 2; id++ {
-		wr := &SendWR{WRID: id, Opcode: op, Inline: inline, SGL: sgl, Remote: rem, Imm: 7, CompareAdd: 5, Swap: 9,
-			Signaled: id == 2 || out != outOK || !(isSendOp(op) || isWriteOp(op))}
+		wr := &SendWR{WRID: id, Opcode: op, Inline: inline, SGL: sgl, Remote: rem,
+			Signaled: id == 2 || out != outOK || op == OpRDMARead}
 		if err := a.qp.PostSend(p, wr); err != nil {
 			t.Errorf("%s: post %d: %v", name, id, err)
 			continue
@@ -183,7 +174,7 @@ func (s *scriptRig) cell(t *testing.T, p *sim.Proc, name string, op Opcode, inli
 			signaled++
 		}
 	}
-	if out == outLocKey && (op == OpRDMARead || isAtomicOp(op)) {
+	if out == outLocKey && op == OpRDMARead {
 		if err := s.h0.deregMR(lmr); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
@@ -240,8 +231,8 @@ func TestWireScriptFingerprint(t *testing.T) {
 		events   int64
 		end      sim.Time
 	}{
-		{"flat", 0xf3e94828c8417f2c, 851, 645773},
-		{"fattree4", 0x8ef30454e44ce70c, 840, 711819},
+		{"flat", 0xa4527781a5201d6c, 590, 413760},
+		{"fattree4", 0x177d8f54345291c9, 592, 453480},
 	} {
 		t.Run(row.topology, func(t *testing.T) {
 			s := newScriptRig(t, row.topology, nil)

@@ -164,12 +164,8 @@ type Opcode int
 
 const (
 	OpSend Opcode = iota
-	OpSendImm
 	OpRDMAWrite
-	OpRDMAWriteImm
 	OpRDMARead
-	OpAtomicFetchAdd
-	OpAtomicCmpSwap
 	OpRecv // appears only in completions
 )
 
@@ -177,18 +173,10 @@ func (o Opcode) String() string {
 	switch o {
 	case OpSend:
 		return "SEND"
-	case OpSendImm:
-		return "SEND_IMM"
 	case OpRDMAWrite:
 		return "RDMA_WRITE"
-	case OpRDMAWriteImm:
-		return "RDMA_WRITE_IMM"
 	case OpRDMARead:
 		return "RDMA_READ"
-	case OpAtomicFetchAdd:
-		return "ATOMIC_FETCH_ADD"
-	case OpAtomicCmpSwap:
-		return "ATOMIC_CMP_SWAP"
 	case OpRecv:
 		return "RECV"
 	default:
@@ -248,8 +236,7 @@ type SendWR struct {
 	WRID     uint64
 	Opcode   Opcode
 	SGL      []SGE
-	Remote   RemoteAddr // RDMA and atomic ops only
-	Imm      uint32     // *_IMM only
+	Remote   RemoteAddr // RDMA ops only
 	Signaled bool
 	// Inline captures the SGL's bytes at post time (IBV_SEND_INLINE), so
 	// the poster may rewrite the source before the completion. Without
@@ -257,11 +244,6 @@ type SendWR struct {
 	// bytes are read when they land. SEND and RDMA_WRITE opcodes only;
 	// the model charges no time for it and bounds no size.
 	Inline bool
-	// Atomic operands: FetchAdd adds CompareAdd; CmpSwap stores Swap
-	// if the remote 8-byte word equals CompareAdd. The old value lands
-	// in the single 8-byte local SGE.
-	CompareAdd uint64
-	Swap       uint64
 }
 
 // RecvWR is a receive-queue work request.
@@ -276,8 +258,6 @@ type CQE struct {
 	Status  Status
 	Opcode  Opcode
 	ByteLen int
-	Imm     uint32
-	HasImm  bool
 	QPN     uint32
 	SrcQPN  uint32
 }

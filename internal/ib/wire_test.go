@@ -145,8 +145,6 @@ func TestWireSourceReadTime(t *testing.T) {
 	}{
 		{"write inline", OpRDMAWrite, true},
 		{"write", OpRDMAWrite, false},
-		{"write-imm inline", OpRDMAWriteImm, true},
-		{"write-imm", OpRDMAWriteImm, false},
 		{"send inline", OpSend, true},
 		{"send", OpSend, false},
 	} {
@@ -154,13 +152,13 @@ func TestWireSourceReadTime(t *testing.T) {
 			w := newWireRig(t)
 			var want []byte
 			w.run(t, func(p *sim.Proc) {
-				if row.op != OpRDMAWrite {
+				if row.op == OpSend {
 					if err := w.b.qp.PostRecv(p, w.landing()); err != nil {
 						t.Error(err)
 						return
 					}
 				}
-				err := w.a.qp.PostSend(p, &SendWR{WRID: 1, Opcode: row.op, Signaled: true, Inline: row.inline, Imm: 7,
+				err := w.a.qp.PostSend(p, &SendWR{WRID: 1, Opcode: row.op, Signaled: true, Inline: row.inline,
 					SGL: w.sgl(), Remote: RemoteAddr{Addr: w.dmr.Addr, RKey: w.dmr.RKey}})
 				if err != nil {
 					t.Error(err)
@@ -173,13 +171,8 @@ func TestWireSourceReadTime(t *testing.T) {
 				if cqe := w.a.cq.WaitPoll(p, 1)[0]; cqe.Status != StatusSuccess || cqe.ByteLen != wireTotal {
 					t.Errorf("send completion %+v", cqe)
 				}
-				if row.op != OpRDMAWrite {
-					cqe := w.b.cq.WaitPoll(p, 1)[0]
-					wantLen := wireTotal
-					if row.op == OpRDMAWriteImm {
-						wantLen = 0
-					}
-					if cqe.Status != StatusSuccess || cqe.ByteLen != wantLen || cqe.HasImm != (row.op == OpRDMAWriteImm) {
+				if row.op == OpSend {
+					if cqe := w.b.cq.WaitPoll(p, 1)[0]; cqe.Status != StatusSuccess || cqe.ByteLen != wireTotal {
 						t.Errorf("receive completion %+v", cqe)
 					}
 				}
@@ -413,9 +406,6 @@ func TestWireErrorArmsReleaseOnce(t *testing.T) {
 		{name: "read, remote access error", op: OpRDMARead, badRKey: true, wantSt: StatusRemAccessErr},
 		{name: "read, local protection error", op: OpRDMARead, deregLocal: true, wantSt: StatusLocProtErr},
 		{name: "read fault", op: OpRDMARead, plan: &faults.Plan{IBError: 1}, wantSt: StatusRetryExcErr},
-		{name: "fetch-add", op: OpAtomicFetchAdd, wantSt: StatusSuccess},
-		{name: "fetch-add, remote access error", op: OpAtomicFetchAdd, badRKey: true, wantSt: StatusRemAccessErr},
-		{name: "cmp-swap, local protection error", op: OpAtomicCmpSwap, deregLocal: true, wantSt: StatusLocProtErr},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			w := newWireRig(t)
@@ -424,18 +414,16 @@ func TestWireErrorArmsReleaseOnce(t *testing.T) {
 			if row.badRKey {
 				remote.RKey++
 			}
-			sgl, captures := w.sgl(), 0
+			captures := 0
 			if row.op == OpRDMAWrite {
 				captures = 2 // the rows' writes are inline
-			} else if isAtomicOp(row.op) {
-				sgl = []SGE{{Addr: w.src[1].Addr, Len: 8, LKey: w.smr[1].LKey}}
 			}
 			w.run(t, func(p *sim.Proc) {
 				// Two in flight at once: two records (and captures), both
 				// must come back.
 				for id := uint64(1); id <= 2; id++ {
 					err := w.a.qp.PostSend(p, &SendWR{WRID: id, Opcode: row.op, Signaled: true, Inline: row.op == OpRDMAWrite,
-						SGL: sgl, Remote: remote, CompareAdd: 5})
+						SGL: w.sgl(), Remote: remote})
 					if err != nil {
 						t.Error(err)
 						return
