@@ -12,7 +12,10 @@ import (
 // sub-ranges for in-flight large sends. Registering a fresh offload MR
 // per message would pay the host round trip every time; DCFA-MPI
 // registers one arena up front and carves staging ranges out of it. The
-// arena lives as long as its rank: nothing deregisters it.
+// arena lives as long as its rank: nothing deregisters it. First-fit
+// keeps staging at the arena's low end, and the daemon reserves the
+// host bytes (machine.Domain.Reserve), so a rank's memory pays for the
+// pages its staging has reached, not for the registered size.
 type offArena struct {
 	v   Verbs
 	omr *dcfa.OffloadMR

@@ -196,7 +196,9 @@ func (d *HostDaemon) serve(p *sim.Proc) {
 
 		case CmdRegOffloadMR:
 			req := msg.Payload.(regOffloadReq)
-			buf := d.Node.Host.Alloc(req.size)
+			// Registered whole but written only as far as the sends it
+			// stages reach: reserved pages are backed on first touch.
+			buf := d.Node.Host.Reserve(req.size)
 			mr, err := d.hostCtx.RegMR(p, d.hostPD, d.Node.Host, buf.Addr, req.size)
 			if err != nil {
 				d.Node.Host.Free(buf)

@@ -49,9 +49,19 @@ type Domain struct {
 	allocs []*Buffer
 	// BytesLive tracks currently allocated bytes.
 	BytesLive int64
+	// reserved holds Reserve's mappings; only the Domain points at it,
+	// so it becomes unreachable with the Domain (see reserve_unix.go).
+	reserved *reservations
 }
 
-// Buffer is a device-addressable allocation inside a Domain.
+// reservations is the set of kernel mappings Reserve made for one
+// Domain. They are unmapped together once the Domain is unreachable.
+type reservations struct{ maps [][]byte }
+
+// Buffer is a device-addressable allocation inside a Domain. Data may
+// live outside the Go heap (Reserve), where it stays mapped only while
+// its Domain is reachable: whatever holds Data must also hold the Buffer
+// or the Domain.
 type Buffer struct {
 	Dom   *Domain
 	Addr  uint64
@@ -102,19 +112,27 @@ func (d *Domain) Alloc(n int) *Buffer {
 	if n < 0 {
 		panic("machine: negative allocation")
 	}
-	span := uint64((n + pageSize - 1) / pageSize * pageSize)
+	return d.place(make([]byte, n))
+}
+
+// place gives data the domain's next page-aligned address and makes it
+// resolvable. Alloc and Reserve differ only in where data came from.
+func (d *Domain) place(data []byte) *Buffer {
+	span := uint64((len(data) + pageSize - 1) / pageSize * pageSize)
 	if span == 0 {
 		span = pageSize
 	}
-	b := &Buffer{Dom: d, Addr: d.nextAddr, Data: make([]byte, n)}
+	b := &Buffer{Dom: d, Addr: d.nextAddr, Data: data}
 	d.nextAddr += span
 	d.allocs = append(d.allocs, b)
-	d.BytesLive += int64(n)
+	d.BytesLive += int64(len(data))
 	return b
 }
 
 // Free releases the buffer. Resolving addresses inside it afterwards
-// fails, as touching freed memory should.
+// fails, as touching freed memory should. A reserved buffer's mapping
+// outlives Free: a slice still pointing into it reads stale bytes rather
+// than faulting the process.
 func (d *Domain) Free(b *Buffer) {
 	if b.Dom != d {
 		panic("machine: freeing buffer in wrong domain")
