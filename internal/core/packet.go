@@ -103,7 +103,7 @@ func slotBytes(eagerMax int) int { return hdrSize + eagerMax + tailSize }
 // newRing allocates and registers a ring of n slots in dom.
 func newRing(p *sim.Proc, v Verbs, pd *ib.PD, dom *machine.Domain, slots, eagerMax int) (*ring, error) {
 	sz := slots * slotBytes(eagerMax)
-	buf := dom.Alloc(sz)
+	buf := dom.Reserve(sz)
 	mr, err := v.RegMR(p, pd, dom, buf.Addr, sz)
 	if err != nil {
 		return nil, fmt.Errorf("core: ring registration: %w", err)

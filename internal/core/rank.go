@@ -290,7 +290,7 @@ func (r *Rank) makePeerHalf(p *sim.Proc) (*peerState, error) {
 	if err != nil {
 		return nil, err
 	}
-	ps.staging = dom.Alloc(slotBytes(cfg.EagerMax))
+	ps.staging = dom.Reserve(slotBytes(cfg.EagerMax))
 	ps.stagingMR, err = r.v.RegMR(p, r.pd, dom, ps.staging.Addr, len(ps.staging.Data))
 	if err != nil {
 		r.dropPeerHalf(p, ps)

@@ -321,7 +321,7 @@ func TableI() []TableIRow {
 		{"Card", "Pre-production Intel Xeon Phi x 1", "machine mic domain, 57 cores @ 30e6 pts/s, DMA-read cap 1.25 GB/s"},
 		{"Operating System", "Red Hat Enterprise Linux Server 6.2", "Go discrete-event runtime (internal/sim)"},
 		{"Intel MPSS", "2.1.4982-15", "internal/scif command channel, 3 µs crossing"},
-		{"Intel MPI Library", "4.1.0.027", "internal/baseline (proxy + offload modes)"},
+		{"Intel MPI Library", "4.1.0.027", "core.ProxyVerbs + pcie.Bus offload modes"},
 		{"Intel C++ Compiler", "Composer XE 2013.0.079", "gc (Go compiler)"},
 		{"IB driver for Intel MPI", "OFED-1.5.4.1", "internal/ib fabric (proxy profile)"},
 		{"IB driver for DCFA-MPI", "MLNX OFED 1.5.3-3.1.0", "internal/ib fabric (direct profile)"},
