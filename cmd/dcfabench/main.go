@@ -41,7 +41,7 @@ func main() {
 	showMetrics := flag.Bool("metrics", false, "print the telemetry summary after the run")
 	tracePath := flag.String("trace", "", "write the run's spans as Chrome trace-event JSON to this file")
 	metricsJSON := flag.String("metricsjson", "", "write the telemetry snapshot as JSON to this file")
-	faultSpec := flag.String("faults", "", "deterministic fault plan, e.g. seed=7,rate=0.01 (keys: seed, rate, ib, ib-delivered, cmd, dma, dma-abort, cmd-deadline, cmd-backoff, dma-delay-time, max-retries)")
+	faultSpec := flag.String("faults", "", "deterministic fault plan, e.g. seed=7,rate=0.01 (keys: seed, rate, ib, ib-delivered, cmd, dma, dma-abort, max-retries)")
 	flag.Parse()
 
 	env := bench.NewEnv()

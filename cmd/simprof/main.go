@@ -10,8 +10,8 @@
 //
 //   - pingpong: Figure 9's blocking ping-pong sweep, -iters round trips
 //     per message size; prints bytes, RTT and GB/s per size.
-//   - stencil: the five-point stencil of Figures 11 and 12, 1-D over
-//     -procs ranks or 2-D over a -px × -py grid; prints total and
+//   - stencil: the five-point stencil of Figures 11 and 12 over -procs
+//     ranks, by rows or in a process grid of -cols columns; prints total and
 //     per-iteration time and checks the checksum against the serial
 //     reference, exiting nonzero on a mismatch. -timing charges compute
 //     time without running the math, as the figures do, and so checks
@@ -30,7 +30,7 @@
 //	go run ./cmd/simprof -workload showcase -trace out.json   # open at https://ui.perfetto.dev
 //	go run ./cmd/simprof -workload pingpong -mode intel-phi -metrics
 //	go run ./cmd/simprof -workload stencil -procs 8 -threads 56 -n 1280 -iters 100 -timing
-//	go run ./cmd/simprof -workload stencil -mode host -px 2 -py 2 -json -o stencil.causal.json
+//	go run ./cmd/simprof -workload stencil -mode host -procs 4 -cols 2 -json -o stencil.causal.json
 //	go run ./cmd/simprof -workload torture -faults "seed=7,ib=0.02,cmd=0.02" \
 //	    -trace torture.perfetto.json -check
 //
@@ -76,9 +76,8 @@ func main() {
 	check := flag.Bool("check", false, "exit nonzero on graph inconsistencies or open spans")
 	rounds := flag.Int("torture-rounds", 6, "torture rounds")
 	msgs := flag.Int("torture-msgs", 16, "messages per torture round")
-	procs := flag.Int("procs", 4, "stencil (1-D) / cg process count")
-	px := flag.Int("px", 0, "stencil process-grid columns (the 2-D decomposition, with -py; the grid lives where the mode's ranks run)")
-	py := flag.Int("py", 0, "stencil process-grid rows")
+	procs := flag.Int("procs", 4, "stencil/cg process count")
+	cols := flag.Int("cols", 0, "stencil process-grid columns (0 or 1: the paper's rows; intel-host-offload runs rows only)")
 	threads := flag.Int("threads", 4, "stencil/cg OpenMP threads per process")
 	iters := flag.Int("iters", 10, "stencil iterations / cg max iterations / pingpong round trips per size")
 	n := flag.Int("n", 256, "stencil/cg problem size")
@@ -140,39 +139,29 @@ func main() {
 			fatal(err)
 		}
 	case "stencil":
-		pr := stencil.Params{N: *n, Iters: *iters, Procs: *procs, Threads: *threads, SkipCompute: *timing}
-		pr2 := stencil.Params2D{N: *n, Iters: *iters, Px: *px, Py: *py, Threads: *threads, SkipCompute: *timing}
+		pr := stencil.Params{N: *n, Iters: *iters, Procs: *procs, Cols: *cols, Threads: *threads, SkipCompute: *timing}
 		shape := fmt.Sprintf("mode=%s procs=%d", m, *procs)
-		// want sums the serial reference in the run's rank-blocked order.
-		want := func(ref []float64) float64 { return stencil.ReferenceChecksum(ref, pr) }
+		if *cols > 1 {
+			shape += fmt.Sprintf(" cols=%d", *cols)
+		}
 		var res stencil.Result
-		switch {
-		case serial:
-			pr.Procs, pr.Threads = 1, 1
+		if serial {
+			pr.Procs, pr.Cols, pr.Threads = 1, 1, 1
 			shape = "mode=serial procs=1"
 			res, err = stencil.RunSerial(plat, pr)
 			end = res.Total
-		case *px > 0 || *py > 0:
-			shape = fmt.Sprintf("mode=%s-2d grid=%dx%d", m, *px, *py)
-			want = func(ref []float64) float64 { return stencil.ReferenceChecksum2D(ref, pr2) }
-			if err = pr2.Validate(); err == nil {
-				c := env.Cluster(plat, m.Nodes(pr2.Procs()))
-				res, err = stencil.Run2D(c.World(m, pr2.Procs()), pr2)
-				end = c.Eng.Now()
-			}
-		default:
-			if err = pr.Validate(); err == nil {
-				c := env.Cluster(plat, m.Nodes(pr.Procs))
-				res, err = stencil.Run(c, m, pr)
-				end = c.Eng.Now()
-			}
+		} else if err = pr.Validate(); err == nil {
+			c := env.Cluster(plat, m.Nodes(pr.Procs))
+			res, err = stencil.Run(c, m, pr)
+			end = c.Eng.Now()
 		}
 		if err != nil {
 			fatal(err)
 		}
 		line := fmt.Sprintf("%s threads=%d n=%d iters=%d total=%v per-iteration=%v", shape, pr.Threads, *n, *iters, res.Total, res.PerIter)
 		if !*timing {
-			ref := want(stencil.Reference(stencil.Params{N: *n, Iters: *iters, Procs: 1, Threads: 1}))
+			// The serial reference, summed in the run's rank-blocked order.
+			ref := stencil.ReferenceChecksum(stencil.Reference(pr), pr)
 			status := "OK"
 			if res.Checksum != ref {
 				status, failed = "MISMATCH", true

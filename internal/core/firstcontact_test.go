@@ -170,7 +170,7 @@ func TestFirstContactFailureLeaksNothing(t *testing.T) {
 			// On a 2×2 grid a rank's east-west pair is nobody's first
 			// contact: the post that fails has its north-south exchange
 			// posted before it.
-			_, err := stencil.Run2D(w, stencil.Params2D{N: 64, Iters: 2, Px: 2, Py: 2, Threads: 1, SkipCompute: true})
+			_, err := stencil.RunWorld(w, stencil.Params{N: 64, Iters: 2, Procs: 4, Cols: 2, Threads: 1, SkipCompute: true})
 			return err
 		}},
 	}

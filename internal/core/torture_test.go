@@ -491,7 +491,6 @@ func TestTelemetryDoesNotPerturbFaultSchedule(t *testing.T) {
 func TestCmdTimeoutErrorIsNotADeadlock(t *testing.T) {
 	plan := faults.NewPlan(3)
 	plan.Cmd = 1.0 // every command rejected, forever
-	plan.CmdDeadline = 100 * sim.Microsecond
 	c := cluster.New(perfmodel.Default(), 2)
 	c.SetFaults(plan)
 	w := c.DCFAWorld(2, true)
@@ -503,7 +502,7 @@ func TestCmdTimeoutErrorIsNotADeadlock(t *testing.T) {
 	if !errors.As(err, &cte) {
 		t.Fatalf("error %v is not a CmdTimeoutError", err)
 	}
-	if cte.Tries < 2 || cte.Elapsed < plan.CmdDeadline/2 {
+	if cte.Tries < 2 || cte.Elapsed < faults.CmdDeadline/2 {
 		t.Errorf("timeout gave up too early: %+v", cte)
 	}
 	var de *sim.DeadlockError

@@ -94,15 +94,17 @@ func (w *World) lazyConnect() bool {
 	}
 }
 
-// ConfigFromPlatform derives the paper-tuned configuration.
+// ConfigFromPlatform derives the paper-tuned configuration: the one
+// place its defaults come from.
 func ConfigFromPlatform(plat *perfmodel.Platform) Config {
 	return Config{
-		EagerMax:       plat.EagerMax,
-		EagerSlots:     plat.EagerSlots,
-		MRCacheCap:     plat.MRCacheEntries,
-		Offload:        true,
-		OffloadMinSize: plat.OffloadMinSize,
-		OffloadArena:   16 << 20,
+		EagerMax:           plat.EagerMax,
+		EagerSlots:         plat.EagerSlots,
+		MRCacheCap:         plat.MRCacheEntries,
+		Offload:            true,
+		OffloadMinSize:     plat.OffloadMinSize,
+		OffloadArena:       16 << 20,
+		OffloadPackMinSize: plat.OffloadPackMinSize,
 	}
 }
 
@@ -132,30 +134,13 @@ type World struct {
 	connInFlight map[[2]int]*sim.Event
 }
 
-// NewWorld builds a world of len(envs) ranks.
+// NewWorld builds a world of len(envs) ranks. cfg is taken as given,
+// so callers start from ConfigFromPlatform (or cluster.Config) and tune.
 func NewWorld(eng *sim.Engine, plat *perfmodel.Platform, cfg Config, envs []Env) *World {
-	if cfg.EagerMax <= 0 {
-		cfg.EagerMax = plat.EagerMax
-	}
-	if cfg.EagerSlots <= 0 {
-		cfg.EagerSlots = plat.EagerSlots
-	}
 	if cfg.EagerSlots < 2 {
 		// One slot per direction is reserved for credit returns, so
 		// rings need at least two slots to make progress.
 		cfg.EagerSlots = 2
-	}
-	if cfg.MRCacheCap <= 0 {
-		cfg.MRCacheCap = plat.MRCacheEntries
-	}
-	if cfg.OffloadMinSize <= 0 {
-		cfg.OffloadMinSize = plat.OffloadMinSize
-	}
-	if cfg.OffloadArena <= 0 {
-		cfg.OffloadArena = 16 << 20
-	}
-	if cfg.OffloadPackMinSize <= 0 {
-		cfg.OffloadPackMinSize = plat.OffloadPackMinSize
 	}
 	w := &World{Eng: eng, Plat: plat, Cfg: cfg, envs: envs}
 	w.syncEv = sim.NewEvent(eng)

@@ -13,21 +13,20 @@ import (
 
 func TestConfigDefaultsFilledFromPlatform(t *testing.T) {
 	plat := perfmodel.Default()
-	c := cluster.New(plat, 2)
-	w := core.NewWorld(c.Eng, plat, core.Config{}, c.DCFAEnvs(2))
-	if w.Cfg.EagerMax != plat.EagerMax {
-		t.Fatalf("EagerMax %d", w.Cfg.EagerMax)
+	cfg := core.ConfigFromPlatform(plat)
+	if cfg.EagerMax != plat.EagerMax {
+		t.Fatalf("EagerMax %d", cfg.EagerMax)
 	}
-	if w.Cfg.EagerSlots != plat.EagerSlots {
-		t.Fatalf("EagerSlots %d", w.Cfg.EagerSlots)
+	if cfg.EagerSlots != plat.EagerSlots {
+		t.Fatalf("EagerSlots %d", cfg.EagerSlots)
 	}
-	if w.Cfg.MRCacheCap != plat.MRCacheEntries {
-		t.Fatalf("MRCacheCap %d", w.Cfg.MRCacheCap)
+	if cfg.MRCacheCap != plat.MRCacheEntries {
+		t.Fatalf("MRCacheCap %d", cfg.MRCacheCap)
 	}
-	if w.Cfg.OffloadMinSize != plat.OffloadMinSize {
-		t.Fatalf("OffloadMinSize %d", w.Cfg.OffloadMinSize)
+	if cfg.OffloadMinSize != plat.OffloadMinSize {
+		t.Fatalf("OffloadMinSize %d", cfg.OffloadMinSize)
 	}
-	if w.Cfg.OffloadArena <= 0 || w.Cfg.OffloadPackMinSize <= 0 {
+	if cfg.OffloadArena <= 0 || cfg.OffloadPackMinSize <= 0 {
 		t.Fatal("arena/pack defaults missing")
 	}
 }
@@ -103,7 +102,6 @@ func TestSetupErrorKeepsBarrierBalanced(t *testing.T) {
 	plat := perfmodel.Default()
 	c := cluster.New(plat, 2)
 	cfg := core.ConfigFromPlatform(plat)
-	cfg.OffloadArena = -1 // filled with default, so break differently:
 	cfg.EagerSlots = 1
 	w := core.NewWorld(c.Eng, plat, cfg, c.DCFAEnvs(2))
 	// With one eager slot the world still works; this is a smoke check

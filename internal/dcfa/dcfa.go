@@ -324,8 +324,8 @@ func New(eng *sim.Engine, plat *perfmodel.Platform, node *machine.Node, hca *ib.
 func (v *MicVerbs) Context() *ib.Context { return v.ctx }
 
 // call performs one delegated command round trip, retrying transient
-// rejections with capped exponential backoff until the fault plan's
-// virtual-time deadline expires. The sunny-day path (no injector, no
+// rejections with capped exponential backoff until faults.CmdDeadline
+// of virtual time has passed. The sunny-day path (no injector, no
 // rejection) is a single Call with no extra timing.
 func (v *MicVerbs) call(p *sim.Proc, kind int, payload any) (scif.Msg, error) {
 	name := cmdName(kind)
@@ -334,8 +334,7 @@ func (v *MicVerbs) call(p *sim.Proc, kind int, payload any) (scif.Msg, error) {
 	if v.metrics != nil {
 		sp = v.metrics.Begin(start, v.actor, "cmd."+name)
 	}
-	backoff, capB := v.faults.CmdBackoffBase()
-	deadline := start + v.faults.CmdDeadline()
+	backoff, deadline := faults.CmdBackoff, start+faults.CmdDeadline
 	tries := 0
 	for {
 		v.cmd.Acquire(p)
@@ -367,9 +366,7 @@ func (v *MicVerbs) call(p *sim.Proc, kind int, payload any) (scif.Msg, error) {
 		}
 		p.Sleep(backoff)
 		backoff *= 2
-		if backoff > capB {
-			backoff = capB
-		}
+		backoff = min(backoff, faults.CmdBackoffCap)
 	}
 }
 

@@ -23,9 +23,9 @@ import (
 	"repro/internal/sim"
 )
 
-// Plan is a parsed fault plan: per-layer rates plus the recovery
-// parameters the transport and CMD layers use when a fault hits.
-// Rates are probabilities in [0,1]; a zero rate disables that layer.
+// Plan is a parsed fault plan: per-layer rates plus the transport's
+// replay budget. Rates are probabilities in [0,1]; a zero rate disables
+// that layer.
 type Plan struct {
 	Seed uint64
 
@@ -45,32 +45,32 @@ type Plan struct {
 	// DMADelay and DMAAbort govern the PCIe layer: a delayed DMA
 	// completes late by DMADelayTime; an aborted one fails with a
 	// typed error and copies nothing.
-	DMADelay     float64
-	DMAAbort     float64
-	DMADelayTime sim.Duration
-
-	// CMD-channel retry policy (client side).
-	CmdBackoff    sim.Duration // initial backoff between retries
-	CmdBackoffCap sim.Duration // exponential backoff ceiling
-	CmdDeadline   sim.Duration // total budget before CmdTimeoutError
+	DMADelay float64
+	DMAAbort float64
 
 	// MaxSendRetries bounds transport-level replays of a single WR
 	// before the owning request fails with a TransportError.
 	MaxSendRetries int
 }
 
+// The recovery timings every fault plan uses.
+const (
+	// DMADelayTime is how late a delayed DMA completes.
+	DMADelayTime = 20 * sim.Microsecond
+	// CmdBackoff is the DCFA client's first wait before retrying a
+	// rejected CMD-channel command; each retry doubles it, up to
+	// CmdBackoffCap.
+	CmdBackoff    = 2 * sim.Microsecond
+	CmdBackoffCap = 64 * sim.Microsecond
+	// CmdDeadline is one CMD call's budget, retries included, before it
+	// fails with a CmdTimeoutError.
+	CmdDeadline = 10 * sim.Millisecond
+)
+
 // NewPlan returns a plan with the given seed, all rates zero, and the
-// default recovery parameters filled in.
+// default replay budget.
 func NewPlan(seed uint64) *Plan {
-	return &Plan{
-		Seed:           seed,
-		IBDelivered:    0.5,
-		DMADelayTime:   20 * sim.Microsecond,
-		CmdBackoff:     2 * sim.Microsecond,
-		CmdBackoffCap:  64 * sim.Microsecond,
-		CmdDeadline:    10 * sim.Millisecond,
-		MaxSendRetries: 8,
-	}
+	return &Plan{Seed: seed, IBDelivered: 0.5, MaxSendRetries: 8}
 }
 
 // Parse builds a Plan from a comma-separated spec like
@@ -79,9 +79,9 @@ func NewPlan(seed uint64) *Plan {
 //	seed=7,ib=0.02,cmd=0.05,dma=0.01,dma-abort=0.005
 //
 // "rate" is a blanket knob that sets ib, cmd, and dma-delay together;
-// layer-specific keys override it. Recovery parameters accept Go
-// duration syntax (cmd-deadline=5ms). An empty spec is an error; use a
-// nil *Plan (or no -faults flag) for "no faults".
+// layer-specific keys override it, and max-retries sets the replay
+// budget. An empty spec is an error; use a nil *Plan (or no -faults
+// flag) for "no faults".
 func Parse(spec string) (*Plan, error) {
 	if strings.TrimSpace(spec) == "" {
 		return nil, fmt.Errorf("faults: empty spec")
@@ -139,24 +139,6 @@ func Parse(spec string) (*Plan, error) {
 				return nil, err
 			}
 			p.DMAAbort = r
-		case "cmd-deadline":
-			d, err := parseDur(key, val)
-			if err != nil {
-				return nil, err
-			}
-			p.CmdDeadline = d
-		case "cmd-backoff":
-			d, err := parseDur(key, val)
-			if err != nil {
-				return nil, err
-			}
-			p.CmdBackoff = d
-		case "dma-delay-time":
-			d, err := parseDur(key, val)
-			if err != nil {
-				return nil, err
-			}
-			p.DMADelayTime = d
 		case "max-retries":
 			n, err := strconv.Atoi(val)
 			if err != nil || n < 0 {
@@ -176,34 +158,6 @@ func parseRate(key, val string) (float64, error) {
 		return 0, fmt.Errorf("faults: %s=%q is not a rate in [0,1]", key, val)
 	}
 	return r, nil
-}
-
-func parseDur(key, val string) (sim.Duration, error) {
-	// sim.Duration is virtual nanoseconds; accept Go duration syntax
-	// via a tiny suffix table to avoid importing time semantics.
-	mult := sim.Duration(1)
-	num := val
-	for _, s := range []struct {
-		suffix string
-		mult   sim.Duration
-	}{
-		{"ms", sim.Millisecond},
-		{"us", sim.Microsecond},
-		{"µs", sim.Microsecond},
-		{"ns", 1},
-		{"s", sim.Second},
-	} {
-		if strings.HasSuffix(val, s.suffix) {
-			mult = s.mult
-			num = strings.TrimSuffix(val, s.suffix)
-			break
-		}
-	}
-	f, err := strconv.ParseFloat(num, 64)
-	if err != nil || f < 0 {
-		return 0, fmt.Errorf("faults: %s=%q is not a duration", key, val)
-	}
-	return sim.Duration(f * float64(mult)), nil
 }
 
 // Per-layer stream salts. Each decision stream hashes with its own
@@ -336,7 +290,7 @@ func (i *Injector) DMAFault() (delay sim.Duration, abort bool) {
 	}
 	if r < i.plan.DMAAbort+i.plan.DMADelay {
 		i.DMADelayed++
-		return i.plan.DMADelayTime, false
+		return DMADelayTime, false
 	}
 	return 0, false
 }
@@ -347,22 +301,4 @@ func (i *Injector) MaxRetries() int {
 		return 0
 	}
 	return i.plan.MaxSendRetries
-}
-
-// CmdBackoffBase returns the initial and ceiling backoff for CMD
-// retries. Nil-safe.
-func (i *Injector) CmdBackoffBase() (base, cap sim.Duration) {
-	if i == nil {
-		return 0, 0
-	}
-	return i.plan.CmdBackoff, i.plan.CmdBackoffCap
-}
-
-// CmdDeadline is the total virtual-time budget for one CMD call
-// including retries. Nil-safe.
-func (i *Injector) CmdDeadline() sim.Duration {
-	if i == nil {
-		return 0
-	}
-	return i.plan.CmdDeadline
 }

@@ -20,13 +20,13 @@ func TestParseBlanketRate(t *testing.T) {
 	if p.DMAAbort != 0 {
 		t.Errorf("rate must not enable aborts, got %v", p.DMAAbort)
 	}
-	if p.MaxSendRetries != 8 || p.CmdDeadline != 10*sim.Millisecond {
-		t.Errorf("defaults lost: retries=%d deadline=%v", p.MaxSendRetries, p.CmdDeadline)
+	if p.MaxSendRetries != 8 {
+		t.Errorf("default lost: retries=%d", p.MaxSendRetries)
 	}
 }
 
-func TestParseLayerOverridesAndDurations(t *testing.T) {
-	p, err := Parse("seed=0x2a,rate=0.1,ib=0.02,cmd=0.3,dma-abort=0.05,cmd-deadline=5ms,cmd-backoff=500ns,dma-delay-time=3us,max-retries=2")
+func TestParseLayerOverrides(t *testing.T) {
+	p, err := Parse("seed=0x2a,rate=0.1,ib=0.02,cmd=0.3,dma-abort=0.05,max-retries=2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,9 +35,6 @@ func TestParseLayerOverridesAndDurations(t *testing.T) {
 	}
 	if p.IBError != 0.02 || p.Cmd != 0.3 || p.DMADelay != 0.1 || p.DMAAbort != 0.05 {
 		t.Errorf("overrides wrong: %+v", p)
-	}
-	if p.CmdDeadline != 5*sim.Millisecond || p.CmdBackoff != 500 || p.DMADelayTime != 3*sim.Microsecond {
-		t.Errorf("durations wrong: deadline=%v backoff=%v delay=%v", p.CmdDeadline, p.CmdBackoff, p.DMADelayTime)
 	}
 	if p.MaxSendRetries != 2 {
 		t.Errorf("max-retries = %d, want 2", p.MaxSendRetries)
@@ -54,6 +51,7 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 		"bogus=1",
 		"seed=x",
 		"cmd-deadline=fast",
+		"cmd-deadline=5ms", // the recovery timings are constants
 		"max-retries=-1",
 	} {
 		if _, err := Parse(spec); err == nil {
@@ -76,8 +74,8 @@ func TestNilInjectorIsInert(t *testing.T) {
 	if d, a := i.DMAFault(); d != 0 || a {
 		t.Error("nil injector faulted a DMA")
 	}
-	if i.MaxRetries() != 0 || i.CmdDeadline() != 0 {
-		t.Error("nil injector has nonzero recovery params")
+	if i.MaxRetries() != 0 {
+		t.Error("nil injector has a replay budget")
 	}
 	if New(sim.NewEngine(), nil) != nil {
 		t.Error("New(nil plan) must yield a nil injector")

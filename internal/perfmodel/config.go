@@ -59,10 +59,7 @@ func (p *Platform) Validate() error {
 		name string
 		v    int
 	}{
-		{"Nodes", p.Nodes},
 		{"HostCores", p.HostCores},
-		{"PhiCores", p.PhiCores},
-		{"PhiMaxThreads", p.PhiMaxThreads},
 		{"EagerMax", p.EagerMax},
 		{"OffloadMinSize", p.OffloadMinSize},
 		{"EagerSlots", p.EagerSlots},

@@ -145,10 +145,7 @@ type Platform struct {
 
 	// ---- Topology / protocol tuning ----
 
-	Nodes          int
-	HostCores      int
-	PhiCores       int
-	PhiMaxThreads  int
+	HostCores      int // OpenMP scaling on a host stops here
 	EagerMax       int // eager/rendezvous switch (bytes)
 	OffloadMinSize int // offload-send-buffer threshold: "starting from 8Kbytes"
 	EagerSlots     int // eager ring depth per peer
@@ -209,10 +206,7 @@ func Default() *Platform {
 		OMPForkPerThread: 300 * sim.Nanosecond,
 		PhiScalingAlpha:  (56.0/17.9 - 1.0) / 55.0, // S(56)=17.9
 
-		Nodes:          8,
 		HostCores:      16,
-		PhiCores:       57,
-		PhiMaxThreads:  56,
 		EagerMax:       8192,
 		OffloadMinSize: 8192,
 		EagerSlots:     64,

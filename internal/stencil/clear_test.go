@@ -136,8 +136,8 @@ func TestClearRowSweepMatchesDenseKernel(t *testing.T) {
 			}
 		}},
 	}
-	// 1-D slabs are N+2 wide and 2-D blocks cols+2: 3 to 1282 covers
-	// both.
+	// A row run's slabs are N+2 wide and a grid's blocks N/Cols+2: 3 to
+	// 1282 covers both.
 	for _, w := range []int{3, 4, 5, 18, 66, 1282} {
 		for _, run := range runs {
 			rng := rand.New(rand.NewSource(int64(w)))
@@ -195,7 +195,7 @@ func TestSweepComputesOnlyTheLightCone(t *testing.T) {
 		team := omp.NewTeam(w.Plat, pr.Threads, r.Loc())
 		counts[r.ID()] = make([]int64, pr.Iters)
 		for s := 0; s < pr.Iters; s++ {
-			if err := exchange(p, r, l, pr.Procs); err != nil {
+			if err := exchange(p, r, l, pr); err != nil {
 				return err
 			}
 			before := l.computed
@@ -246,12 +246,12 @@ func TestWarmExchangeSwapsFlags(t *testing.T) {
 		l := newSlab(r.Domain(), pr.N/pr.Procs, pr.Width(), r.ID() == 0)
 		team := omp.NewTeam(w.Plat, pr.Threads, r.Loc())
 		for s := 0; s < pr.Iters; s++ {
-			if err := exchange(p, r, l, pr.Procs); err != nil {
+			if err := exchange(p, r, l, pr); err != nil {
 				return err
 			}
 			l.sweep(p, team, false)
 		}
-		if err := warmExchange(p, r, l, pr.Procs); err != nil {
+		if err := warmExchange(p, r, l, pr); err != nil {
 			return err
 		}
 		if msg := flagsLie(l); msg != "" {

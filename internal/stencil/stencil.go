@@ -4,9 +4,11 @@
 // execution modes (DCFA-MPI, 'Intel MPI on Xeon Phi', 'Intel MPI on
 // Xeon + offload') plus a serial reference.
 //
-// Domain decomposition is by rows; each rank exchanges one ~10 KiB halo
-// row per neighbor per iteration (Table III). All modes do the real
-// floating-point math on simulated device memory, so every
+// The paper decomposes the grid by rows: each rank exchanges one ~10 KiB
+// halo row per neighbor per iteration (Table III). That is the
+// one-column case of a Rows×Cols process grid, whose columns add strided
+// column halos, and the serial program is the one-rank grid. All modes
+// do the real floating-point math on simulated device memory, so every
 // configuration is verified bit-for-bit against the serial reference.
 package stencil
 
@@ -31,8 +33,12 @@ type Params struct {
 	N int
 	// Iters is the iteration count (paper: 100).
 	Iters int
-	// Procs is the MPI process count; must divide N.
+	// Procs is the MPI process count.
 	Procs int
+	// Cols is the process grid's column count; 0 and 1 both mean the
+	// paper's row decomposition. The grid has Procs/Cols rows of ranks,
+	// numbered row by row, and each rank owns one block of the interior.
+	Cols int
 	// Threads is the OpenMP team size per process (paper sweeps to 56).
 	Threads int
 	// SkipCompute charges compute time without running the math —
@@ -45,15 +51,23 @@ func PaperParams(procs, threads int) Params {
 	return Params{N: 1280, Iters: 100, Procs: procs, Threads: threads}
 }
 
-// Validate checks the decomposition.
+// Validate checks the decomposition: Cols divides Procs, and the grid's
+// rows and columns both divide N.
 func (pr Params) Validate() error {
-	if pr.N <= 0 || pr.Iters <= 0 || pr.Procs <= 0 || pr.Threads <= 0 {
+	if pr.N <= 0 || pr.Iters <= 0 || pr.Procs <= 0 || pr.Cols < 0 || pr.Threads <= 0 {
 		return fmt.Errorf("stencil: non-positive parameter: %+v", pr)
 	}
-	if pr.N%pr.Procs != 0 {
-		return fmt.Errorf("stencil: procs %d does not divide N %d", pr.Procs, pr.N)
+	rows, cols := pr.grid()
+	if pr.Procs%cols != 0 || pr.N%rows != 0 || pr.N%cols != 0 {
+		return fmt.Errorf("stencil: %d procs in %d columns do not divide N %d", pr.Procs, cols, pr.N)
 	}
 	return nil
+}
+
+// grid returns the process grid's rows and columns of ranks.
+func (pr Params) grid() (rows, cols int) {
+	cols = max(pr.Cols, 1)
+	return pr.Procs / cols, cols
 }
 
 // Width is the padded grid dimension (interior + 2 boundary).
@@ -191,16 +205,17 @@ func Reference(pr Params) []float64 {
 }
 
 // ReferenceChecksum sums the interior of a grid in the same
-// rank-blocked order the distributed runs use, so floating-point
-// association matches exactly.
+// rank-blocked order the distributed runs use, one rank's block after
+// another, so floating-point association matches exactly.
 func ReferenceChecksum(grid []float64, pr Params) float64 {
-	w := pr.Width()
-	rowsPer := pr.N / pr.Procs
+	rows, cols := pr.grid()
+	w, bh, bw := pr.Width(), pr.N/rows, pr.N/cols // block height and width
 	total := 0.0
 	for k := 0; k < pr.Procs; k++ {
+		top, left := k/cols*bh, k%cols*bw
 		part := 0.0
-		for r := 1 + k*rowsPer; r <= (k+1)*rowsPer; r++ {
-			for c := 1; c < w-1; c++ {
+		for r := top + 1; r <= top+bh; r++ {
+			for c := left + 1; c <= left+bw; c++ {
 				part += grid[r*w+c]
 			}
 		}
@@ -211,12 +226,15 @@ func ReferenceChecksum(grid []float64, pr Params) float64 {
 
 // slab is one rank's local grid: rows owned rows of w cells plus a ghost
 // row above and below, in two buffers a sweep reads (cur) and writes
-// (next). In 1-D each row's first and last cell are the fixed boundary;
-// a 2-D block is a slab of width cols+2 whose first and last cells are
-// its ghost columns.
+// (next). Each row's first and last cell are the fixed boundary or, where
+// the process grid has a neighbour west or east, a ghost column.
 type slab struct {
 	rows, w   int
 	cur, next *machine.Buffer
+	// stage holds one column each, packed for the west neighbour, from
+	// the west, for the east and from the east. Only a grid of more than
+	// one column allocates it, so a row run's slab is no larger.
+	stage *[4]*machine.Buffer
 	// curClear[r] (nextClear[r]) is true only if every cell of slab row
 	// r of cur (next) is +0, ghost and boundary cells included; it may be
 	// false for a row that is. A sweep keeps the flags exact for the
@@ -368,12 +386,18 @@ func (l *slab) partialSum() float64 {
 const (
 	tagUp   = 11 // halo moving toward lower ranks
 	tagDown = 12 // halo moving toward higher ranks
+	tagWest = 13 // column moving toward the west neighbour
+	tagEast = 14 // column moving toward the east neighbour
 )
 
-// exchange swaps l's current halo rows with both neighbors using
-// nonblocking MPI.
-func exchange(p *sim.Proc, r *core.Rank, l *slab, procs int) error {
-	buf := l.cur
+// exchange swaps l's current halos with its neighbours in pr's process
+// grid using nonblocking MPI: whole slab rows with the ranks north and
+// south (ID∓cols), then, in a grid of more than one column, the strided
+// columns with the ranks west and east (ID∓1), packed through the vector
+// datatype with its charged gather cost, as a real MPI application would.
+func exchange(p *sim.Proc, r *core.Rank, l *slab, pr Params) error {
+	id, buf := r.ID(), l.cur
+	_, cols := pr.grid()
 	var reqs []*core.Request
 	add := func(q *core.Request, err error) error {
 		if err != nil {
@@ -383,23 +407,50 @@ func exchange(p *sim.Proc, r *core.Rank, l *slab, procs int) error {
 		reqs = append(reqs, q)
 		return nil
 	}
-	if up := r.ID() - 1; up >= 0 {
-		if err := add(r.Isend(p, up, tagUp, l.row(buf, 1))); err != nil {
+	// pair posts the send to peer, then the receive from it.
+	pair := func(peer, sendTag, recvTag int, send, recv core.Slice) error {
+		if err := add(r.Isend(p, peer, sendTag, send)); err != nil {
 			return err
 		}
-		if err := add(r.Irecv(p, up, tagDown, l.row(buf, 0))); err != nil {
+		return add(r.Irecv(p, peer, recvTag, recv))
+	}
+	if id >= cols {
+		if err := pair(id-cols, tagUp, tagDown, l.row(buf, 1), l.row(buf, 0)); err != nil {
 			return err
 		}
 	}
-	if down := r.ID() + 1; down < procs {
-		if err := add(r.Isend(p, down, tagDown, l.row(buf, l.rows))); err != nil {
-			return err
-		}
-		if err := add(r.Irecv(p, down, tagUp, l.row(buf, l.rows+1))); err != nil {
+	if id+cols < pr.Procs {
+		if err := pair(id+cols, tagDown, tagUp, l.row(buf, l.rows), l.row(buf, l.rows+1)); err != nil {
 			return err
 		}
 	}
-	return r.WaitAll(p, reqs...)
+	west, east := id%cols > 0, id%cols < cols-1
+	colDT := core.Vector(l.rows, 1, l.w, 8)
+	n := l.rows * 8
+	col := func(c int) []byte { return buf.Data[(l.w+c)*8:] } // from slab row 1
+	stage := func(i int) core.Slice { return core.Slice{Buf: l.stage[i], N: n} }
+	if west {
+		r.Pack(p, l.stage[0].Data[:n], col(1), colDT)
+		if err := pair(id-1, tagWest, tagEast, stage(0), stage(1)); err != nil {
+			return err
+		}
+	}
+	if east {
+		r.Pack(p, l.stage[2].Data[:n], col(l.w-2), colDT)
+		if err := pair(id+1, tagEast, tagWest, stage(2), stage(3)); err != nil {
+			return err
+		}
+	}
+	if err := r.WaitAll(p, reqs...); err != nil {
+		return err
+	}
+	if west {
+		r.Unpack(p, col(0), l.stage[1].Data[:n], colDT)
+	}
+	if east {
+		r.Unpack(p, col(l.w-1), l.stage[3].Data[:n], colDT)
+	}
+	return nil
 }
 
 // gatherChecksum combines rank partial sums at rank 0 in rank order.
@@ -486,24 +537,26 @@ func runRanks(w *core.World, body func(p *sim.Proc, r *core.Rank) (Result, error
 
 // warmExchange is one warm-up halo exchange on l: exchange, then swap
 // the buffers so both get registered.
-func warmExchange(p *sim.Proc, r *core.Rank, l *slab, procs int) error {
-	err := exchange(p, r, l, procs)
+func warmExchange(p *sim.Proc, r *core.Rank, l *slab, pr Params) error {
+	err := exchange(p, r, l, pr)
 	l.swap()
 	return err
 }
 
 // Run runs the stencil in mode m on c, one rank per pr.Procs: the
 // application body of RunWorld, or for cluster.ModeHostOffload the
-// host-ranks-plus-offload-device body.
+// host-ranks-plus-offload-device body, which moves halo rows only.
 func Run(c *cluster.Cluster, m cluster.Mode, pr Params) (Result, error) {
 	if err := pr.Validate(); err != nil {
 		return Result{}, err
 	}
-	w := c.World(m, pr.Procs)
-	if m == cluster.ModeHostOffload {
-		return runHostOffload(c, w, pr)
+	if m != cluster.ModeHostOffload {
+		return RunWorld(c.World(m, pr.Procs), pr)
 	}
-	return RunWorld(w, pr)
+	if pr.Cols > 1 {
+		return Result{}, fmt.Errorf("stencil: %s decomposes by rows only, not in %d columns", m, pr.Cols)
+	}
+	return runHostOffload(c, c.World(m, pr.Procs), pr)
 }
 
 // RunDCFA is RunWorld under DCFA-MPI (offload send buffer per the flag)
@@ -515,18 +568,24 @@ func RunDCFA(plat *perfmodel.Platform, pr Params, offload bool) (Result, error) 
 
 // RunWorld runs the application body of the modes whose grid lives
 // where the rank runs (every mode but host-offload) on a caller-built
-// world.
+// world, for any process grid pr describes.
 func RunWorld(w *core.World, pr Params) (Result, error) {
 	if err := pr.Validate(); err != nil {
 		return Result{}, err
 	}
 	return runRanks(w, func(p *sim.Proc, r *core.Rank) (Result, error) {
-		l := newSlab(r.Domain(), pr.N/pr.Procs, pr.Width(), r.ID() == 0)
+		rows, cols := pr.grid()
+		// The grid's first row of ranks holds the global top boundary.
+		l := newSlab(r.Domain(), pr.N/rows, pr.N/cols+2, r.ID() < cols)
 		team := omp.NewTeam(w.Plat, pr.Threads, r.Loc())
+		if cols > 1 {
+			n := l.rows * 8
+			l.stage = &[4]*machine.Buffer{r.Mem(n), r.Mem(n), r.Mem(n), r.Mem(n)}
+		}
 		return timedLoop{
 			iters: pr.Iters, skip: pr.SkipCompute, halo: pr.Procs > 1,
-			warm:     func() error { return warmExchange(p, r, l, pr.Procs) },
-			exchange: func() error { return exchange(p, r, l, pr.Procs) },
+			warm:     func() error { return warmExchange(p, r, l, pr) },
+			exchange: func() error { return exchange(p, r, l, pr) },
 			sweep:    func() { l.sweep(p, team, pr.SkipCompute) },
 			partial:  l.partialSum,
 		}.run(p, r)
@@ -582,7 +641,7 @@ func runHostOffload(c *cluster.Cluster, w *core.World, pr Params) (Result, error
 		return timedLoop{
 			iters: pr.Iters, skip: pr.SkipCompute, halo: pr.Procs > 1,
 			// The warm-up touches only what MPI registers: the host slab.
-			warm: func() error { return warmExchange(p, r, hostSlab, pr.Procs) },
+			warm: func() error { return warmExchange(p, r, hostSlab, pr) },
 			exchange: func() error {
 				// Copy out: pack the card's edge rows, one COI transfer,
 				// unpack into the host slab for MPI.
@@ -590,7 +649,7 @@ func runHostOffload(c *cluster.Cluster, w *core.World, pr Params) (Result, error
 				bus.OffloadTransfer(p, hostPack.Data[:n], micPack.Data[:n])
 				unpack(hostSlab, 1, hostSlab.rows, hostPack.Data)
 				// Host MPI halo exchange.
-				if err := exchange(p, r, hostSlab, pr.Procs); err != nil {
+				if err := exchange(p, r, hostSlab, pr); err != nil {
 					return err
 				}
 				// Copy in: pack received ghost rows, one COI transfer,
@@ -612,30 +671,10 @@ func runHostOffload(c *cluster.Cluster, w *core.World, pr Params) (Result, error
 }
 
 // RunSerial runs the single-thread, no-MPI program on one co-processor:
-// the baseline of the paper's Figure 12 speed-ups.
+// the baseline of the paper's Figure 12 speed-ups. It is RunWorld on a
+// one-rank DCFA-MPI world, which has no halo to exchange and whose
+// barriers take no simulated time, so Total is the sweeps' alone.
 func RunSerial(plat *perfmodel.Platform, pr Params) (Result, error) {
-	pr.Procs = 1
-	pr.Threads = 1
-	if err := pr.Validate(); err != nil {
-		return Result{}, err
-	}
-	eng := sim.NewEngine()
-	l := newSlab(machine.NewNode(0).Mic, pr.N, pr.Width(), true)
-	team := omp.NewTeam(plat, 1, machine.MicMem)
-	var res Result
-	eng.Spawn("serial-stencil", func(p *sim.Proc) {
-		start := p.Now()
-		for it := 0; it < pr.Iters; it++ {
-			l.sweep(p, team, pr.SkipCompute)
-		}
-		total := p.Now() - start
-		res = Result{Total: total, PerIter: total / sim.Duration(pr.Iters)}
-		if !pr.SkipCompute {
-			res.Checksum = l.partialSum()
-		}
-	})
-	if err := eng.Run(); err != nil {
-		return Result{}, err
-	}
-	return res, nil
+	pr.Procs, pr.Cols, pr.Threads = 1, 1, 1
+	return RunWorld(cluster.New(plat, 1).World(cluster.ModeDCFABase, 1), pr)
 }

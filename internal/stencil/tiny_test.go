@@ -89,7 +89,7 @@ func TestSubnormalBandMatchesReference(t *testing.T) {
 		team := omp.NewTeam(world.Plat, pr.Threads, r.Loc())
 		careful := make([]bool, l.rows+2)
 		for s := 0; s < pr.Iters; s++ {
-			if err := exchange(p, r, l, pr.Procs); err != nil {
+			if err := exchange(p, r, l, pr); err != nil {
 				return err
 			}
 			copy(careful, l.careful)

@@ -7,7 +7,6 @@ package trace
 
 import (
 	"fmt"
-	"io"
 	"strings"
 
 	"repro/internal/sim"
@@ -21,28 +20,21 @@ type Event struct {
 	Msg   string
 }
 
-func (e Event) String() string {
-	return fmt.Sprintf("%12v  %-12s %-14s %s", e.T, e.Actor, e.Kind, e.Msg)
-}
-
-// Recorder accumulates events in order. The zero value records
-// unboundedly; set Cap to bound memory. Bounded mode is a ring buffer:
-// once full, each append overwrites the oldest entry in place, so Log
-// is O(1) regardless of Cap.
+// Recorder accumulates events in order, up to a capacity fixed by New
+// (0, and the zero value, record unboundedly). Once full it is a ring:
+// each append overwrites the oldest entry in place, so Log is O(1)
+// whatever the capacity.
 type Recorder struct {
-	// Cap bounds retained events (0 = unbounded); older entries are
-	// dropped.
-	Cap     int
-	Dropped int64
+	Dropped int64 // events overwritten once the ring was full
 
-	buf   []Event        // ring storage; oldest entry at start
+	cap   int            // retained events at most (0 = unbounded)
+	buf   []Event        // ring storage
 	start int            // index of the oldest retained event
-	n     int            // retained events
 	kinds map[string]int // retained events per kind, for O(1) Count
 }
 
 // New returns a recorder bounded to cap events.
-func New(cap int) *Recorder { return &Recorder{Cap: cap} }
+func New(cap int) *Recorder { return &Recorder{cap: cap} }
 
 // Log appends an event. Safe to call on a nil recorder.
 func (r *Recorder) Log(t sim.Time, actor, kind, format string, args ...any) {
@@ -53,28 +45,14 @@ func (r *Recorder) Log(t sim.Time, actor, kind, format string, args ...any) {
 		r.kinds = make(map[string]int)
 	}
 	e := Event{T: t, Actor: actor, Kind: kind, Msg: fmt.Sprintf(format, args...)}
-	if r.Cap > 0 && r.n == r.Cap && len(r.buf) == r.Cap {
-		// Steady state: the ring is full, overwrite the oldest slot.
+	if len(r.buf) == r.cap && r.cap > 0 {
+		// Full: overwrite the oldest slot.
 		r.forget(r.buf[r.start].Kind)
 		r.buf[r.start] = e
-		r.start = (r.start + 1) % len(r.buf)
+		r.start = (r.start + 1) % r.cap
 		r.Dropped++
 	} else {
-		// Still filling, or Cap changed since the last append:
-		// restore the linear layout, trim to the new bound, append.
-		r.linearize()
-		if r.Cap > 0 && r.n >= r.Cap {
-			drop := r.n - (r.Cap - 1)
-			for i := 0; i < drop; i++ {
-				r.forget(r.buf[i].Kind)
-			}
-			copy(r.buf, r.buf[drop:r.n])
-			r.buf = r.buf[:r.n-drop]
-			r.n -= drop
-			r.Dropped += int64(drop)
-		}
 		r.buf = append(r.buf, e)
-		r.n++
 	}
 	r.kinds[kind]++
 }
@@ -87,34 +65,20 @@ func (r *Recorder) forget(kind string) {
 	}
 }
 
-// linearize rotates the ring so the oldest event sits at index 0 and
-// buf[:n] is the retained window in order.
-func (r *Recorder) linearize() {
-	if r.start == 0 {
-		r.buf = r.buf[:r.n]
-		return
-	}
-	out := make([]Event, r.n)
-	for i := 0; i < r.n; i++ {
-		out[i] = r.buf[(r.start+i)%len(r.buf)]
-	}
-	r.buf, r.start = out, 0
-}
-
 // Len returns how many events are retained.
 func (r *Recorder) Len() int {
 	if r == nil {
 		return 0
 	}
-	return r.n
+	return len(r.buf)
 }
 
 // Events returns the retained events oldest-first, as a copy.
 func (r *Recorder) Events() []Event {
-	if r == nil || r.n == 0 {
+	if r.Len() == 0 {
 		return nil
 	}
-	out := make([]Event, r.n)
+	out := make([]Event, len(r.buf))
 	for i := range out {
 		out[i] = r.buf[(r.start+i)%len(r.buf)]
 	}
@@ -123,7 +87,7 @@ func (r *Recorder) Events() []Event {
 
 // each calls f on every retained event, oldest first.
 func (r *Recorder) each(f func(Event) bool) {
-	for i := 0; i < r.n; i++ {
+	for i := range r.buf {
 		if !f(r.buf[(r.start+i)%len(r.buf)]) {
 			return
 		}
@@ -152,20 +116,6 @@ func (r *Recorder) Find(kind string) (Event, bool) {
 		})
 	}
 	return found, ok
-}
-
-// Dump writes the timeline.
-func (r *Recorder) Dump(w io.Writer) {
-	if r == nil {
-		return
-	}
-	r.each(func(e Event) bool {
-		fmt.Fprintln(w, e)
-		return true
-	})
-	if r.Dropped > 0 {
-		fmt.Fprintf(w, "(%d earlier events dropped)\n", r.Dropped)
-	}
 }
 
 // Summary aggregates counts per kind, in order of first appearance

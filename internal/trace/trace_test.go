@@ -1,27 +1,22 @@
 package trace
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
 	"repro/internal/sim"
 )
 
-func TestLogAndDump(t *testing.T) {
+func TestLogAndEvents(t *testing.T) {
 	r := New(0)
 	r.Log(5*sim.Microsecond, "rank0", "eager-send", "to=%d", 1)
 	r.Log(9*sim.Microsecond, "rank1", "eager-recv", "from=%d", 0)
 	if r.Len() != 2 || len(r.Events()) != 2 {
 		t.Fatalf("events %d", r.Len())
 	}
-	var buf bytes.Buffer
-	r.Dump(&buf)
-	out := buf.String()
-	for _, want := range []string{"rank0", "eager-send", "to=1", "5µs"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("dump missing %q:\n%s", want, out)
-		}
+	want := Event{T: 5 * sim.Microsecond, Actor: "rank0", Kind: "eager-send", Msg: "to=1"}
+	if got := r.Events()[0]; got != want {
+		t.Fatalf("first event %+v, want %+v", got, want)
 	}
 }
 
@@ -39,11 +34,6 @@ func TestCapDropsOldest(t *testing.T) {
 	}
 	if r.Dropped != 7 {
 		t.Fatalf("dropped %d", r.Dropped)
-	}
-	var buf bytes.Buffer
-	r.Dump(&buf)
-	if !strings.Contains(buf.String(), "(7 earlier events dropped)") {
-		t.Fatalf("dump missing drop note:\n%s", buf.String())
 	}
 }
 
@@ -71,32 +61,6 @@ func TestCapOverflowKindAccounting(t *testing.T) {
 	}
 }
 
-func TestCapChangedMidRun(t *testing.T) {
-	r := New(4)
-	for i := 0; i < 10; i++ { // ring wraps
-		r.Log(sim.Time(i), "a", "k", "%d", i)
-	}
-	r.Cap = 6 // raise: ring must linearize, then keep growing
-	r.Log(10, "a", "k", "10")
-	r.Log(11, "a", "k", "11")
-	ev := r.Events()
-	if len(ev) != 6 || ev[0].Msg != "6" || ev[5].Msg != "11" {
-		t.Fatalf("after raise: %v", ev)
-	}
-	r.Cap = 2 // lower: oldest must be trimmed on next append
-	r.Log(12, "a", "k", "12")
-	ev = r.Events()
-	if len(ev) != 2 || ev[0].Msg != "11" || ev[1].Msg != "12" {
-		t.Fatalf("after lower: %v", ev)
-	}
-	if r.Count("k") != 2 {
-		t.Fatalf("Count after trims: %d", r.Count("k"))
-	}
-	if r.Dropped != 6+5 {
-		t.Fatalf("dropped %d", r.Dropped)
-	}
-}
-
 func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
 	r.Log(0, "a", "k", "x")
@@ -109,7 +73,6 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	if r.Len() != 0 || r.Events() != nil {
 		t.Fatal("nil recorder retained")
 	}
-	r.Dump(&bytes.Buffer{})
 	if r.Summary() != "" {
 		t.Fatal("nil recorder summarized")
 	}
