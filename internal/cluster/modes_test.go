@@ -304,11 +304,17 @@ func TestDoubleBufferOverlap(t *testing.T) {
 	host := c.Nodes[0].Host.Alloc(1 << 20)
 	mic := c.Nodes[0].Mic.Alloc(1 << 20)
 	var elapsed sim.Duration
+	// The transfer runs on its own process, so the host rank's work
+	// overlaps it.
+	landed := sim.NewEvent(c.Eng)
+	c.Eng.Spawn("coi", func(p *sim.Proc) {
+		dev.OffloadTransfer(p, mic.Data, host.Data)
+		landed.Fire()
+	})
 	c.Eng.Spawn("host-rank", func(p *sim.Proc) {
 		start := p.Now()
-		ev := dev.StartOffloadTransfer(mic.Data, host.Data)
 		p.Sleep(100 * sim.Microsecond) // overlapped host work
-		ev.Wait(p)
+		landed.Wait(p)
 		elapsed = p.Now() - start
 	})
 	if err := c.Eng.Run(); err != nil {

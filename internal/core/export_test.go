@@ -40,6 +40,17 @@ func (r *Rank) DirtyRing() string {
 	return ""
 }
 
+// RunKeepingRings is Run without its final discard of the reserved
+// pages, so DirtyRing reads what the protocol left in the eager rings.
+func (w *World) RunKeepingRings(body func(r *Rank) error) error { return w.run(body) }
+
+// PlantRingByte writes a nonzero byte at the end of r's ring from peer,
+// past whatever a short packet writes and clears, for DirtyRing to find.
+func (r *Rank) PlantRingByte(peer int) {
+	d := r.peers[peer].in.buf.Data
+	d[len(d)-1] = 0xa5
+}
+
 // ProgressCounts returns how many progress passes r ran, how many
 // landings came through its QPs, how many rings the passes read, and how
 // many pairs r has connected.

@@ -64,7 +64,7 @@ func (r *Rank) Waitany(p *sim.Proc, reqs ...*Request) (int, Status, error) {
 		for i, q := range reqs {
 			if q.completed {
 				q.seen()
-				return i, q.status, q.err
+				return i, q.Status(), q.err
 			}
 		}
 		if err := r.idle(p); err != nil {

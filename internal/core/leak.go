@@ -73,7 +73,7 @@ func (r *Rank) heldOpen() []OpenRequest {
 			if q.isSend {
 				op = "send"
 			}
-			held = append(held, OpenRequest{Op: op, Peer: q.peer, Tag: q.tag, State: stateNames[q.state]})
+			held = append(held, OpenRequest{Op: op, Peer: int(q.peer), Tag: int(q.tag), State: stateNames[q.state]})
 		}
 	}
 	add(r.anyActive)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/dcfa"
@@ -27,16 +28,18 @@ type offArena struct {
 
 type offRange struct{ off, end int }
 
-// offRegion is one allocated staging range.
-type offRegion struct {
-	arena *offArena
-	off   int
-	n     int
-}
+// offRegion is one allocated staging range: n bytes at off. It is a
+// value: the send it stages keeps the offset (Request.off), n being the
+// send's length, and the arena is always its rank's.
+type offRegion struct{ off, n int }
 
 // newOffArena registers an arena of the given size via the offload MR
 // verbs.
 func newOffArena(p *sim.Proc, v Verbs, size int) (*offArena, error) {
+	if size > math.MaxInt32 {
+		// Request.off is 32 bits wide.
+		return nil, fmt.Errorf("core: offload arena of %d bytes: a request addresses at most 2 GiB", size)
+	}
 	omr, err := v.RegOffloadMR(p, size)
 	if err != nil {
 		return nil, err
@@ -44,32 +47,35 @@ func newOffArena(p *sim.Proc, v Verbs, size int) (*offArena, error) {
 	return &offArena{v: v, omr: omr, free: []offRange{{0, size}}}, nil
 }
 
-// alloc carves n bytes, first-fit. Returns nil when no range is large
-// enough; the caller falls back to the direct (non-offloaded) path.
-func (a *offArena) alloc(n int) *offRegion {
+// alloc carves n bytes, first-fit. It reports false when no range is
+// large enough; the caller falls back to the direct (non-offloaded)
+// path.
+func (a *offArena) alloc(n int) (offRegion, bool) {
 	for i, r := range a.free {
 		if r.end-r.off >= n {
-			reg := &offRegion{arena: a, off: r.off, n: n}
+			reg := offRegion{off: r.off, n: n}
 			if r.off+n == r.end {
 				a.free = append(a.free[:i], a.free[i+1:]...)
 			} else {
 				a.free[i].off += n
 			}
 			a.inUse += n
-			return reg
+			return reg, true
 		}
 	}
-	return nil
+	return offRegion{}, false
 }
 
-// release returns the region to the free list, coalescing neighbors.
-func (a *offArena) release(reg *offRegion) {
-	if reg.arena != a {
-		panic("core: offload region released to wrong arena")
-	}
-	a.inUse -= reg.n
+// release returns the region to the free list, coalescing neighbors. A
+// region that overlaps a free range was never this arena's to take back
+// (released twice, or to the wrong arena), and panics.
+func (a *offArena) release(reg offRegion) {
 	nr := offRange{reg.off, reg.off + reg.n}
 	i := sort.Search(len(a.free), func(i int) bool { return a.free[i].off >= nr.off })
+	if (i < len(a.free) && a.free[i].off < nr.end) || (i > 0 && a.free[i-1].end > nr.off) {
+		panic("core: offload region released but not held")
+	}
+	a.inUse -= reg.n
 	a.free = append(a.free, offRange{})
 	copy(a.free[i+1:], a.free[i:])
 	a.free[i] = nr
@@ -85,18 +91,12 @@ func (a *offArena) release(reg *offRegion) {
 }
 
 // sync stages src into the region through the Phi DMA engine.
-func (a *offArena) sync(p *sim.Proc, reg *offRegion, src []byte) error {
+func (a *offArena) sync(p *sim.Proc, reg offRegion, src []byte) error {
 	if len(src) > reg.n {
 		return fmt.Errorf("core: offload sync of %d bytes into %d-byte region", len(src), reg.n)
 	}
 	return a.v.SyncOffloadMR(p, a.omr, reg.off, src)
 }
 
-// addr returns the host-side IB address of the region.
-func (reg *offRegion) addr() uint64 { return reg.arena.omr.HostBuf.Addr + uint64(reg.off) }
-
-// rkey returns the host MR rkey.
-func (reg *offRegion) rkey() uint32 { return reg.arena.omr.HostMR.RKey }
-
-// lkey returns the host MR lkey (for RDMA-writing out of the bounce).
-func (reg *offRegion) lkey() uint32 { return reg.arena.omr.HostMR.LKey }
+// addr returns the host-side IB address of the byte at off.
+func (a *offArena) addr(off int) uint64 { return a.omr.HostBuf.Addr + uint64(off) }

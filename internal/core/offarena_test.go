@@ -12,24 +12,24 @@ func fakeArena(size int) *offArena {
 
 func TestArenaFirstFit(t *testing.T) {
 	a := fakeArena(1000)
-	r1 := a.alloc(100)
-	r2 := a.alloc(200)
-	if r1 == nil || r2 == nil {
+	r1, ok1 := a.alloc(100)
+	r2, ok2 := a.alloc(200)
+	if !ok1 || !ok2 {
 		t.Fatal("allocation failed")
 	}
 	if r1.off != 0 || r2.off != 100 {
 		t.Fatalf("offsets %d %d", r1.off, r2.off)
 	}
-	if a.alloc(701) != nil {
+	if _, ok := a.alloc(701); ok {
 		t.Fatal("oversized allocation succeeded")
 	}
 }
 
 func TestArenaReleaseCoalesces(t *testing.T) {
 	a := fakeArena(300)
-	r1 := a.alloc(100)
-	r2 := a.alloc(100)
-	r3 := a.alloc(100)
+	r1, _ := a.alloc(100)
+	r2, _ := a.alloc(100)
+	r3, _ := a.alloc(100)
 	a.release(r1)
 	a.release(r3)
 	if len(a.free) != 2 {
@@ -39,15 +39,15 @@ func TestArenaReleaseCoalesces(t *testing.T) {
 	if len(a.free) != 1 || a.free[0] != (offRange{0, 300}) {
 		t.Fatalf("free list after full release %v", a.free)
 	}
-	if a.alloc(300) == nil {
+	if _, ok := a.alloc(300); !ok {
 		t.Fatal("full-arena allocation failed after coalesce")
 	}
 }
 
 func TestArenaPeakTracking(t *testing.T) {
 	a := fakeArena(1000)
-	r1 := a.alloc(400)
-	r2 := a.alloc(400)
+	r1, _ := a.alloc(400)
+	r2, _ := a.alloc(400)
 	if a.inUse != 800 {
 		t.Fatalf("in use %d at the peak, want 800", a.inUse)
 	}
@@ -61,7 +61,7 @@ func TestArenaPeakTracking(t *testing.T) {
 func TestArenaWrongArenaPanics(t *testing.T) {
 	a := fakeArena(100)
 	b := fakeArena(100)
-	r := a.alloc(10)
+	r, _ := a.alloc(10)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("cross-arena release did not panic")
@@ -76,12 +76,12 @@ func TestQuickArenaInvariants(t *testing.T) {
 	f := func(ops []uint8) bool {
 		const size = 4096
 		a := fakeArena(size)
-		var live []*offRegion
+		var live []offRegion
 		liveBytes := 0
 		for _, op := range ops {
 			if op%2 == 0 || len(live) == 0 {
 				n := int(op)%512 + 1
-				if r := a.alloc(n); r != nil {
+				if r, ok := a.alloc(n); ok {
 					live = append(live, r)
 					liveBytes += n
 				}

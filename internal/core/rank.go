@@ -627,7 +627,7 @@ func (r *Rank) Isend(p *sim.Proc, dst, tag int, s Slice) (*Request, error) {
 		return nil, ErrBadRank
 	}
 	req := r.newRequest()
-	*req = Request{r: r, isSend: true, peer: dst, tag: tag, slice: s, startT: p.Now()}
+	*req = Request{r: r, isSend: true, peer: int32(dst), tag: int32(tag), slice: s}
 	r.opened(p, req)
 	p.Sleep(r.w.Plat.MPIPerMsg(r.v.Loc()))
 	ps, err := r.ensurePeer(p, dst)
@@ -669,7 +669,7 @@ func (r *Rank) trySendEager(p *sim.Proc, req *Request) {
 	ps := r.peers[req.peer]
 	if _, ok := ps.earlyRTR[req.seq]; ok {
 		delete(ps.earlyRTR, req.seq)
-		r.step(p, stepMispredictRTR, req.peer, req.seq, 0)
+		r.step(p, stepMispredictRTR, int(req.peer), req.seq, 0)
 	}
 	if ps.credits <= 1 {
 		req.state = stEagerQueued
@@ -685,13 +685,13 @@ func (r *Rank) trySendEager(p *sim.Proc, req *Request) {
 // data-class credit (credits > 1). A failed post completes the request
 // with the error, and postEager reports false.
 func (r *Rank) postEager(p *sim.Proc, req *Request) bool {
-	h := header{kind: pktEager, tag: int32(req.tag), seq: req.seq}
-	if err := r.sendPacket(p, req.peer, h, req.slice.Bytes(), wrAction{kind: wrEager, req: req}); err != nil {
+	h := header{kind: pktEager, tag: req.tag, seq: req.seq}
+	if err := r.sendPacket(p, int(req.peer), h, req.slice.Bytes(), wrAction{kind: wrEager, req: req}); err != nil {
 		req.complete(p, err)
 		return false
 	}
 	req.state = stEagerSent
-	r.step(p, stepEagerSend, req.peer, req.seq, req.slice.N)
+	r.step(p, stepEagerSend, int(req.peer), req.seq, req.slice.N)
 	return true
 }
 
@@ -700,32 +700,30 @@ func (r *Rank) postEager(p *sim.Proc, req *Request) bool {
 // (sender-first).
 func (r *Rank) startRendezvousSend(p *sim.Proc, req *Request) error {
 	s := req.slice
+	peer := int(req.peer)
 	useOffload := r.arena != nil && s.N >= r.w.Cfg.OffloadMinSize
 	if useOffload {
-		if reg := r.arena.alloc(s.N); reg != nil {
+		if reg, ok := r.arena.alloc(s.N); ok {
 			// sync_offload_mr: stage the latest data into the host
 			// bounce buffer through the DMA engine before any send.
-			err := r.staging(p, req, func() error { return r.arena.sync(p, reg, s.Bytes()) })
-			var abort *pcie.DMAAbortError
+			err := r.staging(p, req, reg)
 			switch {
 			case err == nil:
-				req.offReg = reg
-				req.advAddr = reg.addr()
-				req.advKey = reg.rkey()
-			case errors.As(err, &abort):
+				req.off, req.staged = int32(reg.off), true
+			case errors.As(err, new(*pcie.DMAAbortError)):
 				// The DMA engine aborted the staging copy: release the
 				// region and fall back to sending straight from
 				// co-processor memory.
 				r.arena.release(reg)
 				useOffload = false
-				r.step(p, stepOffloadAbort, req.peer, req.seq, s.N)
+				r.step(p, stepOffloadAbort, peer, req.seq, s.N)
 			default:
 				r.arena.release(reg)
 				return err
 			}
 		} else {
 			useOffload = false
-			r.step(p, stepOffloadFull, req.peer, req.seq, s.N)
+			r.step(p, stepOffloadFull, peer, req.seq, s.N)
 		}
 	}
 	if !useOffload {
@@ -733,8 +731,6 @@ func (r *Rank) startRendezvousSend(p *sim.Proc, req *Request) error {
 		if err != nil {
 			return err
 		}
-		req.advAddr = s.Addr()
-		req.advKey = mr.RKey
 		req.pin(mr)
 	}
 	ps := r.peers[req.peer]
@@ -743,15 +739,22 @@ func (r *Rank) startRendezvousSend(p *sim.Proc, req *Request) error {
 	// Receiver-first: an RTR for this sequence may already be here.
 	if rtr, ok := ps.earlyRTR[req.seq]; ok {
 		delete(ps.earlyRTR, req.seq)
-		r.step(p, stepRecvFirst, req.peer, req.seq, 0)
+		r.step(p, stepRecvFirst, peer, req.seq, 0)
 		return r.rndvWrite(p, req, rtr)
 	}
-	h := header{kind: pktRTS, tag: int32(req.tag), seq: req.seq, raddr: req.advAddr, rkey: req.advKey, rsize: s.N}
-	if err := r.ctrlSend(p, req.peer, h); err != nil {
+	// The RTS advertises the staged range's host address, else the send
+	// buffer's own.
+	h := header{kind: pktRTS, tag: req.tag, seq: req.seq, raddr: s.Addr(), rsize: s.N}
+	if req.staged {
+		h.raddr, h.rkey = r.arena.addr(int(req.off)), r.arena.omr.HostMR.RKey
+	} else {
+		h.rkey = req.pins[0].RKey
+	}
+	if err := r.ctrlSend(p, peer, h); err != nil {
 		return err
 	}
 	req.state = stRTSSent
-	r.step(p, stepRTSSend, req.peer, req.seq, s.N)
+	r.step(p, stepRTSSend, peer, req.seq, s.N)
 	return nil
 }
 
@@ -762,14 +765,14 @@ func (r *Rank) rndvWrite(p *sim.Proc, req *Request, rtr header) error {
 		// Receiver-first truncation: abort both sides.
 		delete(r.peers[req.peer].sendsBySeq, req.seq)
 		req.complete(p, ErrTruncate)
-		return r.ctrlSend(p, req.peer, header{kind: pktNackW, seq: req.seq})
+		return r.ctrlSend(p, int(req.peer), header{kind: pktNackW, seq: req.seq})
 	}
 	wr := r.newSendWR()
 	wr.Opcode = ib.OpRDMAWrite
 	wr.Remote = ib.RemoteAddr{Addr: rtr.raddr, RKey: rtr.rkey}
 	wr.Signaled = true
-	if req.offReg != nil {
-		wr.SGL = append(wr.SGL, ib.SGE{Addr: req.advAddr, Len: req.slice.N, LKey: req.offReg.lkey()})
+	if req.staged {
+		wr.SGL = append(wr.SGL, ib.SGE{Addr: r.arena.addr(int(req.off)), Len: req.slice.N, LKey: r.arena.omr.HostMR.LKey})
 	} else {
 		// Reuse the registration advertised with the RTS; it is pinned
 		// until this request completes.
@@ -777,12 +780,12 @@ func (r *Rank) rndvWrite(p *sim.Proc, req *Request, rtr header) error {
 	}
 	// The WR rides in the action for replay under faults and for
 	// recycling on completion otherwise.
-	wrid := r.nextWR(wrAction{kind: wrRndvWrite, req: req, peer: req.peer, wr: wr})
+	wrid := r.nextWR(wrAction{kind: wrRndvWrite, req: req, peer: int(req.peer), wr: wr})
 	wr.WRID = wrid
 	req.state = stWriting
 	r.resolved(req, protoRecvRzv)
 	r.xferStarted(p, req, wrRndvWrite, wrid, req.slice.N)
-	return r.post(p, req.peer, wr)
+	return r.post(p, int(req.peer), wr)
 }
 
 // ctrlSend transmits a zero-payload control packet (control packets
@@ -814,7 +817,7 @@ func (r *Rank) Irecv(p *sim.Proc, src, tag int, s Slice) (*Request, error) {
 		return nil, ErrBadRank
 	}
 	req := r.newRequest()
-	*req = Request{r: r, peer: src, tag: tag, slice: s, startT: p.Now()}
+	*req = Request{r: r, peer: int32(src), tag: int32(tag), slice: s}
 	r.opened(p, req)
 	if src != AnySource {
 		if _, err := r.ensurePeer(p, src); err != nil {
@@ -850,7 +853,7 @@ func (r *Rank) Irecv(p *sim.Proc, src, tag int, s Slice) (*Request, error) {
 // matches it against unexpected arrivals, possibly sending an RTR.
 func (r *Rank) bindRecv(p *sim.Proc, req *Request, src int) {
 	ps := r.peers[src]
-	req.peer = src
+	req.peer = int32(src)
 	req.seq = ps.recvSeq
 	ps.recvSeq++
 	if src != r.id {
@@ -875,7 +878,7 @@ func (r *Rank) bindRecv(p *sim.Proc, req *Request, src int) {
 			return
 		}
 		req.pin(mr)
-		h := header{kind: pktRTR, tag: int32(req.tag), seq: req.seq, raddr: req.slice.Addr(), rkey: mr.RKey, rsize: req.slice.N}
+		h := header{kind: pktRTR, tag: req.tag, seq: req.seq, raddr: req.slice.Addr(), rkey: mr.RKey, rsize: req.slice.N}
 		if err := r.ctrlSend(p, src, h); err != nil {
 			req.complete(p, err)
 			delete(ps.expRecv, req.seq)
@@ -941,7 +944,7 @@ func (r *Rank) recycleArrival(a *arrival) {
 // both arms copy what they need out of it before completing.
 func (r *Rank) matchArrival(p *sim.Proc, req *Request, a *arrival) {
 	defer r.recycleArrival(a)
-	if !tagsMatch(req.tag, a.h) {
+	if !tagsMatch(int(req.tag), a.h) {
 		req.complete(p, ErrTagMismatch)
 		return
 	}
@@ -952,13 +955,13 @@ func (r *Rank) matchArrival(p *sim.Proc, req *Request, a *arrival) {
 			req.complete(p, ErrTruncate)
 			return
 		}
-		if req.peer != r.id {
+		if int(req.peer) != r.id {
 			// A loopback receive resolved as self when posted.
 			r.resolved(req, protoEager)
 		}
 		copy(req.slice.Bytes(), a.data)
 		p.Sleep(r.w.Plat.CopyCost(r.v.Loc(), a.h.payload))
-		req.status = Status{Source: int(a.h.src), Tag: int(a.h.tag), Len: a.h.payload}
+		req.status = status{src: int32(a.h.src), tag: a.h.tag, n: int32(a.h.payload)}
 		req.complete(p, nil)
 	case pktRTS:
 		r.startRead(p, req, a.h)
@@ -989,8 +992,8 @@ func (r *Rank) startRead(p *sim.Proc, req *Request, rts header) {
 		return
 	}
 	req.pin(mr)
-	req.peer = int(rts.src)
-	req.status = Status{Source: int(rts.src), Tag: int(rts.tag), Len: rts.rsize}
+	req.peer = int32(rts.src)
+	req.status = status{src: int32(rts.src), tag: rts.tag, n: int32(rts.rsize)}
 	wr := r.newSendWR()
 	wr.Opcode = ib.OpRDMARead
 	wr.Remote = ib.RemoteAddr{Addr: rts.raddr, RKey: rts.rkey}
@@ -1020,7 +1023,7 @@ func (r *Rank) lockAny(p *sim.Proc, req *Request) {
 	r.step(p, stepAnyLock, AnySource, req.cid, 0)
 	for _, src := range r.active {
 		ps := r.peers[src]
-		if a := ps.probe(req.tag); a != nil {
+		if a := ps.probe(int(req.tag)); a != nil {
 			delete(ps.unexpected, ps.recvSeq)
 			r.bindAny(p, src, a)
 			return
@@ -1049,7 +1052,7 @@ func (r *Rank) drainDeferred(p *sim.Proc) {
 		if req.peer == AnySource {
 			r.lockAny(p, req)
 		} else {
-			r.bindRecv(p, req, req.peer)
+			r.bindRecv(p, req, int(req.peer))
 		}
 	}
 }
@@ -1060,7 +1063,7 @@ func (r *Rank) drainDeferred(p *sim.Proc) {
 // queue, where bindRecv and Iprobe find it like any other arrival.
 func (r *Rank) sendSelf(p *sim.Proc, ps *peerState, req *Request) {
 	r.step(p, stepSelfMsg, r.id, req.seq, req.slice.N)
-	h := header{kind: pktEager, src: uint16(r.id), tag: int32(req.tag), seq: req.seq, payload: req.slice.N}
+	h := header{kind: pktEager, src: uint16(r.id), tag: req.tag, seq: req.seq, payload: req.slice.N}
 	if recv, ok := ps.expRecv[req.seq]; ok {
 		delete(ps.expRecv, req.seq)
 		r.matchArrival(p, recv, r.newArrival(h, req.slice.Bytes()))
@@ -1202,7 +1205,7 @@ func (r *Rank) handlePacket(p *sim.Proc, src int, h header, payload []byte) {
 		}
 		// Then the ANY_SOURCE receive: it takes its sequence id from the
 		// first matching packet.
-		if r.anyActive != nil && h.seq == ps.recvSeq && tagsMatch(r.anyActive.tag, h) {
+		if r.anyActive != nil && h.seq == ps.recvSeq && tagsMatch(int(r.anyActive.tag), h) {
 			r.step(p, stepAnyMatch, src, h.seq, 0)
 			r.bindAny(p, src, r.newArrival(h, payload))
 			return
@@ -1251,7 +1254,7 @@ func (r *Rank) handlePacket(p *sim.Proc, src int, h header, payload []byte) {
 		// receive that was parked in stRTRWait.
 		req := r.take(ps.expRecv, src, h)
 		r.resolved(req, protoRecvRzv)
-		req.status = Status{Source: src, Tag: req.tag, Len: h.rsize}
+		req.status = status{src: int32(src), tag: req.tag, n: int32(h.rsize)}
 		req.complete(p, nil)
 	case pktNack:
 		r.take(ps.sendsBySeq, src, h).complete(p, ErrTruncate)
@@ -1309,12 +1312,12 @@ func (r *Rank) handleCQE(p *sim.Proc, e ib.CQE) {
 		r.xferDone(p, req)
 		delete(r.peers[req.peer].sendsBySeq, req.seq)
 		done := header{kind: pktDoneW, seq: req.seq, rsize: req.slice.N}
-		req.complete(p, r.ctrlSend(p, req.peer, done))
+		req.complete(p, r.ctrlSend(p, int(req.peer), done))
 	case wrRndvRead:
 		// Sender-first read done: tell the sender.
 		req := act.req
 		r.xferDone(p, req)
-		done := header{kind: pktDone, seq: req.seq, rsize: req.status.Len}
+		done := header{kind: pktDone, seq: req.seq, rsize: int(req.status.n)}
 		req.complete(p, r.ctrlSend(p, act.peer, done))
 	}
 }
@@ -1323,7 +1326,7 @@ func (r *Rank) handleCQE(p *sim.Proc, e ib.CQE) {
 func (r *Rank) Wait(p *sim.Proc, req *Request) (Status, error) {
 	if req.completed {
 		req.seen()
-		return req.status, req.err
+		return req.Status(), req.err
 	}
 	r.waitStart(p, req)
 	for !req.completed {
@@ -1336,7 +1339,7 @@ func (r *Rank) Wait(p *sim.Proc, req *Request) (Status, error) {
 	}
 	r.waitEnd(p, req)
 	req.seen()
-	return req.status, req.err
+	return req.Status(), req.err
 }
 
 // WaitAll waits for every request; the first error wins.

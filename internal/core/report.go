@@ -244,7 +244,7 @@ func (r *Rank) emit(p *sim.Proc, e causal.Event) {
 
 // reqEvent fills the fields every request-lifecycle event shares.
 func reqEvent(kind causal.Kind, q *Request) causal.Event {
-	return causal.Event{Kind: kind, Peer: int32(q.peer), Tag: int32(q.tag), Seq: q.seq, CID: q.cid, Bytes: int32(q.slice.N)}
+	return causal.Event{Kind: kind, Peer: q.peer, Tag: q.tag, Seq: q.seq, CID: q.cid, Bytes: int32(q.slice.N)}
 }
 
 // ---- The life of a request ----
@@ -261,7 +261,7 @@ func (r *Rank) opened(p *sim.Proc, q *Request) {
 		if q.isSend {
 			name, who = "send", "peer"
 		}
-		q.span = rep.reg.Begin(q.startT, rep.actor, name)
+		q.span = rep.reg.Begin(p.Now(), rep.actor, name)
 		q.span.AttrInt(who, int64(q.peer)).AttrInt("bytes", int64(q.slice.N))
 	}
 	if rep.rec != nil {
@@ -277,11 +277,11 @@ func (r *Rank) opened(p *sim.Proc, q *Request) {
 // span too, unless it is loopback, with no cross-rank lifecycle to show.
 func (r *Rank) posted(p *sim.Proc, q *Request) {
 	r.Stats.BytesSent += int64(q.slice.N)
-	r.step(p, stepSendPost, q.peer, q.seq, q.slice.N)
+	r.step(p, stepSendPost, int(q.peer), q.seq, q.slice.N)
 	if r.rep.rec != nil {
 		r.emit(p, reqEvent(causal.EvSendPost, q))
 	}
-	if q.peer != r.id {
+	if int(q.peer) != r.id {
 		q.span.AttrInt("seq", int64(q.seq))
 	}
 }
@@ -298,7 +298,7 @@ func (r *Rank) abandon(p *sim.Proc, q *Request, err error) error {
 // receive (q.peer is still AnySource) names src in the event only: its
 // span has never carried the id, and the exports pin that.
 func (r *Rank) bound(p *sim.Proc, q *Request, src int) {
-	if q.peer == src {
+	if int(q.peer) == src {
 		q.span.AttrInt("seq", int64(q.seq))
 	}
 	if r.rep.rec != nil {
@@ -311,7 +311,7 @@ func (r *Rank) bound(p *sim.Proc, q *Request, src int) {
 // matched reports a receive meeting its packet.
 func (r *Rank) matched(p *sim.Proc, q *Request) {
 	if h := r.rep.matchLat; h != nil {
-		h.ObserveDuration(p.Now() - q.startT)
+		h.ObserveDuration(p.Now() - q.span.Start)
 	}
 }
 
@@ -336,23 +336,24 @@ func (r *Rank) xferStarted(p *sim.Proc, q *Request, kind wrKind, wrid uint64, n 
 	if r.rep.reg != nil {
 		q.xferSpan = q.span.Child(p.Now(), steps[k].trace).AttrInt("bytes", int64(n))
 	}
-	r.step(p, k, q.peer, q.seq, n)
-	r.wrPosted(p, q.peer, kind, wrid, n)
+	r.step(p, k, int(q.peer), q.seq, n)
+	r.wrPosted(p, int(q.peer), kind, wrid, n)
 }
 
 func (r *Rank) xferDone(p *sim.Proc, q *Request) { q.xferSpan.End(p.Now()) }
 
-// staging runs the copy of q's message into the offload send buffer
-// inside its span, and reports it, with the time it took, if it worked.
-func (r *Rank) staging(p *sim.Proc, q *Request, copy func() error) error {
+// staging copies q's message into reg, its range of the offload send
+// buffer, inside its span, and reports it, with the time it took, if it
+// worked.
+func (r *Rank) staging(p *sim.Proc, q *Request, reg offRegion) error {
 	t0 := p.Now()
 	if r.rep.reg != nil {
 		q.xferSpan = q.span.Child(t0, steps[stepOffloadSync].trace).AttrInt("bytes", int64(q.slice.N))
 	}
-	err := copy()
+	err := r.arena.sync(p, reg, q.slice.Bytes())
 	q.xferSpan.End(p.Now())
 	if err == nil {
-		r.step(p, stepOffloadSync, q.peer, q.seq, q.slice.N)
+		r.step(p, stepOffloadSync, int(q.peer), q.seq, q.slice.N)
 		if r.rep.rec != nil {
 			r.emit(p, causal.Event{Kind: causal.EvDMASync, Peer: -1, Aux: uint64(p.Now() - t0), Bytes: int32(q.slice.N)})
 		}
@@ -375,11 +376,11 @@ func (r *Rank) completed(p *sim.Proc, q *Request, err error) {
 		}
 		q.span.End(now)
 		if !q.isSend {
-			rep.recvLat.ObserveDuration(now - q.startT)
+			rep.recvLat.ObserveDuration(now - q.span.Start)
 		} else {
-			rep.sendLat.ObserveDuration(now - q.startT)
+			rep.sendLat.ObserveDuration(now - q.span.Start)
 			if err == nil && (q.proto == protoSenderRzv || q.proto == protoSimulRzv) {
-				rep.rndvRTT.ObserveDuration(now - q.startT)
+				rep.rndvRTT.ObserveDuration(now - q.span.Start)
 			}
 		}
 	}

@@ -54,7 +54,7 @@ type Status struct {
 //   - stPosted → stReading: RTS matched the posted recv
 //   - stRTRWait → stReading: simultaneous rendezvous, receiver reads anyway
 //   - any state → stDone: completion, including errors
-type reqState int
+type reqState uint8
 
 const (
 	stNew         reqState = iota
@@ -71,46 +71,56 @@ const (
 // stateNames is how a LeakError spells a request's state.
 var stateNames = [...]string{"new", "eager-queued", "eager-sent", "rts-sent", "writing", "posted", "reading", "rtr-wait", "done"}
 
-// Request is a nonblocking operation handle.
+// Request is a nonblocking operation handle. Isend and Irecv hand one
+// to the caller for every message, so it is kept within the allocator's
+// 128-byte size class (TestRequestFitsItsSizeClass): fixed-width fields,
+// the wide ones first so none is padded, and nothing stored that the
+// others determine.
 type Request struct {
-	r      *Rank
-	isSend bool
-	peer   int // destination, or matched source for receives
-	tag    int
-	seq    uint64
-	slice  Slice
-
-	state     reqState
-	completed bool
-	// open says the caller holds q from Isend or Irecv and has not yet
-	// seen it complete: it counts against the rank's exit check.
-	open   bool
-	err    error
-	status Status
-
-	// Send-side rendezvous resources.
-	offReg  *offRegion
-	advAddr uint64
-	advKey  uint32
+	r     *Rank
+	slice Slice
+	seq   uint64
+	err   error
 	// pins are the cache pins released at completion, npins of them. A
 	// request never holds more than two: a receive the buffer its RTR
 	// advertised, then the read of a simultaneous rendezvous; a
-	// non-offloaded rendezvous send only its source, pins[0], which the
-	// receiver-first write reuses.
-	pins  [2]*ib.MR
-	npins int
+	// non-offloaded rendezvous send only its source, pins[0], whose
+	// rkey the RTS advertised and which the receiver-first write reuses.
+	pins [2]*ib.MR
 
 	// What report.go keeps on a request: the lifecycle span from post to
-	// completion and its in-flight transfer child (nil without a
-	// registry), when it was posted, its rank-local id in the causal
-	// stream (0 unless recording), and the protocol class it resolved
-	// to (causal.Proto*, always set: a DONE does not re-classify a send
-	// that dropping an RTR already made simultaneous).
+	// completion (its Start is when the request was posted) and its
+	// in-flight transfer child (nil without a registry), its rank-local
+	// id in the causal stream (0 unless recording), and the protocol
+	// class it resolved to (causal.Proto*, always set: a DONE does not
+	// re-classify a send that dropping an RTR already made simultaneous).
 	span, xferSpan *metrics.Span
-	startT         sim.Time
 	cid            uint64
-	proto          uint8
+
+	peer int32 // destination, or matched source for receives
+	tag  int32
+	// status is what Status reports once a receive has matched. It is
+	// not peer and tag: those keep what was posted, so a wildcard
+	// receive's lifecycle events name the wildcard.
+	status status
+	// off is where in its rank's offload arena a staged send's bytes
+	// are, slice.N of them; staged says it holds that range, whose
+	// host-side rkey the RTS advertised.
+	off    int32
+	staged bool
+
+	state     reqState
+	npins     uint8
+	proto     uint8
+	isSend    bool
+	completed bool
+	// open says the caller holds q from Isend or Irecv and has not yet
+	// seen it complete: it counts against the rank's exit check.
+	open bool
 }
+
+// status is a Status in the request's fixed-width fields.
+type status struct{ src, tag, n int32 }
 
 // Done reports completion (poll without progress; use Rank.Test to also
 // drive the protocol).
@@ -120,7 +130,9 @@ func (q *Request) Done() bool { return q.completed }
 func (q *Request) Err() error { return q.err }
 
 // Status returns receive metadata after completion.
-func (q *Request) Status() Status { return q.status }
+func (q *Request) Status() Status {
+	return Status{Source: int(q.status.src), Tag: int(q.status.tag), Len: int(q.status.n)}
+}
 
 // owe hands q to the caller, who owes it a wait.
 func (q *Request) owe() {
@@ -152,9 +164,9 @@ func (q *Request) complete(p *sim.Proc, err error) {
 	q.completed = true
 	q.err = err
 	q.state = stDone
-	if q.offReg != nil {
-		q.offReg.arena.release(q.offReg)
-		q.offReg = nil
+	if q.staged {
+		q.r.arena.release(offRegion{off: int(q.off), n: q.slice.N})
+		q.staged = false
 	}
 	for _, mr := range q.pins[:q.npins] {
 		q.r.mrCache.Release(p, mr)

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/causal"
@@ -135,7 +136,8 @@ func runTortureSinks(t *testing.T, seed uint64, plan *faults.Plan, reg *metrics.
 	inj := c.SetFaults(plan)
 	w := c.DCFAWorld(ranks, true)
 	w.Cfg.Trace = tr
-	err := w.Run(func(r *core.Rank) error {
+	// The ring check below reads the rings as the run left them.
+	err := w.RunKeepingRings(func(r *core.Rank) error {
 		p := r.Proc()
 		me := r.ID()
 		for rd, ro := range sched {
@@ -251,6 +253,42 @@ func runTortureSinks(t *testing.T, seed uint64, plan *faults.Plan, reg *metrics.
 		res.stats.ReplaysDeduped += s.ReplaysDeduped
 	}
 	return res
+}
+
+// TestDirtyRingSeesAPlantedByte: the torture's ring check is live. A
+// byte a rank plants in its ring during the run is still there for
+// DirtyRing after RunKeepingRings; after Run, which gives the reserved
+// pages back, the same ring reads all zero on Linux.
+func TestDirtyRingSeesAPlantedByte(t *testing.T) {
+	for _, keep := range []bool{true, false} {
+		c := cluster.New(perfmodel.Default(), 2)
+		w := c.DCFAWorld(2, true)
+		body := func(r *core.Rank) error {
+			s := core.Whole(r.Mem(8))
+			if r.ID() == 0 {
+				return r.Send(r.Proc(), 1, 1, s)
+			}
+			if _, err := r.Recv(r.Proc(), 0, 1, s); err != nil {
+				return err
+			}
+			r.PlantRingByte(0)
+			return nil
+		}
+		run := w.Run
+		if keep {
+			run = w.RunKeepingRings
+		}
+		if err := run(body); err != nil {
+			t.Fatal(err)
+		}
+		dirty := w.Rank(1).DirtyRing()
+		switch {
+		case keep && dirty == "":
+			t.Error("DirtyRing missed a byte planted during the run")
+		case !keep && runtime.GOOS == "linux" && dirty != "":
+			t.Errorf("Run left a ring's pages in place: %s", dirty)
+		}
+	}
 }
 
 // tallies extracts an injector's injection counts for comparison.

@@ -216,8 +216,16 @@ func (w *World) Launch(body func(r *Rank) error) {
 // failed rank leaves behind) are joined so callers can match either
 // with errors.As. Each rank's exit check is in its error; when the
 // engine drains cleanly, so is each adapter's registration ledger
-// (leak.go).
+// (leak.go). Every buffer reserved on the world's nodes is world-
+// lifetime, so Run then gives their pages back (discard).
 func (w *World) Run(body func(r *Rank) error) error {
+	defer w.discard()
+	return w.run(body)
+}
+
+// run is Run without the discard: the reserved buffers (eager rings
+// among them) keep the bytes the run left in them.
+func (w *World) run(body func(r *Rank) error) error {
 	hcas, base := w.adapters()
 	w.Launch(body)
 	engErr := w.Eng.Run()
@@ -240,6 +248,22 @@ func (w *World) Run(body func(r *Rank) error) error {
 		return engErr
 	}
 	return rankErr
+}
+
+// discard gives back the pages of everything reserved on the nodes the
+// ranks run on: nothing reads them again (a later Run sets every rank up
+// afresh), and a program that allocates little may never run the
+// collection that would find them unreachable.
+func (w *World) discard() {
+	done := make(map[*machine.Node]bool)
+	for _, e := range w.envs {
+		if e.Node == nil || done[e.Node] {
+			continue
+		}
+		done[e.Node] = true
+		e.Node.Host.DiscardReserved()
+		e.Node.Mic.DiscardReserved()
+	}
 }
 
 // Errs exposes the per-rank errors after Run.

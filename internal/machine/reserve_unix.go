@@ -17,7 +17,8 @@ import (
 // entries to the process's map (vm.max_map_count). A request smaller
 // than a page is Alloc: a mapping of its own would back a whole page
 // where the heap packs several such buffers. The mappings are unmapped
-// when the Domain becomes unreachable, not on Free. If the kernel
+// when the Domain becomes unreachable, not on Free; DiscardReserved gives
+// their pages back sooner. If the kernel
 // refuses the mapping, Reserve falls back to Alloc; nothing simulated
 // can tell the two apart.
 func (d *Domain) Reserve(n int) *Buffer {

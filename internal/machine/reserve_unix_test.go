@@ -66,3 +66,32 @@ func mapEntries(t *testing.T) int {
 	}
 	return bytes.Count(b, []byte("\n"))
 }
+
+// TestDiscardDropsReservedPages: after DiscardReserved every reserved
+// buffer stays allocated and resolvable, and on Linux its written bytes
+// are gone (the pages went back to the kernel, so they read zero); a
+// heap buffer keeps its bytes.
+func TestDiscardDropsReservedPages(t *testing.T) {
+	d := NewNode(0).Host
+	r, h := d.Reserve(64<<10), d.Alloc(64<<10)
+	for _, b := range []*Buffer{r, h} {
+		for i := range b.Data {
+			b.Data[i] = byte(i | 1)
+		}
+	}
+	d.DiscardReserved()
+	for _, b := range []*Buffer{r, h} {
+		if got, err := d.Resolve(b.Addr, len(b.Data)); err != nil || &got[0] != &b.Data[0] {
+			t.Fatalf("Resolve after DiscardReserved: %v", err)
+		}
+	}
+	if runtime.GOOS == "linux" && !bytes.Equal(r.Data, make([]byte, len(r.Data))) {
+		t.Error("a discarded reserved buffer kept its bytes")
+	}
+	for i, v := range h.Data {
+		if v != byte(i|1) {
+			t.Fatalf("DiscardReserved changed heap byte %d to %#x", i, v)
+		}
+	}
+	NewNode(1).Host.DiscardReserved() // a Domain that reserved nothing
+}

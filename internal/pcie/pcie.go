@@ -61,114 +61,116 @@ type Bus struct {
 	// (Rank == -1, Peer = node id) at copy-completion time for the
 	// cross-rank causal profiler's DMA/COI tally.
 	Causal *causal.Recorder
+
+	// free recycles the records of copies in flight: at most one per
+	// process blocked in DMACopy or OffloadTransfer.
+	free sim.Pool[*transfer]
 }
 
 // engine is what tells the bus's two transfer paths apart: the link that
-// serializes it and its names in the registry. Everything else about a
-// transfer is Bus.start.
+// serializes it, its names in the registry and whether a fault plan may
+// abort its copies. Everything else about a transfer is Bus.move.
 type engine struct {
 	link                      *sim.Link
 	opsC, bytesC, busyC, span string
+	// abortable: the raw DMA engine's descriptors can abort; COI
+	// retries internally, so its transfers are only ever delayed.
+	abortable bool
 }
 
 // Attach builds the PCIe complex for node n.
 func Attach(eng *sim.Engine, plat *perfmodel.Platform, n *machine.Node) *Bus {
 	b := &Bus{Eng: eng, Plat: plat, Node: n, actor: fmt.Sprintf("pcie/node%d", n.ID)}
 	b.dma = engine{sim.NewLink(eng, n.Host.Name+"/dma-engine", plat.DMAEngineLatency, plat.DMAEngineBandwidth),
-		"dma.copies", "dma.bytes", "dma.busy-ns", "dma-copy"}
+		"dma.copies", "dma.bytes", "dma.busy-ns", "dma-copy", true}
 	b.coi = engine{sim.NewLink(eng, n.Host.Name+"/coi", plat.OffloadTransferOverhead, plat.OffloadBandwidth),
-		"coi.ops", "coi.bytes", "coi.busy-ns", "coi-transfer"}
+		"coi.ops", "coi.bytes", "coi.busy-ns", "coi-transfer", false}
 	return b
 }
 
-// DMAOp is an in-flight DMA descriptor. Done fires at completion time
-// whether the copy succeeded or was aborted by a fault plan; Err is
-// valid after Done fires.
-type DMAOp struct {
-	done *sim.Event
-	err  error
+// transfer is one copy on the wire, from the call that starts it to the
+// calendar event that lands it. Records come from a pool on the Bus and
+// go back once the copier has woken, and the landing callback handed to
+// Engine.At is a method value bound when the record is first made — so
+// a copy in steady state allocates nothing.
+type transfer struct {
+	b        *Bus
+	dst, src []byte
+	start    sim.Time
+	span     *metrics.Span
+	// aborted is the fault plan's verdict, drawn at start: the copy
+	// lands no byte and the copier gets a *DMAAbortError.
+	aborted bool
+	// done wakes the copier. It is parked on done before any event can
+	// fire, so the edge-triggered Signal cannot be missed, and Broadcast
+	// keeps the waiter slice, so a reused record waits without
+	// allocating.
+	done   *sim.Signal
+	onLand func()
 }
 
-// Done exposes the completion event.
-func (op *DMAOp) Done() *sim.Event { return op.done }
-
-// Err reports the descriptor's outcome; meaningful once Done fired.
-func (op *DMAOp) Err() error { return op.err }
-
-// Wait blocks p until the descriptor completes and returns its outcome.
-func (op *DMAOp) Wait(p *sim.Proc) error {
-	op.done.Wait(p)
-	return op.err
-}
-
-// start begins an asynchronous copy of len(src) bytes into dst on e
-// (slices must be equal length; caller resolves addresses) and returns
-// the event that fires when the last byte has landed; the copy itself is
-// performed then. A fault plan may delay the transfer on either engine.
-// It may abort it — no bytes copied, *err set before the event fires —
-// only where the caller passes somewhere to report that.
-func (b *Bus) start(e *engine, dst, src []byte, err *error) *sim.Event {
+// move copies len(src) bytes into dst on e (slices must be equal length;
+// caller resolves addresses), blocking p until the last byte has landed;
+// the copy itself is performed then. A fault plan may delay the transfer
+// on either engine. It may abort it — no bytes copied, a *DMAAbortError
+// returned — only on an abortable engine.
+func (b *Bus) move(p *sim.Proc, e *engine, dst, src []byte) error {
 	if len(dst) != len(src) {
 		panic("pcie: transfer length mismatch")
 	}
-	done := sim.NewEvent(b.Eng)
-	var sp *metrics.Span
+	x, ok := b.free.Get()
+	if !ok {
+		x = &transfer{b: b, done: sim.NewSignal(b.Eng)}
+		x.onLand = x.land
+	}
+	x.dst, x.src, x.start = dst, src, b.Eng.Now()
 	if reg := b.Metrics; reg != nil {
 		reg.Counter(b.actor, e.opsC).Inc()
 		reg.Counter(b.actor, e.bytesC).Add(int64(len(src)))
 		reg.Counter(b.actor, e.busyC).Add(int64(e.link.OccupancyFor(len(src))))
-		sp = reg.Begin(b.Eng.Now(), b.actor, e.span).AttrInt("bytes", int64(len(src)))
+		x.span = reg.Begin(x.start, b.actor, e.span).AttrInt("bytes", int64(len(src)))
 	}
 	delay, abort := b.Faults.DMAFault()
-	if !abort {
-		err = nil // nothing to report
+	x.aborted = abort && e.abortable
+	b.Eng.At(e.link.Reserve(len(src))+delay, x.onLand)
+	x.done.Wait(p)
+	var err error
+	if x.aborted {
+		err = &DMAAbortError{Bytes: len(src)}
 	}
-	arrive := e.link.Reserve(len(src)) + delay
-	// aborted is err under a name nothing assigns to, so the callback
-	// captures it by value and the transfer allocates no cell for it.
-	start, aborted := b.Eng.Now(), err
-	b.Eng.At(arrive, func() {
-		sp.End(b.Eng.Now())
-		if aborted != nil {
-			*aborted = &DMAAbortError{Bytes: len(src)}
-		} else {
-			copy(dst, src)
-		}
-		b.Causal.Emit(causal.Event{T: b.Eng.Now(), Kind: causal.EvDMADone, Rank: -1,
-			Peer: int32(b.Node.ID), Aux: uint64(b.Eng.Now() - start), Bytes: int32(len(src))})
-		done.Fire()
-	})
-	return done
+	// The landing has run, so no scheduled event names the record.
+	*x = transfer{b: b, done: x.done, onLand: x.onLand}
+	b.free.Put(x)
+	return err
 }
 
-// StartDMA begins an asynchronous DMA-engine copy of src into dst. Under
-// a fault plan the descriptor may complete late or abort with
-// DMAAbortError (no bytes copied).
-func (b *Bus) StartDMA(dst, src []byte) *DMAOp {
-	op := &DMAOp{}
-	op.done = b.start(&b.dma, dst, src, &op.err)
-	return op
+// land is the transfer's last byte arriving: the copy happens now.
+func (x *transfer) land() {
+	b, now := x.b, x.b.Eng.Now()
+	x.span.End(now)
+	if !x.aborted {
+		copy(x.dst, x.src)
+	}
+	b.Causal.Emit(causal.Event{T: now, Kind: causal.EvDMADone, Rank: -1,
+		Peer: int32(b.Node.ID), Aux: uint64(now - x.start), Bytes: int32(len(x.src))})
+	x.done.Broadcast()
 }
 
-// DMACopy is the blocking form of StartDMA.
+// DMACopy copies src into dst through the DMA engine, blocking p until
+// the last byte has landed. Under a fault plan the descriptor may
+// complete late or abort with *DMAAbortError (no bytes copied).
 func (b *Bus) DMACopy(p *sim.Proc, dst, src []byte) error {
-	return b.StartDMA(dst, src).Wait(p)
+	return b.move(p, &b.dma, dst, src)
 }
 
-// StartOffloadTransfer begins an asynchronous COI transfer (either
-// direction) of src into dst. The fixed per-transfer overhead is the
-// link latency; bandwidth is the pragma-offload effective rate. COI
-// transfers only see a fault plan's delays (the runtime retries
+// OffloadTransfer is one COI transfer (either direction) of src into
+// dst, blocking p until it has landed. The fixed per-transfer overhead
+// is the link latency; bandwidth is the pragma-offload effective rate.
+// COI transfers only see a fault plan's delays (the runtime retries
 // internally); aborts are modeled on the raw DMA engine the offload
 // staging path uses.
-func (b *Bus) StartOffloadTransfer(dst, src []byte) *sim.Event {
-	return b.start(&b.coi, dst, src, nil)
-}
-
-// OffloadTransfer is the blocking form of StartOffloadTransfer.
 func (b *Bus) OffloadTransfer(p *sim.Proc, dst, src []byte) {
-	ev := b.StartOffloadTransfer(dst, src)
-	ev.Wait(p)
+	b.move(p, &b.coi, dst, src)
 }
 
 // OffloadLaunch charges one offload-region invocation with the given

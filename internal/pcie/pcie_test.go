@@ -2,8 +2,11 @@ package pcie
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
+	"repro/internal/causal"
+	"repro/internal/faults"
 	"repro/internal/machine"
 	"repro/internal/metrics"
 	"repro/internal/perfmodel"
@@ -26,14 +29,18 @@ func TestDMACopyMovesBytesAtCompletion(t *testing.T) {
 	}
 	var elapsed sim.Time
 	eng.Spawn("xfer", func(p *sim.Proc) {
-		ev := bus.StartDMA(dst.Data, src.Data)
-		if dst.Data[0] == src.Data[0] && dst.Data[100] == src.Data[100] {
-			t.Error("bytes visible before virtual completion")
-		}
-		if err := ev.Wait(p); err != nil {
+		if err := bus.DMACopy(p, dst.Data, src.Data); err != nil {
 			t.Error(err)
 		}
 		elapsed = p.Now()
+	})
+	// A second process looks at the destination while the copy is on
+	// the wire.
+	eng.Spawn("peek", func(p *sim.Proc) {
+		p.Sleep(1)
+		if dst.Data[0] == src.Data[0] && dst.Data[100] == src.Data[100] {
+			t.Error("bytes visible before virtual completion")
+		}
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -73,13 +80,13 @@ func TestDMACopyBlocking(t *testing.T) {
 }
 
 func TestDMALengthMismatchPanics(t *testing.T) {
-	_, bus, n := setup()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("length mismatch did not panic")
-		}
-	}()
-	bus.StartDMA(n.Host.Alloc(10).Data, n.Mic.Alloc(20).Data)
+	eng, bus, n := setup()
+	dst, src := n.Host.Alloc(10), n.Mic.Alloc(20)
+	eng.Spawn("xfer", func(p *sim.Proc) { bus.DMACopy(p, dst.Data, src.Data) })
+	var pe *sim.PanicError
+	if err := eng.Run(); !errors.As(err, &pe) {
+		t.Fatalf("length mismatch did not panic: Run returned %v", err)
+	}
 }
 
 func TestDMASerializesOnEngine(t *testing.T) {
@@ -88,18 +95,19 @@ func TestDMASerializesOnEngine(t *testing.T) {
 	d1 := n.Host.Alloc(1 << 20)
 	d2 := n.Host.Alloc(1 << 20)
 	var t1, t2 sim.Time
-	eng.Spawn("a", func(p *sim.Proc) {
-		ev1 := bus.StartDMA(d1.Data, src.Data)
-		ev2 := bus.StartDMA(d2.Data, src.Data)
-		if err := ev1.Wait(p); err != nil {
-			t.Error(err)
-		}
-		t1 = p.Now()
-		if err := ev2.Wait(p); err != nil {
-			t.Error(err)
-		}
-		t2 = p.Now()
-	})
+	// Two processes start a copy each at time 0, in spawn order: the
+	// second queues behind the first on the one engine.
+	for _, c := range []struct {
+		dst *machine.Buffer
+		at  *sim.Time
+	}{{d1, &t1}, {d2, &t2}} {
+		eng.Spawn("copier", func(p *sim.Proc) {
+			if err := bus.DMACopy(p, c.dst.Data, src.Data); err != nil {
+				t.Error(err)
+			}
+			*c.at = p.Now()
+		})
+	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -179,5 +187,105 @@ func TestOffloadLaunchAndInit(t *testing.T) {
 	}
 	if init != plat.OffloadInitCost {
 		t.Fatalf("init cost %v, want %v", init, plat.OffloadInitCost)
+	}
+}
+
+// TestTransferRecordReuse runs copies from two processes on one bus, in
+// flight at the same time, through the bus's pool of transfer records:
+// an aborted copy's record goes back and is taken by the next copy, which
+// must see neither the old verdict nor the old span, while the registry
+// and the causal stream record every copy at its landing.
+func TestTransferRecordReuse(t *testing.T) {
+	eng, bus, n := setup()
+	plat := perfmodel.Default()
+	reg, rec := metrics.New(), causal.New()
+	bus.Metrics, bus.Causal = reg, rec
+	bus.Faults = faults.New(eng, &faults.Plan{DMAAbort: 1})
+	const size = 64 << 10
+	srcA, srcB := n.Mic.Alloc(size), n.Mic.Alloc(size)
+	dstA, dstB := n.Host.Alloc(size), n.Host.Alloc(size)
+	for i := range srcA.Data {
+		srcA.Data[i], srcB.Data[i] = byte(i*7+1), byte(i*13+5)
+	}
+	var aborted, landedB, reused sim.Time
+	eng.Spawn("a", func(p *sim.Proc) {
+		var abort *DMAAbortError
+		if err := bus.DMACopy(p, dstA.Data, srcA.Data); !errors.As(err, &abort) || abort.Bytes != size {
+			t.Errorf("copy under dma-abort=1 returned %v, want a *DMAAbortError of %d bytes", err, size)
+		}
+		aborted = p.Now()
+		if !bytes.Equal(dstA.Data, make([]byte, size)) {
+			t.Error("an aborted copy wrote its destination")
+		}
+		// b's copy is still on the wire, so the record on top of the
+		// pool is the one a's copy just returned.
+		if len(bus.free) != 1 {
+			t.Fatalf("%d records pooled while b's copy is in flight, want 1", len(bus.free))
+		}
+		x := bus.free[0]
+		bus.Metrics = nil
+		if err := bus.DMACopy(p, dstA.Data, srcA.Data); err != nil {
+			t.Errorf("the copy after an abort returned %v", err)
+		}
+		reused = p.Now()
+		if !bytes.Equal(dstA.Data, srcA.Data) {
+			t.Error("the copy after an abort did not land its bytes")
+		}
+		if len(bus.free) != 2 || bus.free[1] != x {
+			t.Error("the copy after an abort did not reuse the aborted copy's record")
+		}
+	})
+	eng.Spawn("b", func(p *sim.Proc) {
+		p.Sleep(1)
+		bus.Faults = nil
+		if err := bus.DMACopy(p, dstB.Data, srcB.Data); err != nil {
+			t.Errorf("b's copy returned %v", err)
+		}
+		landedB = p.Now()
+		if !bytes.Equal(dstB.Data, srcB.Data) {
+			t.Error("b's copy did not land its bytes")
+		}
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	occ := sim.Duration(float64(size) / plat.DMAEngineBandwidth * float64(sim.Second))
+	if want := plat.DMAEngineLatency + occ; aborted != want {
+		t.Fatalf("aborted copy landed at %v, want %v", aborted, want)
+	}
+	if landedB != aborted+occ || reused != landedB+occ {
+		t.Fatalf("copies landed at %v, %v, %v: want one occupancy (%v) apart on the one engine", aborted, landedB, reused, occ)
+	}
+	// The registry saw the two copies started while it was installed.
+	for name, want := range map[string]int64{"dma.copies": 2, "dma.bytes": 2 * size, "dma.busy-ns": 2 * int64(occ)} {
+		if got := reg.Counter("pcie/node0", name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	spans := reg.Spans()
+	if len(spans) != 2 {
+		t.Fatalf("%d spans, want 2", len(spans))
+	}
+	for i, want := range []struct{ start, end sim.Time }{{0, aborted}, {1, landedB}} {
+		if sp := spans[i]; sp.Name != "dma-copy" || !sp.Ended || sp.Start != want.start || sp.Finish != want.end {
+			t.Errorf("span %d: %s %v–%v ended=%v, want dma-copy %v–%v", i, sp.Name, sp.Start, sp.Finish, sp.Ended, want.start, want.end)
+		}
+	}
+	// A pooled record holds nothing of its last copy: no verdict, no
+	// span, no slices.
+	for _, x := range bus.free {
+		if x.aborted || x.span != nil || x.dst != nil || x.src != nil {
+			t.Errorf("a pooled record still holds its last copy: aborted=%v span=%v", x.aborted, x.span)
+		}
+	}
+	evs := rec.Events()
+	if len(evs) != 3 {
+		t.Fatalf("%d causal events, want one EvDMADone per copy", len(evs))
+	}
+	for i, want := range []struct{ t, start sim.Time }{{aborted, 0}, {landedB, 1}, {reused, aborted}} {
+		e := evs[i]
+		if e.Kind != causal.EvDMADone || e.T != want.t || e.Aux != uint64(want.t-want.start) || e.Bytes != size || e.Rank != -1 || e.Peer != 0 {
+			t.Errorf("event %d: %+v, want EvDMADone at %v lasting %v", i, e, want.t, want.t-want.start)
+		}
 	}
 }
