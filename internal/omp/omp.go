@@ -74,12 +74,13 @@ func (t *Team) ParallelFor(p *sim.Proc, n int, body func(lo, hi int)) {
 }
 
 // Execute fans body out over [0, n) on real goroutines without charging
-// virtual time. Callers that charge a different item count than they
-// chunk by (e.g. charging per point while chunking per row) combine it
-// with ParallelFor(p, items, nil).
-func (t *Team) Execute(n int, body func(lo, hi int)) {
+// virtual time, and returns the chunk length it split [0, n) into: body
+// ran on [0, chunk), [chunk, 2·chunk), … and [k·chunk, n). Callers that
+// charge a different item count than they chunk by (e.g. charging per
+// point while chunking per row) combine it with ParallelFor(p, items, nil).
+func (t *Team) Execute(n int, body func(lo, hi int)) (chunk int) {
 	if n <= 0 {
-		return
+		return 0
 	}
 	workers := t.Threads
 	if w := runtime.GOMAXPROCS(0); workers > w {
@@ -90,10 +91,10 @@ func (t *Team) Execute(n int, body func(lo, hi int)) {
 	}
 	if workers <= 1 {
 		body(0, n)
-		return
+		return n
 	}
 	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
+	chunk = (n + workers - 1) / workers
 	for lo := 0; lo < n; lo += chunk {
 		hi := lo + chunk
 		if hi > n {
@@ -108,4 +109,5 @@ func (t *Team) Execute(n int, body func(lo, hi int)) {
 		}(lo, hi)
 	}
 	wg.Wait()
+	return chunk
 }

@@ -91,6 +91,33 @@ func TestParallelForNilBodyChargesOnly(t *testing.T) {
 	}
 }
 
+func TestExecuteReturnsItsChunk(t *testing.T) {
+	// Callers that finish a chunked loop after the join (the stencil's
+	// in-place sweep) rebuild the chunks from the returned length.
+	for _, threads := range []int{1, 2, 3, 8} {
+		team := NewTeam(perfmodel.Default(), threads, machine.MicMem)
+		for _, n := range []int{1, 2, 7, 160} {
+			ends := make([]int64, n) // ends[lo] is hi for each chunk [lo, hi)
+			chunk := team.Execute(n, func(lo, hi int) { atomic.StoreInt64(&ends[lo], int64(hi)) })
+			if chunk < 1 {
+				t.Fatalf("%d threads, n=%d: chunk %d", threads, n, chunk)
+			}
+			for lo := range ends {
+				want := int64(0)
+				if lo%chunk == 0 {
+					want = int64(min(lo+chunk, n))
+				}
+				if ends[lo] != want {
+					t.Fatalf("%d threads, n=%d, chunk %d: a chunk from %d ends at %d, want %d", threads, n, chunk, lo, ends[lo], want)
+				}
+			}
+		}
+	}
+	if chunk := NewTeam(perfmodel.Default(), 4, machine.MicMem).Execute(0, func(lo, hi int) {}); chunk != 0 {
+		t.Fatalf("no items: chunk %d, want 0", chunk)
+	}
+}
+
 func TestZeroAndNegativeItems(t *testing.T) {
 	plat := perfmodel.Default()
 	team := NewTeam(plat, 4, machine.MicMem)

@@ -14,23 +14,29 @@ import (
 )
 
 // flagsLie names the first owned row of l whose flag says clear while a
-// cell the sweep writes is not +0, in either buffer, or returns "".
-// Ghost rows and each row's first and last cell are left out: the
-// exchange writes them between sweeps, and refreshClear catches up with
-// it before the flags are read.
+// cell the sweep writes is not +0, or returns "". Ghost rows and each
+// row's first and last cell are left out: the exchange writes them
+// between sweeps, and refreshClear catches up with it before the flags
+// are read.
 func flagsLie(l *slab) string {
-	for _, b := range []struct {
-		name  string
-		g     []float64
-		flags []bool
-	}{{"cur", f64view(l.cur.Data), l.curClear}, {"next", f64view(l.next.Data), l.nextClear}} {
-		for r := 1; r <= l.rows; r++ {
-			if b.flags[r] && !zeroRow(b.g[r*l.w+1:(r+1)*l.w-1]) {
-				return fmt.Sprintf("%s row %d is flagged clear but is not", b.name, r)
-			}
+	for r := 1; r <= l.rows; r++ {
+		if l.curClear[r] && !zeroRow(l.interior(l.cur, r)) {
+			return fmt.Sprintf("row %d is flagged clear but is not", r)
 		}
 	}
 	return ""
+}
+
+// computedRows is the number of owned rows l's last sweep computed: the
+// rows it left flagged not clear.
+func computedRows(l *slab) int {
+	n := 0
+	for _, c := range l.curClear[1 : l.rows+1] {
+		if !c {
+			n++
+		}
+	}
+	return n
 }
 
 // markClear returns one flag per row of the w-wide grid g, true when
@@ -113,67 +119,107 @@ func rewriteGhosts(rng *rand.Rand, a, b []float64, w int) {
 }
 
 func TestClearRowSweepMatchesDenseKernel(t *testing.T) {
-	// A row once computed is computed in every later sweep, so the slabs
-	// are seeded afresh every 20 sweeps.
-	const rows, sweeps, reseed = 12, 80, 20
+	// The in-place sweep against the dense kernel, which writes one grid
+	// from another, cell for cell. A row once computed is computed in
+	// every later sweep, so the grid is seeded afresh every 20 sweeps:
+	// with sparse rows (seedSparse: +0, −0.0, normal and subnormal rows),
+	// at sweep 40 with every cell subnormal (seedBand), and at sweep 60
+	// with every cell +0, as ahead of the heat front: that sweep must
+	// compute nothing, and the later ones only where the ghost cells that
+	// rewriteGhosts writes bring heat. The second buffer starts different
+	// from the grid and is reseeded with special values (seedSpecial: NaN,
+	// ±Inf, −0.0, subnormals) each time, so a sweep that read a stale
+	// scratch row would show. Run with -cpu 1,2,4 for omp.Execute's chunks
+	// on 1, 2 and 4 real goroutines.
+	const sweeps, reseed = 80, 20
 	plat := perfmodel.Default()
 	one := omp.NewTeam(plat, 1, machine.MicMem)
 	four := omp.NewTeam(plat, 4, machine.MicMem)
-	runs := []struct {
+	type run struct {
 		name    string
 		compute func(l *slab)
-	}{
-		{"execute-1-thread", func(l *slab) { l.compute(one) }},
-		// Several chunks on real goroutines when GOMAXPROCS ≥ 2.
-		{"execute-4-threads", func(l *slab) { l.compute(four) }},
-		// The chunks omp.Execute makes for 5 workers, one after another,
-		// whatever GOMAXPROCS is.
-		{"5-chunks", func(l *slab) {
-			refreshClear(l.curClear, f64view(l.cur.Data), l.w)
-			const chunk = (rows + 4) / 5
-			for lo := 0; lo < rows; lo += chunk {
-				l.body(lo, min(lo+chunk, rows))
-			}
-		}},
 	}
-	// A row run's slabs are N+2 wide and a grid's blocks N/Cols+2: 3 to
-	// 1282 covers both.
+	runsFor := func(rows int) []run {
+		runs := []run{
+			{"execute-1-thread", func(l *slab) { l.compute(one) }},
+			// Several chunks on real goroutines when GOMAXPROCS ≥ 2.
+			{"execute-4-threads", func(l *slab) { l.compute(four) }},
+		}
+		// Every chunk length omp.Execute can split the rows into, one
+		// chunk after another, whatever GOMAXPROCS is.
+		for chunk := 1; chunk <= rows; chunk++ {
+			runs = append(runs, run{fmt.Sprintf("chunks-of-%d", chunk), func(l *slab) {
+				refreshClear(l.curClear, f64view(l.cur.Data), l.w)
+				for lo := 0; lo < rows; lo += chunk {
+					l.body(lo, min(lo+chunk, rows))
+				}
+				l.finish(chunk)
+			}})
+		}
+		return runs
+	}
+	// Slabs of 1 to 9 owned rows at the narrowest width, and 12 rows at
+	// widths from 3 to 1282: a row run's slabs are N+2 wide and a grid's
+	// blocks N/Cols+2.
+	type shape struct{ rows, w int }
+	var shapes []shape
+	for rows := 1; rows <= 9; rows++ {
+		shapes = append(shapes, shape{rows, 3})
+	}
 	for _, w := range []int{3, 4, 5, 18, 66, 1282} {
-		for _, run := range runs {
-			rng := rand.New(rand.NewSource(int64(w)))
+		shapes = append(shapes, shape{12, w})
+	}
+	for _, sh := range shapes {
+		rows, w := sh.rows, sh.w
+		for _, run := range runsFor(rows) {
+			rng := rand.New(rand.NewSource(int64(100*w + rows)))
 			l := newSlab(machine.NewNode(0).Mic, rows, w, false)
-			var dc, dn []float64
+			var dc, dn []float64 // the dense kernel's two grids
+			computed := 0
 			for s := 0; s < sweeps; s++ {
 				if s%reseed == 0 {
-					cur, next := f64view(l.cur.Data), f64view(l.next.Data)
-					seedSparse(rng, cur, w)
-					seedSparse(rng, next, w)
-					l.curClear, l.nextClear = markClear(cur, w), markClear(next, w)
-					dc, dn = append(dc[:0], cur...), append(dn[:0], next...)
+					g := f64view(l.cur.Data)
+					switch s / reseed {
+					case 2:
+						seedBand(g)
+					case 3:
+						clear(g)
+					default:
+						seedSparse(rng, g, w)
+					}
+					seedSpecial(rng, f64view(l.edge.Data))
+					l.curClear = markClear(g, w)
+					dc, dn = append(dc[:0], g...), append(dn[:0], g...)
 				}
-				rewriteGhosts(rng, f64view(l.cur.Data), dc, w)
+				cold := s == 3*reseed
+				if !cold {
+					rewriteGhosts(rng, f64view(l.cur.Data), dc, w)
+				}
 				run.compute(l)
-				l.swap()
-				jacobiRows(dn, dc, w, 0, rows)
+				n := computedRows(l)
+				computed += n
+				if cold && n != 0 {
+					t.Fatalf("%d rows, w=%d, %s: a sweep of an all +0 slab computed %d rows", rows, w, run.name, n)
+				}
+				// The sweep writes owned interior cells only, so the dense
+				// grid carries every other cell over.
+				copy(dn, dc)
+				denseRows(dn, dc, w, 0, rows)
 				dc, dn = dn, dc
-				for _, b := range []struct {
-					name      string
-					got, want []float64
-				}{{"cur", f64view(l.cur.Data), dc}, {"next", f64view(l.next.Data), dn}} {
-					for i := range b.want {
-						if math.Float64bits(b.got[i]) != math.Float64bits(b.want[i]) {
-							t.Fatalf("w=%d %s, after sweep %d: %s cell (%d,%d) = %v (%#x), dense kernel %v (%#x)",
-								w, run.name, s, b.name, i/w, i%w, b.got[i], math.Float64bits(b.got[i]),
-								b.want[i], math.Float64bits(b.want[i]))
-						}
+				got := f64view(l.cur.Data)
+				for i := range dc {
+					if math.Float64bits(got[i]) != math.Float64bits(dc[i]) {
+						t.Fatalf("%d rows, w=%d, %s, after sweep %d: cell (%d,%d) = %v (%#x), dense kernel %v (%#x)",
+							rows, w, run.name, s, i/w, i%w, got[i], math.Float64bits(got[i]),
+							dc[i], math.Float64bits(dc[i]))
 					}
 				}
 				if msg := flagsLie(l); msg != "" {
-					t.Fatalf("w=%d %s, after sweep %d: %s", w, run.name, s, msg)
+					t.Fatalf("%d rows, w=%d, %s, after sweep %d: %s", rows, w, run.name, s, msg)
 				}
 			}
-			if l.computed == int64(rows*sweeps) {
-				t.Errorf("w=%d %s: every row computed in every sweep; the seeds skip nothing", w, run.name)
+			if computed == rows*sweeps {
+				t.Errorf("%d rows, w=%d, %s: every row computed in every sweep; the seeds skip nothing", rows, w, run.name)
 			}
 		}
 	}
@@ -186,21 +232,20 @@ func TestSweepComputesOnlyTheLightCone(t *testing.T) {
 	// underflows back to +0 in 40 sweeps, so the front is exact.
 	pr := Params{N: 64, Iters: 40, Procs: 8, Threads: 2}
 	rowsPer := pr.N / pr.Procs
-	counts := make([][]int64, pr.Procs)
+	counts := make([][]int, pr.Procs)
 	parts := make([]float64, pr.Procs)
 	w := cluster.New(perfmodel.Default(), pr.Procs).DCFAWorld(pr.Procs, true)
 	err := w.Run(func(r *core.Rank) error {
 		p := r.Proc()
 		l := newSlab(r.Domain(), rowsPer, pr.Width(), r.ID() == 0)
 		team := omp.NewTeam(w.Plat, pr.Threads, r.Loc())
-		counts[r.ID()] = make([]int64, pr.Iters)
+		counts[r.ID()] = make([]int, pr.Iters)
 		for s := 0; s < pr.Iters; s++ {
 			if err := exchange(p, r, l, pr); err != nil {
 				return err
 			}
-			before := l.computed
 			l.sweep(p, team, false)
-			counts[r.ID()][s] = l.computed - before
+			counts[r.ID()][s] = computedRows(l)
 			if msg := flagsLie(l); msg != "" {
 				return fmt.Errorf("rank %d, sweep %d: %s", r.ID(), s, msg)
 			}
@@ -211,11 +256,11 @@ func TestSweepComputesOnlyTheLightCone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	total, cone := int64(0), int64(0)
+	total, cone := 0, 0
 	for s := 0; s < pr.Iters; s++ {
-		cone += int64(s + 1)
+		cone += s + 1
 		for k := range counts {
-			want := int64(min(max(s+1-k*rowsPer, 0), rowsPer))
+			want := min(max(s+1-k*rowsPer, 0), rowsPer)
 			if got := counts[k][s]; got != want {
 				t.Errorf("sweep %d, rank %d: computed %d rows, light cone %d", s, k, got, want)
 			}
@@ -234,41 +279,54 @@ func TestSweepComputesOnlyTheLightCone(t *testing.T) {
 	}
 }
 
-func TestWarmExchangeSwapsFlags(t *testing.T) {
-	// After three sweeps from the initial condition the buffers differ:
-	// rank 0's cur holds heat in row 3 and its next does not yet. A
-	// warm-up exchange swaps the buffers, and each must take its flags
-	// along.
-	pr := Params{N: 16, Iters: 3, Procs: 2, Threads: 1}
+func TestWarmExchangeKeepsFlags(t *testing.T) {
+	// After three sweeps from the initial condition rank 0's grid holds
+	// heat in row 3, and the exchange's parity is odd. A warm-up exchange
+	// between two sweeps flips the parity and rewrites the ghost rows
+	// through the second buffer; the flags must still describe the grid,
+	// and the run must still end on Reference's grid.
+	pr := Params{N: 16, Iters: 6, Procs: 2, Threads: 1}
+	parts := make([]float64, pr.Procs)
 	w := cluster.New(perfmodel.Default(), pr.Procs).DCFAWorld(pr.Procs, true)
 	err := w.Run(func(r *core.Rank) error {
 		p := r.Proc()
 		l := newSlab(r.Domain(), pr.N/pr.Procs, pr.Width(), r.ID() == 0)
 		team := omp.NewTeam(w.Plat, pr.Threads, r.Loc())
 		for s := 0; s < pr.Iters; s++ {
+			if s == 3 {
+				odd := l.odd
+				if err := warmExchange(p, r, l, pr); err != nil {
+					return err
+				}
+				if l.odd == odd {
+					return fmt.Errorf("rank %d: the warm-up exchange left the parity %v", r.ID(), odd)
+				}
+				if msg := flagsLie(l); msg != "" {
+					return fmt.Errorf("rank %d after the warm-up exchange: %s", r.ID(), msg)
+				}
+			}
 			if err := exchange(p, r, l, pr); err != nil {
 				return err
 			}
 			l.sweep(p, team, false)
 		}
-		if err := warmExchange(p, r, l, pr); err != nil {
-			return err
-		}
-		if msg := flagsLie(l); msg != "" {
-			return fmt.Errorf("rank %d after the warm-up exchange: %s", r.ID(), msg)
-		}
+		parts[r.ID()] = l.partialSum()
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if sum, want := parts[0]+parts[1], ReferenceChecksum(Reference(pr), pr); sum != want {
+		t.Errorf("checksum %v, reference %v", sum, want)
+	}
 }
 
-// BenchmarkSlabSweep runs the sweep every mode runs, flags included, on
-// one thread. dense and band are BenchmarkJacobiSweep's two slabs (one
-// stencil_8x56 rank's 160 rows), with no row clear. dense's ns/point
-// against JacobiSweep/normal's is what the flags cost when they skip
-// nothing: every row leaves the careful loop after the first sweep.
+// BenchmarkSlabSweep runs the sweep every mode runs, in place, flags
+// and scratch rows included, on one thread. dense and band are
+// BenchmarkJacobiSweep's two slabs (one stencil_8x56 rank's 160 rows),
+// with no row clear. dense's ns/point against JacobiSweep/normal's is
+// what the flags and the scratch rows cost when nothing is skipped:
+// every row leaves the careful loop after the first sweep.
 // band's against JacobiSweep/band's is what the careful loop saves: every
 // sum is tiny, so every row stays careful.
 // paper-720 is the serial 1282² grid from the paper's initial condition:
@@ -293,12 +351,10 @@ func BenchmarkSlabSweep(b *testing.B) {
 			rows := pr.N / pr.Procs
 			l := newSlab(machine.NewNode(0).Mic, rows, pr.Width(), true)
 			bc.seed(f64view(l.cur.Data))
-			copy(f64view(l.next.Data), f64view(l.cur.Data))
-			l.curClear, l.nextClear = markClear(f64view(l.cur.Data), l.w), markClear(f64view(l.next.Data), l.w)
+			l.curClear = markClear(f64view(l.cur.Data), l.w)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				l.compute(team)
-				l.swap()
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows*pr.N), "ns/point")
 		})
@@ -306,20 +362,20 @@ func BenchmarkSlabSweep(b *testing.B) {
 	b.Run("paper-720", func(b *testing.B) {
 		const trajectory = 720
 		l := newSlab(machine.NewNode(0).Mic, pr.N, pr.Width(), true)
+		computed := 0
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if i%trajectory == 0 && i > 0 {
 				b.StopTimer()
-				for _, g := range [][]float64{f64view(l.cur.Data), f64view(l.next.Data)} {
-					clear(g)
-					heatTop(g, l.w)
-				}
-				l.curClear, l.nextClear = markClear(f64view(l.cur.Data), l.w), markClear(f64view(l.next.Data), l.w)
+				g := f64view(l.cur.Data)
+				clear(g)
+				heatTop(g, l.w)
+				l.curClear = markClear(g, l.w)
 				b.StartTimer()
 			}
 			l.compute(team)
-			l.swap()
+			computed += computedRows(l)
 		}
-		b.ReportMetric(float64(l.computed)/float64(b.N), "rows/sweep")
+		b.ReportMetric(float64(computed)/float64(b.N), "rows/sweep")
 	})
 }

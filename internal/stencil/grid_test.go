@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/perfmodel"
+	"repro/internal/sim"
 )
 
 // runGrid runs pr through RunWorld in mode m on a fresh cluster of the
@@ -117,5 +118,28 @@ func Test2DHaloVolumeAdvantage(t *testing.T) {
 	ratio := float64(r2.PerIter) / float64(r1.PerIter)
 	if ratio < 0.75 || ratio > 1.25 {
 		t.Fatalf("2D/1D per-iteration ratio %.2f (1D %v, 2D %v)", ratio, r1.PerIter, r2.PerIter)
+	}
+}
+
+// TestExchangeAlternatesBuffers pins the paper-scale benchmark runs
+// whose sends register the halo rows where they lie: DCFA-MPI without
+// the offloading send buffer, and the host ranks. Their registration
+// caches key on each row's address, so an exchange that posted the same
+// buffer every iteration, instead of alternating between the slab's two
+// (see slab), would register less and move these numbers.
+func TestExchangeAlternatesBuffers(t *testing.T) {
+	plat := perfmodel.Default()
+	pr := Params{N: 1280, Iters: 20, Procs: 8, Threads: 56, SkipCompute: true}
+	for _, c := range []struct {
+		m     cluster.Mode
+		total sim.Duration
+	}{{cluster.ModeDCFABase, 8909188}, {cluster.ModeHost, 2136856}} {
+		res, err := runMode(plat, c.m, pr)
+		if err != nil {
+			t.Fatalf("%s: %v", c.m, err)
+		}
+		if res.Total != c.total {
+			t.Errorf("%s: total %d ns, pinned %d", c.m, int64(res.Total), int64(c.total))
+		}
 	}
 }

@@ -9,9 +9,10 @@ import (
 	"repro/internal/machine"
 )
 
-// TestSlabIsNotHeap: a slab's two grids live as long as the world and
-// are reserved (machine.Domain.Reserve), so building a paper-sized slab
-// grows the Go heap by its flags alone, not by its 3.3 MB of cells.
+// TestSlabIsNotHeap: a slab's grid and its second buffer live as long as
+// the world and are reserved (machine.Domain.Reserve), so building a
+// paper-sized slab grows the Go heap by its flags alone, not by its two
+// 1.66 MB buffers.
 func TestSlabIsNotHeap(t *testing.T) {
 	const rows, w = 160, 1282
 	var before, after runtime.MemStats

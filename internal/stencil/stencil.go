@@ -110,19 +110,19 @@ func heatTop(g []float64, w int) {
 	}
 }
 
-// jacobiRows computes one sweep over owned rows [lo, hi) (0-based owned
-// index; slab row = owned index + 1) of a slab w cells wide. It writes
-// columns 1..w-2 of those rows and nothing else: ghost rows and boundary
-// columns are only read. The four neighbours are summed up, down, left,
-// right; TestJacobiRowsMatchesIndexForm pins that order. jacobiRowVec
-// computes each row's longest multiple-of-4 prefix where the CPU has a
-// vector kernel, with the same bits, and the loop here does the rest.
-func jacobiRows(next, cur []float64, w, lo, hi int) {
-	for r := lo + 1; r <= hi; r++ {
-		out, up, dn, left, right := rowViews(next, cur, w, r)
-		for c := jacobiRowVec(out, up, dn, left, right); c < len(out); c++ {
-			out[c] = 0.25 * (up[c] + dn[c] + left[c] + right[c])
-		}
+// jacobiRows computes one row of a sweep: each cell of out from the
+// cells at the same index of its four neighbour rows, as rowViews lays
+// them out. out must not overlap them. The four neighbours are summed up,
+// down, left, right; TestJacobiRowsMatchesIndexForm pins that order. The
+// neighbours are resliced to out's length, so the loop has no bounds
+// check. jacobiRowVec computes the row's longest multiple-of-4 prefix
+// where the CPU has a vector kernel, with the same bits, and the loop
+// here does the rest.
+func jacobiRows(out, up, dn, left, right []float64) {
+	n := len(out)
+	up, dn, left, right = up[:n], dn[:n], left[:n], right[:n]
+	for c := jacobiRowVec(out, up, dn, left, right); c < n; c++ {
+		out[c] = 0.25 * (up[c] + dn[c] + left[c] + right[c])
 	}
 }
 
@@ -132,29 +132,37 @@ func jacobiRows(next, cur []float64, w, lo, hi int) {
 // every other sum, Inf and NaN included, keeps 0.25*v. Testing each
 // sum costs more than the multiply saves on rows without tiny sums, which
 // is why there are two loops. It reports whether any sum was tiny.
-func jacobiRowsCareful(next, cur []float64, w, lo, hi int) (tiny bool) {
-	for r := lo + 1; r <= hi; r++ {
-		out, up, dn, left, right := rowViews(next, cur, w, r)
-		for c := range out {
-			v := up[c] + dn[c] + left[c] + right[c]
-			if b := math.Float64bits(v); isTiny(b) {
-				out[c] = math.Float64frombits(quarterTiny(b))
-				tiny = true
-			} else {
-				out[c] = 0.25 * v
-			}
+func jacobiRowsCareful(out, up, dn, left, right []float64) (tiny bool) {
+	n := len(out)
+	up, dn, left, right = up[:n], dn[:n], left[:n], right[:n]
+	for c := range out {
+		v := up[c] + dn[c] + left[c] + right[c]
+		if b := math.Float64bits(v); isTiny(b) {
+			out[c] = math.Float64frombits(quarterTiny(b))
+			tiny = true
+		} else {
+			out[c] = 0.25 * v
 		}
 	}
 	return tiny
 }
 
-// rowViews returns the interior of slab row r of next and its four
-// neighbours in cur, each resliced to the interior's length, so the
-// loops over them have no bounds check.
-func rowViews(next, cur []float64, w, r int) (out, up, dn, left, right []float64) {
-	out = next[r*w+1 : (r+1)*w-1]
-	return out, cur[(r-1)*w+1:][:len(out)], cur[(r+1)*w+1:][:len(out)],
-		cur[r*w:][:len(out)], cur[r*w+2:][:len(out)]
+// rowViews returns the views the kernels take to compute the interior of
+// row r of the w-wide grid g into out: out's first w-2 cells, the
+// interiors of rows r-1 (up) and r+1 (dn), and row r shifted one cell
+// either way (left, right).
+func rowViews(out, g []float64, w, r int) (_, up, dn, left, right []float64) {
+	return out[:w-2], g[(r-1)*w+1:], g[(r+1)*w+1:], g[r*w:], g[r*w+2:]
+}
+
+// denseRows writes owned rows [lo, hi) (0-based owned index; slab row =
+// owned index + 1) of next from cur, two grids w cells wide: the dense
+// two-grid sweep. It writes columns 1..w-2 of those rows and nothing
+// else.
+func denseRows(next, cur []float64, w, lo, hi int) {
+	for r := lo + 1; r <= hi; r++ {
+		jacobiRows(rowViews(next[r*w+1:], cur, w, r))
+	}
 }
 
 const (
@@ -189,8 +197,9 @@ func quarterTiny(b uint64) uint64 {
 }
 
 // Reference runs the serial stencil in plain Go and returns the full
-// grid after Iters sweeps. It computes every row: it is the oracle the
-// distributed runs, which skip clear rows, are checked against.
+// grid after Iters sweeps. It computes every row, from one grid into
+// another: it is the oracle the distributed runs, which skip clear rows
+// and update one grid in place, are checked against.
 func Reference(pr Params) []float64 {
 	w := pr.Width()
 	cur := make([]float64, w*w)
@@ -198,7 +207,7 @@ func Reference(pr Params) []float64 {
 	heatTop(cur, w)
 	heatTop(next, w)
 	for it := 0; it < pr.Iters; it++ {
-		jacobiRows(next, cur, w, 0, pr.N)
+		denseRows(next, cur, w, 0, pr.N)
 		cur, next = next, cur
 	}
 	return cur
@@ -225,45 +234,60 @@ func ReferenceChecksum(grid []float64, pr Params) float64 {
 }
 
 // slab is one rank's local grid: rows owned rows of w cells plus a ghost
-// row above and below, in two buffers a sweep reads (cur) and writes
-// (next). Each row's first and last cell are the fixed boundary or, where
+// row above and below, in one buffer, cur, which every sweep updates in
+// place. Each row's first and last cell are the fixed boundary or, where
 // the process grid has a neighbour west or east, a ghost column.
+//
+// A slab reserves a second buffer of cur's size, edge, for two jobs. The
+// halo exchange alternates between the two: at even parity it posts
+// cur's rows, at odd parity edge's, and the parity flips with every sweep
+// and every warm-up exchange. That is the wire of the usual Jacobi code,
+// which writes one grid from the other and swaps them, and registration
+// caches key on each ghost row's address: so every registration and
+// simulated time is that code's. Between an exchange's WaitAll and the
+// next exchange edge holds nothing the run needs, and the sweep keeps its
+// scratch rows there. So of edge's pages only those holding its edge rows
+// (0, 1, rows, rows+1) or scratch rows are ever written.
 type slab struct {
-	rows, w   int
-	cur, next *machine.Buffer
+	rows, w int
+	cur     *machine.Buffer // the grid
+	edge    *machine.Buffer // the odd-parity wire rows and the sweep's scratch
+	odd     bool            // the next exchange posts edge's rows
 	// stage holds one column each, packed for the west neighbour, from
 	// the west, for the east and from the east. Only a grid of more than
 	// one column allocates it, so a row run's slab is no larger.
 	stage *[4]*machine.Buffer
-	// curClear[r] (nextClear[r]) is true only if every cell of slab row
-	// r of cur (next) is +0, ghost and boundary cells included; it may be
-	// false for a row that is. A sweep keeps the flags exact for the
-	// cells it writes. The cells it never writes (both ghost rows, each
-	// row's first and last cell) are written between sweeps, by the
-	// exchange, so each sweep first refreshes the flags for them.
+	// curClear[r] is true only if every cell of slab row r of cur is +0,
+	// ghost and boundary cells included; it may be false for a row that
+	// is. A sweep writes the flags of the grid it leaves into nextClear,
+	// while its chunks read curClear, and then swaps the two. It keeps
+	// them exact for the cells it writes. The cells it never writes (both
+	// ghost rows, each row's first and last cell) are written between
+	// sweeps, by the exchange, so each sweep first refreshes the flags
+	// for them.
 	curClear, nextClear []bool
 	// careful[r] sends slab row r through jacobiRowsCareful. It starts
-	// true, turns false after a careful pass with no tiny sum, and turns
-	// true again when the row is cleared. Both loops are exact, so it
-	// decides only speed: a row entering the light cone late carries the
-	// subnormal band at the heat front, and keeps it only for a while.
-	careful  []bool
-	body     func(lo, hi int) // computeRows, bound once for team.Execute
-	computed int64            // rows the kernel computed, over all sweeps
+	// true and turns false after a careful pass with no tiny sum. Both
+	// loops are exact, so it decides only speed: a row entering the light
+	// cone late carries the subnormal band at the heat front, and keeps
+	// it only for a while.
+	careful []bool
+	body    func(lo, hi int) // computeRows, bound once for team.Execute
 }
 
 // newSlab allocates a slab of rows owned rows, w cells wide, in dom,
-// with the initial condition in both buffers (top: the slab holds the
-// global top boundary). Both grids read zero when made (slabGrid), so
-// only the top row is written, and every row starts clear but that one.
+// with the initial condition in its grid (top: the slab holds the global
+// top boundary). Both buffers read zero when made (slabGrid), so only the
+// grid's top row is written, and every row starts clear but that one.
+// The exchange copies whole rows between the buffers, so edge needs no
+// boundary of its own.
 func newSlab(dom *machine.Domain, rows, w int, top bool) *slab {
 	bytes := (rows + 2) * w * 8
-	l := &slab{rows: rows, w: w, cur: slabGrid(dom, bytes), next: slabGrid(dom, bytes),
+	l := &slab{rows: rows, w: w, cur: slabGrid(dom, bytes), edge: slabGrid(dom, bytes),
 		curClear: allTrue(rows + 2), nextClear: allTrue(rows + 2), careful: allTrue(rows + 2)}
 	if top {
 		heatTop(f64view(l.cur.Data), w)
-		heatTop(f64view(l.next.Data), w)
-		l.curClear[0], l.nextClear[0] = false, false
+		l.curClear[0] = false
 	}
 	l.body = l.computeRows
 	return l
@@ -283,68 +307,104 @@ func (l *slab) row(b *machine.Buffer, i int) core.Slice {
 	return core.Slice{Buf: b, Off: i * l.w * 8, N: l.w * 8}
 }
 
-// swap makes next the current buffer, and its flags with it.
-func (l *slab) swap() {
-	l.cur, l.next = l.next, l.cur
-	l.curClear, l.nextClear = l.nextClear, l.curClear
+// copyRow copies slab row i, whole, from buffer src to buffer dst.
+func (l *slab) copyRow(dst, src *machine.Buffer, i int) {
+	copy(l.row(dst, i).Bytes(), l.row(src, i).Bytes())
+}
+
+// interior returns the cells of slab row i of buffer b that a sweep
+// writes: all but the first and the last.
+func (l *slab) interior(b *machine.Buffer, i int) []float64 {
+	return f64view(b.Data)[i*l.w+1 : (i+1)*l.w-1]
 }
 
 // sweep runs one Jacobi iteration: charge the parallel region for all
-// interior points; execute the math by rows unless skipped; swap. Nothing
-// is carried over into the new buffer: the fixed boundary cells start
-// equal in both buffers and nothing writes them, and the exchange
-// rewrites every ghost cell that faces a neighbour before the next sweep
-// reads it.
+// interior points; execute the math by rows unless skipped; flip the
+// exchange's parity. The fixed boundary cells are never written, and the
+// exchange rewrites every ghost cell that faces a neighbour before the
+// next sweep reads it.
 func (l *slab) sweep(p *sim.Proc, team *omp.Team, skip bool) {
 	points := l.rows * (l.w - 2)
 	team.ParallelFor(p, points, nil)
 	if !skip {
 		l.compute(team)
 	}
-	l.swap()
+	l.odd = !l.odd
 }
 
-// compute writes next from cur on the team's threads, after bringing
-// cur's flags up to date with what the exchange wrote.
+// compute updates cur on the team's threads, after bringing its flags up
+// to date with what the exchange wrote.
 func (l *slab) compute(team *omp.Team) {
 	refreshClear(l.curClear, f64view(l.cur.Data), l.w)
-	team.Execute(l.rows, l.body)
-	// A computed row, and only a computed row, leaves its next flag false.
-	for _, c := range l.nextClear[1 : l.rows+1] {
-		if !c {
-			l.computed++
+	l.finish(team.Execute(l.rows, l.body))
+}
+
+// computeRows sweeps owned rows [lo, hi), numbered as denseRows numbers
+// them, one chunk of a sweep. It computes a row only when one of its
+// three input rows is not clear. Otherwise every input is +0, and
+// jacobiRows would write 0.25*(+0 + +0 + +0 + +0) = +0 into each interior
+// cell, which the row already holds. A computed row goes through the
+// careful loop while its careful flag is set.
+//
+// Row r's neighbours still read its old cells, so its new interior goes
+// to a scratch row of edge. A row inside the chunk goes back into cur
+// once row r+1 has read it as up; they take edge rows lo+2 and lo+3 in
+// turn. The chunk's first and last rows wait in edge at their own index
+// for finish: the chunks before and after, which omp.Execute may run side
+// by side, read them too. Scratch rows lie within the chunk's own rows, so
+// no two chunks share one.
+func (l *slab) computeRows(lo, hi int) {
+	g, e, w := f64view(l.cur.Data), f64view(l.edge.Data), l.w
+	back, backSlot := 0, 0 // a row waiting in edge row backSlot for the next row, or 0
+	for r := lo + 1; r <= hi; r++ {
+		computed := !l.curClear[r-1] || !l.curClear[r] || !l.curClear[r+1]
+		held, slot := r == lo+1 || r == hi, r
+		if !held {
+			slot = lo + 2 + (r-lo)&1
+		}
+		if computed {
+			if l.careful[r] {
+				l.careful[r] = jacobiRowsCareful(rowViews(e[slot*w+1:], g, w, r))
+			} else {
+				jacobiRows(rowViews(e[slot*w+1:], g, w, r))
+			}
+		}
+		l.nextClear[r] = !computed
+		if back != 0 {
+			copy(l.interior(l.cur, back), l.interior(l.edge, backSlot))
+			back = 0
+		}
+		if computed && !held {
+			back, backSlot = r, slot
 		}
 	}
 }
 
-// computeRows sweeps owned rows [lo, hi), numbered as jacobiRows numbers
-// them. It computes a row only when one of its three input rows in cur is
-// not clear. Otherwise every input is +0, and jacobiRows would write
-// 0.25*(+0 + +0 + +0 + +0) = +0 into each interior cell: the row's
-// interior is zeroed if its next copy is not clear, and left alone if it
-// is. A computed row goes through the careful loop while its careful
-// flag is set.
-func (l *slab) computeRows(lo, hi int) {
-	next, cur, w := f64view(l.next.Data), f64view(l.cur.Data), l.w
-	for r := lo + 1; r <= hi; r++ {
-		switch {
-		case !l.curClear[r-1] || !l.curClear[r] || !l.curClear[r+1]:
-			if l.careful[r] {
-				l.careful[r] = jacobiRowsCareful(next, cur, w, r-1, r)
-			} else {
-				jacobiRows(next, cur, w, r-1, r)
-			}
-			l.nextClear[r] = false
-		case !l.nextClear[r]:
-			clear(next[r*w+1 : (r+1)*w-1])
-			l.nextClear[r] = true
-			l.careful[r] = true
+// finish ends a sweep whose rows ran in chunks of chunk rows, as
+// omp.Execute split them: it writes each chunk's first and last row back
+// into cur, now that no chunk reads them, and swaps the flags. A
+// computed row, and only a computed row, leaves its flag false.
+func (l *slab) finish(chunk int) {
+	for lo := 0; lo < l.rows; lo += chunk {
+		l.release(lo + 1)
+		if hi := min(lo+chunk, l.rows); hi > lo+1 {
+			l.release(hi)
 		}
+	}
+	l.curClear, l.nextClear = l.nextClear, l.curClear
+}
+
+// release copies slab row r's new interior from edge back into cur, if
+// the sweep computed it.
+func (l *slab) release(r int) {
+	if !l.nextClear[r] {
+		copy(l.interior(l.cur, r), l.interior(l.edge, r))
 	}
 }
 
 // plusZero reports whether every bit of v is zero. −0.0 is not +0: four
-// of them sum to −0.0, so a row of them is not left unchanged by a skip.
+// of them sum to −0.0, so neither a row of them nor its neighbours may be
+// skipped.
 func plusZero(v float64) bool { return math.Float64bits(v) == 0 }
 
 // zeroRow reports whether every cell of row is +0.
@@ -395,9 +455,24 @@ const (
 // south (ID∓cols), then, in a grid of more than one column, the strided
 // columns with the ranks west and east (ID∓1), packed through the vector
 // datatype with its charged gather cost, as a real MPI application would.
+// At odd parity the rows go through edge (see slab): cur's edge rows are
+// copied there before the sends are posted, and the received ghost rows
+// back into cur after WaitAll. The columns travel through the stage
+// buffers, so they are packed from and unpacked into cur directly.
 func exchange(p *sim.Proc, r *core.Rank, l *slab, pr Params) error {
-	id, buf := r.ID(), l.cur
+	id, g := r.ID(), l.cur
 	_, cols := pr.grid()
+	north, south := id >= cols, id+cols < pr.Procs
+	buf := g
+	if l.odd {
+		buf = l.edge
+		if north {
+			l.copyRow(buf, g, 1)
+		}
+		if south {
+			l.copyRow(buf, g, l.rows)
+		}
+	}
 	var reqs []*core.Request
 	add := func(q *core.Request, err error) error {
 		if err != nil {
@@ -414,12 +489,12 @@ func exchange(p *sim.Proc, r *core.Rank, l *slab, pr Params) error {
 		}
 		return add(r.Irecv(p, peer, recvTag, recv))
 	}
-	if id >= cols {
+	if north {
 		if err := pair(id-cols, tagUp, tagDown, l.row(buf, 1), l.row(buf, 0)); err != nil {
 			return err
 		}
 	}
-	if id+cols < pr.Procs {
+	if south {
 		if err := pair(id+cols, tagDown, tagUp, l.row(buf, l.rows), l.row(buf, l.rows+1)); err != nil {
 			return err
 		}
@@ -427,7 +502,7 @@ func exchange(p *sim.Proc, r *core.Rank, l *slab, pr Params) error {
 	west, east := id%cols > 0, id%cols < cols-1
 	colDT := core.Vector(l.rows, 1, l.w, 8)
 	n := l.rows * 8
-	col := func(c int) []byte { return buf.Data[(l.w+c)*8:] } // from slab row 1
+	col := func(c int) []byte { return g.Data[(l.w+c)*8:] } // from slab row 1
 	stage := func(i int) core.Slice { return core.Slice{Buf: l.stage[i], N: n} }
 	if west {
 		r.Pack(p, l.stage[0].Data[:n], col(1), colDT)
@@ -443,6 +518,12 @@ func exchange(p *sim.Proc, r *core.Rank, l *slab, pr Params) error {
 	}
 	if err := r.WaitAll(p, reqs...); err != nil {
 		return err
+	}
+	if l.odd && north {
+		l.copyRow(g, buf, 0)
+	}
+	if l.odd && south {
+		l.copyRow(g, buf, l.rows+1)
 	}
 	if west {
 		r.Unpack(p, col(0), l.stage[1].Data[:n], colDT)
@@ -535,11 +616,11 @@ func runRanks(w *core.World, body func(p *sim.Proc, r *core.Rank) (Result, error
 	return res, err
 }
 
-// warmExchange is one warm-up halo exchange on l: exchange, then swap
-// the buffers so both get registered.
+// warmExchange is one warm-up halo exchange on l: exchange, then flip
+// the parity so the two warm-ups register both buffers' rows.
 func warmExchange(p *sim.Proc, r *core.Rank, l *slab, pr Params) error {
 	err := exchange(p, r, l, pr)
-	l.swap()
+	l.odd = !l.odd
 	return err
 }
 

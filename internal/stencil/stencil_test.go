@@ -96,8 +96,13 @@ func checkJacobiRowsMatchIndexForm(t *testing.T) {
 		name string
 		run  func(next, cur []float64, w, lo, hi int) bool
 	}{
-		{"fast", func(next, cur []float64, w, lo, hi int) bool { jacobiRows(next, cur, w, lo, hi); return false }},
-		{"careful", jacobiRowsCareful},
+		{"fast", func(next, cur []float64, w, lo, hi int) bool { denseRows(next, cur, w, lo, hi); return false }},
+		{"careful", func(next, cur []float64, w, lo, hi int) (tiny bool) {
+			for r := lo + 1; r <= hi; r++ {
+				tiny = jacobiRowsCareful(rowViews(next[r*w+1:], cur, w, r)) || tiny
+			}
+			return tiny
+		}},
 	}
 	slabs := []struct {
 		name string
@@ -205,13 +210,14 @@ func seedBand(g []float64) {
 }
 
 // BenchmarkJacobiSweep sweeps the slab one stencil_8x56 rank owns
-// (160 rows of the paper's 1282-wide grid) in one call of the fast loop:
-// normal with every cell 1, band with every cell subnormal (seedBand),
-// where the multiply is slow. Both slabs, 3.3 MB, stay in a 2 MiB L2
-// only in part. eight-slabs is what a stencil_8x56 rep sweeps: all
-// eight ranks' slabs, 26.6 MB with every cell 1, op i sweeping slab
-// i mod 8, so a slab is back in the loop only after the other seven
-// have pushed it out of cache.
+// (160 rows of the paper's 1282-wide grid) with the fast loop, from one
+// grid into another (denseRows): normal with every cell 1, band with
+// every cell subnormal (seedBand), where the multiply is slow. The two
+// grids, 3.3 MB, stay in a 2 MiB L2 only in part. eight-slabs sweeps all
+// eight ranks' slabs in turn, two grids each, 26.6 MB with every cell 1
+// (a stencil_8x56 rep's in-place sweep keeps one grid per rank, 13.3 MB),
+// op i sweeping slab i mod 8, so a slab is back in the loop only after
+// the other seven have pushed it out of cache.
 func BenchmarkJacobiSweep(b *testing.B) {
 	pr := PaperParams(8, 56)
 	w, rows := pr.Width(), pr.N/pr.Procs
@@ -234,7 +240,7 @@ func BenchmarkJacobiSweep(b *testing.B) {
 			copy(next, cur)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				jacobiRows(next, cur, w, 0, rows)
+				denseRows(next, cur, w, 0, rows)
 				cur, next = next, cur
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows*pr.N), "ns/point")
@@ -250,7 +256,7 @@ func BenchmarkJacobiSweep(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			k := i % pr.Procs
-			jacobiRows(next[k], cur[k], w, 0, rows)
+			denseRows(next[k], cur[k], w, 0, rows)
 			cur[k], next[k] = next[k], cur[k]
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows*pr.N), "ns/point")
