@@ -102,7 +102,7 @@ func main() {
 	switch *table {
 	case 0:
 	case 1:
-		bench.Table1(out)
+		bench.Table1(out, plat)
 	case 2:
 		bench.Table2(out, env.MsgSizes)
 	case 3:

@@ -225,7 +225,7 @@ func TestRenderAndTables(t *testing.T) {
 		}
 	}
 	buf.Reset()
-	Table1(&buf)
+	Table1(&buf, plat())
 	if !strings.Contains(buf.String(), "ConnectX-3") {
 		t.Fatal("Table I missing HCA row")
 	}

@@ -28,16 +28,43 @@ func TestExperimentsGolden(t *testing.T) {
 	for _, f := range env.Ablations(plat(), "all") {
 		f.Render(&got)
 	}
-	if bytes.Equal(got.Bytes(), want) {
+	matchGolden(t, "output", got.String(), string(want))
+}
+
+// matchGolden fails t at the first line where got, named what, differs
+// from want, the contents of testdata/experiments.golden.
+func matchGolden(t *testing.T, what, got, want string) {
+	t.Helper()
+	if got == want {
 		return
 	}
-	gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
 	for i := 0; i < len(gl) && i < len(wl); i++ {
 		if gl[i] != wl[i] {
-			t.Fatalf("line %d differs from testdata/experiments.golden:\n got: %s\nwant: %s", i+1, gl[i], wl[i])
+			t.Fatalf("%s differs from testdata/experiments.golden at line %d:\n   got: %s\ngolden: %s", what, i+1, gl[i], wl[i])
 		}
 	}
-	t.Fatalf("output has %d lines, testdata/experiments.golden %d", len(gl), len(wl))
+	t.Fatalf("%s has %d lines, testdata/experiments.golden %d", what, len(gl), len(wl))
+}
+
+// TestExperimentsDocQuotesGolden: EXPERIMENTS.md's two fenced blocks,
+// the full regenerated output and the ablation output, are the golden
+// file split in two, so the document cannot quote a number the code no
+// longer produces.
+func TestExperimentsDocQuotesGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/experiments.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts := strings.Split(string(doc), "```\n")
+	if len(parts) != 5 {
+		t.Fatalf("EXPERIMENTS.md has %d fence lines, want the two blocks' 4", len(parts)-1)
+	}
+	matchGolden(t, "EXPERIMENTS.md's quoted output", parts[1]+parts[3], string(want))
 }
 
 // TestEnvSinksReachStencilAndAblations: the registry and the fault plan

@@ -253,7 +253,7 @@ func (e *Env) AllFigures(plat *perfmodel.Platform) []*Figure {
 // RenderEvaluation writes the whole §V reproduction — Tables I–III and
 // every figure — the way `dcfabench -all` prints it.
 func (e *Env) RenderEvaluation(w io.Writer, plat *perfmodel.Platform) {
-	Table1(w)
+	Table1(w, plat)
 	Table2(w, e.MsgSizes)
 	Table3(w)
 	for _, f := range e.AllFigures(plat) {

@@ -9,10 +9,10 @@ import (
 )
 
 // Table1 renders the server-architecture inventory (paper Table I) with
-// the simulated analog of each component.
-func Table1(w io.Writer) {
+// the simulated analog of each component on plat.
+func Table1(w io.Writer, plat *perfmodel.Platform) {
 	fmt.Fprintln(w, "=== Table I: Server architecture (paper -> simulated analog) ===")
-	for _, r := range perfmodel.TableI() {
+	for _, r := range plat.TableI() {
 		fmt.Fprintf(w, "  %-24s %-42s %s\n", r.Component, r.Paper, r.Simulated)
 	}
 	fmt.Fprintln(w)

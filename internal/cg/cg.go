@@ -132,7 +132,10 @@ func exchangeGhosts(pp *sim.Proc, r *core.Rank, f *field, procs int) error {
 	row := func(i int) core.Slice {
 		return core.Slice{Buf: f.buf, Off: i * f.w * 8, N: f.w * 8}
 	}
-	var reqs []*core.Request
+	// Two neighbours, a send and a receive each: the list's backing
+	// array stays on the stack.
+	var posted [4]*core.Request
+	reqs := posted[:0]
 	add := func(q *core.Request, err error) error {
 		if err != nil {
 			// Drain what was already posted before bailing out.
@@ -199,7 +202,7 @@ func RunWorld(w *core.World, pr Params) (Result, error) {
 			}
 		}
 		charge := func(mult int) {
-			team.ParallelFor(p, mult*rows*(width-2), nil)
+			team.ParallelFor(p, mult*rows*(width-2))
 		}
 		rs := localDot(rd, rd, rows, width)
 		charge(1)

@@ -27,10 +27,9 @@ type flight struct {
 	n    int           // payload bytes
 	span *metrics.Span // wire span of a WRITE or READ on an instrumented fabric
 
-	// READ only, from the local scatter list at post time: its slowest
-	// destination-domain write rate and its first element's memory kind.
-	writeRate float64
-	dstKind   machine.DomainKind
+	// READ only: the memory kind of the local scatter list's first
+	// element at post time (the telemetry direction).
+	dstKind machine.DomainKind
 
 	// The fault plan's verdict on a WRITE or READ, drawn at post time:
 	// fault is retry exhaustion — the QP errors when the wire attempt
@@ -163,7 +162,7 @@ func (x *flight) readArrive() {
 		ps.bytes.Add(int64(x.n))
 		x.span.Attr("pair", ps.name)
 	}
-	rate := qp.capRate(minRate(plat.IBBandwidth, minRate(plat.HCARead(mr.Dom.Kind), x.writeRate)))
+	rate := qp.capRate(minRate(plat.IBBandwidth, plat.HCARead(mr.Dom.Kind)))
 	back := rh.egress.ReserveRate(x.n, rate)
 	back = rh.deliverVia(back, h, x.n, rate)
 	x.src.buf = src

@@ -233,13 +233,14 @@ func (qp *QP) deliver(wr *RecvWR, src wireSrc, srcQPN uint32) {
 
 // gather validates the local SGL and returns what the wire will carry —
 // views of the registered source memory, or for an Inline post a capture
-// of its bytes now — with the payload length, the slowest source-domain
-// DMA read rate across elements and the memory kind of the first element
-// (the telemetry source direction).
+// of its bytes now — with the payload length, the rate the transfer
+// leaves at (the wire rate, or the Figure 5 read cap if any element is in
+// co-processor memory) and the memory kind of the first element (the
+// telemetry source direction).
 func (qp *QP) gather(wr *SendWR) (src wireSrc, n int, rate float64, srcKind machine.DomainKind, err error) {
 	h := qp.ctx.HCA
 	plat := h.fab.Plat
-	rate = plat.HCAReadHost
+	rate = plat.IBBandwidth
 	srcKind = machine.HostMem
 	for _, sge := range wr.SGL {
 		n += sge.Len
@@ -261,9 +262,7 @@ func (qp *QP) gather(wr *SendWR) (src wireSrc, n int, rate float64, srcKind mach
 		if i == 0 {
 			srcKind = mr.Dom.Kind
 		}
-		if r := plat.HCARead(mr.Dom.Kind); r < rate {
-			rate = r
-		}
+		rate = minRate(rate, plat.HCARead(mr.Dom.Kind))
 		switch {
 		case wr.Inline:
 			src.buf = append(src.buf, view...)
@@ -327,7 +326,7 @@ func (qp *QP) PostSend(p *sim.Proc, wr *SendWR) error {
 			}
 			h.sendBytes.Add(int64(n))
 		}
-		rate := qp.capRate(minRate(plat.IBBandwidth, minRate(readRate, plat.HCAWriteHost)))
+		rate := qp.capRate(readRate)
 		arrive := h.egress.ReserveRate(n, rate)
 		arrive = h.deliverVia(arrive, rem.ctx.HCA, n, rate)
 		f := h.fab.takeFlight(qp, wr, src, n)
@@ -342,22 +341,20 @@ func (qp *QP) PostSend(p *sim.Proc, wr *SendWR) error {
 		if err != nil {
 			return fmt.Errorf("ib: post send: %w", err)
 		}
-		// Peek the destination domain for the rate; re-validate keys at
-		// arrival so a concurrent dereg still faults.
-		writeRate := plat.HCAWriteHost
-		dstKind := machine.HostMem
-		if _, mr, err := rem.ctx.HCA.lookupMR(wr.Remote.RKey, wr.Remote.Addr, n); err == nil {
-			writeRate = plat.HCAWrite(mr.Dom.Kind)
-			dstKind = mr.Dom.Kind
-		}
 		var wsp *metrics.Span
 		if reg := h.fab.Metrics; reg != nil {
+			// Peek the destination domain for the direction pair; the
+			// keys are validated at arrival, so a dereg since still faults.
+			dstKind := machine.HostMem
+			if _, mr, err := rem.ctx.HCA.lookupMR(wr.Remote.RKey, wr.Remote.Addr, n); err == nil {
+				dstKind = mr.Dom.Kind
+			}
 			ps := h.pair(&h.writePairs, "rdma-write.bytes.", srcKind, dstKind)
 			ps.bytes.Add(int64(n))
 			wsp = reg.Begin(eng.Now(), h.actor, "wire.rdma-write").
 				Attr("pair", ps.name).AttrInt("bytes", int64(n))
 		}
-		rate := qp.capRate(minRate(plat.IBBandwidth, minRate(readRate, writeRate)))
+		rate := qp.capRate(readRate)
 		arrive := h.egress.ReserveRate(n, rate)
 		arrive = h.deliverVia(arrive, rem.ctx.HCA, n, rate)
 		f := h.fab.takeFlight(qp, wr, src, n)
@@ -372,7 +369,6 @@ func (qp *QP) PostSend(p *sim.Proc, wr *SendWR) error {
 			total += sge.Len
 		}
 		// Validate local scatter list now.
-		writeRate := plat.HCAWriteHost
 		dstKind := machine.HostMem
 		for i, sge := range wr.SGL {
 			_, mr, err := h.lookupMR(sge.LKey, sge.Addr, sge.Len)
@@ -382,9 +378,6 @@ func (qp *QP) PostSend(p *sim.Proc, wr *SendWR) error {
 			if i == 0 {
 				dstKind = mr.Dom.Kind
 			}
-			if r := plat.HCAWrite(mr.Dom.Kind); r < writeRate {
-				writeRate = r
-			}
 		}
 		var wsp *metrics.Span
 		if reg := h.fab.Metrics; reg != nil {
@@ -392,7 +385,7 @@ func (qp *QP) PostSend(p *sim.Proc, wr *SendWR) error {
 		}
 		reqArrive := eng.Now() + plat.IBLatency + h.ctrlDelayTo(rem.ctx.HCA)
 		f := h.fab.takeFlight(qp, wr, wireSrc{}, total)
-		f.span, f.writeRate, f.dstKind = wsp, writeRate, dstKind
+		f.span, f.dstKind = wsp, dstKind
 		f.fault = h.fab.Faults.IBReadFault()
 		eng.At(reqArrive, f.onArrive)
 		return nil

@@ -62,22 +62,18 @@ func (t *Team) RegionCost(n int) sim.Duration {
 	return t.Plat.OMPForkCost(t.Threads) + work
 }
 
-// ParallelFor charges one parallel region over n items to p and, when
-// body is non-nil, executes body(lo, hi) for disjoint chunks covering
-// [0, n) using real goroutines. The body must be pure computation: it
-// runs outside the simulation scheduler and must not touch sim state.
-func (t *Team) ParallelFor(p *sim.Proc, n int, body func(lo, hi int)) {
-	if body != nil {
-		t.Execute(n, body)
-	}
+// ParallelFor charges one parallel region over n items to p. It runs
+// nothing: the loop body, if any, runs through Execute.
+func (t *Team) ParallelFor(p *sim.Proc, n int) {
 	p.Sleep(t.RegionCost(n))
 }
 
 // Execute fans body out over [0, n) on real goroutines without charging
 // virtual time, and returns the chunk length it split [0, n) into: body
-// ran on [0, chunk), [chunk, 2·chunk), … and [k·chunk, n). Callers that
-// charge a different item count than they chunk by (e.g. charging per
-// point while chunking per row) combine it with ParallelFor(p, items, nil).
+// ran on [0, chunk), [chunk, 2·chunk), … and [k·chunk, n). The body must
+// be pure computation: it runs outside the simulation scheduler and must
+// not touch sim state. Callers charge the region with ParallelFor, which
+// may count items differently (e.g. per point while chunking per row).
 func (t *Team) Execute(n int, body func(lo, hi int)) (chunk int) {
 	if n <= 0 {
 		return 0

@@ -46,33 +46,6 @@ func TestHostScalingClampedToCores(t *testing.T) {
 	}
 }
 
-func TestParallelForExecutesAllItems(t *testing.T) {
-	plat := perfmodel.Default()
-	eng := sim.NewEngine()
-	team := NewTeam(plat, 8, machine.MicMem)
-	var sum int64
-	var elapsed sim.Time
-	eng.Spawn("compute", func(p *sim.Proc) {
-		team.ParallelFor(p, 1000, func(lo, hi int) {
-			var local int64
-			for i := lo; i < hi; i++ {
-				local += int64(i)
-			}
-			atomic.AddInt64(&sum, local)
-		})
-		elapsed = p.Now()
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if sum != 999*1000/2 {
-		t.Fatalf("sum %d, want %d (items missed or duplicated)", sum, 999*1000/2)
-	}
-	if want := sim.Time(team.RegionCost(1000)); elapsed != want {
-		t.Fatalf("charged %v, want one region of 1000 items (%v)", elapsed, want)
-	}
-}
-
 func TestParallelForNilBodyChargesOnly(t *testing.T) {
 	plat := perfmodel.Default()
 	eng := sim.NewEngine()
@@ -80,7 +53,7 @@ func TestParallelForNilBodyChargesOnly(t *testing.T) {
 	var elapsed sim.Duration
 	eng.Spawn("compute", func(p *sim.Proc) {
 		start := p.Now()
-		team.ParallelFor(p, 1<<20, nil)
+		team.ParallelFor(p, 1<<20)
 		elapsed = p.Now() - start
 	})
 	if err := eng.Run(); err != nil {

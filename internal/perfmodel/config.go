@@ -1,6 +1,7 @@
 package perfmodel
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 )
@@ -12,11 +13,18 @@ func (p *Platform) MarshalIndent() ([]byte, error) {
 }
 
 // Load parses a JSON calibration over the defaults: omitted fields keep
-// their Default() values, so a file only needs the overrides.
+// their Default() values, so a file only needs the overrides. A field the
+// Platform does not have is an error: a file that sets a rate the model
+// does not carry is refused rather than silently ignored.
 func Load(data []byte) (*Platform, error) {
 	p := Default()
-	if err := json.Unmarshal(data, p); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(p); err != nil {
 		return nil, fmt.Errorf("perfmodel: parse calibration: %w", err)
+	}
+	if dec.More() {
+		return nil, fmt.Errorf("perfmodel: parse calibration: data after the object")
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -33,10 +41,7 @@ func (p *Platform) Validate() error {
 		v    float64
 	}{
 		{"IBBandwidth", p.IBBandwidth},
-		{"HCAReadHost", p.HCAReadHost},
 		{"HCAReadPhi", p.HCAReadPhi},
-		{"HCAWriteHost", p.HCAWriteHost},
-		{"HCAWritePhi", p.HCAWritePhi},
 		{"HostCopyRate", p.HostCopyRate},
 		{"PhiCopyRate", p.PhiCopyRate},
 		{"DMAEngineBandwidth", p.DMAEngineBandwidth},

@@ -58,3 +58,15 @@ func TestDefaultValidates(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestLoadRejectsUnknownFields(t *testing.T) {
+	// The platform carries no HCA write rate (writes never bind below
+	// the wire): a calibration that sets one must not load as if it
+	// took effect.
+	if _, err := Load([]byte(`{"HCAWritePhi": 26e9}`)); err == nil || !strings.Contains(err.Error(), "HCAWritePhi") {
+		t.Fatalf("unknown field accepted: %v", err)
+	}
+	if _, err := Load([]byte(`{} {}`)); err == nil {
+		t.Fatal("data after the calibration object accepted")
+	}
+}

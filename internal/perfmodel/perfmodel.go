@@ -1,7 +1,12 @@
 // Package perfmodel centralizes every calibrated constant of the
 // simulated platform. Each number is annotated with the paper
 // observation it reproduces; changing them moves every figure, so they
-// live in exactly one place.
+// live in exactly one place: Table I's simulated column is formatted
+// from them (Platform.TableI), and a calibration file that names a field
+// the Platform does not have is refused (Load). A rate that can never
+// bind is not carried: the HCA's DMA engine is priced by the wire rate
+// and the one Figure 5 cap below it, HCAReadPhi, on reads from Phi
+// memory.
 //
 // The modeled platform mirrors Table I of the paper: 8 nodes, each with
 // an Intel Xeon E5-2670 (16 hardware threads), one pre-production Xeon
@@ -10,6 +15,8 @@
 package perfmodel
 
 import (
+	"fmt"
+
 	"repro/internal/machine"
 	"repro/internal/sim"
 )
@@ -26,14 +33,12 @@ type Platform struct {
 	// IBLatency is the one-way wire+switch propagation delay.
 	IBLatency sim.Duration
 
-	// HCA DMA engine rates by buffer location (bytes/s). Figure 5's
-	// finding: the HCA's DMA *read from Phi memory* is the bottleneck —
-	// ">4 times" slower than host-sourced transfers — while DMA writes
-	// into Phi memory run at full speed (host→Phi equals host→host).
-	HCAReadHost  float64
-	HCAReadPhi   float64
-	HCAWriteHost float64
-	HCAWritePhi  float64
+	// HCAReadPhi caps the HCA's DMA read from Phi memory (bytes/s).
+	// Figure 5's one slow path: Phi-sourced transfers run ">4 times"
+	// below host-sourced ones, while DMA writes into either memory and
+	// reads from host memory keep up with the wire, so IBBandwidth is
+	// their only limit.
+	HCAReadPhi float64
 
 	// ---- Per-operation software costs ----
 
@@ -158,10 +163,7 @@ func Default() *Platform {
 		IBBandwidth: 5.8e9,
 		IBLatency:   900 * sim.Nanosecond,
 
-		HCAReadHost:  26e9,
-		HCAReadPhi:   1.25e9, // Figure 5 bottleneck: >4× below host paths
-		HCAWriteHost: 26e9,
-		HCAWritePhi:  26e9, // host→Phi matches host→host (Figure 5)
+		HCAReadPhi: 1.25e9, // Figure 5 bottleneck: >4× below host paths
 
 		HostPostCost: 300 * sim.Nanosecond,
 		PhiPostCost:  1200 * sim.Nanosecond,
@@ -214,20 +216,13 @@ func Default() *Platform {
 	}
 }
 
-// HCARead returns the HCA DMA read rate from a buffer in domain kind k.
+// HCARead returns the HCA DMA read rate from a buffer in domain kind k:
+// the Figure 5 cap for co-processor memory, the wire rate otherwise.
 func (p *Platform) HCARead(k machine.DomainKind) float64 {
 	if k == machine.MicMem {
 		return p.HCAReadPhi
 	}
-	return p.HCAReadHost
-}
-
-// HCAWrite returns the HCA DMA write rate into domain kind k.
-func (p *Platform) HCAWrite(k machine.DomainKind) float64 {
-	if k == machine.MicMem {
-		return p.HCAWritePhi
-	}
-	return p.HCAWriteHost
+	return p.IBBandwidth
 }
 
 // PostCost returns the work-request post cost for code running in k.
@@ -302,19 +297,19 @@ func (p *Platform) OffloadLaunchCost(threads int) sim.Duration {
 	return p.OffloadLaunchBase + sim.Duration(threads)*p.OffloadLaunchPerThread
 }
 
-// TableI describes the simulated platform in the shape of the paper's
-// Table I, each row mapping the original hardware/software to its
-// simulated analog.
+// TableIRow is one row of the paper's Table I: a component of the
+// original testbed and its simulated analog.
 type TableIRow struct{ Component, Paper, Simulated string }
 
-// TableI returns the platform inventory rows.
-func TableI() []TableIRow {
+// TableI returns the platform inventory rows. The simulated column is
+// formatted from p, so a loaded calibration shows its own numbers.
+func (p *Platform) TableI() []TableIRow {
 	return []TableIRow{
-		{"CPU", "Intel Xeon E5-2670 0 @ 2.60GHz x 16", "machine host domain, 16 cores @ 180e6 stencil pts/s/core"},
-		{"InfiniBand HCA", "Mellanox MT27500 [ConnectX-3]", "internal/ib simulated verbs, 5.8 GB/s FDR, 0.9 µs wire"},
-		{"Card", "Pre-production Intel Xeon Phi x 1", "machine mic domain, 57 cores @ 30e6 pts/s, DMA-read cap 1.25 GB/s"},
+		{"CPU", "Intel Xeon E5-2670 0 @ 2.60GHz x 16", fmt.Sprintf("machine host domain, %d cores @ %ge6 stencil pts/s/core", p.HostCores, p.HostCoreRate/1e6)},
+		{"InfiniBand HCA", "Mellanox MT27500 [ConnectX-3]", fmt.Sprintf("internal/ib simulated verbs, %g GB/s FDR, %g µs wire", p.IBBandwidth/1e9, p.IBLatency.Micros())},
+		{"Card", "Pre-production Intel Xeon Phi x 1", fmt.Sprintf("machine mic domain, 57 cores @ %ge6 pts/s, DMA-read cap %g GB/s", p.PhiCoreRate/1e6, p.HCAReadPhi/1e9)},
 		{"Operating System", "Red Hat Enterprise Linux Server 6.2", "Go discrete-event runtime (internal/sim)"},
-		{"Intel MPSS", "2.1.4982-15", "internal/scif command channel, 3 µs crossing"},
+		{"Intel MPSS", "2.1.4982-15", fmt.Sprintf("internal/scif command channel, %g µs crossing", p.SCIFMsgLatency.Micros())},
 		{"Intel MPI Library", "4.1.0.027", "core.ProxyVerbs + pcie.Bus offload modes"},
 		{"Intel C++ Compiler", "Composer XE 2013.0.079", "gc (Go compiler)"},
 		{"IB driver for Intel MPI", "OFED-1.5.4.1", "internal/ib fabric (proxy profile)"},

@@ -325,7 +325,7 @@ func (l *slab) interior(b *machine.Buffer, i int) []float64 {
 // next sweep reads it.
 func (l *slab) sweep(p *sim.Proc, team *omp.Team, skip bool) {
 	points := l.rows * (l.w - 2)
-	team.ParallelFor(p, points, nil)
+	team.ParallelFor(p, points)
 	if !skip {
 		l.compute(team)
 	}
@@ -473,7 +473,10 @@ func exchange(p *sim.Proc, r *core.Rank, l *slab, pr Params) error {
 			l.copyRow(buf, g, l.rows)
 		}
 	}
-	var reqs []*core.Request
+	// At most four neighbours, a send and a receive each: the list's
+	// backing array stays on the stack.
+	var posted [8]*core.Request
+	reqs := posted[:0]
 	add := func(q *core.Request, err error) error {
 		if err != nil {
 			// Drain what was already posted before bailing out.
