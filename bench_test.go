@@ -21,7 +21,7 @@ import (
 func BenchmarkTable1Platform(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		bench.Table1(io.Discard, perfmodel.Default())
-		bench.Table2(io.Discard, bench.NewEnv().MsgSizes)
+		bench.Table2(io.Discard)
 		bench.Table3(io.Discard)
 	}
 }

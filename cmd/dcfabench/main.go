@@ -104,7 +104,7 @@ func main() {
 	case 1:
 		bench.Table1(out, plat)
 	case 2:
-		bench.Table2(out, env.MsgSizes)
+		bench.Table2(out)
 	case 3:
 		bench.Table3(out)
 	default:

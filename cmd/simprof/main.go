@@ -117,10 +117,11 @@ func main() {
 		if *iters < 1 {
 			fatal(fmt.Errorf("pingpong: -iters %d, need at least one round trip", *iters))
 		}
-		rtts := env.BlockingPingPongRTTs(plat, m, env.MsgSizes, *iters)
+		sizes := bench.MsgSizes()
+		rtts := env.BlockingPingPongRTTs(plat, m, sizes, *iters)
 		fmt.Fprintf(info, "blocking ping-pong, mode=%s (%d iterations per size)\n", m, *iters)
 		fmt.Fprintf(info, "%10s %14s %12s\n", "bytes", "RTT", "GB/s")
-		for i, size := range env.MsgSizes {
+		for i, size := range sizes {
 			bw := float64(size) / (float64(rtts[i]/2) / float64(sim.Second)) / 1e9
 			fmt.Fprintf(info, "%10d %14v %12.3f\n", size, rtts[i], bw)
 		}

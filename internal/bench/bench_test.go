@@ -230,7 +230,7 @@ func TestRenderAndTables(t *testing.T) {
 		t.Fatal("Table I missing HCA row")
 	}
 	buf.Reset()
-	Table2(&buf, []int{4, 1024})
+	Table2(&buf)
 	if !strings.Contains(buf.String(), "Copy In 1024") {
 		t.Fatal("Table II missing offload row")
 	}

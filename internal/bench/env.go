@@ -29,9 +29,6 @@ type Env struct {
 	// every cluster the Env builds. Recording is passive: fingerprints
 	// match the unrecorded run.
 	Causal *causal.Recorder
-	// MsgSizes is the message-size sweep used by the communication
-	// figures.
-	MsgSizes []int
 	// StencilIters is the per-configuration iteration count for the
 	// stencil figures; the paper uses 100 but the averages stabilize
 	// much earlier.
@@ -40,10 +37,13 @@ type Env struct {
 
 // NewEnv returns the default benchmark configuration.
 func NewEnv() *Env {
-	return &Env{
-		MsgSizes:     []int{4, 64, 1024, 4096, 8192, 16384, 65536, 262144, 1 << 20, 4 << 20},
-		StencilIters: 20,
-	}
+	return &Env{StencilIters: 20}
+}
+
+// MsgSizes returns the message-size sweep of the communication figures
+// and Table II, fresh for each caller.
+func MsgSizes() []int {
+	return []int{4, 64, 1024, 4096, 8192, 16384, 65536, 262144, 1 << 20, 4 << 20}
 }
 
 // install puts everything the Env carries on c — the one place bench

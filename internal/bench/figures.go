@@ -18,6 +18,7 @@ const defaultIters = 10
 // transfer directions": raw RDMA-write bandwidth for the four
 // host/Phi source/destination combinations.
 func (e *Env) Figure5(plat *perfmodel.Platform) *Figure {
+	sizes := MsgSizes()
 	dirs := []struct {
 		label    string
 		src, dst machine.DomainKind
@@ -35,7 +36,7 @@ func (e *Env) Figure5(plat *perfmodel.Platform) *Figure {
 	}
 	for _, d := range dirs {
 		s := Series{Label: d.label}
-		for _, n := range e.MsgSizes {
+		for _, n := range sizes {
 			t := e.RawOneWay(plat, d.src, d.dst, n, defaultIters)
 			s.Points = append(s.Points, Point{X: n, Y: gbps(n, t)})
 		}
@@ -53,6 +54,7 @@ func (e *Env) Figure5(plat *perfmodel.Platform) *Figure {
 // exchange round-trip time for DCFA-MPI with and without the offload
 // design, against the host MPI.
 func (e *Env) Figure7(plat *perfmodel.Platform) *Figure {
+	sizes := MsgSizes()
 	f := &Figure{
 		ID:     "Figure 7",
 		Title:  "Non-blocking exchange RTT (MPI_Isend/MPI_Irecv)",
@@ -60,9 +62,9 @@ func (e *Env) Figure7(plat *perfmodel.Platform) *Figure {
 		YLabel: "µs",
 	}
 	for _, m := range []cluster.Mode{cluster.ModeDCFABase, cluster.ModeDCFA, cluster.ModeHost} {
-		ts := e.NonblockingExchangeTimes(plat, m, e.MsgSizes, defaultIters)
+		ts := e.NonblockingExchangeTimes(plat, m, sizes, defaultIters)
 		s := Series{Label: modeLabels[m]}
-		for i, n := range e.MsgSizes {
+		for i, n := range sizes {
 			s.Points = append(s.Points, Point{X: n, Y: usec(ts[i])})
 		}
 		f.Series = append(f.Series, s)
@@ -79,6 +81,7 @@ func (e *Env) Figure7(plat *perfmodel.Platform) *Figure {
 // Figure8 is Figure 7's sweep expressed as bandwidth: the offloading
 // design lifts inter-node bandwidth to ~2.8 GB/s.
 func (e *Env) Figure8(plat *perfmodel.Platform) *Figure {
+	sizes := MsgSizes()
 	f := &Figure{
 		ID:     "Figure 8",
 		Title:  "Inter-node MPI bandwidth with the offloading send buffer",
@@ -86,9 +89,9 @@ func (e *Env) Figure8(plat *perfmodel.Platform) *Figure {
 		YLabel: "GB/s per direction",
 	}
 	for _, m := range []cluster.Mode{cluster.ModeDCFABase, cluster.ModeDCFA, cluster.ModeHost} {
-		ts := e.NonblockingExchangeTimes(plat, m, e.MsgSizes, defaultIters)
+		ts := e.NonblockingExchangeTimes(plat, m, sizes, defaultIters)
 		s := Series{Label: modeLabels[m]}
-		for i, n := range e.MsgSizes {
+		for i, n := range sizes {
 			s.Points = append(s.Points, Point{X: n, Y: gbps(n, ts[i])})
 		}
 		f.Series = append(f.Series, s)
@@ -107,6 +110,7 @@ func (e *Env) Figure8(plat *perfmodel.Platform) *Figure {
 // Figure9 reproduces the blocking ping-pong bandwidth comparison of
 // DCFA-MPI against 'Intel MPI on Xeon Phi co-processors'.
 func (e *Env) Figure9(plat *perfmodel.Platform) *Figure {
+	sizes := MsgSizes()
 	f := &Figure{
 		ID:     "Figure 9",
 		Title:  "Blocking ping-pong bandwidth: DCFA-MPI vs Intel MPI on Phi",
@@ -115,9 +119,9 @@ func (e *Env) Figure9(plat *perfmodel.Platform) *Figure {
 	}
 	var rtt4 [2]sim.Duration
 	for i, m := range []cluster.Mode{cluster.ModeDCFA, cluster.ModeIntelPhi} {
-		ts := e.BlockingPingPongRTTs(plat, m, e.MsgSizes, defaultIters)
+		ts := e.BlockingPingPongRTTs(plat, m, sizes, defaultIters)
 		s := Series{Label: modeLabels[m]}
-		for j, n := range e.MsgSizes {
+		for j, n := range sizes {
 			s.Points = append(s.Points, Point{X: n, Y: gbps(n, ts[j]/2)})
 			if n == 4 {
 				rtt4[i] = ts[j]
@@ -137,18 +141,19 @@ func (e *Env) Figure9(plat *perfmodel.Platform) *Figure {
 // Figure10 reproduces the communication-only application comparison of
 // DCFA-MPI against 'Intel MPI on Xeon + offload' (Table II workload).
 func (e *Env) Figure10(plat *perfmodel.Platform) *Figure {
+	sizes := MsgSizes()
 	f := &Figure{
 		ID:     "Figure 10",
 		Title:  "Communication-only application per-iteration time",
 		XLabel: "bytes",
 		YLabel: "µs per iteration",
 	}
-	dc := e.CommOnlyDCFA(plat, e.MsgSizes, defaultIters)
-	ho := e.CommOnlyHostOffload(plat, e.MsgSizes, defaultIters)
+	dc := e.CommOnlyDCFA(plat, sizes, defaultIters)
+	ho := e.CommOnlyHostOffload(plat, sizes, defaultIters)
 	sd := Series{Label: "DCFA-MPI"}
 	sh := Series{Label: "IntelMPI-Xeon+offload"}
 	sr := Series{Label: "speedup"}
-	for i, n := range e.MsgSizes {
+	for i, n := range sizes {
 		sd.Points = append(sd.Points, Point{X: n, Y: usec(dc[i])})
 		sh.Points = append(sh.Points, Point{X: n, Y: usec(ho[i])})
 		sr.Points = append(sr.Points, Point{X: n, Y: float64(ho[i]) / float64(dc[i])})
@@ -254,7 +259,7 @@ func (e *Env) AllFigures(plat *perfmodel.Platform) []*Figure {
 // every figure — the way `dcfabench -all` prints it.
 func (e *Env) RenderEvaluation(w io.Writer, plat *perfmodel.Platform) {
 	Table1(w, plat)
-	Table2(w, e.MsgSizes)
+	Table2(w)
 	Table3(w)
 	for _, f := range e.AllFigures(plat) {
 		f.Render(w)

@@ -19,11 +19,11 @@ func Table1(w io.Writer, plat *perfmodel.Platform) {
 }
 
 // Table2 renders the communication-only application's data sizes
-// (paper Table II) for a set of payloads.
-func Table2(w io.Writer, sizes []int) {
+// (paper Table II) for the figures' message-size sweep.
+func Table2(w io.Writer) {
 	fmt.Fprintln(w, "=== Table II: Communication data size of the communication-only application ===")
 	fmt.Fprintf(w, "  %-12s %-36s %s\n", "Data size", "Offloading Data", "MPI Communication Data")
-	for _, x := range sizes {
+	for _, x := range MsgSizes() {
 		fmt.Fprintf(w, "  %-12s Copy In %d B + Copy Out %d B%-6s Send %d B + Receive %d B\n",
 			formatX(x), x, x, "", x, x)
 	}

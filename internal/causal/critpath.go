@@ -180,9 +180,6 @@ func (g *Graph) categorize(i int, cross bool) string {
 			return CatCompute
 		}
 	case EvWaitEnd, EvCollExit:
-		if cross {
-			return CatWait
-		}
 		return CatWait
 	default:
 		if e.Wait {

@@ -68,7 +68,7 @@ func New(plat *perfmodel.Platform, n int) *Cluster {
 // test/bench-harness decision, not runtime input.
 func NewWithTopo(plat *perfmodel.Platform, n int, topology string) *Cluster {
 	c := New(plat, n)
-	t, err := topo.ByName(c.Eng, topology, n)
+	t, err := topo.ByName(c.Eng, topology, n, plat.IBBandwidth)
 	if err != nil {
 		panic(err)
 	}
@@ -167,10 +167,10 @@ func (c *Cluster) Config(m Mode) core.Config {
 	cfg := core.ConfigFromPlatform(c.Plat)
 	cfg.Offload = m == ModeDCFA
 	if m == ModeIntelPhi || m == ModeSymmetric {
-		// Intel MPI's much larger eager threshold (256 KiB default)
-		// with a shallower ring.
-		cfg.EagerMax = c.Plat.ProxyEagerMax
-		cfg.EagerSlots = 4
+		// Intel MPI's much larger eager threshold
+		// (I_MPI_EAGER_THRESHOLD defaults to 256 KiB) with a shallower
+		// ring.
+		cfg.EagerMax, cfg.EagerSlots = 256<<10, 4
 	}
 	cfg.Metrics, cfg.Faults, cfg.Causal = c.Metrics, c.Faults, c.Causal
 	return cfg

@@ -12,6 +12,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/pcie"
 	"repro/internal/perfmodel"
+	"repro/internal/topo"
 )
 
 func TestNewBuildsNodesHCAsBuses(t *testing.T) {
@@ -65,6 +66,22 @@ func TestZeroNodesPanics(t *testing.T) {
 		}
 	}()
 	New(perfmodel.Default(), 0)
+}
+
+// A fat tree's up/down links run at the calibrated wire rate, not at a
+// rate of their own.
+func TestFatTreeRunsAtTheWireRate(t *testing.T) {
+	plat := perfmodel.Default()
+	plat.IBBandwidth = 7e9
+	for _, name := range []string{"fattree", "fattree4"} {
+		ft, ok := NewWithTopo(plat, 8, name).Fabric.Topo.(*topo.FatTree)
+		if !ok {
+			t.Fatalf("%s cluster has no fat tree", name)
+		}
+		if ft.UplinkBps != 7e9 {
+			t.Fatalf("%s uplinks at %g B/s, want the platform's 7e9", name, ft.UplinkBps)
+		}
+	}
 }
 
 func TestModeStringParseRoundTrip(t *testing.T) {

@@ -473,7 +473,7 @@ func TestCreditFlowControlManyEagerSends(t *testing.T) {
 	plat := perfmodel.Default()
 	c := cluster.New(plat, 2)
 	w := c.DCFAWorld(2, true)
-	count := plat.EagerSlots*3 + 7
+	count := w.Cfg.EagerSlots*3 + 7
 	err := w.Run(func(r *core.Rank) error {
 		p := r.Proc()
 		if r.ID() == 0 {

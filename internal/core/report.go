@@ -203,10 +203,10 @@ func newReporter(reg *metrics.Registry, rec *causal.Recorder, ring *trace.Record
 	for c := protoEager; c <= protoSelf; c++ {
 		rep.proto[c] = reg.Counter(rep.actor, "proto."+causal.ProtoName(c))
 	}
-	rep.sendLat = reg.Histogram(rep.actor, "send.latency", metrics.TimeBuckets)
-	rep.recvLat = reg.Histogram(rep.actor, "recv.latency", metrics.TimeBuckets)
-	rep.matchLat = reg.Histogram(rep.actor, "match.latency", metrics.TimeBuckets)
-	rep.rndvRTT = reg.Histogram(rep.actor, "rndv.rtt", metrics.TimeBuckets)
+	rep.sendLat = reg.Histogram(rep.actor, "send.latency")
+	rep.recvLat = reg.Histogram(rep.actor, "recv.latency")
+	rep.matchLat = reg.Histogram(rep.actor, "match.latency")
+	rep.rndvRTT = reg.Histogram(rep.actor, "rndv.rtt")
 	return rep
 }
 

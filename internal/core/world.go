@@ -94,17 +94,25 @@ func (w *World) lazyConnect() bool {
 	}
 }
 
-// ConfigFromPlatform derives the paper-tuned configuration: the one
-// place its defaults come from.
+// ConfigFromPlatform returns the paper-tuned configuration: the one
+// place its defaults come from. They are the protocol's choices, not
+// measured costs, so no calibration moves them and plat is not read;
+// the parameter stays because callers outside this module build their
+// worlds through this signature.
 func ConfigFromPlatform(plat *perfmodel.Platform) Config {
 	return Config{
-		EagerMax:           plat.EagerMax,
-		EagerSlots:         plat.EagerSlots,
-		MRCacheCap:         plat.MRCacheEntries,
-		Offload:            true,
-		OffloadMinSize:     plat.OffloadMinSize,
-		OffloadArena:       16 << 20,
-		OffloadPackMinSize: plat.OffloadPackMinSize,
+		// The eager/rendezvous switch sits at the offload threshold, so
+		// every rendezvous message is large enough to offload.
+		EagerMax:   8192,
+		EagerSlots: 64,
+		MRCacheCap: 64,
+		Offload:    true,
+		// "An offloading send buffer starting from 8Kbytes shows the
+		// best performance."
+		OffloadMinSize: 8192,
+		OffloadArena:   16 << 20,
+		// Where the delegated pack's command round trip amortizes.
+		OffloadPackMinSize: 16 << 10,
 	}
 }
 

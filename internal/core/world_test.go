@@ -12,22 +12,26 @@ import (
 )
 
 func TestConfigDefaultsFilledFromPlatform(t *testing.T) {
-	plat := perfmodel.Default()
-	cfg := core.ConfigFromPlatform(plat)
-	if cfg.EagerMax != plat.EagerMax {
-		t.Fatalf("EagerMax %d", cfg.EagerMax)
+	cfg := core.ConfigFromPlatform(perfmodel.Default())
+	want := core.Config{
+		EagerMax: 8192, EagerSlots: 64, MRCacheCap: 64,
+		Offload: true, OffloadMinSize: 8192, OffloadArena: 16 << 20,
+		OffloadPackMinSize: 16 << 10,
 	}
-	if cfg.EagerSlots != plat.EagerSlots {
-		t.Fatalf("EagerSlots %d", cfg.EagerSlots)
+	if cfg != want {
+		t.Fatalf("paper-tuned defaults %+v, want %+v", cfg, want)
 	}
-	if cfg.MRCacheCap != plat.MRCacheEntries {
-		t.Fatalf("MRCacheCap %d", cfg.MRCacheCap)
+}
+
+func TestEagerAndOffloadThresholds(t *testing.T) {
+	cfg := core.ConfigFromPlatform(perfmodel.Default())
+	// Paper: offloading send buffer "starting from 8Kbytes shows the
+	// best performance"; we align the eager/rendezvous switch with it.
+	if cfg.OffloadMinSize != 8192 {
+		t.Fatalf("offload threshold %d, want 8192", cfg.OffloadMinSize)
 	}
-	if cfg.OffloadMinSize != plat.OffloadMinSize {
-		t.Fatalf("OffloadMinSize %d", cfg.OffloadMinSize)
-	}
-	if cfg.OffloadArena <= 0 || cfg.OffloadPackMinSize <= 0 {
-		t.Fatal("arena/pack defaults missing")
+	if cfg.EagerMax > cfg.OffloadMinSize {
+		t.Fatal("eager range must not overlap the offloaded rendezvous range")
 	}
 }
 

@@ -313,7 +313,7 @@ func New(eng *sim.Engine, plat *perfmodel.Platform, node *machine.Node, hca *ib.
 	eng.Spawn(fmt.Sprintf("dcfa-daemon/node%d", node.ID), d.serve)
 	v := &MicVerbs{
 		Eng: eng, Plat: plat, Node: node, HCA: hca, Bus: bus,
-		ep: pair.Mic, ctx: hca.Open(machine.MicMem), cmd: sim.NewSemaphore(eng, 1), daemon: d,
+		ep: pair.Mic, ctx: hca.Open(machine.MicMem), cmd: sim.NewSemaphore(eng), daemon: d,
 		mrHandles: make(map[*ib.MR]uint64),
 	}
 	return v, d
@@ -346,7 +346,7 @@ func (v *MicVerbs) call(p *sim.Proc, kind int, payload any) (scif.Msg, error) {
 			if v.metrics != nil {
 				sp.End(now)
 				v.metrics.Counter(v.actor, "cmd."+name).Inc()
-				v.metrics.Histogram(v.actor, "cmd-rtt."+name, metrics.TimeBuckets).ObserveDuration(now - start)
+				v.metrics.Histogram(v.actor, "cmd-rtt."+name).ObserveDuration(now - start)
 			}
 			v.causal.Emit(causal.Event{T: now, Kind: causal.EvCmdDone,
 				Rank: v.causalRank, Peer: -1, Tag: int32(kind), Aux: uint64(now - start)})

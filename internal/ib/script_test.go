@@ -97,7 +97,7 @@ func newScriptRig(t *testing.T, topology string, reg *metrics.Registry) *scriptR
 		nodes[i] = machine.NewNode(i)
 		hcas[i] = s.fab.AttachHCA(nodes[i])
 	}
-	tp, err := topo.ByName(s.eng, topology, len(hcas))
+	tp, err := topo.ByName(s.eng, topology, len(hcas), s.fab.Plat.IBBandwidth)
 	if err != nil {
 		t.Fatal(err)
 	}

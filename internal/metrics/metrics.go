@@ -80,17 +80,16 @@ func (r *Registry) Gauge(actor, name string) *Gauge {
 	return g
 }
 
-// Histogram returns (creating on first use) the histogram (actor, name)
-// with the given fixed bucket upper bounds (ascending; an implicit
-// +Inf bucket is appended). Bounds are read only on creation.
-func (r *Registry) Histogram(actor, name string, bounds []int64) *Histogram {
+// Histogram returns (creating on first use) the latency histogram
+// (actor, name): virtual-time observations bucketed by TimeBuckets.
+func (r *Registry) Histogram(actor, name string) *Histogram {
 	if r == nil {
 		return nil
 	}
 	k := Key{actor, name}
 	h, ok := r.hists[k]
 	if !ok {
-		h = newHistogram(bounds)
+		h = &Histogram{counts: make([]int64, len(TimeBuckets)+1)}
 		r.hists[k] = h
 	}
 	return h
@@ -159,27 +158,15 @@ func (g *Gauge) Max() int64 {
 	return g.max
 }
 
-// Histogram is a fixed-bucket distribution. Bucket i counts
-// observations v <= bounds[i] (and > bounds[i-1]); the last bucket
-// counts overflows.
+// Histogram is a fixed-bucket distribution of virtual-time spans in
+// nanoseconds. Bucket i counts observations v <= TimeBuckets[i] (and
+// > TimeBuckets[i-1]); the last bucket counts overflows.
 type Histogram struct {
-	bounds []int64
 	counts []int64
 	n      int64
 	sum    int64
 	min    int64
 	max    int64
-}
-
-func newHistogram(bounds []int64) *Histogram {
-	bs := make([]int64, len(bounds))
-	copy(bs, bounds)
-	for i := 1; i < len(bs); i++ {
-		if bs[i] <= bs[i-1] {
-			panic("metrics: histogram bounds must be strictly ascending")
-		}
-	}
-	return &Histogram{bounds: bs, counts: make([]int64, len(bs)+1)}
 }
 
 // Observe records one value. Safe on a nil histogram.
@@ -195,7 +182,7 @@ func (h *Histogram) Observe(v int64) {
 	}
 	h.n++
 	h.sum += v
-	i := sort.Search(len(h.bounds), func(i int) bool { return v <= h.bounds[i] })
+	i := sort.Search(len(TimeBuckets), func(i int) bool { return v <= TimeBuckets[i] })
 	h.counts[i]++
 }
 
@@ -248,11 +235,11 @@ func (h *Histogram) Buckets() ([]int64, []int64) {
 	if h == nil {
 		return nil, nil
 	}
-	return h.bounds, h.counts
+	return TimeBuckets, h.counts
 }
 
-// TimeBuckets are the default latency bounds: powers of two from 1 µs
-// to ~0.5 s of virtual time, in nanoseconds.
+// TimeBuckets are the histograms' latency bounds: powers of two from
+// 1 µs to ~0.5 s of virtual time, in nanoseconds.
 var TimeBuckets = func() []int64 {
 	b := make([]int64, 0, 20)
 	for us := int64(1); us <= 1<<19; us <<= 1 {

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strings"
 
 	"repro/internal/sim"
 )
@@ -82,12 +81,6 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	return enc.Encode(r.Snapshot())
 }
 
-// isDuration reports whether a histogram's observations are virtual
-// nanoseconds (by naming convention) and should be printed as times.
-func isDuration(name string) bool {
-	return strings.Contains(name, "latenc") || strings.Contains(name, "rtt")
-}
-
 // WriteSummary prints a human-readable report in sorted order, with
 // derived MR-cache hit rates. Output is bit-identical across runs of
 // the same workload. A nil registry prints a header only.
@@ -113,13 +106,8 @@ func (r *Registry) WriteSummary(w io.Writer) {
 				fmt.Fprintf(w, "  %-14s %-36s empty\n", h.Actor, h.Name)
 				continue
 			}
-			if isDuration(h.Name) {
-				fmt.Fprintf(w, "  %-14s %-36s count=%d min=%v mean=%v max=%v\n",
-					h.Actor, h.Name, h.Count, sim.Time(h.Min), sim.Time(h.Mean), sim.Time(h.Max))
-			} else {
-				fmt.Fprintf(w, "  %-14s %-36s count=%d min=%d mean=%d max=%d\n",
-					h.Actor, h.Name, h.Count, h.Min, h.Mean, h.Max)
-			}
+			fmt.Fprintf(w, "  %-14s %-36s count=%d min=%v mean=%v max=%v\n",
+				h.Actor, h.Name, h.Count, sim.Time(h.Min), sim.Time(h.Mean), sim.Time(h.Max))
 		}
 	}
 	// Derived: MR-cache hit rate per actor that recorded hits or misses.

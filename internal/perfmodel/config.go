@@ -6,12 +6,6 @@ import (
 	"fmt"
 )
 
-// MarshalIndent serializes the platform as JSON for saving a custom
-// calibration.
-func (p *Platform) MarshalIndent() ([]byte, error) {
-	return json.MarshalIndent(p, "", "  ")
-}
-
 // Load parses a JSON calibration over the defaults: omitted fields keep
 // their Default() values, so a file only needs the overrides. A field the
 // Platform does not have is an error: a file that sets a rate the model
@@ -60,20 +54,8 @@ func (p *Platform) Validate() error {
 	if p.PhiScalingAlpha < 0 {
 		return fmt.Errorf("perfmodel: PhiScalingAlpha must be non-negative")
 	}
-	ints := []struct {
-		name string
-		v    int
-	}{
-		{"HostCores", p.HostCores},
-		{"EagerMax", p.EagerMax},
-		{"OffloadMinSize", p.OffloadMinSize},
-		{"EagerSlots", p.EagerSlots},
-		{"MRCacheEntries", p.MRCacheEntries},
-	}
-	for _, c := range ints {
-		if c.v <= 0 {
-			return fmt.Errorf("perfmodel: %s must be positive, got %d", c.name, c.v)
-		}
+	if p.HostCores <= 0 {
+		return fmt.Errorf("perfmodel: HostCores must be positive, got %d", p.HostCores)
 	}
 	return nil
 }

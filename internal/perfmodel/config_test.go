@@ -1,6 +1,7 @@
 package perfmodel
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -8,7 +9,7 @@ import (
 func TestJSONRoundTrip(t *testing.T) {
 	p := Default()
 	p.IBBandwidth = 1.23e9
-	data, err := p.MarshalIndent()
+	data, err := json.Marshal(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +31,7 @@ func TestLoadOverridesOnlyGivenFields(t *testing.T) {
 		t.Fatalf("override lost: %g", got.ProxyBandwidth)
 	}
 	def := Default()
-	if got.IBBandwidth != def.IBBandwidth || got.EagerMax != def.EagerMax {
+	if got.IBBandwidth != def.IBBandwidth || got.HostCores != def.HostCores {
 		t.Fatal("defaults clobbered")
 	}
 }
@@ -45,8 +46,8 @@ func TestValidateRejectsNonPositiveRates(t *testing.T) {
 	if _, err := Load([]byte(`{"IBBandwidth": 0}`)); err == nil || !strings.Contains(err.Error(), "IBBandwidth") {
 		t.Fatalf("zero bandwidth accepted: %v", err)
 	}
-	if _, err := Load([]byte(`{"EagerSlots": -1}`)); err == nil {
-		t.Fatal("negative slots accepted")
+	if _, err := Load([]byte(`{"HostCores": -1}`)); err == nil || !strings.Contains(err.Error(), "HostCores") {
+		t.Fatalf("negative core count accepted: %v", err)
 	}
 	if _, err := Load([]byte(`{"PhiScalingAlpha": -0.5}`)); err == nil {
 		t.Fatal("negative alpha accepted")
@@ -65,6 +66,13 @@ func TestLoadRejectsUnknownFields(t *testing.T) {
 	// took effect.
 	if _, err := Load([]byte(`{"HCAWritePhi": 26e9}`)); err == nil || !strings.Contains(err.Error(), "HCAWritePhi") {
 		t.Fatalf("unknown field accepted: %v", err)
+	}
+	// Nor does it carry the protocol's own choices: those are the
+	// library's defaults (core.ConfigFromPlatform), not measured costs.
+	for _, name := range []string{"EagerMax", "EagerSlots", "MRCacheEntries", "OffloadMinSize", "OffloadPackMinSize", "ProxyEagerMax"} {
+		if _, err := Load([]byte(`{"` + name + `": 8192}`)); err == nil || !strings.Contains(err.Error(), name) {
+			t.Fatalf("protocol setting %s accepted as calibration: %v", name, err)
+		}
 	}
 	if _, err := Load([]byte(`{} {}`)); err == nil {
 		t.Fatal("data after the calibration object accepted")

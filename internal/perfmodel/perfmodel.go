@@ -6,7 +6,9 @@
 // the Platform does not have is refused (Load). A rate that can never
 // bind is not carried: the HCA's DMA engine is priced by the wire rate
 // and the one Figure 5 cap below it, HCAReadPhi, on reads from Phi
-// memory.
+// memory. Only measured costs and rates live here: the protocol's own
+// choices (eager switch, offload threshold, ring depth, MR-cache size)
+// are the library's, and core.ConfigFromPlatform writes them.
 //
 // The modeled platform mirrors Table I of the paper: 8 nodes, each with
 // an Intel Xeon E5-2670 (16 hardware threads), one pre-production Xeon
@@ -100,9 +102,6 @@ type Platform struct {
 	// ProxyBandwidth caps the proxied large-message path: "cannot get
 	// bandwidth greater than 1 Gbytes/s" (Figure 9).
 	ProxyBandwidth float64
-	// ProxyEagerMax is the Intel MPI eager/rendezvous threshold
-	// (I_MPI_EAGER_THRESHOLD defaults to 256 KiB).
-	ProxyEagerMax int
 
 	// ---- Intel offload (COI / #pragma offload) path ----
 
@@ -128,11 +127,9 @@ type Platform struct {
 
 	// PhiPackRate is the strided gather/scatter rate of the in-order
 	// Phi core; HostPackRate is the host CPU packing co-processor
-	// pages through the modified IB core mapping. OffloadPackMinSize is
-	// where the delegation round trip amortizes.
-	PhiPackRate        float64
-	HostPackRate       float64
-	OffloadPackMinSize int
+	// pages through the modified IB core mapping.
+	PhiPackRate  float64
+	HostPackRate float64
 
 	// ---- Computation ----
 
@@ -148,13 +145,8 @@ type Platform struct {
 	// 56 threads once communication is added.
 	PhiScalingAlpha float64
 
-	// ---- Topology / protocol tuning ----
-
-	HostCores      int // OpenMP scaling on a host stops here
-	EagerMax       int // eager/rendezvous switch (bytes)
-	OffloadMinSize int // offload-send-buffer threshold: "starting from 8Kbytes"
-	EagerSlots     int // eager ring depth per peer
-	MRCacheEntries int // buffer cache pool capacity
+	// HostCores is where OpenMP scaling on a host stops.
+	HostCores int
 }
 
 // Default returns the calibrated platform described in DESIGN.md §5.
@@ -190,7 +182,6 @@ func Default() *Platform {
 		ProxyRecvBase:    3 * sim.Microsecond,
 		ProxyRecvPerByte: 1.0 / 0.8e9,
 		ProxyBandwidth:   0.95e9,
-		ProxyEagerMax:    256 << 10,
 
 		OffloadTransferOverhead: 55 * sim.Microsecond,
 		OffloadBandwidth:        3.7e9,
@@ -198,9 +189,8 @@ func Default() *Platform {
 		OffloadLaunchPerThread:  2500 * sim.Nanosecond,
 		OffloadInitCost:         150 * sim.Millisecond,
 
-		PhiPackRate:        1.2e9,
-		HostPackRate:       4.0e9,
-		OffloadPackMinSize: 16 << 10,
+		PhiPackRate:  1.2e9,
+		HostPackRate: 4.0e9,
 
 		PhiCoreRate:      30e6,
 		HostCoreRate:     180e6,
@@ -208,11 +198,7 @@ func Default() *Platform {
 		OMPForkPerThread: 300 * sim.Nanosecond,
 		PhiScalingAlpha:  (56.0/17.9 - 1.0) / 55.0, // S(56)=17.9
 
-		HostCores:      16,
-		EagerMax:       8192,
-		OffloadMinSize: 8192,
-		EagerSlots:     64,
-		MRCacheEntries: 64,
+		HostCores: 16,
 	}
 }
 

@@ -119,18 +119,6 @@ func TestOMPForkCost(t *testing.T) {
 	}
 }
 
-func TestEagerAndOffloadThresholds(t *testing.T) {
-	p := Default()
-	// Paper: offloading send buffer "starting from 8Kbytes shows the
-	// best performance"; we align the eager/rendezvous switch with it.
-	if p.OffloadMinSize != 8192 {
-		t.Fatalf("offload threshold %d, want 8192", p.OffloadMinSize)
-	}
-	if p.EagerMax > p.OffloadMinSize {
-		t.Fatal("eager range must not overlap the offloaded rendezvous range")
-	}
-}
-
 func TestDCFAMPIFourByteRTTBudget(t *testing.T) {
 	p := Default()
 	// Analytical one-way cost of a 4-byte eager message on DCFA-MPI,

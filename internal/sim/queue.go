@@ -55,36 +55,31 @@ func (q *Queue[T]) Peek() (T, bool) {
 	return q.items.Peek(), true
 }
 
-// Semaphore is a counting semaphore for modeling limited resources
-// (DMA channels, QP slots). Acquire blocks in FIFO order.
+// Semaphore is a one-permit FIFO lock for a resource one process
+// holds at a time (the delegation command slot). Acquire blocks in FIFO
+// order.
 type Semaphore struct {
 	eng     *Engine
-	free    int
+	held    bool
 	waiters FIFO[*Proc]
 }
 
-// NewSemaphore returns a semaphore with n permits.
-func NewSemaphore(e *Engine, n int) *Semaphore {
-	if n < 0 {
-		panic("sim: negative semaphore")
-	}
-	return &Semaphore{eng: e, free: n}
+// NewSemaphore returns an unheld lock on engine e.
+func NewSemaphore(e *Engine) *Semaphore {
+	return &Semaphore{eng: e}
 }
 
-// Free returns the number of available permits.
-func (s *Semaphore) Free() int { return s.free }
-
-// TryAcquire takes a permit without blocking.
+// TryAcquire takes the lock without blocking.
 func (s *Semaphore) TryAcquire() bool {
-	if s.free > 0 {
-		s.free--
-		return true
+	if s.held {
+		return false
 	}
-	return false
+	s.held = true
+	return true
 }
 
-// Acquire blocks p until a permit is available. A blocked process is
-// handed its permit by Release, so later arrivals cannot overtake it.
+// Acquire blocks p until it holds the lock. A blocked process is handed
+// the lock by Release, so later arrivals cannot overtake it.
 func (s *Semaphore) Acquire(p *Proc) {
 	if !s.TryAcquire() {
 		s.waiters.Push(p)
@@ -92,10 +87,10 @@ func (s *Semaphore) Acquire(p *Proc) {
 	}
 }
 
-// Release returns a permit, or passes it straight to the oldest waiter.
+// Release frees the lock, or passes it straight to the oldest waiter.
 func (s *Semaphore) Release() {
 	if s.waiters.Len() == 0 {
-		s.free++
+		s.held = false
 		return
 	}
 	s.waiters.Pop().wake()

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -82,17 +83,19 @@ func TestQueueMultipleGettersServedInOrder(t *testing.T) {
 	}
 }
 
+// One holder at a time, and the lock passes to the waiters in the
+// order they blocked.
 func TestSemaphoreLimitsConcurrency(t *testing.T) {
 	e := NewEngine()
-	s := NewSemaphore(e, 2)
+	s := NewSemaphore(e)
 	inFlight, maxInFlight := 0, 0
+	var order []int
 	for i := 0; i < 6; i++ {
 		e.Spawn("w", func(p *Proc) {
 			s.Acquire(p)
+			order = append(order, i)
 			inFlight++
-			if inFlight > maxInFlight {
-				maxInFlight = inFlight
-			}
+			maxInFlight = max(maxInFlight, inFlight)
 			p.Sleep(Microsecond)
 			inFlight--
 			s.Release()
@@ -101,19 +104,22 @@ func TestSemaphoreLimitsConcurrency(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if maxInFlight != 2 {
-		t.Fatalf("max in flight %d, want 2", maxInFlight)
+	if maxInFlight != 1 {
+		t.Fatalf("max in flight %d, want 1", maxInFlight)
 	}
-	if s.Free() != 2 {
-		t.Fatalf("free %d, want 2", s.Free())
+	if fmt.Sprint(order) != "[0 1 2 3 4 5]" {
+		t.Fatalf("served %v, want arrival order", order)
+	}
+	if !s.TryAcquire() {
+		t.Fatal("lock still held after every holder released it")
 	}
 }
 
-// Release hands the permit to the oldest waiter: a process that releases
+// Release hands the lock to the oldest waiter: a process that releases
 // and acquires again in the same instant queues behind it.
 func TestSemaphoreHandsOffInOrder(t *testing.T) {
 	e := NewEngine()
-	s := NewSemaphore(e, 1)
+	s := NewSemaphore(e)
 	var order []string
 	e.Spawn("a", func(p *Proc) {
 		s.Acquire(p)
@@ -133,14 +139,17 @@ func TestSemaphoreHandsOffInOrder(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := strings.Join(order, " "); got != "b c a" || s.Free() != 1 {
-		t.Fatalf("order %q with %d free, want \"b c a\" with 1", got, s.Free())
+	if got := strings.Join(order, " "); got != "b c a" {
+		t.Fatalf("order %q, want \"b c a\"", got)
+	}
+	if !s.TryAcquire() {
+		t.Fatal("lock still held after every holder released it")
 	}
 }
 
 func TestSemaphoreTryAcquire(t *testing.T) {
 	e := NewEngine()
-	s := NewSemaphore(e, 1)
+	s := NewSemaphore(e)
 	if !s.TryAcquire() {
 		t.Fatal("first TryAcquire failed")
 	}

@@ -49,8 +49,6 @@ type FatTree struct {
 	name string
 	// Radix is the number of ports per leaf switch.
 	Radix int
-	// SwitchLatency is the store-and-forward delay per switch hop.
-	SwitchLatency sim.Duration
 	// UplinkBps caps the rate on each up/down link (bytes/second).
 	UplinkBps float64
 
@@ -58,13 +56,18 @@ type FatTree struct {
 	down []*sim.Link // per-leaf: spine -> leaf
 }
 
+// The fabric's interior delays: store-and-forward per switch hop, and
+// propagation per up/down link.
+const (
+	switchLatency = 100 * sim.Nanosecond
+	uplinkLatency = 200 * sim.Nanosecond
+)
+
 // FatTreeConfig parameterizes NewFatTree. Zero fields take defaults
 // matching the platform's FDR fabric (§V evaluation hardware).
 type FatTreeConfig struct {
-	Radix         int          // ports per leaf; default 16
-	SwitchLatency sim.Duration // per-hop store-and-forward; default 100ns
-	UplinkLatency sim.Duration // propagation per up/down link; default 200ns
-	UplinkBps     float64      // up/down link rate; default 5.8e9 (FDR)
+	Radix     int     // ports per leaf; default 16
+	UplinkBps float64 // up/down link rate; default 5.8e9 (FDR); ByName passes the wire rate
 }
 
 // NewFatTree builds a fat tree with enough leaves for ports fabric
@@ -74,12 +77,6 @@ func NewFatTree(eng *sim.Engine, name string, ports int, cfg FatTreeConfig) *Fat
 	if cfg.Radix <= 0 {
 		cfg.Radix = 16
 	}
-	if cfg.SwitchLatency <= 0 {
-		cfg.SwitchLatency = 100 * sim.Nanosecond
-	}
-	if cfg.UplinkLatency <= 0 {
-		cfg.UplinkLatency = 200 * sim.Nanosecond
-	}
 	if cfg.UplinkBps <= 0 {
 		cfg.UplinkBps = 5.8e9
 	}
@@ -87,17 +84,12 @@ func NewFatTree(eng *sim.Engine, name string, ports int, cfg FatTreeConfig) *Fat
 	if leaves < 1 {
 		leaves = 1
 	}
-	t := &FatTree{
-		name:          name,
-		Radix:         cfg.Radix,
-		SwitchLatency: cfg.SwitchLatency,
-		UplinkBps:     cfg.UplinkBps,
-	}
+	t := &FatTree{name: name, Radix: cfg.Radix, UplinkBps: cfg.UplinkBps}
 	for i := 0; i < leaves; i++ {
 		t.up = append(t.up, sim.NewLink(eng,
-			fmt.Sprintf("%s/leaf%d-up", name, i), cfg.UplinkLatency, cfg.UplinkBps))
+			fmt.Sprintf("%s/leaf%d-up", name, i), uplinkLatency, cfg.UplinkBps))
 		t.down = append(t.down, sim.NewLink(eng,
-			fmt.Sprintf("%s/leaf%d-down", name, i), cfg.UplinkLatency, cfg.UplinkBps))
+			fmt.Sprintf("%s/leaf%d-down", name, i), uplinkLatency, cfg.UplinkBps))
 	}
 	return t
 }
@@ -125,24 +117,24 @@ func (t *FatTree) leafOf(port int) int {
 func (t *FatTree) Deliver(start sim.Time, srcPort, dstPort, n int, bps float64) sim.Time {
 	sl, dl := t.leafOf(srcPort), t.leafOf(dstPort)
 	if sl == dl {
-		return start + t.SwitchLatency
+		return start + switchLatency
 	}
 	rate := bps
 	if t.UplinkBps < rate {
 		rate = t.UplinkBps
 	}
-	at := t.up[sl].ReserveRateAt(start+t.SwitchLatency, n, rate)
-	at = t.down[dl].ReserveRateAt(at+t.SwitchLatency, n, rate)
-	return at + t.SwitchLatency
+	at := t.up[sl].ReserveRateAt(start+switchLatency, n, rate)
+	at = t.down[dl].ReserveRateAt(at+switchLatency, n, rate)
+	return at + switchLatency
 }
 
 // CtrlDelay implements Topology: latency-only crossing, no occupancy.
 func (t *FatTree) CtrlDelay(srcPort, dstPort int) sim.Duration {
 	sl, dl := t.leafOf(srcPort), t.leafOf(dstPort)
 	if sl == dl {
-		return t.SwitchLatency
+		return switchLatency
 	}
-	return 3*t.SwitchLatency + t.up[sl].Latency + t.down[dl].Latency
+	return 3*switchLatency + t.up[sl].Latency + t.down[dl].Latency
 }
 
 // InteriorBytes reports total bytes carried by interior links, for
@@ -158,20 +150,20 @@ func (t *FatTree) InteriorBytes() int64 {
 	return b
 }
 
-// ByName constructs a named topology over ports fabric ports, the
-// registry behind the scale harness's -topo flag and cluster
-// construction. "flat" (or "") returns nil: the implicit single
-// non-blocking switch the repository always modeled. "fattree" is the
-// default two-level tree (radix 16); "fattree4" forces radix 4 so even
-// 8-rank property runs cross leaves.
-func ByName(eng *sim.Engine, name string, ports int) (Topology, error) {
+// ByName constructs a named topology over ports fabric ports whose
+// links run at the fabric's wire rate bps, the registry behind the
+// scale harness's -topo flag and cluster construction. "flat" (or "")
+// returns nil: the implicit single non-blocking switch the repository
+// always modeled. "fattree" is the default two-level tree (radix 16);
+// "fattree4" forces radix 4 so even 8-rank property runs cross leaves.
+func ByName(eng *sim.Engine, name string, ports int, bps float64) (Topology, error) {
 	switch name {
 	case "", "flat":
 		return nil, nil
 	case "fattree":
-		return NewFatTree(eng, name, ports, FatTreeConfig{}), nil
+		return NewFatTree(eng, name, ports, FatTreeConfig{UplinkBps: bps}), nil
 	case "fattree4":
-		return NewFatTree(eng, name, ports, FatTreeConfig{Radix: 4}), nil
+		return NewFatTree(eng, name, ports, FatTreeConfig{Radix: 4, UplinkBps: bps}), nil
 	default:
 		return nil, fmt.Errorf("topo: unknown topology %q (want flat, fattree, fattree4)", name)
 	}

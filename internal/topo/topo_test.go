@@ -19,7 +19,7 @@ func TestFatTreeSameLeafIsOneHop(t *testing.T) {
 	ft := tree4(t)
 	// Ports 0 and 3 share leaf 0: one switch traversal, no uplink use.
 	got := ft.Deliver(1000, 0, 3, 1<<20, 5.8e9)
-	if want := sim.Time(1000) + ft.SwitchLatency; got != want {
+	if want := sim.Time(1000) + switchLatency; got != want {
 		t.Errorf("same-leaf delivery at %v, want %v", got, want)
 	}
 	if ft.InteriorBytes() != 0 {
@@ -33,8 +33,8 @@ func TestFatTreeCrossLeafReservesUplinks(t *testing.T) {
 	got := ft.Deliver(0, 0, 5, n, 5.8e9)
 	// Store-and-forward: leaf hop + (uplink latency + serialization),
 	// spine hop + (downlink latency + serialization), egress hop.
-	want := sim.Time(3*ft.SwitchLatency) +
-		sim.Time(2*(200*sim.Nanosecond+sim.Duration(1e3*float64(sim.Microsecond)/1e3)))
+	want := sim.Time(3*switchLatency) +
+		sim.Time(2*(uplinkLatency+sim.Duration(1e3*float64(sim.Microsecond)/1e3)))
 	if got != want {
 		t.Errorf("cross-leaf delivery at %v, want %v", got, want)
 	}
@@ -74,11 +74,11 @@ func TestFatTreeUplinkCapsRate(t *testing.T) {
 
 func TestFatTreeCtrlDelay(t *testing.T) {
 	ft := tree4(t)
-	if got, want := ft.CtrlDelay(0, 1), ft.SwitchLatency; got != want {
+	if got, want := ft.CtrlDelay(0, 1), switchLatency; got != want {
 		t.Errorf("same-leaf ctrl delay %v, want %v", got, want)
 	}
 	cross := ft.CtrlDelay(0, 15)
-	if want := 3*ft.SwitchLatency + 2*(200*sim.Nanosecond); cross != want {
+	if want := 3*switchLatency + 2*uplinkLatency; cross != want {
 		t.Errorf("cross-leaf ctrl delay %v, want %v", cross, want)
 	}
 	// Latency-only: control crossings never occupy data links.
@@ -90,31 +90,31 @@ func TestFatTreeCtrlDelay(t *testing.T) {
 func TestByName(t *testing.T) {
 	eng := sim.NewEngine()
 	for _, name := range []string{"", "flat"} {
-		tp, err := ByName(eng, name, 8)
+		tp, err := ByName(eng, name, 8, 5.8e9)
 		if err != nil || tp != nil {
 			t.Errorf("ByName(%q) = %v, %v; want nil topology", name, tp, err)
 		}
 	}
-	ft, err := ByName(eng, "fattree", 40)
+	ft, err := ByName(eng, "fattree", 40, 5.8e9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if l := ft.(*FatTree).Leaves(); l != 3 {
 		t.Errorf("fattree over 40 ports has %d leaves, want 3 (radix 16)", l)
 	}
-	f4, err := ByName(eng, "fattree4", 8)
+	f4, err := ByName(eng, "fattree4", 8, 5.8e9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if l := f4.(*FatTree).Leaves(); l != 2 {
 		t.Errorf("fattree4 over 8 ports has %d leaves, want 2 (radix 4)", l)
 	}
-	if _, err := ByName(eng, "torus", 8); err == nil {
+	if _, err := ByName(eng, "torus", 8, 5.8e9); err == nil {
 		t.Error("unknown topology name did not error")
 	}
 	// Every registered name must construct.
 	for _, name := range Names() {
-		if _, err := ByName(sim.NewEngine(), name, 8); err != nil {
+		if _, err := ByName(sim.NewEngine(), name, 8, 5.8e9); err != nil {
 			t.Errorf("registered name %q failed: %v", name, err)
 		}
 	}
