@@ -86,7 +86,7 @@ func BenchmarkFig10CommOnly(b *testing.B) {
 	sizes := []int{64, 1 << 20}
 	var d, h []sim.Duration
 	for i := 0; i < b.N; i++ {
-		d = env.CommOnlyDCFA(plat, sizes, 5)
+		d = env.NonblockingExchangeTimes(plat, cluster.ModeDCFA, sizes, 5)
 		h = env.CommOnlyHostOffload(plat, sizes, 5)
 	}
 	b.ReportMetric(float64(h[0])/float64(d[0]), "64B-speedup-x")

@@ -43,6 +43,10 @@ func main() {
 	metricsJSON := flag.String("metricsjson", "", "write the telemetry snapshot as JSON to this file")
 	faultSpec := flag.String("faults", "", "deterministic fault plan, e.g. seed=7,rate=0.01 (keys: seed, rate, ib, ib-delivered, cmd, dma, dma-abort, max-retries)")
 	flag.Parse()
+	if *stencilIters < 1 {
+		fmt.Fprintf(os.Stderr, "dcfabench: -stencil-iters %d: need at least one iteration\n", *stencilIters)
+		os.Exit(2)
+	}
 
 	env := bench.NewEnv()
 	env.StencilIters = *stencilIters

@@ -148,7 +148,9 @@ func (e *Env) Figure10(plat *perfmodel.Platform) *Figure {
 		XLabel: "bytes",
 		YLabel: "µs per iteration",
 	}
-	dc := e.CommOnlyDCFA(plat, sizes, defaultIters)
+	// Under DCFA-MPI the data stays in co-processor memory and only the
+	// MPI exchange happens.
+	dc := e.NonblockingExchangeTimes(plat, cluster.ModeDCFA, sizes, defaultIters)
 	ho := e.CommOnlyHostOffload(plat, sizes, defaultIters)
 	sd := Series{Label: "DCFA-MPI"}
 	sh := Series{Label: "IntelMPI-Xeon+offload"}

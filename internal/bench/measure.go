@@ -182,19 +182,12 @@ func pingPong(r *core.Rank, tag int, buf *machine.Buffer) error {
 	return r.Send(p, other, tag, core.Whole(buf))
 }
 
-// CommOnlyDCFA measures the per-iteration time of the communication-only
-// application (Table II) under DCFA-MPI: the data stays in co-processor
-// memory and only the MPI exchange happens.
-func (e *Env) CommOnlyDCFA(plat *perfmodel.Platform, sizes []int, iters int) []sim.Duration {
-	return e.NonblockingExchangeTimes(plat, cluster.ModeDCFA, sizes, iters)
-}
-
-// CommOnlyHostOffload measures the same application under 'Intel MPI on
-// Xeon + offload': per iteration the results are copied out of the
-// card, exchanged between hosts, and the received data copied back in —
-// with the paper's four optimizations applied (persistent aligned
-// buffers, no per-iteration offload init, double buffering for what the
-// data dependencies allow).
+// CommOnlyHostOffload measures the communication-only application
+// (Table II) under 'Intel MPI on Xeon + offload': per iteration the
+// results are copied out of the card, exchanged between hosts, and the
+// received data copied back in — with the paper's four optimizations
+// applied (persistent aligned buffers, no per-iteration offload init,
+// double buffering for what the data dependencies allow).
 func (e *Env) CommOnlyHostOffload(plat *perfmodel.Platform, sizes []int, iters int) []sim.Duration {
 	c := e.Cluster(plat, 2)
 	return timeSizes(c.World(cluster.ModeHostOffload, 2), sizes, iters, 0, func(r *core.Rank, tag, n int) func() error {

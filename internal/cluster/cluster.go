@@ -198,10 +198,9 @@ func (c *Cluster) Envs(m Mode, ranks int) []core.Env {
 		if m == ModeSymmetric {
 			ni, onHost = c.NodeFor(i/2), i%2 == 0
 		}
-		envs[i].Node = c.Nodes[ni]
 		switch {
 		case onHost:
-			envs[i].V = core.HostVerbs{Ctx: c.HCAs[ni].Open(machine.HostMem), Node: c.Nodes[ni]}
+			envs[i].V = core.HostVerbs{Ctx: c.HCAs[ni].Open(machine.HostMem)}
 		case m == ModeDCFA || m == ModeDCFABase:
 			envs[i].V = c.newMic(i, ni)
 		default:

@@ -44,7 +44,7 @@ func TestEnvPlacement(t *testing.T) {
 	c := New(perfmodel.Default(), 2)
 	denvs := c.DCFAEnvs(2)
 	for i, e := range denvs {
-		if e.V.Loc() != machine.MicMem {
+		if e.V.Domain().Kind != machine.MicMem {
 			t.Fatalf("DCFA env %d not on the co-processor", i)
 		}
 		if e.V.Domain() != c.Nodes[i].Mic {
@@ -53,8 +53,11 @@ func TestEnvPlacement(t *testing.T) {
 	}
 	henvs := c.HostEnvs(2)
 	for i, e := range henvs {
-		if e.V.Loc() != machine.HostMem {
+		if e.V.Domain().Kind != machine.HostMem {
 			t.Fatalf("host env %d not on the host", i)
+		}
+		if e.V.Domain() != c.Nodes[i].Host {
+			t.Fatalf("host env %d wrong domain", i)
 		}
 	}
 }

@@ -115,9 +115,50 @@ func TestPhiMPIPayloadIntegrity(t *testing.T) {
 	}
 }
 
-func TestPhiMPIHasNoOffloadVerbs(t *testing.T) {
-	if (core.ProxyVerbs{}).SupportsOffload() {
-		t.Fatal("proxied mode must not support the offload send buffer")
+// TestOnlyDCFAOffloads forces the offload send buffer and the delegated
+// pack on in every provider: only DCFA's own verbs have them, so the
+// proxied Intel path (which embeds the DCFA provider) and host verbs
+// send and pack directly.
+func TestOnlyDCFAOffloads(t *testing.T) {
+	for _, m := range []cluster.Mode{cluster.ModeDCFA, cluster.ModeIntelPhi, cluster.ModeHost} {
+		t.Run(m.String(), func(t *testing.T) {
+			c := cluster.New(perfmodel.Default(), 2)
+			cfg := c.Config(m)
+			cfg.Offload, cfg.OffloadDatatypePack = true, true
+			w := core.NewWorld(c.Eng, c.Plat, cfg, c.Envs(m, 2))
+			dt := core.Vector(4096, 8, 16, 8) // 256 KiB packed
+			var sends, packs int64
+			err := w.Run(func(r *core.Rank) error {
+				p := r.Proc()
+				buf, mat := r.Mem(1<<20), r.Mem(dt.Extent())
+				if r.ID() == 0 {
+					if err := r.Send(p, 1, 0, core.Whole(buf)); err != nil {
+						return err
+					}
+					sends = r.Stats.OffloadedSends
+					if err := r.SendTyped(p, 1, 1, core.Whole(mat), dt); err != nil {
+						return err
+					}
+					packs = r.Stats.OffloadedPacks
+					return nil
+				}
+				if _, err := r.Recv(p, 0, 0, core.Whole(buf)); err != nil {
+					return err
+				}
+				_, err := r.RecvTyped(p, 0, 1, core.Whole(mat), dt)
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := int64(0)
+			if m == cluster.ModeDCFA {
+				want = 1
+			}
+			if sends != want || packs != want {
+				t.Fatalf("offloaded sends %d, packs %d; want %d each", sends, packs, want)
+			}
+		})
 	}
 }
 

@@ -14,9 +14,6 @@ var (
 	// ErrTagMismatch reports a tag disagreement between the send and
 	// the receive holding the same per-pair sequence id.
 	ErrTagMismatch = errors.New("core: tag mismatch at matching sequence id")
-	// ErrNoOffload reports use of the offload send-buffer verbs on a
-	// provider without them (host MPI, proxied MPI).
-	ErrNoOffload = errors.New("core: offload send buffer not supported by this provider")
 	// ErrBadRank reports a source or destination outside the world.
 	ErrBadRank = errors.New("core: rank out of range")
 	// ErrBadTag reports a communicator point-to-point tag outside

@@ -121,10 +121,10 @@ func (r *Rank) Unpack(p *sim.Proc, dst, src []byte, dt Datatype) {
 	p.Sleep(r.packCost(dt))
 }
 
-// packInto performs the pack, choosing the local or the host-offloaded
-// path and charging the corresponding cost.
+// packInto performs the pack, choosing the local path or, on a DCFA
+// provider, the host-offloaded one, and charging the corresponding cost.
 func (r *Rank) packInto(p *sim.Proc, dst, src []byte, dt Datatype) {
-	if r.w.Cfg.OffloadDatatypePack && r.v.SupportsOffload() &&
+	if _, ok := r.v.(DCFAVerbs); ok && r.w.Cfg.OffloadDatatypePack &&
 		dt.PackedSize() >= r.w.Cfg.OffloadPackMinSize {
 		// Delegate the gather loop to the host CPU (the DCFA-MPI CMD
 		// offload path): one command round trip plus the host's pack
@@ -144,7 +144,7 @@ func (r *Rank) packInto(p *sim.Proc, dst, src []byte, dt Datatype) {
 // packCost is the local (slow in-order core) gather/scatter cost.
 func (r *Rank) packCost(dt Datatype) sim.Duration {
 	rate := r.w.Plat.HostPackRate
-	if r.v.Loc() == machine.MicMem {
+	if r.Loc() == machine.MicMem {
 		rate = r.w.Plat.PhiPackRate
 	}
 	return sim.Duration(float64(dt.PackedSize()) / rate * float64(sim.Second))

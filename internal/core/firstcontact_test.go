@@ -183,8 +183,8 @@ func TestFirstContactFailureLeaksNothing(t *testing.T) {
 			envs := make([]core.Env, 4)
 			for i := range envs {
 				node := machine.NewNode(i)
-				host := core.HostVerbs{Ctx: fab.AttachHCA(node).Open(machine.HostMem), Node: node}
-				envs[i] = core.Env{V: qpFailVerbs{Verbs: host, n: &n, k: tc.k, err: injected}, Node: node}
+				host := core.HostVerbs{Ctx: fab.AttachHCA(node).Open(machine.HostMem)}
+				envs[i] = core.Env{V: qpFailVerbs{Verbs: host, n: &n, k: tc.k, err: injected}}
 			}
 			cfg := core.ConfigFromPlatform(plat)
 			cfg.Offload = false

@@ -18,7 +18,7 @@ import (
 // host bytes (machine.Domain.Reserve), so a rank's memory pays for the
 // pages its staging has reached, not for the registered size.
 type offArena struct {
-	v   Verbs
+	v   *dcfa.MicVerbs
 	omr *dcfa.OffloadMR
 	// free holds disjoint [off, end) ranges sorted by offset.
 	free []offRange
@@ -33,9 +33,9 @@ type offRange struct{ off, end int }
 // send's length, and the arena is always its rank's.
 type offRegion struct{ off, n int }
 
-// newOffArena registers an arena of the given size via the offload MR
+// newOffArena registers an arena of the given size via DCFA's offload MR
 // verbs.
-func newOffArena(p *sim.Proc, v Verbs, size int) (*offArena, error) {
+func newOffArena(p *sim.Proc, v *dcfa.MicVerbs, size int) (*offArena, error) {
 	if size > math.MaxInt32 {
 		// Request.off is 32 bits wide.
 		return nil, fmt.Errorf("core: offload arena of %d bytes: a request addresses at most 2 GiB", size)

@@ -197,8 +197,9 @@ func (r *Rank) Mem(n int) *machine.Buffer { return r.v.Domain().Alloc(n) }
 // Domain returns the memory domain this rank's buffers live in.
 func (r *Rank) Domain() *machine.Domain { return r.v.Domain() }
 
-// Loc returns where the rank's MPI software executes.
-func (r *Rank) Loc() machine.DomainKind { return r.v.Loc() }
+// Loc returns where the rank's MPI software executes: the kind of its
+// memory domain.
+func (r *Rank) Loc() machine.DomainKind { return r.v.Domain().Kind }
 
 // MRCacheStats reports buffer-cache-pool hits and misses.
 func (r *Rank) MRCacheStats() (hits, misses int64) {
@@ -235,10 +236,8 @@ func (r *Rank) setup(p *sim.Proc) error {
 			r.publish(i, ps)
 		}
 	}
-	if cfg.Offload && r.v.SupportsOffload() {
-		var err error
-		r.arena, err = newOffArena(p, r.v, cfg.OffloadArena)
-		if err != nil {
+	if d, ok := r.v.(DCFAVerbs); ok && cfg.Offload {
+		if r.arena, err = newOffArena(p, d.MicVerbs, cfg.OffloadArena); err != nil {
 			return err
 		}
 	}
@@ -586,7 +585,7 @@ func (r *Rank) sendPacket(p *sim.Proc, dst int, h header, payload []byte, act wr
 	if len(payload) > 0 {
 		// The eager copy into the preregistered global buffer.
 		copy(s[hdrSize:hdrSize+len(payload)], payload)
-		p.Sleep(r.w.Plat.CopyCost(r.v.Loc(), len(payload)))
+		p.Sleep(r.w.Plat.CopyCost(r.Loc(), len(payload)))
 	}
 	binary.LittleEndian.PutUint64(s[hdrSize+len(payload):], tailMarker(h.seq))
 	slot := ps.nextSlot
@@ -629,7 +628,7 @@ func (r *Rank) Isend(p *sim.Proc, dst, tag int, s Slice) (*Request, error) {
 	req := r.newRequest()
 	*req = Request{r: r, isSend: true, peer: int32(dst), tag: int32(tag), slice: s}
 	r.opened(p, req)
-	p.Sleep(r.w.Plat.MPIPerMsg(r.v.Loc()))
+	p.Sleep(r.w.Plat.MPIPerMsg(r.Loc()))
 	ps, err := r.ensurePeer(p, dst)
 	if err != nil {
 		return nil, r.abandon(p, req, err)
@@ -960,7 +959,7 @@ func (r *Rank) matchArrival(p *sim.Proc, req *Request, a *arrival) {
 			r.resolved(req, protoEager)
 		}
 		copy(req.slice.Bytes(), a.data)
-		p.Sleep(r.w.Plat.CopyCost(r.v.Loc(), a.h.payload))
+		p.Sleep(r.w.Plat.CopyCost(r.Loc(), a.h.payload))
 		req.status = status{src: int32(a.h.src), tag: a.h.tag, n: int32(a.h.payload)}
 		req.complete(p, nil)
 	case pktRTS:
@@ -1112,7 +1111,7 @@ func (r *Rank) progress(p *sim.Proc) bool {
 				panic(fmt.Sprintf("core: rank %d: psn gap from %d: got %d want %d", r.id, i, h.psn, ps.recvPSN))
 			}
 			ps.recvPSN++
-			p.Sleep(r.w.Plat.PollCost(r.v.Loc()) + r.v.RecvOverhead(h.payload))
+			p.Sleep(r.w.Plat.PollCost(r.Loc()) + r.v.RecvOverhead(h.payload))
 			r.packetRecvd(p, i, h)
 			r.handlePacket(p, i, h, payload)
 			ps.in.consume(h.payload)
@@ -1215,7 +1214,7 @@ func (r *Rank) handlePacket(p *sim.Proc, src int, h header, payload []byte) {
 		a := r.newArrival(h, nil)
 		if h.kind == pktEager && h.payload > 0 {
 			a.keep(payload)
-			p.Sleep(r.w.Plat.CopyCost(r.v.Loc(), h.payload))
+			p.Sleep(r.w.Plat.CopyCost(r.Loc(), h.payload))
 		}
 		ps.unexpected[h.seq] = a
 		r.step(p, stepUnexpected, src, h.seq, h.payload)

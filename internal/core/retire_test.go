@@ -163,7 +163,7 @@ func retireWorld(n int, tune func(cfg *Config, fab *ib.Fabric)) *World {
 	envs := make([]Env, n)
 	for i := range envs {
 		node := machine.NewNode(i)
-		envs[i] = Env{V: HostVerbs{Ctx: fab.AttachHCA(node).Open(machine.HostMem), Node: node}, Node: node}
+		envs[i] = Env{V: HostVerbs{Ctx: fab.AttachHCA(node).Open(machine.HostMem)}}
 	}
 	cfg := ConfigFromPlatform(plat)
 	cfg.Offload = false

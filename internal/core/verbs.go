@@ -23,10 +23,16 @@ import (
 // Verbs abstracts the InfiniBand provider under one MPI rank, so the
 // same protocol engine runs over DCFA on the co-processor, plain host
 // verbs (the YAMPII-like host MPI reference), or a proxied path (the
-// 'Intel MPI on Xeon Phi' baseline).
+// 'Intel MPI on Xeon Phi' baseline). It holds only what differs between
+// the three: where the rank executes is Domain().Kind, and its node is
+// Domain().Node.
+//
+// The offloading send buffer (reg/sync/dereg_offload_mr, §IV-B4) is an
+// extension to DCFA's own verbs, not a verb of the interface: the rank
+// reaches it only when its provider is a DCFAVerbs. ProxyVerbs is a
+// different type, so that check already excludes the Intel path even
+// though it embeds DCFAVerbs.
 type Verbs interface {
-	// Loc is where the MPI software executes (host or co-processor).
-	Loc() machine.DomainKind
 	// Domain is the memory the rank's buffers live in.
 	Domain() *machine.Domain
 	// HCA is the adapter used by this rank.
@@ -46,13 +52,6 @@ type Verbs interface {
 	// packet of n payload bytes to the MPI layer (zero for direct
 	// providers; the proxied Intel path pays the daemon's relay copy).
 	RecvOverhead(n int) sim.Duration
-
-	// Offload send-buffer extension; SupportsOffload reports whether
-	// the three reg/sync/dereg verbs are available.
-	SupportsOffload() bool
-	RegOffloadMR(p *sim.Proc, size int) (*dcfa.OffloadMR, error)
-	SyncOffloadMR(p *sim.Proc, omr *dcfa.OffloadMR, off int, src []byte) error
-	DeregOffloadMR(p *sim.Proc, omr *dcfa.OffloadMR) error
 }
 
 // directPost is the data path of a provider whose rank posts to the
@@ -63,42 +62,25 @@ type directPost struct{}
 func (directPost) PostSend(p *sim.Proc, qp *ib.QP, wr *ib.SendWR) error { return qp.PostSend(p, wr) }
 func (directPost) RecvOverhead(n int) sim.Duration                      { return 0 }
 
-// NoOffload is the offload half of a provider without the offloading
-// send-buffer verbs (host MPI, proxied MPI): embed it and the three
-// verbs return ErrNoOffload.
-type NoOffload struct{}
-
-func (NoOffload) SupportsOffload() bool { return false }
-func (NoOffload) RegOffloadMR(p *sim.Proc, size int) (*dcfa.OffloadMR, error) {
-	return nil, ErrNoOffload
-}
-func (NoOffload) SyncOffloadMR(p *sim.Proc, omr *dcfa.OffloadMR, off int, src []byte) error {
-	return ErrNoOffload
-}
-func (NoOffload) DeregOffloadMR(p *sim.Proc, omr *dcfa.OffloadMR) error { return ErrNoOffload }
-
 // DCFAVerbs is the DCFA-MPI provider: the rank runs on the co-processor
 // with direct HCA access. Resource creation, registration and the
-// offload verbs (SupportsOffload included) are dcfa.MicVerbs's own
-// methods, promoted unchanged.
+// offload send-buffer verbs are dcfa.MicVerbs's own methods, promoted
+// unchanged.
 type DCFAVerbs struct {
 	*dcfa.MicVerbs
 	directPost
 }
 
-// Loc implements Verbs.
-func (d DCFAVerbs) Loc() machine.DomainKind { return machine.MicMem }
 func (d DCFAVerbs) Domain() *machine.Domain { return d.Node.Mic }
 func (d DCFAVerbs) HCA() *ib.HCA            { return d.MicVerbs.HCA }
 
 // ProxyVerbs is the 'Intel MPI on Xeon Phi' provider: co-processor
 // resident MPI whose verbs are relayed through the host proxy daemon.
-// It is the DCFA provider except where the relay costs or withholds
-// something.
+// It is the DCFA provider except where the relay costs something; the
+// Intel stack has no offloading send buffer, and as a type of its own it
+// is never taken for a DCFAVerbs.
 type ProxyVerbs struct {
 	DCFAVerbs
-	// The Intel stack has no offloading send-buffer verbs.
-	NoOffload
 }
 
 // CreateQP creates the QP and caps its throughput at the proxy staging
@@ -128,14 +110,11 @@ func (x ProxyVerbs) RecvOverhead(n int) sim.Duration {
 // HostVerbs adapts a plain host ib.Context: the host MPI reference the
 // paper compares against (YAMPII on the Xeon).
 type HostVerbs struct {
-	Ctx  *ib.Context
-	Node *machine.Node
+	Ctx *ib.Context
 	directPost
-	NoOffload
 }
 
-func (h HostVerbs) Loc() machine.DomainKind             { return machine.HostMem }
-func (h HostVerbs) Domain() *machine.Domain             { return h.Node.Host }
+func (h HostVerbs) Domain() *machine.Domain             { return h.Ctx.HCA.Node.Host }
 func (h HostVerbs) HCA() *ib.HCA                        { return h.Ctx.HCA }
 func (h HostVerbs) AllocPD(p *sim.Proc) (*ib.PD, error) { return h.Ctx.AllocPD(), nil }
 func (h HostVerbs) CreateCQ(p *sim.Proc, depth int) (*ib.CQ, error) {

@@ -116,11 +116,10 @@ func ConfigFromPlatform(plat *perfmodel.Platform) Config {
 	}
 }
 
-// Env is the per-rank environment: a verbs provider plus the node it
-// runs on.
+// Env is the per-rank environment: the verbs provider the rank runs
+// over. The node it runs on is its memory domain's (V.Domain().Node).
 type Env struct {
-	V    Verbs
-	Node *machine.Node
+	V Verbs
 }
 
 // World is one MPI job.
@@ -265,12 +264,13 @@ func (w *World) run(body func(r *Rank) error) error {
 func (w *World) discard() {
 	done := make(map[*machine.Node]bool)
 	for _, e := range w.envs {
-		if e.Node == nil || done[e.Node] {
+		n := e.V.Domain().Node
+		if done[n] {
 			continue
 		}
-		done[e.Node] = true
-		e.Node.Host.DiscardReserved()
-		e.Node.Mic.DiscardReserved()
+		done[n] = true
+		n.Host.DiscardReserved()
+		n.Mic.DiscardReserved()
 	}
 }
 

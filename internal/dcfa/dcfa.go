@@ -319,10 +319,6 @@ func New(eng *sim.Engine, plat *perfmodel.Platform, node *machine.Node, hca *ib.
 	return v, d
 }
 
-// Context exposes the co-processor verbs context (post/poll costs are
-// co-processor-side).
-func (v *MicVerbs) Context() *ib.Context { return v.ctx }
-
 // call performs one delegated command round trip, retrying transient
 // rejections with capped exponential backoff until faults.CmdDeadline
 // of virtual time has passed. The sunny-day path (no injector, no
@@ -439,10 +435,6 @@ func (v *MicVerbs) DeregMR(p *sim.Proc, mr *ib.MR) error {
 	delete(v.mrHandles, mr)
 	return nil
 }
-
-// SupportsOffload reports that the three offload send-buffer verbs
-// below are available: core.Verbs asks every provider.
-func (v *MicVerbs) SupportsOffload() bool { return true }
 
 // RegOffloadMR allocates a host bounce buffer of the given size,
 // registers it on the host, and returns the region usable for later

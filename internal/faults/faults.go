@@ -78,15 +78,22 @@ func NewPlan(seed uint64) *Plan {
 //	seed=7,rate=0.01
 //	seed=7,ib=0.02,cmd=0.05,dma=0.01,dma-abort=0.005
 //
-// "rate" is a blanket knob that sets ib, cmd, and dma-delay together;
-// layer-specific keys override it, and max-retries sets the replay
-// budget. An empty spec is an error; use a nil *Plan (or no -faults
-// flag) for "no faults".
+// "rate" is a blanket knob for ib, cmd and dma-delay: it sets each of
+// the three the spec does not name, wherever it appears, so a layer key
+// overrides it in either order. max-retries sets the replay budget. A
+// key given twice is an error, and so is an empty spec; use a nil *Plan
+// (or no -faults flag) for "no faults".
 func Parse(spec string) (*Plan, error) {
 	if strings.TrimSpace(spec) == "" {
 		return nil, fmt.Errorf("faults: empty spec")
 	}
 	p := NewPlan(1)
+	var rate float64
+	rates := map[string]*float64{
+		"rate": &rate, "ib": &p.IBError, "ib-delivered": &p.IBDelivered,
+		"cmd": &p.Cmd, "dma": &p.DMADelay, "dma-abort": &p.DMAAbort,
+	}
+	seen := make(map[string]bool)
 	for _, field := range strings.Split(spec, ",") {
 		field = strings.TrimSpace(field)
 		if field == "" {
@@ -96,57 +103,38 @@ func Parse(spec string) (*Plan, error) {
 		if !ok {
 			return nil, fmt.Errorf("faults: %q is not key=value", field)
 		}
-		switch key {
-		case "seed":
+		if seen[key] {
+			return nil, fmt.Errorf("faults: %q given twice", key)
+		}
+		seen[key] = true
+		switch {
+		case key == "seed":
 			n, err := strconv.ParseUint(val, 0, 64)
 			if err != nil {
 				return nil, fmt.Errorf("faults: seed %q: %v", val, err)
 			}
 			p.Seed = n
-		case "rate":
-			r, err := parseRate(key, val)
-			if err != nil {
-				return nil, err
-			}
-			p.IBError, p.Cmd, p.DMADelay = r, r, r
-		case "ib":
-			r, err := parseRate(key, val)
-			if err != nil {
-				return nil, err
-			}
-			p.IBError = r
-		case "ib-delivered":
-			r, err := parseRate(key, val)
-			if err != nil {
-				return nil, err
-			}
-			p.IBDelivered = r
-		case "cmd":
-			r, err := parseRate(key, val)
-			if err != nil {
-				return nil, err
-			}
-			p.Cmd = r
-		case "dma":
-			r, err := parseRate(key, val)
-			if err != nil {
-				return nil, err
-			}
-			p.DMADelay = r
-		case "dma-abort":
-			r, err := parseRate(key, val)
-			if err != nil {
-				return nil, err
-			}
-			p.DMAAbort = r
-		case "max-retries":
+		case key == "max-retries":
 			n, err := strconv.Atoi(val)
 			if err != nil || n < 0 {
 				return nil, fmt.Errorf("faults: max-retries %q", val)
 			}
 			p.MaxSendRetries = n
+		case rates[key] != nil:
+			r, err := parseRate(key, val)
+			if err != nil {
+				return nil, err
+			}
+			*rates[key] = r
 		default:
 			return nil, fmt.Errorf("faults: unknown key %q", key)
+		}
+	}
+	if seen["rate"] {
+		for _, key := range []string{"ib", "cmd", "dma"} {
+			if !seen[key] {
+				*rates[key] = rate
+			}
 		}
 	}
 	return p, nil

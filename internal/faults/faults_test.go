@@ -41,6 +41,18 @@ func TestParseLayerOverrides(t *testing.T) {
 	}
 }
 
+// TestParseLayerKeyBeatsRateInEitherOrder: rate fills only the layers
+// the spec leaves unnamed, wherever it appears.
+func TestParseLayerKeyBeatsRateInEitherOrder(t *testing.T) {
+	p, err := Parse("ib=0.02,rate=0.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.IBError != 0.02 || p.Cmd != 0.1 || p.DMADelay != 0.1 {
+		t.Errorf("ib=%v cmd=%v dma=%v, want 0.02 0.1 0.1", p.IBError, p.Cmd, p.DMADelay)
+	}
+}
+
 func TestParseRejectsBadSpecs(t *testing.T) {
 	for _, spec := range []string{
 		"",
@@ -53,6 +65,9 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 		"cmd-deadline=fast",
 		"cmd-deadline=5ms", // the recovery timings are constants
 		"max-retries=-1",
+		"ib=0.1,ib=0.2",
+		"rate=0.1,rate=0.2",
+		"seed=1,seed=2",
 	} {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q) accepted", spec)

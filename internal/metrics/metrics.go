@@ -131,17 +131,6 @@ func (g *Gauge) Add(d int64) {
 	}
 }
 
-// Set forces the level. Safe on a nil gauge.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v = v
-	if v > g.max {
-		g.max = v
-	}
-}
-
 // Value returns the current level (0 for nil).
 func (g *Gauge) Value() int64 {
 	if g == nil {

@@ -28,10 +28,6 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	if g.Value() != 50 || g.Max() != 300 {
 		t.Fatalf("gauge %d max %d", g.Value(), g.Max())
 	}
-	g.Set(10)
-	if g.Value() != 10 || g.Max() != 300 {
-		t.Fatal("Set must not lower the high-water mark")
-	}
 
 	h := r.Histogram("rank0", "send.latency")
 	for _, v := range []int64{5, 1000, 1001, 3000, 1 << 30} {
@@ -59,7 +55,6 @@ func TestNilRegistryAndHandles(t *testing.T) {
 	}
 	g := r.Gauge("a", "n")
 	g.Add(1)
-	g.Set(2)
 	if g != nil || g.Value() != 0 || g.Max() != 0 {
 		t.Fatal("nil gauge")
 	}
@@ -74,7 +69,7 @@ func TestNilRegistryAndHandles(t *testing.T) {
 	if s != nil {
 		t.Fatal("nil span")
 	}
-	s.SetKind("k").SetKindOnce("k").Attr("a", "b").AttrInt("n", 1)
+	s.SetKind("k").Attr("a", "b").AttrInt("n", 1)
 	c2 := s.Child(1, "child")
 	if c2 != nil {
 		t.Fatal("nil child")
@@ -131,8 +126,7 @@ func TestNilHandlesAllocateNothing(t *testing.T) {
 func TestSpanLifecycle(t *testing.T) {
 	r := New()
 	root := r.Begin(10*sim.Microsecond, "rank0", "send")
-	root.SetKindOnce("sender-rzv")
-	root.SetKindOnce("eager") // must not overwrite
+	root.SetKind("sender-rzv")
 	child := root.Child(12*sim.Microsecond, "rdma-read")
 	child.AttrInt("bytes", 65536)
 	if child.Parent != root.ID || child.Actor != "rank0" {
@@ -166,7 +160,7 @@ func TestSummaryAndJSONDeterministic(t *testing.T) {
 		r.Counter("rank1", "proto.eager").Add(4)
 		r.Counter("rank0", "mrcache.misses").Add(1)
 		r.Counter("rank0", "mrcache.hits").Add(3)
-		r.Gauge("hca0", "qp.depth").Set(7)
+		r.Gauge("hca0", "qp.depth").Add(7)
 		r.Histogram("rank0", "send.latency").ObserveDuration(3 * sim.Microsecond)
 		s := r.Begin(0, "rank0", "op")
 		s.End(1)
@@ -257,7 +251,7 @@ func BenchmarkNilSpan(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s := r.Begin(sim.Time(i), "a", "op")
-		s.SetKindOnce("k")
+		s.SetKind("k")
 		s.End(sim.Time(i + 1))
 	}
 }

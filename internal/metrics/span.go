@@ -67,15 +67,6 @@ func (s *Span) SetKind(k string) *Span {
 	return s
 }
 
-// SetKindOnce classifies the span only if it has no kind yet. Safe on
-// nil.
-func (s *Span) SetKindOnce(k string) *Span {
-	if s != nil && s.Kind == "" {
-		s.Kind = k
-	}
-	return s
-}
-
 // Attr appends one annotation. Safe on nil.
 func (s *Span) Attr(key, val string) *Span {
 	if s != nil {

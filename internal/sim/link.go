@@ -74,10 +74,3 @@ func (l *Link) ReserveRateAt(at Time, n int, bps float64) Time {
 	l.Bytes += int64(n)
 	return start + occ + l.Latency
 }
-
-// Transfer is the common process-context idiom: reserve the link for n
-// bytes and sleep until the data has fully arrived.
-func (l *Link) Transfer(p *Proc, n int) {
-	done := l.Reserve(n)
-	p.Sleep(done - p.Now())
-}

@@ -48,22 +48,6 @@ func TestLinkLatencyOverlaps(t *testing.T) {
 	}
 }
 
-func TestLinkTransferBlocksProc(t *testing.T) {
-	e := NewEngine()
-	l := NewLink(e, "test", 50, 1e9)
-	var done Time
-	e.Spawn("xfer", func(p *Proc) {
-		l.Transfer(p, 100)
-		done = p.Now()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if done != 150 {
-		t.Fatalf("transfer finished at %v, want 150", done)
-	}
-}
-
 func TestReserveRateOverridesCurve(t *testing.T) {
 	e := NewEngine()
 	l := NewLink(e, "test", 10, 4e9)
