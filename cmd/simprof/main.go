@@ -130,6 +130,9 @@ func main() {
 			end = evs[len(evs)-1].T
 		}
 	case "torture":
+		if *rounds < 1 || *msgs < 1 {
+			fatal(fmt.Errorf("torture: -torture-rounds %d -torture-msgs %d, need at least one message", *rounds, *msgs))
+		}
 		res, err := env.TortureFlood(plat, *seed, *rounds, *msgs)
 		if err != nil {
 			fatal(err)

@@ -121,21 +121,17 @@ func (r *Rank) Unpack(p *sim.Proc, dst, src []byte, dt Datatype) {
 	p.Sleep(r.packCost(dt))
 }
 
-// packInto performs the pack, choosing the local path or, on a DCFA
-// provider, the host-offloaded one, and charging the corresponding cost.
+// packInto performs the pack and charges its cost. On a DCFA provider
+// with offloaded packing enabled, a large enough gather is delegated to
+// the host over the CMD channel; if the channel gives up, the command
+// ran no host work, so the rank packs locally instead.
 func (r *Rank) packInto(p *sim.Proc, dst, src []byte, dt Datatype) {
-	if _, ok := r.v.(DCFAVerbs); ok && r.w.Cfg.OffloadDatatypePack &&
+	if d, ok := r.v.(DCFAVerbs); ok && r.w.Cfg.OffloadDatatypePack &&
 		dt.PackedSize() >= r.w.Cfg.OffloadPackMinSize {
-		// Delegate the gather loop to the host CPU (the DCFA-MPI CMD
-		// offload path): one command round trip plus the host's pack
-		// rate over the mapped co-processor pages.
-		dt.Pack(dst, src)
-		plat := r.w.Plat
-		cost := 2*plat.SCIFMsgLatency +
-			sim.Duration(float64(dt.PackedSize())/plat.HostPackRate*float64(sim.Second))
-		p.Sleep(cost)
-		r.step(p, stepOffloadedPack, r.id, 0, dt.PackedSize())
-		return
+		if d.Pack(p, dt.PackedSize(), func() { dt.Pack(dst, src) }) == nil {
+			r.step(p, stepOffloadedPack, r.id, 0, dt.PackedSize())
+			return
+		}
 	}
 	dt.Pack(dst, src)
 	p.Sleep(r.packCost(dt))

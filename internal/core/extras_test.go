@@ -1,12 +1,16 @@
 package core_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
 
+	"repro/internal/causal"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/faults"
+	"repro/internal/metrics"
 	"repro/internal/perfmodel"
 	"repro/internal/sim"
 )
@@ -273,6 +277,107 @@ func TestOffloadedDatatypePackFasterForLargeVectors(t *testing.T) {
 	offloaded := measure(true)
 	if offloaded >= local {
 		t.Fatalf("host-offloaded pack (%v) not faster than local (%v)", offloaded, local)
+	}
+}
+
+// TestOffloadedPackIsACommand: a delegated pack is a DCFA command, so
+// it shows in the same counters, round-trip histogram and causal
+// events as every other delegated call.
+func TestOffloadedPackIsACommand(t *testing.T) {
+	plat := perfmodel.Default()
+	c := cluster.New(plat, 2)
+	reg, rec := metrics.New(), causal.New()
+	c.SetMetrics(reg)
+	c.SetCausal(rec)
+	cfg := c.Config(cluster.ModeDCFA)
+	cfg.OffloadDatatypePack = true
+	cfg.OffloadPackMinSize = 1 << 10
+	w := core.NewWorld(c.Eng, plat, cfg, c.DCFAEnvs(2))
+	dt := core.Vector(256, 2, 4, 8) // 4 KiB packed: eager, so only the pack is a command
+	var start, end sim.Time
+	err := w.Run(func(r *core.Rank) error {
+		p := r.Proc()
+		mat := r.Mem(dt.Extent())
+		if r.ID() == 0 {
+			start = p.Now()
+			err := r.SendTyped(p, 1, 0, core.Whole(mat), dt)
+			end = p.Now()
+			return err
+		}
+		_, err := r.RecvTyped(p, 0, 0, core.Whole(mat), dt)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, s := reg.Counter("dcfa/node0", "cmd.pack").Value(), reg.Counter("dcfad/node0", "served.pack").Value(); c != 1 || s != 1 {
+		t.Fatalf("cmd.pack %d, served.pack %d, want 1 and 1", c, s)
+	}
+	n := dt.PackedSize()
+	want := 2*plat.SCIFMsgLatency + sim.Duration(float64(n)/plat.HostPackRate*float64(sim.Second))
+	if h := reg.Histogram("dcfa/node0", "cmd-rtt.pack"); h.Count() != 1 || h.Sum() != int64(want) {
+		t.Fatalf("cmd-rtt.pack: %d observations summing to %d ns, want one of %d", h.Count(), h.Sum(), want)
+	}
+	// The bootstrap's last command completes the instant the rank's
+	// function starts, so the window opens just after start.
+	var done []causal.Event
+	for _, e := range rec.Events() {
+		if e.Kind == causal.EvCmdDone && e.Rank == 0 && e.T > start && e.T <= end {
+			done = append(done, e)
+		}
+	}
+	if len(done) != 1 || sim.Duration(done[0].Aux) != want {
+		t.Fatalf("command completions on rank 0 during the send: %+v, want one of %v", done, want)
+	}
+}
+
+// TestPackFallsBackWhenChannelGivesUp: a delegated pack the CMD channel
+// rejects until its deadline ran no host work, so the rank packs
+// locally and the receiver still gets the right bytes.
+func TestPackFallsBackWhenChannelGivesUp(t *testing.T) {
+	plat := perfmodel.Default()
+	c := cluster.New(plat, 2)
+	cfg := c.Config(cluster.ModeDCFA)
+	cfg.OffloadDatatypePack = true
+	cfg.OffloadPackMinSize = 1 << 10
+	envs := c.DCFAEnvs(2)
+	w := core.NewWorld(c.Eng, plat, cfg, envs)
+	dt := core.Vector(256, 2, 4, 8) // 4 KiB packed: eager, so only the pack is a command
+	plan := faults.NewPlan(1)
+	plan.Cmd = 1
+	var want []byte
+	err := w.Run(func(r *core.Rank) error {
+		p := r.Proc()
+		if r.ID() == 0 {
+			mat := r.Mem(dt.Extent())
+			for i := range mat.Data {
+				mat.Data[i] = byte(i * 7)
+			}
+			want = make([]byte, dt.PackedSize())
+			dt.Pack(want, mat.Data)
+			mic := envs[0].V.(core.DCFAVerbs)
+			mic.SetFaults(faults.New(c.Eng, plan))
+			err := r.SendTyped(p, 1, 0, core.Whole(mat), dt)
+			mic.SetFaults(nil)
+			if err != nil {
+				return err
+			}
+			if r.Stats.OffloadedPacks != 0 {
+				return fmt.Errorf("offloaded packs %d after the channel gave up", r.Stats.OffloadedPacks)
+			}
+			return nil
+		}
+		got := r.Mem(dt.PackedSize())
+		if _, err := r.Recv(p, 0, 0, core.Whole(got)); err != nil {
+			return err
+		}
+		if !bytes.Equal(got.Data, want) {
+			return fmt.Errorf("received bytes differ from the local pack")
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -6,10 +6,14 @@
 //     their host-assisted work to the DCFA CMD server over the SCIF
 //     channel; the data path (post send/recv, poll) writes the simulated
 //     HCA directly with co-processor-side costs.
-//   - DCFA CMD client/server: the delegation protocol. The server keeps
-//     every object created for the co-processor in a hash table and
-//     publishes a handle ("hash key") for later reuse, as §IV-B1
-//     describes.
+//   - DCFA CMD client/server: the delegation protocol. A command is its
+//     name plus its host half, which the server runs in its own process
+//     and whose result is the reply; each verb writes the two halves
+//     side by side. The server keeps every object created for the
+//     co-processor in a hash table and publishes a handle ("hash key")
+//     for later reuse, as §IV-B1 describes.
+//   - Datatype packing offloaded to the host CPU (§VI): Pack is one more
+//     command on the same channel.
 //   - The offloading send-buffer extension (§IV-B4): RegOffloadMR
 //     allocates and registers a host-side bounce buffer, SyncOffloadMR
 //     stages the latest co-processor data into it through the Phi's DMA
@@ -30,40 +34,12 @@ import (
 	"repro/internal/sim"
 )
 
-// Command kinds on the DCFA CMD channel.
-const (
-	CmdOpenDev = iota + 1
-	CmdAllocPD
-	CmdCreateCQ
-	CmdCreateQP
-	CmdRegMR
-	CmdDeregMR
-	CmdRegOffloadMR
-	CmdDeregOffloadMR
-)
-
-// cmdName maps a command kind to its telemetry name.
-func cmdName(kind int) string {
-	switch kind {
-	case CmdOpenDev:
-		return "open-dev"
-	case CmdAllocPD:
-		return "alloc-pd"
-	case CmdCreateCQ:
-		return "create-cq"
-	case CmdCreateQP:
-		return "create-qp"
-	case CmdRegMR:
-		return "reg-mr"
-	case CmdDeregMR:
-		return "dereg-mr"
-	case CmdRegOffloadMR:
-		return "reg-offload-mr"
-	case CmdDeregOffloadMR:
-		return "dereg-offload-mr"
-	default:
-		return "unknown"
-	}
+// command is one request on the CMD channel: its telemetry name and
+// its host half. The cmd lock admits one command per MicVerbs at a time,
+// so each MicVerbs reuses one record and sends it by pointer.
+type command struct {
+	name string
+	host func(p *sim.Proc) any
 }
 
 // cmdFail is the reply payload for a transiently rejected command: the
@@ -85,26 +61,6 @@ func (e *CmdTimeoutError) Error() string {
 	return fmt.Sprintf("dcfa: cmd %s timed out after %d tries (%v)", e.Cmd, e.Tries, e.Elapsed)
 }
 
-type regMRReq struct {
-	dom  *machine.Domain
-	addr uint64
-	n    int
-	pd   *ib.PD
-}
-
-type regMRResp struct {
-	mr     *ib.MR
-	handle uint64
-	err    error
-}
-
-type regOffloadReq struct{ size int }
-
-type regOffloadResp struct {
-	omr *OffloadMR
-	err error
-}
-
 // OffloadMR is an offloading memory region: a host bounce buffer plus
 // its InfiniBand registration, fronting a co-processor send buffer.
 type OffloadMR struct {
@@ -119,11 +75,8 @@ type OffloadMR struct {
 // extension that executes host InfiniBand functions on behalf of the
 // co-processor.
 type HostDaemon struct {
-	Eng  *sim.Engine
 	Plat *perfmodel.Platform
 	Node *machine.Node
-	HCA  *ib.HCA
-	Bus  *pcie.Bus
 
 	ep      *scif.Endpoint
 	hostCtx *ib.Context
@@ -142,91 +95,44 @@ type HostDaemon struct {
 	faults *faults.Injector
 }
 
-// serve is the daemon main loop.
+// serve is the daemon main loop: it runs each command's host half in
+// the daemon's own process and replies with what the host half returns.
 func (d *HostDaemon) serve(p *sim.Proc) {
 	p.MarkDaemon()
 	for {
 		msg := d.ep.Recv(p)
+		cmd := msg.Payload.(*command)
 		if d.faults.CmdFault() {
 			// Transient failure: reject before doing any host work. The
 			// client's retry makes this invisible to callers (modulo
 			// time) unless the deadline runs out first.
 			if d.metrics != nil {
-				d.metrics.Counter(d.actor, "rejected."+cmdName(msg.Kind)).Inc()
+				d.metrics.Counter(d.actor, "rejected."+cmd.name).Inc()
 			}
 			d.ep.Send(msg.Kind, cmdFail{})
 			continue
 		}
 		if d.metrics != nil {
-			d.metrics.Counter(d.actor, "served."+cmdName(msg.Kind)).Inc()
+			d.metrics.Counter(d.actor, "served."+cmd.name).Inc()
 		}
-		switch msg.Kind {
-		case CmdOpenDev, CmdAllocPD, CmdCreateCQ, CmdCreateQP:
-			// Host-side resource creation work; the objects themselves
-			// live in co-processor context so the data path keeps
-			// co-processor costs.
-			p.Sleep(d.Plat.HostVerbsCallCost)
-			d.nextHandle++
-			d.ep.Send(msg.Kind, d.nextHandle)
-
-		case CmdRegMR:
-			req := msg.Payload.(regMRReq)
-			// The modified host IB core maps and pins co-processor
-			// pages: host registration cost plus the mapping extra.
-			mr, err := d.hostCtx.RegMR(p, req.pd, req.dom, req.addr, req.n)
-			if err != nil {
-				d.ep.Send(CmdRegMR, regMRResp{err: err})
-				continue
-			}
-			p.Sleep(d.Plat.DelegationExtra)
-			d.nextHandle++
-			d.objects[d.nextHandle] = mr
-			d.ep.Send(CmdRegMR, regMRResp{mr: mr, handle: d.nextHandle})
-
-		case CmdDeregMR:
-			handle := msg.Payload.(uint64)
-			mr, ok := d.objects[handle].(*ib.MR)
-			if !ok {
-				d.ep.Send(CmdDeregMR, fmt.Errorf("dcfa: unknown MR handle %d", handle))
-				continue
-			}
-			err := d.hostCtx.DeregMR(p, mr)
-			delete(d.objects, handle)
-			d.ep.Send(CmdDeregMR, err)
-
-		case CmdRegOffloadMR:
-			req := msg.Payload.(regOffloadReq)
-			// Registered whole but written only as far as the sends it
-			// stages reach: reserved pages are backed on first touch.
-			buf := d.Node.Host.Reserve(req.size)
-			mr, err := d.hostCtx.RegMR(p, d.hostPD, d.Node.Host, buf.Addr, req.size)
-			if err != nil {
-				d.Node.Host.Free(buf)
-				d.ep.Send(CmdRegOffloadMR, regOffloadResp{err: err})
-				continue
-			}
-			d.nextHandle++
-			omr := &OffloadMR{Handle: d.nextHandle, Size: req.size, HostBuf: buf, HostMR: mr}
-			d.objects[d.nextHandle] = omr
-			d.ep.Send(CmdRegOffloadMR, regOffloadResp{omr: omr})
-
-		case CmdDeregOffloadMR:
-			handle := msg.Payload.(uint64)
-			omr, ok := d.objects[handle].(*OffloadMR)
-			if !ok {
-				d.ep.Send(CmdDeregOffloadMR, fmt.Errorf("dcfa: unknown offload MR handle %d", handle))
-				continue
-			}
-			err := d.hostCtx.DeregMR(p, omr.HostMR)
-			d.Node.Host.Free(omr.HostBuf)
-			omr.released = true
-			delete(d.objects, handle)
-			d.ep.Send(CmdDeregOffloadMR, err)
-
-		default:
-			d.ep.Send(msg.Kind, fmt.Errorf("dcfa: unknown command %d", msg.Kind))
-		}
+		d.ep.Send(msg.Kind, cmd.host(p))
 	}
+}
+
+// create is the host half of PD, CQ and QP creation: host-side resource
+// work only, since the objects themselves live in co-processor context
+// so that the data path keeps co-processor costs.
+func (d *HostDaemon) create(p *sim.Proc) any {
+	p.Sleep(d.Plat.HostVerbsCallCost)
+	d.nextHandle++
+	return nil
+}
+
+// publish enters obj in the hash table under a new handle.
+func (d *HostDaemon) publish(obj any) uint64 {
+	d.nextHandle++
+	d.objects[d.nextHandle] = obj
+	return d.nextHandle
 }
 
 // LiveObjects reports how many delegated objects the hash table holds.
@@ -249,6 +155,11 @@ type MicVerbs struct {
 	cmd *sim.Semaphore
 
 	daemon *HostDaemon
+	// req is the one command in flight (the cmd lock holds it until the
+	// reply); create is the daemon's create method, bound once so that
+	// a creation command allocates no method value.
+	req    command
+	create func(p *sim.Proc) any
 
 	// mrHandles maps each live delegated registration to the handle the
 	// daemon published for it, which DeregMR ships back.
@@ -305,7 +216,7 @@ func (v *MicVerbs) SetFaults(inj *faults.Injector) {
 func New(eng *sim.Engine, plat *perfmodel.Platform, node *machine.Node, hca *ib.HCA, bus *pcie.Bus) (*MicVerbs, *HostDaemon) {
 	pair := scif.NewPair(eng, plat)
 	d := &HostDaemon{
-		Eng: eng, Plat: plat, Node: node, HCA: hca, Bus: bus,
+		Plat: plat, Node: node,
 		ep: pair.Host, hostCtx: hca.Open(machine.HostMem),
 		objects: make(map[uint64]any),
 	}
@@ -313,18 +224,21 @@ func New(eng *sim.Engine, plat *perfmodel.Platform, node *machine.Node, hca *ib.
 	eng.Spawn(fmt.Sprintf("dcfa-daemon/node%d", node.ID), d.serve)
 	v := &MicVerbs{
 		Eng: eng, Plat: plat, Node: node, HCA: hca, Bus: bus,
-		ep: pair.Mic, ctx: hca.Open(machine.MicMem), cmd: sim.NewSemaphore(eng), daemon: d,
+		ep: pair.Mic, ctx: hca.Open(machine.MicMem), cmd: sim.NewSemaphore(eng),
+		daemon: d, create: d.create,
 		mrHandles: make(map[*ib.MR]uint64),
 	}
 	return v, d
 }
 
-// call performs one delegated command round trip, retrying transient
-// rejections with capped exponential backoff until faults.CmdDeadline
-// of virtual time has passed. The sunny-day path (no injector, no
+// call performs one delegated command round trip: the daemon runs host
+// in its own process and replies with its result, which call returns
+// (an error result as the error). It retries transient rejections with
+// capped exponential backoff until faults.CmdDeadline of virtual time
+// has passed; a rejected attempt ran no host work, so neither did a
+// command that timed out. The sunny-day path (no injector, no
 // rejection) is a single Call with no extra timing.
-func (v *MicVerbs) call(p *sim.Proc, kind int, payload any) (scif.Msg, error) {
-	name := cmdName(kind)
+func (v *MicVerbs) call(p *sim.Proc, name string, host func(*sim.Proc) any) (any, error) {
 	start := p.Now()
 	var sp *metrics.Span
 	if v.metrics != nil {
@@ -334,7 +248,8 @@ func (v *MicVerbs) call(p *sim.Proc, kind int, payload any) (scif.Msg, error) {
 	tries := 0
 	for {
 		v.cmd.Acquire(p)
-		resp := v.ep.Call(p, kind, payload)
+		v.req = command{name: name, host: host}
+		resp := v.ep.Call(p, 0, &v.req)
 		v.cmd.Release()
 		tries++
 		if _, rejected := resp.Payload.(cmdFail); !rejected {
@@ -345,8 +260,11 @@ func (v *MicVerbs) call(p *sim.Proc, kind int, payload any) (scif.Msg, error) {
 				v.metrics.Histogram(v.actor, "cmd-rtt."+name).ObserveDuration(now - start)
 			}
 			v.causal.Emit(causal.Event{T: now, Kind: causal.EvCmdDone,
-				Rank: v.causalRank, Peer: -1, Tag: int32(kind), Aux: uint64(now - start)})
-			return resp, nil
+				Rank: v.causalRank, Peer: -1, Aux: uint64(now - start)})
+			if err, ok := resp.Payload.(error); ok {
+				return nil, err
+			}
+			return resp.Payload, nil
 		}
 		// Transient rejection: back off and retry, unless the next
 		// attempt could not even start before the deadline.
@@ -355,7 +273,7 @@ func (v *MicVerbs) call(p *sim.Proc, kind int, payload any) (scif.Msg, error) {
 				sp.End(p.Now())
 				v.metrics.Counter(v.actor, "cmd.timeouts").Inc()
 			}
-			return scif.Msg{}, &CmdTimeoutError{Cmd: name, Tries: tries, Elapsed: p.Now() - start}
+			return nil, &CmdTimeoutError{Cmd: name, Tries: tries, Elapsed: p.Now() - start}
 		}
 		if v.metrics != nil {
 			v.metrics.Counter(v.actor, "cmd.retries").Inc()
@@ -366,15 +284,9 @@ func (v *MicVerbs) call(p *sim.Proc, kind int, payload any) (scif.Msg, error) {
 	}
 }
 
-// OpenDevice performs the delegated device/context setup.
-func (v *MicVerbs) OpenDevice(p *sim.Proc) error {
-	_, err := v.call(p, CmdOpenDev, nil)
-	return err
-}
-
 // AllocPD allocates a protection domain (host-assisted).
 func (v *MicVerbs) AllocPD(p *sim.Proc) (*ib.PD, error) {
-	if _, err := v.call(p, CmdAllocPD, nil); err != nil {
+	if _, err := v.call(p, "alloc-pd", v.create); err != nil {
 		return nil, err
 	}
 	return v.ctx.AllocPD(), nil
@@ -383,7 +295,7 @@ func (v *MicVerbs) AllocPD(p *sim.Proc) (*ib.PD, error) {
 // CreateCQ creates a completion queue (host-assisted structures, polled
 // directly from the co-processor).
 func (v *MicVerbs) CreateCQ(p *sim.Proc, depth int) (*ib.CQ, error) {
-	if _, err := v.call(p, CmdCreateCQ, nil); err != nil {
+	if _, err := v.call(p, "create-cq", v.create); err != nil {
 		return nil, err
 	}
 	return v.ctx.CreateCQ(depth), nil
@@ -392,7 +304,7 @@ func (v *MicVerbs) CreateCQ(p *sim.Proc, depth int) (*ib.CQ, error) {
 // CreateQP creates an RC queue pair (host-assisted structures, doorbell
 // rung directly from the co-processor).
 func (v *MicVerbs) CreateQP(p *sim.Proc, pd *ib.PD, sendCQ, recvCQ *ib.CQ) (*ib.QP, error) {
-	if _, err := v.call(p, CmdCreateQP, nil); err != nil {
+	if _, err := v.call(p, "create-qp", v.create); err != nil {
 		return nil, err
 	}
 	return v.ctx.CreateQP(pd, sendCQ, recvCQ), nil
@@ -402,15 +314,25 @@ func (v *MicVerbs) CreateQP(p *sim.Proc, pd *ib.PD, sendCQ, recvCQ *ib.CQ) (*ib.
 // buffer address and ships the request to the host, which maps and pins
 // the pages. This is the expensive path the paper's MR cache exists for.
 func (v *MicVerbs) RegMR(p *sim.Proc, pd *ib.PD, dom *machine.Domain, addr uint64, n int) (*ib.MR, error) {
-	resp, err := v.call(p, CmdRegMR, regMRReq{dom: dom, addr: addr, n: n, pd: pd})
+	d := v.daemon
+	var handle uint64
+	res, err := v.call(p, "reg-mr", func(p *sim.Proc) any {
+		// The modified host IB core maps and pins co-processor pages:
+		// host registration cost plus the mapping extra.
+		mr, err := d.hostCtx.RegMR(p, pd, dom, addr, n)
+		if err != nil {
+			return err
+		}
+		p.Sleep(d.Plat.DelegationExtra)
+		handle = d.publish(mr)
+		return mr
+	})
 	if err != nil {
 		return nil, err
 	}
-	r := resp.Payload.(regMRResp)
-	if r.err == nil {
-		v.mrHandles[r.mr] = r.handle
-	}
-	return r.mr, r.err
+	mr := res.(*ib.MR)
+	v.mrHandles[mr] = handle
+	return mr, nil
 }
 
 // RegMRBuffer registers a whole buffer.
@@ -425,11 +347,16 @@ func (v *MicVerbs) DeregMR(p *sim.Proc, mr *ib.MR) error {
 	if !ok {
 		return fmt.Errorf("dcfa: MR not delegated")
 	}
-	resp, err := v.call(p, CmdDeregMR, handle)
-	if err != nil {
+	d := v.daemon
+	if _, err := v.call(p, "dereg-mr", func(p *sim.Proc) any {
+		mr, ok := d.objects[handle].(*ib.MR)
+		if !ok {
+			return fmt.Errorf("dcfa: unknown MR handle %d", handle)
+		}
+		err := d.hostCtx.DeregMR(p, mr)
+		delete(d.objects, handle)
 		return err
-	}
-	if err, ok := resp.Payload.(error); ok && err != nil {
+	}); err != nil {
 		return err
 	}
 	delete(v.mrHandles, mr)
@@ -440,12 +367,24 @@ func (v *MicVerbs) DeregMR(p *sim.Proc, mr *ib.MR) error {
 // registers it on the host, and returns the region usable for later
 // sends (the paper's reg_offload_mr).
 func (v *MicVerbs) RegOffloadMR(p *sim.Proc, size int) (*OffloadMR, error) {
-	resp, err := v.call(p, CmdRegOffloadMR, regOffloadReq{size: size})
+	d := v.daemon
+	res, err := v.call(p, "reg-offload-mr", func(p *sim.Proc) any {
+		// Registered whole but written only as far as the sends it
+		// stages reach: reserved pages are backed on first touch.
+		buf := d.Node.Host.Reserve(size)
+		mr, err := d.hostCtx.RegMR(p, d.hostPD, d.Node.Host, buf.Addr, size)
+		if err != nil {
+			d.Node.Host.Free(buf)
+			return err
+		}
+		omr := &OffloadMR{Size: size, HostBuf: buf, HostMR: mr}
+		omr.Handle = d.publish(omr)
+		return omr
+	})
 	if err != nil {
 		return nil, err
 	}
-	r := resp.Payload.(regOffloadResp)
-	return r.omr, r.err
+	return res.(*OffloadMR), nil
 }
 
 // SyncOffloadMR stages src (co-processor data) into the host bounce
@@ -468,12 +407,32 @@ func (v *MicVerbs) SyncOffloadMR(p *sim.Proc, omr *OffloadMR, off int, src []byt
 // side, deregisters the host memory region and frees the host buffer
 // (dereg_offload_mr).
 func (v *MicVerbs) DeregOffloadMR(p *sim.Proc, omr *OffloadMR) error {
-	resp, err := v.call(p, CmdDeregOffloadMR, omr.Handle)
-	if err != nil {
+	d, handle := v.daemon, omr.Handle
+	_, err := v.call(p, "dereg-offload-mr", func(p *sim.Proc) any {
+		omr, ok := d.objects[handle].(*OffloadMR)
+		if !ok {
+			return fmt.Errorf("dcfa: unknown offload MR handle %d", handle)
+		}
+		err := d.hostCtx.DeregMR(p, omr.HostMR)
+		d.Node.Host.Free(omr.HostBuf)
+		omr.released = true
+		delete(d.objects, handle)
 		return err
-	}
-	if err, ok := resp.Payload.(error); ok && err != nil {
-		return err
-	}
-	return nil
+	})
+	return err
+}
+
+// Pack delegates a datatype gather of n packed bytes to the host CPU
+// (§VI's CMD offload of user-defined datatypes): one command round trip
+// plus the host's pack rate over the mapped co-processor pages. pack
+// does the gather in the daemon's process; a command that fails ran
+// no host work, so the caller may then pack locally instead.
+func (v *MicVerbs) Pack(p *sim.Proc, n int, pack func()) error {
+	d := v.daemon
+	_, err := v.call(p, "pack", func(p *sim.Proc) any {
+		pack()
+		p.Sleep(sim.Duration(float64(n) / d.Plat.HostPackRate * float64(sim.Second)))
+		return nil
+	})
+	return err
 }

@@ -2,9 +2,11 @@ package dcfa
 
 import (
 	"bytes"
+	"errors"
 	"runtime"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/ib"
 	"repro/internal/machine"
 	"repro/internal/metrics"
@@ -89,7 +91,6 @@ func TestMicToMicRDMAWriteViaDCFA(t *testing.T) {
 	ready := sim.NewEvent(r.eng)
 	r.eng.Spawn("rank1", func(p *sim.Proc) {
 		v := r.mic[1]
-		v.OpenDevice(p)
 		pd, _ := v.AllocPD(p)
 		s[1].cq, _ = v.CreateCQ(p, 256)
 		s[1].qp, _ = v.CreateQP(p, pd, s[1].cq, s[1].cq)
@@ -108,7 +109,6 @@ func TestMicToMicRDMAWriteViaDCFA(t *testing.T) {
 	})
 	r.eng.Spawn("rank0", func(p *sim.Proc) {
 		v := r.mic[0]
-		v.OpenDevice(p)
 		pd, _ := v.AllocPD(p)
 		s[0].cq, _ = v.CreateCQ(p, 256)
 		s[0].qp, _ = v.CreateQP(p, pd, s[0].cq, s[0].cq)
@@ -408,5 +408,62 @@ func TestDeregMRCostIndependentOfTableSize(t *testing.T) {
 	})
 	if err := r.eng.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPackIsACommand: a delegated pack rides the CMD channel like any
+// other command. Its host half runs in the daemon's process, and its
+// round trip is the two crossings plus the host's pack rate.
+func TestPackIsACommand(t *testing.T) {
+	r := newRig()
+	reg := metrics.New()
+	r.mic[0].SetMetrics(reg)
+	const n = 4 << 10
+	var ran bool
+	var elapsed sim.Duration
+	r.eng.Spawn("rank", func(p *sim.Proc) {
+		start := p.Now()
+		if err := r.mic[0].Pack(p, n, func() { ran = true }); err != nil {
+			t.Error(err)
+		}
+		elapsed = p.Now() - start
+	})
+	if err := r.eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := 2*r.plat.SCIFMsgLatency + sim.Duration(float64(n)/r.plat.HostPackRate*float64(sim.Second))
+	if !ran || elapsed != want {
+		t.Fatalf("pack ran=%v in %v, want ran in %v", ran, elapsed, want)
+	}
+	if c, s := reg.Counter("dcfa/node0", "cmd.pack").Value(), reg.Counter("dcfad/node0", "served.pack").Value(); c != 1 || s != 1 {
+		t.Fatalf("cmd.pack %d, served.pack %d, want 1 and 1", c, s)
+	}
+	if got := reg.Histogram("dcfa/node0", "cmd-rtt.pack").Max(); got != int64(want) {
+		t.Fatalf("cmd-rtt.pack %d ns, want %d", got, want)
+	}
+}
+
+// TestRejectedPackRunsNoHostWork: a pack the channel rejects until its
+// deadline fails with a CmdTimeoutError and never runs its gather, so
+// the caller can pack locally without packing twice.
+func TestRejectedPackRunsNoHostWork(t *testing.T) {
+	r := newRig()
+	plan := faults.NewPlan(1)
+	plan.Cmd = 1
+	r.mic[0].SetFaults(faults.New(r.eng, plan))
+	ran := false
+	var err error
+	r.eng.Spawn("rank", func(p *sim.Proc) {
+		err = r.mic[0].Pack(p, 4096, func() { ran = true })
+	})
+	if runErr := r.eng.Run(); runErr != nil {
+		t.Fatal(runErr)
+	}
+	var cte *CmdTimeoutError
+	if !errors.As(err, &cte) || cte.Cmd != "pack" {
+		t.Fatalf("rejected pack returned %v, want a CmdTimeoutError for pack", err)
+	}
+	if ran {
+		t.Fatal("a rejected pack ran its host half")
 	}
 }

@@ -94,14 +94,6 @@ func (s *Span) End(t sim.Time) {
 	s.Ended = true
 }
 
-// Duration returns Finish-Start for an ended span (0 otherwise).
-func (s *Span) Duration() sim.Duration {
-	if s == nil || !s.Ended {
-		return 0
-	}
-	return s.Finish - s.Start
-}
-
 // Spans returns every recorded span in begin order (deterministic: the
 // engine dispatches events serially).
 func (r *Registry) Spans() []*Span {

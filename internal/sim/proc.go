@@ -50,9 +50,6 @@ func (p *Proc) Name() string { return p.name }
 // ID returns the process's engine-unique id.
 func (p *Proc) ID() int { return p.id }
 
-// Engine returns the owning engine.
-func (p *Proc) Engine() *Engine { return p.eng }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.eng.now }
 
