@@ -3,9 +3,12 @@
 // names the execution modes the paper compares (§III-B, §V), and
 // Config, Envs and World turn a mode into a protocol configuration, the
 // per-rank verbs providers and a world that carry everything installed
-// on the cluster (SetMetrics, SetFaults, SetCausal). The host-offload
-// mode's co-processor handle is the node's PCIe bus: a rank drives
-// Buses[NodeFor(rank)] through its Offload* methods.
+// on the cluster (SetMetrics, SetFaults, SetCausal). Each sink lives on
+// the fabric and each node's PCIe bus, where ranks and DCFA read it, so
+// a fault plan may be installed any time before World.Run; Config also
+// copies the registry and the recorder, so those come before World. The
+// host-offload mode's co-processor handle is the node's PCIe bus: a
+// rank drives Buses[NodeFor(rank)] through its Offload* methods.
 package cluster
 
 import (
@@ -37,10 +40,6 @@ type Cluster struct {
 	// Metrics is the telemetry registry shared by every layer of this
 	// cluster (nil = disabled); install it with SetMetrics.
 	Metrics *metrics.Registry
-	// Faults is the deterministic fault injector shared by the fabric,
-	// the PCIe complexes and the DCFA daemons (nil = no faults);
-	// install it with SetFaults before building worlds.
-	Faults *faults.Injector
 	// Causal is the causal-profiler event recorder shared by every
 	// layer (nil = disabled); install it with SetCausal.
 	Causal *causal.Recorder
@@ -77,9 +76,9 @@ func NewWithTopo(plat *perfmodel.Platform, n int, topology string) *Cluster {
 }
 
 // SetMetrics installs one telemetry registry across the cluster's
-// fabric and PCIe complexes; worlds built afterwards (World, Envs,
-// Config) inherit it down to every rank and DCFA daemon.
-// Call it before building worlds so QP creation picks up the handles.
+// fabric and PCIe complexes, where every DCFA client and daemon reads
+// it; worlds built afterwards (World, Config) copy it to every rank.
+// Call it before building worlds so ranks and QP creation pick it up.
 func (c *Cluster) SetMetrics(reg *metrics.Registry) {
 	c.Metrics = reg
 	c.Fabric.Metrics = reg
@@ -89,9 +88,10 @@ func (c *Cluster) SetMetrics(reg *metrics.Registry) {
 }
 
 // SetCausal installs one causal-event recorder across the cluster's
-// fabric and PCIe complexes; worlds built afterwards inherit it down to
-// every rank and DCFA verbs interface. Recording is passive, so a run
-// with a recorder installed keeps the fingerprint of a run without.
+// fabric and PCIe complexes, where every DCFA verbs interface reads it;
+// worlds built afterwards copy it to every rank, so call it before
+// World. Recording is passive, so a run with a recorder installed keeps
+// the fingerprint of a run without.
 func (c *Cluster) SetCausal(rec *causal.Recorder) {
 	c.Causal = rec
 	c.Fabric.Causal = rec
@@ -101,13 +101,14 @@ func (c *Cluster) SetCausal(rec *causal.Recorder) {
 }
 
 // SetFaults builds a deterministic injector from plan and installs it
-// across the cluster's fabric and PCIe complexes; worlds built
-// afterwards inherit it down to every rank and DCFA daemon. A nil plan
-// (or one with all-zero rates) leaves every schedule untouched. The
-// injector is returned so callers can read its tally after a run.
+// on the cluster's fabric and PCIe complexes, its only homes: each rank
+// reads it from its adapter when the world runs, and each DCFA client
+// and daemon from its node's bus, so it may be installed any time
+// before World.Run. A nil plan (or one with all-zero rates) leaves
+// every schedule untouched. The injector is returned so callers can
+// read its tally after a run.
 func (c *Cluster) SetFaults(plan *faults.Plan) *faults.Injector {
 	inj := faults.New(c.Eng, plan)
-	c.Faults = inj
 	c.Fabric.Faults = inj
 	for _, b := range c.Buses {
 		b.Faults = inj
@@ -172,17 +173,16 @@ func (c *Cluster) Config(m Mode) core.Config {
 		// ring.
 		cfg.EagerMax, cfg.EagerSlots = 256<<10, 4
 	}
-	cfg.Metrics, cfg.Faults, cfg.Causal = c.Metrics, c.Faults, c.Causal
+	cfg.Metrics, cfg.Causal = c.Metrics, c.Causal
 	return cfg
 }
 
 // newMic wires DCFA for one rank on node ni: its own delegation client
-// and host daemon (mcexec is per process), carrying the cluster's sinks.
+// and host daemon (mcexec is per process), reporting to the sinks on
+// the node's PCIe complex.
 func (c *Cluster) newMic(rank, ni int) core.DCFAVerbs {
 	mic, _ := dcfa.New(c.Eng, c.Plat, c.Nodes[ni], c.HCAs[ni], c.Buses[ni])
-	mic.SetMetrics(c.Metrics)
-	mic.SetFaults(c.Faults)
-	mic.SetCausal(c.Causal, rank)
+	mic.Rank = rank
 	return core.DCFAVerbs{MicVerbs: mic}
 }
 

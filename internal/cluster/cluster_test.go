@@ -12,6 +12,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/pcie"
 	"repro/internal/perfmodel"
+	"repro/internal/sim"
 	"repro/internal/topo"
 )
 
@@ -191,6 +192,75 @@ func TestEveryModeCarriesClusterSinks(t *testing.T) {
 			}
 			if cmdRetries != inj.CmdFaults {
 				t.Errorf("%d commands rejected, clients counted %d retries", inj.CmdFaults, cmdRetries)
+			}
+		})
+	}
+}
+
+// TestFaultPlanInstallOrderDoesNotMatter: the injector lives only on
+// the fabric and the PCIe complexes, where ranks and DCFA read it when
+// the world runs, so a plan installed after World behaves exactly like
+// one installed before: the same fingerprint, sim time, injector tally
+// and error. Four DCFA ranks exchange 64 B to 32 KiB around a ring.
+func TestFaultPlanInstallOrderDoesNotMatter(t *testing.T) {
+	type outcome struct {
+		fp     uint64
+		now    sim.Time
+		tally  [5]int64
+		errMsg string
+	}
+	run := func(spec string, late bool) outcome {
+		plan, err := faults.Parse(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const ranks = 4
+		c := New(perfmodel.Default(), ranks)
+		var inj *faults.Injector
+		if !late {
+			inj = c.SetFaults(plan)
+		}
+		w := c.World(ModeDCFA, ranks)
+		if late {
+			inj = c.SetFaults(plan)
+		}
+		err = w.Run(func(r *core.Rank) error {
+			p := r.Proc()
+			next, prev := (r.ID()+1)%ranks, (r.ID()+ranks-1)%ranks
+			for n := 64; n <= 32<<10; n *= 2 {
+				sb, rb := r.Mem(n), r.Mem(n)
+				for i := range sb.Data {
+					sb.Data[i] = byte(i + r.ID())
+				}
+				if _, err := r.Sendrecv(p, next, n, core.Whole(sb), prev, n, core.Whole(rb)); err != nil {
+					return err
+				}
+				for i, b := range rb.Data {
+					if b != byte(i+prev) {
+						return fmt.Errorf("rank %d: %d-byte payload corrupt at %d", r.ID(), n, i)
+					}
+				}
+			}
+			return nil
+		})
+		o := outcome{fp: c.Eng.Fingerprint(), now: c.Eng.Now(),
+			tally: [5]int64{inj.IBFaults, inj.IBDropped, inj.CmdFaults, inj.DMADelayed, inj.DMAAborted}}
+		if err != nil {
+			o.errMsg = err.Error()
+		}
+		return o
+	}
+	for _, spec := range []string{"seed=7,ib=0.02", "seed=7,cmd=0.05", "seed=3,ib=0.05,cmd=0.05"} {
+		t.Run(spec, func(t *testing.T) {
+			early, late := run(spec, false), run(spec, true)
+			if early.errMsg != "" {
+				t.Errorf("plan installed before World: %s", early.errMsg)
+			}
+			if early.tally == [5]int64{} {
+				t.Error("the plan injected nothing: the test exercises nothing")
+			}
+			if late != early {
+				t.Errorf("installed after World: %+v\ninstalled before:     %+v", late, early)
 			}
 		})
 	}

@@ -356,9 +356,9 @@ func TestPackFallsBackWhenChannelGivesUp(t *testing.T) {
 			want = make([]byte, dt.PackedSize())
 			dt.Pack(want, mat.Data)
 			mic := envs[0].V.(core.DCFAVerbs)
-			mic.SetFaults(faults.New(c.Eng, plan))
+			mic.Bus.Faults = faults.New(c.Eng, plan)
 			err := r.SendTyped(p, 1, 0, core.Whole(mat), dt)
-			mic.SetFaults(nil)
+			mic.Bus.Faults = nil
 			if err != nil {
 				return err
 			}

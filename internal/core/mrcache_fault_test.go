@@ -48,10 +48,9 @@ func TestMRCacheSurvivesCmdFaults(t *testing.T) {
 	inj := faults.New(eng, plan)
 	fab.Faults = inj
 	bus.Faults = inj
-	mic.SetFaults(inj)
 
 	reg := metrics.New()
-	mic.SetMetrics(reg)
+	bus.Metrics = reg
 	v := DCFAVerbs{MicVerbs: mic}
 	eng.Spawn("test", func(p *sim.Proc) {
 		pd, err := v.AllocPD(p)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/faults"
 	"repro/internal/ib"
 	"repro/internal/machine"
 	"repro/internal/pcie"
@@ -105,6 +106,10 @@ type Rank struct {
 
 	pd *ib.PD
 	cq *ib.CQ
+	// faults is the adapter's fault injector, read once at setup: the
+	// rank consults it for recovery policy (retry budget) on the
+	// per-packet path, never for injection decisions.
+	faults *faults.Injector
 	// peers[i] is the pair (me, i), nil until the pair is wired (under
 	// lazy connect, its first message); peers[id] is loopback.
 	peers   []*peerState
@@ -209,6 +214,7 @@ func (r *Rank) MRCacheStats() (hits, misses int64) {
 // setup builds this rank's verbs resources (phase 1 of bootstrap).
 func (r *Rank) setup(p *sim.Proc) error {
 	cfg := r.w.Cfg
+	r.faults = r.v.HCA().Faults()
 	var err error
 	if r.pd, err = r.v.AllocPD(p); err != nil {
 		return err
@@ -462,7 +468,7 @@ func (r *Rank) nextWR(a wrAction) uint64 {
 // faultsOn reports whether a fault plan with any nonzero rate is
 // installed (the recovery paths are compiled out of the hot path
 // behind this check).
-func (r *Rank) faultsOn() bool { return r.w.Cfg.Faults.Enabled() }
+func (r *Rank) faultsOn() bool { return r.faults.Enabled() }
 
 // post issues wr on the QP toward peer dst. If the QP is not connected
 // (errored by a fault, awaiting recovery), the fully-formed WR is
@@ -521,7 +527,7 @@ func (r *Rank) recoverWR(p *sim.Proc, wrid uint64, act wrAction) {
 		r.step(p, stepQPReset, act.peer, 0, 0)
 	}
 	act.tries++
-	if act.tries > r.w.Cfg.Faults.MaxRetries() {
+	if act.tries > r.faults.MaxRetries() {
 		r.failWR(p, act, &TransportError{Peer: act.peer, Op: act.kind.String(), Tries: act.tries})
 		return
 	}

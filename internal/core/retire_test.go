@@ -386,8 +386,7 @@ func TestRetireHoldsNoReference(t *testing.T) {
 			tune: func(cfg *Config, fab *ib.Fabric) {
 				plan := faults.NewPlan(11)
 				plan.IBError, plan.IBDelivered = 0.3, 0.5
-				cfg.Faults = faults.New(fab.Eng, plan)
-				fab.Faults = cfg.Faults
+				fab.Faults = faults.New(fab.Eng, plan)
 			},
 			body: func(o *retireOps) error {
 				peer := 1 - o.r.id

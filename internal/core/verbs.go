@@ -71,7 +71,7 @@ type DCFAVerbs struct {
 	directPost
 }
 
-func (d DCFAVerbs) Domain() *machine.Domain { return d.Node.Mic }
+func (d DCFAVerbs) Domain() *machine.Domain { return d.MicVerbs.HCA.Node.Mic }
 func (d DCFAVerbs) HCA() *ib.HCA            { return d.MicVerbs.HCA }
 
 // ProxyVerbs is the 'Intel MPI on Xeon Phi' provider: co-processor

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/causal"
-	"repro/internal/faults"
 	"repro/internal/machine"
 	"repro/internal/metrics"
 	"repro/internal/perfmodel"
@@ -46,12 +45,6 @@ type Config struct {
 	// passive and virtual-time-only: enabling it must not change the
 	// engine's event sequence (see internal/metrics).
 	Metrics *metrics.Registry
-	// Faults, when non-nil with nonzero rates, is the deterministic
-	// fault injector shared with the transport layers; the MPI layer
-	// consults it only for recovery policy (retry budget), never for
-	// injection decisions. A nil or zero-rate injector leaves every
-	// code path and fingerprint unchanged.
-	Faults *faults.Injector
 	// Causal, when non-nil, records structured lifecycle events for
 	// the cross-rank causal profiler (internal/causal). Recording is
 	// passive — value appends only, no engine interaction — so enabling

@@ -78,6 +78,12 @@ type HostDaemon struct {
 	Plat *perfmodel.Platform
 	Node *machine.Node
 
+	// bus is the node's PCIe complex, which the CMD channel crosses: the
+	// daemon counts on its registry and rejects by its fault injector.
+	bus *pcie.Bus
+	// actor is the daemon's telemetry track name ("dcfad/node<N>").
+	actor string
+
 	ep      *scif.Endpoint
 	hostCtx *ib.Context
 	hostPD  *ib.PD
@@ -86,13 +92,6 @@ type HostDaemon struct {
 	// co-processor, keyed by published handle.
 	objects    map[uint64]any
 	nextHandle uint64
-
-	// Telemetry (nil / "" when metrics are disabled).
-	metrics *metrics.Registry
-	actor   string
-
-	// faults injects transient CMD-channel rejections (nil = sunny day).
-	faults *faults.Injector
 }
 
 // serve is the daemon main loop: it runs each command's host half in
@@ -102,18 +101,19 @@ func (d *HostDaemon) serve(p *sim.Proc) {
 	for {
 		msg := d.ep.Recv(p)
 		cmd := msg.Payload.(*command)
-		if d.faults.CmdFault() {
+		reg := d.bus.Metrics
+		if d.bus.Faults.CmdFault() {
 			// Transient failure: reject before doing any host work. The
 			// client's retry makes this invisible to callers (modulo
 			// time) unless the deadline runs out first.
-			if d.metrics != nil {
-				d.metrics.Counter(d.actor, "rejected."+cmd.name).Inc()
+			if reg != nil {
+				reg.Counter(d.actor, "rejected."+cmd.name).Inc()
 			}
 			d.ep.Send(msg.Kind, cmdFail{})
 			continue
 		}
-		if d.metrics != nil {
-			d.metrics.Counter(d.actor, "served."+cmd.name).Inc()
+		if reg != nil {
+			reg.Counter(d.actor, "served."+cmd.name).Inc()
 		}
 		d.ep.Send(msg.Kind, cmd.host(p))
 	}
@@ -139,13 +139,19 @@ func (d *HostDaemon) publish(obj any) uint64 {
 func (d *HostDaemon) LiveObjects() int { return len(d.objects) }
 
 // MicVerbs is the DCFA IB IF: the InfiniBand verbs interface available
-// to co-processor user space, uniform with the host's.
+// to co-processor user space, uniform with the host's. Its CMD channel
+// crosses the node's PCIe complex, Bus, whose sinks it reports to: each
+// delegated command records a count, a round-trip latency histogram and
+// a span on the "dcfa/node<N>" track of Bus.Metrics, lands on Rank's
+// timeline of Bus.Causal, and is rejected by Bus.Faults.
 type MicVerbs struct {
-	Eng  *sim.Engine
 	Plat *perfmodel.Platform
-	Node *machine.Node
 	HCA  *ib.HCA
 	Bus  *pcie.Bus
+	// Rank is the MPI rank this interface serves: completed CMD round
+	// trips (which run in the rank's process) land on its causal
+	// timeline as EvCmdDone.
+	Rank int
 
 	ep  *scif.Endpoint
 	ctx *ib.Context
@@ -165,50 +171,8 @@ type MicVerbs struct {
 	// daemon published for it, which DeregMR ships back.
 	mrHandles map[*ib.MR]uint64
 
-	// Telemetry (nil / "" when metrics are disabled).
-	metrics *metrics.Registry
-	actor   string
-
-	// faults supplies the CMD retry policy and drives the daemon's
-	// rejections (nil = sunny day).
-	faults *faults.Injector
-
-	// causal, when non-nil, receives one EvCmdDone per completed
-	// delegated command, attributed to causalRank's timeline (the CMD
-	// round trip runs in the rank's process context).
-	causal     *causal.Recorder
-	causalRank int32
-}
-
-// SetMetrics installs (or removes, with nil) the telemetry registry on
-// both the co-processor verbs interface and its host daemon. Each
-// delegated command records a count, a round-trip latency histogram and
-// a span on the "dcfa/node<N>" track; the daemon counts commands served
-// on "dcfad/node<N>".
-func (v *MicVerbs) SetMetrics(reg *metrics.Registry) {
-	v.metrics = reg
-	v.daemon.metrics = reg
-	if reg != nil {
-		v.actor = fmt.Sprintf("dcfa/node%d", v.Node.ID)
-		v.daemon.actor = fmt.Sprintf("dcfad/node%d", v.Node.ID)
-	}
-}
-
-// SetCausal installs (or removes, with nil) the causal-event recorder.
-// rank is the MPI rank this verbs interface serves; completed CMD
-// round trips land on that rank's causal timeline as EvCmdDone.
-func (v *MicVerbs) SetCausal(rec *causal.Recorder, rank int) {
-	v.causal = rec
-	v.causalRank = int32(rank)
-}
-
-// SetFaults installs (or removes, with nil) the fault injector on both
-// the co-processor verbs interface and its host daemon. Install it
-// before issuing commands; the client side reads its retry policy from
-// the same plan that drives the daemon's rejections.
-func (v *MicVerbs) SetFaults(inj *faults.Injector) {
-	v.faults = inj
-	v.daemon.faults = inj
+	// actor is the telemetry track name ("dcfa/node<N>").
+	actor string
 }
 
 // New wires up DCFA on one node: it spawns the host delegation daemon
@@ -216,17 +180,18 @@ func (v *MicVerbs) SetFaults(inj *faults.Injector) {
 func New(eng *sim.Engine, plat *perfmodel.Platform, node *machine.Node, hca *ib.HCA, bus *pcie.Bus) (*MicVerbs, *HostDaemon) {
 	pair := scif.NewPair(eng, plat)
 	d := &HostDaemon{
-		Plat: plat, Node: node,
+		Plat: plat, Node: node, bus: bus, actor: fmt.Sprintf("dcfad/node%d", node.ID),
 		ep: pair.Host, hostCtx: hca.Open(machine.HostMem),
 		objects: make(map[uint64]any),
 	}
 	d.hostPD = d.hostCtx.AllocPD()
 	eng.Spawn(fmt.Sprintf("dcfa-daemon/node%d", node.ID), d.serve)
 	v := &MicVerbs{
-		Eng: eng, Plat: plat, Node: node, HCA: hca, Bus: bus,
+		Plat: plat, HCA: hca, Bus: bus,
 		ep: pair.Mic, ctx: hca.Open(machine.MicMem), cmd: sim.NewSemaphore(eng),
 		daemon: d, create: d.create,
 		mrHandles: make(map[*ib.MR]uint64),
+		actor:     fmt.Sprintf("dcfa/node%d", node.ID),
 	}
 	return v, d
 }
@@ -240,9 +205,10 @@ func New(eng *sim.Engine, plat *perfmodel.Platform, node *machine.Node, hca *ib.
 // rejection) is a single Call with no extra timing.
 func (v *MicVerbs) call(p *sim.Proc, name string, host func(*sim.Proc) any) (any, error) {
 	start := p.Now()
+	reg := v.Bus.Metrics
 	var sp *metrics.Span
-	if v.metrics != nil {
-		sp = v.metrics.Begin(start, v.actor, "cmd."+name)
+	if reg != nil {
+		sp = reg.Begin(start, v.actor, "cmd."+name)
 	}
 	backoff, deadline := faults.CmdBackoff, start+faults.CmdDeadline
 	tries := 0
@@ -254,13 +220,13 @@ func (v *MicVerbs) call(p *sim.Proc, name string, host func(*sim.Proc) any) (any
 		tries++
 		if _, rejected := resp.Payload.(cmdFail); !rejected {
 			now := p.Now()
-			if v.metrics != nil {
+			if reg != nil {
 				sp.End(now)
-				v.metrics.Counter(v.actor, "cmd."+name).Inc()
-				v.metrics.Histogram(v.actor, "cmd-rtt."+name).ObserveDuration(now - start)
+				reg.Counter(v.actor, "cmd."+name).Inc()
+				reg.Histogram(v.actor, "cmd-rtt."+name).ObserveDuration(now - start)
 			}
-			v.causal.Emit(causal.Event{T: now, Kind: causal.EvCmdDone,
-				Rank: v.causalRank, Peer: -1, Aux: uint64(now - start)})
+			v.Bus.Causal.Emit(causal.Event{T: now, Kind: causal.EvCmdDone,
+				Rank: int32(v.Rank), Peer: -1, Aux: uint64(now - start)})
 			if err, ok := resp.Payload.(error); ok {
 				return nil, err
 			}
@@ -269,14 +235,14 @@ func (v *MicVerbs) call(p *sim.Proc, name string, host func(*sim.Proc) any) (any
 		// Transient rejection: back off and retry, unless the next
 		// attempt could not even start before the deadline.
 		if p.Now()+backoff >= deadline {
-			if v.metrics != nil {
+			if reg != nil {
 				sp.End(p.Now())
-				v.metrics.Counter(v.actor, "cmd.timeouts").Inc()
+				reg.Counter(v.actor, "cmd.timeouts").Inc()
 			}
 			return nil, &CmdTimeoutError{Cmd: name, Tries: tries, Elapsed: p.Now() - start}
 		}
-		if v.metrics != nil {
-			v.metrics.Counter(v.actor, "cmd.retries").Inc()
+		if reg != nil {
+			reg.Counter(v.actor, "cmd.retries").Inc()
 		}
 		p.Sleep(backoff)
 		backoff *= 2

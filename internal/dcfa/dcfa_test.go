@@ -42,7 +42,7 @@ func TestDelegatedRegMRCostsAndWorks(t *testing.T) {
 	r := newRig()
 	buf := r.node[0].Mic.Alloc(64 << 10)
 	reg := metrics.New()
-	r.mic[0].SetMetrics(reg)
+	r.bus[0].Metrics = reg
 	var elapsed sim.Duration
 	r.eng.Spawn("rank", func(p *sim.Proc) {
 		pd, _ := r.mic[0].AllocPD(p)
@@ -417,7 +417,7 @@ func TestDeregMRCostIndependentOfTableSize(t *testing.T) {
 func TestPackIsACommand(t *testing.T) {
 	r := newRig()
 	reg := metrics.New()
-	r.mic[0].SetMetrics(reg)
+	r.bus[0].Metrics = reg
 	const n = 4 << 10
 	var ran bool
 	var elapsed sim.Duration
@@ -450,7 +450,7 @@ func TestRejectedPackRunsNoHostWork(t *testing.T) {
 	r := newRig()
 	plan := faults.NewPlan(1)
 	plan.Cmd = 1
-	r.mic[0].SetFaults(faults.New(r.eng, plan))
+	r.bus[0].Faults = faults.New(r.eng, plan)
 	ran := false
 	var err error
 	r.eng.Spawn("rank", func(p *sim.Proc) {

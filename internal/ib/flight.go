@@ -171,7 +171,8 @@ func (x *flight) readArrive() {
 
 // respond is a READ's data landing: the local scatter list is
 // re-validated and filled, and the work request completes in the same
-// instant.
+// instant if it is signaled or has failed; an unsignaled success pushes
+// no completion, as in verbs.
 func (x *flight) respond() {
 	h := x.qp.ctx.HCA
 	x.span.End(h.fab.Eng.Now())
@@ -187,6 +188,10 @@ func (x *flight) respond() {
 		remb = remb[copy(dst, remb):]
 	}
 	h.landed(x.qp)
+	if !x.signaled {
+		x.release()
+		return
+	}
 	x.complete()
 }
 

@@ -195,6 +195,11 @@ func (h *HCA) deliverVia(arrive sim.Time, dst *HCA, n int, bps float64) sim.Time
 	return arrive
 }
 
+// Faults is the fabric's fault injector (nil = sunny day): the plan
+// that errors this adapter's work requests, from which their poster
+// reads its recovery policy.
+func (h *HCA) Faults() *faults.Injector { return h.fab.Faults }
+
 // ctrlDelayTo is the extra latency-only interior crossing toward dst
 // for small control messages (read requests).
 func (h *HCA) ctrlDelayTo(dst *HCA) sim.Duration {

@@ -561,3 +561,52 @@ func TestWireFailedWRCompletesUnsignaled(t *testing.T) {
 		})
 	}
 }
+
+// TestWireUnsignaledReadCompletesNothing: a successful RDMA READ that
+// did not ask for a completion lands its bytes and pushes no CQE, as in
+// verbs, and its flight record goes back at the landing, so the next
+// post takes the same record.
+func TestWireUnsignaledReadCompletesNothing(t *testing.T) {
+	w := newWireRig(t)
+	for i := range w.dst.Data {
+		w.dst.Data[i] = byte(0xA0 + i%32)
+	}
+	remote := RemoteAddr{Addr: w.dmr.Addr, RKey: w.dmr.RKey}
+	fab := w.h0.fab
+	w.run(t, func(p *sim.Proc) {
+		if err := w.a.qp.PostSend(p, &SendWR{WRID: 1, Opcode: OpRDMARead, SGL: w.sgl(), Remote: remote}); err != nil {
+			t.Error(err)
+			return
+		}
+		p.Sleep(100 * sim.Microsecond)
+		if cqes := w.a.cq.Poll(p, 8); len(cqes) != 0 {
+			t.Errorf("an unsignaled READ pushed completions %+v, want none", cqes)
+		}
+		var got []byte
+		for _, b := range w.src {
+			got = append(got, b.Data...)
+		}
+		if !bytes.Equal(got, w.dst.Data) {
+			t.Errorf("READ landed % x\nwant        % x", got, w.dst.Data)
+		}
+		if w.a.qp.State == QPError {
+			t.Error("an unsignaled READ errored its QP")
+		}
+		checkFlightPool(t, fab, 1)
+		first := fab.flightFree[0]
+		if err := w.a.qp.PostSend(p, &SendWR{WRID: 2, Opcode: OpRDMARead, Signaled: true, SGL: w.sgl(), Remote: remote}); err != nil {
+			t.Error(err)
+			return
+		}
+		if len(fab.flightFree) != 0 {
+			t.Error("the next post did not reuse the released flight record")
+		}
+		if cqe := w.a.cq.WaitPoll(p, 1)[0]; cqe.WRID != 2 || cqe.Status != StatusSuccess {
+			t.Errorf("completion %+v, want WR 2 succeeded", cqe)
+		}
+		if fab.flightFree[0] != first {
+			t.Error("the signaled READ rode another flight record")
+		}
+	})
+	checkFlightPool(t, fab, 1)
+}
