@@ -139,19 +139,7 @@ func (g *Graph) detectLateReceiver() Pattern {
 // waits for the straggler.
 func (g *Graph) detectWaitAtCollective() Pattern {
 	p := Pattern{Name: PatWaitAtCollective}
-	enters := make(map[uint64][]int)
-	var seqs []uint64
-	for i := range g.Events {
-		if g.Events[i].Kind == EvCollEnter {
-			if _, ok := enters[g.Events[i].Aux]; !ok {
-				seqs = append(seqs, g.Events[i].Aux)
-			}
-			enters[g.Events[i].Aux] = append(enters[g.Events[i].Aux], i)
-		}
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	for _, s := range seqs {
-		es := enters[s]
+	for _, es := range g.Colls {
 		if len(es) < 2 {
 			continue
 		}
@@ -173,7 +161,7 @@ func (g *Graph) detectWaitAtCollective() Pattern {
 		p.Count++
 		p.Cost += cost
 		p.Worst = append(p.Worst, Instance{
-			Where: fmt.Sprintf("%s #%d straggler=rank%d", collOpName(g.Events[es[0]].Tag), s, straggler),
+			Where: fmt.Sprintf("%s #%d straggler=rank%d", CollName(g.Events[es[0]].Tag), g.Events[es[0]].Aux, straggler),
 			At:    latest,
 			Cost:  cost,
 		})
@@ -294,19 +282,7 @@ func (g *Graph) loadSummary() []RankLoad {
 		}
 	}
 	// Collective straggling per rank, in collective order.
-	enters := make(map[uint64][]int)
-	var seqs []uint64
-	for i := range g.Events {
-		if g.Events[i].Kind == EvCollEnter {
-			if _, ok := enters[g.Events[i].Aux]; !ok {
-				seqs = append(seqs, g.Events[i].Aux)
-			}
-			enters[g.Events[i].Aux] = append(enters[g.Events[i].Aux], i)
-		}
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	for _, s := range seqs {
-		es := enters[s]
+	for _, es := range g.Colls {
 		var latest sim.Time
 		for _, i := range es {
 			if g.Events[i].T > latest {
@@ -336,7 +312,9 @@ const (
 	CollBcast
 )
 
-func collOpName(op int32) string {
+// CollName spells collective op code op: in the coll.<op> counters and
+// spans, and in this package's reports.
+func CollName(op int32) string {
 	switch op {
 	case CollBarrier:
 		return "barrier"

@@ -1,6 +1,7 @@
 package causal
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/sim"
@@ -74,7 +75,7 @@ func (g *Graph) CriticalPath() []PathStep {
 			}
 			break
 		}
-		cross := best != g.crossProgramPred(cur) && (best == g.CrossPred[cur] || isIn(g.CollPreds[cur], best))
+		cross := best != g.crossProgramPred(cur) && (best == g.CrossPred[cur] || slices.Contains(g.CollPreds[cur], best))
 		rev = append(rev, g.steps(best, cur, cross)...)
 		cur = best
 	}
@@ -98,15 +99,6 @@ func (g *Graph) crossProgramPred(i int) int {
 		return g.Timelines[e.Rank][g.pos[i]-1]
 	}
 	return -1
-}
-
-func isIn(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 // steps attributes the interval between predecessor p and event i,

@@ -2,6 +2,7 @@ package causal
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/sim"
@@ -30,6 +31,9 @@ type Graph struct {
 	// CollPreds[i] lists the fan-in predecessors (all ranks' CollEnter
 	// events) for a CollExit event i.
 	CollPreds map[int][]int
+	// Colls lists each collective call's CollEnter events, one per
+	// rank that entered it, by ascending call number.
+	Colls [][]int
 
 	// Messages are matched message lifecycles keyed deterministically.
 	Messages []Message
@@ -98,6 +102,7 @@ func Build(events []Event, end sim.Time) *Graph {
 	pktSend := make(map[pairKey]int)
 	wrPost := make(map[pairKey]int)
 	collEnter := make(map[uint64][]int)
+	var collSeqs []uint64
 	for i := range events {
 		e := &events[i]
 		switch e.Kind {
@@ -123,6 +128,9 @@ func Build(events []Event, end sim.Time) *Graph {
 				delete(wrPost, pairKey{e.Rank, 0, e.Aux})
 			}
 		case EvCollEnter:
+			if _, ok := collEnter[e.Aux]; !ok {
+				collSeqs = append(collSeqs, e.Aux)
+			}
 			collEnter[e.Aux] = append(collEnter[e.Aux], i)
 		case EvCollExit:
 			// Defer until all enters are collected.
@@ -137,6 +145,10 @@ func Build(events []Event, end sim.Time) *Graph {
 		if e.Kind == EvCollExit {
 			g.CollPreds[i] = collEnter[e.Aux]
 		}
+	}
+	slices.Sort(collSeqs)
+	for _, s := range collSeqs {
+		g.Colls = append(g.Colls, collEnter[s])
 	}
 
 	g.buildMessages()

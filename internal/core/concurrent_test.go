@@ -35,7 +35,7 @@ func assertIsolated(t *testing.T, run func() (uint64, int64, sim.Time, error)) {
 	t.Logf("solo: fp %#x, %d events, end %v", solo.fp, solo.events, solo.end)
 
 	// The raw concurrency below is the point of the test: two engines
-	// must be independent under the host scheduler, so sim.Queue (which
+	// must be independent under the host scheduler, so sim.Signal (which
 	// serializes onto one calendar) cannot be used.
 
 	// Both engines report here and join before any assertion.

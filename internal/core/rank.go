@@ -392,21 +392,23 @@ func (r *Rank) ensurePeer(p *sim.Proc, i int) (*peerState, error) {
 		if ps := r.peers[i]; ps != nil {
 			return ps, nil
 		}
-		ev := r.w.connInFlight[key]
-		if ev == nil {
+		claim := r.w.connInFlight[key]
+		if claim == nil {
 			break
 		}
 		// The peer is mid-bootstrap toward us (mutual first contact —
 		// e.g. a symmetric Sendrecv exchange): QP and ring creation
 		// yield to the engine, so without this wait both sides would
-		// build the pair and orphan each other's half.
-		ev.Wait(p)
+		// build the pair and orphan each other's half. The claim
+		// leaves the map before it is broadcast, so a rank that found
+		// it here is already parked when it fires.
+		claim.Wait(p)
 	}
-	claim := sim.NewEvent(r.w.Eng)
+	claim := sim.NewSignal(r.w.Eng)
 	r.w.connInFlight[key] = claim
 	defer func() {
 		delete(r.w.connInFlight, key)
-		claim.Fire()
+		claim.Broadcast()
 	}()
 	peer := r.w.ranks[i]
 	mine, err := r.makePeerHalf(p)

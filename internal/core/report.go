@@ -156,15 +156,6 @@ const (
 	collBcast     = causal.CollBcast
 )
 
-// collOpNames spells the bracketed collectives in coll.<op> names.
-var collOpNames = [...]string{
-	collBarrier:   "barrier",
-	collAllreduce: "allreduce",
-	collAllgather: "allgather",
-	collAlltoall:  "alltoall",
-	collBcast:     "bcast",
-}
-
 // reporter is a rank's handle on the three optional consumers. With
 // none installed every report stops at one test of on.
 type reporter struct {
@@ -461,8 +452,8 @@ func (r *Rank) collective(p *sim.Proc, op int32, algo uint8, body func() error) 
 	}
 	var span *metrics.Span
 	if rep.reg != nil {
-		rep.reg.Counter(rep.actor, "coll."+collOpNames[op]+"."+algoNames[algo]).Inc()
-		span = rep.reg.Begin(p.Now(), rep.actor, "coll."+collOpNames[op]).Attr("algo", algoNames[algo])
+		rep.reg.Counter(rep.actor, "coll."+causal.CollName(op)+"."+algoNames[algo]).Inc()
+		span = rep.reg.Begin(p.Now(), rep.actor, "coll."+causal.CollName(op)).Attr("algo", algoNames[algo])
 	}
 	err := body()
 	span.End(p.Now())

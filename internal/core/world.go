@@ -123,15 +123,16 @@ type World struct {
 	envs  []Env
 	ranks []*Rank
 
-	syncN  int
-	syncEv *sim.Event
-	errs   []error
+	syncN   int
+	syncSig *sim.Signal
+	errs    []error
 
 	// connInFlight serializes lazy pair bootstrap: the first rank to
 	// touch a pair claims it here and builds both halves; a rank
 	// reaching ensurePeer for the same pair mid-build waits on the
-	// event instead of double-creating QPs (keyed lo-rank, hi-rank).
-	connInFlight map[[2]int]*sim.Event
+	// claim's signal instead of double-creating QPs (keyed lo-rank,
+	// hi-rank).
+	connInFlight map[[2]int]*sim.Signal
 }
 
 // NewWorld builds a world of len(envs) ranks. cfg is taken as given,
@@ -143,8 +144,8 @@ func NewWorld(eng *sim.Engine, plat *perfmodel.Platform, cfg Config, envs []Env)
 		cfg.EagerSlots = 2
 	}
 	w := &World{Eng: eng, Plat: plat, Cfg: cfg, envs: envs}
-	w.syncEv = sim.NewEvent(eng)
-	w.connInFlight = make(map[[2]int]*sim.Event)
+	w.syncSig = sim.NewSignal(eng)
+	w.connInFlight = make(map[[2]int]*sim.Signal)
 	for i, e := range envs {
 		r := &Rank{w: w, id: i, v: e.V}
 		r.world = Comm{group{r: r, n: len(envs), myRank: i}}
@@ -163,17 +164,16 @@ func (w *World) Rank(i int) *Rank { return w.ranks[i] }
 
 // hostSync is the out-of-band bootstrap barrier (the process manager's
 // job, not MPI traffic). Every rank must call it the same number of
-// times.
+// times. The last rank to arrive broadcasts, so every other one is
+// already parked on the signal.
 func (w *World) hostSync(p *sim.Proc) {
 	w.syncN++
 	if w.syncN == len(w.ranks) {
 		w.syncN = 0
-		ev := w.syncEv
-		w.syncEv = sim.NewEvent(w.Eng)
-		ev.Fire()
+		w.syncSig.Broadcast()
 		return
 	}
-	w.syncEv.Wait(p)
+	w.syncSig.Wait(p)
 }
 
 // Launch spawns all rank processes running body. The caller drives the

@@ -88,7 +88,7 @@ func TestMicToMicRDMAWriteViaDCFA(t *testing.T) {
 		mr *ib.MR
 	}
 	var s [2]side
-	ready := sim.NewEvent(r.eng)
+	ready := sim.NewSignal(r.eng)
 	r.eng.Spawn("rank1", func(p *sim.Proc) {
 		v := r.mic[1]
 		pd, _ := v.AllocPD(p)
@@ -118,7 +118,7 @@ func TestMicToMicRDMAWriteViaDCFA(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		ready.Fire()
+		ready.Broadcast()
 		// Wait for peer setup.
 		for s[1].mr == nil || s[1].qp.State != ib.QPConnected {
 			p.Sleep(10 * sim.Microsecond)

@@ -17,13 +17,22 @@ type Msg struct {
 	Payload any
 }
 
-// Endpoint is one side of a connected SCIF channel.
+// Endpoint is one side of a connected SCIF channel. A message sent to
+// it waits in inbox until it lands one crossing latency later; every
+// crossing into an endpoint takes the same latency and the calendar
+// breaks ties in insertion order, so messages land in the order they
+// were sent, and the landed ones are always at the head of inbox. Each
+// endpoint has one receiver at a time (the daemon, or the client
+// holding the command slot), so a landing wakes only it.
 type Endpoint struct {
-	eng   *sim.Engine
-	lat   sim.Duration
-	inbox *sim.Queue[Msg]
-	peer  *Endpoint
-	seq   uint64
+	eng    *sim.Engine
+	lat    sim.Duration
+	inbox  sim.FIFO[Msg]
+	landed int         // messages at the head of inbox that have crossed
+	arrive *sim.Signal // broadcast at each landing
+	land   func()      // e.landOne, bound once so a crossing allocates nothing
+	peer   *Endpoint
+	seq    uint64
 }
 
 // Pair is a connected host/mic endpoint pair on one node.
@@ -35,10 +44,17 @@ type Pair struct {
 // NewPair creates a connected channel with the platform's crossing
 // latency.
 func NewPair(eng *sim.Engine, plat *perfmodel.Platform) *Pair {
-	h := &Endpoint{eng: eng, lat: plat.SCIFMsgLatency, inbox: sim.NewQueue[Msg](eng)}
-	m := &Endpoint{eng: eng, lat: plat.SCIFMsgLatency, inbox: sim.NewQueue[Msg](eng)}
+	h := &Endpoint{eng: eng, lat: plat.SCIFMsgLatency, arrive: sim.NewSignal(eng)}
+	m := &Endpoint{eng: eng, lat: plat.SCIFMsgLatency, arrive: sim.NewSignal(eng)}
 	h.peer, m.peer = m, h
+	h.land, m.land = h.landOne, m.landOne
 	return &Pair{Host: h, Mic: m}
+}
+
+// landOne is the callback that ends one crossing into e.
+func (e *Endpoint) landOne() {
+	e.landed++
+	e.arrive.Broadcast()
 }
 
 // Send queues a message for the peer; it becomes receivable one
@@ -46,16 +62,17 @@ func NewPair(eng *sim.Engine, plat *perfmodel.Platform) *Pair {
 // context.
 func (e *Endpoint) Send(kind int, payload any) {
 	e.seq++
-	msg := Msg{Kind: kind, Seq: e.seq, Payload: payload}
-	peer := e.peer
-	e.eng.After(e.lat, func() {
-		peer.inbox.Put(msg)
-	})
+	e.peer.inbox.Push(Msg{Kind: kind, Seq: e.seq, Payload: payload})
+	e.eng.After(e.lat, e.peer.land)
 }
 
-// Recv blocks p until a message arrives and returns it.
+// Recv blocks p until a message has landed and returns it.
 func (e *Endpoint) Recv(p *sim.Proc) Msg {
-	return e.inbox.Get(p)
+	for e.landed == 0 {
+		e.arrive.Wait(p)
+	}
+	e.landed--
+	return e.inbox.Pop()
 }
 
 // Call is the client-side request/response idiom: send a request and

@@ -1,6 +1,7 @@
 package scif
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/perfmodel"
@@ -130,5 +131,77 @@ func TestBidirectionalSimultaneous(t *testing.T) {
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A message sits in the peer's inbox from the moment it is sent, but a
+// Recv must not see it before it has crossed: one posted mid-flight
+// returns at send time plus the latency. Three sends in one instant
+// land one latency later, in the order they were sent.
+func TestRecvWaitsForLanding(t *testing.T) {
+	eng := sim.NewEngine()
+	plat := perfmodel.Default()
+	lat := plat.SCIFMsgLatency
+	pair := NewPair(eng, plat)
+	const sent = sim.Microsecond
+	burst := sent + 2*lat
+	eng.Spawn("host", func(p *sim.Proc) {
+		p.Sleep(sent + lat/2)
+		if m := pair.Host.Recv(p); m.Payload != "first" || p.Now() != sent+lat {
+			t.Errorf("mid-flight Recv got %v at %v, want \"first\" at %v", m.Payload, p.Now(), sent+lat)
+		}
+		for i := 0; i < 3; i++ {
+			if m := pair.Host.Recv(p); m.Payload != i || p.Now() != burst+lat {
+				t.Errorf("Recv %d got %v at %v, want %d at %v", i, m.Payload, p.Now(), i, burst+lat)
+			}
+		}
+	})
+	eng.Spawn("mic", func(p *sim.Proc) {
+		p.Sleep(sent)
+		pair.Mic.Send(1, "first")
+		p.Sleep(burst - sent)
+		for i := 0; i < 3; i++ {
+			pair.Mic.Send(1, i)
+		}
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A delegated verb is one Call round trip; once the inboxes have grown
+// to the depth they keep, a round trip allocates nothing: the landing
+// callback is bound once per endpoint, and the message is queued by
+// value.
+func TestCallAllocatesNothing(t *testing.T) {
+	// As testing.AllocsPerRun does: with one P the runtime's per-P
+	// caches stay put and the count repeats exactly.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const warm, calls = 100, 1000
+	eng := sim.NewEngine()
+	pair := NewPair(eng, perfmodel.Default())
+	eng.Spawn("echo", func(p *sim.Proc) {
+		p.MarkDaemon()
+		for {
+			m := pair.Host.Recv(p)
+			pair.Host.Send(m.Kind, m.Payload)
+		}
+	})
+	var m0, m1 runtime.MemStats
+	eng.Spawn("client", func(p *sim.Proc) {
+		for i := 0; i < warm; i++ {
+			pair.Mic.Call(p, 1, nil)
+		}
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < calls; i++ {
+			pair.Mic.Call(p, 1, nil)
+		}
+		runtime.ReadMemStats(&m1)
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if n := m1.Mallocs - m0.Mallocs; n != 0 {
+		t.Fatalf("%d heap allocations over %d round trips (%.2f each), want none", n, calls, float64(n)/calls)
 	}
 }

@@ -7,17 +7,17 @@ import (
 )
 
 // parkThree leaves three processes waiting three different ways: blocked
-// on an event nobody fires, asleep far in the future, and a daemon
-// blocked on an empty queue.
+// on a signal nobody broadcasts, asleep far in the future, and a daemon
+// blocked on an empty mailbox.
 func parkThree(e *Engine) {
-	never := NewEvent(e)
-	q := NewQueue[int](e)
+	never := NewSignal(e)
+	q := newMailbox[int](e)
 	e.Spawn("blocked", func(p *Proc) { never.Wait(p) })
 	e.Spawn("asleep", func(p *Proc) { p.Sleep(Second) })
 	e.Spawn("daemon", func(p *Proc) {
 		p.MarkDaemon()
 		for {
-			q.Get(p)
+			q.get(p)
 		}
 	})
 }
@@ -39,7 +39,7 @@ func TestCallbackPanicIsTypedAndUnwinds(t *testing.T) {
 			base := runtime.NumGoroutine()
 			e := NewEngine()
 			parkThree(e)
-			deepChain(e, shape.links, NewEvent(e).Wait)
+			deepChain(e, shape.links, NewSignal(e).Wait)
 			ran := false
 			var f atFailure
 			e.At(5*Microsecond, func() { f.see(e, nil); panic("cb-boom") })
@@ -109,7 +109,7 @@ func TestCurrentFollowsTheBaton(t *testing.T) {
 			p.MarkDaemon()
 			see("first dispatch, by a's loop", b)
 			e.After(Microsecond, cb("callback while both are waiting, on b's goroutine"))
-			NewEvent(e).Wait(p)
+			NewSignal(e).Wait(p)
 		})
 		p.Sleep(10 * Microsecond)
 		see("resumed by b's loop", a)
@@ -158,7 +158,7 @@ func TestStopFromProcAndCallback(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				base := runtime.NumGoroutine()
 				e := NewEngine()
-				deepChain(e, shape.links, NewEvent(e).Wait)
+				deepChain(e, shape.links, NewSignal(e).Wait)
 				parkThree(e)
 				ticks := 0
 				e.Spawn("ticker", func(p *Proc) {
@@ -208,19 +208,19 @@ func TestSpawnFromCallback(t *testing.T) {
 func TestCleanRunLeavesNoGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
 	e := NewEngine()
-	q := NewQueue[int](e)
+	q := newMailbox[int](e)
 	served := 0
 	for i := 0; i < 4; i++ {
 		e.Spawn("daemon", func(p *Proc) {
 			p.MarkDaemon()
 			for {
-				served += q.Get(p)
+				served += q.get(p)
 			}
 		})
 	}
 	e.Spawn("client", func(p *Proc) {
 		for i := 0; i < 10; i++ {
-			q.Put(1)
+			q.put(1)
 			p.Sleep(Microsecond)
 		}
 	})
@@ -233,7 +233,7 @@ func TestCleanRunLeavesNoGoroutines(t *testing.T) {
 	waitGoroutines(t, base)
 	// The daemons are gone for good: the engine still runs, but only
 	// what is spawned from here on.
-	e.Spawn("late", func(p *Proc) { q.Put(1); p.Sleep(Microsecond) })
+	e.Spawn("late", func(p *Proc) { q.put(1); p.Sleep(Microsecond) })
 	if err := e.Run(); err != nil || served != 10 {
 		t.Fatalf("second run: err %v, served %d; want nil and 10 (no daemon left to serve)", err, served)
 	}
@@ -248,7 +248,7 @@ func TestCleanRunLeavesNoGoroutines(t *testing.T) {
 func TestUnwindingProcessMovesNothing(t *testing.T) {
 	run := func(stop bool, links int, deferSleep bool) (*Engine, *atFailure, error) {
 		e := NewEngine()
-		never := NewEvent(e)
+		never := NewSignal(e)
 		stuck := func(p *Proc) {
 			if deferSleep {
 				defer p.Sleep(10 * Microsecond)
@@ -305,7 +305,7 @@ func TestGoexitInProcessEndsTheRun(t *testing.T) {
 		t.Run(shape.name, func(t *testing.T) {
 			base := runtime.NumGoroutine()
 			e := NewEngine()
-			never := NewEvent(e)
+			never := NewSignal(e)
 			// The sleeper's Yield unwinds the chain t=0 built down to
 			// it, leaving the waiter suspended: killAll's to unwind.
 			e.Spawn("sleeper", func(p *Proc) { p.Yield(); p.Sleep(10 * Microsecond) })

@@ -18,7 +18,7 @@ func splitmix(seed uint64) func() uint64 {
 }
 
 // mixedSchedule spawns 64 processes that each take 24 seeded steps: a
-// Sleep, a Yield, a wait on an Event a callback fires, a wait on one of
+// Sleep, a Yield, a wait on a Signal a callback broadcasts, a wait on one of
 // four Signals, or a callback of its own that may broadcast one. A ringer
 // callback broadcasts every Signal each 3 ns while any process lives, so
 // no wait is left hanging. It returns the count of callbacks run.
@@ -53,9 +53,9 @@ func mixedSchedule(e *Engine, seed uint64) *int64 {
 				case 1:
 					p.Yield()
 				case 2:
-					ev := NewEvent(e)
-					e.After(Duration(arg%5), func() { *callbacks++; ev.Fire() })
-					ev.Wait(p)
+					s := NewSignal(e)
+					e.After(Duration(arg%5), func() { *callbacks++; s.Broadcast() })
+					s.Wait(p)
 				case 3:
 					sigs[arg%4].Wait(p)
 				case 4:

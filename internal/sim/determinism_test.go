@@ -6,20 +6,20 @@ import (
 )
 
 // fingerprintWorkload runs a representative mixed workload — producer /
-// consumer processes over a Queue, timer callbacks, an Event fan-in and
-// a daemon — and returns the engine's event-order digest.
+// consumer processes over a mailbox, timer callbacks, a Signal fan-in
+// and a daemon — and returns the engine's event-order digest.
 func fingerprintWorkload(t *testing.T) (uint64, int64, Time) {
 	t.Helper()
 	e := NewEngine()
-	q := NewQueue[int](e)
-	done := NewEvent(e)
+	q := newMailbox[int](e)
+	done := NewSignal(e)
 
-	// A daemon server that echoes queue items until told to stop.
+	// A daemon server that echoes mailbox items until told to stop.
 	var served int
 	e.Spawn("server", func(p *Proc) {
 		p.MarkDaemon()
 		for {
-			v := q.Get(p)
+			v := q.get(p)
 			if v < 0 {
 				return
 			}
@@ -34,24 +34,24 @@ func fingerprintWorkload(t *testing.T) (uint64, int64, Time) {
 		i := i
 		e.Spawn("producer", func(p *Proc) {
 			for j := 0; j < 5; j++ {
-				q.Put(i*10 + j)
+				q.put(i*10 + j)
 				p.Sleep(Microsecond)
 			}
 			if i == 2 {
-				done.Fire()
+				done.Broadcast()
 			}
 		})
 	}
 
 	// Timer callbacks layered over the process activity.
 	for d := Duration(1); d <= 5; d++ {
-		e.After(d*Microsecond/2, func() { q.Put(1) })
+		e.After(d*Microsecond/2, func() { q.put(1) })
 	}
 
 	e.Spawn("closer", func(p *Proc) {
 		done.Wait(p)
 		p.Sleep(10 * Microsecond)
-		q.Put(-1)
+		q.put(-1)
 	})
 
 	if err := e.Run(); err != nil {

@@ -86,59 +86,11 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 	}
 }
 
-func TestEventFireWakesWaiters(t *testing.T) {
-	e := NewEngine()
-	ev := NewEvent(e)
-	var woke []Time
-	for i := 0; i < 3; i++ {
-		e.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
-			ev.Wait(p)
-			woke = append(woke, p.Now())
-		})
-	}
-	e.At(9*Microsecond, func() { ev.Fire() })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(woke) != 3 {
-		t.Fatalf("woke %d waiters, want 3", len(woke))
-	}
-	for _, w := range woke {
-		if w != 9*Microsecond {
-			t.Fatalf("waiter woke at %v, want 9µs", w)
-		}
-	}
-	if !ev.Fired() {
-		t.Fatal("event not fired")
-	}
-}
-
-func TestEventWaitAfterFireReturnsImmediately(t *testing.T) {
-	e := NewEngine()
-	ev := NewEvent(e)
-	ev.eng = e
-	e.Spawn("a", func(p *Proc) {
-		p.Sleep(Microsecond)
-		ev.Fire()
-		ev.Fire() // idempotent
-	})
-	e.Spawn("b", func(p *Proc) {
-		p.Sleep(2 * Microsecond)
-		ev.Wait(p)
-		if p.Now() != 2*Microsecond {
-			t.Errorf("wait on fired event blocked until %v", p.Now())
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDeadlockDetected(t *testing.T) {
 	e := NewEngine()
-	ev := NewEvent(e)
+	never := NewSignal(e)
 	e.Spawn("stuck-proc", func(p *Proc) {
-		ev.Wait(p) // never fired
+		never.Wait(p) // never broadcast
 	})
 	err := e.Run()
 	de, ok := err.(*DeadlockError)
@@ -228,7 +180,7 @@ func TestFailedRunLeavesNoGoroutines(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				base := runtime.NumGoroutine()
 				e := NewEngine()
-				never := NewEvent(e)
+				never := NewSignal(e)
 				var f atFailure
 				first := func(p *Proc) { f.see(e, p); tc.first(e, p) }
 				if deep {

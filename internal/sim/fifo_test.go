@@ -142,3 +142,21 @@ func TestPool(t *testing.T) {
 	}
 	p.Put(x)
 }
+
+// mailbox is the producer/consumer shape the tests build from the
+// engine's parts: items wait in a FIFO, getters on a Signal.
+type mailbox[T any] struct {
+	items FIFO[T]
+	sig   *Signal
+}
+
+func newMailbox[T any](e *Engine) *mailbox[T] { return &mailbox[T]{sig: NewSignal(e)} }
+
+func (m *mailbox[T]) put(v T) { m.items.Push(v); m.sig.Broadcast() }
+
+func (m *mailbox[T]) get(p *Proc) T {
+	for m.items.Len() == 0 {
+		m.sig.Wait(p)
+	}
+	return m.items.Pop()
+}

@@ -163,43 +163,6 @@ func (p *Proc) wake() {
 	p.eng.schedule(p.eng.now, p, nil)
 }
 
-// Event is a one-shot level-triggered completion: once fired it stays
-// fired, and waiters return immediately. Fire is idempotent.
-type Event struct {
-	eng     *Engine
-	fired   bool
-	waiters []*Proc
-}
-
-// NewEvent returns an unfired event on engine e.
-func NewEvent(e *Engine) *Event { return &Event{eng: e} }
-
-// Fired reports whether the event has fired.
-func (ev *Event) Fired() bool { return ev.fired }
-
-// Fire marks the event complete and wakes all waiters at the current
-// virtual time. Subsequent calls are no-ops.
-func (ev *Event) Fire() {
-	if ev.fired {
-		return
-	}
-	ev.fired = true
-	for _, w := range ev.waiters {
-		w.wake()
-	}
-	ev.waiters = nil
-}
-
-// Wait blocks p until the event fires. Returns immediately if already
-// fired.
-func (ev *Event) Wait(p *Proc) {
-	if ev.fired {
-		return
-	}
-	ev.waiters = append(ev.waiters, p)
-	p.park()
-}
-
 // Signal is an edge-triggered broadcast: Wait blocks until the next
 // Broadcast after the wait began. It is the engine's condition variable;
 // because the engine is cooperative there is no lost-wakeup race as long
