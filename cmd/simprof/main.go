@@ -19,7 +19,10 @@
 //   - cg: the Conjugate Gradient application.
 //   - showcase: every §IV-B3 protocol path once (eager, sender-first,
 //     receiver-first, simultaneous rendezvous, an offload-staged send).
-//   - torture: the seeded 4-rank randomized point-to-point workload.
+//   - torture: bench.Torture, the seeded 4-rank randomized
+//     point-to-point torture core's tests run: directed and ANY_SOURCE
+//     rounds over sizes straddling the eager switch, every receive's
+//     status and bytes checked (a mismatch fails the run).
 //
 // -mode selects the execution mode of pingpong, stencil and cg (stencil
 // also takes serial: one thread, no MPI); showcase and torture run

@@ -71,6 +71,28 @@ func TestProfilingDoesNotPerturbSchedule(t *testing.T) {
 	}
 }
 
+// The torture's happens-before graph is consistent, clean and under
+// faults: every ANY_SOURCE receive completes naming the rank it
+// matched, so each pairs with its send. Every rank takes the §IV-B3
+// wildcard lock.
+func TestTortureGraphIsConsistent(t *testing.T) {
+	for _, plan := range []*faults.Plan{nil, tortureFaultPlan()} {
+		rec, reg := causal.New(), metrics.New()
+		res, err := (&bench.Env{Metrics: reg, Causal: rec, Faults: plan}).TortureFlood(perfmodel.Default(), 7, 4, 12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if issues := causal.Analyze("torture", rec.Events(), res.SimTime).Issues; len(issues) != 0 {
+			t.Errorf("faults %v: %d graph issues, first %v", plan != nil, len(issues), issues[0])
+		}
+		for _, actor := range []string{"rank0", "rank1", "rank2", "rank3"} {
+			if reg.Counter(actor, "any-source.locks").Value() == 0 {
+				t.Errorf("faults %v: %s took no ANY_SOURCE lock", plan != nil, actor)
+			}
+		}
+	}
+}
+
 // analyzeShowcase runs the protocol showcase with the profiler on and
 // returns the report plus the registry it ran with.
 func analyzeShowcase(t *testing.T) (*causal.Report, *metrics.Registry) {

@@ -1,12 +1,16 @@
 package bench
 
-// Deterministic engine workloads for cmd/simprof, internal/scale and
-// the determinism tests (wall-clock numbers come from benchmark/, not
-// from here). The workloads are pure simulation — no wall-clock reads,
-// no randomness beyond a seeded splitmix64 — so a result is identified
-// by its fingerprint and two runs of one workload are bit-identical.
+// Deterministic engine workloads for cmd/simprof, internal/scale, the
+// core torture suite and the determinism tests (wall-clock numbers come
+// from benchmark/, not from here). The workloads are pure simulation —
+// no wall-clock reads, no randomness beyond a seeded sim.SplitMix — so
+// a result is identified by its fingerprint and two runs of one
+// workload are bit-identical.
 
 import (
+	"errors"
+	"fmt"
+
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/perfmodel"
@@ -14,114 +18,148 @@ import (
 )
 
 // PerfResult captures everything a deterministic harness run produces:
-// the dispatched-event count and final virtual time (the work done),
-// the application payload moved, and the event-order fingerprint that
-// pins the schedule.
+// the dispatched-event count and final virtual time (the work done) and
+// the event-order fingerprint that pins the schedule.
 type PerfResult struct {
-	Workload     string
-	Events       int64
-	SimTime      sim.Time
-	PayloadBytes int64
-	Fingerprint  uint64
+	Workload    string
+	Events      int64
+	SimTime     sim.Time
+	Fingerprint uint64
 }
 
-// perfRNG is a splitmix64 generator for workload construction (the
-// repo bans math/rand to keep runs reproducible).
-type perfRNG struct{ s uint64 }
+// tortureSizes straddle the 8 KiB eager threshold: eager, boundary,
+// boundary+1 (smallest rendezvous), and a large rendezvous that crosses
+// the offload-send threshold. An ANY_SOURCE receive takes the largest.
+var tortureSizes = []int{64, 1024, 8192, 8193, 32768}
 
-func (g *perfRNG) next() uint64 {
-	g.s += 0x9E3779B97F4A7C15
-	z := g.s
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
+type tortureMsg struct{ src, dst, size, tag int }
 
-func (g *perfRNG) intn(n int) int { return int(g.next() % uint64(n)) }
-
-// TortureFlood runs the seeded 4-rank randomized
-// point-to-point workload from the torture suite, without payload
-// checks: rounds bulk-synchronous rounds of msgs directed Isend/Irecv
-// pairs each, over sizes straddling the eager/rendezvous threshold,
-// closed by a Barrier. It stresses matching, rendezvous and the
-// collectives' control path at once. The Env's fault plan (nil = sunny
-// day) drives the transport fault injector; with none, the fingerprint
-// matches the uninstrumented run.
-func (e *Env) TortureFlood(plat *perfmodel.Platform, seed uint64, rounds, msgs int) (PerfResult, error) {
-	sizes := []int{64, 1024, 8192, 8193, 32768}
-	type pmsg struct{ src, dst, size, tag int }
-	const ranks = 4
-	g := perfRNG{s: seed}
-	sched := make([][]pmsg, rounds)
-	var payload int64
+// Torture returns the body of the seeded randomized point-to-point
+// torture: rounds bulk-synchronous rounds of msgs Isend/Irecv pairs
+// among ranks ranks, over tortureSizes. Odd rounds post every receive
+// as MPI_ANY_SOURCE with the round's one tag (a wildcard can match any
+// of the round's messages but never a collective's control packet,
+// whose tags are negative); directed rounds tag each message apart.
+// Each round waits for all it posted, requires every request done,
+// checks every receive's status and payload bytes, and ends in a
+// Barrier. It stresses matching, the ANY_SOURCE lock, rendezvous and
+// the collectives' control path at once.
+func Torture(seed uint64, ranks, rounds, msgs int) func(*core.Rank) error {
+	g := sim.NewSplitMix(seed)
+	sched := make([][]tortureMsg, rounds)
 	for rd := range sched {
 		for m := 0; m < msgs; m++ {
-			src := g.intn(ranks)
-			dst := g.intn(ranks - 1)
+			src := g.Intn(ranks)
+			dst := g.Intn(ranks - 1)
 			if dst >= src {
 				dst++
 			}
-			sz := sizes[g.intn(len(sizes))]
-			sched[rd] = append(sched[rd], pmsg{src: src, dst: dst, size: sz, tag: rd*1000 + m})
-			payload += int64(sz)
+			tag := rd*1000 + m
+			if rd%2 == 1 {
+				tag = rd * 1000
+			}
+			sched[rd] = append(sched[rd], tortureMsg{src: src, dst: dst, size: tortureSizes[g.Intn(len(tortureSizes))], tag: tag})
 		}
 	}
-	c := e.Cluster(plat, ranks)
-	err := c.World(cluster.ModeDCFA, ranks).Run(func(r *core.Rank) error {
+	pattern := func(rd int, m *tortureMsg, i int) byte {
+		return byte(uint64(i)*2654435761 + seed + uint64(rd*31+m.src*7+m.size))
+	}
+	return func(r *core.Rank) error {
 		p := r.Proc()
 		me := r.ID()
-		for _, ro := range sched {
+		for rd, ro := range sched {
+			anySrc := rd%2 == 1
 			// Post everything, then complete what was posted even when a
-			// later post fails: abandoning an issued Irecv would leak its
-			// pinned buffer, which World.Run reports as a *core.LeakError.
+			// later post fails: abandoning an issued request would leak
+			// its pinned buffer, which World.Run reports as a
+			// *core.LeakError.
 			var reqs []*core.Request
+			var bufs []core.Slice
 			var postErr error
 			for mi := range ro {
-				m := &ro[mi]
-				if m.dst != me {
-					continue
-				}
-				q, err := r.Irecv(p, m.src, m.tag, core.Whole(r.Mem(m.size)))
-				if err != nil {
-					postErr = err
-					break
-				}
-				reqs = append(reqs, q)
-			}
-			if postErr == nil {
-				for mi := range ro {
-					m := &ro[mi]
-					if m.src != me {
-						continue
+				if m := &ro[mi]; m.dst == me {
+					src, size := m.src, m.size
+					if anySrc {
+						src, size = core.AnySource, tortureSizes[len(tortureSizes)-1]
 					}
-					q, err := r.Isend(p, m.dst, m.tag, core.Whole(r.Mem(m.size)))
-					if err != nil {
-						postErr = err
+					s := core.Whole(r.Mem(size))
+					var q *core.Request
+					if q, postErr = r.Irecv(p, src, m.tag, s); postErr != nil {
 						break
 					}
-					reqs = append(reqs, q)
+					reqs, bufs = append(reqs, q), append(bufs, s)
 				}
 			}
-			if err := r.WaitAll(p, reqs...); err != nil {
-				return err
+			for mi := 0; postErr == nil && mi < len(ro); mi++ {
+				if m := &ro[mi]; m.src == me {
+					s := core.Whole(r.Mem(m.size))
+					b := s.Bytes()
+					for i := range b {
+						b[i] = pattern(rd, m, i)
+					}
+					var q *core.Request
+					if q, postErr = r.Isend(p, m.dst, m.tag, s); postErr == nil {
+						reqs = append(reqs, q)
+					}
+				}
 			}
-			if postErr != nil {
-				return postErr
+			if err := errors.Join(r.WaitAll(p, reqs...), postErr); err != nil {
+				return fmt.Errorf("round %d: %w", rd, err)
+			}
+			for _, q := range reqs {
+				if !q.Done() {
+					return fmt.Errorf("round %d: leaked request (WaitAll returned with it pending)", rd)
+				}
+			}
+			// Receives come first in reqs, in the order ro lists them;
+			// an ANY_SOURCE one is identified by its status's source
+			// and length.
+			k := 0
+			for mi := range ro {
+				if ro[mi].dst != me {
+					continue
+				}
+				st, want := reqs[k].Status(), &ro[mi]
+				if anySrc {
+					want = nil
+					for mj := range ro {
+						if c := &ro[mj]; c.dst == me && c.src == st.Source && c.size == st.Len {
+							want = c
+							break
+						}
+					}
+				}
+				if want == nil || st.Source != want.src || st.Len != want.size {
+					return fmt.Errorf("round %d: status %+v matches no message to rank %d", rd, st, me)
+				}
+				for i, b := range bufs[k].Bytes()[:st.Len] {
+					if b != pattern(rd, want, i) {
+						return fmt.Errorf("round %d: payload from %d corrupt at byte %d of %d", rd, st.Source, i, st.Len)
+					}
+				}
+				k++
 			}
 			if err := r.Barrier(p); err != nil {
-				return err
+				return fmt.Errorf("round %d barrier: %w", rd, err)
 			}
 		}
 		return nil
-	})
-	if err != nil {
+	}
+}
+
+// TortureFlood runs Torture on a 4-rank DCFA-MPI world. The Env's fault
+// plan (nil = sunny day) drives the transport fault injector; with
+// none, the fingerprint matches the uninstrumented run.
+func (e *Env) TortureFlood(plat *perfmodel.Platform, seed uint64, rounds, msgs int) (PerfResult, error) {
+	const ranks = 4
+	c := e.Cluster(plat, ranks)
+	if err := c.World(cluster.ModeDCFA, ranks).Run(Torture(seed, ranks, rounds, msgs)); err != nil {
 		return PerfResult{}, err
 	}
 	return PerfResult{
-		Workload:     "torture-4rank",
-		Events:       c.Eng.EventsRun(),
-		SimTime:      c.Eng.Now(),
-		PayloadBytes: payload,
-		Fingerprint:  c.Eng.Fingerprint(),
+		Workload:    "torture-4rank",
+		Events:      c.Eng.EventsRun(),
+		SimTime:     c.Eng.Now(),
+		Fingerprint: c.Eng.Fingerprint(),
 	}, nil
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/perfmodel"
+	"repro/internal/sim"
 )
 
 // ScaleConfig parameterizes ScaleAllreduce. Zero fields take the
@@ -49,14 +50,14 @@ func (c *ScaleConfig) defaults() {
 	}
 }
 
-// scaleFill writes rank id's contribution: elems f64 values, each a
+// ScaleFill writes rank id's contribution: elems f64 values, each a
 // small integer from the rank's seeded splitmix64 stream. Small-integer
 // payloads keep every reduction order bit-identical (integer f64 sums
 // are exact), so algorithm results can be compared byte-for-byte.
-func scaleFill(dst []byte, seed uint64, id, elems int) {
-	g := perfRNG{s: seed ^ (uint64(id)+1)*0x9E3779B97F4A7C15}
+func ScaleFill(dst []byte, seed uint64, id, elems int) {
+	g := sim.NewSplitMix(seed ^ (uint64(id)+1)*0x9E3779B97F4A7C15)
 	for i := 0; i < elems; i++ {
-		v := float64(g.intn(1024))
+		v := float64(g.Intn(1024))
 		binary.LittleEndian.PutUint64(dst[i*8:], math.Float64bits(v))
 	}
 }
@@ -66,9 +67,9 @@ func scaleFill(dst []byte, seed uint64, id, elems int) {
 func scaleExpected(seed uint64, ranks, elems int) []float64 {
 	want := make([]float64, elems)
 	for id := 0; id < ranks; id++ {
-		g := perfRNG{s: seed ^ (uint64(id)+1)*0x9E3779B97F4A7C15}
+		g := sim.NewSplitMix(seed ^ (uint64(id)+1)*0x9E3779B97F4A7C15)
 		for i := range want {
-			want[i] += float64(g.intn(1024))
+			want[i] += float64(g.Intn(1024))
 		}
 	}
 	return want
@@ -96,7 +97,7 @@ func (e *Env) ScaleAllreduce(plat *perfmodel.Platform, cfg ScaleConfig) (PerfRes
 	err := w.Run(func(r *core.Rank) error {
 		p := r.Proc()
 		buf := r.Mem(cfg.Elems * 8)
-		scaleFill(buf.Data, cfg.Seed, r.ID(), cfg.Elems)
+		ScaleFill(buf.Data, cfg.Seed, r.ID(), cfg.Elems)
 		if err := r.Allreduce(p, core.Whole(buf), core.OpSumF64); err != nil {
 			return err
 		}
@@ -114,10 +115,9 @@ func (e *Env) ScaleAllreduce(plat *perfmodel.Platform, cfg ScaleConfig) (PerfRes
 		return PerfResult{}, err
 	}
 	return PerfResult{
-		Workload:     fmt.Sprintf("allreduce-%drank-%s-%s", cfg.Ranks, cfg.Algo, cfg.Topo),
-		Events:       c.Eng.EventsRun(),
-		SimTime:      c.Eng.Now(),
-		PayloadBytes: int64(cfg.Ranks) * int64(cfg.Elems) * 8,
-		Fingerprint:  c.Eng.Fingerprint(),
+		Workload:    fmt.Sprintf("allreduce-%drank-%s-%s", cfg.Ranks, cfg.Algo, cfg.Topo),
+		Events:      c.Eng.EventsRun(),
+		SimTime:     c.Eng.Now(),
+		Fingerprint: c.Eng.Fingerprint(),
 	}, nil
 }

@@ -347,7 +347,7 @@ func TestDoubleBufferOverlap(t *testing.T) {
 	var elapsed sim.Duration
 	// The transfer runs on its own process, so the host rank's work
 	// overlaps it.
-	landed := sim.NewSignal(c.Eng)
+	landed := new(sim.Signal)
 	done := false
 	c.Eng.Spawn("coi", func(p *sim.Proc) {
 		dev.OffloadTransfer(p, mic.Data, host.Data)

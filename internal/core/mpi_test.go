@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/causal"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/perfmodel"
@@ -424,6 +425,45 @@ func TestAnySourceLockDefersLaterRecvs(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A wildcard receive completes naming the rank it matched, eager or
+// rendezvous, posted before its message arrived or after: the causal
+// graph then pairs the completion with its send, one message and no
+// issue.
+func TestAnySourceCompletionNamesItsSource(t *testing.T) {
+	for _, tc := range []struct{ n, sendDelay, recvDelay int }{
+		{64, 100, 0}, {64, 0, 100}, {64 << 10, 100, 0}, {64 << 10, 0, 100},
+	} {
+		rec := causal.New()
+		c := cluster.New(perfmodel.Default(), 2)
+		c.SetCausal(rec)
+		err := c.DCFAWorld(2, true).Run(func(r *core.Rank) error {
+			p := r.Proc()
+			if r.ID() == 1 {
+				p.Sleep(sim.Duration(tc.sendDelay) * sim.Microsecond)
+				return r.Send(p, 0, 3, core.Whole(r.Mem(tc.n)))
+			}
+			p.Sleep(sim.Duration(tc.recvDelay) * sim.Microsecond)
+			st, err := r.Recv(p, core.AnySource, 3, core.Whole(r.Mem(tc.n)))
+			if err == nil && (st.Source != 1 || st.Len != tc.n) {
+				err = fmt.Errorf("status %+v", st)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatalf("%+v: %v", tc, err)
+		}
+		g := causal.Build(rec.Events(), c.Eng.Now())
+		if issues := g.Check(); len(issues) != 0 || len(g.Messages) != 1 {
+			t.Errorf("%+v: %d messages, issues %v; want 1 and none", tc, len(g.Messages), issues)
+		}
+		for _, e := range rec.Events() {
+			if e.Kind == causal.EvRecvDone && e.Peer != 1 {
+				t.Errorf("%+v: recv-done names peer %d, want 1", tc, e.Peer)
+			}
+		}
 	}
 }
 

@@ -19,20 +19,6 @@ import (
 	"repro/internal/sim"
 )
 
-// cacheFuzzRNG is a self-contained splitmix64 for the workload shape
-// (never math/rand: runs must be reproducible from the seed alone).
-type cacheFuzzRNG struct{ s uint64 }
-
-func (r *cacheFuzzRNG) next() uint64 {
-	r.s += 0x9E3779B97F4A7C15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-func (r *cacheFuzzRNG) intn(n int) int { return int(r.next() % uint64(n)) }
-
 func TestMRCacheSurvivesCmdFaults(t *testing.T) {
 	const seed = 11
 	eng := sim.NewEngine()
@@ -66,18 +52,18 @@ func TestMRCacheSurvivesCmdFaults(t *testing.T) {
 		for i := range bufs {
 			bufs[i] = node.Mic.Alloc(16 << 10)
 		}
-		rng := &cacheFuzzRNG{s: seed}
+		rng := sim.NewSplitMix(seed)
 		var held []*ib.MR
 		for it := 0; it < 300; it++ {
-			if len(held) > 0 && rng.intn(2) == 0 {
-				k := rng.intn(len(held))
+			if len(held) > 0 && rng.Intn(2) == 0 {
+				k := rng.Intn(len(held))
 				c.Release(p, held[k])
 				held = append(held[:k], held[k+1:]...)
 				continue
 			}
-			b := bufs[rng.intn(nbufs)]
-			off := uint64(rng.intn(8 << 10))
-			n := 1 + rng.intn(8<<10)
+			b := bufs[rng.Intn(nbufs)]
+			off := uint64(rng.Intn(8 << 10))
+			n := 1 + rng.Intn(8<<10)
 			mr, err := c.Get(p, b.Dom, b.Addr+off, n)
 			if err != nil {
 				t.Errorf("iter %d: Get: %v", it, err)

@@ -404,7 +404,7 @@ func (r *Rank) ensurePeer(p *sim.Proc, i int) (*peerState, error) {
 		// it here is already parked when it fires.
 		claim.Wait(p)
 	}
-	claim := sim.NewSignal(r.w.Eng)
+	claim := new(sim.Signal)
 	r.w.connInFlight[key] = claim
 	defer func() {
 		delete(r.w.connInFlight, key)
@@ -1039,13 +1039,15 @@ func (r *Rank) lockAny(p *sim.Proc, req *Request) {
 }
 
 // bindAny gives the active ANY_SOURCE receive pair src's next sequence
-// id — the one arrival a carries — and releases the lock.
+// id — the one arrival a carries — and releases the lock. From then on
+// the receive names src as its peer, so its completion does too.
 func (r *Rank) bindAny(p *sim.Proc, src int, a *arrival) {
 	req := r.anyActive
 	r.anyActive = nil
 	r.peers[src].recvSeq++
 	req.seq = a.h.seq
 	r.bound(p, req, src)
+	req.peer = int32(src)
 	r.matchArrival(p, req, a)
 	r.drainDeferred(p)
 }

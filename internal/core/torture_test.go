@@ -1,11 +1,11 @@
 package core_test
 
-// Seeded protocol-torture suite: randomized Send/Isend/Recv/Irecv
-// traffic (including ANY_SOURCE rounds) across message sizes straddling
-// the eager/rendezvous threshold, run under an active fault plan. Every
-// payload is verified byte-for-byte, every request must complete, and
-// the whole run — faults, recoveries, retries — must be bit-identical
-// across two runs with the same seed.
+// Seeded protocol-torture suite: bench.Torture's randomized
+// Isend/Irecv traffic (including ANY_SOURCE rounds) across message
+// sizes straddling the eager/rendezvous threshold, run under an active
+// fault plan. Every payload is verified byte-for-byte, every request
+// must complete, and the whole run — faults, recoveries, retries — must
+// be bit-identical across two runs with the same seed.
 
 import (
 	"encoding/binary"
@@ -15,6 +15,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/causal"
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -25,87 +26,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
-
-// tortureRNG is a splitmix64 generator for workload construction (the
-// repo bans math/rand to keep runs reproducible).
-type tortureRNG struct{ s uint64 }
-
-func (g *tortureRNG) next() uint64 {
-	g.s += 0x9E3779B97F4A7C15
-	z := g.s
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-func (g *tortureRNG) intn(n int) int { return int(g.next() % uint64(n)) }
-
-// tortureSizes straddle the 8 KiB eager threshold: eager, boundary,
-// boundary+1 (smallest rendezvous), and a large rendezvous that crosses
-// the offload-send threshold.
-var tortureSizes = []int{64, 1024, 8192, 8193, 32768}
-
-const tortureMaxSize = 32768
-
-// tmsg is one point-to-point message of the generated workload.
-type tmsg struct {
-	src, dst, size, tag int
-}
-
-// tround is one bulk-synchronous round; anySrc rounds post every
-// receive as MPI_ANY_SOURCE with the round's shared tag.
-type tround struct {
-	msgs   []tmsg
-	anySrc bool
-}
-
-// torturePlanFor generates the deterministic message schedule all ranks
-// share. Tags are unique per round in directed rounds; ANY_SOURCE
-// rounds share one tag so a wildcard can match any of the round's
-// messages but never a collective's control packet (those use negative
-// tags).
-func torturePlanFor(seed uint64, ranks, rounds, msgs int) []tround {
-	g := tortureRNG{s: seed}
-	plan := make([]tround, rounds)
-	for rd := range plan {
-		plan[rd].anySrc = rd%2 == 1
-		for m := 0; m < msgs; m++ {
-			src := g.intn(ranks)
-			dst := g.intn(ranks - 1)
-			if dst >= src {
-				dst++
-			}
-			tag := rd*1000 + m
-			if plan[rd].anySrc {
-				tag = rd * 1000
-			}
-			plan[rd].msgs = append(plan[rd].msgs, tmsg{
-				src: src, dst: dst, size: tortureSizes[g.intn(len(tortureSizes))], tag: tag,
-			})
-		}
-	}
-	return plan
-}
-
-// pat is the deterministic payload byte for position i of a message.
-func pat(seed uint64, rd, src, size int, i int) byte {
-	return byte(uint64(i)*2654435761 + seed + uint64(rd*31+src*7+size))
-}
-
-func fillPat(buf []byte, seed uint64, rd, src, size int) {
-	for i := range buf {
-		buf[i] = pat(seed, rd, src, size, i)
-	}
-}
-
-func checkPat(buf []byte, seed uint64, rd, src, size int) error {
-	for i := range buf {
-		if buf[i] != pat(seed, rd, src, size, i) {
-			return fmt.Errorf("payload corrupt at byte %d of %d (round %d src %d)", i, len(buf), rd, src)
-		}
-	}
-	return nil
-}
 
 // tortureResult captures everything two same-seed runs must agree on.
 type tortureResult struct {
@@ -129,7 +49,6 @@ func runTorture(t *testing.T, seed uint64, plan *faults.Plan, reg *metrics.Regis
 func runTortureSinks(t *testing.T, seed uint64, plan *faults.Plan, reg *metrics.Registry, rec *causal.Recorder, tr *trace.Recorder) tortureResult {
 	t.Helper()
 	const ranks = 4
-	sched := torturePlanFor(seed, ranks, 6, 10)
 	c := cluster.New(perfmodel.Default(), ranks)
 	c.SetMetrics(reg)
 	c.SetCausal(rec)
@@ -137,97 +56,7 @@ func runTortureSinks(t *testing.T, seed uint64, plan *faults.Plan, reg *metrics.
 	w := c.DCFAWorld(ranks, true)
 	w.Cfg.Trace = tr
 	// The ring check below reads the rings as the run left them.
-	err := w.RunKeepingRings(func(r *core.Rank) error {
-		p := r.Proc()
-		me := r.ID()
-		for rd, ro := range sched {
-			var reqs []*core.Request
-			type pendingRecv struct {
-				req *core.Request
-				buf core.Slice
-				m   *tmsg // nil for ANY_SOURCE receives
-			}
-			var recvs []pendingRecv
-			if ro.anySrc {
-				for mi := range ro.msgs {
-					if ro.msgs[mi].dst != me {
-						continue
-					}
-					s := core.Whole(r.Mem(tortureMaxSize))
-					q, err := r.Irecv(p, core.AnySource, ro.msgs[mi].tag, s)
-					if err != nil {
-						return err
-					}
-					recvs = append(recvs, pendingRecv{req: q, buf: s})
-					reqs = append(reqs, q)
-				}
-			} else {
-				for mi := range ro.msgs {
-					m := &ro.msgs[mi]
-					if m.dst != me {
-						continue
-					}
-					s := core.Whole(r.Mem(m.size))
-					q, err := r.Irecv(p, m.src, m.tag, s)
-					if err != nil {
-						return err
-					}
-					recvs = append(recvs, pendingRecv{req: q, buf: s, m: m})
-					reqs = append(reqs, q)
-				}
-			}
-			for mi := range ro.msgs {
-				m := &ro.msgs[mi]
-				if m.src != me {
-					continue
-				}
-				s := core.Whole(r.Mem(m.size))
-				fillPat(s.Bytes(), seed, rd, m.src, m.size)
-				q, err := r.Isend(p, m.dst, m.tag, s)
-				if err != nil {
-					return err
-				}
-				reqs = append(reqs, q)
-			}
-			if err := r.WaitAll(p, reqs...); err != nil {
-				return fmt.Errorf("round %d: %w", rd, err)
-			}
-			for _, q := range reqs {
-				if !q.Done() {
-					return fmt.Errorf("round %d: leaked request (WaitAll returned with it pending)", rd)
-				}
-			}
-			// Verify every receive byte-for-byte. ANY_SOURCE receives
-			// identify their message through the completion status.
-			for _, pr := range recvs {
-				st := pr.req.Status()
-				m := pr.m
-				if m == nil {
-					for mi := range ro.msgs {
-						cand := &ro.msgs[mi]
-						if cand.dst == me && cand.src == st.Source && cand.size == st.Len {
-							m = cand
-							break
-						}
-					}
-					if m == nil {
-						return fmt.Errorf("round %d: ANY_SOURCE matched unknown message %+v", rd, st)
-					}
-				}
-				if st.Source != m.src || st.Len != m.size {
-					return fmt.Errorf("round %d: status %+v, want src %d len %d", rd, st, m.src, m.size)
-				}
-				if err := checkPat(pr.buf.Bytes()[:st.Len], seed, rd, m.src, m.size); err != nil {
-					return fmt.Errorf("round %d: %w", rd, err)
-				}
-			}
-			if err := r.Barrier(p); err != nil {
-				return fmt.Errorf("round %d barrier: %w", rd, err)
-			}
-		}
-		return nil
-	})
-	if err != nil {
+	if err := w.RunKeepingRings(bench.Torture(seed, ranks, 6, 10)); err != nil {
 		t.Fatalf("torture run (seed %d): %v", seed, err)
 	}
 	// Span hygiene: every message-lifecycle span opened during the run —
@@ -238,8 +67,14 @@ func runTortureSinks(t *testing.T, seed uint64, plan *faults.Plan, reg *metrics.
 			t.Fatalf("torture run (seed %d): %d spans left open", seed, open)
 		}
 	}
+	return tortureResultOf(c, w, inj)
+}
+
+// tortureResultOf reads what a finished torture run leaves behind: the
+// schedule's shape, the fault tallies, the ranks' stats and their rings.
+func tortureResultOf(c *cluster.Cluster, w *core.World, inj *faults.Injector) tortureResult {
 	res := tortureResult{fp: c.Eng.Fingerprint(), events: c.Eng.EventsRun(), now: c.Eng.Now(), inj: inj}
-	for i := 0; i < ranks; i++ {
+	for i := 0; i < w.Size(); i++ {
 		if res.dirty == "" {
 			res.dirty = w.Rank(i).DirtyRing()
 		}
@@ -320,10 +155,11 @@ var tortureARElems = []int{8, 129, 1024, 4100}
 func runTortureAllreduce(t *testing.T, seed uint64, plan *faults.Plan) tortureResult {
 	t.Helper()
 	const ranks = 4
-	fill := func(g *tortureRNG, elems int) []float64 {
+	fill := func(rd, id, elems int) []float64 {
+		g := sim.NewSplitMix(seed + uint64(rd*31+id))
 		vs := make([]float64, elems)
 		for i := range vs {
-			vs[i] = float64(g.intn(512))
+			vs[i] = float64(g.Intn(512))
 		}
 		return vs
 	}
@@ -336,15 +172,13 @@ func runTortureAllreduce(t *testing.T, seed uint64, plan *faults.Plan) tortureRe
 		me := r.ID()
 		for rd, elems := range tortureARElems {
 			buf := r.Mem(elems * 8)
-			g := tortureRNG{s: seed + uint64(rd*31+me)}
-			core.PutF64s(buf.Data, fill(&g, elems))
+			core.PutF64s(buf.Data, fill(rd, me, elems))
 			if err := r.Allreduce(p, core.Whole(buf), core.OpSumF64); err != nil {
 				return fmt.Errorf("round %d: %w", rd, err)
 			}
 			want := make([]float64, elems)
 			for id := 0; id < ranks; id++ {
-				gg := tortureRNG{s: seed + uint64(rd*31+id)}
-				for i, v := range fill(&gg, elems) {
+				for i, v := range fill(rd, id, elems) {
 					want[i] += v
 				}
 			}
@@ -363,17 +197,7 @@ func runTortureAllreduce(t *testing.T, seed uint64, plan *faults.Plan) tortureRe
 	if err != nil {
 		t.Fatalf("allreduce torture (seed %d): %v", seed, err)
 	}
-	res := tortureResult{fp: c.Eng.Fingerprint(), events: c.Eng.EventsRun(), now: c.Eng.Now(), inj: inj}
-	for i := 0; i < ranks; i++ {
-		s := w.Rank(i).Stats
-		res.stats.MsgsSent += s.MsgsSent
-		res.stats.EagerSends += s.EagerSends
-		res.stats.RndvSends += s.RndvSends
-		res.stats.Retries += s.Retries
-		res.stats.QPResets += s.QPResets
-		res.stats.ReplaysDeduped += s.ReplaysDeduped
-	}
-	return res
+	return tortureResultOf(c, w, inj)
 }
 
 // TestTortureRingAllreduceUnderFaults: the ring allreduce — chunked

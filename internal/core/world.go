@@ -124,7 +124,7 @@ type World struct {
 	ranks []*Rank
 
 	syncN   int
-	syncSig *sim.Signal
+	syncSig sim.Signal
 	errs    []error
 
 	// connInFlight serializes lazy pair bootstrap: the first rank to
@@ -144,7 +144,6 @@ func NewWorld(eng *sim.Engine, plat *perfmodel.Platform, cfg Config, envs []Env)
 		cfg.EagerSlots = 2
 	}
 	w := &World{Eng: eng, Plat: plat, Cfg: cfg, envs: envs}
-	w.syncSig = sim.NewSignal(eng)
 	w.connInFlight = make(map[[2]int]*sim.Signal)
 	for i, e := range envs {
 		r := &Rank{w: w, id: i, v: e.V}

@@ -158,7 +158,7 @@ type MicVerbs struct {
 	// cmd admits one command to ep at a time, in arrival order: a lazy
 	// connect drives this interface from the peer rank's process too,
 	// and two requests in flight would take each other's reply.
-	cmd *sim.Semaphore
+	cmd sim.Semaphore
 
 	daemon *HostDaemon
 	// req is the one command in flight (the cmd lock holds it until the
@@ -188,7 +188,7 @@ func New(eng *sim.Engine, plat *perfmodel.Platform, node *machine.Node, hca *ib.
 	eng.Spawn(fmt.Sprintf("dcfa-daemon/node%d", node.ID), d.serve)
 	v := &MicVerbs{
 		Plat: plat, HCA: hca, Bus: bus,
-		ep: pair.Mic, ctx: hca.Open(machine.MicMem), cmd: sim.NewSemaphore(eng),
+		ep: pair.Mic, ctx: hca.Open(machine.MicMem),
 		daemon: d, create: d.create,
 		mrHandles: make(map[*ib.MR]uint64),
 		actor:     fmt.Sprintf("dcfa/node%d", node.ID),

@@ -88,7 +88,7 @@ func TestMicToMicRDMAWriteViaDCFA(t *testing.T) {
 		mr *ib.MR
 	}
 	var s [2]side
-	ready := sim.NewSignal(r.eng)
+	ready := new(sim.Signal)
 	r.eng.Spawn("rank1", func(p *sim.Proc) {
 		v := r.mic[1]
 		pd, _ := v.AllocPD(p)

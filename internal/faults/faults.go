@@ -1,7 +1,7 @@
 // Package faults provides a deterministic, seed-driven fault plan for
 // the simulation. An Injector makes per-event fault decisions by
-// hashing (seed, layer stream, decision counter, virtual now) through a
-// splitmix64-style mixer — no math/rand, no global state, no wall
+// hashing (seed, layer stream, decision counter, virtual now) through
+// splitmix64's mixer, sim.Mix — no math/rand, no global state, no wall
 // clock — so the same seed over the same schedule yields the same
 // faults, and the decision stream for one layer is independent of the
 // others.
@@ -187,19 +187,11 @@ func New(eng *sim.Engine, plan *Plan) *Injector {
 	return &Injector{eng: eng, plan: plan}
 }
 
-// splitmix64 finalizer over a decision's identity.
-func mix(z uint64) uint64 {
-	z += 0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
 // roll draws a uniform float in [0,1) for stream decision n at the
-// current virtual time.
+// current virtual time: sim.Mix over the decision's identity.
 func (i *Injector) roll(stream, n uint64) float64 {
-	z := mix(i.plan.Seed ^ mix(stream))
-	z = mix(z + n*0x9E3779B97F4A7C15 + uint64(i.eng.Now())*0x2545F4914F6CDD1D)
+	z := sim.Mix(i.plan.Seed ^ sim.Mix(stream))
+	z = sim.Mix(z + n*0x9E3779B97F4A7C15 + uint64(i.eng.Now())*0x2545F4914F6CDD1D)
 	return float64(z>>11) / (1 << 53)
 }
 

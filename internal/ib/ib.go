@@ -98,14 +98,13 @@ func (f *Fabric) releaseBuf(b []byte) {
 // AttachHCA installs one HCA on node n and assigns it the next LID.
 func (f *Fabric) AttachHCA(n *machine.Node) *HCA {
 	h := &HCA{
-		fab:      f,
-		Node:     n,
-		LID:      uint16(len(f.hcas) + 1),
-		qps:      make(map[uint32]*QP),
-		mrs:      make(map[uint32]*MR),
-		nextQPN:  0x100,
-		nextKey:  0x1000,
-		Doorbell: sim.NewSignal(f.Eng),
+		fab:     f,
+		Node:    n,
+		LID:     uint16(len(f.hcas) + 1),
+		qps:     make(map[uint32]*QP),
+		mrs:     make(map[uint32]*MR),
+		nextQPN: 0x100,
+		nextKey: 0x1000,
 	}
 	h.actor = fmt.Sprintf("hca%d", h.LID)
 	h.egress = sim.NewLink(f.Eng, fmt.Sprintf("%s/ib-egress", n.Host.Name), plat(f).IBLatency, plat(f).IBBandwidth)
@@ -142,7 +141,7 @@ type HCA struct {
 	// (RDMA payloads, receives, read responses): the simulation
 	// equivalent of memory-polling progress engines noticing change.
 	// Only landed rings it.
-	Doorbell *sim.Signal
+	Doorbell sim.Signal
 
 	// actor is this adapter's telemetry track name ("hca<LID>").
 	actor string

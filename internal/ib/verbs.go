@@ -77,7 +77,7 @@ type CQ struct {
 	Depth   int
 	entries sim.FIFO[CQE]
 	// Notify broadcasts when an entry is pushed.
-	Notify *sim.Signal
+	Notify sim.Signal
 	// Overflows counts entries dropped because the CQ was full — a
 	// programming error in the upper layer, surfaced loudly.
 	Overflows int
@@ -88,7 +88,7 @@ func (c *Context) CreateCQ(depth int) *CQ {
 	if depth <= 0 {
 		depth = 256
 	}
-	return &CQ{ctx: c, Depth: depth, Notify: sim.NewSignal(c.HCA.fab.Eng)}
+	return &CQ{ctx: c, Depth: depth}
 }
 
 // push appends a completion and rings the node doorbell.

@@ -105,7 +105,7 @@ type transfer struct {
 	// fire, so the edge-triggered Signal cannot be missed, and Broadcast
 	// keeps the waiter slice, so a reused record waits without
 	// allocating.
-	done   *sim.Signal
+	done   sim.Signal
 	onLand func()
 }
 
@@ -120,7 +120,7 @@ func (b *Bus) move(p *sim.Proc, e *engine, dst, src []byte) error {
 	}
 	x, ok := b.free.Get()
 	if !ok {
-		x = &transfer{b: b, done: sim.NewSignal(b.Eng)}
+		x = &transfer{b: b}
 		x.onLand = x.land
 	}
 	x.dst, x.src, x.start = dst, src, b.Eng.Now()

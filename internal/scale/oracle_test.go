@@ -13,32 +13,13 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/perfmodel"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
-
-// oracleRNG is the splitmix64 payload generator (math/rand is banned).
-type oracleRNG struct{ s uint64 }
-
-func (g *oracleRNG) next() uint64 {
-	g.s += 0x9E3779B97F4A7C15
-	z := g.s
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-// fillF64 writes rank id's allreduce contribution: elems small-integer
-// f64 values (exact under any summation order).
-func fillF64(dst []byte, seed uint64, id, elems int) {
-	g := oracleRNG{s: seed ^ (uint64(id)+1)*0x9E3779B97F4A7C15}
-	for i := 0; i < elems; i++ {
-		binary.LittleEndian.PutUint64(dst[i*8:], math.Float64bits(float64(g.next()%1024)))
-	}
-}
 
 // patByte is the deterministic byte at position i of the (src → dst)
 // block — bcast uses dst = 0.
@@ -119,7 +100,7 @@ func collRun(t *testing.T, kind, algo, topoName string, ranks int, even bool, se
 		switch kind {
 		case "allreduce":
 			buf := r.Mem(elems * 8)
-			fillF64(buf.Data, seed, me, elems)
+			bench.ScaleFill(buf.Data, seed, me, elems)
 			if err := g.Allreduce(p, core.Whole(buf), core.OpSumF64); err != nil {
 				return err
 			}
@@ -185,7 +166,7 @@ func hostExpected(kind string, ranks int, seed uint64, elems int) [][]byte {
 		sum := make([]float64, elems)
 		one := make([]byte, elems*8)
 		for id := 0; id < ranks; id++ {
-			fillF64(one, seed, id, elems)
+			bench.ScaleFill(one, seed, id, elems)
 			for i := range sum {
 				sum[i] += math.Float64frombits(binary.LittleEndian.Uint64(one[i*8:]))
 			}

@@ -28,9 +28,9 @@ type Endpoint struct {
 	eng    *sim.Engine
 	lat    sim.Duration
 	inbox  sim.FIFO[Msg]
-	landed int         // messages at the head of inbox that have crossed
-	arrive *sim.Signal // broadcast at each landing
-	land   func()      // e.landOne, bound once so a crossing allocates nothing
+	landed int        // messages at the head of inbox that have crossed
+	arrive sim.Signal // broadcast at each landing
+	land   func()     // e.landOne, bound once so a crossing allocates nothing
 	peer   *Endpoint
 	seq    uint64
 }
@@ -44,8 +44,8 @@ type Pair struct {
 // NewPair creates a connected channel with the platform's crossing
 // latency.
 func NewPair(eng *sim.Engine, plat *perfmodel.Platform) *Pair {
-	h := &Endpoint{eng: eng, lat: plat.SCIFMsgLatency, arrive: sim.NewSignal(eng)}
-	m := &Endpoint{eng: eng, lat: plat.SCIFMsgLatency, arrive: sim.NewSignal(eng)}
+	h := &Endpoint{eng: eng, lat: plat.SCIFMsgLatency}
+	m := &Endpoint{eng: eng, lat: plat.SCIFMsgLatency}
 	h.peer, m.peer = m, h
 	h.land, m.land = h.landOne, m.landOne
 	return &Pair{Host: h, Mic: m}

@@ -10,8 +10,8 @@ import (
 // on a signal nobody broadcasts, asleep far in the future, and a daemon
 // blocked on an empty mailbox.
 func parkThree(e *Engine) {
-	never := NewSignal(e)
-	q := newMailbox[int](e)
+	never := new(Signal)
+	q := new(mailbox[int])
 	e.Spawn("blocked", func(p *Proc) { never.Wait(p) })
 	e.Spawn("asleep", func(p *Proc) { p.Sleep(Second) })
 	e.Spawn("daemon", func(p *Proc) {
@@ -39,7 +39,7 @@ func TestCallbackPanicIsTypedAndUnwinds(t *testing.T) {
 			base := runtime.NumGoroutine()
 			e := NewEngine()
 			parkThree(e)
-			deepChain(e, shape.links, NewSignal(e).Wait)
+			deepChain(e, shape.links, new(Signal).Wait)
 			ran := false
 			var f atFailure
 			e.At(5*Microsecond, func() { f.see(e, nil); panic("cb-boom") })
@@ -109,7 +109,7 @@ func TestCurrentFollowsTheBaton(t *testing.T) {
 			p.MarkDaemon()
 			see("first dispatch, by a's loop", b)
 			e.After(Microsecond, cb("callback while both are waiting, on b's goroutine"))
-			NewSignal(e).Wait(p)
+			new(Signal).Wait(p)
 		})
 		p.Sleep(10 * Microsecond)
 		see("resumed by b's loop", a)
@@ -158,7 +158,7 @@ func TestStopFromProcAndCallback(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				base := runtime.NumGoroutine()
 				e := NewEngine()
-				deepChain(e, shape.links, NewSignal(e).Wait)
+				deepChain(e, shape.links, new(Signal).Wait)
 				parkThree(e)
 				ticks := 0
 				e.Spawn("ticker", func(p *Proc) {
@@ -208,7 +208,7 @@ func TestSpawnFromCallback(t *testing.T) {
 func TestCleanRunLeavesNoGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
 	e := NewEngine()
-	q := newMailbox[int](e)
+	q := new(mailbox[int])
 	served := 0
 	for i := 0; i < 4; i++ {
 		e.Spawn("daemon", func(p *Proc) {
@@ -248,7 +248,7 @@ func TestCleanRunLeavesNoGoroutines(t *testing.T) {
 func TestUnwindingProcessMovesNothing(t *testing.T) {
 	run := func(stop bool, links int, deferSleep bool) (*Engine, *atFailure, error) {
 		e := NewEngine()
-		never := NewSignal(e)
+		never := new(Signal)
 		stuck := func(p *Proc) {
 			if deferSleep {
 				defer p.Sleep(10 * Microsecond)
@@ -305,7 +305,7 @@ func TestGoexitInProcessEndsTheRun(t *testing.T) {
 		t.Run(shape.name, func(t *testing.T) {
 			base := runtime.NumGoroutine()
 			e := NewEngine()
-			never := NewSignal(e)
+			never := new(Signal)
 			// The sleeper's Yield unwinds the chain t=0 built down to
 			// it, leaving the waiter suspended: killAll's to unwind.
 			e.Spawn("sleeper", func(p *Proc) { p.Yield(); p.Sleep(10 * Microsecond) })
@@ -395,7 +395,7 @@ func BenchmarkSignalFanout8(b *testing.B) {
 	const waiters = 8
 	steps := b.N / waiters
 	e := NewEngine()
-	sig := NewSignal(e)
+	sig := new(Signal)
 	for k := 0; k < waiters; k++ {
 		e.Spawn("waiter", func(p *Proc) {
 			for i := 0; i < steps; i++ {

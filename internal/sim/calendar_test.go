@@ -15,26 +15,26 @@ import (
 // lone event's path) to one hundreds deep.
 func TestCalendarMatchesSortedReference(t *testing.T) {
 	for seed := uint64(1); seed <= 24; seed++ {
-		next := splitmix(seed)
+		g := NewSplitMix(seed)
 		var c calendar
 		var ref []event
 		var seq uint64
 		held := &Proc{}
-		now := Time(next() % (1 << (seed % 62)))
+		now := Time(g.Next() % (1 << (seed % 62)))
 		pushes := 2 + seed%4 // out of 8 steps
 		for step := 0; step < 4000 || len(ref) > 0; step++ {
 			if c.n != len(ref) {
 				t.Fatalf("seed %d step %d: calendar holds %d events, reference %d", seed, step, c.n, len(ref))
 			}
-			op := next() % 8
+			op := g.Next() % 8
 			switch {
 			case step < 4000 && (op < pushes || len(ref) == 0):
 				at := now
-				switch next() % 3 {
+				switch g.Next() % 3 {
 				case 1:
-					at += Time(next() % 4)
+					at += Time(g.Next() % 4)
 				case 2:
-					at += Time(next() % (1 << 40))
+					at += Time(g.Next() % (1 << 40))
 				}
 				seq++
 				c.push(event{at: at, seq: seq, proc: held})
@@ -75,10 +75,10 @@ func BenchmarkCalendar(b *testing.B) {
 	for _, depth := range []int{1, 256, 4096} {
 		b.Run(fmt.Sprintf("depth-%d", depth), func(b *testing.B) {
 			b.ReportAllocs()
-			next := splitmix(uint64(depth))
+			g := NewSplitMix(uint64(depth))
 			var delta [1024]Time
 			for i := range delta {
-				delta[i] = Time(next() % 4096)
+				delta[i] = Time(g.Next() % 4096)
 			}
 			var c calendar
 			var seq uint64

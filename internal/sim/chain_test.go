@@ -5,18 +5,6 @@ import (
 	"testing"
 )
 
-// splitmix returns a seeded splitmix64 stream (math/rand is banned in
-// sim-driven code).
-func splitmix(seed uint64) func() uint64 {
-	return func() uint64 {
-		seed += 0x9e3779b97f4a7c15
-		z := seed
-		z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
-		z = (z ^ z>>27) * 0x94d049bb133111eb
-		return z ^ z>>31
-	}
-}
-
 // mixedSchedule spawns 64 processes that each take 24 seeded steps: a
 // Sleep, a Yield, a wait on a Signal a callback broadcasts, a wait on one of
 // four Signals, or a callback of its own that may broadcast one. A ringer
@@ -24,18 +12,15 @@ func splitmix(seed uint64) func() uint64 {
 // no wait is left hanging. It returns the count of callbacks run.
 func mixedSchedule(e *Engine, seed uint64) *int64 {
 	const procs, steps = 64, 24
-	next := splitmix(seed)
-	var sigs [4]*Signal
-	for i := range sigs {
-		sigs[i] = NewSignal(e)
-	}
+	g := NewSplitMix(seed)
+	var sigs [4]Signal
 	callbacks := new(int64)
 	live := procs
 	var ring func()
 	ring = func() {
 		*callbacks++
-		for _, s := range sigs {
-			s.Broadcast()
+		for i := range sigs {
+			sigs[i].Broadcast()
 		}
 		if live > 0 {
 			e.After(3, ring)
@@ -45,7 +30,7 @@ func mixedSchedule(e *Engine, seed uint64) *int64 {
 	for i := 0; i < procs; i++ {
 		e.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
 			for j := 0; j < steps; j++ {
-				r := next()
+				r := g.Next()
 				arg := r >> 8
 				switch r % 5 {
 				case 0:
@@ -53,7 +38,7 @@ func mixedSchedule(e *Engine, seed uint64) *int64 {
 				case 1:
 					p.Yield()
 				case 2:
-					s := NewSignal(e)
+					s := new(Signal)
 					e.After(Duration(arg%5), func() { *callbacks++; s.Broadcast() })
 					s.Wait(p)
 				case 3:

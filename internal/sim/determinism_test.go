@@ -11,8 +11,8 @@ import (
 func fingerprintWorkload(t *testing.T) (uint64, int64, Time) {
 	t.Helper()
 	e := NewEngine()
-	q := newMailbox[int](e)
-	done := NewSignal(e)
+	q := new(mailbox[int])
+	done := new(Signal)
 
 	// A daemon server that echoes mailbox items until told to stop.
 	var served int
@@ -122,13 +122,9 @@ func TestFpMixMatchesByteLoop(t *testing.T) {
 	for _, x := range []uint64{0, 1, 0xff, 0x100, 1 << 56, 1 << 63, math.MaxUint64, callbackPID, fastPathPID} {
 		check(x)
 	}
-	seed := uint64(25)
+	g := NewSplitMix(25)
 	for i := 0; i < 100000; i++ {
-		seed += 0x9e3779b97f4a7c15
-		z := seed
-		z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
-		z = (z ^ z>>27) * 0x94d049bb133111eb
-		z ^= z >> 31
-		check(z >> (seed % 64))
+		z := g.Next()
+		check(z >> (g.s % 64))
 	}
 }

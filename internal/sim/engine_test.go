@@ -88,7 +88,7 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 
 func TestDeadlockDetected(t *testing.T) {
 	e := NewEngine()
-	never := NewSignal(e)
+	never := new(Signal)
 	e.Spawn("stuck-proc", func(p *Proc) {
 		never.Wait(p) // never broadcast
 	})
@@ -180,7 +180,7 @@ func TestFailedRunLeavesNoGoroutines(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				base := runtime.NumGoroutine()
 				e := NewEngine()
-				never := NewSignal(e)
+				never := new(Signal)
 				var f atFailure
 				first := func(p *Proc) { f.see(e, p); tc.first(e, p) }
 				if deep {
@@ -247,7 +247,7 @@ func TestYieldRunsOthersFirst(t *testing.T) {
 
 func TestSignalEdgeTriggered(t *testing.T) {
 	e := NewEngine()
-	s := NewSignal(e)
+	s := new(Signal)
 	wakes := 0
 	e.Spawn("waiter", func(p *Proc) {
 		for i := 0; i < 3; i++ {
@@ -271,7 +271,7 @@ func TestSignalEdgeTriggered(t *testing.T) {
 
 func TestBroadcastWithNoWaitersIsNoop(t *testing.T) {
 	e := NewEngine()
-	s := NewSignal(e)
+	s := new(Signal)
 	s.Broadcast()
 	e.Spawn("a", func(p *Proc) { p.Sleep(1) })
 	if err := e.Run(); err != nil {

@@ -147,10 +147,8 @@ func TestPool(t *testing.T) {
 // engine's parts: items wait in a FIFO, getters on a Signal.
 type mailbox[T any] struct {
 	items FIFO[T]
-	sig   *Signal
+	sig   Signal
 }
-
-func newMailbox[T any](e *Engine) *mailbox[T] { return &mailbox[T]{sig: NewSignal(e)} }
 
 func (m *mailbox[T]) put(v T) { m.items.Push(v); m.sig.Broadcast() }
 

@@ -166,14 +166,15 @@ func (p *Proc) wake() {
 // Signal is an edge-triggered broadcast: Wait blocks until the next
 // Broadcast after the wait began. It is the engine's condition variable;
 // because the engine is cooperative there is no lost-wakeup race as long
-// as the caller re-checks its predicate after waking.
+// as the caller re-checks its predicate after waking. The zero value is
+// ready to use: a wake goes through the waiting Proc's own engine.
 type Signal struct {
-	eng     *Engine
 	waiters []*Proc
 }
 
-// NewSignal returns a signal on engine e.
-func NewSignal(e *Engine) *Signal { return &Signal{eng: e} }
+// NewSignal returns a new Signal. The engine is not needed (the zero
+// value is ready); the parameter remains for existing callers.
+func NewSignal(*Engine) *Signal { return new(Signal) }
 
 // Broadcast wakes every currently blocked waiter.
 func (s *Signal) Broadcast() {

@@ -2,16 +2,10 @@ package sim
 
 // Semaphore is a one-permit FIFO lock for a resource one process
 // holds at a time (the delegation command slot). Acquire blocks in FIFO
-// order.
+// order. The zero value is an unheld lock.
 type Semaphore struct {
-	eng     *Engine
 	held    bool
 	waiters FIFO[*Proc]
-}
-
-// NewSemaphore returns an unheld lock on engine e.
-func NewSemaphore(e *Engine) *Semaphore {
-	return &Semaphore{eng: e}
 }
 
 // TryAcquire takes the lock without blocking.

@@ -10,7 +10,7 @@ import (
 // order they blocked.
 func TestSemaphoreLimitsConcurrency(t *testing.T) {
 	e := NewEngine()
-	s := NewSemaphore(e)
+	var s Semaphore
 	inFlight, maxInFlight := 0, 0
 	var order []int
 	for i := 0; i < 6; i++ {
@@ -42,7 +42,7 @@ func TestSemaphoreLimitsConcurrency(t *testing.T) {
 // and acquires again in the same instant queues behind it.
 func TestSemaphoreHandsOffInOrder(t *testing.T) {
 	e := NewEngine()
-	s := NewSemaphore(e)
+	var s Semaphore
 	var order []string
 	e.Spawn("a", func(p *Proc) {
 		s.Acquire(p)
@@ -71,8 +71,7 @@ func TestSemaphoreHandsOffInOrder(t *testing.T) {
 }
 
 func TestSemaphoreTryAcquire(t *testing.T) {
-	e := NewEngine()
-	s := NewSemaphore(e)
+	var s Semaphore
 	if !s.TryAcquire() {
 		t.Fatal("first TryAcquire failed")
 	}
