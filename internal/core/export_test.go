@@ -30,10 +30,10 @@ func StepRows() []StepRow {
 // zero, or returns "" when every ring is all zero, as it is when every
 // packet that landed has been consumed.
 func (r *Rank) DirtyRing() string {
-	for _, i := range r.active {
-		for k, b := range r.peers[i].in.buf.Data {
+	for _, ps := range r.pairs {
+		for k, b := range ps.in.buf.Data {
 			if b != 0 {
-				return fmt.Sprintf("rank %d: ring from rank %d has byte %d = %#x", r.id, i, k, b)
+				return fmt.Sprintf("rank %d: ring from rank %d has byte %d = %#x", r.id, ps.id, k, b)
 			}
 		}
 	}
@@ -47,7 +47,7 @@ func (w *World) RunKeepingRings(body func(r *Rank) error) error { return w.run(b
 // PlantRingByte writes a nonzero byte at the end of r's ring from peer,
 // past whatever a short packet writes and clears, for DirtyRing to find.
 func (r *Rank) PlantRingByte(peer int) {
-	d := r.peers[peer].in.buf.Data
+	d := r.pair(peer).in.buf.Data
 	d[len(d)-1] = 0xa5
 }
 
@@ -55,16 +55,16 @@ func (r *Rank) PlantRingByte(peer int) {
 // landings came through its QPs, how many rings the passes read, and how
 // many pairs r has connected.
 func (r *Rank) ProgressCounts() (passes, marks, visits int64, degree int) {
-	return r.passes, r.marks, r.visits, len(r.active)
+	return r.passes, r.marks, r.visits, len(r.pairs)
 }
 
-// UnwiredPeers lists the peers r lists as active whose QP is not
+// UnwiredPeers lists the peers of r's pair table whose QP is not
 // connected: a failed first contact must publish no half.
 func (r *Rank) UnwiredPeers() []int {
 	var out []int
-	for _, j := range r.active {
-		if r.peers[j].qp.State != ib.QPConnected {
-			out = append(out, j)
+	for _, ps := range r.pairs {
+		if ps.qp.State != ib.QPConnected {
+			out = append(out, ps.id)
 		}
 	}
 	return out

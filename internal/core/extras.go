@@ -21,17 +21,17 @@ func (r *Rank) Iprobe(p *sim.Proc, src, tag int) (Status, bool, error) {
 		return Status{}, false, ErrBadRank
 	}
 	r.progress(p)
-	srcs := r.active
+	pairs := r.pairs
 	if src != AnySource {
-		srcs = []int{src}
+		pairs = []*peerState{r.pair(src)}
 	}
-	for _, s := range srcs {
-		if a := r.peers[s].probe(tag); a != nil {
+	for _, ps := range pairs {
+		if a := ps.probe(tag); a != nil {
 			n := a.h.payload
 			if a.h.kind == pktRTS {
 				n = a.h.rsize
 			}
-			return Status{Source: s, Tag: int(a.h.tag), Len: n}, true, nil
+			return Status{Source: ps.id, Tag: int(a.h.tag), Len: n}, true, nil
 		}
 	}
 	return Status{}, false, nil

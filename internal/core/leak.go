@@ -83,10 +83,7 @@ func (r *Rank) heldOpen() []OpenRequest {
 	for _, act := range r.wrMap {
 		add(act.req)
 	}
-	for _, ps := range r.peers {
-		if ps == nil {
-			continue
-		}
+	for _, ps := range slices.Concat([]*peerState{r.self}, r.pairs) {
 		for _, q := range ps.expRecv {
 			add(q)
 		}
@@ -108,7 +105,7 @@ func (r *Rank) heldOpen() []OpenRequest {
 // staging buffer per published pair half, the cache's entries, and the
 // offload arena's host region.
 func (r *Rank) registrations() int {
-	n := 2 * len(r.active)
+	n := 2 * len(r.pairs)
 	if r.mrCache != nil {
 		n += r.mrCache.Len()
 	}

@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/ib"
 	"repro/internal/machine"
 	"repro/internal/perfmodel"
@@ -51,16 +52,17 @@ func worldRow(m cluster.Mode, size int, op func(r *core.Rank, p *sim.Proc, buf *
 }
 
 // ranksRow is a table row that runs op on every rank of a world of mode
-// m (its configuration adjusted by tune, if any) for mallocWarm+mallocOps
+// m (its cluster and configuration adjusted by tune, if any) for mallocWarm+mallocOps
 // iterations and returns the allocations of the whole process (every
 // rank, the HCAs, the engine) during rank 0's last mallocOps iterations.
 // onPath checks rank 0's protocol counters, so a row cannot silently
 // measure another protocol.
-func ranksRow(m cluster.Mode, ranks, size int, tune func(cfg *core.Config), op func(r *core.Rank, p *sim.Proc, buf *machine.Buffer) error, onPath func(st core.Stats) bool) func(t *testing.T) (mallocs, bytes uint64) {
+func ranksRow(m cluster.Mode, ranks, size int, tune func(c *cluster.Cluster, cfg *core.Config), op func(r *core.Rank, p *sim.Proc, buf *machine.Buffer) error, onPath func(st core.Stats) bool) func(t *testing.T) (mallocs, bytes uint64) {
 	return func(t *testing.T) (mallocs, bytes uint64) {
-		w := cluster.New(perfmodel.Default(), ranks).World(m, ranks)
+		c := cluster.New(perfmodel.Default(), ranks)
+		w := c.World(m, ranks)
 		if tune != nil {
-			tune(&w.Cfg)
+			tune(c, &w.Cfg)
 		}
 		var marks mallocMarks
 		var stats core.Stats
@@ -321,13 +323,17 @@ func TestHotPathMallocCeilings(t *testing.T) {
 		{"eager-64B-roundtrip", 0, 0, worldRow(cluster.ModeDCFA, 64, roundTrip, eager)},
 		{"eager-64B-roundtrip-host", 0, 0, worldRow(cluster.ModeHost, 64, roundTrip, eager)},
 		{"eager-64B-roundtrip-proxy", 0, 0, worldRow(cluster.ModeIntelPhi, 64, roundTrip, eager)},
+		// A fault plan that is on but never fires (host ranks send no
+		// DCFA command) still recycles every WR; what it adds is each
+		// packet's retained byte snapshot for replay.
+		{"eager-64B-roundtrip-host-faults-on", 2000, 317_000, ranksRow(cluster.ModeHost, 2, 64, func(c *cluster.Cluster, _ *core.Config) { c.SetFaults(&faults.Plan{Seed: 7, Cmd: 0.5}) }, roundTrip, eager)},
 		{"eager-1KiB-roundtrip", 0, 0, worldRow(cluster.ModeDCFA, 1<<10, roundTrip, eager)},
 		{"sendrecv-1KiB-ring4-step", 0, 0, ranksRow(cluster.ModeDCFA, 4, 2<<10, nil, ringStep, eager)},
 		// The ring allreduce's 14 Sendrecv steps allocate nothing. What is
 		// left is per call, not per message: each of the 8 ranks takes its
 		// one-chunk scratch buffer from its memory domain (a Buffer and its
 		// 1 KiB of bytes) — modelled memory at a fresh address each call.
-		{"allreduce-8KiB-ring8", 16000, 9_400_000, ranksRow(cluster.ModeDCFA, 8, 8<<10, func(cfg *core.Config) { cfg.CollAllreduce = "ring" }, allreduce, eager)},
+		{"allreduce-8KiB-ring8", 16000, 9_400_000, ranksRow(cluster.ModeDCFA, 8, 8<<10, func(_ *cluster.Cluster, cfg *core.Config) { cfg.CollAllreduce = "ring" }, allreduce, eager)},
 		// A direct rendezvous allocates nothing either: a request's cache
 		// pins are an array inside it. Nor does an offloaded one: its
 		// staging range is a value in the request and its DMA copy rides
@@ -364,5 +370,33 @@ func TestHotPathMallocCeilings(t *testing.T) {
 func TestRequestFitsItsSizeClass(t *testing.T) {
 	if n := unsafe.Sizeof(core.Request{}); n > 128 {
 		t.Fatalf("core.Request is %d bytes, want at most 128", n)
+	}
+}
+
+// TestRankStateIsSizedByDegree pins a rank's state to the pairs it
+// wires, not to the world: in a lazy host world that bootstraps and
+// runs one ring Sendrecv every rank wires two pairs whatever the size,
+// so the heap bytes the run allocates per rank must not grow with it.
+func TestRankStateIsSizedByDegree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	perRank := func(n int) uint64 {
+		w := cluster.New(perfmodel.Default(), n).World(cluster.ModeHost, n)
+		w.Cfg.ConnectMode = "lazy"
+		var marks mallocMarks
+		marks.open()
+		err := w.Run(func(r *core.Rank) error { return ringStep(r, r.Proc(), r.Mem(64)) })
+		marks.close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, bytes := marks.cost()
+		return bytes / uint64(n)
+	}
+	small, large := perRank(256), perRank(2048)
+	t.Logf("%d bytes per rank at 256 ranks, %d at 2048", small, large)
+	if 4*large > 5*small {
+		t.Errorf("a rank of 2048 allocates %d bytes, of 256 %d: more than 1.25x, so rank state grows with the world", large, small)
 	}
 }

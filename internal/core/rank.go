@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -16,7 +17,7 @@ import (
 // peerState is everything a rank holds about one (me, peer) pair — the
 // unit of §IV-B3: the pair's sequence ids and matching queues, and the
 // endpoint (QP, eager rings, credits) its packets travel on. Loopback is
-// the pair peers[r.id]: matching state only, no endpoint.
+// the pair r.self: matching state only, no endpoint.
 type peerState struct {
 	// sendSeq numbers sends to the peer, recvSeq receives bound to it:
 	// the k-th send pairs with the k-th bound receive.
@@ -71,8 +72,8 @@ type peerState struct {
 	// postponed holds WR ids formed while the QP was errored; they are
 	// reissued in order once the QP is reconnected.
 	postponed sim.FIFO[uint64]
-	// r and id place the pair on r.ready; landed says bytes came through
-	// qp since progress last found the ring empty.
+	// r is the rank holding the pair and id its peer; landed says bytes
+	// came through qp since progress last found the ring empty.
 	r      *Rank
 	id     int
 	landed bool
@@ -109,21 +110,21 @@ type Rank struct {
 	// faults is the adapter's fault injector, read once at setup: the
 	// rank consults it for recovery policy (retry budget) on the
 	// per-packet path, never for injection decisions.
-	faults *faults.Injector
-	// peers[i] is the pair (me, i), nil until the pair is wired (under
-	// lazy connect, its first message); peers[id] is loopback.
-	peers   []*peerState
+	faults  *faults.Injector
 	mrCache *MRCache
 	arena   *offArena
 
-	// active lists the peers with live endpoints, ascending: every peer
-	// under eager connect, those met so far under lazy, never loopback.
-	// ANY_SOURCE scans it in rank order; progress walks ready instead.
-	active []int
-	// ready lists, ascending, the pairs progress visits, sized by degree
-	// like active; passes, marks and visits count progress calls,
-	// landings and rings read.
-	ready                 []int
+	// self is the loopback pair (me, me).
+	self *peerState
+	// pairs lists the wired pairs ascending by peer, sized by degree:
+	// every peer under eager connect, those met so far under lazy, never
+	// loopback. ANY_SOURCE scans it in rank order; progress walks ready
+	// instead. Rank.pair is the one lookup by rank.
+	pairs []*peerState
+	// ready lists, ascending by peer, the pairs progress visits;
+	// passes, marks and visits count progress calls, landings and rings
+	// read.
+	ready                 []*peerState
 	passes, marks, visits int64
 
 	// cqeBuf is the persistent completion buffer progress drains into
@@ -225,21 +226,20 @@ func (r *Rank) setup(p *sim.Proc) error {
 	r.mrCache = NewMRCache(r.v, r.pd, cfg.MRCacheCap)
 	r.rep = newReporter(cfg.Metrics, cfg.Causal, cfg.Trace, r.id)
 	r.mrCache.instrument(cfg.Metrics, r.rep.actor)
-	r.peers = make([]*peerState, r.w.Size())
 	r.wrMap = make(map[uint64]wrAction)
-	r.peers[r.id] = newPeerState()
+	r.self = newPeerState(r, r.id)
 	if !r.w.lazyConnect() {
 		// Under lazy connect ensurePeer builds a pair at its first
 		// message instead.
-		for i := range r.peers {
+		for i := range r.w.Size() {
 			if i == r.id {
 				continue
 			}
-			ps, err := r.makePeerHalf(p)
+			ps, err := r.makePeerHalf(p, i)
 			if err != nil {
 				return err
 			}
-			r.publish(i, ps)
+			r.publish(ps)
 		}
 	}
 	if d, ok := r.v.(DCFAVerbs); ok && cfg.Offload {
@@ -253,24 +253,28 @@ func (r *Rank) setup(p *sim.Proc) error {
 // connect wires QPs and ring descriptors against every peer (phase 2;
 // the out-of-band bootstrap a process manager would provide).
 func (r *Rank) connect(p *sim.Proc) error {
-	for _, i := range r.active {
-		peer := r.w.ranks[i]
-		if len(peer.peers) <= r.id || peer.peers[r.id] == nil {
+	for _, ps := range r.pairs {
+		peer := r.w.ranks[ps.id]
+		other := peer.pair(r.id)
+		if other == nil {
 			// The peer's setup failed (possible under CMD-channel
 			// faults); surface a typed bootstrap error, not a panic.
-			return fmt.Errorf("core: rank %d has no endpoint for rank %d (peer setup failed)", i, r.id)
+			return fmt.Errorf("core: rank %d has no endpoint for rank %d (peer setup failed)", ps.id, r.id)
 		}
-		if err := r.peers[i].wire(peer, peer.peers[r.id]); err != nil {
+		if err := ps.wire(peer, other); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// newPeerState returns a pair's empty matching state: all loopback
-// needs, and what makePeerHalf builds an endpoint on.
-func newPeerState() *peerState {
+// newPeerState returns rank r's empty matching state for the pair with
+// peer id: all loopback needs, and what makePeerHalf builds an endpoint
+// on.
+func newPeerState(r *Rank, id int) *peerState {
 	return &peerState{
+		r:          r,
+		id:         id,
 		expRecv:    make(map[uint64]*Request),
 		unexpected: make(map[uint64]*arrival),
 		earlyRTR:   make(map[uint64]header),
@@ -278,15 +282,15 @@ func newPeerState() *peerState {
 	}
 }
 
-// makePeerHalf builds this rank's half of a pair: fresh matching state
-// plus the endpoint (QP, eager ring, staging buffer). It neither wires
-// the QP nor publishes the half; setup/connect (the eager bootstrap) or
-// ensurePeer (lazy) do that. A half that cannot be completed keeps no
-// registration.
-func (r *Rank) makePeerHalf(p *sim.Proc) (*peerState, error) {
+// makePeerHalf builds this rank's half of the pair with peer i: fresh
+// matching state plus the endpoint (QP, eager ring, staging buffer). It
+// neither wires the QP nor publishes the half; setup/connect (the eager
+// bootstrap) or ensurePeer (lazy) do that. A half that cannot be
+// completed keeps no registration.
+func (r *Rank) makePeerHalf(p *sim.Proc, i int) (*peerState, error) {
 	cfg := r.w.Cfg
 	dom := r.v.Domain()
-	ps := newPeerState()
+	ps := newPeerState(r, i)
 	var err error
 	if ps.qp, err = r.v.CreateQP(p, r.pd, r.cq, r.cq); err != nil {
 		return nil, err
@@ -330,18 +334,32 @@ func (ps *peerState) wire(peer *Rank, other *peerState) error {
 	return nil
 }
 
-// publish enters a pair half in the peer table and the sorted active
-// list, so ANY_SOURCE scans peers in rank order regardless of connection
-// order (the property that keeps lazy-connect runs deterministic), and
-// binds the QP's landing hook.
-func (r *Rank) publish(i int, ps *peerState) {
-	r.peers[i] = ps
-	at, _ := slices.BinarySearch(r.active, i)
-	r.active = slices.Insert(r.active, at, i)
-	r.ready = slices.Grow(r.ready, len(r.active)-len(r.ready)) // marking never allocates
-	ps.r, ps.id = r, i
+// publish enters a pair half in the sorted pair table, so ANY_SOURCE
+// scans peers in rank order regardless of connection order (the property
+// that keeps lazy-connect runs deterministic), and binds the QP's
+// landing hook.
+func (r *Rank) publish(ps *peerState) {
+	at, _ := slices.BinarySearchFunc(r.pairs, ps.id, byPeer)
+	r.pairs = slices.Insert(r.pairs, at, ps)
+	r.ready = slices.Grow(r.ready, len(r.pairs)-len(r.ready)) // marking never allocates
 	ps.qp.OnLand = ps.land
 }
+
+// pair returns the pair (me, i): loopback, a wired pair, or nil before
+// the pair's first contact. Only calls that name a rank look one up;
+// below them the *peerState travels.
+func (r *Rank) pair(i int) *peerState {
+	if i == r.id {
+		return r.self
+	}
+	if k, ok := slices.BinarySearchFunc(r.pairs, i, byPeer); ok {
+		return r.pairs[k]
+	}
+	return nil
+}
+
+// byPeer orders pairs by peer id, for the searches over pairs and ready.
+func byPeer(ps *peerState, i int) int { return cmp.Compare(ps.id, i) }
 
 // land is the pair's QP.OnLand hook: the next progress pass reads its
 // ring.
@@ -355,24 +373,23 @@ func (ps *peerState) land() {
 // its QP and every push onto its pendingCtrl, pendingSends or postponed
 // queue do.
 func (ps *peerState) mark() {
-	if at, ok := slices.BinarySearch(ps.r.ready, ps.id); !ok {
-		ps.r.ready = slices.Insert(ps.r.ready, at, ps.id)
+	if at, ok := slices.BinarySearchFunc(ps.r.ready, ps.id, byPeer); !ok {
+		ps.r.ready = slices.Insert(ps.r.ready, at, ps)
 	}
 }
 
-// queued reports whether pair i holds packets or WRs waiting to go.
-func (r *Rank) queued(i int) bool {
-	ps := r.peers[i]
+// queued reports whether the pair holds packets or WRs waiting to go.
+func (ps *peerState) queued() bool {
 	return ps.pendingCtrl.Len() > 0 || ps.pendingSends.Len() > 0 || ps.postponed.Len() > 0
 }
 
-// nextReady returns the first ready pair after peer i, or -1: a pair
+// nextReady returns the first ready pair after peer i, or nil: a pair
 // marked behind the cursor waits for the next pass, as in a full walk.
-func (r *Rank) nextReady(i int) int {
-	if k, _ := slices.BinarySearch(r.ready, i+1); k < len(r.ready) {
+func (r *Rank) nextReady(i int) *peerState {
+	if k, _ := slices.BinarySearchFunc(r.ready, i+1, byPeer); k < len(r.ready) {
 		return r.ready[k]
 	}
-	return -1
+	return nil
 }
 
 // ensurePeer returns the pair (me, i), building and wiring BOTH halves
@@ -389,7 +406,7 @@ func (r *Rank) ensurePeer(p *sim.Proc, i int) (*peerState, error) {
 		key = [2]int{i, r.id}
 	}
 	for {
-		if ps := r.peers[i]; ps != nil {
+		if ps := r.pair(i); ps != nil {
 			return ps, nil
 		}
 		claim := r.w.connInFlight[key]
@@ -411,11 +428,11 @@ func (r *Rank) ensurePeer(p *sim.Proc, i int) (*peerState, error) {
 		claim.Broadcast()
 	}()
 	peer := r.w.ranks[i]
-	mine, err := r.makePeerHalf(p)
+	mine, err := r.makePeerHalf(p, i)
 	if err != nil {
 		return nil, err
 	}
-	theirs, err := peer.makePeerHalf(p)
+	theirs, err := peer.makePeerHalf(p, r.id)
 	if err != nil {
 		r.dropPeerHalf(p, mine)
 		return nil, err
@@ -425,8 +442,8 @@ func (r *Rank) ensurePeer(p *sim.Proc, i int) (*peerState, error) {
 		peer.dropPeerHalf(p, theirs)
 		return nil, err
 	}
-	r.publish(i, mine)
-	peer.publish(r.id, theirs)
+	r.publish(mine)
+	peer.publish(theirs)
 	return mine, nil
 }
 
@@ -453,7 +470,7 @@ func (r *Rank) idle(p *sim.Proc) error {
 // fatal transport error the queued packets can never be delivered, so
 // it gives up.
 func (r *Rank) finalize(p *sim.Proc) {
-	for slices.ContainsFunc(r.ready, r.queued) || (r.faultsOn() && len(r.wrMap) > 0) {
+	for slices.ContainsFunc(r.ready, (*peerState).queued) || (r.faultsOn() && len(r.wrMap) > 0) {
 		if r.idle(p) != nil {
 			return
 		}
@@ -472,13 +489,12 @@ func (r *Rank) nextWR(a wrAction) uint64 {
 // behind this check).
 func (r *Rank) faultsOn() bool { return r.faults.Enabled() }
 
-// post issues wr on the QP toward peer dst. If the QP is not connected
+// post issues wr on the pair's QP. If the QP is not connected
 // (errored by a fault, awaiting recovery), the fully-formed WR is
 // postponed and reissued in order once recovery reconnects — without
 // this, progress handling a ring packet between the error and the CQ
 // poll could post into the errored QP and fail synchronously.
-func (r *Rank) post(p *sim.Proc, dst int, wr *ib.SendWR) error {
-	ps := r.peers[dst]
+func (r *Rank) post(p *sim.Proc, ps *peerState, wr *ib.SendWR) error {
 	if ps.qp.State != ib.QPConnected {
 		ps.postponed.Push(wr.WRID)
 		ps.mark()
@@ -494,7 +510,7 @@ func (r *Rank) post(p *sim.Proc, dst int, wr *ib.SendWR) error {
 // A WR that cannot be reposted is given up on. Retransmission only runs
 // after a fault: off the per-event budget.
 func (r *Rank) reissue(p *sim.Proc, wrid uint64, act wrAction) {
-	ps := r.peers[act.peer]
+	ps := act.ps
 	wr := act.wr
 	if act.kind == wrEager || act.kind == wrCtrl {
 		copy(ps.staging.Data[:len(act.pkt)], act.pkt)
@@ -519,22 +535,22 @@ func (r *Rank) reissue(p *sim.Proc, wrid uint64, act wrAction) {
 // fails with a typed TransportError. Recovery only runs after retry
 // exhaustion: off the per-event budget.
 func (r *Rank) recoverWR(p *sim.Proc, wrid uint64, act wrAction) {
-	ps := r.peers[act.peer]
+	ps := act.ps
 	if ps.qp.State == ib.QPError {
 		ps.qp.Reset()
 		if err := ps.qp.Connect(ps.rlid, ps.rqpn); err != nil {
-			r.failWR(p, act, fmt.Errorf("core: reconnect to rank %d: %w", act.peer, err))
+			r.failWR(p, act, fmt.Errorf("core: reconnect to rank %d: %w", ps.id, err))
 			return
 		}
-		r.step(p, stepQPReset, act.peer, 0, 0)
+		r.step(p, stepQPReset, ps.id, 0, 0)
 	}
 	act.tries++
 	if act.tries > r.faults.MaxRetries() {
-		r.failWR(p, act, &TransportError{Peer: act.peer, Op: act.kind.String(), Tries: act.tries})
+		r.failWR(p, act, &TransportError{Peer: ps.id, Op: act.kind.String(), Tries: act.tries})
 		return
 	}
 	r.wrMap[wrid] = act
-	r.step(p, stepReplay, act.peer, wrid, act.tries)
+	r.step(p, stepReplay, ps.id, wrid, act.tries)
 	r.reissue(p, wrid, act)
 }
 
@@ -553,8 +569,8 @@ func (r *Rank) failWR(p *sim.Proc, act wrAction, err error) {
 
 // newSendWR hands out a pooled send work request with SGL capacity for
 // the three-element packet layout (header, payload, tail). handleCQE
-// recycles completed WRs when no fault plan is active, so the
-// per-packet path allocates no WR or SGE state in steady state.
+// recycles each WR at its successful completion, so the per-packet path
+// allocates no WR or SGE state in steady state.
 func (r *Rank) newSendWR() *ib.SendWR {
 	if wr, ok := r.wrFree.Get(); ok {
 		return wr
@@ -564,20 +580,17 @@ func (r *Rank) newSendWR() *ib.SendWR {
 
 // recycleWR returns a routed work request to the free list, keeping
 // its SGL backing. Callers must only recycle WRs the transport cannot
-// touch again (completion routed, no fault plan that could replay it).
+// touch again: a WR gets one completion per post, and only an error
+// completion replays it.
 func (r *Rank) recycleWR(wr *ib.SendWR) {
-	if wr == nil {
-		return
-	}
 	*wr = ib.SendWR{SGL: wr.SGL[:0]}
 	r.wrFree.Put(wr)
 }
 
-// sendPacket assembles and RDMA-writes one packet into the peer's ring.
+// sendPacket assembles and RDMA-writes one packet into the pair's ring.
 // The caller must hold a credit (credits > 0). Consumed local slots are
 // piggybacked back as credits on every outgoing header.
-func (r *Rank) sendPacket(p *sim.Proc, dst int, h header, payload []byte, act wrAction) error {
-	ps := r.peers[dst]
+func (r *Rank) sendPacket(p *sim.Proc, ps *peerState, h header, payload []byte, act wrAction) error {
 	if ps.credits <= 0 {
 		panic("core: sendPacket without credit")
 	}
@@ -598,7 +611,7 @@ func (r *Rank) sendPacket(p *sim.Proc, dst int, h header, payload []byte, act wr
 	binary.LittleEndian.PutUint64(s[hdrSize+len(payload):], tailMarker(h.seq))
 	slot := ps.nextSlot
 	ps.nextSlot = (ps.nextSlot + 1) % ps.out.slots
-	act.peer = dst
+	act.ps = ps
 	if r.faultsOn() {
 		// Retain the packet bytes: staging is reused by later sends,
 		// but a replay must rewrite exactly these bytes (same psn) to
@@ -622,8 +635,8 @@ func (r *Rank) sendPacket(p *sim.Proc, dst int, h header, payload []byte, act wr
 	act.wr = wr
 	wrid := r.nextWR(act)
 	wr.WRID = wrid
-	r.packetSent(p, dst, h, act.kind, wrid)
-	return r.post(p, dst, wr)
+	r.packetSent(p, ps.id, h, act.kind, wrid)
+	return r.post(p, ps, wr)
 }
 
 // ---- Point-to-point API ----
@@ -655,10 +668,10 @@ func (r *Rank) Isend(p *sim.Proc, dst, tag int, s Slice) (*Request, error) {
 	r.progress(p)
 	if s.N <= r.w.Cfg.EagerMax {
 		r.resolved(req, protoEager)
-		r.trySendEager(p, req)
+		r.trySendEager(p, ps, req)
 		return req, nil
 	}
-	if err := r.startRendezvousSend(p, req); err != nil {
+	if err := r.startRendezvousSend(p, ps, req); err != nil {
 		// A post that failed is owed no wait: complete it here, which
 		// releases whatever it pinned or staged.
 		req.complete(p, err)
@@ -669,11 +682,10 @@ func (r *Rank) Isend(p *sim.Proc, dst, tag int, s Slice) (*Request, error) {
 }
 
 // trySendEager posts the eager packet now or queues it for credit.
-func (r *Rank) trySendEager(p *sim.Proc, req *Request) {
+func (r *Rank) trySendEager(p *sim.Proc, ps *peerState, req *Request) {
 	// Sender-eager / receiver-rendezvous mis-prediction where the RTR
 	// arrived before this send was even posted: drop it — the sequence
 	// id guarantees it belonged to this send only.
-	ps := r.peers[req.peer]
 	if _, ok := ps.earlyRTR[req.seq]; ok {
 		delete(ps.earlyRTR, req.seq)
 		r.step(p, stepMispredictRTR, int(req.peer), req.seq, 0)
@@ -684,16 +696,16 @@ func (r *Rank) trySendEager(p *sim.Proc, req *Request) {
 		ps.mark()
 		return
 	}
-	r.postEager(p, req)
+	r.postEager(p, ps, req)
 }
 
 // postEager writes req's eager packet into the peer's ring, now or when
 // progress finds credit for a queued send; the caller holds a
 // data-class credit (credits > 1). A failed post completes the request
 // with the error, and postEager reports false.
-func (r *Rank) postEager(p *sim.Proc, req *Request) bool {
+func (r *Rank) postEager(p *sim.Proc, ps *peerState, req *Request) bool {
 	h := header{kind: pktEager, tag: req.tag, seq: req.seq}
-	if err := r.sendPacket(p, int(req.peer), h, req.slice.Bytes(), wrAction{kind: wrEager, req: req}); err != nil {
+	if err := r.sendPacket(p, ps, h, req.slice.Bytes(), wrAction{kind: wrEager, req: req}); err != nil {
 		req.complete(p, err)
 		return false
 	}
@@ -705,7 +717,7 @@ func (r *Rank) postEager(p *sim.Proc, req *Request) bool {
 // startRendezvousSend stages (or registers) the send buffer, then either
 // answers an already-arrived RTR (receiver-first) or sends an RTS
 // (sender-first).
-func (r *Rank) startRendezvousSend(p *sim.Proc, req *Request) error {
+func (r *Rank) startRendezvousSend(p *sim.Proc, ps *peerState, req *Request) error {
 	s := req.slice
 	peer := int(req.peer)
 	useOffload := r.arena != nil && s.N >= r.w.Cfg.OffloadMinSize
@@ -740,14 +752,13 @@ func (r *Rank) startRendezvousSend(p *sim.Proc, req *Request) error {
 		}
 		req.pin(mr)
 	}
-	ps := r.peers[req.peer]
 	ps.sendsBySeq[req.seq] = req
 
 	// Receiver-first: an RTR for this sequence may already be here.
 	if rtr, ok := ps.earlyRTR[req.seq]; ok {
 		delete(ps.earlyRTR, req.seq)
 		r.step(p, stepRecvFirst, peer, req.seq, 0)
-		return r.rndvWrite(p, req, rtr)
+		return r.rndvWrite(p, ps, req, rtr)
 	}
 	// The RTS advertises the staged range's host address, else the send
 	// buffer's own.
@@ -757,7 +768,7 @@ func (r *Rank) startRendezvousSend(p *sim.Proc, req *Request) error {
 	} else {
 		h.rkey = req.pins[0].RKey
 	}
-	if err := r.ctrlSend(p, peer, h); err != nil {
+	if err := r.ctrlSend(p, ps, h); err != nil {
 		return err
 	}
 	req.state = stRTSSent
@@ -767,12 +778,12 @@ func (r *Rank) startRendezvousSend(p *sim.Proc, req *Request) error {
 
 // rndvWrite performs the receiver-first protocol's RDMA write into the
 // buffer advertised by the RTR, followed by a DONE packet on completion.
-func (r *Rank) rndvWrite(p *sim.Proc, req *Request, rtr header) error {
+func (r *Rank) rndvWrite(p *sim.Proc, ps *peerState, req *Request, rtr header) error {
 	if req.slice.N > rtr.rsize {
 		// Receiver-first truncation: abort both sides.
-		delete(r.peers[req.peer].sendsBySeq, req.seq)
+		delete(ps.sendsBySeq, req.seq)
 		req.complete(p, ErrTruncate)
-		return r.ctrlSend(p, int(req.peer), header{kind: pktNackW, seq: req.seq})
+		return r.ctrlSend(p, ps, header{kind: pktNackW, seq: req.seq})
 	}
 	wr := r.newSendWR()
 	wr.Opcode = ib.OpRDMAWrite
@@ -786,33 +797,32 @@ func (r *Rank) rndvWrite(p *sim.Proc, req *Request, rtr header) error {
 		wr.SGL = append(wr.SGL, ib.SGE{Addr: req.slice.Addr(), Len: req.slice.N, LKey: req.pins[0].LKey})
 	}
 	// The WR rides in the action for replay under faults and for
-	// recycling on completion otherwise.
-	wrid := r.nextWR(wrAction{kind: wrRndvWrite, req: req, peer: int(req.peer), wr: wr})
+	// recycling at its successful completion.
+	wrid := r.nextWR(wrAction{kind: wrRndvWrite, req: req, ps: ps, wr: wr})
 	wr.WRID = wrid
 	req.state = stWriting
 	r.resolved(req, protoRecvRzv)
 	r.xferStarted(p, req, wrRndvWrite, wrid, req.slice.N)
-	return r.post(p, int(req.peer), wr)
+	return r.post(p, ps, wr)
 }
 
 // ctrlSend transmits a zero-payload control packet (control packets
 // share the eager rings); with no credit available it is queued and
 // drained by progress. Sequence-id matching makes the resulting
 // reordering harmless.
-func (r *Rank) ctrlSend(p *sim.Proc, dst int, h header) error {
-	ps := r.peers[dst]
+func (r *Rank) ctrlSend(p *sim.Proc, ps *peerState, h header) error {
 	if ps.credits <= 1 || ps.pendingCtrl.Len() > 0 {
 		ps.pendingCtrl.Push(h)
 		ps.mark()
 		return nil
 	}
-	return r.postCtrl(p, dst, h)
+	return r.postCtrl(p, ps, h)
 }
 
-// postCtrl writes one zero-payload packet into the peer's ring; the
+// postCtrl writes one zero-payload packet into the pair's ring; the
 // caller holds a credit of the packet's class.
-func (r *Rank) postCtrl(p *sim.Proc, dst int, h header) error {
-	return r.sendPacket(p, dst, h, nil, wrAction{kind: wrCtrl})
+func (r *Rank) postCtrl(p *sim.Proc, ps *peerState, h header) error {
+	return r.sendPacket(p, ps, h, nil, wrAction{kind: wrCtrl})
 }
 
 // Irecv starts a nonblocking receive into s from src (or AnySource)
@@ -826,8 +836,10 @@ func (r *Rank) Irecv(p *sim.Proc, src, tag int, s Slice) (*Request, error) {
 	req := r.newRequest()
 	*req = Request{r: r, peer: int32(src), tag: int32(tag), slice: s}
 	r.opened(p, req)
+	var ps *peerState
 	if src != AnySource {
-		if _, err := r.ensurePeer(p, src); err != nil {
+		var err error
+		if ps, err = r.ensurePeer(p, src); err != nil {
 			return nil, r.abandon(p, req, err)
 		}
 	}
@@ -837,7 +849,7 @@ func (r *Rank) Irecv(p *sim.Proc, src, tag int, s Slice) (*Request, error) {
 		// loopback message, so neither progress nor the lock is in
 		// the way of binding it now.
 		r.resolved(req, protoSelf)
-		r.bindRecv(p, req, src)
+		r.bindRecv(p, req, ps)
 		return req, nil
 	}
 	// Drain arrived packets first: an RTS already in the ring turns a
@@ -851,15 +863,15 @@ func (r *Rank) Irecv(p *sim.Proc, src, tag int, s Slice) (*Request, error) {
 	case src == AnySource:
 		r.lockAny(p, req)
 	default:
-		r.bindRecv(p, req, src)
+		r.bindRecv(p, req, ps)
 	}
 	return req, nil
 }
 
-// bindRecv assigns the next per-pair sequence id to a receive and
+// bindRecv assigns the pair's next sequence id to a receive and
 // matches it against unexpected arrivals, possibly sending an RTR.
-func (r *Rank) bindRecv(p *sim.Proc, req *Request, src int) {
-	ps := r.peers[src]
+func (r *Rank) bindRecv(p *sim.Proc, req *Request, ps *peerState) {
+	src := ps.id
 	req.peer = int32(src)
 	req.seq = ps.recvSeq
 	ps.recvSeq++
@@ -869,7 +881,7 @@ func (r *Rank) bindRecv(p *sim.Proc, req *Request, src int) {
 	}
 	if a, ok := ps.unexpected[req.seq]; ok {
 		delete(ps.unexpected, req.seq)
-		r.matchArrival(p, req, a)
+		r.matchArrival(p, ps, req, a)
 		return
 	}
 	ps.expRecv[req.seq] = req
@@ -886,7 +898,7 @@ func (r *Rank) bindRecv(p *sim.Proc, req *Request, src int) {
 		}
 		req.pin(mr)
 		h := header{kind: pktRTR, tag: req.tag, seq: req.seq, raddr: req.slice.Addr(), rkey: mr.RKey, rsize: req.slice.N}
-		if err := r.ctrlSend(p, src, h); err != nil {
+		if err := r.ctrlSend(p, ps, h); err != nil {
 			req.complete(p, err)
 			delete(ps.expRecv, req.seq)
 			return
@@ -946,10 +958,10 @@ func (r *Rank) recycleArrival(a *arrival) {
 	r.arrivalFree.Put(a)
 }
 
-// matchArrival pairs a posted receive with an unexpected arrival
+// matchArrival pairs a posted receive with an arrival on pair ps
 // (eager payload or RTS). The arrival record is recycled on return:
 // both arms copy what they need out of it before completing.
-func (r *Rank) matchArrival(p *sim.Proc, req *Request, a *arrival) {
+func (r *Rank) matchArrival(p *sim.Proc, ps *peerState, req *Request, a *arrival) {
 	defer r.recycleArrival(a)
 	if !tagsMatch(int(req.tag), a.h) {
 		req.complete(p, ErrTagMismatch)
@@ -971,7 +983,7 @@ func (r *Rank) matchArrival(p *sim.Proc, req *Request, a *arrival) {
 		req.status = status{src: int32(a.h.src), tag: a.h.tag, n: int32(a.h.payload)}
 		req.complete(p, nil)
 	case pktRTS:
-		r.startRead(p, req, a.h)
+		r.startRead(p, ps, req, a.h)
 	default:
 		panic(fmt.Sprintf("core: arrival of kind %d cannot match a receive", a.h.kind))
 	}
@@ -979,7 +991,7 @@ func (r *Rank) matchArrival(p *sim.Proc, req *Request, a *arrival) {
 
 // startRead runs the sender-first protocol's receiver half: RDMA read
 // from the advertised buffer, then DONE.
-func (r *Rank) startRead(p *sim.Proc, req *Request, rts header) {
+func (r *Rank) startRead(p *sim.Proc, ps *peerState, req *Request, rts header) {
 	// An RTR already sent for this receive means both sides started
 	// the handshake at once: the simultaneous send/receive rendezvous.
 	simul := req.state == stRTRWait
@@ -988,7 +1000,7 @@ func (r *Rank) startRead(p *sim.Proc, req *Request, rts header) {
 		// larger than the receive; the receiver issues an MPI error. A
 		// NACK is still sent so the sender does not hang.
 		req.complete(p, ErrTruncate)
-		if err := r.ctrlSend(p, int(rts.src), header{kind: pktNack, seq: rts.seq}); err != nil {
+		if err := r.ctrlSend(p, ps, header{kind: pktNack, seq: rts.seq}); err != nil {
 			panic(err)
 		}
 		return
@@ -1006,7 +1018,7 @@ func (r *Rank) startRead(p *sim.Proc, req *Request, rts header) {
 	wr.Remote = ib.RemoteAddr{Addr: rts.raddr, RKey: rts.rkey}
 	wr.Signaled = true
 	wr.SGL = append(wr.SGL, ib.SGE{Addr: req.slice.Addr(), Len: rts.rsize, LKey: mr.LKey})
-	wrid := r.nextWR(wrAction{kind: wrRndvRead, req: req, peer: int(rts.src), wr: wr})
+	wrid := r.nextWR(wrAction{kind: wrRndvRead, req: req, ps: ps, wr: wr})
 	wr.WRID = wrid
 	req.state = stReading
 	req.seq = rts.seq
@@ -1016,7 +1028,7 @@ func (r *Rank) startRead(p *sim.Proc, req *Request, rts header) {
 		r.resolved(req, protoSenderRzv)
 	}
 	r.xferStarted(p, req, wrRndvRead, wrid, rts.rsize)
-	if err := r.post(p, int(rts.src), wr); err != nil {
+	if err := r.post(p, ps, wr); err != nil {
 		req.complete(p, err)
 	}
 }
@@ -1028,27 +1040,26 @@ func (r *Rank) startRead(p *sim.Proc, req *Request, rts header) {
 func (r *Rank) lockAny(p *sim.Proc, req *Request) {
 	r.anyActive = req
 	r.step(p, stepAnyLock, AnySource, req.cid, 0)
-	for _, src := range r.active {
-		ps := r.peers[src]
+	for _, ps := range r.pairs {
 		if a := ps.probe(int(req.tag)); a != nil {
 			delete(ps.unexpected, ps.recvSeq)
-			r.bindAny(p, src, a)
+			r.bindAny(p, ps, a)
 			return
 		}
 	}
 }
 
-// bindAny gives the active ANY_SOURCE receive pair src's next sequence
+// bindAny gives the active ANY_SOURCE receive the pair's next sequence
 // id — the one arrival a carries — and releases the lock. From then on
-// the receive names src as its peer, so its completion does too.
-func (r *Rank) bindAny(p *sim.Proc, src int, a *arrival) {
+// the receive names the pair's peer, so its completion does too.
+func (r *Rank) bindAny(p *sim.Proc, ps *peerState, a *arrival) {
 	req := r.anyActive
 	r.anyActive = nil
-	r.peers[src].recvSeq++
+	ps.recvSeq++
 	req.seq = a.h.seq
-	r.bound(p, req, src)
-	req.peer = int32(src)
-	r.matchArrival(p, req, a)
+	r.bound(p, req, ps.id)
+	req.peer = int32(ps.id)
+	r.matchArrival(p, ps, req, a)
 	r.drainDeferred(p)
 }
 
@@ -1061,7 +1072,7 @@ func (r *Rank) drainDeferred(p *sim.Proc) {
 		if req.peer == AnySource {
 			r.lockAny(p, req)
 		} else {
-			r.bindRecv(p, req, int(req.peer))
+			r.bindRecv(p, req, r.pair(int(req.peer)))
 		}
 	}
 }
@@ -1075,7 +1086,7 @@ func (r *Rank) sendSelf(p *sim.Proc, ps *peerState, req *Request) {
 	h := header{kind: pktEager, src: uint16(r.id), tag: req.tag, seq: req.seq, payload: req.slice.N}
 	if recv, ok := ps.expRecv[req.seq]; ok {
 		delete(ps.expRecv, req.seq)
-		r.matchArrival(p, recv, r.newArrival(h, req.slice.Bytes()))
+		r.matchArrival(p, ps, recv, r.newArrival(h, req.slice.Bytes()))
 	} else {
 		a := r.newArrival(h, nil)
 		a.keep(req.slice.Bytes())
@@ -1095,8 +1106,7 @@ func (r *Rank) progress(p *sim.Proc) bool {
 	did := false
 	r.passes++
 	// Ring packets of the pairs bytes landed for.
-	for i := r.nextReady(-1); i >= 0; i = r.nextReady(i) {
-		ps := r.peers[i]
+	for ps := r.nextReady(-1); ps != nil; ps = r.nextReady(ps.id) {
 		if !ps.landed {
 			continue
 		}
@@ -1113,17 +1123,17 @@ func (r *Rank) progress(p *sim.Proc) bool {
 				// it without advancing the cursor, re-applying its
 				// piggybacked credits, or returning the slot.
 				ps.in.discard(h.payload)
-				r.step(p, stepReplayDrop, i, h.psn, int(ps.recvPSN))
+				r.step(p, stepReplayDrop, ps.id, h.psn, int(ps.recvPSN))
 				did = true
 				continue
 			}
 			if h.psn > ps.recvPSN {
-				panic(fmt.Sprintf("core: rank %d: psn gap from %d: got %d want %d", r.id, i, h.psn, ps.recvPSN))
+				panic(fmt.Sprintf("core: rank %d: psn gap from %d: got %d want %d", r.id, ps.id, h.psn, ps.recvPSN))
 			}
 			ps.recvPSN++
 			p.Sleep(r.w.Plat.PollCost(r.Loc()) + r.v.RecvOverhead(h.payload))
-			r.packetRecvd(p, i, h)
-			r.handlePacket(p, i, h, payload)
+			r.packetRecvd(p, ps.id, h)
+			r.handlePacket(p, ps, h, payload)
 			ps.in.consume(h.payload)
 			ps.toReturn++
 			did = true
@@ -1144,8 +1154,7 @@ func (r *Rank) progress(p *sim.Proc) bool {
 	// state (between the fault and the CQE that triggers recovery);
 	// recovery has reconnected the QP by the time the CQ drains.
 	if r.faultsOn() {
-		for i := r.nextReady(-1); i >= 0; i = r.nextReady(i) {
-			ps := r.peers[i]
+		for ps := r.nextReady(-1); ps != nil; ps = r.nextReady(ps.id) {
 			for ps.postponed.Len() > 0 && ps.qp.State == ib.QPConnected {
 				wrid := ps.postponed.Pop()
 				r.reissue(p, wrid, r.wrMap[wrid])
@@ -1154,16 +1163,15 @@ func (r *Rank) progress(p *sim.Proc) bool {
 		}
 	}
 	// Retry credit-starved control packets, then eager sends.
-	for i := r.nextReady(-1); i >= 0; i = r.nextReady(i) {
-		ps := r.peers[i]
+	for ps := r.nextReady(-1); ps != nil; ps = r.nextReady(ps.id) {
 		for ps.credits > 1 && ps.pendingCtrl.Len() > 0 {
-			if err := r.postCtrl(p, i, ps.pendingCtrl.Pop()); err != nil {
+			if err := r.postCtrl(p, ps, ps.pendingCtrl.Pop()); err != nil {
 				panic(err)
 			}
 			did = true
 		}
 		for ps.credits > 1 && ps.pendingSends.Len() > 0 {
-			if r.postEager(p, ps.pendingSends.Pop()) {
+			if r.postEager(p, ps, ps.pendingSends.Pop()) {
 				did = true
 			}
 		}
@@ -1174,26 +1182,26 @@ func (r *Rank) progress(p *sim.Proc) bool {
 		// unwedges: reaching credits==0 implies a credit packet is in
 		// flight toward the peer.
 		if ps.toReturn >= ps.out.slots-1 && ps.credits > 0 {
-			if err := r.postCtrl(p, i, header{kind: pktCredit}); err == nil {
-				r.step(p, stepCredit, i, 0, 0)
+			if err := r.postCtrl(p, ps, header{kind: pktCredit}); err == nil {
+				r.step(p, stepCredit, ps.id, 0, 0)
 				did = true
 			}
 		}
 	}
 	// Unmark the pairs left with nothing landed and nothing queued.
 	keep := r.ready[:0]
-	for _, i := range r.ready {
-		if r.peers[i].landed || r.queued(i) {
-			keep = append(keep, i)
+	for _, ps := range r.ready {
+		if ps.landed || ps.queued() {
+			keep = append(keep, ps)
 		}
 	}
 	r.ready = keep
 	return did
 }
 
-// handlePacket dispatches one ring packet.
-func (r *Rank) handlePacket(p *sim.Proc, src int, h header, payload []byte) {
-	ps := r.peers[src]
+// handlePacket dispatches one packet read from the pair's ring.
+func (r *Rank) handlePacket(p *sim.Proc, ps *peerState, h header, payload []byte) {
+	src := ps.id
 	ps.credits += int(h.credits)
 	switch h.kind {
 	case pktCredit:
@@ -1209,14 +1217,14 @@ func (r *Rank) handlePacket(p *sim.Proc, src int, h header, payload []byte) {
 				// the sender thanks to the sequence id.
 				r.step(p, stepMispredictEager, src, h.seq, h.payload)
 			}
-			r.matchArrival(p, req, r.newArrival(h, payload))
+			r.matchArrival(p, ps, req, r.newArrival(h, payload))
 			return
 		}
 		// Then the ANY_SOURCE receive: it takes its sequence id from the
 		// first matching packet.
 		if r.anyActive != nil && h.seq == ps.recvSeq && tagsMatch(int(r.anyActive.tag), h) {
 			r.step(p, stepAnyMatch, src, h.seq, 0)
-			r.bindAny(p, src, r.newArrival(h, payload))
+			r.bindAny(p, ps, r.newArrival(h, payload))
 			return
 		}
 		// Unexpected: copy eager payloads out of the ring so the slot
@@ -1241,7 +1249,7 @@ func (r *Rank) handlePacket(p *sim.Proc, src int, h header, payload []byte) {
 				// sequence id guarantees it belonged to this send only.
 				r.step(p, stepMispredictRTR, src, h.seq, 0)
 			default:
-				if err := r.rndvWrite(p, req, h); err != nil {
+				if err := r.rndvWrite(p, ps, req, h); err != nil {
 					req.complete(p, err)
 				}
 			}
@@ -1304,12 +1312,9 @@ func (r *Rank) handleCQE(p *sim.Proc, e ib.CQE) {
 		}
 		return
 	}
-	// The hardware is done with the WR: return it to the pool. Under an
-	// active fault plan the WR stays retained — recovery may still
-	// replay it.
-	if act.wr != nil && !r.faultsOn() {
-		r.recycleWR(act.wr)
-	}
+	// The hardware is done with the WR, and a successful completion is
+	// its last: return it to the pool.
+	r.recycleWR(act.wr)
 	switch act.kind {
 	case wrEager:
 		act.req.complete(p, nil)
@@ -1319,15 +1324,15 @@ func (r *Rank) handleCQE(p *sim.Proc, e ib.CQE) {
 		// Receiver-first write done: tell the receiver.
 		req := act.req
 		r.xferDone(p, req)
-		delete(r.peers[req.peer].sendsBySeq, req.seq)
+		delete(act.ps.sendsBySeq, req.seq)
 		done := header{kind: pktDoneW, seq: req.seq, rsize: req.slice.N}
-		req.complete(p, r.ctrlSend(p, int(req.peer), done))
+		req.complete(p, r.ctrlSend(p, act.ps, done))
 	case wrRndvRead:
 		// Sender-first read done: tell the sender.
 		req := act.req
 		r.xferDone(p, req)
 		done := header{kind: pktDone, seq: req.seq, rsize: int(req.status.n)}
-		req.complete(p, r.ctrlSend(p, act.peer, done))
+		req.complete(p, r.ctrlSend(p, act.ps, done))
 	}
 }
 

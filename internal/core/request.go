@@ -243,15 +243,16 @@ func (k wrKind) String() string {
 type wrAction struct {
 	kind wrKind
 	req  *Request
-	peer int
+	ps   *peerState // the pair the WR travels on
+	// wr is the posted WR, recycled at its successful completion.
+	wr *ib.SendWR
 
 	// Fault-recovery state, populated only when a fault plan is
 	// active. Packet WRs (eager/ctrl) retain a byte snapshot because
 	// the per-peer staging buffer is reused by later sends; rendezvous
-	// WRs retain the formed WR itself, whose SGEs point at buffers
+	// WRs are replayed as formed, their SGEs pointing at buffers
 	// pinned until the request completes.
-	pkt   []byte     // retained header+payload+tail bytes (wrEager/wrCtrl)
-	slot  int        // remote ring slot the packet targets
-	wr    *ib.SendWR // retained WR (wrRndvWrite/wrRndvRead)
-	tries int        // replays performed for this WR
+	pkt   []byte // retained header+payload+tail bytes (wrEager/wrCtrl)
+	slot  int    // remote ring slot the packet targets
+	tries int    // replays performed for this WR
 }

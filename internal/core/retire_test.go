@@ -37,10 +37,8 @@ func holder(r *Rank, q *Request) string {
 			at = "wrMap"
 		}
 	}
-	for i, ps := range r.peers {
-		if ps == nil {
-			continue
-		}
+	for _, ps := range append([]*peerState{r.self}, r.pairs...) {
+		i := ps.id
 		for _, x := range ps.expRecv {
 			if x == q {
 				at = fmt.Sprintf("peers[%d].expRecv", i)
