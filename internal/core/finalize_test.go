@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -57,6 +58,40 @@ func p2pBody(n int, sendrecv bool) func(r *core.Rank) error {
 		for i := range want {
 			if rb.Data[i] != want[i] {
 				return fmt.Errorf("rank %d: payload corrupt at byte %d of %d", me, i, n)
+			}
+		}
+		return nil
+	}
+}
+
+// pingPongBody runs iters blocking round trips between ranks 0 and 1 at
+// each size: rank 1 echoes what it received, and each side checks every
+// byte it gets.
+func pingPongBody(sizes []int, iters int) func(r *core.Rank) error {
+	return func(r *core.Rank) error {
+		p, me := r.Proc(), r.ID()
+		for _, n := range sizes {
+			buf, want := r.Mem(n), make([]byte, n)
+			for it := range iters {
+				fill(want, byte(n+it))
+				if me == 0 {
+					copy(buf.Data, want)
+					if err := r.Send(p, 1, it, core.Whole(buf)); err != nil {
+						return err
+					}
+					clear(buf.Data)
+				}
+				if _, err := r.Recv(p, 1-me, it, core.Whole(buf)); err != nil {
+					return err
+				}
+				if !bytes.Equal(buf.Data, want) {
+					return fmt.Errorf("rank %d: %d-byte payload of round trip %d corrupt", me, n, it)
+				}
+				if me == 1 {
+					if err := r.Send(p, 0, it, core.Whole(buf)); err != nil {
+						return err
+					}
+				}
 			}
 		}
 		return nil
@@ -138,6 +173,32 @@ func TestFinishedRankStillRecovers(t *testing.T) {
 			}
 		}
 	}
+
+	// A blocking ping-pong over the eager and rendezvous sizes, in the two
+	// direct and the two proxied modes. A proxied provider pays its relay
+	// between the rank checking the QP and the HCA seeing the WR, so a
+	// fault can error the QP in between; the WR must be postponed and
+	// reissued after recovery like one posted to an errored QP.
+	pingPong := pingPongBody([]int{4, 64, 1 << 10, 8 << 10, 64 << 10, 1 << 20}, 10)
+	for _, m := range []cluster.Mode{cluster.ModeDCFA, cluster.ModeHost, cluster.ModeIntelPhi, cluster.ModeSymmetric} {
+		t.Run(fmt.Sprintf("pingpong/%v", m), func(t *testing.T) {
+			for seed := 1; seed <= 12; seed++ {
+				spec := fmt.Sprintf("seed=%d,ib=0.05", seed)
+				_, err := finishedRun(m, 2, spec, nil, pingPong)
+				check(t, spec, err)
+			}
+		})
+	}
+	t.Run("pingpong/repro", func(t *testing.T) {
+		const spec = "seed=4,ib=0.05"
+		fp1, err := finishedRun(cluster.ModeSymmetric, 2, spec, nil, pingPong)
+		check(t, spec, err)
+		fp2, err := finishedRun(cluster.ModeSymmetric, 2, spec, nil, pingPong)
+		check(t, spec+" rerun", err)
+		if fp2 != fp1 {
+			t.Errorf("%s: same-seed rerun fingerprint %#x, first run %#x", spec, fp2, fp1)
+		}
+	})
 
 	// The scale workload's configuration: a shallow eager ring, a 1 KiB
 	// eager threshold and pairs wired at first contact.

@@ -69,8 +69,8 @@ type peerState struct {
 	// fault-induced error state (captured during bootstrap).
 	rlid uint16
 	rqpn uint32
-	// postponed holds WR ids formed while the QP was errored; they are
-	// reissued in order once the QP is reconnected.
+	// postponed holds the ids of WRs posted while the QP was not
+	// connected; they are reissued in order once it is reconnected.
 	postponed sim.FIFO[uint64]
 	// r is the rank holding the pair and id its peer; landed says bytes
 	// came through qp since progress last found the ring empty.
@@ -150,9 +150,9 @@ type Rank struct {
 
 	// wrFree recycles send work requests (and their cap-3 SGL backing)
 	// once their completion has been routed, so the per-packet path
-	// allocates no WR or SGE state in steady state. Recycling is
-	// disabled under an active fault plan: replay needs the formed WR
-	// to survive until its retry budget is spent.
+	// allocates no WR or SGE state in steady state. Only a successful
+	// completion recycles one: replay reposts the formed WR until its
+	// retry budget is spent.
 	wrFree sim.Pool[*ib.SendWR]
 
 	wrSeq uint64
@@ -489,41 +489,41 @@ func (r *Rank) nextWR(a wrAction) uint64 {
 // behind this check).
 func (r *Rank) faultsOn() bool { return r.faults.Enabled() }
 
-// post issues wr on the pair's QP. If the QP is not connected
-// (errored by a fault, awaiting recovery), the fully-formed WR is
-// postponed and reissued in order once recovery reconnects — without
-// this, progress handling a ring packet between the error and the CQ
-// poll could post into the errored QP and fail synchronously.
+// post is the one place a WR reaches the provider. A WR whose QP is not
+// connected (errored by a fault, awaiting recovery), before the post or
+// once a provider's relay reaches the HCA, is postponed as formed and
+// reissued in order once recovery reconnects: a post between the error
+// and the CQE that starts recovery must not fail synchronously.
 func (r *Rank) post(p *sim.Proc, ps *peerState, wr *ib.SendWR) error {
-	if ps.qp.State != ib.QPConnected {
-		ps.postponed.Push(wr.WRID)
-		ps.mark()
-		return nil
-	}
-	return r.v.PostSend(p, ps.qp, wr)
-}
-
-// reissue (re)posts the WR identified by act: packet WRs are restored
-// from their retained byte snapshot into the staging buffer and
-// rewritten to their original ring slot (same psn, no new credit);
-// rendezvous WRs are reposted as formed, their buffers still pinned.
-// A WR that cannot be reposted is given up on. Retransmission only runs
-// after a fault: off the per-event budget.
-func (r *Rank) reissue(p *sim.Proc, wrid uint64, act wrAction) {
-	ps := act.ps
-	wr := act.wr
-	if act.kind == wrEager || act.kind == wrCtrl {
-		copy(ps.staging.Data[:len(act.pkt)], act.pkt)
-		wr = &ib.SendWR{
-			WRID:     wrid,
-			Opcode:   ib.OpRDMAWrite,
-			SGL:      []ib.SGE{{Addr: ps.staging.Addr, Len: len(act.pkt), LKey: ps.stagingMR.LKey}},
-			Remote:   ib.RemoteAddr{Addr: ps.out.slotAddr(act.slot), RKey: ps.out.rkey},
-			Signaled: true,
-			Inline:   true, // staging is rebuilt by the next packet
+	if ps.qp.State == ib.QPConnected {
+		err := r.v.PostSend(p, ps.qp, wr)
+		if err == nil || !errors.Is(err, ib.ErrNotConnected) {
+			return err
 		}
 	}
-	if err := r.v.PostSend(p, ps.qp, wr); err != nil {
+	ps.postponed.Push(wr.WRID)
+	ps.mark()
+	return nil
+}
+
+// reissue reposts the WR identified by act as it was formed: a packet
+// WR is first restaged from its header and its request's payload, so it
+// rewrites the same bytes (same psn, no new credit) to its original ring
+// slot; a rendezvous WR's buffers are still pinned. A WR that cannot be
+// reposted is given up on. Retransmission only runs after a fault: off
+// the per-event budget.
+func (r *Rank) reissue(p *sim.Proc, wrid uint64, act wrAction) {
+	switch {
+	case act.req != nil && act.req.completed:
+		// Wait completed it under a fatal error; its buffers are the caller's.
+		delete(r.wrMap, wrid)
+		return
+	case act.kind == wrEager:
+		act.ps.stage(act.h, act.req.slice.Bytes())
+	case act.kind == wrCtrl:
+		act.ps.stage(act.h, nil)
+	}
+	if err := r.post(p, act.ps, act.wr); err != nil {
 		delete(r.wrMap, wrid)
 		r.failWR(p, act, err)
 	}
@@ -601,28 +601,16 @@ func (r *Rank) sendPacket(p *sim.Proc, ps *peerState, h header, payload []byte, 
 	ps.toReturn = 0
 	h.psn = ps.sendPSN
 	ps.sendPSN++
-	s := ps.staging.Data
-	h.encode(s[:hdrSize])
+	ps.stage(h, payload)
 	if len(payload) > 0 {
-		// The eager copy into the preregistered global buffer.
-		copy(s[hdrSize:hdrSize+len(payload)], payload)
+		// What the eager copy into the preregistered global buffer costs.
 		p.Sleep(r.w.Plat.CopyCost(r.Loc(), len(payload)))
-	}
-	binary.LittleEndian.PutUint64(s[hdrSize+len(payload):], tailMarker(h.seq))
-	slot := ps.nextSlot
-	ps.nextSlot = (ps.nextSlot + 1) % ps.out.slots
-	act.ps = ps
-	if r.faultsOn() {
-		// Retain the packet bytes: staging is reused by later sends,
-		// but a replay must rewrite exactly these bytes (same psn) to
-		// the same slot.
-		act.slot = slot
-		act.pkt = append([]byte(nil), s[:hdrSize+len(payload)+tailSize]...)
 	}
 	// Header SGE + data SGE + tail SGE, as the paper lays the packet out.
 	wr := r.newSendWR()
 	wr.Opcode = ib.OpRDMAWrite
-	wr.Remote = ib.RemoteAddr{Addr: ps.out.slotAddr(slot), RKey: ps.out.rkey}
+	wr.Remote = ib.RemoteAddr{Addr: ps.out.slotAddr(ps.nextSlot), RKey: ps.out.rkey}
+	ps.nextSlot = (ps.nextSlot + 1) % ps.out.slots
 	wr.Signaled = true
 	// The next packet to this peer is assembled in the same staging slot
 	// before this one completes, so the HCA takes the bytes at post time.
@@ -632,11 +620,20 @@ func (r *Rank) sendPacket(p *sim.Proc, ps *peerState, h header, payload []byte, 
 		wr.SGL = append(wr.SGL, ib.SGE{Addr: ps.staging.Addr + hdrSize, Len: len(payload), LKey: ps.stagingMR.LKey})
 	}
 	wr.SGL = append(wr.SGL, ib.SGE{Addr: ps.staging.Addr + uint64(hdrSize+len(payload)), Len: tailSize, LKey: ps.stagingMR.LKey})
-	act.wr = wr
+	act.ps, act.h, act.wr = ps, h, wr
 	wrid := r.nextWR(act)
 	wr.WRID = wrid
 	r.packetSent(p, ps.id, h, act.kind, wrid)
 	return r.post(p, ps, wr)
+}
+
+// stage writes one packet — header, payload, tail — into the pair's
+// staging buffer, from which the packet's WR gathers it at post time.
+func (ps *peerState) stage(h header, payload []byte) {
+	s := ps.staging.Data
+	h.encode(s[:hdrSize])
+	copy(s[hdrSize:], payload)
+	binary.LittleEndian.PutUint64(s[hdrSize+len(payload):], tailMarker(h.seq))
 }
 
 // ---- Point-to-point API ----
@@ -1150,9 +1147,9 @@ func (r *Rank) progress(p *sim.Proc) bool {
 		}
 		did = true
 	}
-	// Reissue WRs that were formed while their QP sat in the error
-	// state (between the fault and the CQE that triggers recovery);
-	// recovery has reconnected the QP by the time the CQ drains.
+	// Reissue WRs posted while their QP sat in the error state (between
+	// the fault and the CQE that triggers recovery); recovery has
+	// reconnected the QP by the time the CQ drains.
 	if r.faultsOn() {
 		for ps := r.nextReady(-1); ps != nil; ps = r.nextReady(ps.id) {
 			for ps.postponed.Len() > 0 && ps.qp.State == ib.QPConnected {

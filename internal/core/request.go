@@ -244,15 +244,12 @@ type wrAction struct {
 	kind wrKind
 	req  *Request
 	ps   *peerState // the pair the WR travels on
-	// wr is the posted WR, recycled at its successful completion.
+	// wr is the WR as formed, reposted unchanged by a replay and
+	// recycled at its successful completion.
 	wr *ib.SendWR
-
-	// Fault-recovery state, populated only when a fault plan is
-	// active. Packet WRs (eager/ctrl) retain a byte snapshot because
-	// the per-peer staging buffer is reused by later sends; rendezvous
-	// WRs are replayed as formed, their SGEs pointing at buffers
-	// pinned until the request completes.
-	pkt   []byte // retained header+payload+tail bytes (wrEager/wrCtrl)
-	slot  int    // remote ring slot the packet targets
-	tries int    // replays performed for this WR
+	// h is a packet WR's (eager/ctrl) header: later sends reuse the
+	// staging buffer, so a replay restages the packet from h and the
+	// request's payload. A rendezvous WR's buffers stay pinned.
+	h     header
+	tries int // replays performed for this WR
 }

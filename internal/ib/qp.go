@@ -1,6 +1,7 @@
 package ib
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/machine"
@@ -17,6 +18,10 @@ const (
 	QPConnected
 	QPError
 )
+
+// ErrNotConnected is wrapped by PostSend's error for a QP that is not
+// connected: the WR may be posted again once the QP is reconnected.
+var ErrNotConnected = errors.New("ib: QP not connected")
 
 // QP is a reliable-connected queue pair.
 type QP struct {
@@ -308,7 +313,7 @@ func (qp *QP) PostSend(p *sim.Proc, wr *SendWR) error {
 	h := qp.ctx.HCA
 	eng, plat := h.fab.Eng, h.fab.Plat
 	if qp.State != QPConnected {
-		return fmt.Errorf("ib: post send on QP %#x in state %d", qp.QPN, qp.State)
+		return fmt.Errorf("%w: post send on QP %#x in state %d", ErrNotConnected, qp.QPN, qp.State)
 	}
 	rem := qp.remote
 	p.Sleep(plat.PostCost(qp.ctx.Loc))
