@@ -176,9 +176,9 @@ func TestFinishedRankStillRecovers(t *testing.T) {
 
 	// A blocking ping-pong over the eager and rendezvous sizes, in the two
 	// direct and the two proxied modes. A proxied provider pays its relay
-	// between the rank checking the QP and the HCA seeing the WR, so a
-	// fault can error the QP in between; the WR must be postponed and
-	// reissued after recovery like one posted to an errored QP.
+	// before the HCA sees the WR, so a fault can error the QP in between;
+	// the HCA flushes the WR, and recovery must repost it like every WR
+	// an errored QP flushes.
 	pingPong := pingPongBody([]int{4, 64, 1 << 10, 8 << 10, 64 << 10, 1 << 20}, 10)
 	for _, m := range []cluster.Mode{cluster.ModeDCFA, cluster.ModeHost, cluster.ModeIntelPhi, cluster.ModeSymmetric} {
 		t.Run(fmt.Sprintf("pingpong/%v", m), func(t *testing.T) {

@@ -69,9 +69,6 @@ type peerState struct {
 	// fault-induced error state (captured during bootstrap).
 	rlid uint16
 	rqpn uint32
-	// postponed holds the ids of WRs posted while the QP was not
-	// connected; they are reissued in order once it is reconnected.
-	postponed sim.FIFO[uint64]
 	// r is the rank holding the pair and id its peer; landed says bytes
 	// came through qp since progress last found the ring empty.
 	r      *Rank
@@ -93,9 +90,12 @@ type Stats struct {
 	OffloadedPacks int64
 
 	// Fault-recovery counters (nonzero only under an active plan).
+	// FlushReposts counts WRs reposted after their QP's error flushed
+	// them, apart from Retries, the replays of faulted WRs.
 	Retries        int64
 	QPResets       int64
 	ReplaysDeduped int64
+	FlushReposts   int64
 }
 
 // Rank is one MPI process.
@@ -370,8 +370,7 @@ func (ps *peerState) land() {
 }
 
 // mark puts the pair on its rank's ready list, as bytes landing through
-// its QP and every push onto its pendingCtrl, pendingSends or postponed
-// queue do.
+// its QP and every push onto its pendingCtrl or pendingSends queue do.
 func (ps *peerState) mark() {
 	if at, ok := slices.BinarySearchFunc(ps.r.ready, ps.id, byPeer); !ok {
 		ps.r.ready = slices.Insert(ps.r.ready, at, ps)
@@ -380,7 +379,7 @@ func (ps *peerState) mark() {
 
 // queued reports whether the pair holds packets or WRs waiting to go.
 func (ps *peerState) queued() bool {
-	return ps.pendingCtrl.Len() > 0 || ps.pendingSends.Len() > 0 || ps.postponed.Len() > 0
+	return ps.pendingCtrl.Len() > 0 || ps.pendingSends.Len() > 0
 }
 
 // nextReady returns the first ready pair after peer i, or nil: a pair
@@ -489,21 +488,11 @@ func (r *Rank) nextWR(a wrAction) uint64 {
 // behind this check).
 func (r *Rank) faultsOn() bool { return r.faults.Enabled() }
 
-// post is the one place a WR reaches the provider. A WR whose QP is not
-// connected (errored by a fault, awaiting recovery), before the post or
-// once a provider's relay reaches the HCA, is postponed as formed and
-// reissued in order once recovery reconnects: a post between the error
-// and the CQE that starts recovery must not fail synchronously.
+// post is the one place a WR reaches the provider. A QP a fault has
+// errored accepts the WR and flushes it, so a post between the error and
+// the completion that starts recovery comes back as a completion too.
 func (r *Rank) post(p *sim.Proc, ps *peerState, wr *ib.SendWR) error {
-	if ps.qp.State == ib.QPConnected {
-		err := r.v.PostSend(p, ps.qp, wr)
-		if err == nil || !errors.Is(err, ib.ErrNotConnected) {
-			return err
-		}
-	}
-	ps.postponed.Push(wr.WRID)
-	ps.mark()
-	return nil
+	return r.v.PostSend(p, ps.qp, wr)
 }
 
 // reissue reposts the WR identified by act as it was formed: a packet
@@ -529,12 +518,13 @@ func (r *Rank) reissue(p *sim.Proc, wrid uint64, act wrAction) {
 	}
 }
 
-// recoverWR handles a retry-exhaustion completion: reset and reconnect
-// the errored QP, then replay the WR until the plan's budget runs out,
-// at which point the owning request (or the rank, for control packets)
-// fails with a typed TransportError. Recovery only runs after retry
-// exhaustion: off the per-event budget.
-func (r *Rank) recoverWR(p *sim.Proc, wrid uint64, act wrAction) {
+// recoverWR handles an error completion under a fault plan: the first
+// one resets and reconnects the errored QP. A WR its QP's error flushed
+// is reposted as it was; a faulted one (retry exhaustion) is replayed
+// until the plan's budget runs out, at which point the owning request
+// (or the rank, for control packets) fails with a typed TransportError.
+// Recovery only runs after an error: off the per-event budget.
+func (r *Rank) recoverWR(p *sim.Proc, wrid uint64, act wrAction, st ib.Status) {
 	ps := act.ps
 	if ps.qp.State == ib.QPError {
 		ps.qp.Reset()
@@ -544,13 +534,17 @@ func (r *Rank) recoverWR(p *sim.Proc, wrid uint64, act wrAction) {
 		}
 		r.step(p, stepQPReset, ps.id, 0, 0)
 	}
-	act.tries++
-	if act.tries > r.faults.MaxRetries() {
-		r.failWR(p, act, &TransportError{Peer: ps.id, Op: act.kind.String(), Tries: act.tries})
-		return
+	if st == ib.StatusWRFlushErr {
+		r.step(p, stepFlushRepost, ps.id, wrid, act.tries)
+	} else {
+		act.tries++
+		if act.tries > r.faults.MaxRetries() {
+			r.failWR(p, act, &TransportError{Peer: ps.id, Op: act.kind.String(), Tries: act.tries})
+			return
+		}
+		r.step(p, stepReplay, ps.id, wrid, act.tries)
 	}
 	r.wrMap[wrid] = act
-	r.step(p, stepReplay, ps.id, wrid, act.tries)
 	r.reissue(p, wrid, act)
 }
 
@@ -1147,18 +1141,6 @@ func (r *Rank) progress(p *sim.Proc) bool {
 		}
 		did = true
 	}
-	// Reissue WRs posted while their QP sat in the error state (between
-	// the fault and the CQE that triggers recovery); recovery has
-	// reconnected the QP by the time the CQ drains.
-	if r.faultsOn() {
-		for ps := r.nextReady(-1); ps != nil; ps = r.nextReady(ps.id) {
-			for ps.postponed.Len() > 0 && ps.qp.State == ib.QPConnected {
-				wrid := ps.postponed.Pop()
-				r.reissue(p, wrid, r.wrMap[wrid])
-				did = true
-			}
-		}
-	}
 	// Retry credit-starved control packets, then eager sends.
 	for ps := r.nextReady(-1); ps != nil; ps = r.nextReady(ps.id) {
 		for ps.credits > 1 && ps.pendingCtrl.Len() > 0 {
@@ -1300,8 +1282,8 @@ func (r *Rank) handleCQE(p *sim.Proc, e ib.CQE) {
 	delete(r.wrMap, e.WRID)
 	r.cqe(p, act, e.WRID)
 	if e.Status != ib.StatusSuccess {
-		if e.Status == ib.StatusRetryExcErr && r.faultsOn() {
-			r.recoverWR(p, e.WRID, act)
+		if (e.Status == ib.StatusRetryExcErr || e.Status == ib.StatusWRFlushErr) && r.faultsOn() {
+			r.recoverWR(p, e.WRID, act, e.Status)
 			return
 		}
 		if act.req != nil {

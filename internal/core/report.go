@@ -68,6 +68,7 @@ const (
 	stepQPReset
 	stepReplay
 	stepReplayDrop
+	stepFlushRepost
 	numSteps
 )
 
@@ -134,10 +135,12 @@ var steps = [numSteps]stepRow{
 	// An arriving packet released the lock (one found waiting does not).
 	stepAnyMatch: {trace: "any-source-match"},
 	// Fault recovery: id is the work-request id and n the attempt for a
-	// replay, the packet's psn and the psn expected for a dropped one.
-	stepQPReset:    {stat: func(s *Stats) *int64 { return &s.QPResets }, counter: "faults.qp-resets", ev: causal.EvQPReset, put: peerOnly, trace: "qp-reset"},
-	stepReplay:     {stat: func(s *Stats) *int64 { return &s.Retries }, counter: "faults.retries", ev: causal.EvReplay, put: idAux, trace: "wr-replay"},
-	stepReplayDrop: {stat: func(s *Stats) *int64 { return &s.ReplaysDeduped }, counter: "faults.replays-deduped", ev: causal.EvReplayDrop, put: idPSN, trace: "replay-drop"},
+	// replay or a flushed WR's repost, the packet's psn and the psn
+	// expected for a dropped one.
+	stepQPReset:     {stat: func(s *Stats) *int64 { return &s.QPResets }, counter: "faults.qp-resets", ev: causal.EvQPReset, put: peerOnly, trace: "qp-reset"},
+	stepReplay:      {stat: func(s *Stats) *int64 { return &s.Retries }, counter: "faults.retries", ev: causal.EvReplay, put: idAux, trace: "wr-replay"},
+	stepReplayDrop:  {stat: func(s *Stats) *int64 { return &s.ReplaysDeduped }, counter: "faults.replays-deduped", ev: causal.EvReplayDrop, put: idPSN, trace: "replay-drop"},
+	stepFlushRepost: {stat: func(s *Stats) *int64 { return &s.FlushReposts }, trace: "wr-flush-repost"},
 }
 
 // The protocol classes and collective op codes are causal's; protocol

@@ -86,6 +86,7 @@ func tortureResultOf(c *cluster.Cluster, w *core.World, inj *faults.Injector) to
 		res.stats.Retries += s.Retries
 		res.stats.QPResets += s.QPResets
 		res.stats.ReplaysDeduped += s.ReplaysDeduped
+		res.stats.FlushReposts += s.FlushReposts
 	}
 	return res
 }
@@ -288,6 +289,11 @@ func TestTortureSameSeedIsBitIdentical(t *testing.T) {
 	c := runTorture(t, 8, tortureFaults(8), nil, nil)
 	if c.fp == a.fp && c.now == a.now {
 		t.Error("different seeds produced an identical run")
+	}
+	// A fault errors its QP with WRs still behind it, which the error
+	// flushes and recovery reposts, apart from the replays.
+	if a.stats.FlushReposts+c.stats.FlushReposts == 0 {
+		t.Error("no flushed WR was reposted under either seed")
 	}
 }
 

@@ -96,7 +96,7 @@ func (x ProxyVerbs) CreateQP(p *sim.Proc, pd *ib.PD, scq, rcq *ib.CQ) (*ib.QP, e
 
 // PostSend relays the work request through the host proxy daemon: one
 // extra per-operation cost before the HCA sees it. A QP a fault errors
-// during the relay refuses the WR, and Rank.post postpones it.
+// during the relay flushes the WR, which comes back as a completion.
 func (x ProxyVerbs) PostSend(p *sim.Proc, qp *ib.QP, wr *ib.SendWR) error {
 	p.Sleep(x.Plat.ProxySendCost)
 	return qp.PostSend(p, wr)

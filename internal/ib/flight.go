@@ -1,6 +1,8 @@
 package ib
 
 import (
+	"slices"
+
 	"repro/internal/machine"
 	"repro/internal/metrics"
 )
@@ -32,18 +34,21 @@ type flight struct {
 	dstKind machine.DomainKind
 
 	// The fault plan's verdict on a WRITE or READ, drawn at post time:
-	// fault is retry exhaustion — the QP errors when the wire attempt
-	// gives up — and delivered says a WRITE's payload landed first. Both
-	// halves of that ambiguity must be survivable, which is what the upper
-	// layer's sequence-id dedupe is for. A failed READ writes no local
-	// byte.
+	// fault is retry exhaustion — the wire attempt gives up, and the QP
+	// errors at its completion — and delivered says a WRITE's payload
+	// landed first. Both halves of that ambiguity must be survivable,
+	// which is what the upper layer's sequence-id dedupe is for. A failed
+	// READ writes no local byte.
 	fault, delivered bool
 
-	// status is what the completion reports; errQP makes it error the QP
-	// right after (a READ the responder refused, or one whose local
-	// scatter list no longer validates).
+	// status is what the completion reports; any other than success, set
+	// by fail, errors the QP right after.
 	status Status
-	errQP  bool
+
+	// seq numbers the flight among its QP's posts; flushed says SetError
+	// has completed it, so its events to come only release it.
+	seq     uint64
+	flushed bool
 
 	onArrive, onRespond, onComplete func()
 }
@@ -58,19 +63,80 @@ func (f *Fabric) takeFlight(qp *QP, wr *SendWR, src wireSrc, n int) *flight {
 	}
 	x.qp, x.rem, x.wr, x.op, x.signaled = qp, qp.remote, wr, wr.Opcode, wr.Signaled
 	x.src, x.n = src, n
+	qp.posts++
+	x.seq, qp.wire = qp.posts, append(qp.wire, x)
 	return x
 }
 
 // release returns the record once no scheduled event refers to it,
-// dropping everything it referenced.
+// dropping everything it referenced, and takes it off its QP's wire list
+// if SetError has not.
 func (x *flight) release() {
-	f := x.qp.ctx.HCA.fab
+	qp := x.qp
+	if i := slices.Index(qp.wire, x); i >= 0 {
+		qp.wire = append(qp.wire[:i], qp.wire[i+1:]...)
+	}
+	f := qp.ctx.HCA.fab
 	*x = flight{onArrive: x.onArrive, onRespond: x.onRespond, onComplete: x.onComplete}
 	f.flightFree.Put(x)
 }
 
+// stopped reports whether an event of the flight must do nothing: the
+// flight was flushed, or a WR posted before it failed (see fail). If no
+// other event of the flight is scheduled (last), a flushed flight is
+// released, and a halted one looks again a wire latency on, by when the
+// failed WR has completed and the QP's error has flushed it.
+func (x *flight) stopped(last bool) bool {
+	qp, eng := x.qp, x.qp.ctx.HCA.fab.Eng
+	if !x.flushed && (qp.haltAt == 0 || x.seq <= qp.haltAt) {
+		return false
+	}
+	x.span.End(eng.Now())
+	switch {
+	case last && x.flushed:
+		x.release()
+	case last:
+		eng.At(eng.Now()+qp.ctx.HCA.fab.Plat.IBLatency, x.onComplete)
+	}
+	return true
+}
+
+// fail makes the work request complete with st and error its QP then.
+// Until that completion the responder drops every WR posted after it.
+func (x *flight) fail(st Status) {
+	x.status = st
+	if qp := x.qp; qp.haltAt == 0 || x.seq < qp.haltAt {
+		qp.haltAt = x.seq
+	}
+}
+
+// flush completes the work request WR_FLUSH_ERR, or RetryExcErr if it
+// drew a fault, so that every injected fault is reported once.
+func (x *flight) flush() {
+	st := StatusWRFlushErr
+	if x.fault {
+		st = StatusRetryExcErr
+	}
+	x.qp.SendCQ.push(CQE{WRID: x.wr.WRID, Status: st, Opcode: x.op, QPN: x.qp.QPN})
+	x.doneWith()
+	x.flushed = true
+}
+
+// doneWith ends the wire's hold on a SEND's or WRITE's source, once: an
+// inline capture goes back to the free list. Like Remote, Inline is read
+// from the posted WR, which is the HCA's until it completes.
+func (x *flight) doneWith() {
+	if x.wr.Inline && x.op != OpRDMARead {
+		x.qp.ctx.HCA.fab.releaseBuf(x.src.buf)
+		x.src.buf = nil
+	}
+}
+
 // arrive is the work request reaching the remote HCA.
 func (x *flight) arrive() {
+	if x.stopped(x.op != OpSend || !x.signaled) {
+		return
+	}
 	switch x.op {
 	case OpSend:
 		x.sendArrive()
@@ -85,7 +151,7 @@ func (x *flight) arrive() {
 // if signaled, was scheduled at post time.
 func (x *flight) sendArrive() {
 	x.rem.land(x.src, x.qp.QPN)
-	x.qp.doneWith(x.wr, x.src)
+	x.doneWith()
 	if !x.signaled {
 		x.release()
 	}
@@ -102,23 +168,19 @@ func (x *flight) writeArrive() {
 		// The one copy of the transfer: source MR to destination MR.
 		x.src.copyTo(dst)
 	}
-	qp.doneWith(wr, x.src)
+	x.doneWith()
 	switch {
 	case x.fault:
 		if lands {
 			rem.ctx.HCA.landed(rem)
 		}
-		x.status = StatusRetryExcErr
-		qp.SetError()
-		x.completeLater()
+		x.fail(StatusRetryExcErr)
 	case err != nil:
-		x.status = StatusRemAccessErr
-		x.completeLater()
-		qp.SetError()
+		x.fail(StatusRemAccessErr)
 	default:
 		rem.ctx.HCA.landed(rem)
-		x.completeLater()
 	}
+	x.completeLater()
 }
 
 // completeLater schedules, one wire latency on, the completion of a work
@@ -143,8 +205,7 @@ func (x *flight) readArrive() {
 	eng, plat := h.fab.Eng, h.fab.Plat
 	if x.fault {
 		x.span.End(eng.Now())
-		x.status = StatusRetryExcErr
-		qp.SetError()
+		x.fail(StatusRetryExcErr)
 		x.completeLater()
 		return
 	}
@@ -153,7 +214,7 @@ func (x *flight) readArrive() {
 		// The responder refuses the request; the requester's QP errors
 		// with it.
 		x.span.End(eng.Now())
-		x.status, x.errQP = StatusRemAccessErr, true
+		x.fail(StatusRemAccessErr)
 		x.completeLater()
 		return
 	}
@@ -174,6 +235,9 @@ func (x *flight) readArrive() {
 // instant if it is signaled or has failed; an unsignaled success pushes
 // no completion, as in verbs.
 func (x *flight) respond() {
+	if x.stopped(true) {
+		return
+	}
 	h := x.qp.ctx.HCA
 	x.span.End(h.fab.Eng.Now())
 	remb := x.src.buf
@@ -181,7 +245,7 @@ func (x *flight) respond() {
 		dst, _, err := h.lookupMR(sge.LKey, sge.Addr, sge.Len)
 		if err != nil {
 			// A READ that can no longer scatter errors its QP.
-			x.status, x.errQP = StatusLocProtErr, true
+			x.fail(StatusLocProtErr)
 			x.complete()
 			return
 		}
@@ -196,17 +260,20 @@ func (x *flight) respond() {
 }
 
 // complete pushes the work request's completion — always the record's
-// last event.
+// last event — and errors the QP after a failure, which flushes every WR
+// still on the wire behind this completion.
 func (x *flight) complete() {
+	if x.stopped(true) {
+		return
+	}
 	qp := x.qp
 	e := CQE{WRID: x.wr.WRID, Status: x.status, Opcode: x.op, QPN: qp.QPN}
 	if x.status == StatusSuccess {
 		e.ByteLen = x.n
 	}
-	errQP := x.errQP
 	x.release()
 	qp.SendCQ.push(e)
-	if errQP {
+	if e.Status != StatusSuccess {
 		qp.SetError()
 	}
 }

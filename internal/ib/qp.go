@@ -1,7 +1,6 @@
 package ib
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/machine"
@@ -18,10 +17,6 @@ const (
 	QPConnected
 	QPError
 )
-
-// ErrNotConnected is wrapped by PostSend's error for a QP that is not
-// connected: the WR may be posted again once the QP is reconnected.
-var ErrNotConnected = errors.New("ib: QP not connected")
 
 // QP is a reliable-connected queue pair.
 type QP struct {
@@ -49,6 +44,12 @@ type QP struct {
 	// pending holds SEND payloads that arrived before a receive was
 	// posted (the simulator's RNR condition).
 	pending sim.FIFO[*inbound]
+
+	// wire holds the send WRs on the wire in post order until their last
+	// event, for SetError to flush. posts numbers them, and haltAt is the
+	// number of the oldest one failed and not yet completed (0: none).
+	wire          []*flight
+	posts, haltAt uint64
 
 	// Telemetry handles, created with the QP when Fabric.Metrics is
 	// installed (nil otherwise; recording through them is a no-op).
@@ -108,14 +109,18 @@ func (c *Context) CreateQP(pd *PD, sendCQ, recvCQ *CQ) *QP {
 	return qp
 }
 
-// SetError forces the QP into the error state and flushes every posted
-// receive with WR_FLUSH_ERR, as the RC state machine does. Pending
-// inbound messages are dropped.
+// SetError forces the QP into the error state, as the RC state machine
+// does: every send WR on the wire completes WR_FLUSH_ERR in post order,
+// then every posted receive does. Pending inbound messages are dropped.
 func (qp *QP) SetError() {
 	if qp.State == QPError {
 		return
 	}
-	qp.State = QPError
+	qp.State, qp.haltAt = QPError, 0
+	for _, x := range qp.wire {
+		x.flush()
+	}
+	qp.wire = qp.wire[:0]
 	for qp.recvQueue.Len() > 0 {
 		qp.RecvCQ.push(CQE{WRID: qp.recvQueue.Pop().WRID, Status: StatusWRFlushErr, Opcode: OpRecv, QPN: qp.QPN})
 	}
@@ -280,15 +285,6 @@ func (qp *QP) gather(wr *SendWR) (src wireSrc, n int, rate float64, srcKind mach
 	return src, n, rate, srcKind, nil
 }
 
-// doneWith ends the wire's hold on a work request's source at arrival:
-// an inline capture goes back to the free list. Like Remote, Inline is
-// read from the posted WR, which is the HCA's until it completes.
-func (qp *QP) doneWith(wr *SendWR, src wireSrc) {
-	if wr.Inline {
-		qp.ctx.HCA.fab.releaseBuf(src.buf)
-	}
-}
-
 func minRate(a, b float64) float64 {
 	if a < b {
 		return a
@@ -305,19 +301,25 @@ func (qp *QP) capRate(r float64) float64 {
 }
 
 // PostSend posts a send-queue work request. Validation errors (bad lkey,
-// bad state) are returned synchronously like ibv_post_send; remote
-// faults surface as error completions. Every work request it accepts
-// rides one flight record, whose bound methods are its events; an
-// injected fault is drawn here, at post time, and acted on at arrival.
+// a QP in Reset) are returned synchronously like ibv_post_send; remote
+// faults surface as error completions. The state is read once the post
+// cost is paid: a QP in the error state by then accepts the WR and
+// flushes it, sending nothing. Every work request put on the wire rides
+// one flight record, whose bound methods are its events; an injected
+// fault is drawn here, at post time, and acted on at arrival.
 func (qp *QP) PostSend(p *sim.Proc, wr *SendWR) error {
 	h := qp.ctx.HCA
 	eng, plat := h.fab.Eng, h.fab.Plat
-	if qp.State != QPConnected {
-		return fmt.Errorf("%w: post send on QP %#x in state %d", ErrNotConnected, qp.QPN, qp.State)
+	p.Sleep(plat.PostCost(qp.ctx.Loc))
+	if qp.State == QPReset {
+		return fmt.Errorf("ib: post send on QP %#x in state %d", qp.QPN, qp.State)
+	}
+	qp.postedC.Inc()
+	if qp.State == QPError {
+		qp.SendCQ.push(CQE{WRID: wr.WRID, Status: StatusWRFlushErr, Opcode: wr.Opcode, QPN: qp.QPN})
+		return nil
 	}
 	rem := qp.remote
-	p.Sleep(plat.PostCost(qp.ctx.Loc))
-	qp.postedC.Inc()
 
 	switch wr.Opcode {
 	case OpSend:

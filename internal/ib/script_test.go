@@ -17,7 +17,9 @@ import (
 // and the engine's event-order digest, event count and final time must
 // equal constants recorded before the wire was rewritten onto one record
 // per work request (re-recorded on the same wire, before atomics and
-// immediate data were deleted, once the script stopped driving them). A
+// immediate data were deleted, once the script stopped driving them; and
+// again when an errored QP began to flush its send queue, which ends the
+// WRs behind every failure without landing or completing them). A
 // callback that moves within its instant — a CQE pushed before instead
 // of after SetError's flush, a doorbell rung on the other side of an
 // Engine.At — changes a seq and so the digest: a doorbell waiter on
@@ -61,10 +63,14 @@ var scriptOps = []struct {
 	{"READ", OpRDMARead, false},
 }
 
-// scriptStatus is the completion status a signaled work request of op
-// must report under out.
-func scriptStatus(op Opcode, out scriptOutcome) Status {
+// scriptStatus is the completion status the signaled work request id (1
+// or 2) of op must report under out. The second one behind a protection
+// error is flushed by the QP's error; one that drew a fault reports it
+// either way.
+func scriptStatus(op Opcode, out scriptOutcome, id uint64) Status {
 	switch {
+	case (out == outRemKey && op != OpSend || out == outLocKey && op == OpRDMARead) && id == 2:
+		return StatusWRFlushErr
 	case out == outRemKey && op != OpSend:
 		return StatusRemAccessErr
 	case out == outLocKey && op == OpRDMARead:
@@ -146,8 +152,7 @@ func (s *scriptRig) cell(t *testing.T, p *sim.Proc, name string, op Opcode, inli
 	if err := a.qp.PostRecv(p, &RecvWR{WRID: 100, SGL: []SGE{{Addr: spare.Addr, Len: wireTotal, LKey: smr.LKey}}}); err != nil {
 		t.Errorf("%s: %v", name, err)
 	}
-	st := scriptStatus(op, out)
-	lands := st == StatusSuccess && op == OpSend // consumes the peer's receives
+	lands := scriptStatus(op, out, 1) == StatusSuccess && op == OpSend // consumes the peer's receives
 	if op == OpSend {
 		for i := 0; i < 2; i++ {
 			rwr := &RecvWR{WRID: uint64(200 + i), SGL: []SGE{{Addr: landing.Addr + uint64(i*wireTotal), Len: wireTotal, LKey: dmr.LKey}}}
@@ -186,7 +191,7 @@ func (s *scriptRig) cell(t *testing.T, p *sim.Proc, name string, op Opcode, inli
 				continue // the flushed receive of an errored QP
 			}
 			signaled--
-			if out != outMixed && cqe.Status != st {
+			if st := scriptStatus(op, out, cqe.WRID); out != outMixed && cqe.Status != st {
 				t.Errorf("%s: completion %+v, want status %v", name, cqe, st)
 			}
 		}
@@ -231,8 +236,8 @@ func TestWireScriptFingerprint(t *testing.T) {
 		events   int64
 		end      sim.Time
 	}{
-		{"flat", 0xa4527781a5201d6c, 590, 413760},
-		{"fattree4", 0x177d8f54345291c9, 592, 453480},
+		{"flat", 0x8ca3e15be1435ca1, 460, 405750},
+		{"fattree4", 0x2f023de3fff72a11, 457, 444160},
 	} {
 		t.Run(row.topology, func(t *testing.T) {
 			s := newScriptRig(t, row.topology, nil)

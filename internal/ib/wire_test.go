@@ -377,7 +377,7 @@ func checkFlightPool(t *testing.T, f *Fabric, want int) {
 		}
 		seen[x] = true
 		if x.qp != nil || x.rem != nil || x.wr != nil || x.span != nil || x.src.buf != nil || x.src.more != nil ||
-			x.fault || x.delivered || x.errQP || x.status != StatusSuccess || x.onArrive == nil {
+			x.fault || x.delivered || x.flushed || x.seq != 0 || x.status != StatusSuccess || x.onArrive == nil {
 			t.Errorf("a pooled flight was not reset: %+v", *x)
 		}
 	}
@@ -385,27 +385,34 @@ func checkFlightPool(t *testing.T, f *Fabric, want int) {
 
 // TestWireErrorArmsReleaseOnce: every way a work request can end —
 // delivered, remote or local protection fault, injected retry exhaustion
-// with and without the payload landing — returns its flight record, and
-// an inline WRITE's capture, exactly once and only after the last reader;
-// and SetError/Reset over parked inbounds release nothing a second time.
+// with and without the payload landing, flushed by an earlier WR's error
+// after or before it reached the responder — returns its flight record,
+// and an inline WRITE's capture, exactly once and only after the last
+// reader; and SetError/Reset over parked inbounds release nothing a
+// second time.
 func TestWireErrorArmsReleaseOnce(t *testing.T) {
+	const flush = StatusWRFlushErr
 	for _, row := range []struct {
 		name       string
 		op         Opcode
 		plan       *faults.Plan
 		badRKey    bool
-		deregLocal bool // the local region goes between post and response
-		wantSt     Status
+		deregLocal bool      // the local region goes between post and response
+		late       bool      // the second post waits a wire latency
+		wantSt     [2]Status // the two completions, in order
 		delivered  bool
 	}{
-		{name: "delivered", op: OpRDMAWrite, wantSt: StatusSuccess, delivered: true},
-		{name: "remote access error", op: OpRDMAWrite, badRKey: true, wantSt: StatusRemAccessErr},
-		{name: "fault, payload landed", op: OpRDMAWrite, plan: &faults.Plan{IBError: 1, IBDelivered: 1}, wantSt: StatusRetryExcErr, delivered: true},
-		{name: "fault, payload lost", op: OpRDMAWrite, plan: &faults.Plan{IBError: 1, IBDelivered: 0}, wantSt: StatusRetryExcErr},
-		{name: "read", op: OpRDMARead, wantSt: StatusSuccess},
-		{name: "read, remote access error", op: OpRDMARead, badRKey: true, wantSt: StatusRemAccessErr},
-		{name: "read, local protection error", op: OpRDMARead, deregLocal: true, wantSt: StatusLocProtErr},
-		{name: "read fault", op: OpRDMARead, plan: &faults.Plan{IBError: 1}, wantSt: StatusRetryExcErr},
+		{name: "delivered", op: OpRDMAWrite, wantSt: [2]Status{StatusSuccess, StatusSuccess}, delivered: true},
+		{name: "remote access error", op: OpRDMAWrite, badRKey: true, wantSt: [2]Status{StatusRemAccessErr, flush}},
+		{name: "fault, payload landed", op: OpRDMAWrite, plan: &faults.Plan{IBError: 1, IBDelivered: 1}, wantSt: [2]Status{StatusRetryExcErr, StatusRetryExcErr}, delivered: true},
+		{name: "fault, payload lost", op: OpRDMAWrite, plan: &faults.Plan{IBError: 1, IBDelivered: 0}, wantSt: [2]Status{StatusRetryExcErr, StatusRetryExcErr}},
+		{name: "read", op: OpRDMARead, wantSt: [2]Status{StatusSuccess, StatusSuccess}},
+		{name: "read, remote access error", op: OpRDMARead, badRKey: true, wantSt: [2]Status{StatusRemAccessErr, flush}},
+		{name: "read, local protection error", op: OpRDMARead, deregLocal: true, wantSt: [2]Status{StatusLocProtErr, flush}},
+		{name: "read fault", op: OpRDMARead, plan: &faults.Plan{IBError: 1}, wantSt: [2]Status{StatusRetryExcErr, StatusRetryExcErr}},
+		// The second WRITE is still on its way to the responder when the
+		// first one's error completion flushes it.
+		{name: "flushed before arrival", op: OpRDMAWrite, badRKey: true, late: true, wantSt: [2]Status{StatusRemAccessErr, flush}},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			w := newWireRig(t)
@@ -415,13 +422,20 @@ func TestWireErrorArmsReleaseOnce(t *testing.T) {
 				remote.RKey++
 			}
 			captures := 0
-			if row.op == OpRDMAWrite {
+			switch {
+			case row.op != OpRDMAWrite:
+			case row.late:
+				captures = 1 // the first is back before the second post
+			default:
 				captures = 2 // the rows' writes are inline
 			}
 			w.run(t, func(p *sim.Proc) {
-				// Two in flight at once: two records (and captures), both
-				// must come back.
+				// Two in flight at once: two records (and, unless the
+				// second post waits, two captures), all must come back.
 				for id := uint64(1); id <= 2; id++ {
+					if id == 2 && row.late {
+						p.Sleep(w.plat.IBLatency)
+					}
 					err := w.a.qp.PostSend(p, &SendWR{WRID: id, Opcode: row.op, Signaled: true, Inline: row.op == OpRDMAWrite,
 						SGL: w.sgl(), Remote: remote})
 					if err != nil {
@@ -435,9 +449,9 @@ func TestWireErrorArmsReleaseOnce(t *testing.T) {
 					}
 				}
 				w.scribble(0xEE)
-				for i := 0; i < 2; i++ {
-					if cqe := w.a.cq.WaitPoll(p, 1)[0]; cqe.Status != row.wantSt {
-						t.Errorf("completion %+v, want status %v", cqe, row.wantSt)
+				for i, st := range row.wantSt {
+					if cqe := w.a.cq.WaitPoll(p, 1)[0]; cqe.WRID != uint64(i+1) || cqe.Status != st {
+						t.Errorf("completion %+v, want WR %d with status %v", cqe, i+1, st)
 					}
 				}
 			})
