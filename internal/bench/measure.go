@@ -62,7 +62,7 @@ func (e *Env) rawOneWay(plat *perfmodel.Platform, srcKind, dstKind machine.Domai
 			}
 			// Receiver-side memory polling for the marker.
 			for binary.LittleEndian.Uint32(dst.Data[n-4:]) != uint32(it) {
-				h1.Doorbell.Wait(p)
+				cqB.Notify.Wait(p)
 			}
 			total += p.Now() - start
 			cqA.WaitPoll(p, 1)

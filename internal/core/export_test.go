@@ -69,3 +69,12 @@ func (r *Rank) UnwiredPeers() []int {
 	}
 	return out
 }
+
+// EarlyRTRs counts the RTRs r holds for sends it has not posted yet.
+func (r *Rank) EarlyRTRs() int {
+	n := 0
+	for _, ps := range r.pairs {
+		n += len(ps.earlyRTR)
+	}
+	return n
+}

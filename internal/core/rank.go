@@ -29,10 +29,10 @@ type peerState struct {
 	// announcements) with no matching receive yet, keyed by the peer→me
 	// sequence space.
 	unexpected map[uint64]*arrival
-	// earlyRTR[seq] holds RTRs that arrived before their Isend, keyed by
-	// the me→peer sequence space (receiver-first case). RTS and RTR
-	// sequence ids live in opposite directed-pair spaces and must never
-	// share a map.
+	// earlyRTR[seq] holds RTRs that arrived before their Isend chose a
+	// protocol, keyed by the me→peer sequence space (receiver-first
+	// case). RTS and RTR sequence ids live in opposite directed-pair
+	// spaces and must never share a map.
 	earlyRTR map[uint64]header
 	// sendsBySeq[seq] routes RTR/DONE packets to in-flight sends.
 	sendsBySeq map[uint64]*Request
@@ -447,16 +447,17 @@ func (r *Rank) ensurePeer(p *sim.Proc, i int) (*peerState, error) {
 }
 
 // idle is one turn of every blocking wait: drive progress, and park on
-// the HCA doorbell when there was nothing to do. It fails once transport
-// recovery has given up on a control packet: protocol progress is no
-// longer guaranteed, and waiting on would only ride to the deadlock
-// detector.
+// the rank's own CQ when there was nothing to do — a completion or bytes
+// landing through one of its QPs wakes it, traffic of other ranks behind
+// the adapter does not. It fails once transport recovery has given up on
+// a control packet: protocol progress is no longer guaranteed, and
+// waiting on would only ride to the deadlock detector.
 func (r *Rank) idle(p *sim.Proc) error {
 	if r.fatal != nil {
 		return r.fatal
 	}
 	if !r.progress(p) {
-		r.v.HCA().Doorbell.Wait(p)
+		r.cq.Notify.Wait(p)
 	}
 	return nil
 }
@@ -646,17 +647,21 @@ func (r *Rank) Isend(p *sim.Proc, dst, tag int, s Slice) (*Request, error) {
 		return nil, r.abandon(p, req, err)
 	}
 	req.seq = ps.sendSeq
-	ps.sendSeq++
 	r.posted(p, req)
 	req.owe()
 	if dst == r.id {
+		ps.sendSeq++
 		r.resolved(req, protoSelf)
 		r.sendSelf(p, ps, req)
 		return req, nil
 	}
 	// Drain arrived packets first: an RTR for this very sequence id may
 	// already be waiting (receiver-first), which changes the protocol.
+	// The send is counted only after, so an RTR landing during this call
+	// is kept for it (earlyRTR) and one landing later is dropped
+	// (handlePacket).
 	r.progress(p)
+	ps.sendSeq++
 	if s.N <= r.w.Cfg.EagerMax {
 		r.resolved(req, protoEager)
 		r.trySendEager(p, ps, req)
@@ -1216,27 +1221,24 @@ func (r *Rank) handlePacket(p *sim.Proc, ps *peerState, h header, payload []byte
 		ps.unexpected[h.seq] = a
 		r.step(p, stepUnexpected, src, h.seq, h.payload)
 	case pktRTR:
-		if req, ok := ps.sendsBySeq[h.seq]; ok {
-			switch req.state {
-			case stRTSSent:
-				// Simultaneous send/receive rendezvous: the sender
-				// disregards the RTR and waits for the receiver's read.
-				r.resolved(req, protoSimulRzv)
-				r.step(p, stepSimulDrop, src, h.seq, 0)
-			case stEagerSent, stEagerQueued, stDone:
-				// Sender-eager mis-prediction: drop the RTR; the
-				// sequence id guarantees it belonged to this send only.
-				r.step(p, stepMispredictRTR, src, h.seq, 0)
-			default:
-				if err := r.rndvWrite(p, ps, req, h); err != nil {
-					req.complete(p, err)
-				}
-			}
-			return
+		req, rndv := ps.sendsBySeq[h.seq]
+		switch {
+		case rndv && req.state == stRTSSent:
+			// Simultaneous send/receive rendezvous: the sender
+			// disregards the RTR and waits for the receiver's read.
+			r.resolved(req, protoSimulRzv)
+			r.step(p, stepSimulDrop, src, h.seq, 0)
+		case rndv || h.seq < ps.sendSeq:
+			// Sender-eager mis-prediction, or a rendezvous send that
+			// already failed (one in any other state took its RTR at
+			// Isend): drop the RTR; the sequence id guarantees it
+			// belonged to this send only.
+			r.step(p, stepMispredictRTR, src, h.seq, 0)
+		default:
+			// RTR before the local Isend (receiver-first): stash it in
+			// the outbound sequence space.
+			ps.earlyRTR[h.seq] = h
 		}
-		// RTR before the local Isend (receiver-first): stash it in the
-		// outbound sequence space.
-		ps.earlyRTR[h.seq] = h
 	case pktDone:
 		req := r.take(ps.sendsBySeq, src, h)
 		// The DONE closes the rendezvous round trip begun at the

@@ -14,8 +14,7 @@ import (
 // TestProgressVisitsOnlyMarkedPairs: progress reads the ring of a pair
 // only after bytes landed through the pair's QP. On 64 DCFA ranks, eight
 // behind each HCA and every pair connected up front, a collective mix
-// wakes every rank behind an HCA on each landing, yet the rings read
-// never outnumber the landings through the rank's QPs, and are a small
+// reads no more rings than landed through the rank's QPs, a small
 // fraction of what reading every connected ring on every pass would be.
 func TestProgressVisitsOnlyMarkedPairs(t *testing.T) {
 	const ranks = 64
@@ -57,6 +56,59 @@ func TestProgressVisitsOnlyMarkedPairs(t *testing.T) {
 	t.Logf("%d progress passes, %d marks, %d ring visits; a full scan reads %d", passes, marks, visits, scan)
 	if visits == 0 || visits*50 > scan {
 		t.Errorf("%d ring visits, want at most 1/50 of the %d a full scan reads", visits, scan)
+	}
+}
+
+// TestBystanderSleepsThroughOthersTraffic: a rank blocked on one peer
+// is woken by its own CQ only, not by traffic between other ranks behind
+// its adapter. Ranks 0 and 2 share node 0's adapter, 1 and 3 node 1's;
+// ranks 0 and 1 ping-pong while rank 2 waits in Recv for the one message
+// rank 0 sends it afterwards, so its progress passes must not grow with
+// the rounds.
+func TestBystanderSleepsThroughOthersTraffic(t *testing.T) {
+	const rounds = 100
+	for _, m := range []cluster.Mode{cluster.ModeDCFA, cluster.ModeHost} {
+		t.Run(m.String(), func(t *testing.T) {
+			c := cluster.New(perfmodel.Default(), 2)
+			w := c.World(m, 4)
+			err := w.Run(func(r *core.Rank) error {
+				p := r.Proc()
+				buf := core.Whole(r.Mem(8))
+				switch r.ID() {
+				case 0:
+					for i := 0; i < rounds; i++ {
+						if err := r.Send(p, 1, 0, buf); err != nil {
+							return err
+						}
+						if _, err := r.Recv(p, 1, 0, buf); err != nil {
+							return err
+						}
+					}
+					return r.Send(p, 2, 0, buf)
+				case 1:
+					for i := 0; i < rounds; i++ {
+						if _, err := r.Recv(p, 0, 0, buf); err != nil {
+							return err
+						}
+						if err := r.Send(p, 0, 0, buf); err != nil {
+							return err
+						}
+					}
+				case 2:
+					_, err := r.Recv(p, 0, 0, buf)
+					return err
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			passes, _, _, _ := w.Rank(2).ProgressCounts()
+			t.Logf("bystander: %d progress passes; %d events", passes, c.Eng.EventsRun())
+			if passes >= 10 {
+				t.Errorf("the bystander ran %d progress passes over %d rounds of others' traffic, want fewer than 10", passes, rounds)
+			}
+		})
 	}
 }
 

@@ -4,6 +4,7 @@ package core_test
 // protocol each exchange actually took.
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/cluster"
@@ -191,6 +192,53 @@ func TestTraceMispredictDropsStaleRTR(t *testing.T) {
 	}
 	if tr.Count("mispredict-rtr-drop") == 0 {
 		t.Fatalf("stale RTR was not dropped: %s", tr.Summary())
+	}
+}
+
+// TestStaleRTRIsDroppedOnArrival: a small send and a large receive cross
+// — the receiver predicts rendezvous and sends an RTR, the sender has
+// already gone eager. The receive is posted 4 µs after the send, once
+// Isend has drained its ring and chosen eager but before the eager packet
+// lands, so each RTR reaches the sender after its send. It must be dropped
+// there as a mis-prediction: the sender ends holding none of them.
+func TestStaleRTRIsDroppedOnArrival(t *testing.T) {
+	const crossings, gap = 50, 100 * sim.Microsecond
+	w, tr := tracedPair(true)
+	err := w.Run(func(r *core.Rank) error {
+		p := r.Proc()
+		small, big := r.Mem(256), r.Mem(64<<10)
+		if err := r.Barrier(p); err != nil { // connects the pair
+			return err
+		}
+		for tag := 0; tag < crossings; tag++ {
+			at := 10*sim.Millisecond + sim.Time(tag)*gap
+			if r.ID() == 1 {
+				at += 4 * sim.Microsecond
+			}
+			if p.Now() > at {
+				return fmt.Errorf("round %d starts at %v, after %v", tag, p.Now(), at)
+			}
+			p.Sleep(at - p.Now())
+			var err error
+			if r.ID() == 0 {
+				err = r.Send(p, 1, tag, core.Whole(small))
+			} else {
+				_, err = r.Recv(p, 0, tag, core.Whole(big))
+			}
+			if err != nil {
+				return err
+			}
+		}
+		return r.Barrier(p)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := w.Rank(0).EarlyRTRs(); n != 0 {
+		t.Errorf("sender holds %d stale RTRs, want 0", n)
+	}
+	if got, rcv := tr.Count("mispredict-rtr-drop"), tr.Count("mispredict-eager"); got != crossings || rcv != crossings {
+		t.Errorf("%d sender-side and %d receiver-side mis-predictions, want %d of each: %s", got, rcv, crossings, tr.Summary())
 	}
 }
 

@@ -1,8 +1,6 @@
 package ib
 
 import (
-	"slices"
-
 	"repro/internal/machine"
 	"repro/internal/metrics"
 )
@@ -46,9 +44,11 @@ type flight struct {
 	status Status
 
 	// seq numbers the flight among its QP's posts; flushed says SetError
-	// has completed it, so its events to come only release it.
+	// has completed it, so its events to come only release it. next is
+	// the flight posted after it on the QP's wire list.
 	seq     uint64
 	flushed bool
+	next    *flight
 
 	onArrive, onRespond, onComplete func()
 }
@@ -64,17 +64,24 @@ func (f *Fabric) takeFlight(qp *QP, wr *SendWR, src wireSrc, n int) *flight {
 	x.qp, x.rem, x.wr, x.op, x.signaled = qp, qp.remote, wr, wr.Opcode, wr.Signaled
 	x.src, x.n = src, n
 	qp.posts++
-	x.seq, qp.wire = qp.posts, append(qp.wire, x)
+	x.seq, *qp.last, qp.last = qp.posts, x, &x.next
 	return x
 }
 
 // release returns the record once no scheduled event refers to it,
 // dropping everything it referenced, and takes it off its QP's wire list
-// if SetError has not.
+// if SetError has not: the oldest flight, the common case, without a
+// walk.
 func (x *flight) release() {
 	qp := x.qp
-	if i := slices.Index(qp.wire, x); i >= 0 {
-		qp.wire = append(qp.wire[:i], qp.wire[i+1:]...)
+	if !x.flushed {
+		at := &qp.head
+		for *at != x {
+			at = &(*at).next
+		}
+		if *at = x.next; qp.last == &x.next {
+			qp.last = at
+		}
 	}
 	f := qp.ctx.HCA.fab
 	*x = flight{onArrive: x.onArrive, onRespond: x.onRespond, onComplete: x.onComplete}
@@ -172,13 +179,13 @@ func (x *flight) writeArrive() {
 	switch {
 	case x.fault:
 		if lands {
-			rem.ctx.HCA.landed(rem)
+			rem.landed()
 		}
 		x.fail(StatusRetryExcErr)
 	case err != nil:
 		x.fail(StatusRemAccessErr)
 	default:
-		rem.ctx.HCA.landed(rem)
+		rem.landed()
 	}
 	x.completeLater()
 }
@@ -223,7 +230,7 @@ func (x *flight) readArrive() {
 		ps.bytes.Add(int64(x.n))
 		x.span.Attr("pair", ps.name)
 	}
-	rate := qp.capRate(minRate(plat.IBBandwidth, plat.HCARead(mr.Dom.Kind)))
+	rate := qp.capRate(min(plat.IBBandwidth, plat.HCARead(mr.Dom.Kind)))
 	back := rh.egress.ReserveRate(x.n, rate)
 	back = rh.deliverVia(back, h, x.n, rate)
 	x.src.buf = src
@@ -251,7 +258,7 @@ func (x *flight) respond() {
 		}
 		remb = remb[copy(dst, remb):]
 	}
-	h.landed(x.qp)
+	x.qp.landed()
 	if !x.signaled {
 		x.release()
 		return

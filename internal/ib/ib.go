@@ -137,12 +137,6 @@ type HCA struct {
 	nextKey uint32
 	mrs     map[uint32]*MR
 
-	// Doorbell broadcasts whenever remote data lands in this node
-	// (RDMA payloads, receives, read responses): the simulation
-	// equivalent of memory-polling progress engines noticing change.
-	// Only landed rings it.
-	Doorbell sim.Signal
-
 	// actor is this adapter's telemetry track name ("hca<LID>").
 	actor string
 	// Byte-counter handles of an instrumented fabric, resolved at each
@@ -169,18 +163,6 @@ func (h *HCA) pair(tab *[2][2]pairStat, prefix string, src, dst machine.DomainKi
 		ps.bytes = h.fab.Metrics.Counter(h.actor, prefix+ps.name)
 	}
 	return ps
-}
-
-// landed is the one place the adapter makes known that it wrote this
-// node's memory — an RDMA payload (faulted-but-delivered included), a
-// read response, a completion entry. Bytes that came through a QP name
-// it, and its owner hears of them first (QP.OnLand); a completion entry
-// passes nil.
-func (h *HCA) landed(qp *QP) {
-	if qp != nil && qp.OnLand != nil {
-		qp.OnLand()
-	}
-	h.Doorbell.Broadcast()
 }
 
 // deliverVia routes a data transfer whose last byte clears this HCA's

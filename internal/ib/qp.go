@@ -36,8 +36,8 @@ type QP struct {
 	RateCap float64
 
 	// OnLand, when set, is called whenever bytes land in this node's
-	// memory through this QP, before the doorbell rings: its owner learns
-	// which connection to look at instead of polling them all.
+	// memory through this QP, before RecvCQ's Notify wakes its owner: it
+	// learns which connection to look at instead of polling them all.
 	OnLand func()
 
 	recvQueue sim.FIFO[*RecvWR]
@@ -45,10 +45,12 @@ type QP struct {
 	// posted (the simulator's RNR condition).
 	pending sim.FIFO[*inbound]
 
-	// wire holds the send WRs on the wire in post order until their last
-	// event, for SetError to flush. posts numbers them, and haltAt is the
-	// number of the oldest one failed and not yet completed (0: none).
-	wire          []*flight
+	// head links, through flight.next, the send WRs on the wire in post
+	// order until their last event, for SetError to flush; last is the
+	// link to set next. posts numbers them, and haltAt is the number of
+	// the oldest one failed and not yet completed (0: none).
+	head          *flight
+	last          **flight
 	posts, haltAt uint64
 
 	// Telemetry handles, created with the QP when Fabric.Metrics is
@@ -100,6 +102,7 @@ func (c *Context) CreateQP(pd *PD, sendCQ, recvCQ *CQ) *QP {
 	h := c.HCA
 	h.nextQPN++
 	qp := &QP{ctx: c, QPN: h.nextQPN, PD: pd, SendCQ: sendCQ, RecvCQ: recvCQ, State: QPReset}
+	qp.last = &qp.head
 	h.qps[qp.QPN] = qp
 	if reg := h.fab.Metrics; reg != nil {
 		name := fmt.Sprintf("qp%#x", qp.QPN)
@@ -117,10 +120,10 @@ func (qp *QP) SetError() {
 		return
 	}
 	qp.State, qp.haltAt = QPError, 0
-	for _, x := range qp.wire {
+	for x := qp.head; x != nil; x = x.next {
 		x.flush()
 	}
-	qp.wire = qp.wire[:0]
+	qp.head, qp.last = nil, &qp.head
 	for qp.recvQueue.Len() > 0 {
 		qp.RecvCQ.push(CQE{WRID: qp.recvQueue.Pop().WRID, Status: StatusWRFlushErr, Opcode: OpRecv, QPN: qp.QPN})
 	}
@@ -183,6 +186,16 @@ func (qp *QP) PostRecv(p *sim.Proc, wr *RecvWR) error {
 	}
 	qp.recvQueue.Push(wr)
 	return nil
+}
+
+// landed makes known that the adapter wrote memory through this QP with
+// no completion entry (an RDMA payload, a read response): the owner hears
+// which connection (OnLand), then its receive CQ wakes it and no other.
+func (qp *QP) landed() {
+	if qp.OnLand != nil {
+		qp.OnLand()
+	}
+	qp.RecvCQ.Notify.Broadcast()
 }
 
 // land hands an arrived SEND payload to the oldest posted receive. With
@@ -272,7 +285,7 @@ func (qp *QP) gather(wr *SendWR) (src wireSrc, n int, rate float64, srcKind mach
 		if i == 0 {
 			srcKind = mr.Dom.Kind
 		}
-		rate = minRate(rate, plat.HCARead(mr.Dom.Kind))
+		rate = min(rate, plat.HCARead(mr.Dom.Kind))
 		switch {
 		case wr.Inline:
 			src.buf = append(src.buf, view...)
@@ -285,17 +298,10 @@ func (qp *QP) gather(wr *SendWR) (src wireSrc, n int, rate float64, srcKind mach
 	return src, n, rate, srcKind, nil
 }
 
-func minRate(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // capRate applies the QP's RateCap, if set.
 func (qp *QP) capRate(r float64) float64 {
 	if qp.RateCap > 0 {
-		return minRate(r, qp.RateCap)
+		return min(r, qp.RateCap)
 	}
 	return r
 }

@@ -21,10 +21,12 @@ import (
 // again when an errored QP began to flush its send queue, which ends the
 // WRs behind every failure without landing or completing them). A
 // callback that moves within its instant — a CQE pushed before instead
-// of after SetError's flush, a doorbell rung on the other side of an
-// Engine.At — changes a seq and so the digest: a doorbell waiter on
-// either HCA and a posted receive for SetError to flush make every such
-// order visible.
+// of after SetError's flush, a landing's wake on the other side of an
+// Engine.At — changes a seq and so the digest: a waiter on the
+// responder's CQ, the script itself waiting on the requester's, and a
+// posted receive for SetError to flush make every such order visible.
+// (Re-recorded once more when the node-wide doorbell went: a landing now
+// wakes its QP's owner alone, so only the event count and digest moved.)
 
 // scriptOutcome is how a cell's work requests are made to end.
 type scriptOutcome int
@@ -82,14 +84,14 @@ func scriptStatus(op Opcode, out scriptOutcome, id uint64) Status {
 }
 
 // scriptRig is an eight-port fabric — on fattree4 ports 0 and 7 sit on
-// different leaves — with a doorbell waiter on each of the two HCAs the
-// script uses.
+// different leaves — driving one QP pair per cell between two of its
+// HCAs.
 type scriptRig struct {
 	eng    *sim.Engine
 	fab    *Fabric
 	n0, n7 *machine.Node
 	h0, h7 *HCA
-	rings  int // doorbell wake-ups seen on either HCA
+	wakes  int // wake-ups of the responders' CQ waiters
 }
 
 func newScriptRig(t *testing.T, topology string, reg *metrics.Registry) *scriptRig {
@@ -109,15 +111,6 @@ func newScriptRig(t *testing.T, topology string, reg *metrics.Registry) *scriptR
 	}
 	s.fab.Topo = tp
 	s.n0, s.n7, s.h0, s.h7 = nodes[0], nodes[7], hcas[0], hcas[7]
-	for _, h := range []*HCA{s.h0, s.h7} {
-		s.eng.Spawn("doorbell", func(p *sim.Proc) {
-			p.MarkDaemon()
-			for {
-				h.Doorbell.Wait(p)
-				s.rings++
-			}
-		})
-	}
 	return s
 }
 
@@ -125,13 +118,21 @@ func newScriptRig(t *testing.T, topology string, reg *metrics.Registry) *scriptR
 // port 0 posting toward co-processor memory on port 7. Two work requests
 // are in flight at once; where both will succeed the first is unsignaled.
 // The requester's QP holds one posted receive, so a SetError shows up as
-// a flushed completion.
+// a flushed completion; a waiter on the responder's CQ stands for the
+// rank that owns it.
 func (s *scriptRig) cell(t *testing.T, p *sim.Proc, name string, op Opcode, inline bool, out scriptOutcome) {
 	a, b := newEndpoint(s.h0, machine.HostMem), newEndpoint(s.h7, machine.MicMem)
 	if err := ConnectPair(a.qp, b.qp); err != nil {
 		t.Errorf("%s: %v", name, err)
 		return
 	}
+	s.eng.Spawn("responder", func(p *sim.Proc) {
+		p.MarkDaemon()
+		for {
+			b.cq.Notify.Wait(p)
+			s.wakes++
+		}
+	})
 	// This runs on the script's process, where t.Fatal must not be called:
 	// a failed registration panics into the engine's PanicError instead.
 	reg := func(e *endpoint, buf *machine.Buffer) *MR {
@@ -236,15 +237,15 @@ func TestWireScriptFingerprint(t *testing.T) {
 		events   int64
 		end      sim.Time
 	}{
-		{"flat", 0x8ca3e15be1435ca1, 460, 405750},
-		{"fattree4", 0x2f023de3fff72a11, 457, 444160},
+		{"flat", 0xfe62c6a234cac7bd, 424, 405750},
+		{"fattree4", 0xa042a2b7582d3825, 423, 444160},
 	} {
 		t.Run(row.topology, func(t *testing.T) {
 			s := newScriptRig(t, row.topology, nil)
 			fp, events, end := s.run(t)
 			if fp != row.fp || events != row.events || end != row.end {
-				t.Errorf("fingerprint %#x, %d events, end %d ns (%d doorbell wake-ups)\nwant        %#x, %d events, end %d ns",
-					fp, events, int64(end), s.rings, row.fp, row.events, int64(row.end))
+				t.Errorf("fingerprint %#x, %d events, end %d ns (%d responder wake-ups)\nwant        %#x, %d events, end %d ns",
+					fp, events, int64(end), s.wakes, row.fp, row.events, int64(row.end))
 			}
 			// Instrumenting the fabric moves no event, and every wire span
 			// a work request opened is closed whichever way it ended.

@@ -76,7 +76,8 @@ type CQ struct {
 	ctx     *Context
 	Depth   int
 	entries sim.FIFO[CQE]
-	// Notify broadcasts when an entry is pushed.
+	// Notify, the owner's one wake, broadcasts when an entry is pushed and
+	// when bytes land through a QP whose RecvCQ this is (QP.landed).
 	Notify sim.Signal
 	// Overflows counts entries dropped because the CQ was full — a
 	// programming error in the upper layer, surfaced loudly.
@@ -91,7 +92,7 @@ func (c *Context) CreateCQ(depth int) *CQ {
 	return &CQ{ctx: c, Depth: depth}
 }
 
-// push appends a completion and rings the node doorbell.
+// push appends a completion and wakes the CQ's owner, once.
 func (q *CQ) push(e CQE) {
 	if q.entries.Len() >= q.Depth {
 		q.Overflows++
@@ -108,7 +109,6 @@ func (q *CQ) push(e CQE) {
 	}
 	q.entries.Push(e)
 	q.Notify.Broadcast()
-	q.ctx.HCA.landed(nil)
 }
 
 // Poll removes up to max completions, charging the location-dependent
