@@ -6,15 +6,18 @@
 // of iterative solvers.
 //
 // All arithmetic is real and bit-reproducible: the distributed dot
-// products combine rank partials in the library's binomial-tree order,
-// and the serial reference mimics that association exactly, so a P-rank
-// run is verified float-for-float against the reference.
+// products combine rank partials in the order of the library's
+// recursive-doubling Allreduce, and the serial reference mimics that
+// association exactly, so a P-rank run is verified float-for-float
+// against the reference.
 package cg
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"unsafe"
 
 	"repro/internal/core"
@@ -99,27 +102,24 @@ func localDot(a, b []float64, rows, w int) float64 {
 	return s
 }
 
-// CombineBinomial reproduces the library's Reduce association over the
-// rank partials: rank v accumulates child v|m (for each mask m above
-// v's low bits) after that child has fully combined its own subtree.
-func CombineBinomial(parts []float64) float64 {
+// CombineRecursiveDoubling reproduces the association of the library's
+// recursive-doubling Allreduce, which every 8-byte Allreduce runs, over
+// the rank partials: each round folds the first rem pairs so that a
+// power of two survive (MPICH's non-power-of-two fold, then each
+// doubling distance). Addition commutes, so every rank gets this sum.
+func CombineRecursiveDoubling(parts []float64) float64 {
 	if len(parts) == 0 {
 		return 0
 	}
-	var value func(v, n int) float64
-	value = func(v, n int) float64 {
-		acc := parts[v]
-		for m := 1; m < n; m *= 2 {
-			if v&m != 0 {
-				break
-			}
-			if v|m < n {
-				acc += value(v|m, n)
-			}
+	w := slices.Clone(parts)
+	for n := len(w); n > 1; n = len(w) {
+		rem := n - 1<<(bits.Len(uint(n-1))-1)
+		for k := range rem {
+			w[k] = w[2*k] + w[2*k+1]
 		}
-		return acc
+		w = append(w[:rem], w[2*rem:]...)
 	}
-	return value(0, len(parts))
+	return w[0]
 }
 
 const (
@@ -163,8 +163,9 @@ func exchangeGhosts(pp *sim.Proc, r *core.Rank, f *field, procs int) error {
 	return r.WaitAll(pp, reqs...)
 }
 
-// dotAll computes the global dot product via Allreduce, preserving the
-// binomial association.
+// dotAll computes the global dot product via Allreduce: eight bytes, so
+// recursive doubling, whose association CombineRecursiveDoubling
+// reproduces.
 func dotAll(p *sim.Proc, r *core.Rank, local float64) (float64, error) {
 	buf := r.Mem(8)
 	defer r.Domain().Free(buf)
@@ -288,7 +289,8 @@ func localSum(a []float64, rows, w int) float64 {
 
 // Reference runs the identical CG serially, reproducing the P-rank
 // run's floating-point association (rank-blocked partial dots combined
-// in binomial order), so results match the distributed run exactly.
+// in recursive-doubling order), so results match the distributed run
+// exactly.
 func Reference(pr Params) Result {
 	width := pr.N + 2
 	size := (pr.N + 2) * width
@@ -316,7 +318,7 @@ func Reference(pr Params) Result {
 			}
 			parts[k] = s
 		}
-		return CombineBinomial(parts)
+		return CombineRecursiveDoubling(parts)
 	}
 	rs := blockDot(rvec, rvec)
 	iters := 0
@@ -352,5 +354,5 @@ func Reference(pr Params) Result {
 		}
 		sumParts[k] = s
 	}
-	return Result{Iters: iters, Residual: math.Sqrt(rs), SolutionSum: CombineBinomial(sumParts)}
+	return Result{Iters: iters, Residual: math.Sqrt(rs), SolutionSum: CombineRecursiveDoubling(sumParts)}
 }

@@ -31,8 +31,10 @@ func TestReferenceConverges(t *testing.T) {
 }
 
 func TestDistributedMatchesReferenceExactly(t *testing.T) {
-	for _, procs := range []int{1, 2, 4} {
-		pr := params(procs)
+	// At 5 and 9 processes the recursive-doubling fold associates the
+	// partials differently from a binomial tree; N=45 divides among both.
+	for _, pr := range []Params{params(1), params(2), params(4), {N: 45, MaxIter: 200, Tol: 1e-8, Procs: 5, Threads: 2}, {N: 45, MaxIter: 200, Tol: 1e-8, Procs: 9, Threads: 2}} {
+		procs := pr.Procs
 		got, err := run(perfmodel.Default(), pr)
 		if err != nil {
 			t.Fatalf("procs=%d: %v", procs, err)
@@ -58,21 +60,29 @@ func TestResidualDecreasesWithMoreIterations(t *testing.T) {
 	}
 }
 
-func TestCombineBinomialAssociation(t *testing.T) {
-	// P=4: ((s0+s1)+(s2+s3)).
-	got := CombineBinomial([]float64{1, 2, 4, 8})
-	if got != (1+2)+(4+8) {
-		t.Fatalf("P=4 combine %v", got)
+func TestCombineRecursiveDoublingAssociation(t *testing.T) {
+	// 1 + 2⁵³ rounds back to 2⁵³, so the sum depends on whether 1 meets
+	// 2⁵³ before -2⁵³ does: at 5 and 9 partials recursive doubling gives
+	// 1 where a binomial tree, ((s0+s1)+(s2+s3))+s4..., gives 0.
+	s := []float64{0, 0, 1, 0x1p53, -0x1p53, 0, 0, 2, 0x1p-60}
+	for _, c := range []struct {
+		n    int
+		want float64
+	}{
+		{0, 0},
+		{1, s[0]},
+		{3, (s[0] + s[1]) + s[2]},
+		{4, (s[0] + s[1]) + (s[2] + s[3])},
+		{5, ((s[0] + s[1]) + s[2]) + (s[3] + s[4])},
+		{7, ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + s[6])},
+		{9, (((s[0] + s[1]) + s[2]) + (s[3] + s[4])) + ((s[5] + s[6]) + (s[7] + s[8]))},
+	} {
+		if got := CombineRecursiveDoubling(s[:c.n]); got != c.want {
+			t.Errorf("%d partials combine to %v, want %v", c.n, got, c.want)
+		}
 	}
-	// P=3: (s0+s1)+s2.
-	if got := CombineBinomial([]float64{1, 2, 4}); got != (1+2)+4 {
-		t.Fatalf("P=3 combine %v", got)
-	}
-	if CombineBinomial(nil) != 0 {
-		t.Fatal("empty combine")
-	}
-	if CombineBinomial([]float64{7}) != 7 {
-		t.Fatal("single combine")
+	if got := CombineRecursiveDoubling(s[:5]); got != 1 {
+		t.Errorf("5 partials combine to %v, want 1", got)
 	}
 }
 

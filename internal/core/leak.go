@@ -80,8 +80,8 @@ func (r *Rank) heldOpen() []OpenRequest {
 	for i := 0; i < r.deferred.Len(); i++ {
 		add(r.deferred.At(i))
 	}
-	for _, act := range r.wrMap {
-		add(act.req)
+	for _, w := range r.wrMap {
+		add(w.req)
 	}
 	for _, ps := range slices.Concat([]*peerState{r.self}, r.pairs) {
 		for _, q := range ps.expRecv {

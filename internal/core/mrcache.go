@@ -1,7 +1,7 @@
 package core
 
 import (
-	"container/list"
+	"slices"
 
 	"repro/internal/ib"
 	"repro/internal/machine"
@@ -21,8 +21,8 @@ type MRCache struct {
 	pd  *ib.PD
 	cap int
 
-	lru     *list.List // of *mrEntry, front = most recent
-	entries map[*ib.MR]*list.Element
+	// entries are the cached registrations, most recently used first.
+	entries []mrEntry
 
 	// Hits and Misses expose cache effectiveness; the paper notes the
 	// pool "can only benefit applications which always reuse a few
@@ -37,6 +37,8 @@ type MRCache struct {
 	pinnedB    *metrics.Gauge
 }
 
+// mrEntry is one cached registration and the number of Gets not yet
+// released on it.
 type mrEntry struct {
 	mr   *ib.MR
 	refs int
@@ -47,7 +49,7 @@ func NewMRCache(v Verbs, pd *ib.PD, capacity int) *MRCache {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &MRCache{v: v, pd: pd, cap: capacity, lru: list.New(), entries: make(map[*ib.MR]*list.Element)}
+	return &MRCache{v: v, pd: pd, cap: capacity}
 }
 
 // instrument attaches telemetry counters under the given actor. A nil
@@ -64,17 +66,18 @@ func (c *MRCache) instrument(reg *metrics.Registry, actor string) {
 // will be reused, otherwise a new memory region will be registered").
 // The entry is pinned until the matching Release.
 func (c *MRCache) Get(p *sim.Proc, dom *machine.Domain, addr uint64, n int) (*ib.MR, error) {
-	for e := c.lru.Front(); e != nil; e = e.Next() {
-		ent := e.Value.(*mrEntry)
-		mr := ent.mr
+	for i, e := range c.entries {
+		mr := e.mr
 		if mr.Dom == dom && addr >= mr.Addr && addr+uint64(n) <= mr.Addr+uint64(mr.Len) {
-			c.lru.MoveToFront(e)
 			c.Hits++
 			c.hitsC.Inc()
-			if ent.refs == 0 {
+			if e.refs == 0 {
 				c.pinnedB.Add(int64(mr.Len))
 			}
-			ent.refs++
+			e.refs++
+			// Move the entry to the front.
+			copy(c.entries[1:i+1], c.entries[:i])
+			c.entries[0] = e
 			return mr, nil
 		}
 	}
@@ -85,8 +88,7 @@ func (c *MRCache) Get(p *sim.Proc, dom *machine.Domain, addr uint64, n int) (*ib
 		return nil, err
 	}
 	c.pinnedB.Add(int64(mr.Len))
-	e := c.lru.PushFront(&mrEntry{mr: mr, refs: 1})
-	c.entries[mr] = e
+	c.entries = slices.Insert(c.entries, 0, mrEntry{mr: mr, refs: 1})
 	if err := c.evictExcess(p); err != nil {
 		return nil, err
 	}
@@ -96,16 +98,16 @@ func (c *MRCache) Get(p *sim.Proc, dom *machine.Domain, addr uint64, n int) (*ib
 // Release unpins a region obtained from Get and evicts entries beyond
 // capacity, charging the deregistration to p.
 func (c *MRCache) Release(p *sim.Proc, mr *ib.MR) {
-	e, ok := c.entries[mr]
-	if !ok {
+	i := slices.IndexFunc(c.entries, func(e mrEntry) bool { return e.mr == mr })
+	if i < 0 {
 		panic("core: MR cache release of unknown region")
 	}
-	ent := e.Value.(*mrEntry)
-	if ent.refs <= 0 {
+	e := &c.entries[i]
+	if e.refs <= 0 {
 		panic("core: MR cache release without matching Get")
 	}
-	ent.refs--
-	if ent.refs == 0 {
+	e.refs--
+	if e.refs == 0 {
 		c.pinnedB.Add(-int64(mr.Len))
 	}
 	if err := c.evictExcess(p); err != nil {
@@ -116,20 +118,16 @@ func (c *MRCache) Release(p *sim.Proc, mr *ib.MR) {
 // evictExcess deregisters the oldest unpinned entries beyond capacity.
 // When everything over capacity is pinned, the cache temporarily grows.
 func (c *MRCache) evictExcess(p *sim.Proc) error {
-	for c.lru.Len() > c.cap {
-		var victim *list.Element
-		for e := c.lru.Back(); e != nil; e = e.Prev() {
-			if e.Value.(*mrEntry).refs == 0 {
-				victim = e
-				break
-			}
+	for len(c.entries) > c.cap {
+		i := len(c.entries) - 1
+		for i >= 0 && c.entries[i].refs > 0 {
+			i--
 		}
-		if victim == nil {
+		if i < 0 {
 			return nil // all pinned; retry on the next Release
 		}
-		mr := victim.Value.(*mrEntry).mr
-		c.lru.Remove(victim)
-		delete(c.entries, mr)
+		mr := c.entries[i].mr
+		c.entries = slices.Delete(c.entries, i, i+1)
 		c.evictionsC.Inc()
 		if err := c.v.DeregMR(p, mr); err != nil {
 			return err
@@ -139,13 +137,13 @@ func (c *MRCache) evictExcess(p *sim.Proc) error {
 }
 
 // Len reports cached registrations.
-func (c *MRCache) Len() int { return c.lru.Len() }
+func (c *MRCache) Len() int { return len(c.entries) }
 
 // Pinned reports currently referenced entries.
 func (c *MRCache) Pinned() int {
 	n := 0
-	for e := c.lru.Front(); e != nil; e = e.Next() {
-		if e.Value.(*mrEntry).refs > 0 {
+	for _, e := range c.entries {
+		if e.refs > 0 {
 			n++
 		}
 	}
@@ -155,16 +153,14 @@ func (c *MRCache) Pinned() int {
 // Flush deregisters everything (teardown); all entries must be
 // unpinned.
 func (c *MRCache) Flush(p *sim.Proc) error {
-	for e := c.lru.Front(); e != nil; e = e.Next() {
-		ent := e.Value.(*mrEntry)
-		if ent.refs > 0 {
+	for _, e := range c.entries {
+		if e.refs > 0 {
 			panic("core: MR cache flush with pinned regions")
 		}
-		if err := c.v.DeregMR(p, ent.mr); err != nil {
+		if err := c.v.DeregMR(p, e.mr); err != nil {
 			return err
 		}
 	}
-	c.lru.Init()
-	c.entries = make(map[*ib.MR]*list.Element)
+	c.entries = nil
 	return nil
 }

@@ -156,3 +156,38 @@ func TestMRCacheLRUOrder(t *testing.T) {
 		c.Release(p, mrA3)
 	})
 }
+
+// TestMRCacheMissAllocatesOnlyItsRegistration alternates two buffers
+// through a capacity-1 cache, so every Get misses, registers and evicts
+// the other buffer's registration: the miss may allocate what one
+// registration and one deregistration do, and nothing for the cache's
+// own bookkeeping.
+func TestMRCacheMissAllocatesOnlyItsRegistration(t *testing.T) {
+	cacheRig(t, 1, func(p *sim.Proc, c *MRCache, dom *machine.Domain) {
+		bufs := [2]*machine.Buffer{dom.Alloc(4096), dom.Alloc(4096)}
+		i := 0
+		miss := testing.AllocsPerRun(100, func() {
+			i++
+			mr, err := c.Get(p, dom, bufs[i%2].Addr, 4096)
+			if err != nil {
+				panic(err)
+			}
+			c.Release(p, mr)
+		})
+		reg := testing.AllocsPerRun(100, func() {
+			mr, err := c.v.RegMR(p, c.pd, dom, bufs[0].Addr, 4096)
+			if err != nil {
+				panic(err)
+			}
+			if err := c.v.DeregMR(p, mr); err != nil {
+				panic(err)
+			}
+		})
+		if c.Hits != 0 || c.Len() != 1 {
+			t.Errorf("hits=%d len=%d, want every Get to miss and evict", c.Hits, c.Len())
+		}
+		if miss > reg {
+			t.Errorf("a miss allocates %.1f times, a registration and deregistration %.1f", miss, reg)
+		}
+	})
+}

@@ -144,19 +144,22 @@ type Rank struct {
 	// caller ever saw; see retire.
 	reqFree sim.Pool[*Request]
 
-	// arrivalFree recycles arrival records after their match, so
-	// steady-state unexpected traffic allocates no record per packet.
+	// arrivalFree recycles the records of packets that waited for their
+	// receive once it has taken them, so steady-state unexpected traffic
+	// allocates no record per packet.
 	arrivalFree sim.Pool[*arrival]
 
-	// wrFree recycles send work requests (and their cap-3 SGL backing)
-	// once their completion has been routed, so the per-packet path
-	// allocates no WR or SGE state in steady state. Only a successful
-	// completion recycles one: replay reposts the formed WR until its
-	// retry budget is spent.
-	wrFree sim.Pool[*ib.SendWR]
+	// wrFree recycles posted work requests (and their cap-3 SGL
+	// backing) once their completion has been routed, so the per-packet
+	// path allocates no WR or SGE state in steady state. Only a
+	// successful completion recycles one: replay reposts the formed WR
+	// until its retry budget is spent.
+	wrFree sim.Pool[*postedWR]
 
+	// wrSeq numbers the posted WRs; wrMap holds each by its WR id until
+	// its completion.
 	wrSeq uint64
-	wrMap map[uint64]wrAction
+	wrMap map[uint64]*postedWR
 
 	// world is the identity group, built once at setup and returned by
 	// CommWorld. Embedding its group gives Rank the collectives —
@@ -226,7 +229,7 @@ func (r *Rank) setup(p *sim.Proc) error {
 	r.mrCache = NewMRCache(r.v, r.pd, cfg.MRCacheCap)
 	r.rep = newReporter(cfg.Metrics, cfg.Causal, cfg.Trace, r.id)
 	r.mrCache.instrument(cfg.Metrics, r.rep.actor)
-	r.wrMap = make(map[uint64]wrAction)
+	r.wrMap = make(map[uint64]*postedWR)
 	r.self = newPeerState(r, r.id)
 	if !r.w.lazyConnect() {
 		// Under lazy connect ensurePeer builds a pair at its first
@@ -477,11 +480,12 @@ func (r *Rank) finalize(p *sim.Proc) {
 	}
 }
 
-// nextWR allocates a work-request id and registers its routing.
-func (r *Rank) nextWR(a wrAction) uint64 {
+// nextWR gives w the next work-request id and registers it for its
+// completion.
+func (r *Rank) nextWR(w *postedWR) {
 	r.wrSeq++
-	r.wrMap[r.wrSeq] = a
-	return r.wrSeq
+	w.WRID = r.wrSeq
+	r.wrMap[r.wrSeq] = w
 }
 
 // faultsOn reports whether a fault plan with any nonzero rate is
@@ -492,30 +496,29 @@ func (r *Rank) faultsOn() bool { return r.faults.Enabled() }
 // post is the one place a WR reaches the provider. A QP a fault has
 // errored accepts the WR and flushes it, so a post between the error and
 // the completion that starts recovery comes back as a completion too.
-func (r *Rank) post(p *sim.Proc, ps *peerState, wr *ib.SendWR) error {
-	return r.v.PostSend(p, ps.qp, wr)
+func (r *Rank) post(p *sim.Proc, w *postedWR) error {
+	return r.v.PostSend(p, w.ps.qp, &w.SendWR)
 }
 
-// reissue reposts the WR identified by act as it was formed: a packet
-// WR is first restaged from its header and its request's payload, so it
-// rewrites the same bytes (same psn, no new credit) to its original ring
-// slot; a rendezvous WR's buffers are still pinned. A WR that cannot be
-// reposted is given up on. Retransmission only runs after a fault: off
-// the per-event budget.
-func (r *Rank) reissue(p *sim.Proc, wrid uint64, act wrAction) {
+// reissue reposts w as it was formed: a packet WR is first restaged from
+// its header and its request's payload, so it rewrites the same bytes
+// (same psn, no new credit) to its original ring slot; a rendezvous WR's
+// buffers are still pinned. A WR that cannot be reposted is given up on.
+// Retransmission only runs after a fault: off the per-event budget.
+func (r *Rank) reissue(p *sim.Proc, w *postedWR) {
 	switch {
-	case act.req != nil && act.req.completed:
+	case w.req != nil && w.req.completed:
 		// Wait completed it under a fatal error; its buffers are the caller's.
-		delete(r.wrMap, wrid)
+		delete(r.wrMap, w.WRID)
 		return
-	case act.kind == wrEager:
-		act.ps.stage(act.h, act.req.slice.Bytes())
-	case act.kind == wrCtrl:
-		act.ps.stage(act.h, nil)
+	case w.kind == wrEager:
+		w.ps.stage(w.h, w.req.slice.Bytes())
+	case w.kind == wrCtrl:
+		w.ps.stage(w.h, nil)
 	}
-	if err := r.post(p, act.ps, act.wr); err != nil {
-		delete(r.wrMap, wrid)
-		r.failWR(p, act, err)
+	if err := r.post(p, w); err != nil {
+		delete(r.wrMap, w.WRID)
+		r.failWR(p, w, err)
 	}
 }
 
@@ -525,36 +528,36 @@ func (r *Rank) reissue(p *sim.Proc, wrid uint64, act wrAction) {
 // until the plan's budget runs out, at which point the owning request
 // (or the rank, for control packets) fails with a typed TransportError.
 // Recovery only runs after an error: off the per-event budget.
-func (r *Rank) recoverWR(p *sim.Proc, wrid uint64, act wrAction, st ib.Status) {
-	ps := act.ps
+func (r *Rank) recoverWR(p *sim.Proc, w *postedWR, st ib.Status) {
+	ps := w.ps
 	if ps.qp.State == ib.QPError {
 		ps.qp.Reset()
 		if err := ps.qp.Connect(ps.rlid, ps.rqpn); err != nil {
-			r.failWR(p, act, fmt.Errorf("core: reconnect to rank %d: %w", ps.id, err))
+			r.failWR(p, w, fmt.Errorf("core: reconnect to rank %d: %w", ps.id, err))
 			return
 		}
 		r.step(p, stepQPReset, ps.id, 0, 0)
 	}
 	if st == ib.StatusWRFlushErr {
-		r.step(p, stepFlushRepost, ps.id, wrid, act.tries)
+		r.step(p, stepFlushRepost, ps.id, w.WRID, w.tries)
 	} else {
-		act.tries++
-		if act.tries > r.faults.MaxRetries() {
-			r.failWR(p, act, &TransportError{Peer: ps.id, Op: act.kind.String(), Tries: act.tries})
+		w.tries++
+		if w.tries > r.faults.MaxRetries() {
+			r.failWR(p, w, &TransportError{Peer: ps.id, Op: w.kind.String(), Tries: w.tries})
 			return
 		}
-		r.step(p, stepReplay, ps.id, wrid, act.tries)
+		r.step(p, stepReplay, ps.id, w.WRID, w.tries)
 	}
-	r.wrMap[wrid] = act
-	r.reissue(p, wrid, act)
+	r.wrMap[w.WRID] = w
+	r.reissue(p, w)
 }
 
 // failWR gives up on a work request: requests complete with the error;
 // ownerless control packets poison the rank instead, because a lost
 // RTS/RTR/DONE breaks the protocol for an unknowable set of requests.
-func (r *Rank) failWR(p *sim.Proc, act wrAction, err error) {
-	if act.req != nil {
-		act.req.complete(p, err)
+func (r *Rank) failWR(p *sim.Proc, w *postedWR, err error) {
+	if w.req != nil {
+		w.req.complete(p, err)
 		return
 	}
 	if r.fatal == nil {
@@ -562,30 +565,33 @@ func (r *Rank) failWR(p *sim.Proc, act wrAction, err error) {
 	}
 }
 
-// newSendWR hands out a pooled send work request with SGL capacity for
-// the three-element packet layout (header, payload, tail). handleCQE
+// newSendWR hands out a pooled work request of the given kind, for req
+// (nil for a control packet) on pair ps, with SGL capacity for the
+// three-element packet layout (header, payload, tail). handleCQE
 // recycles each WR at its successful completion, so the per-packet path
 // allocates no WR or SGE state in steady state.
-func (r *Rank) newSendWR() *ib.SendWR {
-	if wr, ok := r.wrFree.Get(); ok {
-		return wr
+func (r *Rank) newSendWR(kind wrKind, req *Request, ps *peerState) *postedWR {
+	w, ok := r.wrFree.Get()
+	if !ok {
+		w = &postedWR{SendWR: ib.SendWR{SGL: make([]ib.SGE, 0, 3)}}
 	}
-	return &ib.SendWR{SGL: make([]ib.SGE, 0, 3)}
+	w.kind, w.req, w.ps = kind, req, ps
+	return w
 }
 
 // recycleWR returns a routed work request to the free list, keeping
 // its SGL backing. Callers must only recycle WRs the transport cannot
 // touch again: a WR gets one completion per post, and only an error
 // completion replays it.
-func (r *Rank) recycleWR(wr *ib.SendWR) {
-	*wr = ib.SendWR{SGL: wr.SGL[:0]}
-	r.wrFree.Put(wr)
+func (r *Rank) recycleWR(w *postedWR) {
+	*w = postedWR{SendWR: ib.SendWR{SGL: w.SGL[:0]}}
+	r.wrFree.Put(w)
 }
 
 // sendPacket assembles and RDMA-writes one packet into the pair's ring.
 // The caller must hold a credit (credits > 0). Consumed local slots are
 // piggybacked back as credits on every outgoing header.
-func (r *Rank) sendPacket(p *sim.Proc, ps *peerState, h header, payload []byte, act wrAction) error {
+func (r *Rank) sendPacket(p *sim.Proc, ps *peerState, h header, payload []byte, kind wrKind, req *Request) error {
 	if ps.credits <= 0 {
 		panic("core: sendPacket without credit")
 	}
@@ -602,7 +608,8 @@ func (r *Rank) sendPacket(p *sim.Proc, ps *peerState, h header, payload []byte, 
 		p.Sleep(r.w.Plat.CopyCost(r.Loc(), len(payload)))
 	}
 	// Header SGE + data SGE + tail SGE, as the paper lays the packet out.
-	wr := r.newSendWR()
+	wr := r.newSendWR(kind, req, ps)
+	wr.h = h
 	wr.Opcode = ib.OpRDMAWrite
 	wr.Remote = ib.RemoteAddr{Addr: ps.out.slotAddr(ps.nextSlot), RKey: ps.out.rkey}
 	ps.nextSlot = (ps.nextSlot + 1) % ps.out.slots
@@ -615,11 +622,9 @@ func (r *Rank) sendPacket(p *sim.Proc, ps *peerState, h header, payload []byte, 
 		wr.SGL = append(wr.SGL, ib.SGE{Addr: ps.staging.Addr + hdrSize, Len: len(payload), LKey: ps.stagingMR.LKey})
 	}
 	wr.SGL = append(wr.SGL, ib.SGE{Addr: ps.staging.Addr + uint64(hdrSize+len(payload)), Len: tailSize, LKey: ps.stagingMR.LKey})
-	act.ps, act.h, act.wr = ps, h, wr
-	wrid := r.nextWR(act)
-	wr.WRID = wrid
-	r.packetSent(p, ps.id, h, act.kind, wrid)
-	return r.post(p, ps, wr)
+	r.nextWR(wr)
+	r.packetSent(p, ps.id, h, kind, wr.WRID)
+	return r.post(p, wr)
 }
 
 // stage writes one packet — header, payload, tail — into the pair's
@@ -701,7 +706,7 @@ func (r *Rank) trySendEager(p *sim.Proc, ps *peerState, req *Request) {
 // with the error, and postEager reports false.
 func (r *Rank) postEager(p *sim.Proc, ps *peerState, req *Request) bool {
 	h := header{kind: pktEager, tag: req.tag, seq: req.seq}
-	if err := r.sendPacket(p, ps, h, req.slice.Bytes(), wrAction{kind: wrEager, req: req}); err != nil {
+	if err := r.sendPacket(p, ps, h, req.slice.Bytes(), wrEager, req); err != nil {
 		req.complete(p, err)
 		return false
 	}
@@ -781,7 +786,7 @@ func (r *Rank) rndvWrite(p *sim.Proc, ps *peerState, req *Request, rtr header) e
 		req.complete(p, ErrTruncate)
 		return r.ctrlSend(p, ps, header{kind: pktNackW, seq: req.seq})
 	}
-	wr := r.newSendWR()
+	wr := r.newSendWR(wrRndvWrite, req, ps)
 	wr.Opcode = ib.OpRDMAWrite
 	wr.Remote = ib.RemoteAddr{Addr: rtr.raddr, RKey: rtr.rkey}
 	wr.Signaled = true
@@ -792,14 +797,11 @@ func (r *Rank) rndvWrite(p *sim.Proc, ps *peerState, req *Request, rtr header) e
 		// until this request completes.
 		wr.SGL = append(wr.SGL, ib.SGE{Addr: req.slice.Addr(), Len: req.slice.N, LKey: req.pins[0].LKey})
 	}
-	// The WR rides in the action for replay under faults and for
-	// recycling at its successful completion.
-	wrid := r.nextWR(wrAction{kind: wrRndvWrite, req: req, ps: ps, wr: wr})
-	wr.WRID = wrid
+	r.nextWR(wr)
 	req.state = stWriting
 	r.resolved(req, protoRecvRzv)
-	r.xferStarted(p, req, wrRndvWrite, wrid, req.slice.N)
-	return r.post(p, ps, wr)
+	r.xferStarted(p, req, wrRndvWrite, wr.WRID, req.slice.N)
+	return r.post(p, wr)
 }
 
 // ctrlSend transmits a zero-payload control packet (control packets
@@ -818,7 +820,7 @@ func (r *Rank) ctrlSend(p *sim.Proc, ps *peerState, h header) error {
 // postCtrl writes one zero-payload packet into the pair's ring; the
 // caller holds a credit of the packet's class.
 func (r *Rank) postCtrl(p *sim.Proc, ps *peerState, h header) error {
-	return r.sendPacket(p, ps, h, nil, wrAction{kind: wrCtrl})
+	return r.sendPacket(p, ps, h, nil, wrCtrl, nil)
 }
 
 // Irecv starts a nonblocking receive into s from src (or AnySource)
@@ -877,7 +879,8 @@ func (r *Rank) bindRecv(p *sim.Proc, req *Request, ps *peerState) {
 	}
 	if a, ok := ps.unexpected[req.seq]; ok {
 		delete(ps.unexpected, req.seq)
-		r.matchArrival(p, ps, req, a)
+		r.matchArrival(p, ps, req, a.h, a.data)
+		r.arrivalFree.Put(a)
 		return
 	}
 	ps.expRecv[req.seq] = req
@@ -924,49 +927,36 @@ func (ps *peerState) probe(tag int) *arrival {
 	return nil
 }
 
-// newArrival hands out a pooled arrival record. handlePacket builds one
-// per inbound data packet, so an unpooled record would be a per-event
-// heap allocation on the progress path.
-func (r *Rank) newArrival(h header, data []byte) *arrival {
+// newArrival records a packet that has to wait for its receive — an
+// unexpected one, or a loopback send with no receive posted — in a
+// pooled record, copying its payload into the record's retained backing,
+// which grows only when the payload is larger than any it held before.
+// A packet that matches when it arrives needs no record.
+func (r *Rank) newArrival(h header, payload []byte) *arrival {
 	a, ok := r.arrivalFree.Get()
 	if !ok {
 		a = &arrival{}
 	}
-	a.h, a.data = h, data
+	if cap(a.data) < len(payload) {
+		a.data = make([]byte, len(payload))
+	}
+	a.h, a.data = h, a.data[:len(payload)]
+	copy(a.data, payload)
 	return a
 }
 
-// keep copies an unexpected payload into the record's retained backing,
-// growing it only when the payload is larger than any it held before.
-func (a *arrival) keep(payload []byte) {
-	if cap(a.buf) < len(payload) {
-		a.buf = make([]byte, len(payload))
-	}
-	a.data = a.buf[:len(payload)]
-	copy(a.data, payload)
-}
-
-// recycleArrival returns a consumed arrival to the free list. Callers
-// must have copied the payload out first; dropping the data reference
-// here lets the ring buffer (or copied-out slice) be reclaimed.
-func (r *Rank) recycleArrival(a *arrival) {
-	a.data = nil
-	r.arrivalFree.Put(a)
-}
-
-// matchArrival pairs a posted receive with an arrival on pair ps
-// (eager payload or RTS). The arrival record is recycled on return:
-// both arms copy what they need out of it before completing.
-func (r *Rank) matchArrival(p *sim.Proc, ps *peerState, req *Request, a *arrival) {
-	defer r.recycleArrival(a)
-	if !tagsMatch(int(req.tag), a.h) {
+// matchArrival pairs a posted receive with packet h on pair ps (an
+// eager payload in data, or an RTS). Both arms copy what they need of
+// the packet before completing, so the caller may then reuse data.
+func (r *Rank) matchArrival(p *sim.Proc, ps *peerState, req *Request, h header, data []byte) {
+	if !tagsMatch(int(req.tag), h) {
 		req.complete(p, ErrTagMismatch)
 		return
 	}
 	r.matched(p, req)
-	switch a.h.kind {
+	switch h.kind {
 	case pktEager:
-		if a.h.payload > req.slice.N {
+		if h.payload > req.slice.N {
 			req.complete(p, ErrTruncate)
 			return
 		}
@@ -974,14 +964,14 @@ func (r *Rank) matchArrival(p *sim.Proc, ps *peerState, req *Request, a *arrival
 			// A loopback receive resolved as self when posted.
 			r.resolved(req, protoEager)
 		}
-		copy(req.slice.Bytes(), a.data)
-		p.Sleep(r.w.Plat.CopyCost(r.Loc(), a.h.payload))
-		req.status = status{src: int32(a.h.src), tag: a.h.tag, n: int32(a.h.payload)}
+		copy(req.slice.Bytes(), data)
+		p.Sleep(r.w.Plat.CopyCost(r.Loc(), h.payload))
+		req.status = status{src: int32(h.src), tag: h.tag, n: int32(h.payload)}
 		req.complete(p, nil)
 	case pktRTS:
-		r.startRead(p, ps, req, a.h)
+		r.startRead(p, ps, req, h)
 	default:
-		panic(fmt.Sprintf("core: arrival of kind %d cannot match a receive", a.h.kind))
+		panic(fmt.Sprintf("core: arrival of kind %d cannot match a receive", h.kind))
 	}
 }
 
@@ -1009,13 +999,12 @@ func (r *Rank) startRead(p *sim.Proc, ps *peerState, req *Request, rts header) {
 	req.pin(mr)
 	req.peer = int32(rts.src)
 	req.status = status{src: int32(rts.src), tag: rts.tag, n: int32(rts.rsize)}
-	wr := r.newSendWR()
+	wr := r.newSendWR(wrRndvRead, req, ps)
 	wr.Opcode = ib.OpRDMARead
 	wr.Remote = ib.RemoteAddr{Addr: rts.raddr, RKey: rts.rkey}
 	wr.Signaled = true
 	wr.SGL = append(wr.SGL, ib.SGE{Addr: req.slice.Addr(), Len: rts.rsize, LKey: mr.LKey})
-	wrid := r.nextWR(wrAction{kind: wrRndvRead, req: req, ps: ps, wr: wr})
-	wr.WRID = wrid
+	r.nextWR(wr)
 	req.state = stReading
 	req.seq = rts.seq
 	if simul {
@@ -1023,8 +1012,8 @@ func (r *Rank) startRead(p *sim.Proc, ps *peerState, req *Request, rts header) {
 	} else {
 		r.resolved(req, protoSenderRzv)
 	}
-	r.xferStarted(p, req, wrRndvRead, wrid, rts.rsize)
-	if err := r.post(p, ps, wr); err != nil {
+	r.xferStarted(p, req, wrRndvRead, wr.WRID, rts.rsize)
+	if err := r.post(p, wr); err != nil {
 		req.complete(p, err)
 	}
 }
@@ -1039,23 +1028,24 @@ func (r *Rank) lockAny(p *sim.Proc, req *Request) {
 	for _, ps := range r.pairs {
 		if a := ps.probe(int(req.tag)); a != nil {
 			delete(ps.unexpected, ps.recvSeq)
-			r.bindAny(p, ps, a)
+			r.bindAny(p, ps, a.h, a.data)
+			r.arrivalFree.Put(a)
 			return
 		}
 	}
 }
 
 // bindAny gives the active ANY_SOURCE receive the pair's next sequence
-// id — the one arrival a carries — and releases the lock. From then on
-// the receive names the pair's peer, so its completion does too.
-func (r *Rank) bindAny(p *sim.Proc, ps *peerState, a *arrival) {
+// id — the one packet h carries, with data — and releases the lock. From
+// then on the receive names the pair's peer, so its completion does too.
+func (r *Rank) bindAny(p *sim.Proc, ps *peerState, h header, data []byte) {
 	req := r.anyActive
 	r.anyActive = nil
 	ps.recvSeq++
-	req.seq = a.h.seq
+	req.seq = h.seq
 	r.bound(p, req, ps.id)
 	req.peer = int32(ps.id)
-	r.matchArrival(p, ps, req, a)
+	r.matchArrival(p, ps, req, h, data)
 	r.drainDeferred(p)
 }
 
@@ -1082,11 +1072,9 @@ func (r *Rank) sendSelf(p *sim.Proc, ps *peerState, req *Request) {
 	h := header{kind: pktEager, src: uint16(r.id), tag: req.tag, seq: req.seq, payload: req.slice.N}
 	if recv, ok := ps.expRecv[req.seq]; ok {
 		delete(ps.expRecv, req.seq)
-		r.matchArrival(p, ps, recv, r.newArrival(h, req.slice.Bytes()))
+		r.matchArrival(p, ps, recv, h, req.slice.Bytes())
 	} else {
-		a := r.newArrival(h, nil)
-		a.keep(req.slice.Bytes())
-		ps.unexpected[req.seq] = a
+		ps.unexpected[req.seq] = r.newArrival(h, req.slice.Bytes())
 	}
 	req.complete(p, nil)
 }
@@ -1201,21 +1189,20 @@ func (r *Rank) handlePacket(p *sim.Proc, ps *peerState, h header, payload []byte
 				// the sender thanks to the sequence id.
 				r.step(p, stepMispredictEager, src, h.seq, h.payload)
 			}
-			r.matchArrival(p, ps, req, r.newArrival(h, payload))
+			r.matchArrival(p, ps, req, h, payload)
 			return
 		}
 		// Then the ANY_SOURCE receive: it takes its sequence id from the
 		// first matching packet.
 		if r.anyActive != nil && h.seq == ps.recvSeq && tagsMatch(int(r.anyActive.tag), h) {
 			r.step(p, stepAnyMatch, src, h.seq, 0)
-			r.bindAny(p, ps, r.newArrival(h, payload))
+			r.bindAny(p, ps, h, payload)
 			return
 		}
 		// Unexpected: copy eager payloads out of the ring so the slot
 		// can be recycled.
-		a := r.newArrival(h, nil)
+		a := r.newArrival(h, payload)
 		if h.kind == pktEager && h.payload > 0 {
-			a.keep(payload)
 			p.Sleep(r.w.Plat.CopyCost(r.Loc(), h.payload))
 		}
 		ps.unexpected[h.seq] = a
@@ -1277,43 +1264,42 @@ func (r *Rank) take(m map[uint64]*Request, src int, h header) *Request {
 
 // handleCQE routes one completion.
 func (r *Rank) handleCQE(p *sim.Proc, e ib.CQE) {
-	act, ok := r.wrMap[e.WRID]
+	w, ok := r.wrMap[e.WRID]
 	if !ok {
 		panic(fmt.Sprintf("core: rank %d: completion for unknown WR %d", r.id, e.WRID))
 	}
 	delete(r.wrMap, e.WRID)
-	r.cqe(p, act, e.WRID)
+	r.cqe(p, w)
 	if e.Status != ib.StatusSuccess {
 		if (e.Status == ib.StatusRetryExcErr || e.Status == ib.StatusWRFlushErr) && r.faultsOn() {
-			r.recoverWR(p, e.WRID, act, e.Status)
+			r.recoverWR(p, w, e.Status)
 			return
 		}
-		if act.req != nil {
-			act.req.complete(p, fmt.Errorf("core: work request failed: %v", e.Status))
+		if w.req != nil {
+			w.req.complete(p, fmt.Errorf("core: work request failed: %v", e.Status))
 		}
 		return
 	}
 	// The hardware is done with the WR, and a successful completion is
 	// its last: return it to the pool.
-	r.recycleWR(act.wr)
-	switch act.kind {
+	kind, req, ps := w.kind, w.req, w.ps
+	r.recycleWR(w)
+	switch kind {
 	case wrEager:
-		act.req.complete(p, nil)
+		req.complete(p, nil)
 	case wrCtrl:
 		// Control packet delivered; nothing to do.
 	case wrRndvWrite:
 		// Receiver-first write done: tell the receiver.
-		req := act.req
 		r.xferDone(p, req)
-		delete(act.ps.sendsBySeq, req.seq)
+		delete(ps.sendsBySeq, req.seq)
 		done := header{kind: pktDoneW, seq: req.seq, rsize: req.slice.N}
-		req.complete(p, r.ctrlSend(p, act.ps, done))
+		req.complete(p, r.ctrlSend(p, ps, done))
 	case wrRndvRead:
 		// Sender-first read done: tell the sender.
-		req := act.req
 		r.xferDone(p, req)
 		done := header{kind: pktDone, seq: req.seq, rsize: int(req.status.n)}
-		req.complete(p, r.ctrlSend(p, act.ps, done))
+		req.complete(p, r.ctrlSend(p, ps, done))
 	}
 }
 

@@ -415,10 +415,10 @@ func (r *Rank) wrPosted(p *sim.Proc, peer int, kind wrKind, wrid uint64, n int) 
 	}
 }
 
-// cqe reports the completion of work request wrid consumed.
-func (r *Rank) cqe(p *sim.Proc, act wrAction, wrid uint64) {
+// cqe reports the completion of work request w consumed.
+func (r *Rank) cqe(p *sim.Proc, w *postedWR) {
 	if r.rep.rec != nil {
-		r.emit(p, causal.Event{Kind: causal.EvCQE, Peer: int32(act.ps.id), Pkt: uint8(act.kind), Aux: wrid})
+		r.emit(p, causal.Event{Kind: causal.EvCQE, Peer: int32(w.ps.id), Pkt: uint8(w.kind), Aux: w.WRID})
 	}
 }
 

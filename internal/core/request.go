@@ -190,8 +190,8 @@ func (r *Rank) newRequest() *Request {
 // (A request Isend or Irecv returned to the caller is the caller's for
 // ever and never comes here.) A request is recycled only if it completed
 // with a nil error on a rank that is not poisoned — the one state in
-// which the protocol provably holds it nowhere: its wrMap action went at
-// its last CQE, and a successful completion has taken it out of expRecv,
+// which the protocol provably holds it nowhere: its posted WR left wrMap
+// at its last CQE, and a successful completion has taken it out of expRecv,
 // sendsBySeq, pendingSends, deferred and anyActive first. Any other
 // request is left to the collector. The record is zeroed, so a holder
 // this reasoning missed nil-dereferences q.r into a PanicError instead of
@@ -206,17 +206,16 @@ func (r *Rank) retire(reqs ...*Request) {
 	}
 }
 
-// arrival is a packet that reached the rank before its matching receive
-// was posted (the unexpected queue), or an RTR that reached the sender
-// before its Isend (receiver-first case).
+// arrival is a packet waiting in a pair's unexpected queue: it reached
+// the rank before its matching receive was posted, or is a loopback send
+// no receive was posted for.
 type arrival struct {
-	h    header
-	data []byte // eager payload, copied out of the ring
-	// buf is the retained copy backing for unexpected eager payloads:
-	// the record pool keeps it across recycles so steady-state
+	h header
+	// data is the eager payload, copied out of the ring or send buffer.
+	// The record pool keeps its backing across recycles, so steady-state
 	// unexpected traffic reuses the same allocation instead of a fresh
 	// make([]byte) per packet.
-	buf []byte
+	data []byte
 }
 
 // wrKind is what a work request carries. Its values (wrEager ...
@@ -239,14 +238,15 @@ func (k wrKind) String() string {
 	}
 }
 
-// wrAction routes a CQ entry back to protocol state.
-type wrAction struct {
+// postedWR is a work request core formed: the verbs WR, reposted
+// unchanged by a replay, and what its completion routes back to. It
+// comes from Rank.wrFree, is held in wrMap by its WR id until its
+// completion, and goes back at a successful one.
+type postedWR struct {
+	ib.SendWR
 	kind wrKind
 	req  *Request
 	ps   *peerState // the pair the WR travels on
-	// wr is the WR as formed, reposted unchanged by a replay and
-	// recycled at its successful completion.
-	wr *ib.SendWR
 	// h is a packet WR's (eager/ctrl) header: later sends reuse the
 	// staging buffer, so a replay restages the packet from h and the
 	// request's payload. A rendezvous WR's buffers stay pinned.

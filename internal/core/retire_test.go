@@ -378,7 +378,7 @@ func TestRetireHoldsNoReference(t *testing.T) {
 		},
 		{
 			// Every third RDMA write or read fails and is replayed: the
-			// request rides in a wrMap action that is taken out and put
+			// request rides in a posted WR that is taken out of wrMap and put
 			// back once per attempt.
 			name: "IB faults force replays", ranks: 2,
 			tune: func(cfg *Config, fab *ib.Fabric) {

@@ -7,11 +7,14 @@ import (
 
 // flight is one work request on the wire — every opcode PostSend
 // accepts, faulted or not: what its arrival, response and completion
-// events need between the post and the last of them. Records come from a
-// pool on the Fabric and go back when that last event has fired, and the
-// three callbacks handed to Engine.At are method values bound when the
-// record is first made — so a work request in steady state allocates
-// nothing, and ib schedules no closure of its own.
+// events need between the post and the last of them. A flight has one
+// event pending at a time: the post schedules its arrival, the arrival
+// its response (a READ) or its completion, and the response its
+// completion. Records come from a pool on the Fabric and go back when
+// the last event has fired, and the three callbacks handed to Engine.At
+// are method values bound when the record is first made — so a work
+// request in steady state allocates nothing, and ib schedules no
+// closure of its own.
 type flight struct {
 	qp, rem *QP // the posting QP and its peer at post time
 	wr      *SendWR
@@ -89,20 +92,19 @@ func (x *flight) release() {
 }
 
 // stopped reports whether an event of the flight must do nothing: the
-// flight was flushed, or a WR posted before it failed (see fail). If no
-// other event of the flight is scheduled (last), a flushed flight is
+// flight was flushed, or a WR posted before it failed (see fail). Since
+// no other event of the flight is pending, a flushed flight is then
 // released, and a halted one looks again a wire latency on, by when the
 // failed WR has completed and the QP's error has flushed it.
-func (x *flight) stopped(last bool) bool {
+func (x *flight) stopped() bool {
 	qp, eng := x.qp, x.qp.ctx.HCA.fab.Eng
 	if !x.flushed && (qp.haltAt == 0 || x.seq <= qp.haltAt) {
 		return false
 	}
 	x.span.End(eng.Now())
-	switch {
-	case last && x.flushed:
+	if x.flushed {
 		x.release()
-	case last:
+	} else {
 		eng.At(eng.Now()+qp.ctx.HCA.fab.Plat.IBLatency, x.onComplete)
 	}
 	return true
@@ -141,26 +143,19 @@ func (x *flight) doneWith() {
 
 // arrive is the work request reaching the remote HCA.
 func (x *flight) arrive() {
-	if x.stopped(x.op != OpSend || !x.signaled) {
+	if x.stopped() {
 		return
 	}
 	switch x.op {
 	case OpSend:
-		x.sendArrive()
+		// A SEND lands in the peer's receive queue.
+		x.rem.land(x.src, x.qp.QPN)
+		x.doneWith()
+		x.completeLater()
 	case OpRDMAWrite:
 		x.writeArrive()
 	default:
 		x.readArrive()
-	}
-}
-
-// sendArrive lands a SEND in the peer's receive queue. Its completion,
-// if signaled, was scheduled at post time.
-func (x *flight) sendArrive() {
-	x.rem.land(x.src, x.qp.QPN)
-	x.doneWith()
-	if !x.signaled {
-		x.release()
 	}
 }
 
@@ -242,7 +237,7 @@ func (x *flight) readArrive() {
 // instant if it is signaled or has failed; an unsignaled success pushes
 // no completion, as in verbs.
 func (x *flight) respond() {
-	if x.stopped(true) {
+	if x.stopped() {
 		return
 	}
 	h := x.qp.ctx.HCA
@@ -270,7 +265,7 @@ func (x *flight) respond() {
 // last event — and errors the QP after a failure, which flushes every WR
 // still on the wire behind this completion.
 func (x *flight) complete() {
-	if x.stopped(true) {
+	if x.stopped() {
 		return
 	}
 	qp := x.qp

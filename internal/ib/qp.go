@@ -328,34 +328,20 @@ func (qp *QP) PostSend(p *sim.Proc, wr *SendWR) error {
 	rem := qp.remote
 
 	switch wr.Opcode {
-	case OpSend:
-		src, n, readRate, _, err := qp.gather(wr)
-		if err != nil {
-			return fmt.Errorf("ib: post send: %w", err)
-		}
-		if reg := h.fab.Metrics; reg != nil {
-			if h.sendBytes == nil {
-				h.sendBytes = reg.Counter(h.actor, "send.bytes")
-			}
-			h.sendBytes.Add(int64(n))
-		}
-		rate := qp.capRate(readRate)
-		arrive := h.egress.ReserveRate(n, rate)
-		arrive = h.deliverVia(arrive, rem.ctx.HCA, n, rate)
-		f := h.fab.takeFlight(qp, wr, src, n)
-		eng.At(arrive, f.onArrive)
-		if wr.Signaled {
-			eng.At(arrive+plat.IBLatency, f.onComplete)
-		}
-		return nil
-
-	case OpRDMAWrite:
+	case OpSend, OpRDMAWrite:
 		src, n, readRate, srcKind, err := qp.gather(wr)
 		if err != nil {
 			return fmt.Errorf("ib: post send: %w", err)
 		}
 		var wsp *metrics.Span
-		if reg := h.fab.Metrics; reg != nil {
+		switch reg := h.fab.Metrics; {
+		case reg == nil:
+		case wr.Opcode == OpSend:
+			if h.sendBytes == nil {
+				h.sendBytes = reg.Counter(h.actor, "send.bytes")
+			}
+			h.sendBytes.Add(int64(n))
+		default:
 			// Peek the destination domain for the direction pair; the
 			// keys are validated at arrival, so a dereg since still faults.
 			dstKind := machine.HostMem
@@ -372,7 +358,9 @@ func (qp *QP) PostSend(p *sim.Proc, wr *SendWR) error {
 		arrive = h.deliverVia(arrive, rem.ctx.HCA, n, rate)
 		f := h.fab.takeFlight(qp, wr, src, n)
 		f.span = wsp
-		f.fault, f.delivered = h.fab.Faults.IBWriteFault()
+		if wr.Opcode == OpRDMAWrite {
+			f.fault, f.delivered = h.fab.Faults.IBWriteFault()
+		}
 		eng.At(arrive, f.onArrive)
 		return nil
 

@@ -26,7 +26,11 @@ import (
 // responder's CQ, the script itself waiting on the requester's, and a
 // posted receive for SetError to flush make every such order visible.
 // (Re-recorded once more when the node-wide doorbell went: a landing now
-// wakes its QP's owner alone, so only the event count and digest moved.)
+// wakes its QP's owner alone, so only the event count and digest moved.
+// And again when a SEND's completion came to be scheduled at its arrival,
+// as a WRITE's is, instead of at its post: it fires at the same time,
+// arrival plus a wire latency, but takes its calendar sequence number
+// later, so only the digest moved.)
 
 // scriptOutcome is how a cell's work requests are made to end.
 type scriptOutcome int
@@ -237,8 +241,8 @@ func TestWireScriptFingerprint(t *testing.T) {
 		events   int64
 		end      sim.Time
 	}{
-		{"flat", 0xfe62c6a234cac7bd, 424, 405750},
-		{"fattree4", 0xa042a2b7582d3825, 423, 444160},
+		{"flat", 0xf1df3f33bcb0911d, 424, 405750},
+		{"fattree4", 0x576a02ec4ba3b239, 423, 444160},
 	} {
 		t.Run(row.topology, func(t *testing.T) {
 			s := newScriptRig(t, row.topology, nil)
@@ -258,4 +262,66 @@ func TestWireScriptFingerprint(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSendCompletesOneLatencyAfterArrival pins when a signaled SEND's
+// completion is pushed: a wire latency after the payload reaches the
+// responder, whose receive completes at arrival, on a flat fabric and
+// across the leaves of a fat tree alike.
+func TestSendCompletesOneLatencyAfterArrival(t *testing.T) {
+	for _, topology := range []string{"flat", "fattree4"} {
+		t.Run(topology, func(t *testing.T) {
+			s := newScriptRig(t, topology, nil)
+			a, b := newEndpoint(s.h0, machine.HostMem), newEndpoint(s.h7, machine.MicMem)
+			if err := ConnectPair(a.qp, b.qp); err != nil {
+				t.Fatal(err)
+			}
+			src, dst := s.n0.Host.Alloc(wireTotal), s.n7.Mic.Alloc(wireTotal)
+			smr, err := s.h0.regMR(a.pd, src.Dom, src.Addr, wireTotal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dmr, err := s.h7.regMR(b.pd, dst.Dom, dst.Addr, wireTotal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var arrived, completed sim.Time
+			s.eng.Spawn("responder", func(p *sim.Proc) {
+				if err := b.qp.PostRecv(p, &RecvWR{WRID: 2, SGL: []SGE{{Addr: dst.Addr, Len: wireTotal, LKey: dmr.LKey}}}); err != nil {
+					t.Error(err)
+					return
+				}
+				arrived = pushed(p, b.cq)
+				if e := b.cq.Poll(p, 1)[0]; e.Opcode != OpRecv || e.Status != StatusSuccess {
+					t.Errorf("receive completion %+v", e)
+				}
+			})
+			s.eng.Spawn("requester", func(p *sim.Proc) {
+				p.Sleep(10 * sim.Microsecond) // let the receive post first
+				if err := a.qp.PostSend(p, &SendWR{WRID: 1, Opcode: OpSend, Signaled: true, SGL: []SGE{{Addr: src.Addr, Len: wireTotal, LKey: smr.LKey}}}); err != nil {
+					t.Error(err)
+					return
+				}
+				completed = pushed(p, a.cq)
+				if e := a.cq.Poll(p, 1)[0]; e.Opcode != OpSend || e.Status != StatusSuccess || e.ByteLen != wireTotal {
+					t.Errorf("send completion %+v", e)
+				}
+			})
+			if err := s.eng.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if want := arrived + s.fab.Plat.IBLatency; arrived == 0 || completed != want {
+				t.Errorf("SEND arrived at %d ns and completed at %d ns, want %d ns", arrived, completed, want)
+			}
+		})
+	}
+}
+
+// pushed waits until cq holds an entry and returns when it was pushed,
+// before a poll charges its cost.
+func pushed(p *sim.Proc, cq *CQ) sim.Time {
+	for cq.entries.Len() == 0 {
+		cq.Notify.Wait(p)
+	}
+	return p.Now()
 }
