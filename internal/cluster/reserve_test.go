@@ -12,7 +12,7 @@ import (
 )
 
 // TestReservedArenasAreUnmapped builds, runs and drops DCFA worlds whose
-// offload arenas, eager rings and staging slots are reserved
+// offload arenas, eager rings and packet slots are reserved
 // (machine.Domain.Reserve), each running an 8-byte all-to-all and
 // staging one 1 MiB send, and checks that the process's mappings come
 // back to where they started once the dropped worlds are collected.
@@ -29,7 +29,7 @@ func TestReservedArenasAreUnmapped(t *testing.T) {
 		err := w.Run(func(r *core.Rank) error {
 			p := r.Proc()
 			// An 8-byte all-to-all writes every pair's ring and
-			// staging slot.
+			// every rank's packet slot.
 			if err := r.Alltoall(p, core.Whole(r.Mem(8*ranks)), core.Whole(r.Mem(8*ranks)), 8); err != nil {
 				return err
 			}
@@ -72,8 +72,8 @@ func TestReservedArenasAreUnmapped(t *testing.T) {
 
 // TestPairBuffersAreNotHeap: an eight-rank DCFA world connects eagerly,
 // so bootstrapping it builds 56 pair halves, each with a 64-slot eager
-// ring (about 29 MB in all) and a staging slot. They are reserved, so
-// the bootstrap grows the Go heap by less than 4 MiB.
+// ring (about 29 MB in all), beside each rank's packet slot. They are
+// reserved, so the bootstrap grows the Go heap by less than 4 MiB.
 func TestPairBuffersAreNotHeap(t *testing.T) {
 	const ranks = 8
 	c := New(perfmodel.Default(), ranks)

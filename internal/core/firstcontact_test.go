@@ -11,6 +11,7 @@ package core_test
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -108,14 +109,17 @@ func TestFirstContactFailureLeaksNothing(t *testing.T) {
 			// when rank 1's CreateQP fails: the attempt must take its
 			// registrations back and publish nothing, so that the second
 			// contact builds the pair afresh and the message arrives.
+			// Counted from here: setup registered each rank's packet
+			// slot, which stays.
 			buf := r.Mem(small)
 			switch r.ID() {
 			case 0:
 				for i := range buf.Data {
 					buf.Data[i] = byte(i + 1)
 				}
+				regs0, deregs0 := n.regs, n.deregs
 				_, first := r.Isend(p, 1, 7, core.Whole(buf))
-				regs, deregs := n.regs, n.deregs
+				regs, deregs := n.regs-regs0, n.deregs-deregs0
 				if err := r.Send(p, 1, 7, core.Whole(buf)); err != nil {
 					return errors.Join(errors.New("second contact"), err)
 				}
@@ -230,6 +234,130 @@ func TestFirstContactFailureLeaksNothing(t *testing.T) {
 			for i := 0; i < w.Size(); i++ {
 				if bad := w.Rank(i).UnwiredPeers(); len(bad) > 0 {
 					t.Errorf("rank %d lists unwired peers %v as active", i, bad)
+				}
+			}
+		})
+	}
+}
+
+// TestFirstContactRegistersOneRegionPerHalf: a pair half registers its
+// inbound ring and nothing else, since every packet a rank sends is
+// assembled in its one packet slot. A lazy first contact therefore
+// registers two regions, one per half, and the eager bootstrap of n
+// ranks n·(n−1) rings plus n slots.
+func TestFirstContactRegistersOneRegionPerHalf(t *testing.T) {
+	const ranks = 4
+	for _, mode := range []string{"lazy", "eager"} {
+		t.Run(mode, func(t *testing.T) {
+			eng, plat := sim.NewEngine(), perfmodel.Default()
+			fab := ib.NewFabric(eng, plat)
+			var n contactCounts
+			envs := make([]core.Env, ranks)
+			for i := range envs {
+				host := core.HostVerbs{Ctx: fab.AttachHCA(machine.NewNode(i)).Open(machine.HostMem)}
+				envs[i] = core.Env{V: qpFailVerbs{Verbs: host, n: &n}}
+			}
+			cfg := core.ConfigFromPlatform(plat)
+			cfg.Offload = false
+			cfg.ConnectMode = mode
+			w := core.NewWorld(eng, plat, cfg, envs)
+			bootstrap, contact := -1, -1
+			err := w.Run(func(r *core.Rank) error {
+				p := r.Proc()
+				buf := core.Whole(r.Mem(64))
+				switch r.ID() {
+				case 0:
+					bootstrap = n.regs
+					q, err := r.Isend(p, 1, 7, buf)
+					if err != nil {
+						return err
+					}
+					contact = n.regs - bootstrap
+					_, err = r.Wait(p, q)
+					return err
+				case 1:
+					p.Sleep(10 * sim.Millisecond)
+					_, err := r.Recv(p, 0, 7, buf)
+					return err
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantBoot, wantContact := ranks, 2
+			if mode == "eager" {
+				wantBoot, wantContact = ranks*(ranks-1)+ranks, 0
+			}
+			if bootstrap != wantBoot || contact != wantContact {
+				t.Errorf("bootstrap registered %d regions, first contact %d; want %d and %d", bootstrap, contact, wantBoot, wantContact)
+			}
+		})
+	}
+}
+
+// regFailVerbs refuses the k-th RegMR of the rank it wraps.
+type regFailVerbs struct {
+	core.Verbs
+	n   *int
+	k   int
+	err error
+}
+
+func (v regFailVerbs) RegMR(p *sim.Proc, pd *ib.PD, dom *machine.Domain, addr uint64, n int) (*ib.MR, error) {
+	if *v.n++; *v.n == v.k {
+		return nil, v.err
+	}
+	return v.Verbs.RegMR(p, pd, dom, addr, n)
+}
+
+// TestPeerSetupFailureIsTyped: in an eager 4-rank world one rank's setup
+// is refused a registration. Refused its first, it publishes no pair
+// half, so every other rank's connect finds no endpoint for it; refused
+// its packet slot, after its three rings, the others wire against its
+// halves and run. Either way Run returns the refusal, with neither a
+// leak nor a deadlock: the failed rank's ledger counts the rings it
+// published and no slot.
+func TestPeerSetupFailureIsTyped(t *testing.T) {
+	const ranks, failing = 4, 0
+	for _, tc := range []struct {
+		name     string
+		k        int
+		noPeerOf bool // every other rank's connect reports the failed peer
+	}{{"first ring", 1, true}, {"packet slot", ranks, false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			injected := errors.New("injected RegMR failure")
+			eng, plat := sim.NewEngine(), perfmodel.Default()
+			fab := ib.NewFabric(eng, plat)
+			var n int
+			envs := make([]core.Env, ranks)
+			for i := range envs {
+				envs[i] = core.Env{V: core.HostVerbs{Ctx: fab.AttachHCA(machine.NewNode(i)).Open(machine.HostMem)}}
+			}
+			envs[failing].V = regFailVerbs{Verbs: envs[failing].V, n: &n, k: tc.k, err: injected}
+			cfg := core.ConfigFromPlatform(plat)
+			cfg.Offload = false
+			cfg.ConnectMode = "eager"
+			w := core.NewWorld(eng, plat, cfg, envs)
+			err := w.Run(func(r *core.Rank) error { return nil })
+			if !errors.Is(err, injected) {
+				t.Fatalf("Run returned %v, want the injected error", err)
+			}
+			if n < tc.k {
+				t.Fatalf("only %d RegMR calls: the refusal at %d never fired", n, tc.k)
+			}
+			var leak *core.LeakError
+			if errors.As(err, &leak) {
+				t.Fatalf("Run reports a leak: %v", leak)
+			}
+			var dl *sim.DeadlockError
+			if errors.As(err, &dl) {
+				t.Fatalf("Run deadlocked: %v", err)
+			}
+			for i, rerr := range w.Errs() {
+				noPeer := rerr != nil && strings.Contains(rerr.Error(), fmt.Sprintf("rank %d has no endpoint for rank %d (peer setup failed)", failing, i))
+				if i != failing && noPeer != tc.noPeerOf {
+					t.Errorf("rank %d: error %v; want the missing peer reported: %v", i, rerr, tc.noPeerOf)
 				}
 			}
 		})

@@ -101,11 +101,14 @@ func (r *Rank) heldOpen() []OpenRequest {
 	return held[:min(len(held), 4)]
 }
 
-// registrations counts the regions rank r still owns: a ring and a
-// staging buffer per published pair half, the cache's entries, and the
+// registrations counts the regions rank r still owns: a ring per
+// published pair half, the packet slot, the cache's entries, and the
 // offload arena's host region.
 func (r *Rank) registrations() int {
-	n := 2 * len(r.pairs)
+	n := len(r.pairs)
+	if r.slotMR != nil {
+		n++
+	}
 	if r.mrCache != nil {
 		n += r.mrCache.Len()
 	}

@@ -16,8 +16,9 @@ import (
 
 // peerState is everything a rank holds about one (me, peer) pair — the
 // unit of §IV-B3: the pair's sequence ids and matching queues, and the
-// endpoint (QP, eager rings, credits) its packets travel on. Loopback is
-// the pair r.self: matching state only, no endpoint.
+// endpoint its packets travel on: its QP and inbound eager ring (all it
+// owns), the peer ring's descriptor and credits. Loopback is the pair
+// r.self: matching state only, no endpoint.
 type peerState struct {
 	// sendSeq numbers sends to the peer, recvSeq receives bound to it:
 	// the k-th send pairs with the k-th bound receive.
@@ -49,10 +50,6 @@ type peerState struct {
 	nextSlot int
 	// toReturn counts locally consumed slots not yet credited back.
 	toReturn int
-	// staging is the registered packet-assembly buffer (header +
-	// payload + tail) for sends to this peer.
-	staging   *machine.Buffer
-	stagingMR *ib.MR
 	// pendingSends are eager packets waiting for ring credit.
 	pendingSends sim.FIFO[*Request]
 	// pendingCtrl are control packets (RTS/RTR/DONE) waiting for ring
@@ -113,6 +110,13 @@ type Rank struct {
 	faults  *faults.Injector
 	mrCache *MRCache
 	arena   *offArena
+
+	// slot is the rank's one pre-registered packet-assembly buffer
+	// (header + payload + tail): stage writes every outbound ring packet
+	// there, and its WR takes the bytes at post time, so the next packet
+	// to any peer may be assembled in it at once.
+	slot   *machine.Buffer
+	slotMR *ib.MR
 
 	// self is the loopback pair (me, me).
 	self *peerState
@@ -245,6 +249,10 @@ func (r *Rank) setup(p *sim.Proc) error {
 			r.publish(ps)
 		}
 	}
+	r.slot = r.v.Domain().Reserve(slotBytes(cfg.EagerMax))
+	if r.slotMR, err = r.v.RegMR(p, r.pd, r.v.Domain(), r.slot.Addr, len(r.slot.Data)); err != nil {
+		return err
+	}
 	if d, ok := r.v.(DCFAVerbs); ok && cfg.Offload {
 		if r.arena, err = newOffArena(p, d.MicVerbs, cfg.OffloadArena); err != nil {
 			return err
@@ -286,41 +294,29 @@ func newPeerState(r *Rank, id int) *peerState {
 }
 
 // makePeerHalf builds this rank's half of the pair with peer i: fresh
-// matching state plus the endpoint (QP, eager ring, staging buffer). It
-// neither wires the QP nor publishes the half; setup/connect (the eager
-// bootstrap) or ensurePeer (lazy) do that. A half that cannot be
-// completed keeps no registration.
+// matching state plus the endpoint (QP and inbound eager ring, its one
+// registration). It neither wires the QP nor publishes the half;
+// setup/connect (the eager bootstrap) or ensurePeer (lazy) do that. A
+// half whose ring cannot be registered has registered nothing.
 func (r *Rank) makePeerHalf(p *sim.Proc, i int) (*peerState, error) {
 	cfg := r.w.Cfg
-	dom := r.v.Domain()
 	ps := newPeerState(r, i)
 	var err error
 	if ps.qp, err = r.v.CreateQP(p, r.pd, r.cq, r.cq); err != nil {
 		return nil, err
 	}
-	ps.in, err = newRing(p, r.v, r.pd, dom, cfg.EagerSlots, cfg.EagerMax)
-	if err != nil {
-		return nil, err
-	}
-	ps.staging = dom.Reserve(slotBytes(cfg.EagerMax))
-	ps.stagingMR, err = r.v.RegMR(p, r.pd, dom, ps.staging.Addr, len(ps.staging.Data))
-	if err != nil {
-		r.dropPeerHalf(p, ps)
+	if ps.in, err = newRing(p, r.v, r.pd, r.v.Domain(), cfg.EagerSlots, cfg.EagerMax); err != nil {
 		return nil, err
 	}
 	return ps, nil
 }
 
-// dropPeerHalf releases the registrations and buffers of a half that was
-// never published (first contact failed on either side). It is
-// best-effort: the error the caller reports is the one that failed the
-// contact, not a deregistration that failed after it.
+// dropPeerHalf releases the ring of a half that was never published
+// (first contact failed on either side). It is best-effort: the error
+// the caller reports is the one that failed the contact, not a
+// deregistration that failed after it.
 func (r *Rank) dropPeerHalf(p *sim.Proc, ps *peerState) {
-	if ps.stagingMR != nil {
-		_ = r.v.DeregMR(p, ps.stagingMR)
-	}
 	_ = r.v.DeregMR(p, ps.in.mr)
-	r.v.Domain().Free(ps.staging)
 	r.v.Domain().Free(ps.in.buf)
 }
 
@@ -512,9 +508,9 @@ func (r *Rank) reissue(p *sim.Proc, w *postedWR) {
 		delete(r.wrMap, w.WRID)
 		return
 	case w.kind == wrEager:
-		w.ps.stage(w.h, w.req.slice.Bytes())
+		r.stage(w.h, w.req.slice.Bytes())
 	case w.kind == wrCtrl:
-		w.ps.stage(w.h, nil)
+		r.stage(w.h, nil)
 	}
 	if err := r.post(p, w); err != nil {
 		delete(r.wrMap, w.WRID)
@@ -602,9 +598,9 @@ func (r *Rank) sendPacket(p *sim.Proc, ps *peerState, h header, payload []byte, 
 	ps.toReturn = 0
 	h.psn = ps.sendPSN
 	ps.sendPSN++
-	ps.stage(h, payload)
+	r.stage(h, payload)
 	if len(payload) > 0 {
-		// What the eager copy into the preregistered global buffer costs.
+		// What the eager copy into the preregistered slot costs.
 		p.Sleep(r.w.Plat.CopyCost(r.Loc(), len(payload)))
 	}
 	// Header SGE + data SGE + tail SGE, as the paper lays the packet out.
@@ -614,23 +610,23 @@ func (r *Rank) sendPacket(p *sim.Proc, ps *peerState, h header, payload []byte, 
 	wr.Remote = ib.RemoteAddr{Addr: ps.out.slotAddr(ps.nextSlot), RKey: ps.out.rkey}
 	ps.nextSlot = (ps.nextSlot + 1) % ps.out.slots
 	wr.Signaled = true
-	// The next packet to this peer is assembled in the same staging slot
-	// before this one completes, so the HCA takes the bytes at post time.
+	// The next packet to any peer is assembled in the same slot before
+	// this one completes, so the HCA takes the bytes at post time.
 	wr.Inline = true
-	wr.SGL = append(wr.SGL, ib.SGE{Addr: ps.staging.Addr, Len: hdrSize, LKey: ps.stagingMR.LKey})
+	wr.SGL = append(wr.SGL, ib.SGE{Addr: r.slot.Addr, Len: hdrSize, LKey: r.slotMR.LKey})
 	if len(payload) > 0 {
-		wr.SGL = append(wr.SGL, ib.SGE{Addr: ps.staging.Addr + hdrSize, Len: len(payload), LKey: ps.stagingMR.LKey})
+		wr.SGL = append(wr.SGL, ib.SGE{Addr: r.slot.Addr + hdrSize, Len: len(payload), LKey: r.slotMR.LKey})
 	}
-	wr.SGL = append(wr.SGL, ib.SGE{Addr: ps.staging.Addr + uint64(hdrSize+len(payload)), Len: tailSize, LKey: ps.stagingMR.LKey})
+	wr.SGL = append(wr.SGL, ib.SGE{Addr: r.slot.Addr + uint64(hdrSize+len(payload)), Len: tailSize, LKey: r.slotMR.LKey})
 	r.nextWR(wr)
 	r.packetSent(p, ps.id, h, kind, wr.WRID)
 	return r.post(p, wr)
 }
 
-// stage writes one packet — header, payload, tail — into the pair's
-// staging buffer, from which the packet's WR gathers it at post time.
-func (ps *peerState) stage(h header, payload []byte) {
-	s := ps.staging.Data
+// stage writes one packet — header, payload, tail — into the rank's
+// slot, from which the packet's WR gathers it at post time.
+func (r *Rank) stage(h header, payload []byte) {
+	s := r.slot.Data
 	h.encode(s[:hdrSize])
 	copy(s[hdrSize:], payload)
 	binary.LittleEndian.PutUint64(s[hdrSize+len(payload):], tailMarker(h.seq))

@@ -140,7 +140,7 @@ var steps = [numSteps]stepRow{
 	stepQPReset:     {stat: func(s *Stats) *int64 { return &s.QPResets }, counter: "faults.qp-resets", ev: causal.EvQPReset, put: peerOnly, trace: "qp-reset"},
 	stepReplay:      {stat: func(s *Stats) *int64 { return &s.Retries }, counter: "faults.retries", ev: causal.EvReplay, put: idAux, trace: "wr-replay"},
 	stepReplayDrop:  {stat: func(s *Stats) *int64 { return &s.ReplaysDeduped }, counter: "faults.replays-deduped", ev: causal.EvReplayDrop, put: idPSN, trace: "replay-drop"},
-	stepFlushRepost: {stat: func(s *Stats) *int64 { return &s.FlushReposts }, trace: "wr-flush-repost"},
+	stepFlushRepost: {stat: func(s *Stats) *int64 { return &s.FlushReposts }, counter: "faults.flush-reposts", trace: "wr-flush-repost"},
 }
 
 // The protocol classes and collective op codes are causal's; protocol

@@ -248,7 +248,7 @@ type postedWR struct {
 	req  *Request
 	ps   *peerState // the pair the WR travels on
 	// h is a packet WR's (eager/ctrl) header: later sends reuse the
-	// staging buffer, so a replay restages the packet from h and the
+	// rank's packet slot, so a replay restages the packet from h and the
 	// request's payload. A rendezvous WR's buffers stay pinned.
 	h     header
 	tries int // replays performed for this WR

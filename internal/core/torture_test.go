@@ -8,6 +8,7 @@ package core_test
 // be bit-identical across two runs with the same seed.
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -36,6 +37,8 @@ type tortureResult struct {
 	all    core.Stats // every field, summed over the ranks
 	inj    *faults.Injector
 	dirty  string // the first non-zero eager ring byte left at the end, if any
+	stray  string // the first ring slot left holding more than a stale copy, if any
+	held   string // the first protocol state a rank still holds, if any
 }
 
 // runTorture executes the seeded workload on a 4-rank DCFA world under
@@ -75,9 +78,9 @@ func runTortureSinks(t *testing.T, seed uint64, plan *faults.Plan, reg *metrics.
 func tortureResultOf(c *cluster.Cluster, w *core.World, inj *faults.Injector) tortureResult {
 	res := tortureResult{fp: c.Eng.Fingerprint(), events: c.Eng.EventsRun(), now: c.Eng.Now(), inj: inj}
 	for i := 0; i < w.Size(); i++ {
-		if res.dirty == "" {
-			res.dirty = w.Rank(i).DirtyRing()
-		}
+		res.dirty = cmp.Or(res.dirty, w.Rank(i).DirtyRing())
+		res.stray = cmp.Or(res.stray, w.Rank(i).StrayPacket())
+		res.held = cmp.Or(res.held, w.Rank(i).HeldState())
 		s := w.Rank(i).Stats
 		addStats(&res.all, s)
 		res.stats.MsgsSent += s.MsgsSent
@@ -337,15 +340,16 @@ func TestTelemetryDoesNotPerturbFaultSchedule(t *testing.T) {
 		}
 	}
 	// The metrics counters must agree with the recovery stats.
-	var retries, resets, deduped int64
+	var retries, resets, deduped, flushed int64
 	for i := 0; i < 4; i++ {
 		actor := fmt.Sprintf("rank%d", i)
 		retries += reg.Counter(actor, "faults.retries").Value()
 		resets += reg.Counter(actor, "faults.qp-resets").Value()
 		deduped += reg.Counter(actor, "faults.replays-deduped").Value()
+		flushed += reg.Counter(actor, "faults.flush-reposts").Value()
 	}
-	if retries != withMetrics.stats.Retries || resets != withMetrics.stats.QPResets || deduped != withMetrics.stats.ReplaysDeduped {
-		t.Errorf("metrics (%d/%d/%d) disagree with stats %+v", retries, resets, deduped, withMetrics.stats)
+	if retries != withMetrics.stats.Retries || resets != withMetrics.stats.QPResets || deduped != withMetrics.stats.ReplaysDeduped || flushed != withMetrics.stats.FlushReposts {
+		t.Errorf("metrics (%d/%d/%d/%d) disagree with stats %+v", retries, resets, deduped, flushed, withMetrics.stats)
 	}
 	if reg.OpenSpans() != 0 {
 		t.Errorf("%d spans left open after a faulted run", reg.OpenSpans())
@@ -400,21 +404,83 @@ func TestCmdTimeoutErrorIsNotADeadlock(t *testing.T) {
 // TestRingsAreZeroAfterTorture: a consumed or discarded ring slot clears
 // only the header, payload and tail its packet wrote, which leaves the
 // slot all zero because every write puts exactly those bytes. After the
-// mixed-size torture (control packets, 64 B to 8 KiB eager payloads and,
-// under the fault plan, replays) every byte of every ring is zero again.
+// clean mixed-size torture (control packets, 64 B to 8 KiB eager
+// payloads) every byte of every ring is zero again. Under a fault plan a
+// WRITE faulted as delivered lands, is consumed, and is replayed into
+// its old slot behind the cursor, where it stays until the cursor comes
+// back to it: over 64 plan seeds every non-zero slot must hold such a
+// stale copy (psn below the pair's recvPSN, nothing past its tail) and
+// nothing else.
 func TestRingsAreZeroAfterTorture(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		plan *faults.Plan
-	}{{"no faults", nil}, {"faults", tortureFaults(5)}} {
-		t.Run(tc.name, func(t *testing.T) {
-			res := runTorture(t, 5, tc.plan, nil, nil)
-			if res.dirty != "" {
-				t.Fatal(res.dirty)
+	t.Run("no faults", func(t *testing.T) {
+		if res := runTorture(t, 5, nil, nil, nil); res.dirty != "" {
+			t.Fatal(res.dirty)
+		}
+	})
+	t.Run("faults", func(t *testing.T) {
+		var retries, dirty int64
+		for seed := uint64(1); seed <= 64; seed++ {
+			res := runTorture(t, 5, tortureFaults(seed), nil, nil)
+			if res.stray != "" {
+				t.Errorf("plan seed %d: %s", seed, res.stray)
 			}
-			if tc.plan != nil && res.stats.Retries == 0 {
-				t.Error("the plan replayed nothing")
+			if res.dirty != "" {
+				dirty++
+			}
+			retries += res.stats.Retries
+		}
+		if retries == 0 {
+			t.Error("the plans replayed nothing")
+		}
+		t.Logf("%d of 64 faulted runs left stale copies in their rings", dirty)
+	})
+}
+
+// TestStrayPacketSeesAPlantedPacket: the faulted ring check is live. A
+// stale copy planted behind the cursor passes it; a packet the receiver
+// has not consumed yet (psn at recvPSN) fails it, and so does a stale
+// copy with a byte written past its tail.
+func TestStrayPacketSeesAPlantedPacket(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		offset   int
+		pastTail bool
+		stray    bool
+	}{{"stale copy", -1, false, false}, {"unconsumed packet", 0, false, true}, {"byte past the tail", -1, true, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := cluster.New(perfmodel.Default(), 2)
+			w := c.DCFAWorld(2, true)
+			err := w.RunKeepingRings(func(r *core.Rank) error {
+				s := core.Whole(r.Mem(8))
+				if r.ID() == 0 {
+					return r.Send(r.Proc(), 1, 1, s)
+				}
+				if _, err := r.Recv(r.Proc(), 0, 1, s); err != nil {
+					return err
+				}
+				r.PlantRingPacket(0, tc.offset, tc.pastTail)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := w.Rank(1).StrayPacket(); (got != "") != tc.stray {
+				t.Errorf("StrayPacket() = %q, want a stray: %v", got, tc.stray)
 			}
 		})
+	}
+}
+
+// TestCleanExitHoldsNoProtocolState: a torture run that ends without an
+// error leaves every rank holding no protocol state — no posted,
+// deferred or unexpected receive, no early RTR, no send or control
+// packet waiting, no work request in flight — with and without faults.
+func TestCleanExitHoldsNoProtocolState(t *testing.T) {
+	for seed := uint64(1); seed <= 100; seed++ {
+		for _, plan := range []*faults.Plan{nil, tortureFaults(seed)} {
+			if res := runTorture(t, seed, plan, nil, nil); res.held != "" {
+				t.Errorf("seed %d (faults %v): %s", seed, plan != nil, res.held)
+			}
+		}
 	}
 }

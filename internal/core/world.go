@@ -52,7 +52,7 @@ type Config struct {
 	Causal *causal.Recorder
 
 	// ConnectMode selects bootstrap wiring. "eager" builds every
-	// peer-pair endpoint (QP, eager ring, staging MR) up front — the
+	// peer-pair endpoint (QP and eager ring) up front — the
 	// historical all-pairs behavior, O(n²) resources across the job.
 	// "lazy" creates a pair's endpoints on both ranks at the pair's
 	// first Isend/Irecv, which is what makes thousand-rank jobs whose

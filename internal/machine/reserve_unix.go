@@ -8,7 +8,7 @@ import (
 )
 
 // Reserve is Alloc for world-lifetime buffers that are written sparsely:
-// eager rings, staging slots, stencil slabs and the offload arena.
+// eager rings, packet slots, stencil slabs and the offload arena.
 // Address, length, accounting, Resolve and Free are exactly Alloc's, and
 // Data reads all zero, but the bytes come from an anonymous private
 // mapping: the kernel backs a page only when it is first written, and

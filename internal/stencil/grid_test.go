@@ -64,7 +64,9 @@ func TestRun2DRejectsBadGrid(t *testing.T) {
 // serial baseline bit for bit: the engine's fingerprint and event count
 // and the Result of a DCFA row run, and the Result of the serial program.
 // The 2-D grid shares their exchange and sweep; these literals keep that
-// sharing from moving the paper's numbers.
+// sharing from moving the paper's numbers. The Result is the timed
+// loop's, after the warm-up, so what bootstrap registers moves the
+// fingerprint and event count but not the Result.
 func TestRowScheduleIsPinned(t *testing.T) {
 	const sum = 0x40757df26e000000 // 343.8716869354248
 	plat := perfmodel.Default()
@@ -74,8 +76,8 @@ func TestRowScheduleIsPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fp, ev := c.Eng.Fingerprint(), c.Eng.EventsRun(); fp != 0x5bf48bbad40984cd || ev != 2859 {
-		t.Errorf("row run: fingerprint %#x, %d events; pinned 0x5bf48bbad40984cd, 2859", fp, ev)
+	if fp, ev := c.Eng.Fingerprint(), c.Eng.EventsRun(); fp != 0xf523eea5de5be6ca || ev != 2571 {
+		t.Errorf("row run: fingerprint %#x, %d events; pinned 0xf523eea5de5be6ca, 2571", fp, ev)
 	}
 	if res.Total != 637838 || res.PerIter != 63783 || math.Float64bits(res.Checksum) != sum {
 		t.Errorf("row run: %+v (checksum bits %#x); pinned total 637838, per-iteration 63783, bits %#x",
